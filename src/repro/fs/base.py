@@ -1,30 +1,82 @@
-"""Shared scaffolding for the simulated file systems.
+"""The generic half of every simulated file system (Figure 1).
 
 Holds what every FS in the study has in common — mount state, the
-syslog, operation framing around the journal, crash simulation, and
-gray-box access to the raw disk — while each file system keeps its own
-*failure policy* in its own code, which is precisely where the paper
-locates the interesting behaviour.
+syslog, operation framing around the journal, crash simulation,
+gray-box access to the raw disk, and the whole *namespace* half of the
+syscall surface: the symlink-following path walk and ``creat``,
+``open``, ``close``, ``link``, ``unlink``, ``rmdir``, ``rename``,
+``getdirentries``, ``stat``, ``lstat``, ``chmod``, ``chown``,
+``utimes`` and ``readlink`` are written once here, over the primitive
+protocol documented on :class:`JournaledFS`.  Each file system keeps
+its on-disk format, allocation, journaling, data path and *failure
+policy* in its own code, which is precisely where the paper locates
+the interesting behaviour.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Optional
+import stat as _stat
+from typing import Callable, List, Optional
 
 from repro.common.errors import Errno, FSError, KernelPanic, ReadOnlyError
 from repro.common.syslog import SysLog
 from repro.obs.events import EventLog, JournalCommitEvent
 from repro.vfs.api import FileSystem
-from repro.vfs.fdtable import FDTable
+from repro.vfs.fdtable import FDTable, O_ACCMODE, O_CREAT, O_TRUNC, O_WRONLY
 from repro.vfs.generic import BufferLayer
+from repro.vfs.paths import MAX_SYMLINK_DEPTH, dirname_basename, is_ancestor, split_path
+from repro.vfs.stat import DEFAULT_FILE_MODE, FT_REG, StatResult
 
 
 class JournaledFS(FileSystem):
-    """Base class: a mounted, journaling file system over a device."""
+    """Base class: a mounted, journaling file system over a device.
+
+    **The specific half.**  A file system names its objects by an opaque
+    *handle* (inode number, MFT number, ReiserFS key pair) and exposes
+    each as a mutable *node* carrying ``mode``, ``links``, ``uid``,
+    ``gid``, ``atime`` and ``mtime``.  The generic namespace code below
+    is written over these primitives and nothing else:
+
+    ======================================  ==================================
+    ``ROOT``                                handle of ``/``
+    ``_node_get(h)`` / ``_node_put(h, n)``  read / journal one node
+    ``_is_dir(n)``                          directory test (mode bits here)
+    ``_node_create(parent, mode)``          new empty regular file, one link
+    ``_node_clear(h, n)``                   free a file's body; size 0
+    ``_node_drop(h, n)``                    free the object and its blocks
+    ``_read_link(h, n)``                    symlink target; None = no body
+    ``_stat_of(h)``                         ``StatResult`` for the object
+    ``_dir_find(dir, name, n=None)``        ``(child, ftype)`` or None
+    ``_dir_entries(dir, n)``                ``[(child, ftype, name), ...]``
+    ``_dir_add(dir, name, child, ftype)``   insert one entry
+    ``_dir_remove(dir, name)``              delete one entry (ENOENT if absent)
+    ``_dir_set_dotdot(dir, parent)``        repoint ``..``
+    ======================================  ==================================
+
+    ``_dir_find`` and ``_dir_entries`` are handed the directory's node
+    when the caller already holds it; an implementation whose directory
+    code reads the node itself ignores it (and keeps its historical I/O
+    sequence).  The data path stays specific too: ``_do_read``,
+    ``_do_write``, ``_do_truncate``, ``_do_symlink`` and ``_do_mkdir``
+    are the bodies the generic framing calls, and ``statfs`` is wholly
+    the file system's.
+
+    **Policy hooks** mark the places where the study found file systems
+    to *behave* differently; the defaults are the common behaviour:
+    :meth:`_open_check`, :meth:`_unlink_node`, :meth:`_rmdir_scan_failed`
+    and :meth:`_renamed_ftype`.
+
+    A file system must not redefine a generic op (``tools/
+    lint_generic_ops.py`` enforces it): every class-level definition of
+    a syscall is wrapped in its own trace span, so an override chaining
+    to the one here would be traced twice.
+    """
 
     name = "journaled"
     GENERIC_READ_RETRIES = 0
+    #: Handle of the root directory.
+    ROOT: object = None
 
     def __init__(
         self,
@@ -93,8 +145,8 @@ class JournaledFS(FileSystem):
 
     # -- operation framing ------------------------------------------------------
 
-    def _run_modifying(self, body: Callable[[], object]):
-        self._begin_op(modifying=True)
+    def _run_modifying(self, body: Callable[[], object], modifying: bool = True):
+        self._begin_op(modifying)
         try:
             result = body()
         except KernelPanic:
@@ -103,10 +155,17 @@ class JournaledFS(FileSystem):
         except Exception:
             # Journaling kernels commit whatever the half-finished
             # operation already logged; there is no rollback.
-            self._end_op(modifying=True)
+            self._end_op(modifying)
             raise
-        self._end_op(modifying=True)
+        self._end_op(modifying)
         return result
+
+    def _run_reading(self, body: Callable[[], object]):
+        self._begin_op(modifying=False)
+        try:
+            return body()
+        finally:
+            self._end_op(modifying=False)
 
     def _begin_op(self, modifying: bool) -> None:
         self._ensure_mounted()
@@ -157,6 +216,285 @@ class JournaledFS(FileSystem):
             return False
         nblocks = getattr(self.journal, "nblocks", 0)
         return len(current.meta) >= max(nblocks // 2, 8)
+
+    # -- generic namespace layer: path walk --------------------------------------
+
+    def _lookup(self, path: str, follow: bool = True, _depth: int = 0):
+        """Walk *path* to a handle, following symlinks in every
+        non-final component (and in the final one when *follow*)."""
+        if _depth > MAX_SYMLINK_DEPTH:
+            raise FSError(Errno.ELOOP, path)
+        resolved = self.resolve(path)
+        parts = split_path(resolved)
+        handle = self.ROOT
+        for i, name in enumerate(parts):
+            node = self._node_get(handle)
+            if not self._is_dir(node):
+                raise FSError(Errno.ENOTDIR, "/" + "/".join(parts[:i]))
+            found = self._dir_find(handle, name, node)
+            if found is None:
+                raise FSError(Errno.ENOENT, resolved)
+            child = found[0]
+            cnode = self._node_get(child)
+            if _stat.S_ISLNK(cnode.mode) and (follow or i < len(parts) - 1):
+                target = self._read_link(child, cnode)
+                if target is None:
+                    raise FSError(Errno.ENOENT, "dangling symlink")
+                if not target.startswith("/"):
+                    target = "/" + "/".join(parts[:i]) + "/" + target
+                remainder = "/".join(parts[i + 1:])
+                full = target + ("/" + remainder if remainder else "")
+                return self._lookup(full, follow=follow, _depth=_depth + 1)
+            handle = child
+        return handle
+
+    @staticmethod
+    def _is_dir(node) -> bool:
+        return _stat.S_ISDIR(node.mode)
+
+    def _add_links(self, handle, delta: int) -> None:
+        node = self._node_get(handle)
+        node.links = max(node.links + delta, 0)
+        self._node_put(handle, node)
+
+    def _drop_link(self, handle, node) -> None:
+        """Take one link off an object whose entry is already gone."""
+        if node.links <= 1:
+            self._node_drop(handle, node)
+        else:
+            node.links -= 1
+            self._node_put(handle, node)
+
+    # -- generic namespace layer: policy hooks --------------------------------------
+
+    def _open_check(self, handle, node) -> None:
+        """Sanity checks ``open`` applies to the node (ext3: size field)."""
+
+    def _unlink_node(self, handle, node) -> None:
+        """What ``unlink`` does to the object once its entry is removed
+        (ext3 handles the link count its own, buggy, way)."""
+        self._drop_link(handle, node)
+
+    def _rmdir_scan_failed(self) -> bool:
+        """The emptiness scan of ``rmdir`` hit an I/O error: return True
+        to swallow it and report success (ext3's silent-failure bug)."""
+        return False
+
+    def _renamed_ftype(self, ftype: int, node) -> int:
+        """File type recorded in the entry ``rename`` creates (ext3
+        derives it from the inode instead of keeping the old entry's)."""
+        return ftype
+
+    # -- generic namespace layer: syscalls -------------------------------------------
+
+    def creat(self, path: str, mode: int = 0o644) -> int:
+        return self._run_modifying(lambda: self._do_creat(path, mode))
+
+    def _do_creat(self, path: str, mode: int) -> int:
+        parent_path, name = dirname_basename(self.resolve(path))
+        parent = self._lookup(parent_path, follow=True)
+        pnode = self._node_get(parent)
+        if not self._is_dir(pnode):
+            raise FSError(Errno.ENOTDIR, parent_path)
+        found = self._dir_find(parent, name, pnode)
+        if found is not None:
+            child = found[0]
+            node = self._node_get(child)
+            if self._is_dir(node):
+                raise FSError(Errno.EISDIR, path)
+            self._node_clear(child, node)
+        else:
+            child = self._node_create(
+                parent, (DEFAULT_FILE_MODE & ~0o777) | (mode & 0o777))
+            self._dir_add(parent, name, child, FT_REG)
+        return self.fdtable.allocate(child, O_WRONLY)
+
+    def open(self, path: str, flags: int = 0, mode: int = 0o644) -> int:
+        def body():
+            resolved = self.resolve(path)
+            try:
+                handle = self._lookup(resolved, follow=True)
+            except FSError as exc:
+                if exc.errno is Errno.ENOENT and flags & O_CREAT:
+                    return self._do_creat(resolved, mode)
+                raise
+            node = self._node_get(handle)
+            if self._is_dir(node) and (flags & O_ACCMODE):
+                raise FSError(Errno.EISDIR, path)
+            self._open_check(handle, node)
+            if flags & O_TRUNC and not self._is_dir(node):
+                self._node_clear(handle, node)
+            return self.fdtable.allocate(handle, flags)
+        return self._run_modifying(body, bool(flags & (O_CREAT | O_TRUNC)))
+
+    def close(self, fd: int) -> None:
+        self._ensure_mounted()
+        self.fdtable.close(fd)
+
+    def read(self, fd: int, size: int, offset: Optional[int] = None) -> bytes:
+        return self._run_reading(lambda: self._do_read(fd, size, offset))
+
+    def write(self, fd: int, data: bytes, offset: Optional[int] = None) -> int:
+        return self._run_modifying(lambda: self._do_write(fd, data, offset))
+
+    def truncate(self, path: str, size: int) -> None:
+        self._run_modifying(lambda: self._do_truncate(path, size))
+
+    def symlink(self, target: str, linkpath: str) -> None:
+        self._run_modifying(lambda: self._do_symlink(target, linkpath))
+
+    def mkdir(self, path: str, mode: int = 0o755) -> None:
+        self._run_modifying(lambda: self._do_mkdir(path, mode))
+
+    def link(self, existing: str, new: str) -> None:
+        def body():
+            src = self._lookup(existing, follow=False)
+            node = self._node_get(src)
+            if self._is_dir(node):
+                raise FSError(Errno.EPERM, "hard links to directories are not allowed")
+            parent_path, name = dirname_basename(self.resolve(new))
+            parent = self._lookup(parent_path, follow=True)
+            if self._dir_find(parent, name) is not None:
+                raise FSError(Errno.EEXIST, new)
+            self._dir_add(parent, name, src, FT_REG)
+            node.links += 1
+            self._node_put(src, node)
+        self._run_modifying(body)
+
+    def unlink(self, path: str) -> None:
+        def body():
+            parent_path, name = dirname_basename(self.resolve(path))
+            parent = self._lookup(parent_path, follow=True)
+            found = self._dir_find(parent, name)
+            if found is None:
+                raise FSError(Errno.ENOENT, path)
+            child = found[0]
+            node = self._node_get(child)
+            if self._is_dir(node):
+                raise FSError(Errno.EISDIR, path)
+            self._dir_remove(parent, name)
+            self._unlink_node(child, node)
+        self._run_modifying(body)
+
+    def rmdir(self, path: str) -> None:
+        def body():
+            resolved = self.resolve(path)
+            if resolved == "/":
+                raise FSError(Errno.EINVAL, "cannot remove root")
+            parent_path, name = dirname_basename(resolved)
+            parent = self._lookup(parent_path, follow=True)
+            found = self._dir_find(parent, name)
+            if found is None:
+                raise FSError(Errno.ENOENT, path)
+            child = found[0]
+            node = self._node_get(child)
+            if not self._is_dir(node):
+                raise FSError(Errno.ENOTDIR, path)
+            try:
+                entries = self._dir_entries(child, node)
+            except FSError:
+                if self._rmdir_scan_failed():
+                    return
+                raise
+            if any(n not in (".", "..") for _, _, n in entries):
+                raise FSError(Errno.ENOTEMPTY, path)
+            self._dir_remove(parent, name)
+            self._node_drop(child, node)
+            self._add_links(parent, -1)
+        self._run_modifying(body)
+
+    def rename(self, old: str, new: str) -> None:
+        def body():
+            old_r, new_r = self.resolve(old), self.resolve(new)
+            if is_ancestor(old_r, new_r) and old_r != new_r:
+                raise FSError(Errno.EINVAL, "cannot move a directory into itself")
+            old_pp, old_name = dirname_basename(old_r)
+            new_pp, new_name = dirname_basename(new_r)
+            old_parent = self._lookup(old_pp, follow=True)
+            found = self._dir_find(old_parent, old_name)
+            if found is None:
+                raise FSError(Errno.ENOENT, old)
+            if old_r == new_r:
+                return  # renaming an existing name onto itself: no-op
+            moving, ftype = found
+            mnode = self._node_get(moving)
+            moving_is_dir = self._is_dir(mnode)
+            new_parent = self._lookup(new_pp, follow=True)
+            target = self._dir_find(new_parent, new_name)
+            if target is not None:
+                victim = target[0]
+                vnode = self._node_get(victim)
+                if self._is_dir(vnode):
+                    if not moving_is_dir:
+                        raise FSError(Errno.EISDIR, new)
+                    kids = self._dir_entries(victim, vnode)
+                    if any(n not in (".", "..") for _, _, n in kids):
+                        raise FSError(Errno.ENOTEMPTY, new)
+                    self._dir_remove(new_parent, new_name)
+                    self._node_drop(victim, vnode)
+                    self._add_links(new_parent, -1)
+                else:
+                    if moving_is_dir:
+                        raise FSError(Errno.ENOTDIR, new)
+                    self._dir_remove(new_parent, new_name)
+                    self._drop_link(victim, vnode)
+            self._dir_remove(old_parent, old_name)
+            self._dir_add(new_parent, new_name, moving,
+                          self._renamed_ftype(ftype, mnode))
+            if moving_is_dir and old_parent != new_parent:
+                self._dir_set_dotdot(moving, new_parent)
+                self._add_links(old_parent, -1)
+                self._add_links(new_parent, +1)
+        self._run_modifying(body)
+
+    def getdirentries(self, path: str) -> List[str]:
+        def body():
+            handle = self._lookup(path, follow=True)
+            node = self._node_get(handle)
+            if not self._is_dir(node):
+                raise FSError(Errno.ENOTDIR, path)
+            return [name for _, _, name in self._dir_entries(handle, node)]
+        return self._run_reading(body)
+
+    def readlink(self, path: str) -> str:
+        def body():
+            handle = self._lookup(path, follow=False)
+            node = self._node_get(handle)
+            if not _stat.S_ISLNK(node.mode):
+                raise FSError(Errno.EINVAL, "not a symlink")
+            return self._read_link(handle, node) or ""
+        return self._run_reading(body)
+
+    def stat(self, path: str) -> StatResult:
+        return self._run_reading(
+            lambda: self._stat_of(self._lookup(path, follow=True)))
+
+    def lstat(self, path: str) -> StatResult:
+        return self._run_reading(
+            lambda: self._stat_of(self._lookup(path, follow=False)))
+
+    def _update_node(self, path: str, change: Callable[[object], None]) -> None:
+        def body():
+            handle = self._lookup(path, follow=True)
+            node = self._node_get(handle)
+            change(node)
+            self._node_put(handle, node)
+        self._run_modifying(body)
+
+    def chmod(self, path: str, mode: int) -> None:
+        def change(node):
+            node.mode = (node.mode & ~0o7777) | (mode & 0o7777)
+        self._update_node(path, change)
+
+    def chown(self, path: str, uid: int, gid: int) -> None:
+        def change(node):
+            node.uid, node.gid = uid, gid
+        self._update_node(path, change)
+
+    def utimes(self, path: str, atime: float, mtime: float) -> None:
+        def change(node):
+            node.atime, node.mtime = atime, mtime
+        self._update_node(path, change)
 
     # -- sync / crash --------------------------------------------------------------
 

@@ -60,15 +60,9 @@ from repro.fs.ext3.structures import (
     unpack_pointer_block,
 )
 from repro.fs.base import JournaledFS
-from repro.vfs.fdtable import O_APPEND, O_CREAT, O_TRUNC
-from repro.vfs.paths import MAX_SYMLINK_DEPTH, dirname_basename, is_ancestor, split_path
-from repro.vfs.stat import (
-    DEFAULT_DIR_MODE,
-    DEFAULT_FILE_MODE,
-    DEFAULT_LINK_MODE,
-    StatResult,
-    StatVFS,
-)
+from repro.vfs.fdtable import O_APPEND
+from repro.vfs.paths import dirname_basename
+from repro.vfs.stat import DEFAULT_DIR_MODE, DEFAULT_LINK_MODE, StatResult, StatVFS
 
 _EMPTY = b""
 
@@ -107,6 +101,7 @@ class Ext3(JournaledFS):
     """The ext3 file system over a :class:`BlockDevice`."""
 
     name = "ext3"
+    ROOT = ROOT_INO
 
     #: Table 4: ext3 on-disk structures.
     BLOCK_TYPES: Dict[str, str] = {
@@ -262,100 +257,9 @@ class Ext3(JournaledFS):
         self._mounted = False
 
     # ==================================================================
-    # Namespace operations
+    # The specific half of the namespace (primitives and policy hooks
+    # for the generic layer in JournaledFS) and the data path
     # ==================================================================
-
-    def creat(self, path: str, mode: int = 0o644) -> int:
-        self._begin_op(modifying=True)
-        try:
-            fd = self._do_creat(path, mode)
-        except KernelPanic:
-            self._mounted = False
-            raise
-        except Exception:
-            self._end_op(modifying=True)
-            raise
-        self._end_op(modifying=True)
-        return fd
-
-    def open(self, path: str, flags: int = 0, mode: int = 0o644) -> int:
-        modifying = bool(flags & (O_CREAT | O_TRUNC))
-        self._begin_op(modifying=modifying)
-        try:
-            fd = self._do_open(path, flags, mode)
-        except KernelPanic:
-            self._mounted = False
-            raise
-        except Exception:
-            self._end_op(modifying=modifying)
-            raise
-        self._end_op(modifying=modifying)
-        return fd
-
-    def close(self, fd: int) -> None:
-        self._ensure_mounted()
-        self.fdtable.close(fd)
-
-    def read(self, fd: int, size: int, offset: Optional[int] = None) -> bytes:
-        self._begin_op(modifying=False)
-        try:
-            return self._do_read(fd, size, offset)
-        finally:
-            self._end_op(modifying=False)
-
-    def write(self, fd: int, data: bytes, offset: Optional[int] = None) -> int:
-        return self._run_modifying(lambda: self._do_write(fd, data, offset))
-
-    def truncate(self, path: str, size: int) -> None:
-        self._run_modifying(lambda: self._do_truncate(path, size))
-
-    def link(self, existing: str, new: str) -> None:
-        self._run_modifying(lambda: self._do_link(existing, new))
-
-    def unlink(self, path: str) -> None:
-        self._run_modifying(lambda: self._do_unlink(path))
-
-    def symlink(self, target: str, linkpath: str) -> None:
-        self._run_modifying(lambda: self._do_symlink(target, linkpath))
-
-    def readlink(self, path: str) -> str:
-        self._begin_op(modifying=False)
-        try:
-            return self._do_readlink(path)
-        finally:
-            self._end_op(modifying=False)
-
-    def mkdir(self, path: str, mode: int = 0o755) -> None:
-        self._run_modifying(lambda: self._do_mkdir(path, mode))
-
-    def rmdir(self, path: str) -> None:
-        self._run_modifying(lambda: self._do_rmdir(path))
-
-    def rename(self, old: str, new: str) -> None:
-        self._run_modifying(lambda: self._do_rename(old, new))
-
-    def getdirentries(self, path: str) -> List[str]:
-        self._begin_op(modifying=False)
-        try:
-            return self._do_getdirentries(path)
-        finally:
-            self._end_op(modifying=False)
-
-    def stat(self, path: str) -> StatResult:
-        self._begin_op(modifying=False)
-        try:
-            ino = self._lookup(path, follow=True)
-            return self._stat_of(ino)
-        finally:
-            self._end_op(modifying=False)
-
-    def lstat(self, path: str) -> StatResult:
-        self._begin_op(modifying=False)
-        try:
-            ino = self._lookup(path, follow=False)
-            return self._stat_of(ino)
-        finally:
-            self._end_op(modifying=False)
 
     def statfs(self) -> StatVFS:
         self._ensure_mounted()
@@ -367,60 +271,20 @@ class Ext3(JournaledFS):
             free_inodes=self.sb.free_inodes,
         )
 
-    def chmod(self, path: str, mode: int) -> None:
-        self._run_modifying(lambda: self._update_inode_attr(path, "mode", mode))
+    def _node_create(self, parent_ino: int, mode: int) -> int:
+        return self._alloc_inode(self.config.group_of_inode(parent_ino), mode)
 
-    def chown(self, path: str, uid: int, gid: int) -> None:
-        def doit():
-            ino = self._lookup(path, follow=True)
-            inode = self._iget(ino)
-            inode.uid, inode.gid = uid, gid
-            self._iput(ino, inode)
-        self._run_modifying(doit)
+    def _node_clear(self, ino: int, inode: Inode) -> None:
+        self._shrink(ino, inode, 0)
+        inode.size = 0
+        self._node_put(ino, inode)
 
-    def utimes(self, path: str, atime: float, mtime: float) -> None:
-        def doit():
-            ino = self._lookup(path, follow=True)
-            inode = self._iget(ino)
-            inode.atime, inode.mtime = atime, mtime
-            self._iput(ino, inode)
-        self._run_modifying(doit)
+    def _node_drop(self, ino: int, inode: Inode) -> None:
+        self._shrink(ino, inode, 0,
+                     kind="dir" if _stat.S_ISDIR(inode.mode) else "data")
+        self._free_inode(ino)
 
-    # ==================================================================
-    # Operation bodies
-    # ==================================================================
-
-    def _do_creat(self, path: str, mode: int) -> int:
-        parent_path, name = dirname_basename(self.resolve(path))
-        parent_ino = self._lookup(parent_path, follow=True)
-        parent = self._iget(parent_ino)
-        if not _stat.S_ISDIR(parent.mode):
-            raise FSError(Errno.ENOTDIR, parent_path)
-        existing = self._dir_find(parent_ino, parent, name)
-        if existing is not None:
-            child = self._iget(existing.ino)
-            if _stat.S_ISDIR(child.mode):
-                raise FSError(Errno.EISDIR, path)
-            self._shrink(existing.ino, child, 0)
-            child.size = 0
-            self._iput(existing.ino, child)
-            return self.fdtable.allocate(existing.ino, 1)  # O_WRONLY
-        ino = self._alloc_inode(self.config.group_of_inode(parent_ino),
-                                DEFAULT_FILE_MODE & ~0o777 | (mode & 0o777))
-        self._dir_add(parent_ino, name, ino, FT_REG)
-        return self.fdtable.allocate(ino, 1)
-
-    def _do_open(self, path: str, flags: int, mode: int) -> int:
-        resolved = self.resolve(path)
-        try:
-            ino = self._lookup(resolved, follow=True)
-        except FSError as exc:
-            if exc.errno is Errno.ENOENT and flags & O_CREAT:
-                return self._do_creat(resolved, mode)
-            raise
-        inode = self._iget(ino)
-        if _stat.S_ISDIR(inode.mode) and (flags & 0x3):
-            raise FSError(Errno.EISDIR, path)
+    def _open_check(self, ino: int, inode: Inode) -> None:
         # D_sanity (§5.1): open detects an overly-large file-size field.
         max_size = self.config.max_file_blocks * self.block_size
         if inode.size > max_size:
@@ -428,17 +292,12 @@ class Ext3(JournaledFS):
                                   f"inode {ino} size {inode.size} exceeds maximum",
                                   mechanism="sanity")
             raise FSError(Errno.EUCLEAN, "corrupted inode size")
-        if flags & O_TRUNC and not _stat.S_ISDIR(inode.mode):
-            self._shrink(ino, inode, 0)
-            inode.size = 0
-            self._iput(ino, inode)
-        return self.fdtable.allocate(ino, flags)
 
     def _do_read(self, fd: int, size: int, offset: Optional[int]) -> bytes:
         of = self.fdtable.get(fd)
         if not of.readable:
             raise FSError(Errno.EBADF, "fd not open for reading")
-        inode = self._iget(of.ino)
+        inode = self._node_get(of.handle)
         pos = of.offset if offset is None else offset
         end = min(pos + size, inode.size)
         if end <= pos:
@@ -452,7 +311,7 @@ class Ext3(JournaledFS):
             if bno == 0:
                 chunk = b"\x00" * bs
             else:
-                chunk = self._data_bread(of.ino, inode, fb, bno, readahead=readahead)
+                chunk = self._data_bread(of.handle, inode, fb, bno, readahead=readahead)
             lo = pos - fb * bs if fb == first else 0
             hi = end - fb * bs if fb == last else bs
             chunks.append(chunk[lo:hi])
@@ -467,7 +326,7 @@ class Ext3(JournaledFS):
             raise FSError(Errno.EBADF, "fd not open for writing")
         if not data:
             return 0
-        inode = self._iget(of.ino)
+        inode = self._node_get(of.handle)
         if of.flags & O_APPEND:
             pos = inode.size
         else:
@@ -492,7 +351,7 @@ class Ext3(JournaledFS):
                 # Read-modify-write of a partial block.
                 old_end = inode.size
                 if bno and fb * bs < old_end:
-                    base = bytearray(self._data_bread(of.ino, inode, fb, bno,
+                    base = bytearray(self._data_bread(of.handle, inode, fb, bno,
                                                       readahead=False, modifying=True))
                 else:
                     base = bytearray(bs)
@@ -500,7 +359,7 @@ class Ext3(JournaledFS):
                 payload = bytes(base)
             # Parity reads the block's *old* contents, so it must run
             # before the new payload enters the journal's write cache.
-            self._update_parity(of.ino, inode, fb, bno, payload, fresh=changed)
+            self._update_parity(of.handle, inode, fb, bno, payload, fresh=changed)
             self.journal.add_ordered(bno, payload)
             self._on_block_contents_change(bno, payload, "data")
             written += hi - lo
@@ -508,7 +367,7 @@ class Ext3(JournaledFS):
             inode.size = end
             dirty_inode = True
         inode.mtime += 1.0
-        self._iput(of.ino, inode)
+        self._node_put(of.handle, inode)
         if offset is None and not of.flags & O_APPEND:
             of.offset = end
         elif of.flags & O_APPEND:
@@ -522,7 +381,7 @@ class Ext3(JournaledFS):
 
     def _do_truncate(self, path: str, size: int) -> None:
         ino = self._lookup(path, follow=True)
-        inode = self._iget(ino)
+        inode = self._node_get(ino)
         if _stat.S_ISDIR(inode.mode):
             raise FSError(Errno.EISDIR, path)
         if size < inode.size:
@@ -540,91 +399,65 @@ class Ext3(JournaledFS):
                 self._shrink(ino, inode, size)
         inode.size = size
         inode.mtime += 1.0
-        self._iput(ino, inode)
+        self._node_put(ino, inode)
 
-    def _do_link(self, existing: str, new: str) -> None:
-        src_ino = self._lookup(existing, follow=False)
-        src = self._iget(src_ino)
-        if _stat.S_ISDIR(src.mode):
-            raise FSError(Errno.EPERM, "hard links to directories are not allowed")
-        parent_path, name = dirname_basename(self.resolve(new))
-        parent_ino = self._lookup(parent_path, follow=True)
-        parent = self._iget(parent_ino)
-        if self._dir_find(parent_ino, parent, name) is not None:
-            raise FSError(Errno.EEXIST, new)
-        self._dir_add(parent_ino, name, src_ino, FT_REG)
-        src.links += 1
-        self._iput(src_ino, src)
-
-    def _do_unlink(self, path: str) -> None:
-        parent_path, name = dirname_basename(self.resolve(path))
-        parent_ino = self._lookup(parent_path, follow=True)
-        parent = self._iget(parent_ino)
-        entry = self._dir_find(parent_ino, parent, name)
-        if entry is None:
-            raise FSError(Errno.ENOENT, path)
-        child = self._iget(entry.ino)
-        if _stat.S_ISDIR(child.mode):
-            raise FSError(Errno.EISDIR, path)
-        self._dir_remove(parent_ino, name)
-        if child.links == 0:
+    def _unlink_node(self, ino: int, inode: Inode) -> None:
+        if inode.links == 0:
             if self.UNLINK_LINKCOUNT_BUG:
                 # ext3 bug (§5.1): no sanity check of the link count
                 # before modifying it; a corrupted value crashes.
-                raise KernelPanic("ext3", f"inode {entry.ino}: link count already zero")
+                raise KernelPanic("ext3", f"inode {ino}: link count already zero")
             self.syslog.detection(self.name, "sanity-fail",
-                                  f"inode {entry.ino} link count already zero",
+                                  f"inode {ino} link count already zero",
                                   mechanism="sanity")
             raise FSError(Errno.EUCLEAN, "corrupt link count")
-        child.links -= 1
-        if child.links == 0:
-            self._shrink(entry.ino, child, 0)
-            self._release_parity(entry.ino, child)
-            self._free_inode(entry.ino)
+        inode.links -= 1
+        if inode.links == 0:
+            # Not _node_drop: only unlink releases ixt3's parity block
+            # (a file replaced by rename keeps it allocated).
+            self._shrink(ino, inode, 0)
+            self._release_parity(ino, inode)
+            self._free_inode(ino)
         else:
-            self._iput(entry.ino, child)
+            self._node_put(ino, inode)
 
     def _do_symlink(self, target: str, linkpath: str) -> None:
         if len(target.encode()) > self.block_size:
             raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
         parent_path, name = dirname_basename(self.resolve(linkpath))
         parent_ino = self._lookup(parent_path, follow=True)
-        parent = self._iget(parent_ino)
-        if self._dir_find(parent_ino, parent, name) is not None:
+        parent = self._node_get(parent_ino)
+        if self._dir_find(parent_ino, name, parent) is not None:
             raise FSError(Errno.EEXIST, linkpath)
         ino = self._alloc_inode(self.config.group_of_inode(parent_ino), DEFAULT_LINK_MODE)
-        inode = self._iget(ino)
+        inode = self._node_get(ino)
         bno, _ = self._bmap(inode, 0, allocate=True)
         raw = target.encode()
         payload = raw + b"\x00" * (self.block_size - len(raw))
         self.journal.add_ordered(bno, payload)
         self._on_block_contents_change(bno, payload, "data")
         inode.size = len(raw)
-        self._iput(ino, inode)
+        self._node_put(ino, inode)
         self._dir_add(parent_ino, name, ino, FT_SYMLINK)
 
-    def _do_readlink(self, path: str) -> str:
-        ino = self._lookup(path, follow=False)
-        inode = self._iget(ino)
-        if not _stat.S_ISLNK(inode.mode):
-            raise FSError(Errno.EINVAL, "not a symlink")
+    def _read_link(self, ino: int, inode: Inode) -> Optional[str]:
         bno, _ = self._bmap(inode, 0, allocate=False)
         if bno == 0:
-            return ""
+            return None
         data = self._data_bread(ino, inode, 0, bno, readahead=False)
         return data[:inode.size].decode(errors="replace")
 
     def _do_mkdir(self, path: str, mode: int) -> None:
         parent_path, name = dirname_basename(self.resolve(path))
         parent_ino = self._lookup(parent_path, follow=True)
-        parent = self._iget(parent_ino)
+        parent = self._node_get(parent_ino)
         if not _stat.S_ISDIR(parent.mode):
             raise FSError(Errno.ENOTDIR, parent_path)
-        if self._dir_find(parent_ino, parent, name) is not None:
+        if self._dir_find(parent_ino, name, parent) is not None:
             raise FSError(Errno.EEXIST, path)
         ino = self._alloc_inode(self.config.group_of_inode(parent_ino),
                                 DEFAULT_DIR_MODE & ~0o777 | (mode & 0o777))
-        inode = self._iget(ino)
+        inode = self._node_get(ino)
         inode.links = 2
         bno, _ = self._bmap(inode, 0, allocate=True, block_kind="dir")
         entries = [DirEntry(ino, FT_DIR, "."), DirEntry(parent_ino, FT_DIR, "..")]
@@ -632,110 +465,25 @@ class Ext3(JournaledFS):
         self.journal.add_meta(bno, payload)
         self._on_block_contents_change(bno, payload, "meta")
         inode.size = self.block_size
-        self._iput(ino, inode)
+        self._node_put(ino, inode)
         self._dir_add(parent_ino, name, ino, FT_DIR)
-        parent = self._iget(parent_ino)
+        parent = self._node_get(parent_ino)
         parent.links += 1
-        self._iput(parent_ino, parent)
+        self._node_put(parent_ino, parent)
 
-    def _do_rmdir(self, path: str) -> None:
-        resolved = self.resolve(path)
-        if resolved == "/":
-            raise FSError(Errno.EINVAL, "cannot remove root")
-        parent_path, name = dirname_basename(resolved)
-        parent_ino = self._lookup(parent_path, follow=True)
-        parent = self._iget(parent_ino)
-        entry = self._dir_find(parent_ino, parent, name)
-        if entry is None:
-            raise FSError(Errno.ENOENT, path)
-        child = self._iget(entry.ino)
-        if not _stat.S_ISDIR(child.mode):
-            raise FSError(Errno.ENOTDIR, path)
+    def _rmdir_scan_failed(self) -> bool:
         # ext3 bug (§5.1): read errors during the emptiness scan are
         # swallowed and rmdir returns silently without doing anything.
-        try:
-            entries = self._dir_entries(entry.ino, child)
-        except FSError:
-            if self.SILENT_RMDIR_BUG:
-                self.syslog.action(self.name, "silent-failure",
-                                   "rmdir abandoned after read error",
-                                   severity=Severity.WARNING)
-                return
-            raise
-        if any(e.name not in (".", "..") for e in entries):
-            raise FSError(Errno.ENOTEMPTY, path)
-        self._dir_remove(parent_ino, name)
-        self._shrink(entry.ino, child, 0, kind="dir")
-        self._free_inode(entry.ino)
-        parent = self._iget(parent_ino)
-        parent.links = max(parent.links - 1, 0)
-        self._iput(parent_ino, parent)
+        if self.SILENT_RMDIR_BUG:
+            self.syslog.action(self.name, "silent-failure",
+                               "rmdir abandoned after read error",
+                               severity=Severity.WARNING)
+        return self.SILENT_RMDIR_BUG
 
-    def _do_rename(self, old: str, new: str) -> None:
-        old_r, new_r = self.resolve(old), self.resolve(new)
-        if is_ancestor(old_r, new_r) and old_r != new_r:
-            raise FSError(Errno.EINVAL, "cannot move a directory into itself")
-        old_parent_path, old_name = dirname_basename(old_r)
-        new_parent_path, new_name = dirname_basename(new_r)
-        old_parent_ino = self._lookup(old_parent_path, follow=True)
-        old_parent = self._iget(old_parent_ino)
-        entry = self._dir_find(old_parent_ino, old_parent, old_name)
-        if entry is None:
-            raise FSError(Errno.ENOENT, old)
-        if old_r == new_r:
-            return  # renaming an existing name onto itself: no-op
-        moving = self._iget(entry.ino)
-        moving_is_dir = _stat.S_ISDIR(moving.mode)
-        new_parent_ino = self._lookup(new_parent_path, follow=True)
-        new_parent = self._iget(new_parent_ino)
-        target = self._dir_find(new_parent_ino, new_parent, new_name)
-        if target is not None:
-            tgt_inode = self._iget(target.ino)
-            if _stat.S_ISDIR(tgt_inode.mode):
-                if not moving_is_dir:
-                    raise FSError(Errno.EISDIR, new)
-                kids = self._dir_entries(target.ino, tgt_inode)
-                if any(e.name not in (".", "..") for e in kids):
-                    raise FSError(Errno.ENOTEMPTY, new)
-                self._dir_remove(new_parent_ino, new_name)
-                self._shrink(target.ino, tgt_inode, 0, kind="dir")
-                self._free_inode(target.ino)
-                new_parent = self._iget(new_parent_ino)
-                new_parent.links = max(new_parent.links - 1, 0)
-                self._iput(new_parent_ino, new_parent)
-            else:
-                if moving_is_dir:
-                    raise FSError(Errno.ENOTDIR, new)
-                self._dir_remove(new_parent_ino, new_name)
-                if tgt_inode.links <= 1:
-                    self._shrink(target.ino, tgt_inode, 0)
-                    self._free_inode(target.ino)
-                else:
-                    tgt_inode.links -= 1
-                    self._iput(target.ino, tgt_inode)
-        self._dir_remove(old_parent_ino, old_name)
-        ftype = FT_DIR if moving_is_dir else (
-            FT_SYMLINK if _stat.S_ISLNK(moving.mode) else FT_REG
-        )
-        self._dir_add(new_parent_ino, new_name, entry.ino, ftype)
-        if moving_is_dir and old_parent_ino != new_parent_ino:
-            # Rewrite '..' and fix parent link counts.
-            self._dir_set_dotdot(entry.ino, new_parent_ino)
-            op = self._iget(old_parent_ino)
-            op.links = max(op.links - 1, 0)
-            self._iput(old_parent_ino, op)
-            np = self._iget(new_parent_ino)
-            np.links += 1
-            self._iput(new_parent_ino, np)
-
-    def _do_getdirentries(self, path: str) -> List[str]:
-        ino = self._lookup(path, follow=True)
-        inode = self._iget(ino)
-        if not _stat.S_ISDIR(inode.mode):
-            raise FSError(Errno.ENOTDIR, path)
-        # Directory blocks carry no type information and are parsed
-        # blindly (§5.1): corruption yields garbage names, not errors.
-        return [e.name for e in self._dir_entries(ino, inode)]
+    def _renamed_ftype(self, ftype: int, inode: Inode) -> int:
+        if _stat.S_ISDIR(inode.mode):
+            return FT_DIR
+        return FT_SYMLINK if _stat.S_ISLNK(inode.mode) else FT_REG
 
     # ==================================================================
     # Directories
@@ -753,21 +501,27 @@ class Ext3(JournaledFS):
             if bno:
                 yield fb, bno
 
-    def _dir_entries(self, ino: int, inode: Inode) -> List[DirEntry]:
-        out: List[DirEntry] = []
+    def _dir_entries(self, ino: int, inode: Inode) -> List[Tuple[int, int, str]]:
+        # Directory blocks carry no type information and are parsed
+        # blindly (§5.1): corruption yields garbage names, not errors.
+        out: List[Tuple[int, int, str]] = []
         for _, bno in self._dir_blocks(inode):
-            out.extend(unpack_dir_block(self._meta_bread(bno)))
+            out.extend((e.ino, e.ftype, e.name)
+                       for e in unpack_dir_block(self._meta_bread(bno)))
         return out
 
-    def _dir_find(self, ino: int, inode: Inode, name: str) -> Optional[DirEntry]:
+    def _dir_find(self, ino: int, name: str,
+                  inode: Optional[Inode] = None) -> Optional[Tuple[int, int]]:
+        if inode is None:
+            inode = self._node_get(ino)
         for _, bno in self._dir_blocks(inode):
             for e in unpack_dir_block(self._meta_bread(bno)):
                 if e.name == name and 0 < e.ino <= self.sb.inodes_count:
-                    return e
+                    return e.ino, e.ftype
         return None
 
     def _dir_add(self, ino: int, name: str, child_ino: int, ftype: int) -> None:
-        inode = self._iget(ino)
+        inode = self._node_get(ino)
         new_entry = DirEntry(child_ino, ftype, name)
         need = len(new_entry.pack())
         for fb, bno in self._dir_blocks(inode):
@@ -787,10 +541,10 @@ class Ext3(JournaledFS):
         self.journal.add_meta(bno, payload)
         self._on_block_contents_change(bno, payload, "meta")
         inode.size = (fb + 1) * self.block_size
-        self._iput(ino, inode)
+        self._node_put(ino, inode)
 
     def _dir_remove(self, ino: int, name: str) -> None:
-        inode = self._iget(ino)
+        inode = self._node_get(ino)
         for fb, bno in self._dir_blocks(inode):
             raw = self._meta_bread(bno, modifying=True)
             entries = unpack_dir_block(raw)
@@ -803,7 +557,7 @@ class Ext3(JournaledFS):
         raise FSError(Errno.ENOENT, name)
 
     def _dir_set_dotdot(self, ino: int, new_parent: int) -> None:
-        inode = self._iget(ino)
+        inode = self._node_get(ino)
         for fb, bno in self._dir_blocks(inode):
             raw = self._meta_bread(bno, modifying=True)
             entries = unpack_dir_block(raw)
@@ -818,41 +572,8 @@ class Ext3(JournaledFS):
                 self._on_block_contents_change(bno, payload, "meta")
                 return
 
-    # ==================================================================
-    # Path lookup
-    # ==================================================================
-
-    def _lookup(self, path: str, follow: bool = True, _depth: int = 0) -> int:
-        if _depth > MAX_SYMLINK_DEPTH:
-            raise FSError(Errno.ELOOP, path)
-        resolved = self.resolve(path)
-        parts = split_path(resolved)
-        ino = ROOT_INO
-        for i, name in enumerate(parts):
-            inode = self._iget(ino)
-            if not _stat.S_ISDIR(inode.mode):
-                raise FSError(Errno.ENOTDIR, "/" + "/".join(parts[:i]))
-            entry = self._dir_find(ino, inode, name)
-            if entry is None:
-                raise FSError(Errno.ENOENT, resolved)
-            child = self._iget(entry.ino)
-            is_last = i == len(parts) - 1
-            if _stat.S_ISLNK(child.mode) and (follow or not is_last):
-                bno, _ = self._bmap(child, 0, allocate=False)
-                if bno == 0:
-                    raise FSError(Errno.ENOENT, "dangling symlink")
-                data = self._data_bread(entry.ino, child, 0, bno, readahead=False)
-                target = data[:child.size].decode(errors="replace")
-                if not target.startswith("/"):
-                    target = "/" + "/".join(parts[:i]) + "/" + target
-                remainder = "/".join(parts[i + 1:])
-                full = target + ("/" + remainder if remainder else "")
-                return self._lookup(full, follow=follow, _depth=_depth + 1)
-            ino = entry.ino
-        return ino
-
     def _stat_of(self, ino: int) -> StatResult:
-        inode = self._iget(ino)
+        inode = self._node_get(ino)
         return StatResult(
             ino=ino, mode=inode.mode, nlink=inode.links, uid=inode.uid,
             gid=inode.gid, size=inode.size, atime=inode.atime,
@@ -863,14 +584,14 @@ class Ext3(JournaledFS):
     # Inodes
     # ==================================================================
 
-    def _iget(self, ino: int) -> Inode:
+    def _node_get(self, ino: int) -> Inode:
         if not 1 <= ino <= self.sb.inodes_count:
             raise FSError(Errno.EUCLEAN, f"inode number {ino} out of range")
         block, off = self.config.inode_location(ino)
         raw = self._meta_bread(block)
         return inode_slot(raw, off)
 
-    def _iput(self, ino: int, inode: Inode) -> None:
+    def _node_put(self, ino: int, inode: Inode) -> None:
         block, off = self.config.inode_location(ino)
         raw = self._meta_bread(block, modifying=True)
         payload = patch_inode_block(raw, off, inode)
@@ -900,7 +621,7 @@ class Ext3(JournaledFS):
             self._flush_sb_gdt()
             ino = g * cfg.inodes_per_group + bit + 1
             inode = Inode(mode=mode, links=1, ctime=1.0, mtime=1.0, atime=1.0)
-            self._iput(ino, inode)
+            self._node_put(ino, inode)
             return ino
         raise FSError(Errno.ENOSPC, "out of inodes")
 
@@ -919,7 +640,7 @@ class Ext3(JournaledFS):
             self._on_block_contents_change(bmp_block, payload, "meta")
             self.gdt[g].free_inodes += 1
             self.sb.free_inodes += 1
-        self._iput(ino, Inode())
+        self._node_put(ino, Inode())
         self._flush_sb_gdt()
 
     def _alloc_block(self, hint_group: int, kind: str) -> int:
@@ -1075,7 +796,7 @@ class Ext3(JournaledFS):
             else:
                 freed = self._free_indirect_partial(root, level, keep - base, kind)
                 inode.nblocks = max(inode.nblocks - freed, 0)
-        self._iput(ino, inode)
+        self._node_put(ino, inode)
 
     def _free_indirect_tree(self, root: int, levels: int, kind: str) -> int:
         p = self.sb.ptrs_per_block
@@ -1178,19 +899,6 @@ class Ext3(JournaledFS):
         self._read_only = True
         self.syslog.action(self.name, "journal-abort", "aborting journal")
         self.syslog.action(self.name, "remount-ro", "remounting file system read-only")
-
-    # ==================================================================
-    # Operation framing
-    # ==================================================================
-
-    def _update_inode_attr(self, path: str, attr: str, value) -> None:
-        ino = self._lookup(path, follow=True)
-        inode = self._iget(ino)
-        if attr == "mode":
-            inode.mode = (inode.mode & ~0o7777) | (value & 0o7777)
-        else:
-            setattr(inode, attr, value)
-        self._iput(ino, inode)
 
     # ==================================================================
     # Gray-box: block-type oracle (Table 4 types)

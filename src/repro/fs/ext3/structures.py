@@ -10,14 +10,9 @@ from typing import List
 
 from repro.common.structs import U16x2, u32_seq
 from repro.fs.ext3.config import INODE_SIZE, NUM_DIRECT, Ext3Config
+from repro.vfs.stat import FT_DIR, FT_REG, FT_SYMLINK  # noqa: F401  (re-exported)
 
 EXT3_MAGIC = 0xEF53
-
-# File-type codes stored in directory entries.
-FT_UNKNOWN = 0
-FT_REG = 1
-FT_DIR = 2
-FT_SYMLINK = 7
 
 # Superblock state.
 STATE_CLEAN = 1

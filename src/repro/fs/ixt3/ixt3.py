@@ -320,12 +320,12 @@ class Ixt3(Ext3):
         # Preallocate the parity block at creation time (§6.1) for
         # regular files.
         if self.data_parity and _stat.S_ISREG(mode):
-            inode = self._iget(ino)
+            inode = self._node_get(ino)
             inode.parity_block = self._alloc_block(0, "parity")
             zero = b"\x00" * self.block_size
             self.journal.add_ordered(inode.parity_block, zero)
             self._on_block_contents_change(inode.parity_block, zero, "data")
-            self._iput(ino, inode)
+            self._node_put(ino, inode)
         return ino
 
     def _update_parity(self, ino: int, inode: Inode, file_block: int,
@@ -458,7 +458,7 @@ class Ixt3(Ext3):
         cfg = self.config
         for ino in range(1, cfg.total_inodes + 1):
             try:
-                inode = self._iget(ino)
+                inode = self._node_get(ino)
             except FSError:
                 continue
             if not inode.is_allocated or inode.parity_block != block:
@@ -486,7 +486,7 @@ class Ixt3(Ext3):
         cfg = self.config
         for ino in range(1, cfg.total_inodes + 1):
             try:
-                inode = self._iget(ino)
+                inode = self._node_get(ino)
             except FSError:
                 continue
             if not inode.is_allocated:

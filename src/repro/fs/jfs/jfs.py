@@ -58,17 +58,17 @@ from repro.fs.jfs.structures import (
     unpack_map_block,
     unpack_tree_block,
 )
-from repro.vfs.fdtable import O_APPEND, O_CREAT, O_TRUNC
-from repro.vfs.paths import MAX_SYMLINK_DEPTH, dirname_basename, is_ancestor, split_path
+from repro.vfs.fdtable import O_APPEND
+from repro.vfs.paths import dirname_basename
 from repro.vfs.stat import (
     DEFAULT_DIR_MODE,
-    DEFAULT_FILE_MODE,
     DEFAULT_LINK_MODE,
+    FT_DIR,
+    FT_SYMLINK,
     StatResult,
     StatVFS,
 )
 
-FT_REG, FT_DIR, FT_SYMLINK = 1, 2, 7
 ROOT_INO = 2
 
 
@@ -76,6 +76,7 @@ class JFS(JournaledFS):
     """IBM JFS over a :class:`BlockDevice`."""
 
     name = "jfs"
+    ROOT = ROOT_INO
 
     #: Table 4: JFS on-disk structures.
     BLOCK_TYPES: Dict[str, str] = {
@@ -265,304 +266,118 @@ class JFS(JournaledFS):
         self.crash()
 
     # ==================================================================
-    # Namespace operations (bodies share the common structure)
+    # Data path (the bodies the generic layer in JournaledFS frames)
     # ==================================================================
 
-    def creat(self, path: str, mode: int = 0o644) -> int:
-        return self._run_modifying(lambda: self._do_creat(path, mode))
+    def _do_read(self, fd: int, size: int, offset: Optional[int]) -> bytes:
+        of = self.fdtable.get(fd)
+        if not of.readable:
+            raise FSError(Errno.EBADF, "fd not open for reading")
+        inode = self._node_get(of.handle)
+        pos = of.offset if offset is None else offset
+        end = min(pos + size, inode.size)
+        if end <= pos:
+            return b""
+        bs = self.block_size
+        chunks = []
+        for fb in range(pos // bs, (end - 1) // bs + 1):
+            chunk = self._read_file_block(of.handle, inode, fb)
+            lo = pos - fb * bs if fb == pos // bs else 0
+            hi = end - fb * bs if fb == (end - 1) // bs else bs
+            chunks.append(chunk[lo:hi])
+        if offset is None:
+            of.offset = end
+        return b"".join(chunks)
 
-    def open(self, path: str, flags: int = 0, mode: int = 0o644) -> int:
-        modifying = bool(flags & (O_CREAT | O_TRUNC))
-        self._begin_op(modifying=modifying)
-        try:
-            fd = self._do_open(path, flags, mode)
-        except KernelPanic:
-            self._mounted = False
-            raise
-        except Exception:
-            self._end_op(modifying=modifying)
-            raise
-        self._end_op(modifying=modifying)
-        return fd
-
-    def close(self, fd: int) -> None:
-        self._ensure_mounted()
-        self.fdtable.close(fd)
-
-    def read(self, fd: int, size: int, offset: Optional[int] = None) -> bytes:
-        self._begin_op(modifying=False)
-        try:
-            of = self.fdtable.get(fd)
-            if not of.readable:
-                raise FSError(Errno.EBADF, "fd not open for reading")
-            inode = self._iget(of.ino)
-            pos = of.offset if offset is None else offset
-            end = min(pos + size, inode.size)
-            if end <= pos:
-                return b""
-            bs = self.block_size
-            chunks = []
-            for fb in range(pos // bs, (end - 1) // bs + 1):
-                chunk = self._read_file_block(of.ino, inode, fb)
-                lo = pos - fb * bs if fb == pos // bs else 0
-                hi = end - fb * bs if fb == (end - 1) // bs else bs
-                chunks.append(chunk[lo:hi])
-            if offset is None:
-                of.offset = end
-            return b"".join(chunks)
-        finally:
-            self._end_op(modifying=False)
-
-    def write(self, fd: int, data: bytes, offset: Optional[int] = None) -> int:
-        def body():
-            of = self.fdtable.get(fd)
-            if not of.writable:
-                raise FSError(Errno.EBADF, "fd not open for writing")
-            if not data:
-                return 0
-            inode = self._iget(of.ino)
-            pos = inode.size if of.flags & O_APPEND else (
-                of.offset if offset is None else offset
-            )
-            end = pos + len(data)
-            bs = self.block_size
-            if end > self.config.max_file_blocks * bs:
-                raise FSError(Errno.EFBIG, "file too large")
-            written = 0
-            for fb in range(pos // bs, max(pos, end - 1) // bs + 1):
-                lo = pos - fb * bs if fb == pos // bs else 0
-                hi = end - fb * bs if fb == (end - 1) // bs else bs
-                piece = data[written:written + (hi - lo)]
-                bno = self._bmap(of.ino, inode, fb, allocate=True)
-                if lo == 0 and hi == bs:
-                    payload = piece
-                else:
-                    base = bytearray(self._read_file_block(of.ino, inode, fb)
-                                     if fb * bs < inode.size else bytes(bs))
-                    base[lo:hi] = piece
-                    payload = bytes(base)
-                # JFS does not journal user data; in-place write, errors
-                # ignored (D_zero).
-                self._types[bno] = "data"
-                self._write_nocheck(bno, payload)
-                written += hi - lo
-            if end > inode.size:
-                inode.size = end
-            inode.mtime += 1.0
-            self._iput(of.ino, inode)
-            if offset is None or of.flags & O_APPEND:
-                of.offset = end
-            return written
-        return self._run_modifying(body)
-
-    def truncate(self, path: str, size: int) -> None:
-        def body():
-            ino = self._lookup(path, follow=True)
-            inode = self._iget(ino)
-            if _stat.S_ISDIR(inode.mode):
-                raise FSError(Errno.EISDIR, path)
-            if size < inode.size:
-                self._shrink(ino, inode, size)
-            inode.size = size
-            inode.mtime += 1.0
-            self._iput(ino, inode)
-        self._run_modifying(body)
-
-    def link(self, existing: str, new: str) -> None:
-        def body():
-            src = self._lookup(existing, follow=False)
-            inode = self._iget(src)
-            if _stat.S_ISDIR(inode.mode):
-                raise FSError(Errno.EPERM, "hard links to directories are not allowed")
-            parent_path, name = dirname_basename(self.resolve(new))
-            parent_ino = self._lookup(parent_path, follow=True)
-            if self._dir_find(parent_ino, name) is not None:
-                raise FSError(Errno.EEXIST, new)
-            self._dir_add(parent_ino, name, src, FT_REG)
-            inode.links += 1
-            self._iput(src, inode)
-        self._run_modifying(body)
-
-    def unlink(self, path: str) -> None:
-        def body():
-            parent_path, name = dirname_basename(self.resolve(path))
-            parent_ino = self._lookup(parent_path, follow=True)
-            found = self._dir_find(parent_ino, name)
-            if found is None:
-                raise FSError(Errno.ENOENT, path)
-            child_ino, _ = found
-            inode = self._iget(child_ino)
-            if _stat.S_ISDIR(inode.mode):
-                raise FSError(Errno.EISDIR, path)
-            self._dir_remove(parent_ino, name)
-            if inode.links <= 1:
-                self._shrink(child_ino, inode, 0)
-                self._free_inode(child_ino)
+    def _do_write(self, fd: int, data: bytes, offset: Optional[int]) -> int:
+        of = self.fdtable.get(fd)
+        if not of.writable:
+            raise FSError(Errno.EBADF, "fd not open for writing")
+        if not data:
+            return 0
+        inode = self._node_get(of.handle)
+        pos = inode.size if of.flags & O_APPEND else (
+            of.offset if offset is None else offset
+        )
+        end = pos + len(data)
+        bs = self.block_size
+        if end > self.config.max_file_blocks * bs:
+            raise FSError(Errno.EFBIG, "file too large")
+        written = 0
+        for fb in range(pos // bs, max(pos, end - 1) // bs + 1):
+            lo = pos - fb * bs if fb == pos // bs else 0
+            hi = end - fb * bs if fb == (end - 1) // bs else bs
+            piece = data[written:written + (hi - lo)]
+            bno = self._bmap(of.handle, inode, fb, allocate=True)
+            if lo == 0 and hi == bs:
+                payload = piece
             else:
-                inode.links -= 1
-                self._iput(child_ino, inode)
-        self._run_modifying(body)
-
-    def symlink(self, target: str, linkpath: str) -> None:
-        def body():
-            if len(target.encode()) > self.block_size:
-                raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
-            parent_path, name = dirname_basename(self.resolve(linkpath))
-            parent_ino = self._lookup(parent_path, follow=True)
-            if self._dir_find(parent_ino, name) is not None:
-                raise FSError(Errno.EEXIST, linkpath)
-            ino = self._alloc_inode(DEFAULT_LINK_MODE)
-            inode = self._iget(ino)
-            bno = self._bmap(ino, inode, 0, allocate=True)
-            raw = target.encode()
+                base = bytearray(self._read_file_block(of.handle, inode, fb)
+                                 if fb * bs < inode.size else bytes(bs))
+                base[lo:hi] = piece
+                payload = bytes(base)
+            # JFS does not journal user data; in-place write, errors
+            # ignored (D_zero).
             self._types[bno] = "data"
-            self._write_nocheck(bno, raw + b"\x00" * (self.block_size - len(raw)))
-            inode.size = len(raw)
-            self._iput(ino, inode)
-            self._dir_add(parent_ino, name, ino, FT_SYMLINK)
-        self._run_modifying(body)
+            self._write_nocheck(bno, payload)
+            written += hi - lo
+        if end > inode.size:
+            inode.size = end
+        inode.mtime += 1.0
+        self._node_put(of.handle, inode)
+        if offset is None or of.flags & O_APPEND:
+            of.offset = end
+        return written
 
-    def readlink(self, path: str) -> str:
-        self._begin_op(modifying=False)
-        try:
-            ino = self._lookup(path, follow=False)
-            inode = self._iget(ino)
-            if not _stat.S_ISLNK(inode.mode):
-                raise FSError(Errno.EINVAL, "not a symlink")
-            data = self._read_file_block(ino, inode, 0)
-            return data[:inode.size].decode(errors="replace")
-        finally:
-            self._end_op(modifying=False)
+    def _do_truncate(self, path: str, size: int) -> None:
+        ino = self._lookup(path, follow=True)
+        inode = self._node_get(ino)
+        if _stat.S_ISDIR(inode.mode):
+            raise FSError(Errno.EISDIR, path)
+        if size < inode.size:
+            self._shrink(ino, inode, size)
+        inode.size = size
+        inode.mtime += 1.0
+        self._node_put(ino, inode)
 
-    def mkdir(self, path: str, mode: int = 0o755) -> None:
-        def body():
-            parent_path, name = dirname_basename(self.resolve(path))
-            parent_ino = self._lookup(parent_path, follow=True)
-            parent = self._iget(parent_ino)
-            if not _stat.S_ISDIR(parent.mode):
-                raise FSError(Errno.ENOTDIR, parent_path)
-            if self._dir_find(parent_ino, name) is not None:
-                raise FSError(Errno.EEXIST, path)
-            ino = self._alloc_inode((DEFAULT_DIR_MODE & ~0o777) | (mode & 0o777))
-            inode = self._iget(ino)
-            inode.links = 2
-            bno = self._bmap(ino, inode, 0, allocate=True, kind="dir")
-            payload = pack_dir_block([(ino, FT_DIR, "."), (parent_ino, FT_DIR, "..")],
-                                     self.block_size)
-            self._meta_update(bno, payload)
-            inode.size = self.block_size
-            self._iput(ino, inode)
-            self._dir_add(parent_ino, name, ino, FT_DIR)
-            parent = self._iget(parent_ino)
-            parent.links += 1
-            self._iput(parent_ino, parent)
-        self._run_modifying(body)
+    def _do_symlink(self, target: str, linkpath: str) -> None:
+        if len(target.encode()) > self.block_size:
+            raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
+        parent_path, name = dirname_basename(self.resolve(linkpath))
+        parent_ino = self._lookup(parent_path, follow=True)
+        if self._dir_find(parent_ino, name) is not None:
+            raise FSError(Errno.EEXIST, linkpath)
+        ino = self._alloc_inode(DEFAULT_LINK_MODE)
+        inode = self._node_get(ino)
+        bno = self._bmap(ino, inode, 0, allocate=True)
+        raw = target.encode()
+        self._types[bno] = "data"
+        self._write_nocheck(bno, raw + b"\x00" * (self.block_size - len(raw)))
+        inode.size = len(raw)
+        self._node_put(ino, inode)
+        self._dir_add(parent_ino, name, ino, FT_SYMLINK)
 
-    def rmdir(self, path: str) -> None:
-        def body():
-            resolved = self.resolve(path)
-            if resolved == "/":
-                raise FSError(Errno.EINVAL, "cannot remove root")
-            parent_path, name = dirname_basename(resolved)
-            parent_ino = self._lookup(parent_path, follow=True)
-            found = self._dir_find(parent_ino, name)
-            if found is None:
-                raise FSError(Errno.ENOENT, path)
-            child_ino, _ = found
-            inode = self._iget(child_ino)
-            if not _stat.S_ISDIR(inode.mode):
-                raise FSError(Errno.ENOTDIR, path)
-            if any(n not in (".", "..") for _, _, n in self._dir_entries(child_ino, inode)):
-                raise FSError(Errno.ENOTEMPTY, path)
-            self._dir_remove(parent_ino, name)
-            self._shrink(child_ino, inode, 0, kind="dir")
-            self._free_inode(child_ino)
-            parent = self._iget(parent_ino)
-            parent.links = max(parent.links - 1, 0)
-            self._iput(parent_ino, parent)
-        self._run_modifying(body)
-
-    def rename(self, old: str, new: str) -> None:
-        def body():
-            old_r, new_r = self.resolve(old), self.resolve(new)
-            if is_ancestor(old_r, new_r) and old_r != new_r:
-                raise FSError(Errno.EINVAL, "cannot move a directory into itself")
-            old_pp, old_name = dirname_basename(old_r)
-            new_pp, new_name = dirname_basename(new_r)
-            old_parent = self._lookup(old_pp, follow=True)
-            found = self._dir_find(old_parent, old_name)
-            if found is None:
-                raise FSError(Errno.ENOENT, old)
-            if old_r == new_r:
-                return  # renaming an existing name onto itself: no-op
-            moving_ino, ftype = found
-            moving = self._iget(moving_ino)
-            moving_is_dir = _stat.S_ISDIR(moving.mode)
-            new_parent = self._lookup(new_pp, follow=True)
-            target = self._dir_find(new_parent, new_name)
-            if target is not None:
-                tino, _ = target
-                tinode = self._iget(tino)
-                if _stat.S_ISDIR(tinode.mode):
-                    if not moving_is_dir:
-                        raise FSError(Errno.EISDIR, new)
-                    kids = self._dir_entries(tino, tinode)
-                    if any(n not in (".", "..") for _, _, n in kids):
-                        raise FSError(Errno.ENOTEMPTY, new)
-                    self._dir_remove(new_parent, new_name)
-                    self._shrink(tino, tinode, 0, kind="dir")
-                    self._free_inode(tino)
-                    np = self._iget(new_parent)
-                    np.links = max(np.links - 1, 0)
-                    self._iput(new_parent, np)
-                else:
-                    if moving_is_dir:
-                        raise FSError(Errno.ENOTDIR, new)
-                    self._dir_remove(new_parent, new_name)
-                    if tinode.links <= 1:
-                        self._shrink(tino, tinode, 0)
-                        self._free_inode(tino)
-                    else:
-                        tinode.links -= 1
-                        self._iput(tino, tinode)
-            self._dir_remove(old_parent, old_name)
-            self._dir_add(new_parent, new_name, moving_ino, ftype)
-            if moving_is_dir and old_parent != new_parent:
-                self._dir_set_dotdot(moving_ino, new_parent)
-                op = self._iget(old_parent)
-                op.links = max(op.links - 1, 0)
-                self._iput(old_parent, op)
-                np = self._iget(new_parent)
-                np.links += 1
-                self._iput(new_parent, np)
-        self._run_modifying(body)
-
-    def getdirentries(self, path: str) -> List[str]:
-        self._begin_op(modifying=False)
-        try:
-            ino = self._lookup(path, follow=True)
-            inode = self._iget(ino)
-            if not _stat.S_ISDIR(inode.mode):
-                raise FSError(Errno.ENOTDIR, path)
-            return [n for _, _, n in self._dir_entries(ino, inode)]
-        finally:
-            self._end_op(modifying=False)
-
-    def stat(self, path: str) -> StatResult:
-        self._begin_op(modifying=False)
-        try:
-            ino = self._lookup(path, follow=True)
-            return self._stat_of(ino)
-        finally:
-            self._end_op(modifying=False)
-
-    def lstat(self, path: str) -> StatResult:
-        self._begin_op(modifying=False)
-        try:
-            ino = self._lookup(path, follow=False)
-            return self._stat_of(ino)
-        finally:
-            self._end_op(modifying=False)
+    def _do_mkdir(self, path: str, mode: int) -> None:
+        parent_path, name = dirname_basename(self.resolve(path))
+        parent_ino = self._lookup(parent_path, follow=True)
+        parent = self._node_get(parent_ino)
+        if not _stat.S_ISDIR(parent.mode):
+            raise FSError(Errno.ENOTDIR, parent_path)
+        if self._dir_find(parent_ino, name) is not None:
+            raise FSError(Errno.EEXIST, path)
+        ino = self._alloc_inode((DEFAULT_DIR_MODE & ~0o777) | (mode & 0o777))
+        inode = self._node_get(ino)
+        inode.links = 2
+        bno = self._bmap(ino, inode, 0, allocate=True, kind="dir")
+        payload = pack_dir_block([(ino, FT_DIR, "."), (parent_ino, FT_DIR, "..")],
+                                 self.block_size)
+        self._meta_update(bno, payload)
+        inode.size = self.block_size
+        self._node_put(ino, inode)
+        self._dir_add(parent_ino, name, ino, FT_DIR)
+        parent = self._node_get(parent_ino)
+        parent.links += 1
+        self._node_put(parent_ino, parent)
 
     def statfs(self) -> StatVFS:
         self._ensure_mounted()
@@ -574,83 +389,18 @@ class JFS(JournaledFS):
             free_inodes=self.sb.free_inodes,
         )
 
-    def chmod(self, path: str, mode: int) -> None:
-        def body():
-            ino = self._lookup(path, follow=True)
-            inode = self._iget(ino)
-            inode.mode = (inode.mode & ~0o7777) | (mode & 0o7777)
-            self._iput(ino, inode)
-        self._run_modifying(body)
-
-    def chown(self, path: str, uid: int, gid: int) -> None:
-        def body():
-            ino = self._lookup(path, follow=True)
-            inode = self._iget(ino)
-            inode.uid, inode.gid = uid, gid
-            self._iput(ino, inode)
-        self._run_modifying(body)
-
-    def utimes(self, path: str, atime: float, mtime: float) -> None:
-        def body():
-            ino = self._lookup(path, follow=True)
-            inode = self._iget(ino)
-            inode.atime, inode.mtime = atime, mtime
-            self._iput(ino, inode)
-        self._run_modifying(body)
-
-    # ==================================================================
-    # Operation bodies
-    # ==================================================================
-
-    def _do_creat(self, path: str, mode: int) -> int:
-        parent_path, name = dirname_basename(self.resolve(path))
-        parent_ino = self._lookup(parent_path, follow=True)
-        parent = self._iget(parent_ino)
-        if not _stat.S_ISDIR(parent.mode):
-            raise FSError(Errno.ENOTDIR, parent_path)
-        found = self._dir_find(parent_ino, name)
-        if found is not None:
-            child_ino, _ = found
-            inode = self._iget(child_ino)
-            if _stat.S_ISDIR(inode.mode):
-                raise FSError(Errno.EISDIR, path)
-            self._shrink(child_ino, inode, 0)
-            inode.size = 0
-            self._iput(child_ino, inode)
-            return self.fdtable.allocate(child_ino, 1)
-        ino = self._alloc_inode((DEFAULT_FILE_MODE & ~0o777) | (mode & 0o777))
-        self._dir_add(parent_ino, name, ino, FT_REG)
-        return self.fdtable.allocate(ino, 1)
-
-    def _do_open(self, path: str, flags: int, mode: int) -> int:
-        resolved = self.resolve(path)
-        try:
-            ino = self._lookup(resolved, follow=True)
-        except FSError as exc:
-            if exc.errno is Errno.ENOENT and flags & O_CREAT:
-                return self._do_creat(resolved, mode)
-            raise
-        inode = self._iget(ino)
-        if _stat.S_ISDIR(inode.mode) and (flags & 0x3):
-            raise FSError(Errno.EISDIR, path)
-        if flags & O_TRUNC and not _stat.S_ISDIR(inode.mode):
-            self._shrink(ino, inode, 0)
-            inode.size = 0
-            self._iput(ino, inode)
-        return self.fdtable.allocate(ino, flags)
-
     # ==================================================================
     # Inodes
     # ==================================================================
 
-    def _iget(self, ino: int) -> JFSInode:
+    def _node_get(self, ino: int) -> JFSInode:
         if not 1 <= ino <= self.sb.num_inodes:
             raise FSError(Errno.EUCLEAN, f"inode number {ino} out of range")
         block, off = self.config.inode_location(ino)
         raw = self._meta_bread(block, check="inode")
         return JFSInode.unpack(raw[off:off + self.config.inode_size])
 
-    def _iput(self, ino: int, inode: JFSInode) -> None:
+    def _node_put(self, ino: int, inode: JFSInode) -> None:
         block, off = self.config.inode_location(ino)
         raw = bytearray(self._meta_bread(block, check="inode"))
         raw[off:off + self.config.inode_size] = inode.pack(self.config.inode_size)
@@ -663,8 +413,23 @@ class JFS(JournaledFS):
         raw[0:8] = U32x2.pack(count, 0)
         self._meta_update(block, bytes(raw))
 
+    def _node_create(self, parent_ino: int, mode: int) -> int:
+        return self._alloc_inode(mode)
+
+    def _node_clear(self, ino: int, inode: JFSInode) -> None:
+        self._shrink(ino, inode, 0)
+        inode.size = 0
+        self._node_put(ino, inode)
+
+    def _node_drop(self, ino: int, inode: JFSInode) -> None:
+        self._shrink(ino, inode, 0)
+        self._free_inode(ino)
+
+    def _read_link(self, ino: int, inode: JFSInode) -> str:
+        return self._read_file_block(ino, inode, 0)[:inode.size].decode(errors="replace")
+
     def _stat_of(self, ino: int) -> StatResult:
-        inode = self._iget(ino)
+        inode = self._node_get(ino)
         return StatResult(ino=ino, mode=inode.mode, nlink=inode.links,
                           uid=inode.uid, gid=inode.gid, size=inode.size,
                           atime=inode.atime, mtime=inode.mtime, ctime=inode.ctime)
@@ -702,8 +467,11 @@ class JFS(JournaledFS):
             self._remount_ro()
             raise FSError(Errno.EUCLEAN, str(exc)) from exc
 
-    def _dir_find(self, ino: int, name: str) -> Optional[Tuple[int, int]]:
-        inode = self._iget(ino)
+    def _dir_find(self, ino: int, name: str,
+                  inode: Optional[JFSInode] = None) -> Optional[Tuple[int, int]]:
+        # The caller's copy goes unused: this code has always re-read
+        # the directory inode, and the fingerprints count that read.
+        inode = self._node_get(ino)
         for _, bno in self._dir_blocks(ino, inode):
             raw = self._meta_bread(bno, check="dir")
             for eino, ftype, ename in self._parse_dir(raw, bno):
@@ -712,7 +480,7 @@ class JFS(JournaledFS):
         return None
 
     def _dir_add(self, ino: int, name: str, child: int, ftype: int) -> None:
-        inode = self._iget(ino)
+        inode = self._node_get(ino)
         entry_size = 6 + len(name.encode())
         for _, bno in self._dir_blocks(ino, inode):
             raw = self._meta_bread(bno, check="dir")
@@ -727,10 +495,10 @@ class JFS(JournaledFS):
         bno = self._bmap(ino, inode, fb, allocate=True, kind="dir")
         self._meta_update(bno, pack_dir_block([(child, ftype, name)], self.block_size))
         inode.size = (fb + 1) * self.block_size
-        self._iput(ino, inode)
+        self._node_put(ino, inode)
 
     def _dir_remove(self, ino: int, name: str) -> None:
-        inode = self._iget(ino)
+        inode = self._node_get(ino)
         for _, bno in self._dir_blocks(ino, inode):
             raw = self._meta_bread(bno, check="dir")
             entries = self._parse_dir(raw, bno)
@@ -741,7 +509,7 @@ class JFS(JournaledFS):
         raise FSError(Errno.ENOENT, name)
 
     def _dir_set_dotdot(self, ino: int, new_parent: int) -> None:
-        inode = self._iget(ino)
+        inode = self._node_get(ino)
         for _, bno in self._dir_blocks(ino, inode):
             raw = self._meta_bread(bno, check="dir")
             entries = self._parse_dir(raw, bno)
@@ -753,37 +521,6 @@ class JFS(JournaledFS):
             if changed:
                 self._meta_update(bno, pack_dir_block(entries, self.block_size))
                 return
-
-    # ==================================================================
-    # Path lookup
-    # ==================================================================
-
-    def _lookup(self, path: str, follow: bool = True, _depth: int = 0) -> int:
-        if _depth > MAX_SYMLINK_DEPTH:
-            raise FSError(Errno.ELOOP, path)
-        resolved = self.resolve(path)
-        parts = split_path(resolved)
-        ino = ROOT_INO
-        for i, name in enumerate(parts):
-            inode = self._iget(ino)
-            if not _stat.S_ISDIR(inode.mode):
-                raise FSError(Errno.ENOTDIR, "/" + "/".join(parts[:i]))
-            found = self._dir_find(ino, name)
-            if found is None:
-                raise FSError(Errno.ENOENT, resolved)
-            child_ino, _ = found
-            child = self._iget(child_ino)
-            is_last = i == len(parts) - 1
-            if _stat.S_ISLNK(child.mode) and (follow or not is_last):
-                data = self._read_file_block(child_ino, child, 0)
-                target = data[:child.size].decode(errors="replace")
-                if not target.startswith("/"):
-                    target = "/" + "/".join(parts[:i]) + "/" + target
-                remainder = "/".join(parts[i + 1:])
-                full = target + ("/" + remainder if remainder else "")
-                return self._lookup(full, follow=follow, _depth=_depth + 1)
-            ino = child_ino
-        return ino
 
     # ==================================================================
     # Extent tree (file block mapping)
@@ -810,7 +547,7 @@ class JFS(JournaledFS):
             if inode.direct[idx] == 0 and allocate:
                 inode.direct[idx] = self._alloc_block(kind)
                 inode.nblocks += 1
-                self._iput(ino, inode)
+                self._node_put(ino, inode)
             return inode.direct[idx]
         idx -= cfg.num_direct
         f = cfg.tree_fanout
@@ -824,7 +561,7 @@ class JFS(JournaledFS):
             self._meta_update(inode.tree_root,
                               pack_tree_block(1, [], self.block_size, f))
             self._types[inode.tree_root] = "internal"
-            self._iput(ino, inode)
+            self._node_put(ino, inode)
         if idx >= f and inode.tree_levels == 1:
             if not allocate:
                 return 0
@@ -835,7 +572,7 @@ class JFS(JournaledFS):
             self._types[new_root] = "internal"
             inode.tree_root = new_root
             inode.tree_levels = 2
-            self._iput(ino, inode)
+            self._node_put(ino, inode)
         return self._tree_walk(ino, inode, inode.tree_root, inode.tree_levels,
                                idx, allocate, kind)
 
@@ -855,7 +592,7 @@ class JFS(JournaledFS):
             ptrs[idx] = new_block
             self._meta_update(block, pack_tree_block(1, ptrs, self.block_size, f))
             inode.nblocks += 1
-            self._iput(ino, inode)
+            self._node_put(ino, inode)
             return new_block
         slot, sub = divmod(idx, f)
         if slot >= len(ptrs) or ptrs[slot] == 0:
@@ -901,7 +638,7 @@ class JFS(JournaledFS):
                                   mechanism="error-code", block=bno)
             raise FSError(Errno.EIO, f"data block {bno} unreadable") from exc
 
-    def _shrink(self, ino: int, inode: JFSInode, new_size: int, kind: str = "data") -> None:
+    def _shrink(self, ino: int, inode: JFSInode, new_size: int) -> None:
         bs = self.block_size
         keep = (new_size + bs - 1) // bs
         cfg = self.config
@@ -918,7 +655,7 @@ class JFS(JournaledFS):
                                     "tree read failure during shrink; blocks leaked")
             inode.tree_root = 0
             inode.tree_levels = 0
-        self._iput(ino, inode)
+        self._node_put(ino, inode)
 
     def _free_tree(self, block: int, level: int) -> None:
         raw = self._meta_bread(block, check="internal")
@@ -1067,7 +804,7 @@ class JFS(JournaledFS):
             self._update_imap_control()
             ino = idx + 1
             inode = JFSInode(mode=mode, links=1, atime=1.0, mtime=1.0, ctime=1.0)
-            self._iput(ino, inode)
+            self._node_put(ino, inode)
             return ino
         raise FSError(Errno.ENOSPC, "out of inodes")
 
@@ -1082,7 +819,7 @@ class JFS(JournaledFS):
             self._meta_update(map_block, pack_map_block(bmp, self.block_size))
             self.sb.free_inodes += 1
             self._flush_super()
-        self._iput(ino, JFSInode())
+        self._node_put(ino, JFSInode())
         self._update_imap_control()
 
     def _update_imap_control(self) -> None:

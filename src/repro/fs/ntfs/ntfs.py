@@ -25,7 +25,6 @@ from repro.common.errors import (
     DiskError,
     Errno,
     FSError,
-    KernelPanic,
 )
 from repro.common.syslog import Severity
 from repro.fs.base import JournaledFS
@@ -41,23 +40,23 @@ from repro.fs.ntfs.structures import (
     pack_index_block,
     unpack_index_block,
 )
-from repro.vfs.fdtable import O_APPEND, O_CREAT, O_TRUNC
-from repro.vfs.paths import MAX_SYMLINK_DEPTH, dirname_basename, is_ancestor, split_path
+from repro.vfs.fdtable import O_APPEND
+from repro.vfs.paths import dirname_basename
 from repro.vfs.stat import (
     DEFAULT_DIR_MODE,
-    DEFAULT_FILE_MODE,
     DEFAULT_LINK_MODE,
+    FT_DIR,
+    FT_SYMLINK,
     StatResult,
     StatVFS,
 )
-
-FT_REG, FT_DIR, FT_SYMLINK = 1, 2, 7
 
 
 class NTFS(JournaledFS):
     """NTFS over a :class:`BlockDevice`."""
 
     name = "ntfs"
+    ROOT = ROOT_MFT
 
     #: Table 4: NTFS on-disk structures.
     BLOCK_TYPES: Dict[str, str] = {
@@ -205,331 +204,139 @@ class NTFS(JournaledFS):
             raise FSError(Errno.EUCLEAN, f"MFT number {mft} out of range")
         return self.boot.mft_start + mft
 
-    def _rget(self, mft: int) -> MFTRecord:
+    def _node_get(self, mft: int) -> MFTRecord:
         raw = self._meta_bread(self._mft_block(mft))
         try:
             return MFTRecord.unpack(raw, self._mft_block(mft))
         except CorruptionDetected as exc:
             raise self._sanity_violation(exc) from exc
 
-    def _rput(self, mft: int, record: MFTRecord) -> None:
+    def _node_put(self, mft: int, record: MFTRecord) -> None:
         self.journal.add_meta(self._mft_block(mft), record.pack(self.block_size))
 
     # ==================================================================
-    # Namespace operations
+    # Data path (the bodies the generic layer in JournaledFS frames)
     # ==================================================================
 
-    def creat(self, path: str, mode: int = 0o644) -> int:
-        return self._run_modifying(lambda: self._do_creat(path, mode))
+    def _do_read(self, fd: int, size: int, offset: Optional[int]) -> bytes:
+        of = self.fdtable.get(fd)
+        if not of.readable:
+            raise FSError(Errno.EBADF, "fd not open for reading")
+        rec = self._node_get(of.handle)
+        pos = of.offset if offset is None else offset
+        end = min(pos + size, rec.size)
+        if end <= pos:
+            return b""
+        bs = self.block_size
+        chunks = []
+        for fb in range(pos // bs, (end - 1) // bs + 1):
+            bno = rec.runs[fb] if fb < NUM_RUNS else 0
+            chunk = self._meta_bread(bno) if bno else b"\x00" * bs
+            lo = pos - fb * bs if fb == pos // bs else 0
+            hi = end - fb * bs if fb == (end - 1) // bs else bs
+            chunks.append(chunk[lo:hi])
+        if offset is None:
+            of.offset = end
+        return b"".join(chunks)
 
-    def open(self, path: str, flags: int = 0, mode: int = 0o644) -> int:
-        modifying = bool(flags & (O_CREAT | O_TRUNC))
-        self._begin_op(modifying=modifying)
-        try:
-            fd = self._do_open(path, flags, mode)
-        except KernelPanic:
-            self._mounted = False
-            raise
-        except Exception:
-            self._end_op(modifying=modifying)
-            raise
-        self._end_op(modifying=modifying)
-        return fd
-
-    def close(self, fd: int) -> None:
-        self._ensure_mounted()
-        self.fdtable.close(fd)
-
-    def read(self, fd: int, size: int, offset: Optional[int] = None) -> bytes:
-        self._begin_op(modifying=False)
-        try:
-            of = self.fdtable.get(fd)
-            if not of.readable:
-                raise FSError(Errno.EBADF, "fd not open for reading")
-            rec = self._rget(of.ino)
-            pos = of.offset if offset is None else offset
-            end = min(pos + size, rec.size)
-            if end <= pos:
-                return b""
-            bs = self.block_size
-            chunks = []
-            for fb in range(pos // bs, (end - 1) // bs + 1):
-                bno = rec.runs[fb] if fb < NUM_RUNS else 0
-                chunk = self._meta_bread(bno) if bno else b"\x00" * bs
-                lo = pos - fb * bs if fb == pos // bs else 0
-                hi = end - fb * bs if fb == (end - 1) // bs else bs
-                chunks.append(chunk[lo:hi])
-            if offset is None:
-                of.offset = end
-            return b"".join(chunks)
-        finally:
-            self._end_op(modifying=False)
-
-    def write(self, fd: int, data: bytes, offset: Optional[int] = None) -> int:
-        def body():
-            of = self.fdtable.get(fd)
-            if not of.writable:
-                raise FSError(Errno.EBADF, "fd not open for writing")
-            if not data:
-                return 0
-            rec = self._rget(of.ino)
-            pos = rec.size if of.flags & O_APPEND else (
-                of.offset if offset is None else offset
-            )
-            end = pos + len(data)
-            bs = self.block_size
-            if end > NUM_RUNS * bs:
-                raise FSError(Errno.EFBIG, "file exceeds run capacity")
-            written = 0
-            dirty = False
-            for fb in range(pos // bs, max(pos, end - 1) // bs + 1):
-                lo = pos - fb * bs if fb == pos // bs else 0
-                hi = end - fb * bs if fb == (end - 1) // bs else bs
-                piece = data[written:written + (hi - lo)]
-                if rec.runs[fb] == 0:
-                    rec.runs[fb] = self._alloc_block("data")
-                    dirty = True
-                bno = rec.runs[fb]
-                if lo == 0 and hi == bs:
-                    payload = piece
-                else:
-                    base = bytearray(self._meta_bread(bno)
-                                     if fb * bs < rec.size else bytes(bs))
-                    base[lo:hi] = piece
-                    payload = bytes(base)
-                self._types[bno] = "data"
-                self.journal.add_ordered(bno, payload)
-                written += hi - lo
-            if end > rec.size:
-                rec.size = end
+    def _do_write(self, fd: int, data: bytes, offset: Optional[int]) -> int:
+        of = self.fdtable.get(fd)
+        if not of.writable:
+            raise FSError(Errno.EBADF, "fd not open for writing")
+        if not data:
+            return 0
+        rec = self._node_get(of.handle)
+        pos = rec.size if of.flags & O_APPEND else (
+            of.offset if offset is None else offset
+        )
+        end = pos + len(data)
+        bs = self.block_size
+        if end > NUM_RUNS * bs:
+            raise FSError(Errno.EFBIG, "file exceeds run capacity")
+        written = 0
+        dirty = False
+        for fb in range(pos // bs, max(pos, end - 1) // bs + 1):
+            lo = pos - fb * bs if fb == pos // bs else 0
+            hi = end - fb * bs if fb == (end - 1) // bs else bs
+            piece = data[written:written + (hi - lo)]
+            if rec.runs[fb] == 0:
+                rec.runs[fb] = self._alloc_block("data")
                 dirty = True
-            rec.mtime += 1.0
-            self._rput(of.ino, rec)
-            if offset is None or of.flags & O_APPEND:
-                of.offset = end
-            return written
-        return self._run_modifying(body)
-
-    def truncate(self, path: str, size: int) -> None:
-        def body():
-            mft = self._lookup(path, follow=True)
-            rec = self._rget(mft)
-            if rec.is_dir:
-                raise FSError(Errno.EISDIR, path)
-            if size < rec.size:
-                bs = self.block_size
-                keep = (size + bs - 1) // bs
-                for i in range(keep, NUM_RUNS):
-                    if rec.runs[i]:
-                        self._free_block(rec.runs[i])
-                        rec.runs[i] = 0
-            rec.size = size
-            rec.mtime += 1.0
-            self._rput(mft, rec)
-        self._run_modifying(body)
-
-    def link(self, existing: str, new: str) -> None:
-        def body():
-            src = self._lookup(existing, follow=False)
-            rec = self._rget(src)
-            if rec.is_dir:
-                raise FSError(Errno.EPERM, "hard links to directories are not allowed")
-            parent_path, name = dirname_basename(self.resolve(new))
-            parent = self._lookup(parent_path, follow=True)
-            if self._dir_find(parent, name) is not None:
-                raise FSError(Errno.EEXIST, new)
-            self._dir_add(parent, name, src, FT_REG)
-            rec.links += 1
-            self._rput(src, rec)
-        self._run_modifying(body)
-
-    def unlink(self, path: str) -> None:
-        def body():
-            parent_path, name = dirname_basename(self.resolve(path))
-            parent = self._lookup(parent_path, follow=True)
-            found = self._dir_find(parent, name)
-            if found is None:
-                raise FSError(Errno.ENOENT, path)
-            mft, _ = found
-            rec = self._rget(mft)
-            if rec.is_dir:
-                raise FSError(Errno.EISDIR, path)
-            self._dir_remove(parent, name)
-            if rec.links <= 1:
-                for bno in rec.runs:
-                    if bno:
-                        self._free_block(bno)
-                self._free_mft(mft)
+            bno = rec.runs[fb]
+            if lo == 0 and hi == bs:
+                payload = piece
             else:
-                rec.links -= 1
-                self._rput(mft, rec)
-        self._run_modifying(body)
+                base = bytearray(self._meta_bread(bno)
+                                 if fb * bs < rec.size else bytes(bs))
+                base[lo:hi] = piece
+                payload = bytes(base)
+            self._types[bno] = "data"
+            self.journal.add_ordered(bno, payload)
+            written += hi - lo
+        if end > rec.size:
+            rec.size = end
+            dirty = True
+        rec.mtime += 1.0
+        self._node_put(of.handle, rec)
+        if offset is None or of.flags & O_APPEND:
+            of.offset = end
+        return written
 
-    def symlink(self, target: str, linkpath: str) -> None:
-        def body():
-            if len(target.encode()) > self.block_size:
-                raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
-            parent_path, name = dirname_basename(self.resolve(linkpath))
-            parent = self._lookup(parent_path, follow=True)
-            if self._dir_find(parent, name) is not None:
-                raise FSError(Errno.EEXIST, linkpath)
-            mft = self._alloc_mft(DEFAULT_LINK_MODE, is_dir=False)
-            rec = self._rget(mft)
-            bno = self._alloc_block("data")
-            rec.runs[0] = bno
-            raw = target.encode()
-            self.journal.add_ordered(bno, raw + b"\x00" * (self.block_size - len(raw)))
-            rec.size = len(raw)
-            self._rput(mft, rec)
-            self._dir_add(parent, name, mft, FT_SYMLINK)
-        self._run_modifying(body)
+    def _do_truncate(self, path: str, size: int) -> None:
+        mft = self._lookup(path, follow=True)
+        rec = self._node_get(mft)
+        if rec.is_dir:
+            raise FSError(Errno.EISDIR, path)
+        if size < rec.size:
+            bs = self.block_size
+            keep = (size + bs - 1) // bs
+            for i in range(keep, NUM_RUNS):
+                if rec.runs[i]:
+                    self._free_block(rec.runs[i])
+                    rec.runs[i] = 0
+        rec.size = size
+        rec.mtime += 1.0
+        self._node_put(mft, rec)
 
-    def readlink(self, path: str) -> str:
-        self._begin_op(modifying=False)
-        try:
-            mft = self._lookup(path, follow=False)
-            rec = self._rget(mft)
-            if not _stat.S_ISLNK(rec.mode):
-                raise FSError(Errno.EINVAL, "not a symlink")
-            if rec.runs[0] == 0:
-                return ""
-            data = self._meta_bread(rec.runs[0])
-            return data[:rec.size].decode(errors="replace")
-        finally:
-            self._end_op(modifying=False)
+    def _do_symlink(self, target: str, linkpath: str) -> None:
+        if len(target.encode()) > self.block_size:
+            raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
+        parent_path, name = dirname_basename(self.resolve(linkpath))
+        parent = self._lookup(parent_path, follow=True)
+        if self._dir_find(parent, name) is not None:
+            raise FSError(Errno.EEXIST, linkpath)
+        mft = self._alloc_mft(DEFAULT_LINK_MODE, is_dir=False)
+        rec = self._node_get(mft)
+        bno = self._alloc_block("data")
+        rec.runs[0] = bno
+        raw = target.encode()
+        self.journal.add_ordered(bno, raw + b"\x00" * (self.block_size - len(raw)))
+        rec.size = len(raw)
+        self._node_put(mft, rec)
+        self._dir_add(parent, name, mft, FT_SYMLINK)
 
-    def mkdir(self, path: str, mode: int = 0o755) -> None:
-        def body():
-            parent_path, name = dirname_basename(self.resolve(path))
-            parent = self._lookup(parent_path, follow=True)
-            prec = self._rget(parent)
-            if not prec.is_dir:
-                raise FSError(Errno.ENOTDIR, parent_path)
-            if self._dir_find(parent, name) is not None:
-                raise FSError(Errno.EEXIST, path)
-            mft = self._alloc_mft((DEFAULT_DIR_MODE & ~0o777) | (mode & 0o777),
-                                  is_dir=True)
-            rec = self._rget(mft)
-            rec.links = 2
-            bno = self._alloc_block("directory")
-            rec.runs[0] = bno
-            self.journal.add_meta(bno, pack_index_block(
-                [(mft, FT_DIR, "."), (parent, FT_DIR, "..")], self.block_size))
-            rec.size = self.block_size
-            self._rput(mft, rec)
-            self._dir_add(parent, name, mft, FT_DIR)
-            prec = self._rget(parent)
-            prec.links += 1
-            self._rput(parent, prec)
-        self._run_modifying(body)
-
-    def rmdir(self, path: str) -> None:
-        def body():
-            resolved = self.resolve(path)
-            if resolved == "/":
-                raise FSError(Errno.EINVAL, "cannot remove root")
-            parent_path, name = dirname_basename(resolved)
-            parent = self._lookup(parent_path, follow=True)
-            found = self._dir_find(parent, name)
-            if found is None:
-                raise FSError(Errno.ENOENT, path)
-            mft, _ = found
-            rec = self._rget(mft)
-            if not rec.is_dir:
-                raise FSError(Errno.ENOTDIR, path)
-            if any(n not in (".", "..") for _, _, n in self._dir_entries(mft, rec)):
-                raise FSError(Errno.ENOTEMPTY, path)
-            self._dir_remove(parent, name)
-            for bno in rec.runs:
-                if bno:
-                    self._free_block(bno)
-            self._free_mft(mft)
-            prec = self._rget(parent)
-            prec.links = max(prec.links - 1, 0)
-            self._rput(parent, prec)
-        self._run_modifying(body)
-
-    def rename(self, old: str, new: str) -> None:
-        def body():
-            old_r, new_r = self.resolve(old), self.resolve(new)
-            if is_ancestor(old_r, new_r) and old_r != new_r:
-                raise FSError(Errno.EINVAL, "cannot move a directory into itself")
-            old_pp, old_name = dirname_basename(old_r)
-            new_pp, new_name = dirname_basename(new_r)
-            old_parent = self._lookup(old_pp, follow=True)
-            found = self._dir_find(old_parent, old_name)
-            if found is None:
-                raise FSError(Errno.ENOENT, old)
-            if old_r == new_r:
-                return  # renaming an existing name onto itself: no-op
-            moving, ftype = found
-            mrec = self._rget(moving)
-            new_parent = self._lookup(new_pp, follow=True)
-            target = self._dir_find(new_parent, new_name)
-            if target is not None:
-                tmft, _ = target
-                trec = self._rget(tmft)
-                if trec.is_dir:
-                    if not mrec.is_dir:
-                        raise FSError(Errno.EISDIR, new)
-                    if any(n not in (".", "..") for _, _, n in self._dir_entries(tmft, trec)):
-                        raise FSError(Errno.ENOTEMPTY, new)
-                    self._dir_remove(new_parent, new_name)
-                    for bno in trec.runs:
-                        if bno:
-                            self._free_block(bno)
-                    self._free_mft(tmft)
-                    np = self._rget(new_parent)
-                    np.links = max(np.links - 1, 0)
-                    self._rput(new_parent, np)
-                else:
-                    if mrec.is_dir:
-                        raise FSError(Errno.ENOTDIR, new)
-                    self._dir_remove(new_parent, new_name)
-                    if trec.links <= 1:
-                        for bno in trec.runs:
-                            if bno:
-                                self._free_block(bno)
-                        self._free_mft(tmft)
-                    else:
-                        trec.links -= 1
-                        self._rput(tmft, trec)
-            self._dir_remove(old_parent, old_name)
-            self._dir_add(new_parent, new_name, moving, ftype)
-            if mrec.is_dir and old_parent != new_parent:
-                self._dir_set_dotdot(moving, new_parent)
-                op = self._rget(old_parent)
-                op.links = max(op.links - 1, 0)
-                self._rput(old_parent, op)
-                np = self._rget(new_parent)
-                np.links += 1
-                self._rput(new_parent, np)
-        self._run_modifying(body)
-
-    def getdirentries(self, path: str) -> List[str]:
-        self._begin_op(modifying=False)
-        try:
-            mft = self._lookup(path, follow=True)
-            rec = self._rget(mft)
-            if not rec.is_dir:
-                raise FSError(Errno.ENOTDIR, path)
-            return [n for _, _, n in self._dir_entries(mft, rec)]
-        finally:
-            self._end_op(modifying=False)
-
-    def stat(self, path: str) -> StatResult:
-        self._begin_op(modifying=False)
-        try:
-            return self._stat_of(self._lookup(path, follow=True))
-        finally:
-            self._end_op(modifying=False)
-
-    def lstat(self, path: str) -> StatResult:
-        self._begin_op(modifying=False)
-        try:
-            return self._stat_of(self._lookup(path, follow=False))
-        finally:
-            self._end_op(modifying=False)
+    def _do_mkdir(self, path: str, mode: int) -> None:
+        parent_path, name = dirname_basename(self.resolve(path))
+        parent = self._lookup(parent_path, follow=True)
+        prec = self._node_get(parent)
+        if not prec.is_dir:
+            raise FSError(Errno.ENOTDIR, parent_path)
+        if self._dir_find(parent, name) is not None:
+            raise FSError(Errno.EEXIST, path)
+        mft = self._alloc_mft((DEFAULT_DIR_MODE & ~0o777) | (mode & 0o777),
+                              is_dir=True)
+        rec = self._node_get(mft)
+        rec.links = 2
+        bno = self._alloc_block("directory")
+        rec.runs[0] = bno
+        self.journal.add_meta(bno, pack_index_block(
+            [(mft, FT_DIR, "."), (parent, FT_DIR, "..")], self.block_size))
+        rec.size = self.block_size
+        self._node_put(mft, rec)
+        self._dir_add(parent, name, mft, FT_DIR)
+        prec = self._node_get(parent)
+        prec.links += 1
+        self._node_put(parent, prec)
 
     def statfs(self) -> StatVFS:
         self._ensure_mounted()
@@ -543,80 +350,38 @@ class NTFS(JournaledFS):
             free_inodes=free_mft,
         )
 
-    def chmod(self, path: str, mode: int) -> None:
-        def body():
-            mft = self._lookup(path, follow=True)
-            rec = self._rget(mft)
-            rec.mode = (rec.mode & ~0o7777) | (mode & 0o7777)
-            self._rput(mft, rec)
-        self._run_modifying(body)
-
-    def chown(self, path: str, uid: int, gid: int) -> None:
-        def body():
-            mft = self._lookup(path, follow=True)
-            rec = self._rget(mft)
-            rec.uid, rec.gid = uid, gid
-            self._rput(mft, rec)
-        self._run_modifying(body)
-
-    def utimes(self, path: str, atime: float, mtime: float) -> None:
-        def body():
-            mft = self._lookup(path, follow=True)
-            rec = self._rget(mft)
-            rec.atime, rec.mtime = atime, mtime
-            self._rput(mft, rec)
-        self._run_modifying(body)
-
     # ==================================================================
-    # Bodies / helpers
+    # The generic layer's node primitives
     # ==================================================================
 
-    def _do_creat(self, path: str, mode: int) -> int:
-        parent_path, name = dirname_basename(self.resolve(path))
-        parent = self._lookup(parent_path, follow=True)
-        prec = self._rget(parent)
-        if not prec.is_dir:
-            raise FSError(Errno.ENOTDIR, parent_path)
-        found = self._dir_find(parent, name)
-        if found is not None:
-            mft, _ = found
-            rec = self._rget(mft)
-            if rec.is_dir:
-                raise FSError(Errno.EISDIR, path)
-            for bno in rec.runs:
-                if bno:
-                    self._free_block(bno)
-            rec.runs = [0] * NUM_RUNS
-            rec.size = 0
-            self._rput(mft, rec)
-            return self.fdtable.allocate(mft, 1)
-        mft = self._alloc_mft((DEFAULT_FILE_MODE & ~0o777) | (mode & 0o777),
-                              is_dir=False)
-        self._dir_add(parent, name, mft, FT_REG)
-        return self.fdtable.allocate(mft, 1)
+    @staticmethod
+    def _is_dir(rec: MFTRecord) -> bool:
+        return rec.is_dir
 
-    def _do_open(self, path: str, flags: int, mode: int) -> int:
-        resolved = self.resolve(path)
-        try:
-            mft = self._lookup(resolved, follow=True)
-        except FSError as exc:
-            if exc.errno is Errno.ENOENT and flags & O_CREAT:
-                return self._do_creat(resolved, mode)
-            raise
-        rec = self._rget(mft)
-        if rec.is_dir and (flags & 0x3):
-            raise FSError(Errno.EISDIR, path)
-        if flags & O_TRUNC and not rec.is_dir:
-            for bno in rec.runs:
-                if bno:
-                    self._free_block(bno)
-            rec.runs = [0] * NUM_RUNS
-            rec.size = 0
-            self._rput(mft, rec)
-        return self.fdtable.allocate(mft, flags)
+    def _node_create(self, parent: int, mode: int) -> int:
+        return self._alloc_mft(mode, is_dir=False)
+
+    def _node_clear(self, mft: int, rec: MFTRecord) -> None:
+        for bno in rec.runs:
+            if bno:
+                self._free_block(bno)
+        rec.runs = [0] * NUM_RUNS
+        rec.size = 0
+        self._node_put(mft, rec)
+
+    def _node_drop(self, mft: int, rec: MFTRecord) -> None:
+        for bno in rec.runs:
+            if bno:
+                self._free_block(bno)
+        self._free_mft(mft)
+
+    def _read_link(self, mft: int, rec: MFTRecord) -> Optional[str]:
+        if rec.runs[0] == 0:
+            return None
+        return self._meta_bread(rec.runs[0])[:rec.size].decode(errors="replace")
 
     def _stat_of(self, mft: int) -> StatResult:
-        rec = self._rget(mft)
+        rec = self._node_get(mft)
         mode = rec.mode
         if rec.is_dir and not _stat.S_ISDIR(mode):
             mode |= _stat.S_IFDIR
@@ -657,15 +422,18 @@ class NTFS(JournaledFS):
                 raise self._sanity_violation(exc) from exc
         return out
 
-    def _dir_find(self, mft: int, name: str) -> Optional[Tuple[int, int]]:
-        rec = self._rget(mft)
+    def _dir_find(self, mft: int, name: str,
+                  rec: Optional[MFTRecord] = None) -> Optional[Tuple[int, int]]:
+        # The caller's copy goes unused: this code has always re-read
+        # the directory's record, and the fingerprints count that read.
+        rec = self._node_get(mft)
         for emft, ftype, ename in self._dir_entries(mft, rec):
             if ename == name and 0 < emft < self.boot.mft_records:
                 return emft, ftype
         return None
 
     def _dir_add(self, mft: int, name: str, child: int, ftype: int) -> None:
-        rec = self._rget(mft)
+        rec = self._node_get(mft)
         self._require_dir(rec)
         bs = self.block_size
         need = 6 + len(name.encode())
@@ -691,10 +459,10 @@ class NTFS(JournaledFS):
         rec.runs[fb] = bno
         self.journal.add_meta(bno, pack_index_block([(child, ftype, name)], bs))
         rec.size = (fb + 1) * bs
-        self._rput(mft, rec)
+        self._node_put(mft, rec)
 
     def _dir_remove(self, mft: int, name: str) -> None:
-        rec = self._rget(mft)
+        rec = self._node_get(mft)
         self._require_dir(rec)
         bs = self.block_size
         for fb in range(self._run_span(rec, bs)):
@@ -713,7 +481,7 @@ class NTFS(JournaledFS):
         raise FSError(Errno.ENOENT, name)
 
     def _dir_set_dotdot(self, mft: int, new_parent: int) -> None:
-        rec = self._rget(mft)
+        rec = self._node_get(mft)
         self._require_dir(rec)
         bs = self.block_size
         for fb in range(self._run_span(rec, bs)):
@@ -733,37 +501,6 @@ class NTFS(JournaledFS):
             if changed:
                 self.journal.add_meta(bno, pack_index_block(entries, bs))
                 return
-
-    # -- lookup ----------------------------------------------------------------
-
-    def _lookup(self, path: str, follow: bool = True, _depth: int = 0) -> int:
-        if _depth > MAX_SYMLINK_DEPTH:
-            raise FSError(Errno.ELOOP, path)
-        resolved = self.resolve(path)
-        parts = split_path(resolved)
-        mft = ROOT_MFT
-        for i, name in enumerate(parts):
-            rec = self._rget(mft)
-            if not rec.is_dir:
-                raise FSError(Errno.ENOTDIR, "/" + "/".join(parts[:i]))
-            found = self._dir_find(mft, name)
-            if found is None:
-                raise FSError(Errno.ENOENT, resolved)
-            child, _ = found
-            crec = self._rget(child)
-            is_last = i == len(parts) - 1
-            if _stat.S_ISLNK(crec.mode) and (follow or not is_last):
-                if crec.runs[0] == 0:
-                    raise FSError(Errno.ENOENT, "dangling symlink")
-                data = self._meta_bread(crec.runs[0])
-                target = data[:crec.size].decode(errors="replace")
-                if not target.startswith("/"):
-                    target = "/" + "/".join(parts[:i]) + "/" + target
-                remainder = "/".join(parts[i + 1:])
-                full = target + ("/" + remainder if remainder else "")
-                return self._lookup(full, follow=follow, _depth=_depth + 1)
-            mft = child
-        return mft
 
     # -- allocation --------------------------------------------------------------
 
@@ -810,7 +547,7 @@ class NTFS(JournaledFS):
         flags = FLAG_IN_USE | (FLAG_IS_DIR if is_dir else 0)
         rec = MFTRecord(flags=flags, links=1, mode=mode,
                         atime=1.0, mtime=1.0, ctime=1.0)
-        self._rput(bit, rec)
+        self._node_put(bit, rec)
         return bit
 
     def _free_mft(self, mft: int) -> None:
@@ -820,7 +557,7 @@ class NTFS(JournaledFS):
             bmp.clear(mft)
             self.journal.add_meta(boot.mft_bitmap_block,
                                   bmp.to_bytes(pad_to=self.block_size))
-        self._rput(mft, MFTRecord(flags=0))
+        self._node_put(mft, MFTRecord(flags=0))
 
     def _count_free_blocks(self) -> int:
         boot = self.boot

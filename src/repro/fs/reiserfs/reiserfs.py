@@ -60,17 +60,16 @@ from repro.fs.reiserfs.structures import (
     unpack_dirent_body,
     unpack_indirect_body,
 )
-from repro.vfs.fdtable import O_APPEND, O_CREAT, O_TRUNC
-from repro.vfs.paths import MAX_SYMLINK_DEPTH, dirname_basename, is_ancestor, split_path
+from repro.vfs.fdtable import O_APPEND
+from repro.vfs.paths import dirname_basename
 from repro.vfs.stat import (
     DEFAULT_DIR_MODE,
-    DEFAULT_FILE_MODE,
     DEFAULT_LINK_MODE,
+    FT_DIR,
+    FT_SYMLINK,
     StatResult,
     StatVFS,
 )
-
-FT_REG, FT_DIR, FT_SYMLINK = 1, 2, 7
 
 Pair = Tuple[int, int]
 
@@ -79,6 +78,7 @@ class ReiserFS(JournaledFS):
     """ReiserFS over a :class:`BlockDevice`."""
 
     name = "reiserfs"
+    ROOT = ROOT_KEY_PAIR
 
     #: Table 4: ReiserFS on-disk structures.
     BLOCK_TYPES: Dict[str, str] = {
@@ -107,7 +107,6 @@ class ReiserFS(JournaledFS):
         self.tree: Optional[BTree] = None
         self._types: Dict[int, str] = {}
         self._jtypes: Dict[int, str] = {}
-        self._fd_pairs: Dict[int, Pair] = {}
 
     # ==================================================================
     # Failure-policy hooks: check write errors and panic (R_stop).
@@ -211,290 +210,104 @@ class ReiserFS(JournaledFS):
             self.journal.commit()
             self.journal.checkpoint()
         self.fdtable.close_all()
-        self._fd_pairs.clear()
         self._mounted = False
 
     # ==================================================================
-    # Namespace operations
+    # Data path (the bodies the generic layer in JournaledFS frames)
     # ==================================================================
 
-    def creat(self, path: str, mode: int = 0o644) -> int:
-        def body():
-            return self._do_creat(path, mode)
-        return self._run_modifying(body)
+    def _do_read(self, fd: int, size: int, offset: Optional[int]) -> bytes:
+        of = self.fdtable.get(fd)
+        if not of.readable:
+            raise FSError(Errno.EBADF, "fd not open for reading")
+        pair = of.handle
+        st = self._node_get(pair)
+        pos = of.offset if offset is None else offset
+        end = min(pos + size, st.size)
+        if end <= pos:
+            return b""
+        content = self._read_object_data(pair, st)
+        if offset is None:
+            of.offset = end
+        return content[pos:end]
 
-    def open(self, path: str, flags: int = 0, mode: int = 0o644) -> int:
-        modifying = bool(flags & (O_CREAT | O_TRUNC))
-        self._begin_op(modifying=modifying)
+    def _do_write(self, fd: int, data: bytes, offset: Optional[int]) -> int:
+        of = self.fdtable.get(fd)
+        if not of.writable:
+            raise FSError(Errno.EBADF, "fd not open for writing")
+        if not data:
+            return 0
+        pair = of.handle
+        st = self._node_get(pair, retries=1)
+        pos = st.size if of.flags & O_APPEND else (
+            of.offset if offset is None else offset
+        )
+        old = self._read_object_data(pair, st, retries=1) if st.size else b""
+        new = bytearray(max(len(old), pos + len(data)))
+        new[:len(old)] = old
+        new[pos:pos + len(data)] = data
+        self._store_object_data(pair, st, bytes(new))
+        if offset is None or of.flags & O_APPEND:
+            of.offset = pos + len(data)
+        return len(data)
+
+    def _do_truncate(self, path: str, size: int) -> None:
+        pair = self._lookup(path, follow=True)
+        st = self._node_get(pair, retries=1)
+        if _stat.S_ISDIR(st.mode):
+            raise FSError(Errno.EISDIR, path)
+        if size == st.size:
+            return
+        if size > st.size:
+            content = self._read_object_data(pair, st, retries=1)
+            self._store_object_data(pair, st, content + b"\x00" * (size - st.size))
+            return
         try:
-            fd = self._do_open(path, flags, mode)
-        except KernelPanic:
-            self._mounted = False
-            raise
-        except Exception:
-            self._end_op(modifying=modifying)
-            raise
-        self._end_op(modifying=modifying)
-        return fd
-
-    def close(self, fd: int) -> None:
-        self._ensure_mounted()
-        self.fdtable.close(fd)
-        self._fd_pairs.pop(fd, None)
-
-    def read(self, fd: int, size: int, offset: Optional[int] = None) -> bytes:
-        self._begin_op(modifying=False)
-        try:
-            of = self.fdtable.get(fd)
-            if not of.readable:
-                raise FSError(Errno.EBADF, "fd not open for reading")
-            pair = self._fd_pairs[fd]
-            st = self._get_stat(pair)
-            pos = of.offset if offset is None else offset
-            end = min(pos + size, st.size)
-            if end <= pos:
-                return b""
-            content = self._read_object_data(pair, st)
-            if offset is None:
-                of.offset = end
-            return content[pos:end]
-        finally:
-            self._end_op(modifying=False)
-
-    def write(self, fd: int, data: bytes, offset: Optional[int] = None) -> int:
-        def body():
-            of = self.fdtable.get(fd)
-            if not of.writable:
-                raise FSError(Errno.EBADF, "fd not open for writing")
-            if not data:
-                return 0
-            pair = self._fd_pairs[fd]
-            st = self._get_stat(pair, retries=1)
-            pos = st.size if of.flags & O_APPEND else (
-                of.offset if offset is None else offset
-            )
-            old = self._read_object_data(pair, st, retries=1) if st.size else b""
-            new = bytearray(max(len(old), pos + len(data)))
-            new[:len(old)] = old
-            new[pos:pos + len(data)] = data
-            self._store_object_data(pair, st, bytes(new))
-            if offset is None or of.flags & O_APPEND:
-                of.offset = pos + len(data)
-            return len(data)
-        return self._run_modifying(body)
-
-    def truncate(self, path: str, size: int) -> None:
-        def body():
-            pair = self._lookup(path, follow=True)
-            st = self._get_stat(pair, retries=1)
-            if _stat.S_ISDIR(st.mode):
-                raise FSError(Errno.EISDIR, path)
-            if size == st.size:
-                return
-            if size > st.size:
-                content = self._read_object_data(pair, st, retries=1)
-                self._store_object_data(pair, st, content + b"\x00" * (size - st.size))
-                return
+            content = self._read_object_data(pair, st, retries=1)
+        except FSError:
+            # The paper's leak bug (§5.2): the indirect read failure
+            # was detected (and logged) but is ignored here; the
+            # stat item shrinks while the data blocks are never
+            # freed — space leaks.
+            self.syslog.action(self.name, "ignored-error",
+                               "indirect read failure ignored during truncate",
+                               severity=Severity.WARNING)
+            st.size = size
             try:
-                content = self._read_object_data(pair, st, retries=1)
+                self._node_put(pair, st)
             except FSError:
-                # The paper's leak bug (§5.2): the indirect read failure
-                # was detected (and logged) but is ignored here; the
-                # stat item shrinks while the data blocks are never
-                # freed — space leaks.
-                self.syslog.action(self.name, "ignored-error",
-                                   "indirect read failure ignored during truncate",
-                                   severity=Severity.WARNING)
-                st.size = size
-                try:
-                    self._put_stat(pair, st)
-                except FSError:
-                    pass
-                return
-            self._store_object_data(pair, st, content[:size])
-        self._run_modifying(body)
+                pass
+            return
+        self._store_object_data(pair, st, content[:size])
 
-    def link(self, existing: str, new: str) -> None:
-        def body():
-            src = self._lookup(existing, follow=False)
-            st = self._get_stat(src)
-            if _stat.S_ISDIR(st.mode):
-                raise FSError(Errno.EPERM, "hard links to directories are not allowed")
-            parent_path, name = dirname_basename(self.resolve(new))
-            parent = self._lookup(parent_path, follow=True)
-            if self._dir_find(parent, name) is not None:
-                raise FSError(Errno.EEXIST, new)
-            self._dir_add(parent, name, src, FT_REG)
-            st.links += 1
-            self._put_stat(src, st)
-        self._run_modifying(body)
+    def _do_symlink(self, target: str, linkpath: str) -> None:
+        if len(target.encode()) > self.block_size:
+            raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
+        parent_path, name = dirname_basename(self.resolve(linkpath))
+        parent = self._lookup(parent_path, follow=True)
+        if self._dir_find(parent, name) is not None:
+            raise FSError(Errno.EEXIST, linkpath)
+        pair = self._node_create(parent, DEFAULT_LINK_MODE)
+        st = self._node_get(pair)
+        self._store_object_data(pair, st, target.encode())
+        self._dir_add(parent, name, pair, FT_SYMLINK)
 
-    def unlink(self, path: str) -> None:
-        def body():
-            parent_path, name = dirname_basename(self.resolve(path))
-            parent = self._lookup(parent_path, follow=True)
-            found = self._dir_find(parent, name)
-            if found is None:
-                raise FSError(Errno.ENOENT, path)
-            child, _ftype = found
-            st = self._get_stat(child)
-            if _stat.S_ISDIR(st.mode):
-                raise FSError(Errno.EISDIR, path)
-            self._dir_remove(parent, name)
-            if st.links <= 1:
-                self._delete_object(child, st)
-            else:
-                st.links -= 1
-                self._put_stat(child, st)
-        self._run_modifying(body)
-
-    def symlink(self, target: str, linkpath: str) -> None:
-        def body():
-            if len(target.encode()) > self.block_size:
-                raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
-            parent_path, name = dirname_basename(self.resolve(linkpath))
-            parent = self._lookup(parent_path, follow=True)
-            if self._dir_find(parent, name) is not None:
-                raise FSError(Errno.EEXIST, linkpath)
-            pair = self._create_object(DEFAULT_LINK_MODE, links=1)
-            st = self._get_stat(pair)
-            self._store_object_data(pair, st, target.encode())
-            self._dir_add(parent, name, pair, FT_SYMLINK)
-        self._run_modifying(body)
-
-    def readlink(self, path: str) -> str:
-        self._begin_op(modifying=False)
-        try:
-            pair = self._lookup(path, follow=False)
-            st = self._get_stat(pair)
-            if not _stat.S_ISLNK(st.mode):
-                raise FSError(Errno.EINVAL, "not a symlink")
-            return self._read_object_data(pair, st).decode(errors="replace")
-        finally:
-            self._end_op(modifying=False)
-
-    def mkdir(self, path: str, mode: int = 0o755) -> None:
-        def body():
-            parent_path, name = dirname_basename(self.resolve(path))
-            parent = self._lookup(parent_path, follow=True)
-            pst = self._get_stat(parent)
-            if not _stat.S_ISDIR(pst.mode):
-                raise FSError(Errno.ENOTDIR, parent_path)
-            if self._dir_find(parent, name) is not None:
-                raise FSError(Errno.EEXIST, path)
-            pair = self._create_object(
-                (DEFAULT_DIR_MODE & ~0o777) | (mode & 0o777), links=2
-            )
-            self._dir_add(pair, ".", pair, FT_DIR)
-            self._dir_add(pair, "..", parent, FT_DIR)
-            self._dir_add(parent, name, pair, FT_DIR)
-            pst = self._get_stat(parent)
-            pst.links += 1
-            self._put_stat(parent, pst)
-        self._run_modifying(body)
-
-    def rmdir(self, path: str) -> None:
-        def body():
-            resolved = self.resolve(path)
-            if resolved == "/":
-                raise FSError(Errno.EINVAL, "cannot remove root")
-            parent_path, name = dirname_basename(resolved)
-            parent = self._lookup(parent_path, follow=True)
-            found = self._dir_find(parent, name)
-            if found is None:
-                raise FSError(Errno.ENOENT, path)
-            child, _ = found
-            st = self._get_stat(child)
-            if not _stat.S_ISDIR(st.mode):
-                raise FSError(Errno.ENOTDIR, path)
-            if any(n not in (".", "..") for _, _, n in self._dir_entries(child)):
-                raise FSError(Errno.ENOTEMPTY, path)
-            self._dir_remove(parent, name)
-            self._delete_object(child, st)
-            pst = self._get_stat(parent)
-            pst.links = max(pst.links - 1, 0)
-            self._put_stat(parent, pst)
-        self._run_modifying(body)
-
-    def rename(self, old: str, new: str) -> None:
-        def body():
-            old_r, new_r = self.resolve(old), self.resolve(new)
-            if is_ancestor(old_r, new_r) and old_r != new_r:
-                raise FSError(Errno.EINVAL, "cannot move a directory into itself")
-            old_pp, old_name = dirname_basename(old_r)
-            new_pp, new_name = dirname_basename(new_r)
-            old_parent = self._lookup(old_pp, follow=True)
-            found = self._dir_find(old_parent, old_name)
-            if found is None:
-                raise FSError(Errno.ENOENT, old)
-            if old_r == new_r:
-                return  # renaming an existing name onto itself: no-op
-            moving, ftype = found
-            mst = self._get_stat(moving)
-            moving_is_dir = _stat.S_ISDIR(mst.mode)
-            new_parent = self._lookup(new_pp, follow=True)
-            target = self._dir_find(new_parent, new_name)
-            if target is not None:
-                tpair, _ = target
-                tst = self._get_stat(tpair)
-                if _stat.S_ISDIR(tst.mode):
-                    if not moving_is_dir:
-                        raise FSError(Errno.EISDIR, new)
-                    if any(n not in (".", "..") for _, _, n in self._dir_entries(tpair)):
-                        raise FSError(Errno.ENOTEMPTY, new)
-                    self._dir_remove(new_parent, new_name)
-                    self._delete_object(tpair, tst)
-                    npst = self._get_stat(new_parent)
-                    npst.links = max(npst.links - 1, 0)
-                    self._put_stat(new_parent, npst)
-                else:
-                    if moving_is_dir:
-                        raise FSError(Errno.ENOTDIR, new)
-                    self._dir_remove(new_parent, new_name)
-                    if tst.links <= 1:
-                        self._delete_object(tpair, tst)
-                    else:
-                        tst.links -= 1
-                        self._put_stat(tpair, tst)
-            self._dir_remove(old_parent, old_name)
-            self._dir_add(new_parent, new_name, moving, ftype)
-            if moving_is_dir and old_parent != new_parent:
-                self._dir_remove(moving, "..")
-                self._dir_add(moving, "..", new_parent, FT_DIR)
-                opst = self._get_stat(old_parent)
-                opst.links = max(opst.links - 1, 0)
-                self._put_stat(old_parent, opst)
-                npst = self._get_stat(new_parent)
-                npst.links += 1
-                self._put_stat(new_parent, npst)
-        self._run_modifying(body)
-
-    def getdirentries(self, path: str) -> List[str]:
-        self._begin_op(modifying=False)
-        try:
-            pair = self._lookup(path, follow=True)
-            st = self._get_stat(pair)
-            if not _stat.S_ISDIR(st.mode):
-                raise FSError(Errno.ENOTDIR, path)
-            return [name for _, _, name in self._dir_entries(pair)]
-        finally:
-            self._end_op(modifying=False)
-
-    def stat(self, path: str) -> StatResult:
-        self._begin_op(modifying=False)
-        try:
-            pair = self._lookup(path, follow=True)
-            return self._stat_result(pair)
-        finally:
-            self._end_op(modifying=False)
-
-    def lstat(self, path: str) -> StatResult:
-        self._begin_op(modifying=False)
-        try:
-            pair = self._lookup(path, follow=False)
-            return self._stat_result(pair)
-        finally:
-            self._end_op(modifying=False)
+    def _do_mkdir(self, path: str, mode: int) -> None:
+        parent_path, name = dirname_basename(self.resolve(path))
+        parent = self._lookup(parent_path, follow=True)
+        pst = self._node_get(parent)
+        if not _stat.S_ISDIR(pst.mode):
+            raise FSError(Errno.ENOTDIR, parent_path)
+        if self._dir_find(parent, name) is not None:
+            raise FSError(Errno.EEXIST, path)
+        pair = self._node_create(
+            parent, (DEFAULT_DIR_MODE & ~0o777) | (mode & 0o777), links=2)
+        self._dir_add(pair, ".", pair, FT_DIR)
+        self._dir_add(pair, "..", parent, FT_DIR)
+        self._dir_add(parent, name, pair, FT_DIR)
+        pst = self._node_get(parent)
+        pst.links += 1
+        self._node_put(parent, pst)
 
     def statfs(self) -> StatVFS:
         self._ensure_mounted()
@@ -506,74 +319,17 @@ class ReiserFS(JournaledFS):
             free_inodes=65535 - self.sb.nobjects,
         )
 
-    def chmod(self, path: str, mode: int) -> None:
-        def body():
-            pair = self._lookup(path, follow=True)
-            st = self._get_stat(pair)
-            st.mode = (st.mode & ~0o7777) | (mode & 0o7777)
-            self._put_stat(pair, st)
-        self._run_modifying(body)
-
-    def chown(self, path: str, uid: int, gid: int) -> None:
-        def body():
-            pair = self._lookup(path, follow=True)
-            st = self._get_stat(pair)
-            st.uid, st.gid = uid, gid
-            self._put_stat(pair, st)
-        self._run_modifying(body)
-
-    def utimes(self, path: str, atime: float, mtime: float) -> None:
-        def body():
-            pair = self._lookup(path, follow=True)
-            st = self._get_stat(pair)
-            st.atime, st.mtime = atime, mtime
-            self._put_stat(pair, st)
-        self._run_modifying(body)
-
     # ==================================================================
-    # Operation bodies and object helpers
+    # Objects (the generic layer's node primitives)
     # ==================================================================
 
-    def _do_creat(self, path: str, mode: int) -> int:
-        parent_path, name = dirname_basename(self.resolve(path))
-        parent = self._lookup(parent_path, follow=True)
-        pst = self._get_stat(parent)
-        if not _stat.S_ISDIR(pst.mode):
-            raise FSError(Errno.ENOTDIR, parent_path)
-        found = self._dir_find(parent, name)
-        if found is not None:
-            pair, _ = found
-            st = self._get_stat(pair)
-            if _stat.S_ISDIR(st.mode):
-                raise FSError(Errno.EISDIR, path)
-            self._store_object_data(pair, st, b"")
-            fd = self.fdtable.allocate(pair[1], 1)
-            self._fd_pairs[fd] = pair
-            return fd
-        pair = self._create_object((DEFAULT_FILE_MODE & ~0o777) | (mode & 0o777), links=1)
-        self._dir_add(parent, name, pair, FT_REG)
-        fd = self.fdtable.allocate(pair[1], 1)
-        self._fd_pairs[fd] = pair
-        return fd
+    def _node_clear(self, pair: Pair, st: StatBody) -> None:
+        self._store_object_data(pair, st, b"")
 
-    def _do_open(self, path: str, flags: int, mode: int) -> int:
-        resolved = self.resolve(path)
-        try:
-            pair = self._lookup(resolved, follow=True)
-        except FSError as exc:
-            if exc.errno is Errno.ENOENT and flags & O_CREAT:
-                return self._do_creat(resolved, mode)
-            raise
-        st = self._get_stat(pair)
-        if _stat.S_ISDIR(st.mode) and (flags & 0x3):
-            raise FSError(Errno.EISDIR, path)
-        if flags & O_TRUNC and not _stat.S_ISDIR(st.mode):
-            self._store_object_data(pair, st, b"")
-        fd = self.fdtable.allocate(pair[1], flags)
-        self._fd_pairs[fd] = pair
-        return fd
+    def _read_link(self, pair: Pair, st: StatBody) -> str:
+        return self._read_object_data(pair, st).decode(errors="replace")
 
-    def _create_object(self, mode: int, links: int) -> Pair:
+    def _node_create(self, parent: Pair, mode: int, links: int = 1) -> Pair:
         pair = (1, self.sb.next_objid)
         self.sb.next_objid += 1
         self.sb.nobjects += 1
@@ -582,7 +338,7 @@ class ReiserFS(JournaledFS):
         self._flush_super()
         return pair
 
-    def _delete_object(self, pair: Pair, st: StatBody) -> None:
+    def _node_drop(self, pair: Pair, st: StatBody) -> None:
         """Remove every item of the object, freeing unformatted blocks.
         Carries the paper's leak bug for indirect-read failures."""
         try:
@@ -609,17 +365,17 @@ class ReiserFS(JournaledFS):
 
     # -- stat items -------------------------------------------------------------
 
-    def _get_stat(self, pair: Pair, retries: int = 0) -> StatBody:
+    def _node_get(self, pair: Pair, retries: int = 0) -> StatBody:
         item = self.tree.lookup((pair[0], pair[1], 0, IT_STAT), retries)
         if item is None:
             raise FSError(Errno.ENOENT, f"object {pair} has no stat item")
         return StatBody.unpack(item.body)
 
-    def _put_stat(self, pair: Pair, st: StatBody) -> None:
+    def _node_put(self, pair: Pair, st: StatBody) -> None:
         self.tree.replace(Item((pair[0], pair[1], 0, IT_STAT), st.pack()))
 
-    def _stat_result(self, pair: Pair) -> StatResult:
-        st = self._get_stat(pair)
+    def _stat_of(self, pair: Pair) -> StatResult:
+        st = self._node_get(pair)
         return StatResult(ino=pair[1], mode=st.mode, nlink=st.links, uid=st.uid,
                           gid=st.gid, size=st.size, atime=st.atime,
                           mtime=st.mtime, ctime=st.ctime)
@@ -690,7 +446,7 @@ class ReiserFS(JournaledFS):
                 self.journal.add_ordered(ptr, payload)
         st.size = len(content)
         st.mtime += 1.0
-        self._put_stat(pair, st)
+        self._node_put(pair, st)
         self._flush_super()
 
     # -- directories ----------------------------------------------------------------
@@ -705,11 +461,14 @@ class ReiserFS(JournaledFS):
 
     def _require_dir(self, pair: Pair) -> None:
         # Directory ops on a non-directory must fail with ENOTDIR, the
-        # same outcome every other file system here reports.
-        if not _stat.S_ISDIR(self._get_stat(pair).mode):
+        # same outcome every other file system here reports.  Every
+        # directory primitive looks the stat item up here, so a copy
+        # the caller already holds goes unused.
+        if not _stat.S_ISDIR(self._node_get(pair).mode):
             raise FSError(Errno.ENOTDIR, "not a directory")
 
-    def _dir_entries(self, pair: Pair) -> List[Tuple[Pair, int, str]]:
+    def _dir_entries(self, pair: Pair,
+                     st: Optional[StatBody] = None) -> List[Tuple[Pair, int, str]]:
         self._require_dir(pair)
         out = []
         for item in self._entry_items(pair):
@@ -717,7 +476,8 @@ class ReiserFS(JournaledFS):
             out.append((child, ftype, name))
         return out
 
-    def _dir_find(self, pair: Pair, name: str) -> Optional[Tuple[Pair, int]]:
+    def _dir_find(self, pair: Pair, name: str,
+                  st: Optional[StatBody] = None) -> Optional[Tuple[Pair, int]]:
         self._require_dir(pair)
         h = name_hash(name)
         for probe in range(16):
@@ -757,33 +517,9 @@ class ReiserFS(JournaledFS):
                 return
         raise FSError(Errno.ENOENT, name)
 
-    # -- path lookup ---------------------------------------------------------------------
-
-    def _lookup(self, path: str, follow: bool = True, _depth: int = 0) -> Pair:
-        if _depth > MAX_SYMLINK_DEPTH:
-            raise FSError(Errno.ELOOP, path)
-        resolved = self.resolve(path)
-        parts = split_path(resolved)
-        pair: Pair = ROOT_KEY_PAIR
-        for i, name in enumerate(parts):
-            st = self._get_stat(pair)
-            if not _stat.S_ISDIR(st.mode):
-                raise FSError(Errno.ENOTDIR, "/" + "/".join(parts[:i]))
-            found = self._dir_find(pair, name)
-            if found is None:
-                raise FSError(Errno.ENOENT, resolved)
-            child, _ftype = found
-            cst = self._get_stat(child)
-            is_last = i == len(parts) - 1
-            if _stat.S_ISLNK(cst.mode) and (follow or not is_last):
-                target = self._read_object_data(child, cst).decode(errors="replace")
-                if not target.startswith("/"):
-                    target = "/" + "/".join(parts[:i]) + "/" + target
-                remainder = "/".join(parts[i + 1:])
-                full = target + ("/" + remainder if remainder else "")
-                return self._lookup(full, follow=follow, _depth=_depth + 1)
-            pair = child
-        return pair
+    def _dir_set_dotdot(self, pair: Pair, new_parent: Pair) -> None:
+        self._dir_remove(pair, "..")
+        self._dir_add(pair, "..", new_parent, FT_DIR)
 
     # ==================================================================
     # Node and data I/O with ReiserFS's failure policy

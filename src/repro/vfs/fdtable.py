@@ -18,9 +18,10 @@ O_APPEND = 0o2000
 
 @dataclass
 class OpenFile:
-    """State of one open descriptor."""
+    """State of one open descriptor.  ``handle`` is whatever the file
+    system names its objects by (inode number, MFT number, key pair)."""
 
-    ino: int
+    handle: object
     flags: int
     offset: int = 0
 
@@ -40,11 +41,11 @@ class FDTable:
     _open: Dict[int, OpenFile] = field(default_factory=dict)
     _next_hint: int = 3  # 0-2 notionally reserved for std streams
 
-    def allocate(self, ino: int, flags: int) -> int:
+    def allocate(self, handle, flags: int) -> int:
         fd = self._next_hint
         while fd in self._open:
             fd += 1
-        self._open[fd] = OpenFile(ino=ino, flags=flags)
+        self._open[fd] = OpenFile(handle=handle, flags=flags)
         return fd
 
     def get(self, fd: int) -> OpenFile:
@@ -60,9 +61,6 @@ class FDTable:
 
     def close_all(self) -> None:
         self._open.clear()
-
-    def open_inodes(self):
-        return [f.ino for f in self._open.values()]
 
     def __len__(self) -> int:
         return len(self._open)

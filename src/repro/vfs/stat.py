@@ -14,6 +14,10 @@ DEFAULT_FILE_MODE = S_IFREG | 0o644
 DEFAULT_DIR_MODE = S_IFDIR | 0o755
 DEFAULT_LINK_MODE = S_IFLNK | 0o777
 
+#: Directory-entry file types (the ext2 ``d_type`` values every format
+#: in this repo stores in its entries).
+FT_REG, FT_DIR, FT_SYMLINK = 1, 2, 7
+
 R_OK = 4
 W_OK = 2
 X_OK = 1

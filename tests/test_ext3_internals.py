@@ -186,7 +186,7 @@ class TestBlockMapping:
         assert fs.read_file("/deep") == payload
         # The inode actually uses the triple-indirect pointer.
         ino = fs.stat("/deep").ino
-        inode = fs._iget(ino)
+        inode = fs._node_get(ino)
         assert inode.tindirect != 0
         assert inode.dindirect != 0
         assert inode.indirect != 0

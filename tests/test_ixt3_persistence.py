@@ -56,11 +56,11 @@ class TestAcrossRemount:
         fs.mount()
         fs.write_file("/f", b"p" * 5000)
         ino = fs.stat("/f").ino
-        parity_before = fs._iget(ino).parity_block
+        parity_before = fs._node_get(ino).parity_block
         assert parity_before != 0
         fs.unmount()
         injector, fs2 = remount_with_faults(disk)
-        assert fs2._iget(ino).parity_block == parity_before
+        assert fs2._node_get(ino).parity_block == parity_before
         injector.arm(read_failure("data"))
         assert fs2.read_file("/f") == b"p" * 5000
 

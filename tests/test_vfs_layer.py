@@ -76,7 +76,7 @@ class TestFDTable:
     def test_get_and_close(self):
         t = FDTable()
         fd = t.allocate(9, O_RDWR)
-        assert t.get(fd).ino == 9
+        assert t.get(fd).handle == 9
         t.close(fd)
         with pytest.raises(FSError) as e:
             t.get(fd)
