@@ -84,6 +84,17 @@ def _write_observability(
         print(f"metrics written to {path} and {prom}")
 
 
+def _warm_pool(args: argparse.Namespace) -> None:
+    """Spawn the persistent workers before the timed region, so the
+    recorded wall-clock measures the run and not pool start-up (skipped
+    when the run will fall back to in-process serial)."""
+    if args.jobs > 1:
+        from repro.common.pool import effective_jobs, warm_pool
+
+        if effective_jobs(args.jobs) > 1:
+            warm_pool(args.jobs)
+
+
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
     from repro.bench.timing import fingerprint_record, record_entry, timed
     from repro.disk import CorruptionMode
@@ -111,14 +122,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
     fp = Fingerprinter(adapter, workloads=workloads, corruption_mode=mode,
                        progress=(print if args.verbose else None),
                        jobs=args.jobs, trace=args.trace, metrics=args.metrics)
-    if args.jobs > 1:
-        # Spawn the persistent workers before the timed region so the
-        # recorded wall-clock measures fingerprinting, not pool start-up
-        # (skipped when the run will fall back to in-process serial).
-        from repro.common.pool import effective_jobs, warm_pool
-
-        if effective_jobs(args.jobs) > 1:
-            warm_pool(args.jobs)
+    _warm_pool(args)
     try:
         matrix, wall_s = timed(fp.run)
     except Exception as exc:
@@ -167,11 +171,7 @@ def _cmd_crash(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
-    if args.jobs > 1:
-        from repro.common.pool import effective_jobs, warm_pool
-
-        if effective_jobs(args.jobs) > 1:
-            warm_pool(args.jobs)
+    _warm_pool(args)
     try:
         report, wall_s = timed(lambda: explore(
             args.fs, args.workload, jobs=args.jobs,
@@ -286,11 +286,7 @@ def _cmd_array(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
-    if args.jobs > 1:
-        from repro.common.pool import effective_jobs, warm_pool
-
-        if effective_jobs(args.jobs) > 1:
-            warm_pool(args.jobs)
+    _warm_pool(args)
     fp, wall_s = timed(lambda: run_array_fingerprint(
         jobs=args.jobs, labels=labels,
         progress=(print if args.verbose else None)))
@@ -361,11 +357,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     spec = _fleet_spec_from_args(args)
     if spec is None:
         return 2
-    if args.jobs > 1:
-        from repro.common.pool import effective_jobs, warm_pool
-
-        if effective_jobs(args.jobs) > 1:
-            warm_pool(args.jobs)
+    _warm_pool(args)
     report, wall_s = timed(lambda: run_fleet(
         spec, jobs=args.jobs,
         progress=(print if args.verbose else None)))
@@ -398,7 +390,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.fleet.campaign import run_fleet
-    from repro.obs.metrics import schema_root, validate_json
+    from repro.common.schema import schema_root, validate_json
 
     spec = _fleet_spec_from_args(args)
     if spec is None:
@@ -407,11 +399,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.trace_trial:
         return _report_trace_trial(args, spec)
 
-    if args.jobs > 1:
-        from repro.common.pool import effective_jobs, warm_pool
-
-        if effective_jobs(args.jobs) > 1:
-            warm_pool(args.jobs)
+    _warm_pool(args)
     report = run_fleet(spec, jobs=args.jobs,
                        progress=(print if args.verbose else None),
                        profile=args.profile)

@@ -63,12 +63,12 @@ from repro.common.pool import (
     attach_snapshot,
     begin_run,
     effective_jobs,
+    pool_map,
     run_token,
 )
 from repro.crash.workloads import CRASH_WORKLOADS, CrashWorkload
 from repro.disk.stack import DeviceStack
-from repro.fingerprint.adapters import ADAPTERS
-from repro.fingerprint.parallel import adapter_for, pool_map
+from repro.fingerprint.adapters import ADAPTERS, adapter_for
 from repro.fs.ext3.fsck import fsck_ext3
 from repro.fs.ixt3 import FEAT_TXN_CSUM
 from repro.obs.events import (

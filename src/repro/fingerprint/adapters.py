@@ -9,8 +9,9 @@ cannot catch.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
+from repro.common.pool import on_run_change
 from repro.common.structs import U16, U32
 from repro.disk.disk import SimulatedDisk, make_disk
 from repro.fs.ext3 import Ext3, Ext3Config, mkfs_ext3
@@ -277,6 +278,38 @@ ADAPTERS = {
     "ntfs": make_ntfs_adapter,
     "ixt3": make_ixt3_adapter,
 }
+
+
+# -- worker-side adapter memoization -----------------------------------------
+
+#: (registry_key, frozen kwargs) -> adapter.  Lives for the worker's
+#: lifetime, so a warm worker reuses one adapter — and its golden-image
+#: and oracle caches — across every task and matrix that names the same
+#: recipe.
+_adapter_cache: Dict[Any, Any] = {}
+
+
+def adapter_for(registry_key: str, registry_kwargs: Dict[str, Any]):
+    """Rebuild (or reuse) an adapter from its registry recipe."""
+    try:
+        cache_key = (registry_key, tuple(sorted(registry_kwargs.items())))
+    except TypeError:
+        return ADAPTERS[registry_key](**registry_kwargs)
+    adapter = _adapter_cache.get(cache_key)
+    if adapter is None:
+        adapter = ADAPTERS[registry_key](**registry_kwargs)
+        _adapter_cache[cache_key] = adapter
+    return adapter
+
+
+def _drop_seeded_goldens() -> None:
+    """Run-boundary cleanup: golden caches may hold images backed by the
+    previous run's shared segments; drop them so the mappings release."""
+    for adapter in _adapter_cache.values():
+        adapter.golden_cache.clear()
+
+
+on_run_change(_drop_seeded_goldens)
 
 
 def make_array_adapter(base: str = "ext3", geometry: str = "mirror",

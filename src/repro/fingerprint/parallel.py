@@ -18,63 +18,24 @@ through the task pickle stream either — the parent builds each
 distinct golden once, publishes its slab in shared memory, and workers
 attach the same physical pages zero-copy
 (:func:`repro.common.pool.attach_image`).
-
-:func:`pool_map` — submission-order merge over the persistent pool,
-with streaming bounded submission and optional chunking — lives in
-:mod:`repro.common.pool` and is re-exported here for its existing
-consumers (the crash engine, the capture driver).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.common.pool import (  # noqa: F401  (pool_map re-exported)
+from repro.common.pool import (
     SharedSnapshot,
     attach_snapshot,
     begin_run,
-    on_run_change,
     pool_map,
     run_token,
 )
 from repro.disk.faults import CorruptionMode
+from repro.fingerprint.adapters import ADAPTERS, adapter_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fingerprint.harness import Fingerprinter, WorkloadOutcome
-
-
-# -- worker-side adapter memoization -----------------------------------------
-
-#: (registry_key, frozen kwargs) -> adapter.  Lives for the worker's
-#: lifetime, so a warm worker reuses one adapter — and its golden-image
-#: and oracle caches — across every task and matrix that names the same
-#: recipe.
-_adapter_cache: Dict[Any, Any] = {}
-
-
-def adapter_for(registry_key: str, registry_kwargs: Dict[str, Any]):
-    """Rebuild (or reuse) an adapter from its registry recipe."""
-    from repro.fingerprint.adapters import ADAPTERS
-
-    try:
-        cache_key = (registry_key, tuple(sorted(registry_kwargs.items())))
-    except TypeError:
-        return ADAPTERS[registry_key](**registry_kwargs)
-    adapter = _adapter_cache.get(cache_key)
-    if adapter is None:
-        adapter = ADAPTERS[registry_key](**registry_kwargs)
-        _adapter_cache[cache_key] = adapter
-    return adapter
-
-
-def _drop_seeded_goldens() -> None:
-    """Run-boundary cleanup: golden caches may hold images backed by the
-    previous run's shared segments; drop them so the mappings release."""
-    for adapter in _adapter_cache.values():
-        adapter.golden_cache.clear()
-
-
-on_run_change(_drop_seeded_goldens)
 
 
 def _worker(
@@ -114,7 +75,6 @@ def _worker(
 
 def check_parallelizable(fp: "Fingerprinter") -> None:
     """Raise with an actionable message when this run cannot fan out."""
-    from repro.fingerprint.adapters import ADAPTERS
     from repro.fingerprint.workloads import WORKLOAD_BY_KEY
 
     if fp.adapter.registry_key is None or fp.adapter.registry_key not in ADAPTERS:

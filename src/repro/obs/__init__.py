@@ -40,12 +40,12 @@ from repro.obs.events import (
     classify_log,
     fold_digest,
 )
+from repro.common.schema import validate_json
 from repro.obs.capture import TraceCapture, trace_workloads
 from repro.obs.metrics import (
     MetricsRegistry,
     metrics_from_events,
     render_prometheus,
-    validate_json,
     validate_snapshot,
 )
 from repro.obs.postmortem import (

@@ -7,7 +7,7 @@ fingerprint harnesses run), enables span tracing on the shared event
 log, drives one of the portable crash workloads end to end, and hands
 back the labeled event stream plus a metrics snapshot.
 
-Multiple workloads fan out over :func:`repro.fingerprint.parallel.pool_map`
+Multiple workloads fan out over :func:`repro.common.pool.pool_map`
 with the usual submission-order merge, so the merged trace — and its
 structural :func:`~repro.obs.trace.span_tree_digest` — is byte-identical
 at any ``--jobs`` width.
@@ -92,7 +92,7 @@ def trace_workloads(
     """Trace *workload_keys* (default: all crash workloads) on *fs_key*."""
     from repro.crash.engine import CRASH_PROFILES
     from repro.crash.workloads import CRASH_WORKLOADS
-    from repro.fingerprint.parallel import pool_map
+    from repro.common.pool import pool_map
 
     if fs_key not in CRASH_PROFILES:
         raise KeyError(

@@ -30,11 +30,10 @@ and journal commits and spans get their own families.
 
 from __future__ import annotations
 
-import json
-import math
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.common.schema import schema_root, validate_json
 from repro.obs.events import (
     DetectionEvent,
     FaultArmedEvent,
@@ -566,93 +565,6 @@ def metrics_from_events(
     return registry
 
 
-# -- minimal JSON-schema validation (CI metrics-schema check) -----------------
-#
-# The container has no ``jsonschema``; this validates the subset the
-# committed schema actually uses: type, properties, required,
-# additionalProperties (bool), items, enum, const, minimum.
-
-
-def _type_ok(value: Any, expected: str) -> bool:
-    if expected == "object":
-        return isinstance(value, dict)
-    if expected == "array":
-        return isinstance(value, list)
-    if expected == "string":
-        return isinstance(value, str)
-    if expected == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if expected == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if expected == "boolean":
-        return isinstance(value, bool)
-    if expected == "null":
-        return value is None
-    return True
-
-
-def _validate(value: Any, schema: Mapping[str, Any], path: str, errors: List[str]) -> None:
-    if "const" in schema and value != schema["const"]:
-        errors.append(f"{path}: expected const {schema['const']!r}, got {value!r}")
-        return
-    if "enum" in schema and value not in schema["enum"]:
-        errors.append(f"{path}: {value!r} not in enum {schema['enum']!r}")
-        return
-    expected = schema.get("type")
-    if expected is not None:
-        allowed = expected if isinstance(expected, list) else [expected]
-        if not any(_type_ok(value, t) for t in allowed):
-            errors.append(f"{path}: expected type {expected}, got {type(value).__name__}")
-            return
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        minimum = schema.get("minimum")
-        if minimum is not None and value < minimum:
-            errors.append(f"{path}: {value!r} below minimum {minimum!r}")
-        if not math.isfinite(value):
-            errors.append(f"{path}: non-finite number")
-    if isinstance(value, dict):
-        for name in schema.get("required", ()):
-            if name not in value:
-                errors.append(f"{path}: missing required property {name!r}")
-        props = schema.get("properties", {})
-        for name, sub in props.items():
-            if name in value:
-                _validate(value[name], sub, f"{path}.{name}", errors)
-        extra = schema.get("additionalProperties")
-        if extra is False:
-            for name in value:
-                if name not in props:
-                    errors.append(f"{path}: unexpected property {name!r}")
-        elif isinstance(extra, dict):
-            for name, item in value.items():
-                if name not in props:
-                    _validate(item, extra, f"{path}.{name}", errors)
-    if isinstance(value, list):
-        items = schema.get("items")
-        if isinstance(items, dict):
-            for i, item in enumerate(value):
-                _validate(item, items, f"{path}[{i}]", errors)
-
-
-def schema_root() -> Path:
-    """The repository's committed ``schemas/`` directory."""
-    return Path(__file__).resolve().parents[3] / "schemas"
-
-
-def validate_json(value: Any, schema_path: Path) -> List[str]:
-    """Validate any JSON value against a committed schema file.
-
-    Returns a list of violation messages (empty = valid).  Uses the
-    same dependency-free subset validator as :func:`validate_snapshot`;
-    the campaign report (``schemas/campaign_report.schema.json``) and
-    the metrics snapshot share it.
-    """
-    schema = json.loads(Path(schema_path).read_text())
-    errors: List[str] = []
-    _validate(value, schema, "$", errors)
-    return errors
-
-
 def validate_snapshot(
     snapshot: Mapping[str, Any],
     schema_path: Optional[Path] = None,
@@ -663,6 +575,5 @@ def validate_snapshot(
     *schema_path*, uses ``schemas/metrics_snapshot.schema.json`` at the
     repository root.
     """
-    if schema_path is None:
-        schema_path = schema_root() / "metrics_snapshot.schema.json"
-    return validate_json(snapshot, schema_path)
+    return validate_json(
+        snapshot, schema_path or schema_root() / "metrics_snapshot.schema.json")

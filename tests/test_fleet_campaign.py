@@ -166,7 +166,7 @@ class TestIncidents:
 
 class TestCampaignReport:
     def test_schema_valid_and_self_consistent(self):
-        from repro.obs.metrics import schema_root, validate_json
+        from repro.common.schema import schema_root, validate_json
 
         report = run_fleet(SMALL, jobs=1)
         body = report.campaign_report()

@@ -238,6 +238,22 @@ class TestSchemaValidation:
         snap["counters"][0]["labels"]["op"] = 7
         assert validate_snapshot(snap)
 
+    def test_errors_carry_the_json_path(self, tmp_path):
+        from repro.common.schema import validate_json
+
+        schema = tmp_path / "s.json"
+        schema.write_text(json.dumps({
+            "type": "object",
+            "properties": {"rate": {"type": "number"}},
+            "additionalProperties": {"type": "array", "items": {"type": "integer"}},
+        }))
+        errors = validate_json(
+            {"rate": float("nan"), "bins": [1, 2, "x"]}, schema)
+        assert errors == [
+            "$.rate: non-finite number",
+            "$.bins[2]: expected type integer, got str",
+        ]
+
 
 class TestLabelEscaping:
     def test_backslash_quote_and_newline_escape(self):

@@ -8,8 +8,8 @@ from typing import Optional, Tuple
 import pytest
 
 from repro.common import Severity
+from repro.common.schema import schema_root
 from repro.obs.events import FleetClockEvent, StorageEvent
-from repro.obs.metrics import schema_root
 from repro.obs.postmortem import (
     CAUSE_CAP,
     INCIDENT_MODES,

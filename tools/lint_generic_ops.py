@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Keep the namespace syscalls written once, and track source size.
+
+``JournaledFS`` (``src/repro/fs/base.py``) holds the generic half of
+every file system: the path walk and one framed entry point per
+syscall.  A file system that redefined one of them would fork the
+namespace code again — and, because ``FileSystem.__init_subclass__``
+wraps every class-level definition of a syscall in a trace span, an
+override that chained to the generic one would be traced twice.
+
+This linter walks the AST of every module in the file-system packages
+(``src/repro/fs/*/``) and fails when a class there defines one of the
+generic-layer names, or when ``base.py`` does not define each of them
+exactly once.  What a file system *may* define is the primitive
+protocol and the policy hooks documented on ``JournaledFS``.
+
+It then prints the source-line count (``wc -l``) of every package under
+``src/repro``, so each CI run records how large the tree is; ``--loc-out
+PATH`` also writes the table to a file for upload as an artifact.
+
+Usage::
+
+    python tools/lint_generic_ops.py [--loc-out PATH]
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FS_ROOT = ROOT / "src" / "repro" / "fs"
+
+GENERIC_OPS = frozenset({
+    "_lookup", "_do_creat",
+    "creat", "open", "close", "read", "write", "truncate",
+    "link", "unlink", "symlink", "readlink",
+    "mkdir", "rmdir", "rename", "getdirentries",
+    "stat", "lstat", "chmod", "chown", "utimes",
+})
+
+
+def class_methods(path: Path):
+    """Yield ``(class name, method name, line)`` for every method in *path*."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, item.name, item.lineno
+
+
+def lint() -> list[str]:
+    problems = []
+    base = [name for _, name, _ in class_methods(FS_ROOT / "base.py")]
+    for op in sorted(GENERIC_OPS):
+        if base.count(op) != 1:
+            problems.append(
+                f"src/repro/fs/base.py: {op} defined {base.count(op)} times, "
+                "expected exactly once")
+    for path in sorted(FS_ROOT.glob("*/*.py")):
+        for cls, name, line in class_methods(path):
+            if name in GENERIC_OPS:
+                problems.append(
+                    f"{path.relative_to(ROOT)}:{line}: {cls}.{name} redefines a "
+                    "generic op; implement a primitive or policy hook instead "
+                    "(see JournaledFS)")
+    return problems
+
+
+def loc_table() -> str:
+    """``wc -l`` of the ``*.py`` files in each package under ``src/repro``."""
+    src = ROOT / "src" / "repro"
+    counts: dict[str, int] = {}
+    for path in sorted(src.rglob("*.py")):
+        dirs = path.relative_to(src).parts[:-1]
+        # One row per package; the file systems under fs/ get one each.
+        package = "/".join(dirs[:2] if dirs[:1] == ("fs",) else dirs[:1]) or "(top level)"
+        counts[package] = counts.get(package, 0) + path.read_bytes().count(b"\n")
+    width = max(map(len, counts))
+    rows = [f"{name:<{width}}  {lines:>6}" for name, lines in sorted(counts.items())]
+    rows.append(f"{'total':<{width}}  {sum(counts.values()):>6}")
+    return "\n".join(rows)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--loc-out", type=Path,
+                        help="also write the source-LOC table to this file")
+    args = parser.parse_args(argv)
+    problems = lint()
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    table = loc_table()
+    print("source lines (wc -l) per package under src/repro:")
+    print(table)
+    if args.loc_out:
+        args.loc_out.write_text(table + "\n")
+    if problems:
+        print(f"{len(problems)} generic-op violation(s)", file=sys.stderr)
+        return 1
+    print("generic ops: each defined once, in JournaledFS")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
