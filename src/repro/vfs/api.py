@@ -184,7 +184,7 @@ class FileSystem(abc.ABC):
     @abc.abstractmethod
     def fsync(self, fd: int) -> None: ...
 
-    # -- cwd / root (implemented here; lookup is FS-specific) --------------------
+    # -- cwd / root (implemented here; lookup is in JournaledFS) -----------------
 
     def __init__(self) -> None:
         self.cwd = "/"

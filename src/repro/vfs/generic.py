@@ -11,6 +11,8 @@ We reproduce the split: every simulated file system reads buffers
 through a :class:`BufferLayer` configured with *its* kernel's generic
 retry policy, while the FS-specific code above layers its own checks —
 so inconsistent combinations arise exactly the way the paper describes.
+The other shared piece, the path walk and the namespace syscalls, is
+:class:`repro.fs.base.JournaledFS`.
 """
 
 from __future__ import annotations
