@@ -467,9 +467,7 @@ class Ext3(JournaledFS):
         inode.size = self.block_size
         self._node_put(ino, inode)
         self._dir_add(parent_ino, name, ino, FT_DIR)
-        parent = self._node_get(parent_ino)
-        parent.links += 1
-        self._node_put(parent_ino, parent)
+        self._add_links(parent_ino, +1)
 
     def _rmdir_scan_failed(self) -> bool:
         # ext3 bug (§5.1): read errors during the emptiness scan are

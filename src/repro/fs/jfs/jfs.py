@@ -375,9 +375,7 @@ class JFS(JournaledFS):
         inode.size = self.block_size
         self._node_put(ino, inode)
         self._dir_add(parent_ino, name, ino, FT_DIR)
-        parent = self._node_get(parent_ino)
-        parent.links += 1
-        self._node_put(parent_ino, parent)
+        self._add_links(parent_ino, +1)
 
     def statfs(self) -> StatVFS:
         self._ensure_mounted()

@@ -334,9 +334,7 @@ class NTFS(JournaledFS):
         rec.size = self.block_size
         self._node_put(mft, rec)
         self._dir_add(parent, name, mft, FT_DIR)
-        prec = self._node_get(parent)
-        prec.links += 1
-        self._node_put(parent, prec)
+        self._add_links(parent, +1)
 
     def statfs(self) -> StatVFS:
         self._ensure_mounted()

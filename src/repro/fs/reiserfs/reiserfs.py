@@ -305,9 +305,7 @@ class ReiserFS(JournaledFS):
         self._dir_add(pair, ".", pair, FT_DIR)
         self._dir_add(pair, "..", parent, FT_DIR)
         self._dir_add(parent, name, pair, FT_DIR)
-        pst = self._node_get(parent)
-        pst.links += 1
-        self._node_put(parent, pst)
+        self._add_links(parent, +1)
 
     def statfs(self) -> StatVFS:
         self._ensure_mounted()
