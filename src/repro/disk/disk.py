@@ -20,7 +20,10 @@ engine ship golden images between processes as a single buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import (
+    Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union,
+    runtime_checkable,
+)
 
 from repro.common.errors import OutOfRangeError, ReadError, WriteError
 from repro.disk.geometry import DiskGeometry
@@ -299,6 +302,104 @@ class SimulatedDisk:
         stats.writes += 1
         stats.bytes_written += self.geometry.block_size
         self._put(block, bytes(data))
+
+    # -- vectored I/O ---------------------------------------------------------
+    #
+    # Contract: observably identical to calling the per-block method on
+    # each block in turn — same payloads, the same exception raised at
+    # the same block with every earlier block already served, and the
+    # same stats, head and clock (accumulated by the same sequence of
+    # float adds).  Only the per-call dispatch is saved.
+
+    def read_blocks(self, blocks: Sequence[int]) -> List[bytes]:
+        """Vectored :meth:`read_block`."""
+        if self.latency_observer is not None:
+            # The observer may look at the device between requests.
+            return [self.read_block(block) for block in blocks]
+        geometry = self.geometry
+        num_blocks = geometry.num_blocks
+        block_size = geometry.block_size
+        access_time = geometry.access_time
+        dirty = self._dirty
+        delta = self._delta
+        image = self._image
+        zero = self._zero
+        failed = self.failed
+        stats = self.stats
+        head = self._head
+        clock = self.clock
+        busy = stats.busy_time_s
+        seeks = 0
+        out: List[bytes] = []
+        try:
+            for block in blocks:
+                if not 0 <= block < num_blocks:
+                    self._check_range(block, "read")
+                if failed:
+                    raise ReadError(block, "whole-disk failure")
+                t = access_time(head, block, block_size, False)
+                if block != head and block != head + 1:
+                    seeks += 1
+                clock += t
+                busy += t
+                head = block
+                data = delta[block] if dirty[block] else (
+                    image.block(block) if image is not None else None)
+                out.append(zero if data is None else data)
+        finally:
+            self._head = head
+            self.clock = clock
+            stats.busy_time_s = busy
+            stats.seeks += seeks
+            stats.reads += len(out)
+            stats.bytes_read += len(out) * block_size
+        return out
+
+    def write_blocks(self, blocks: Sequence[int],
+                     payloads: Sequence[bytes]) -> None:
+        """Vectored :meth:`write_block` (``payloads[i]`` to ``blocks[i]``)."""
+        if len(payloads) != len(blocks):
+            raise ValueError("write_blocks needs one payload per block")
+        if self.latency_observer is not None:
+            for block, data in zip(blocks, payloads):
+                self.write_block(block, data)
+            return
+        geometry = self.geometry
+        num_blocks = geometry.num_blocks
+        block_size = geometry.block_size
+        access_time = geometry.access_time
+        failed = self.failed
+        stats = self.stats
+        head = self._head
+        clock = self.clock
+        busy = stats.busy_time_s
+        seeks = 0
+        written = 0
+        try:
+            for block, data in zip(blocks, payloads):
+                if not 0 <= block < num_blocks:
+                    self._check_range(block, "write")
+                if failed:
+                    raise WriteError(block, "whole-disk failure")
+                if len(data) != block_size:
+                    raise ValueError(
+                        f"write of {len(data)} bytes to device with "
+                        f"{block_size}-byte blocks")
+                t = access_time(head, block, block_size, True)
+                if block != head and block != head + 1:
+                    seeks += 1
+                clock += t
+                busy += t
+                head = block
+                self._put(block, bytes(data))
+                written += 1
+        finally:
+            self._head = head
+            self.clock = clock
+            stats.busy_time_s = busy
+            stats.seeks += seeks
+            stats.writes += written
+            stats.bytes_written += written * block_size
 
     def flush(self) -> None:
         """Commit buffered state to the medium.  The simulated disk

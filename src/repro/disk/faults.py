@@ -106,6 +106,11 @@ class Fault:
     _fired: int = field(default=0, repr=False)
     _skipped: int = field(default=0, repr=False)
     _locked_block: Optional[int] = field(default=None, repr=False)
+    # ``op.value`` and the persistence test, resolved once: enum
+    # attribute access goes through a descriptor on every call, and
+    # :meth:`matches` runs per armed fault per request.
+    _op: str = field(default="", init=False, repr=False, compare=False)
+    _sticky: bool = field(default=True, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.block is None) == (self.block_type is None):
@@ -114,6 +119,8 @@ class Fault:
             raise ValueError("transient faults must fire at least once")
         if self.locality_run < 0:
             raise ValueError("locality_run must be non-negative")
+        self._op = self.op.value
+        self._sticky = self.persistence is Persistence.STICKY
 
     # -- matching ------------------------------------------------------------
 
@@ -126,9 +133,9 @@ class Fault:
 
     def matches(self, op: str, block: int, block_type: Optional[str]) -> bool:
         """Would this fault fire for the given access?  (Does not consume.)"""
-        if self.op.value != op:
+        if self._op != op:
             return False
-        if self.exhausted():
+        if not self._sticky and self._fired >= self.transient_count:
             return False
         if self._locked_block is not None:
             # Once a type-targeted sticky fault binds to a concrete block,
@@ -154,9 +161,7 @@ class Fault:
         return True
 
     def exhausted(self) -> bool:
-        if self.persistence is Persistence.STICKY:
-            return False
-        return self._fired >= self.transient_count
+        return not self._sticky and self._fired >= self.transient_count
 
     # -- corruption ------------------------------------------------------------
 

@@ -18,7 +18,7 @@ knowledge of the mounted file system's layout.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.common.errors import ReadError, WriteError
 from repro.disk.disk import BlockDevice
@@ -93,6 +93,11 @@ class FaultInjector:
         return self.lower.block_size
 
     def read_block(self, block: int) -> bytes:
+        if not self.faults and self.type_oracle is None:
+            # Nothing armed, nothing to type: pass straight through.
+            data = self.lower.read_block(block)
+            self.trace.record("read", block, "ok")
+            return data
         btype = self.block_type_of(block)
         fault = self._match("read", block, btype)
         if fault is not None and fault.consume(block):
@@ -108,6 +113,10 @@ class FaultInjector:
         return data
 
     def write_block(self, block: int, data: bytes) -> None:
+        if not self.faults and self.type_oracle is None:
+            self.lower.write_block(block, data)
+            self.trace.record("write", block, "ok")
+            return
         btype = self.block_type_of(block)
         fault = self._match("write", block, btype)
         if fault is not None and fault.consume(block):
@@ -122,6 +131,70 @@ class FaultInjector:
             return
         self.lower.write_block(block, data)
         self.trace.record("write", block, "ok", btype)
+
+    # -- vectored I/O -------------------------------------------------------------
+    #
+    # Same contract as the disk's: observably identical to the per-block
+    # loop — payloads, the exception and the block it is raised at, the
+    # lower device's accounting, fault state, and the IOEvents in order.
+
+    def clean_prefix(self, op: str, blocks: Sequence[int]) -> int:
+        """How many leading *blocks* no armed fault would match for *op*
+        right now.  A pure query: nothing is consumed, emitted or
+        charged, and the answer holds until a fault is armed or one of
+        its accesses is consumed (requests on clean blocks do neither)."""
+        faults = self.faults
+        if not faults:
+            return len(blocks)
+        oracle = self.type_oracle
+        for i, block in enumerate(blocks):
+            btype = None if oracle is None else oracle(block)
+            for fault in faults:
+                if fault.matches(op, block, btype):
+                    return i
+        return len(blocks)
+
+    def _vectored_prefix(self, op: str, blocks: Sequence[int]) -> int:
+        """Leading blocks the lower device can take as one vectored
+        call: it has the method, no oracle types the requests, and no
+        fault matches them."""
+        if self.type_oracle is not None or not hasattr(self.lower, op + "_blocks"):
+            return 0
+        return self.clean_prefix(op, blocks)
+
+    def read_blocks(self, blocks: Sequence[int]) -> List[bytes]:
+        """Vectored :meth:`read_block`."""
+        clean = self._vectored_prefix("read", blocks)
+        out: List[bytes] = []
+        if clean:
+            run = blocks[:clean]
+            stats = self.lower.stats
+            served = stats.reads
+            try:
+                out = self.lower.read_blocks(run)
+            finally:
+                # The lower device's own count says how far it got.
+                self.trace.record_ok_run("read", run[:stats.reads - served])
+        for block in blocks[clean:]:
+            out.append(self.read_block(block))
+        return out
+
+    def write_blocks(self, blocks: Sequence[int],
+                     payloads: Sequence[bytes]) -> None:
+        """Vectored :meth:`write_block` (``payloads[i]`` to ``blocks[i]``)."""
+        if len(payloads) != len(blocks):
+            raise ValueError("write_blocks needs one payload per block")
+        clean = self._vectored_prefix("write", blocks)
+        if clean:
+            run = blocks[:clean]
+            stats = self.lower.stats
+            served = stats.writes
+            try:
+                self.lower.write_blocks(run, payloads[:clean])
+            finally:
+                self.trace.record_ok_run("write", run[:stats.writes - served])
+        for i in range(clean, len(blocks)):
+            self.write_block(blocks[i], payloads[i])
 
     # -- uniform stack lifecycle ------------------------------------------------
 

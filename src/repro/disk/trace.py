@@ -15,9 +15,9 @@ log events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
-from repro.obs.events import EventLog, IOEvent
+from repro.obs.events import EventLog, IOEvent, io_event
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,21 @@ class IOTrace:
         ]
 
     def record(self, op: str, block: int, outcome: str, block_type: Optional[str] = None) -> None:
-        self.events_log.emit(IOEvent(op, block, outcome, block_type))
+        self.events_log.emit(io_event(op, block, outcome, block_type))
+
+    def record_ok_run(self, op: str, blocks: Sequence[int]) -> None:
+        """Record an untyped ``"ok"`` request for each of *blocks*, in
+        order — the stream :meth:`record` would leave, emitted as one
+        batch."""
+        self.events_log.emit_many(
+            [io_event(op, block, "ok") for block in blocks])
 
     def clear(self) -> None:
         """Drop the I/O events (other layers' events stay)."""
         self.events_log.remove_where(lambda e: isinstance(e, IOEvent))
 
     def __len__(self) -> int:
-        return len(self.events_log.io_events())
+        return sum(1 for e in self.events_log if isinstance(e, IOEvent))
 
     def __iter__(self) -> Iterator[TraceEntry]:
         return iter(self.entries)

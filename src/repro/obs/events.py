@@ -36,7 +36,9 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Iterator, List, Optional, Tuple, Type
+from typing import (
+    Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple, Type,
+)
 
 
 class Severity(enum.IntEnum):
@@ -86,6 +88,32 @@ class IOEvent(StorageEvent):
 
     def is_write(self) -> bool:
         return self.op == "write"
+
+
+#: Interned :class:`IOEvent`\ s by field tuple.  A device-boundary event
+#: is a frozen value over a small domain (a scrub or rebuild observes
+#: the same ``("read", block, "ok", None)`` on every pass), so the
+#: stream holds one shared object per distinct value instead of one
+#: allocation per request.  Equality, keys, pickling and digests are
+#: those of a freshly constructed event.
+_IO_EVENTS: Dict[Tuple, IOEvent] = {}
+
+#: Bound on the intern table; it is dropped whole when full (events
+#: already in a log stay valid — interning is an allocation saving,
+#: never an identity promise across the bound).
+IO_EVENT_CACHE_MAX = 1 << 15
+
+
+def io_event(op: str, block: int, outcome: str,
+             block_type: Optional[str] = None) -> IOEvent:
+    """The interned :class:`IOEvent` with these fields."""
+    key = (op, block, outcome, block_type)
+    event = _IO_EVENTS.get(key)
+    if event is None:
+        if len(_IO_EVENTS) >= IO_EVENT_CACHE_MAX:
+            _IO_EVENTS.clear()
+        event = _IO_EVENTS[key] = IOEvent(op, block, outcome, block_type)
+    return event
 
 
 @dataclass(frozen=True)
@@ -380,11 +408,22 @@ class EventLog:
     def emit(self, event: StorageEvent) -> StorageEvent:
         self._events.append(event)
         if self.max_events is not None and len(self._events) > self.max_events:
-            excess = len(self._events) - self.max_events
-            del self._events[:excess]
-            self.dropped += excess
-            self.high_water = max(0, self.high_water - excess)
+            self._trim()
         return event
+
+    def emit_many(self, events: Iterable[StorageEvent]) -> None:
+        """Append *events* in order, exactly as one :meth:`emit` each
+        would — same contents, ``dropped`` and ``high_water`` — except
+        that a full ring is trimmed once for the batch, not per event."""
+        self._events.extend(events)
+        if self.max_events is not None and len(self._events) > self.max_events:
+            self._trim()
+
+    def _trim(self) -> None:
+        excess = len(self._events) - self.max_events
+        del self._events[:excess]
+        self.dropped += excess
+        self.high_water = max(0, self.high_water - excess)
 
     # -- access --------------------------------------------------------------
 

@@ -44,7 +44,9 @@ recovery like it does over a bare disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.common.errors import OutOfRangeError, ReadError, WriteError
 from repro.disk.disk import DiskStats, SimulatedDisk, SlabImage, make_disk
@@ -58,7 +60,7 @@ from repro.obs.events import (
     Severity,
     StorageEvent,
 )
-from repro.redundancy.rdp import RDPStripe, _xor
+from repro.redundancy.rdp import RDPStripe, _xor, _xor_all
 
 
 class ArrayMember:
@@ -245,7 +247,6 @@ class ArrayDevice:
         self._dirty = bytearray(num_blocks)
         self._dirty_count = 0
         self._delta: Dict[int, bytes] = {}
-        self._base_view = _ArrayBaseView(self)
         self._base_metas: Dict[tuple, Dict] = {}
         #: Member blocks whose on-disk contents are known stale (a
         #: member write failed after the array acknowledged the logical
@@ -396,7 +397,9 @@ class ArrayDevice:
     def base_image(self) -> Optional[_ArrayBaseView]:
         if all(member.disk.base_image is None for member in self.members):
             return None
-        return self._base_view
+        # Built per access: a stored view would make the array a
+        # reference cycle, freed only when the cycle collector runs.
+        return _ArrayBaseView(self)
 
     def _base_meta(self) -> Dict:
         images = tuple(member.disk.base_image for member in self.members)
@@ -477,19 +480,28 @@ class ArrayDevice:
         rebuilt = 0
         lost: List[int] = []
         member = self.members[index]
+        total = member.disk.num_blocks
         try:
-            for mb in range(member.disk.num_blocks):
+            mb = 0
+            while mb < total:
+                clean = self._rebuild_clean_run(index, mb, total)
+                rebuilt += clean
+                mb += clean
+                if mb == total:
+                    break
+                # The first block that is not clean: one at a time.
                 content = self._member_content(index, mb)
                 if content is None:
                     lost.append(mb)
-                    continue
-                try:
-                    member.device.write_block(mb, content)
-                except WriteError:
-                    lost.append(mb)
-                    continue
-                self._suspect.discard((index, mb))
-                rebuilt += 1
+                else:
+                    try:
+                        member.device.write_block(mb, content)
+                    except WriteError:
+                        lost.append(mb)
+                    else:
+                        self._suspect.discard((index, mb))
+                        rebuilt += 1
+                mb += 1
         finally:
             if tracer:
                 tracer.end(span, "ok" if not lost else "error")
@@ -548,10 +560,24 @@ class ArrayDevice:
             raise ValueError("scrub range out of bounds")
         report = ArrayScrubReport()
         self._in_scrub = True
+        per_unit = self._unit_blocks
         try:
-            for unit in range(start, end):
+            unit = start
+            while unit < end:
+                clean = self._scrub_clean_units(unit, end)
+                if clean:
+                    run = range(unit * per_unit, (unit + clean) * per_unit)
+                    for member in self.members:
+                        member.device.read_blocks(run)
+                    report.blocks_scanned += len(run) * len(self.members)
+                    report.units_scanned += clean
+                    unit += clean
+                    if unit == end:
+                        break
+                # The first unit that is not clean: one at a time.
                 self._scrub_unit(unit, report)
                 report.units_scanned += 1
+                unit += 1
         finally:
             self._in_scrub = False
         self.scrub_repairs += len(report.repaired)
@@ -668,11 +694,81 @@ class ArrayDevice:
     def _scrub_unit(self, unit: int, report: ArrayScrubReport) -> None:
         raise NotImplementedError
 
+    #: Member blocks (per member) that make up one scrub unit.
+    _unit_blocks = 1
+
+    def _consistent_units(self, start: int, limit: int) -> int:
+        """How many of the *limit* scrub units from *start* satisfy the
+        geometry's redundancy check on the members' uncharged
+        (``peek``) contents, counting from the front."""
+        raise NotImplementedError
+
+    # -- clean runs ----------------------------------------------------------
+    #
+    # Scrub and rebuild visit a *clean run* of units with one vectored
+    # call per member instead of one per block.  A member block is
+    # clean when the array trusts it and its member would serve it as a
+    # plain success: the member is alive and no armed fault matches.
+    # On a clean run the per-unit body would read (or write) every
+    # block, find nothing, and emit no logical event; members keep
+    # independent heads and clocks, so issuing each member's requests
+    # back to back leaves every member's own request order — all that
+    # virtual time, device I/O counts and the event streams depend on —
+    # exactly as the per-unit loop would.  The first unit that is not
+    # clean goes to the per-unit body, then the scan resumes.
+
+    def _serves(self, op: str, m: int) -> bool:
+        """The whole-member half of the rule: member *m* is alive and,
+        for reads, holds current (not pre-rebuild) contents."""
+        return not (self.members[m].disk.failed
+                    or (op == "read" and m in self._stale))
+
+    def _clean_run(self, op: str, m: int, blocks: Sequence[int]) -> int:
+        """How many leading *blocks* of member *m* are clean for *op*."""
+        if not self._serves(op, m) or self._latency_observer is not None:
+            # (A shared latency observer would see the members'
+            # requests regrouped, so it keeps the per-unit order.)
+            return 0
+        n = self.members[m].injector.clean_prefix(op, blocks)
+        if op == "read" and self._suspect:
+            for i in range(n):
+                if (m, blocks[i]) in self._suspect:
+                    return i
+        return n
+
+    def _scrub_clean_units(self, start: int, end: int) -> int:
+        """Leading scrub units of ``[start, end)`` that are clean on
+        every member and already consistent."""
+        if self.degraded:
+            # Decided before any per-block scan, so a member that is
+            # down costs nothing per unit.
+            return 0
+        per_unit = self._unit_blocks
+        blocks = range(start * per_unit, end * per_unit)
+        n = len(blocks)
+        for m in range(len(self.members)):
+            n = self._clean_run("read", m, blocks[:n])
+            if n < per_unit:
+                return 0
+        return self._consistent_units(start, n // per_unit)
+
+    def _rebuild_clean_run(self, index: int, start: int, end: int) -> int:
+        """Rebuild the leading clean run of member blocks ``[start,
+        end)`` of member *index* with vectored I/O; returns its length
+        (0 when the first block is not clean — always, for a geometry
+        that rebuilds through the per-block body only)."""
+        return 0
+
     def _source(self) -> str:
         return f"{self.kind}-array"
 
     def _trusted(self, m: int, mb: int) -> bool:
         return m not in self._stale and (m, mb) not in self._suspect
+
+    def _trust(self, m: int, blocks: Iterable[int]) -> None:
+        """Writes to *blocks* of member *m* landed: no longer suspect."""
+        if self._suspect:
+            self._suspect.difference_update((m, mb) for mb in blocks)
 
     def _member_read(self, m: int, mb: int,
                      logical: Optional[int] = None) -> Optional[bytes]:
@@ -855,6 +951,45 @@ class MirrorDevice(ArrayDevice):
                 return data
         return None
 
+    def _rebuild_clean_run(self, index: int, start: int, end: int) -> int:
+        stop = start + self._clean_run("write", index, range(start, end))
+        # Each block comes from the first replica after *index* in its
+        # replica order; a source that is not clean there ends the run.
+        n = len(self.members)
+        wanted: Dict[int, List[int]] = {}
+        for mb in range(start, stop):
+            primary = mb % n
+            source = primary if primary != index else (primary + 1) % n
+            if not self._serves("read", source):
+                stop = mb
+                break
+            wanted.setdefault(source, []).append(mb)
+        for source, mine in wanted.items():
+            clean = self._clean_run("read", source, mine)
+            if clean < len(mine):
+                stop = min(stop, mine[clean])
+        if stop == start:
+            return 0
+        content: Dict[int, bytes] = {}
+        for source, mine in wanted.items():
+            mine = [mb for mb in mine if mb < stop]
+            content.update(zip(
+                mine, self.members[source].device.read_blocks(mine)))
+        run = range(start, stop)
+        self.members[index].device.write_blocks(
+            run, [content[mb] for mb in run])
+        self._trust(index, run)
+        return len(run)
+
+    def _consistent_units(self, start: int, limit: int) -> int:
+        first, *others = [member.disk for member in self.members]
+        for unit in range(start, start + limit):
+            reference = first.peek(unit)
+            for disk in others:
+                if disk.peek(unit) != reference:
+                    return unit - start
+        return limit
+
     def _scrub_unit(self, unit: int, report: ArrayScrubReport) -> None:
         copies: Dict[int, bytes] = {}
         errored: List[int] = []
@@ -1030,6 +1165,29 @@ class StripeParityDevice(ArrayDevice):
             acc = _xor(acc, data)
         return acc
 
+    def _rebuild_clean_run(self, index: int, start: int, end: int) -> int:
+        others = [m for m in range(len(self.members)) if m != index]
+        if not all(self._serves("read", m) for m in others):
+            return 0
+        n = self._clean_run("write", index, range(start, end))
+        for m in others:
+            n = self._clean_run("read", m, range(start, start + n))
+        if n == 0:
+            return 0
+        run = range(start, start + n)
+        columns = [self.members[m].device.read_blocks(run) for m in others]
+        self.members[index].device.write_blocks(
+            run, [_xor_all(cells) for cells in zip(*columns)])
+        self._trust(index, run)
+        return n
+
+    def _consistent_units(self, start: int, limit: int) -> int:
+        disks = [member.disk for member in self.members]
+        for unit in range(start, start + limit):
+            if _xor_all([disk.peek(unit) for disk in disks]) != self._zero:
+                return unit - start
+        return limit
+
     def _scrub_unit(self, unit: int, report: ArrayScrubReport) -> None:
         contents: Dict[int, bytes] = {}
         missing: List[int] = []
@@ -1095,12 +1253,23 @@ class RDPDevice(ArrayDevice):
         super().__init__(num_blocks, block_size, p + 1,
                          stripes * self.rows, timing)
         self.stripes = stripes
+        self._unit_blocks = self.rows
         self._row_parity = p - 1
         self._diag_parity = p
 
     @property
     def scrub_units(self) -> int:
         return self.stripes
+
+    def _consistent_units(self, start: int, limit: int) -> int:
+        disks = [member.disk for member in self.members]
+        rows = self.rows
+        for unit in range(start, start + limit):
+            cells = range(unit * rows, (unit + 1) * rows)
+            if any(self.stripe.syndromes(
+                    [[disk.peek(mb) for mb in cells] for disk in disks])):
+                return unit - start
+        return limit
 
     def _locate(self, block: int) -> Tuple[int, int]:
         per_stripe = self.rows * self.rows
@@ -1114,9 +1283,13 @@ class RDPDevice(ArrayDevice):
         base = stripe * self.rows
         columns: List[Optional[List[bytes]]] = []
         for col in range(self.p + 1):
+            run = range(base, base + self.rows)
+            if self._clean_run("read", col, run) == self.rows:
+                columns.append(self.members[col].device.read_blocks(run))
+                continue
             cells: Optional[List[bytes]] = []
-            for row in range(self.rows):
-                data = self._member_read(col, base + row, logical=logical)
+            for row in run:
+                data = self._member_read(col, row, logical=logical)
                 if data is None:
                     cells = None
                     break
@@ -1272,8 +1445,8 @@ class RDPDevice(ArrayDevice):
                     report.latent_errors.append((col, base + row))
                     self._detect(col, base + row, "member-read-error")
                     cells = None
-                    # Keep scanning the column for accounting, but the
-                    # column is erased for reconstruction purposes.
+                    # The column is erased for reconstruction purposes;
+                    # its remaining rows are not read.
                     break
             columns.append(cells)
             if cells is None and col not in missing:
@@ -1310,31 +1483,21 @@ class RDPDevice(ArrayDevice):
                       report: ArrayScrubReport) -> None:
         """All columns readable: check parity syndromes and repair the
         single silently-corrupt block RDP can locate uniquely."""
-        p, rows, bs = self.p, self.rows, self._block_size
+        p, rows = self.p, self.rows
         zero = self._zero
-        row_syndrome: List[bytes] = []
-        for r in range(rows):
-            acc = zero
-            for c in range(p):  # data + row parity
-                acc = _xor(acc, columns[c][r])
-            row_syndrome.append(acc)
-        diag_syndrome: List[bytes] = []
-        for d in range(rows):  # stored diagonals 0..p-2
-            acc = columns[self._diag_parity][d]
-            for c in range(p):
-                r = (d - c) % p
-                if r <= rows - 1:
-                    acc = _xor(acc, columns[c][r])
-            diag_syndrome.append(acc)
+        row_wide, diag_wide = self.stripe.syndromes(columns)
+        if not row_wide and not diag_wide:
+            return
+        # Per-row and per-stored-diagonal (0..p-2) syndromes.
+        row_syndrome = self.stripe.split(row_wide)
+        diag_syndrome = self.stripe.split(diag_wide)
         bad_rows = [r for r in range(rows) if row_syndrome[r] != zero]
         bad_diags = [d for d in range(rows) if diag_syndrome[d] != zero]
-        if not bad_rows and not bad_diags:
-            return
         fix: Optional[Tuple[int, int, bytes]] = None  # (col, member block, delta)
         if len(bad_rows) == 1 and len(bad_diags) == 1:
             r0, d0 = bad_rows[0], bad_diags[0]
             c0 = (d0 - r0) % p
-            if c0 <= p - 1 and row_syndrome[r0] == diag_syndrome[d0]:
+            if row_syndrome[r0] == diag_syndrome[d0]:
                 fix = (c0, base + r0, row_syndrome[r0])
         elif len(bad_rows) == 1 and not bad_diags:
             # The corrupt cell sits on the missing diagonal p-1.

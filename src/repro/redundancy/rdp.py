@@ -19,6 +19,13 @@ Layout (p prime):
 Each column holds ``p - 1`` blocks.  Any two erased columns can be
 reconstructed; the classic proof shows the iterative chain below always
 terminates when p is prime.
+
+Whole columns are handled as one wide integer (row ``r`` in bit slot
+``r``): row parity is then a single XOR per column, and diagonal parity
+a single rotate-and-XOR per column, because row ``r`` of column ``c``
+lies on diagonal ``(r + c) mod p`` — the column rotated ``c`` slots
+within a ``p``-slot frame.  Only the two-erasure chain among columns
+``0..p-1`` still walks cells.
 """
 
 from __future__ import annotations
@@ -39,6 +46,14 @@ def _xor(a: bytes, b: bytes) -> bytes:
         raise ValueError("xor operands must have equal length")
     return (int.from_bytes(a, "little")
             ^ int.from_bytes(b, "little")).to_bytes(n, "little")
+
+
+def _xor_all(blocks: Sequence[bytes]) -> bytes:
+    """XOR of any number of equal-length byte strings (at least one)."""
+    acc = 0
+    for block in blocks:
+        acc ^= int.from_bytes(block, "little")
+    return acc.to_bytes(len(blocks[0]), "little")
 
 
 def is_prime(n: int) -> bool:
@@ -66,6 +81,48 @@ class RDPStripe:
             raise ValueError("block size must be positive")
         self.p = p
         self.block_size = block_size
+        self._slot_bits = block_size * 8
+        self._column_bytes = (p - 1) * block_size
+        #: Slots 0..p-2 of the p-slot frame: the stored diagonals (and
+        #: the rows of a column); slot p-1 is the missing diagonal.
+        self._stored_mask = (1 << ((p - 1) * self._slot_bits)) - 1
+
+    # -- whole columns as wide integers --------------------------------------
+
+    def join(self, cells: Sequence[bytes]) -> int:
+        """One column (``p - 1`` blocks) as an integer, row r in slot r."""
+        buf = b"".join(cells)
+        if len(buf) != self._column_bytes:
+            raise ValueError("a column holds p - 1 blocks of block_size bytes")
+        return int.from_bytes(buf, "little")
+
+    def split(self, column: int) -> List[bytes]:
+        """Inverse of :meth:`join`."""
+        bs = self.block_size
+        buf = column.to_bytes(self._column_bytes, "little")
+        return [buf[off:off + bs] for off in range(0, len(buf), bs)]
+
+    def _diagonals(self, wide: Sequence[int]) -> int:
+        """Diagonal parity of columns ``0..p-1`` (the first p entries of
+        *wide*, joined), as a joined column: XOR of each column rotated by its index within
+        the p-slot frame, missing diagonal dropped."""
+        p, bits = self.p, self._slot_bits
+        acc = wide[0]
+        for c in range(1, p):
+            x = wide[c]
+            acc ^= (x << (c * bits)) ^ (x >> ((p - c) * bits))
+        return acc & self._stored_mask
+
+    def syndromes(self, columns: Sequence[Sequence[bytes]]) -> Tuple[int, int]:
+        """``(row, diagonal)`` parity syndromes of a complete stripe as
+        joined columns; both are zero exactly when the stripe is
+        consistent, and slot r of each is row r's / diagonal r's
+        cell-wise syndrome."""
+        wide = [self.join(col) for col in columns]
+        row = 0
+        for c in range(self.p):
+            row ^= wide[c]
+        return row, self._diagonals(wide) ^ wide[self.p]
 
     # -- geometry -----------------------------------------------------------
 
@@ -97,7 +154,7 @@ class RDPStripe:
         *data* is ``p - 1`` columns of ``p - 1`` blocks each; returns
         ``p + 1`` columns with row and diagonal parity appended.
         """
-        p, bs = self.p, self.block_size
+        bs = self.block_size
         if len(data) != self.data_columns:
             raise ValueError(f"expected {self.data_columns} data columns")
         for col in data:
@@ -107,24 +164,15 @@ class RDPStripe:
                 if len(block) != bs:
                     raise ValueError("block size mismatch")
 
+        wide = [self.join(col) for col in data]
+        row_parity = 0
+        for x in wide:
+            row_parity ^= x
+        wide.append(row_parity)
         columns: List[List[bytes]] = [list(col) for col in data]
-        # Row parity across data columns.
-        row_parity = []
-        for r in range(self.rows):
-            acc = bytes(bs)
-            for c in range(self.data_columns):
-                acc = _xor(acc, columns[c][r])
-            row_parity.append(acc)
-        columns.append(row_parity)
+        columns.append(self.split(row_parity))
         # Diagonal parity across columns 0..p-1 (data + row parity).
-        diag = [bytes(bs) for _ in range(self.rows)]
-        for c in range(p):
-            for r in range(self.rows):
-                d = self.diagonal_of(r, c)
-                if d == p - 1:
-                    continue  # the missing diagonal
-                diag[d] = _xor(diag[d], columns[c][r])
-        columns.append(diag)
+        columns.append(self.split(self._diagonals(wide)))
         return columns
 
     # -- verify ---------------------------------------------------------------------
@@ -156,29 +204,32 @@ class RDPStripe:
         if not missing:
             return [list(map(bytes, col)) for col in columns]  # type: ignore[arg-type]
 
+        in_rows = [c for c in missing if c != self.diag_parity_column]
+        if len(in_rows) < 2:
+            # At most one erasure in the row-parity group: that column
+            # is the XOR of the group's other columns (every row has a
+            # single unknown), and an erased diagonal column is
+            # recomputed from scratch.
+            full: List[Optional[List[bytes]]] = [
+                None if col is None else list(map(bytes, col))
+                for col in columns]
+            if in_rows:
+                acc = 0
+                for c in range(p):
+                    if c != in_rows[0]:
+                        acc ^= self.join(full[c])  # type: ignore[arg-type]
+                full[in_rows[0]] = self.split(acc)
+            if self.diag_parity_column in missing:
+                return self.encode(full[:self.data_columns])  # type: ignore[arg-type]
+            return full  # type: ignore[return-value]
+
         grid: Dict[Tuple[int, int], Optional[bytes]] = {}
         for c in range(p + 1):
             for r in range(self.rows):
                 grid[(r, c)] = None if columns[c] is None else bytes(columns[c][r])
 
-        if self.diag_parity_column in missing:
-            others = [c for c in missing if c != self.diag_parity_column]
-            if others:
-                # Rebuild the other column from row parity alone...
-                (other,) = others
-                for r in range(self.rows):
-                    acc = bytes(bs)
-                    for c in range(p):
-                        if c == other:
-                            continue
-                        acc = _xor(acc, grid[(r, c)])  # type: ignore[arg-type]
-                    grid[(r, other)] = acc
-            # ...then recompute diagonal parity from scratch.
-            rebuilt = [[grid[(r, c)] for r in range(self.rows)] for c in range(self.data_columns)]
-            return self.encode(rebuilt)  # type: ignore[arg-type]
-
-        # Two (or one) missing among columns 0..p-1: iterate rows and
-        # diagonals, solving every constraint with a single unknown.
+        # Two missing among columns 0..p-1: iterate rows and diagonals,
+        # solving every constraint with a single unknown.
         unknown: Set[Tuple[int, int]] = {
             (r, c) for (r, c), v in grid.items() if v is None
         }
