@@ -1,0 +1,330 @@
+"""Pin for the data half of the syscall surface.
+
+The companion of ``test_generic_namespace.py``: one scripted workload
+drives ``read``, ``write``, ``truncate``, ``symlink``, ``mkdir``,
+``statfs`` and an ``unmount`` -> ``mount`` round trip over all five
+``ADAPTERS`` file systems, through the corners a block-mapped data path
+has — unaligned pread/pwrite, partial-block read-modify-write inside and
+past EOF, a sparse hole read back as zeros, ``O_APPEND`` with and
+without an explicit offset, each file system's size limit, and
+truncates that grow, keep, and shrink a file across a direct->indirect,
+tree-level or run boundary.  Per file system it pins
+
+* the ``(result | errno)`` sequence the caller sees,
+* ``EventLog.digest()`` of the device stack's stream (every block I/O
+  the ops issued, in order, with its virtual time),
+* the crash engine's ``state_digest`` of the final namespace and a
+  SHA-256 of the unmounted image.
+
+The literals were captured while ext3, JFS, NTFS and ReiserFS each
+still carried their own ``_do_read`` / ``_do_write`` / ``_do_truncate``
+/ ``_do_symlink`` / ``_do_mkdir``, so a data path written once must
+reproduce the old device I/O byte for byte.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.common.errors import FSError
+from repro.crash.engine import state_digest
+from repro.fingerprint.adapters import ADAPTERS
+from repro.vfs.fdtable import O_APPEND, O_CREAT, O_RDONLY, O_RDWR
+from repro.vfs.stat import StatResult, StatVFS
+
+FS_NAMES = ["ext3", "reiserfs", "jfs", "ntfs", "ixt3"]
+
+BS = 1024  # every ADAPTERS geometry uses 1 KB blocks
+PAT = bytes((i * 7 + 3) % 251 for i in range(4096))
+DENSE = bytes((i * 13 + 1) % 253 for i in range(30 * BS))
+
+#: Largest file each block map addresses, in bytes; ReiserFS has none.
+#: JFS checks a write against ``JFS_MAX`` (``config.max_file_blocks``)
+#: up front, but its two-level extent tree maps only ``JFS_TREE_MAX``,
+#: so a write between the two fails with EFBIG from the block map.
+NTFS_MAX = 48 * BS
+JFS_TREE_MAX = (8 + 16 * 16) * BS
+JFS_MAX = (8 + 16 + 16 * 16) * BS
+EXT3_MAX = (12 + 8 + 8 * 8 + 8 * 8 * 8) * BS
+
+
+def _by_limit(limit):
+    """Expectation for a write whose end is ``limit + 1``."""
+    table = {"reiserfs": "ok"}
+    for name, fs_max in (("ntfs", NTFS_MAX), ("jfs", JFS_TREE_MAX),
+                         ("ext3", EXT3_MAX), ("ixt3", EXT3_MAX)):
+        table[name] = "ok" if limit < fs_max else "EFBIG"
+    return table
+
+
+#: (op, args, expected) — expected is an errno name, or ``"ok"`` for
+#: "returns normally" (the exact value is pinned by the outcome digest);
+#: a dict gives per-file-system expectations with ``"*"`` as the default.
+#: A ``"fd:PATH"`` argument is the descriptor the latest ``creat`` or
+#: ``open`` of PATH returned; ``remount`` is ``unmount`` followed by ``mount``.
+SCRIPT = [
+    ("statfs", (), "ok"),
+    # -- unaligned pwrite/pread, read-modify-write past and inside EOF ----
+    ("creat", ("/f",), "ok"),
+    ("close", ("fd:/f",), "ok"),
+    ("open", ("/f", O_RDWR), "ok"),
+    ("write", ("fd:/f", PAT[:700], 500), "ok"),      # past EOF, two partial blocks
+    ("read", ("fd:/f", 2000, 0), "ok"),              # leading zeros, short at EOF
+    ("write", ("fd:/f", b"X" * 50, 1000), "ok"),     # inside EOF, across a boundary
+    ("read", ("fd:/f", 100, 990), "ok"),
+    ("read", ("fd:/f", 10, 1200), "ok"),             # at EOF: empty
+    ("read", ("fd:/f", 0, 0), "ok"),
+    ("write", ("fd:/f", b"", 10), "ok"),             # empty write: 0
+    ("write", ("fd:/f", b"seq" * 10), "ok"),         # pwrite left the offset at 0
+    ("read", ("fd:/f", 10), "ok"),                   # sequential, from 30
+    ("write", ("fd:/f", PAT[:BS], BS), "ok"),        # one whole aligned block
+    ("write", ("fd:/f", PAT[100:100 + 2 * BS], 2 * BS - 30), "ok"),
+    ("read", ("fd:/f", 4096, 0), "ok"),
+    # -- a sparse hole reads back as zeros ---------------------------------
+    ("write", ("fd:/f", b"tail", 9 * BS + 17), "ok"),
+    ("read", ("fd:/f", 8 * BS, 3 * BS - 5), "ok"),
+    ("write", ("fd:/f", b"fill", 6 * BS + 1000), "ok"),   # partial block in the hole
+    ("read", ("fd:/f", 3 * BS, 5 * BS), "ok"),
+    ("stat", ("/f",), "ok"),
+    # -- O_APPEND with and without an explicit offset ----------------------
+    ("open", ("/f", O_RDWR | O_APPEND), "ok"),
+    ("write", ("fd:/f", b"app1"), "ok"),
+    ("write", ("fd:/f", b"app2", 3), "ok"),          # the offset is ignored
+    ("read", ("fd:/f", 10), "ok"),                   # offset now at EOF: empty
+    ("read", ("fd:/f", 30, 9 * BS), "ok"),
+    ("stat", ("/f",), "ok"),
+    ("close", ("fd:/f",), "ok"),
+    ("open", ("/f", O_RDONLY), "ok"),
+    ("write", ("fd:/f", b"no"), "EBADF"),
+    ("close", ("fd:/f",), "ok"),
+    # -- truncate: grow, same size, shrink across the mapping boundaries ---
+    ("open", ("/t", O_CREAT | O_RDWR), "ok"),       # a creating open is write-only
+    ("read", ("fd:/t", 1), "EBADF"),
+    ("close", ("fd:/t",), "ok"),
+    ("open", ("/t", O_RDWR), "ok"),
+    ("write", ("fd:/t", DENSE), "ok"),               # 30 blocks: past every first level
+    ("read", ("fd:/t", 30 * BS, 0), "ok"),
+    ("truncate", ("/t", 31000), "ok"),               # grow
+    ("truncate", ("/t", 31000), "ok"),               # same size
+    ("stat", ("/t",), "ok"),
+    ("read", ("fd:/t", 1000, 30500), "ok"),          # zeros past the old EOF
+    ("truncate", ("/t", 25 * BS + 5), "ok"),         # inside ext3's double-indirect
+    ("truncate", ("/t", 15 * BS), "ok"),             # drops it; partial single
+    ("read", ("fd:/t", 2 * BS, 14 * BS), "ok"),
+    ("truncate", ("/t", 5000), "ok"),                # back into the direct pointers
+    ("read", ("fd:/t", 6000, 0), "ok"),
+    ("write", ("fd:/t", b"regrow", 13 * BS), "ok"),
+    ("read", ("fd:/t", 14 * BS, 0), "ok"),
+    ("truncate", ("/t", 100), "ok"),                 # ReiserFS: back to a tail
+    ("truncate", ("/t", 0), "ok"),
+    ("stat", ("/t",), "ok"),
+    ("truncate", ("/nope", 5), "ENOENT"),
+    ("statfs", (), "ok"),
+    # -- symlink ------------------------------------------------------------
+    ("symlink", ("x" * (BS + 1), "/sl"), "ENAMETOOLONG"),
+    ("symlink", ("x" * BS, "/sl"), "ok"),            # exactly one block
+    ("symlink", ("y", "/sl"), "EEXIST"),
+    ("readlink", ("/sl",), "ok"),
+    ("symlink", ("f", "/tof"), "ok"),
+    ("symlink", ("a", "/nope/sl"), "ENOENT"),
+    ("symlink", ("a", "/f/sl"), "ENOTDIR"),
+    ("lstat", ("/tof",), "ok"),
+    ("truncate", ("/tof", 9 * BS), "ok"),            # follows the link
+    ("stat", ("/f",), "ok"),
+    # -- mkdir --------------------------------------------------------------
+    ("mkdir", ("/m", 0o700), "ok"),
+    ("mkdir", ("/m",), "EEXIST"),
+    ("mkdir", ("/m/n",), "ok"),
+    ("mkdir", ("/f/sub",), "ENOTDIR"),               # under a non-directory
+    ("mkdir", ("/tof/sub",), "ENOTDIR"),             # ... reached through a link
+    ("mkdir", ("/nope/sub",), "ENOENT"),
+    ("stat", ("/m",), "ok"),
+    ("stat", ("/m/n",), "ok"),
+    ("getdirentries", ("/m",), "ok"),
+    ("truncate", ("/m", 0), "EISDIR"),
+    # -- EFBIG at each file system's limit ----------------------------------
+    ("creat", ("/lim",), "ok"),
+    ("close", ("fd:/lim",), "ok"),
+    ("open", ("/lim", O_RDWR), "ok"),
+    ("write", ("fd:/lim", b"Z", NTFS_MAX - 1), "ok"),
+    ("write", ("fd:/lim", b"ZZ", NTFS_MAX - 1), _by_limit(NTFS_MAX)),
+    ("write", ("fd:/lim", b"Z", JFS_TREE_MAX - 1), _by_limit(JFS_TREE_MAX - 1)),
+    ("write", ("fd:/lim", b"ZZ", JFS_TREE_MAX - 1), _by_limit(JFS_TREE_MAX)),
+    ("write", ("fd:/lim", b"Z", JFS_MAX - 1), _by_limit(JFS_MAX - 1)),
+    ("write", ("fd:/lim", b"ZZ", JFS_MAX - 1), _by_limit(JFS_MAX)),
+    ("write", ("fd:/lim", b"Z", EXT3_MAX - 1), _by_limit(EXT3_MAX - 1)),
+    ("write", ("fd:/lim", b"ZZ", EXT3_MAX - 1), _by_limit(EXT3_MAX)),
+    ("stat", ("/lim",), "ok"),
+    ("read", ("fd:/lim", 3 * BS, NTFS_MAX - 2 * BS), "ok"),
+    # In steps: ReiserFS revokes every block it frees, and one journal
+    # block holds about 250 revoke records.
+    ("truncate", ("/lim", 400 * BS), "ok"),
+    ("truncate", ("/lim", 200 * BS), "ok"),
+    ("truncate", ("/lim", 20 * BS + 1), "ok"),       # frees the deep levels
+    ("truncate", ("/lim", 0), "ok"),
+    ("statfs", (), "ok"),
+    # -- unmount -> mount round trip ------------------------------------------
+    ("remount", (), "ok"),
+    ("read", ("fd:/f", 1), "EBADF"),                 # unmount closed every fd
+    ("statfs", (), "ok"),
+    ("open", ("/f", O_RDONLY), "ok"),
+    ("read", ("fd:/f", 10 * BS, 0), "ok"),
+    ("readlink", ("/sl",), "ok"),
+    ("stat", ("/tof",), "ok"),
+    ("stat", ("/t",), "ok"),
+    ("stat", ("/lim",), "ok"),
+    ("getdirentries", ("/",), "ok"),
+    ("close", ("fd:/f",), "ok"),
+]
+
+
+def _normalise(value):
+    if isinstance(value, StatResult):
+        kind = "d" if value.is_dir else "l" if value.is_symlink else "f"
+        return (kind, value.perm_bits, value.nlink, value.uid, value.gid,
+                None if value.is_dir else value.size, value.atime, value.mtime)
+    if isinstance(value, StatVFS):
+        return (value.block_size, value.total_blocks, value.free_blocks,
+                value.total_inodes, value.free_inodes)
+    if isinstance(value, list):
+        return sorted(value)
+    return value
+
+
+def remount(fs):
+    fs.unmount()
+    fs.mount()
+
+
+def run_script(fs):
+    """Apply SCRIPT to a mounted *fs*; return the outcome per step."""
+    outcomes = []
+    fds = {}
+    for op, args, _ in SCRIPT:
+        args = tuple(fds[a[3:]] if isinstance(a, str) and a.startswith("fd:")
+                     else a for a in args)
+        try:
+            result = remount(fs) if op == "remount" else getattr(fs, op)(*args)
+        except FSError as exc:
+            outcomes.append(exc.errno.name)
+            continue
+        if op in ("creat", "open"):
+            fds[args[0]] = result
+        outcomes.append(_normalise(result))
+    return outcomes
+
+
+def mounted(name):
+    adapter = ADAPTERS[name]()
+    stack = adapter.build_stack()
+    adapter.mkfs(stack.top)
+    fs = adapter.make_fs(stack.top)
+    fs.mount()
+    return stack, fs
+
+
+def image_digest(stack) -> str:
+    h = hashlib.sha256()
+    for block in range(stack.disk.num_blocks):
+        h.update(stack.disk.peek(block))
+    return h.hexdigest()[:16]
+
+
+def errno_sequence(outcomes):
+    return [o if isinstance(o, str) and o.isupper() and o.startswith("E")
+            else "ok" for o in outcomes]
+
+
+def expected_sequence(name):
+    return [e.get(name, e.get("*")) if isinstance(e, dict) else e
+            for _, _, e in SCRIPT]
+
+
+def outcome_digest(outcomes) -> str:
+    return hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
+
+
+def capture(name):
+    stack, fs = mounted(name)
+    outcomes = run_script(fs)
+    state = state_digest(fs, include_counts=True)
+    fs.unmount()
+    return outcomes, {
+        "outcomes": outcome_digest(outcomes),
+        "events": stack.events.digest()[:16],
+        "state": state,
+        "image": image_digest(stack),
+    }
+
+
+#: Captured at the commit before the data path moved into
+#: ``JournaledFS`` (each file system still carrying its own copy).
+PINNED = {
+    "ext3": {"outcomes": "73283e23b29d8909", "events": "75759448772dc833",
+             "state": "46ee6e64054d6485", "image": "c0ec627ac94f8021"},
+    "reiserfs": {"outcomes": "09574558fc81b0b4", "events": "66f1ae777f1deccb",
+                 "state": "1a456353516d3887", "image": "5106dd91051eecba"},
+    "jfs": {"outcomes": "360c817e7eaa5e76", "events": "357520d6b6b6f686",
+            "state": "350dce61021beecc", "image": "db50ab2c5be88390"},
+    "ntfs": {"outcomes": "19cbbba02d9e1a9f", "events": "16bfd5c508b89e8a",
+             "state": "13c1ae92a9168948", "image": "22819c9ebfbccd6d"},
+    "ixt3": {"outcomes": "b111103d6de82618", "events": "56e7929533259f12",
+             "state": "17b12c1c6bbc0ef6", "image": "7ceb03a61809a08e"},
+}
+
+
+@pytest.fixture(scope="module", params=FS_NAMES)
+def captured(request):
+    return (request.param,) + capture(request.param)
+
+
+class TestPinnedDataPathBehaviour:
+    def test_result_or_errno_sequence(self, captured):
+        name, outcomes, _ = captured
+        assert errno_sequence(outcomes) == expected_sequence(name)
+
+    def test_outcome_values(self, captured):
+        name, _, digests = captured
+        assert digests["outcomes"] == PINNED[name]["outcomes"]
+
+    def test_event_stream_digest(self, captured):
+        name, _, digests = captured
+        assert digests["events"] == PINNED[name]["events"]
+
+    def test_final_state_digest(self, captured):
+        name, _, digests = captured
+        assert digests["state"] == PINNED[name]["state"]
+
+    def test_final_image_bytes(self, captured):
+        name, _, digests = captured
+        assert digests["image"] == PINNED[name]["image"]
+
+
+@pytest.mark.parametrize("name", FS_NAMES)
+def test_reads_return_what_was_written(name):
+    """The digests pin *sameness*; this checks a few reads for truth."""
+    _, fs = mounted(name)
+    steps = [(op, args) for op, args, _ in SCRIPT]
+    outcomes = run_script(fs)
+
+    def result_of(op, args):
+        return outcomes[steps.index((op, args))]
+
+    assert result_of("read", ("fd:/f", 2000, 0)) == bytes(500) + PAT[:700]
+    assert result_of("read", ("fd:/f", 100, 990)) == (
+        PAT[490:500] + b"X" * 50 + PAT[550:590])
+    hole = result_of("read", ("fd:/f", 8 * BS, 3 * BS - 5))
+    assert hole[-4:] == b"tail" and hole[BS + 5:-4] == bytes(len(hole) - BS - 9)
+    assert result_of("read", ("fd:/f", 30, 9 * BS)) == (
+        bytes(17) + b"tailapp1app2")
+    assert result_of("read", ("fd:/t", 30 * BS, 0)) == DENSE
+    assert result_of("read", ("fd:/t", 1000, 30500)) == DENSE[30500:] + bytes(280)
+    # Bytes 5000..5119 are left out: the block-mapped file systems do
+    # not zero the tail of the last block on a shrink, so growing the
+    # file again exposes what was there (ReiserFS reads zeros).
+    regrown = result_of("read", ("fd:/t", 14 * BS, 0))
+    assert regrown[:5000] == DENSE[:5000]
+    assert regrown[5 * BS:] == bytes(8 * BS) + b"regrow"
+    assert result_of("readlink", ("/sl",)) == "x" * BS
