@@ -2,15 +2,15 @@
 
 Holds what every FS in the study has in common — mount state, the
 syslog, operation framing around the journal, crash simulation,
-gray-box access to the raw disk, and the whole *namespace* half of the
-syscall surface: the symlink-following path walk and ``creat``,
-``open``, ``close``, ``link``, ``unlink``, ``rmdir``, ``rename``,
-``getdirentries``, ``stat``, ``lstat``, ``chmod``, ``chown``,
-``utimes`` and ``readlink`` are written once here, over the primitive
-protocol documented on :class:`JournaledFS`.  Each file system keeps
-its on-disk format, allocation, journaling, data path and *failure
-policy* in its own code, which is precisely where the paper locates
-the interesting behaviour.
+gray-box access to the raw disk, and the whole syscall surface: the
+symlink-following path walk, the namespace calls (``creat`` ...
+``readlink``), the data path (``read``, ``write``, ``truncate``,
+``symlink``, ``mkdir``) and the ``unmount`` / ``statfs`` templates are
+written once here, over the primitive protocol documented on
+:class:`JournaledFS`.  Each file system keeps its on-disk format,
+allocation, block mapping, journaling and *failure policy* in its own
+code, which is precisely where the paper locates the interesting
+behaviour.
 """
 
 from __future__ import annotations
@@ -23,10 +23,26 @@ from repro.common.errors import Errno, FSError, KernelPanic, ReadOnlyError
 from repro.common.syslog import SysLog
 from repro.obs.events import EventLog, JournalCommitEvent
 from repro.vfs.api import FileSystem
-from repro.vfs.fdtable import FDTable, O_ACCMODE, O_CREAT, O_TRUNC, O_WRONLY
+from repro.vfs.fdtable import (
+    FDTable,
+    O_ACCMODE,
+    O_APPEND,
+    O_CREAT,
+    O_TRUNC,
+    O_WRONLY,
+)
 from repro.vfs.generic import BufferLayer
 from repro.vfs.paths import MAX_SYMLINK_DEPTH, dirname_basename, is_ancestor, split_path
-from repro.vfs.stat import DEFAULT_FILE_MODE, FT_REG, StatResult
+from repro.vfs.stat import (
+    DEFAULT_DIR_MODE,
+    DEFAULT_FILE_MODE,
+    DEFAULT_LINK_MODE,
+    FT_DIR,
+    FT_REG,
+    FT_SYMLINK,
+    StatResult,
+    StatVFS,
+)
 
 
 class JournaledFS(FileSystem):
@@ -35,14 +51,14 @@ class JournaledFS(FileSystem):
     **The specific half.**  A file system names its objects by an opaque
     *handle* (inode number, MFT number, ReiserFS key pair) and exposes
     each as a mutable *node* carrying ``mode``, ``links``, ``uid``,
-    ``gid``, ``atime`` and ``mtime``.  The generic namespace code below
+    ``gid``, ``size``, ``atime`` and ``mtime``.  The generic code below
     is written over these primitives and nothing else:
 
     ======================================  ==================================
     ``ROOT``                                handle of ``/``
     ``_node_get(h)`` / ``_node_put(h, n)``  read / journal one node
     ``_is_dir(n)``                          directory test (mode bits here)
-    ``_node_create(parent, mode)``          new empty regular file, one link
+    ``_node_create(parent, mode)``          new empty object, one link
     ``_node_clear(h, n)``                   free a file's body; size 0
     ``_node_drop(h, n)``                    free the object and its blocks
     ``_read_link(h, n)``                    symlink target; None = no body
@@ -52,20 +68,46 @@ class JournaledFS(FileSystem):
     ``_dir_add(dir, name, child, ftype)``   insert one entry
     ``_dir_remove(dir, name)``              delete one entry (ENOENT if absent)
     ``_dir_set_dotdot(dir, parent)``        repoint ``..``
+    ``_dir_create(parent, mode)``           new directory: ``.``, ``..``, 2 links
+    ``_space_counts()``                     total, free blocks; total, free nodes
     ======================================  ==================================
 
     ``_dir_find`` and ``_dir_entries`` are handed the directory's node
     when the caller already holds it; an implementation whose directory
     code reads the node itself ignores it (and keeps its historical I/O
-    sequence).  The data path stays specific too: ``_do_read``,
-    ``_do_write``, ``_do_truncate``, ``_do_symlink`` and ``_do_mkdir``
-    are the bodies the generic framing calls, and ``statfs`` is wholly
-    the file system's.
+    sequence).
+
+    The data path is written over a *block map*: file block ``fb`` of a
+    node lives in device block ``bno``.
+
+    ======================================  ==================================
+    ``_max_file_bytes``                     what the map can address
+    ``_file_block_read(h, n, fb, ...)``     one file block; zeros for a hole
+    ``_file_block_map(h, n, fb)``           ``(bno, fresh)``, allocating
+    ``_file_block_store(h, n, fb, ...)``    write one whole mapped block
+    ``_node_shrink(h, n, size)``            free blocks wholly beyond *size*
+    ======================================  ==================================
+
+    ``_file_block_read`` also takes ``readahead`` (the request spans
+    several blocks), ``modifying`` (the read serves a write) and
+    ``bno=0``, set when the caller has just mapped the block; as with
+    ``_dir_find``, a file system that has always walked its map again
+    ignores it.  ``_file_block_store`` takes ``bno, payload, fresh``,
+    *fresh* marking a block the map allocated a moment ago.  ReiserFS
+    has no block map: it stores an object's body whole, so it overrides
+    the three loops built on these primitives — :meth:`_file_read`,
+    :meth:`_file_write`, :meth:`_file_truncate` — together with
+    :meth:`_node_clear` and :meth:`_symlink_create`, and implements none
+    of the five.
 
     **Policy hooks** mark the places where the study found file systems
     to *behave* differently; the defaults are the common behaviour:
-    :meth:`_open_check`, :meth:`_unlink_node`, :meth:`_rmdir_scan_failed`
-    and :meth:`_renamed_ftype`.
+    :meth:`_open_check`, :meth:`_unlink_node`, :meth:`_rmdir_scan_failed`,
+    :meth:`_renamed_ftype`, :meth:`_node_get_for_update`,
+    :meth:`_truncate_shrink_failed` and :meth:`_mark_clean`.  What a
+    file system does with a data block once it is mapped — journal it,
+    write it in place, fold it into parity first — is its
+    ``_file_block_store``.
 
     A file system must not redefine a generic op (``tools/
     lint_generic_ops.py`` enforces it): every class-level definition of
@@ -217,7 +259,7 @@ class JournaledFS(FileSystem):
         nblocks = getattr(self.journal, "nblocks", 0)
         return len(current.meta) >= max(nblocks // 2, 8)
 
-    # -- generic namespace layer: path walk --------------------------------------
+    # -- generic layer: path walk ------------------------------------------------
 
     def _lookup(self, path: str, follow: bool = True, _depth: int = 0):
         """Walk *path* to a handle, following symlinks in every
@@ -265,7 +307,7 @@ class JournaledFS(FileSystem):
             node.links -= 1
             self._node_put(handle, node)
 
-    # -- generic namespace layer: policy hooks --------------------------------------
+    # -- generic layer: policy hooks ------------------------------------------------
 
     def _open_check(self, handle, node) -> None:
         """Sanity checks ``open`` applies to the node (ext3: size field)."""
@@ -285,7 +327,22 @@ class JournaledFS(FileSystem):
         derives it from the inode instead of keeping the old entry's)."""
         return ftype
 
-    # -- generic namespace layer: syscalls -------------------------------------------
+    def _node_get_for_update(self, handle):
+        """The node read that opens ``write`` and ``truncate`` (ReiserFS
+        retries it once, §5.2)."""
+        return self._node_get(handle)
+
+    def _truncate_shrink_failed(self) -> bool:
+        """Releasing blocks in ``truncate`` hit an I/O error: return
+        True to swallow it and report success (ext3's silent-failure
+        bug)."""
+        return False
+
+    def _mark_clean(self) -> None:
+        """What a clean ``unmount`` records once the journal is
+        checkpointed (ext3: the superblock state; JFS: a generation)."""
+
+    # -- generic layer: syscalls -----------------------------------------------------
 
     def creat(self, path: str, mode: int = 0o644) -> int:
         return self._run_modifying(lambda: self._do_creat(path, mode))
@@ -334,17 +391,150 @@ class JournaledFS(FileSystem):
     def read(self, fd: int, size: int, offset: Optional[int] = None) -> bytes:
         return self._run_reading(lambda: self._do_read(fd, size, offset))
 
+    def _do_read(self, fd: int, size: int, offset: Optional[int]) -> bytes:
+        of = self.fdtable.get(fd)
+        if not of.readable:
+            raise FSError(Errno.EBADF, "fd not open for reading")
+        if size < 0 or (offset is not None and offset < 0):
+            raise FSError(Errno.EINVAL, "negative size or offset")
+        node = self._node_get(of.handle)
+        pos = of.offset if offset is None else offset
+        end = min(pos + size, node.size)
+        if end <= pos:
+            return b""
+        data = self._file_read(of.handle, node, pos, end)
+        if offset is None:
+            of.offset = end
+        return data
+
+    def _file_read(self, handle, node, pos: int, end: int) -> bytes:
+        """Bytes ``pos..end`` of a file (``end`` within its size)."""
+        bs = self.block_size
+        first, last = pos // bs, (end - 1) // bs
+        chunks = []
+        for fb in range(first, last + 1):
+            chunk = self._file_block_read(handle, node, fb, last > first, False)
+            lo = pos - fb * bs if fb == first else 0
+            hi = end - fb * bs if fb == last else bs
+            chunks.append(chunk[lo:hi])
+        return b"".join(chunks)
+
     def write(self, fd: int, data: bytes, offset: Optional[int] = None) -> int:
         return self._run_modifying(lambda: self._do_write(fd, data, offset))
+
+    def _do_write(self, fd: int, data: bytes, offset: Optional[int]) -> int:
+        of = self.fdtable.get(fd)
+        if not of.writable:
+            raise FSError(Errno.EBADF, "fd not open for writing")
+        if offset is not None and offset < 0:
+            raise FSError(Errno.EINVAL, "negative offset")
+        if not data:
+            return 0
+        node = self._node_get_for_update(of.handle)
+        appending = of.flags & O_APPEND
+        pos = node.size if appending else (
+            of.offset if offset is None else offset)
+        self._file_write(of.handle, node, pos, data)
+        if offset is None or appending:
+            of.offset = pos + len(data)
+        return len(data)
+
+    def _file_write(self, handle, node, pos: int, data: bytes) -> None:
+        """Store *data* at *pos*, growing the file when it ends later."""
+        end = pos + len(data)
+        if end > self._max_file_bytes:
+            raise FSError(Errno.EFBIG, "file would exceed maximum size")
+        bs = self.block_size
+        first, last = pos // bs, (end - 1) // bs
+        written = 0
+        for fb in range(first, last + 1):
+            lo = pos - fb * bs if fb == first else 0
+            hi = end - fb * bs if fb == last else bs
+            payload = data[written:written + (hi - lo)]
+            bno, fresh = self._file_block_map(handle, node, fb)
+            if hi - lo < bs:
+                # Read-modify-write of a partial block.
+                base = bytearray(
+                    self._file_block_read(handle, node, fb, False, True, bno)
+                    if fb * bs < node.size else bytes(bs))
+                base[lo:hi] = payload
+                payload = bytes(base)
+            self._file_block_store(handle, node, fb, bno, payload, fresh)
+            written += hi - lo
+        if end > node.size:
+            node.size = end
+        node.mtime += 1.0
+        self._node_put(handle, node)
 
     def truncate(self, path: str, size: int) -> None:
         self._run_modifying(lambda: self._do_truncate(path, size))
 
+    def _do_truncate(self, path: str, size: int) -> None:
+        if size < 0:
+            raise FSError(Errno.EINVAL, "negative size")
+        handle = self._lookup(path, follow=True)
+        node = self._node_get_for_update(handle)
+        if self._is_dir(node):
+            raise FSError(Errno.EISDIR, path)
+        self._file_truncate(handle, node, size)
+
+    def _file_truncate(self, handle, node, size: int) -> None:
+        if size < node.size:
+            try:
+                self._node_shrink(handle, node, size)
+            except FSError:
+                if self._truncate_shrink_failed():
+                    return
+                raise
+        node.size = size
+        node.mtime += 1.0
+        self._node_put(handle, node)
+
+    def _node_clear(self, handle, node) -> None:
+        self._node_shrink(handle, node, 0)
+        node.size = 0
+        self._node_put(handle, node)
+
     def symlink(self, target: str, linkpath: str) -> None:
         self._run_modifying(lambda: self._do_symlink(target, linkpath))
 
+    def _do_symlink(self, target: str, linkpath: str) -> None:
+        raw = target.encode()
+        if len(raw) > self.block_size:
+            raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
+        parent_path, name = dirname_basename(self.resolve(linkpath))
+        parent = self._lookup(parent_path, follow=True)
+        if self._dir_find(parent, name) is not None:
+            raise FSError(Errno.EEXIST, linkpath)
+        child = self._symlink_create(parent, raw)
+        self._dir_add(parent, name, child, FT_SYMLINK)
+
+    def _symlink_create(self, parent, raw: bytes):
+        """A new symlink object whose one-block body is *raw*."""
+        child = self._node_create(parent, DEFAULT_LINK_MODE)
+        node = self._node_get(child)
+        bno, fresh = self._file_block_map(child, node, 0)
+        self._file_block_store(child, node, 0, bno,
+                               raw.ljust(self.block_size, b"\x00"), fresh)
+        node.size = len(raw)
+        self._node_put(child, node)
+        return child
+
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         self._run_modifying(lambda: self._do_mkdir(path, mode))
+
+    def _do_mkdir(self, path: str, mode: int) -> None:
+        parent_path, name = dirname_basename(self.resolve(path))
+        parent = self._lookup(parent_path, follow=True)
+        pnode = self._node_get(parent)
+        if not self._is_dir(pnode):
+            raise FSError(Errno.ENOTDIR, parent_path)
+        if self._dir_find(parent, name, pnode) is not None:
+            raise FSError(Errno.EEXIST, path)
+        child = self._dir_create(
+            parent, (DEFAULT_DIR_MODE & ~0o777) | (mode & 0o777))
+        self._dir_add(parent, name, child, FT_DIR)
+        self._add_links(parent, +1)
 
     def link(self, existing: str, new: str) -> None:
         def body():
@@ -496,7 +686,20 @@ class JournaledFS(FileSystem):
             node.atime, node.mtime = atime, mtime
         self._update_node(path, change)
 
-    # -- sync / crash --------------------------------------------------------------
+    def statfs(self) -> StatVFS:
+        self._ensure_mounted()
+        return StatVFS(self.block_size, *self._space_counts())
+
+    # -- unmount / sync / crash ----------------------------------------------------
+
+    def unmount(self) -> None:
+        self._ensure_mounted()
+        if not self._read_only:
+            self.journal.commit()
+            self.journal.checkpoint()
+            self._mark_clean()
+        self.fdtable.close_all()
+        self._mounted = False
 
     def sync(self) -> None:
         self._ensure_mounted()

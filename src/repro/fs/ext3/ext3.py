@@ -60,11 +60,7 @@ from repro.fs.ext3.structures import (
     unpack_pointer_block,
 )
 from repro.fs.base import JournaledFS
-from repro.vfs.fdtable import O_APPEND
-from repro.vfs.paths import dirname_basename
-from repro.vfs.stat import DEFAULT_DIR_MODE, DEFAULT_LINK_MODE, StatResult, StatVFS
-
-_EMPTY = b""
+from repro.vfs.stat import StatResult
 
 #: Sentinel in the static type table for journal blocks whose role is
 #: dynamic (``j-desc``/``j-data``/``j-commit``/``j-revoke`` depend on
@@ -246,160 +242,71 @@ class Ext3(JournaledFS):
             self._write_home(0, self.sb.pack(self.block_size))
         self._rebuild_types()
 
-    def unmount(self) -> None:
-        self._ensure_mounted()
-        if not self._read_only:
-            self.journal.commit()
-            self.journal.checkpoint()
-            self.sb.state = STATE_CLEAN
-            self._write_home(0, self.sb.pack(self.block_size))
-        self.fdtable.close_all()
-        self._mounted = False
+    def _mark_clean(self) -> None:
+        self.sb.state = STATE_CLEAN
+        self._write_home(0, self.sb.pack(self.block_size))
 
     # ==================================================================
-    # The specific half of the namespace (primitives and policy hooks
-    # for the generic layer in JournaledFS) and the data path
+    # The specific half of the syscall surface: primitives and policy
+    # hooks for the generic layer in JournaledFS
     # ==================================================================
 
-    def statfs(self) -> StatVFS:
-        self._ensure_mounted()
-        return StatVFS(
-            block_size=self.block_size,
-            total_blocks=self.sb.blocks_count,
-            free_blocks=self.sb.free_blocks,
-            total_inodes=self.sb.inodes_count,
-            free_inodes=self.sb.free_inodes,
-        )
+    def _space_counts(self) -> Tuple[int, int, int, int]:
+        return (self.sb.blocks_count, self.sb.free_blocks,
+                self.sb.inodes_count, self.sb.free_inodes)
 
     def _node_create(self, parent_ino: int, mode: int) -> int:
         return self._alloc_inode(self.config.group_of_inode(parent_ino), mode)
 
-    def _node_clear(self, ino: int, inode: Inode) -> None:
-        self._shrink(ino, inode, 0)
-        inode.size = 0
-        self._node_put(ino, inode)
-
     def _node_drop(self, ino: int, inode: Inode) -> None:
-        self._shrink(ino, inode, 0,
-                     kind="dir" if _stat.S_ISDIR(inode.mode) else "data")
+        self._node_shrink(ino, inode, 0,
+                          kind="dir" if _stat.S_ISDIR(inode.mode) else "data")
         self._free_inode(ino)
 
     def _open_check(self, ino: int, inode: Inode) -> None:
         # D_sanity (§5.1): open detects an overly-large file-size field.
-        max_size = self.config.max_file_blocks * self.block_size
-        if inode.size > max_size:
+        if inode.size > self._max_file_bytes:
             self.syslog.detection(self.name, "sanity-fail",
                                   f"inode {ino} size {inode.size} exceeds maximum",
                                   mechanism="sanity")
             raise FSError(Errno.EUCLEAN, "corrupted inode size")
 
-    def _do_read(self, fd: int, size: int, offset: Optional[int]) -> bytes:
-        of = self.fdtable.get(fd)
-        if not of.readable:
-            raise FSError(Errno.EBADF, "fd not open for reading")
-        inode = self._node_get(of.handle)
-        pos = of.offset if offset is None else offset
-        end = min(pos + size, inode.size)
-        if end <= pos:
-            return _EMPTY
-        bs = self.block_size
-        first, last = pos // bs, (end - 1) // bs
-        readahead = last > first
-        chunks = []
-        for fb in range(first, last + 1):
+    @property
+    def _max_file_bytes(self) -> int:
+        return self.config.max_file_blocks * self.block_size
+
+    def _file_block_read(self, ino: int, inode: Inode, fb: int, readahead: bool,
+                         modifying: bool, bno: int = 0) -> bytes:
+        if not bno:
             bno, _ = self._bmap(inode, fb, allocate=False)
             if bno == 0:
-                chunk = b"\x00" * bs
-            else:
-                chunk = self._data_bread(of.handle, inode, fb, bno, readahead=readahead)
-            lo = pos - fb * bs if fb == first else 0
-            hi = end - fb * bs if fb == last else bs
-            chunks.append(chunk[lo:hi])
-        out = b"".join(chunks)
-        if offset is None:
-            of.offset = end
-        return out
+                return b"\x00" * self.block_size
+        return self._data_bread(ino, inode, fb, bno, readahead, modifying)
 
-    def _do_write(self, fd: int, data: bytes, offset: Optional[int]) -> int:
-        of = self.fdtable.get(fd)
-        if not of.writable:
-            raise FSError(Errno.EBADF, "fd not open for writing")
-        if not data:
-            return 0
-        inode = self._node_get(of.handle)
-        if of.flags & O_APPEND:
-            pos = inode.size
-        else:
-            pos = of.offset if offset is None else offset
-        end = pos + len(data)
-        bs = self.block_size
-        max_size = self.config.max_file_blocks * bs
-        if end > max_size:
-            raise FSError(Errno.EFBIG, "file would exceed maximum size")
-        first, last = pos // bs, max(pos, end - 1) // bs
-        written = 0
-        dirty_inode = False
-        for fb in range(first, last + 1):
-            lo = pos - fb * bs if fb == first else 0
-            hi = end - fb * bs if fb == last else bs
-            piece = data[written:written + (hi - lo)]
-            bno, changed = self._bmap(inode, fb, allocate=True)
-            dirty_inode = dirty_inode or changed
-            if lo == 0 and hi == bs:
-                payload = piece
-            else:
-                # Read-modify-write of a partial block.
-                old_end = inode.size
-                if bno and fb * bs < old_end:
-                    base = bytearray(self._data_bread(of.handle, inode, fb, bno,
-                                                      readahead=False, modifying=True))
-                else:
-                    base = bytearray(bs)
-                base[lo:hi] = piece
-                payload = bytes(base)
-            # Parity reads the block's *old* contents, so it must run
-            # before the new payload enters the journal's write cache.
-            self._update_parity(of.handle, inode, fb, bno, payload, fresh=changed)
-            self.journal.add_ordered(bno, payload)
-            self._on_block_contents_change(bno, payload, "data")
-            written += hi - lo
-        if end > inode.size:
-            inode.size = end
-            dirty_inode = True
-        inode.mtime += 1.0
-        self._node_put(of.handle, inode)
-        if offset is None and not of.flags & O_APPEND:
-            of.offset = end
-        elif of.flags & O_APPEND:
-            of.offset = end
-        return written
+    def _file_block_map(self, ino: int, inode: Inode, fb: int) -> Tuple[int, bool]:
+        return self._bmap(inode, fb, allocate=True)
+
+    def _file_block_store(self, ino: int, inode: Inode, fb: int, bno: int,
+                          payload: bytes, fresh: bool) -> None:
+        # Parity reads the block's *old* contents, so it must run
+        # before the new payload enters the journal's write cache.
+        self._update_parity(ino, inode, fb, bno, payload, fresh=fresh)
+        self.journal.add_ordered(bno, payload)
+        self._on_block_contents_change(bno, payload, "data")
 
     def _update_parity(self, ino: int, inode: Inode, file_block: int,
                        block: int, new_payload: bytes, fresh: bool = False) -> None:
         """ixt3 Dp hook; plain ext3 keeps no parity.  *fresh* marks a
         just-allocated block whose prior contents are zero."""
 
-    def _do_truncate(self, path: str, size: int) -> None:
-        ino = self._lookup(path, follow=True)
-        inode = self._node_get(ino)
-        if _stat.S_ISDIR(inode.mode):
-            raise FSError(Errno.EISDIR, path)
-        if size < inode.size:
-            if self.SILENT_TRUNCATE_BUG:
-                # ext3 bug (§5.1): internal read errors while releasing
-                # blocks are swallowed; truncate fails silently.
-                try:
-                    self._shrink(ino, inode, size)
-                except FSError:
-                    self.syslog.action(self.name, "silent-failure",
-                                       "truncate abandoned after read error",
-                                       severity=Severity.WARNING)
-                    return
-            else:
-                self._shrink(ino, inode, size)
-        inode.size = size
-        inode.mtime += 1.0
-        self._node_put(ino, inode)
+    def _truncate_shrink_failed(self) -> bool:
+        # ext3 bug (§5.1): internal read errors while releasing blocks
+        # are swallowed; truncate fails silently.
+        if self.SILENT_TRUNCATE_BUG:
+            self.syslog.action(self.name, "silent-failure",
+                               "truncate abandoned after read error",
+                               severity=Severity.WARNING)
+        return self.SILENT_TRUNCATE_BUG
 
     def _unlink_node(self, ino: int, inode: Inode) -> None:
         if inode.links == 0:
@@ -415,30 +322,11 @@ class Ext3(JournaledFS):
         if inode.links == 0:
             # Not _node_drop: only unlink releases ixt3's parity block
             # (a file replaced by rename keeps it allocated).
-            self._shrink(ino, inode, 0)
+            self._node_shrink(ino, inode, 0)
             self._release_parity(ino, inode)
             self._free_inode(ino)
         else:
             self._node_put(ino, inode)
-
-    def _do_symlink(self, target: str, linkpath: str) -> None:
-        if len(target.encode()) > self.block_size:
-            raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
-        parent_path, name = dirname_basename(self.resolve(linkpath))
-        parent_ino = self._lookup(parent_path, follow=True)
-        parent = self._node_get(parent_ino)
-        if self._dir_find(parent_ino, name, parent) is not None:
-            raise FSError(Errno.EEXIST, linkpath)
-        ino = self._alloc_inode(self.config.group_of_inode(parent_ino), DEFAULT_LINK_MODE)
-        inode = self._node_get(ino)
-        bno, _ = self._bmap(inode, 0, allocate=True)
-        raw = target.encode()
-        payload = raw + b"\x00" * (self.block_size - len(raw))
-        self.journal.add_ordered(bno, payload)
-        self._on_block_contents_change(bno, payload, "data")
-        inode.size = len(raw)
-        self._node_put(ino, inode)
-        self._dir_add(parent_ino, name, ino, FT_SYMLINK)
 
     def _read_link(self, ino: int, inode: Inode) -> Optional[str]:
         bno, _ = self._bmap(inode, 0, allocate=False)
@@ -447,16 +335,8 @@ class Ext3(JournaledFS):
         data = self._data_bread(ino, inode, 0, bno, readahead=False)
         return data[:inode.size].decode(errors="replace")
 
-    def _do_mkdir(self, path: str, mode: int) -> None:
-        parent_path, name = dirname_basename(self.resolve(path))
-        parent_ino = self._lookup(parent_path, follow=True)
-        parent = self._node_get(parent_ino)
-        if not _stat.S_ISDIR(parent.mode):
-            raise FSError(Errno.ENOTDIR, parent_path)
-        if self._dir_find(parent_ino, name, parent) is not None:
-            raise FSError(Errno.EEXIST, path)
-        ino = self._alloc_inode(self.config.group_of_inode(parent_ino),
-                                DEFAULT_DIR_MODE & ~0o777 | (mode & 0o777))
+    def _dir_create(self, parent_ino: int, mode: int) -> int:
+        ino = self._node_create(parent_ino, mode)
         inode = self._node_get(ino)
         inode.links = 2
         bno, _ = self._bmap(inode, 0, allocate=True, block_kind="dir")
@@ -466,8 +346,7 @@ class Ext3(JournaledFS):
         self._on_block_contents_change(bno, payload, "meta")
         inode.size = self.block_size
         self._node_put(ino, inode)
-        self._dir_add(parent_ino, name, ino, FT_DIR)
-        self._add_links(parent_ino, +1)
+        return ino
 
     def _rmdir_scan_failed(self) -> bool:
         # ext3 bug (§5.1): read errors during the emptiness scan are
@@ -772,7 +651,8 @@ class Ext3(JournaledFS):
             block = nxt
         return block, False
 
-    def _shrink(self, ino: int, inode: Inode, new_size: int, kind: str = "data") -> None:
+    def _node_shrink(self, ino: int, inode: Inode, new_size: int,
+                     kind: str = "data") -> None:
         """Free all blocks wholly beyond *new_size*."""
         bs = self.block_size
         keep = (new_size + bs - 1) // bs

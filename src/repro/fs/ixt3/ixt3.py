@@ -363,8 +363,9 @@ class Ixt3(Ext3):
             self._free_block(inode.parity_block, "parity")
             inode.parity_block = 0
 
-    def _shrink(self, ino: int, inode: Inode, new_size: int, kind: str = "data") -> None:
-        super()._shrink(ino, inode, new_size, kind)
+    def _node_shrink(self, ino: int, inode: Inode, new_size: int,
+                     kind: str = "data") -> None:
+        super()._node_shrink(ino, inode, new_size, kind)
         # Parity covers the remaining blocks; recompute it.
         if self.data_parity and inode.parity_block and kind == "data":
             bs = self.block_size

@@ -58,16 +58,7 @@ from repro.fs.jfs.structures import (
     unpack_map_block,
     unpack_tree_block,
 )
-from repro.vfs.fdtable import O_APPEND
-from repro.vfs.paths import dirname_basename
-from repro.vfs.stat import (
-    DEFAULT_DIR_MODE,
-    DEFAULT_LINK_MODE,
-    FT_DIR,
-    FT_SYMLINK,
-    StatResult,
-    StatVFS,
-)
+from repro.vfs.stat import FT_DIR, StatResult
 
 ROOT_INO = 2
 
@@ -243,15 +234,9 @@ class JFS(JournaledFS):
                                   block=cfg.bmap_desc_block)
             raise FSError(Errno.EIO, "cannot read bmap descriptor") from exc
 
-    def unmount(self) -> None:
-        self._ensure_mounted()
-        if not self._read_only:
-            self.journal.commit()
-            self.journal.checkpoint()
-            self.sb.generation += 1
-            self._write_nocheck(0, self.sb.pack(self.block_size))
-        self.fdtable.close_all()
-        self._mounted = False
+    def _mark_clean(self) -> None:
+        self.sb.generation += 1
+        self._write_nocheck(0, self.sb.pack(self.block_size))
 
     def crash_after(self, ops) -> None:
         self._ensure_mounted()
@@ -266,106 +251,26 @@ class JFS(JournaledFS):
         self.crash()
 
     # ==================================================================
-    # Data path (the bodies the generic layer in JournaledFS frames)
+    # Data path (the block-map primitives of the generic layer)
     # ==================================================================
 
-    def _do_read(self, fd: int, size: int, offset: Optional[int]) -> bytes:
-        of = self.fdtable.get(fd)
-        if not of.readable:
-            raise FSError(Errno.EBADF, "fd not open for reading")
-        inode = self._node_get(of.handle)
-        pos = of.offset if offset is None else offset
-        end = min(pos + size, inode.size)
-        if end <= pos:
-            return b""
-        bs = self.block_size
-        chunks = []
-        for fb in range(pos // bs, (end - 1) // bs + 1):
-            chunk = self._read_file_block(of.handle, inode, fb)
-            lo = pos - fb * bs if fb == pos // bs else 0
-            hi = end - fb * bs if fb == (end - 1) // bs else bs
-            chunks.append(chunk[lo:hi])
-        if offset is None:
-            of.offset = end
-        return b"".join(chunks)
+    @property
+    def _max_file_bytes(self) -> int:
+        return self.config.max_file_blocks * self.block_size
 
-    def _do_write(self, fd: int, data: bytes, offset: Optional[int]) -> int:
-        of = self.fdtable.get(fd)
-        if not of.writable:
-            raise FSError(Errno.EBADF, "fd not open for writing")
-        if not data:
-            return 0
-        inode = self._node_get(of.handle)
-        pos = inode.size if of.flags & O_APPEND else (
-            of.offset if offset is None else offset
-        )
-        end = pos + len(data)
-        bs = self.block_size
-        if end > self.config.max_file_blocks * bs:
-            raise FSError(Errno.EFBIG, "file too large")
-        written = 0
-        for fb in range(pos // bs, max(pos, end - 1) // bs + 1):
-            lo = pos - fb * bs if fb == pos // bs else 0
-            hi = end - fb * bs if fb == (end - 1) // bs else bs
-            piece = data[written:written + (hi - lo)]
-            bno = self._bmap(of.handle, inode, fb, allocate=True)
-            if lo == 0 and hi == bs:
-                payload = piece
-            else:
-                base = bytearray(self._read_file_block(of.handle, inode, fb)
-                                 if fb * bs < inode.size else bytes(bs))
-                base[lo:hi] = piece
-                payload = bytes(base)
-            # JFS does not journal user data; in-place write, errors
-            # ignored (D_zero).
-            self._types[bno] = "data"
-            self._write_nocheck(bno, payload)
-            written += hi - lo
-        if end > inode.size:
-            inode.size = end
-        inode.mtime += 1.0
-        self._node_put(of.handle, inode)
-        if offset is None or of.flags & O_APPEND:
-            of.offset = end
-        return written
+    def _file_block_map(self, ino: int, inode: JFSInode, fb: int) -> Tuple[int, bool]:
+        before = inode.nblocks
+        return self._bmap(ino, inode, fb, allocate=True), inode.nblocks != before
 
-    def _do_truncate(self, path: str, size: int) -> None:
-        ino = self._lookup(path, follow=True)
-        inode = self._node_get(ino)
-        if _stat.S_ISDIR(inode.mode):
-            raise FSError(Errno.EISDIR, path)
-        if size < inode.size:
-            self._shrink(ino, inode, size)
-        inode.size = size
-        inode.mtime += 1.0
-        self._node_put(ino, inode)
-
-    def _do_symlink(self, target: str, linkpath: str) -> None:
-        if len(target.encode()) > self.block_size:
-            raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
-        parent_path, name = dirname_basename(self.resolve(linkpath))
-        parent_ino = self._lookup(parent_path, follow=True)
-        if self._dir_find(parent_ino, name) is not None:
-            raise FSError(Errno.EEXIST, linkpath)
-        ino = self._alloc_inode(DEFAULT_LINK_MODE)
-        inode = self._node_get(ino)
-        bno = self._bmap(ino, inode, 0, allocate=True)
-        raw = target.encode()
+    def _file_block_store(self, ino: int, inode: JFSInode, fb: int, bno: int,
+                          payload: bytes, fresh: bool) -> None:
+        # JFS does not journal user data; in-place write, errors
+        # ignored (D_zero).
         self._types[bno] = "data"
-        self._write_nocheck(bno, raw + b"\x00" * (self.block_size - len(raw)))
-        inode.size = len(raw)
-        self._node_put(ino, inode)
-        self._dir_add(parent_ino, name, ino, FT_SYMLINK)
+        self._write_nocheck(bno, payload)
 
-    def _do_mkdir(self, path: str, mode: int) -> None:
-        parent_path, name = dirname_basename(self.resolve(path))
-        parent_ino = self._lookup(parent_path, follow=True)
-        parent = self._node_get(parent_ino)
-        if not _stat.S_ISDIR(parent.mode):
-            raise FSError(Errno.ENOTDIR, parent_path)
-        if self._dir_find(parent_ino, name) is not None:
-            raise FSError(Errno.EEXIST, path)
-        ino = self._alloc_inode((DEFAULT_DIR_MODE & ~0o777) | (mode & 0o777))
+    def _dir_create(self, parent_ino: int, mode: int) -> int:
+        ino = self._alloc_inode(mode)
         inode = self._node_get(ino)
         inode.links = 2
         bno = self._bmap(ino, inode, 0, allocate=True, kind="dir")
@@ -374,18 +279,11 @@ class JFS(JournaledFS):
         self._meta_update(bno, payload)
         inode.size = self.block_size
         self._node_put(ino, inode)
-        self._dir_add(parent_ino, name, ino, FT_DIR)
-        self._add_links(parent_ino, +1)
+        return ino
 
-    def statfs(self) -> StatVFS:
-        self._ensure_mounted()
-        return StatVFS(
-            block_size=self.block_size,
-            total_blocks=self.sb.total_blocks,
-            free_blocks=self.sb.free_blocks,
-            total_inodes=self.sb.num_inodes,
-            free_inodes=self.sb.free_inodes,
-        )
+    def _space_counts(self) -> Tuple[int, int, int, int]:
+        return (self.sb.total_blocks, self.sb.free_blocks,
+                self.sb.num_inodes, self.sb.free_inodes)
 
     # ==================================================================
     # Inodes
@@ -414,17 +312,13 @@ class JFS(JournaledFS):
     def _node_create(self, parent_ino: int, mode: int) -> int:
         return self._alloc_inode(mode)
 
-    def _node_clear(self, ino: int, inode: JFSInode) -> None:
-        self._shrink(ino, inode, 0)
-        inode.size = 0
-        self._node_put(ino, inode)
-
     def _node_drop(self, ino: int, inode: JFSInode) -> None:
-        self._shrink(ino, inode, 0)
+        self._node_shrink(ino, inode, 0)
         self._free_inode(ino)
 
     def _read_link(self, ino: int, inode: JFSInode) -> str:
-        return self._read_file_block(ino, inode, 0)[:inode.size].decode(errors="replace")
+        body = self._file_block_read(ino, inode, 0)
+        return body[:inode.size].decode(errors="replace")
 
     def _stat_of(self, ino: int) -> StatResult:
         inode = self._node_get(ino)
@@ -614,7 +508,12 @@ class JFS(JournaledFS):
                                   mechanism="sanity", block=block)
             raise
 
-    def _read_file_block(self, ino: int, inode: JFSInode, fb: int) -> bytes:
+    def _file_block_read(self, ino: int, inode: JFSInode, fb: int,
+                         readahead: bool = False, modifying: bool = False,
+                         bno: int = 0) -> bytes:
+        # A block the caller has just mapped is mapped again here: the
+        # write path has always walked the tree twice, and the
+        # fingerprints count those reads.
         bs = self.block_size
         try:
             bno = self._bmap(ino, inode, fb, allocate=False, raw_sanity=True)
@@ -636,7 +535,7 @@ class JFS(JournaledFS):
                                   mechanism="error-code", block=bno)
             raise FSError(Errno.EIO, f"data block {bno} unreadable") from exc
 
-    def _shrink(self, ino: int, inode: JFSInode, new_size: int) -> None:
+    def _node_shrink(self, ino: int, inode: JFSInode, new_size: int) -> None:
         bs = self.block_size
         keep = (new_size + bs - 1) // bs
         cfg = self.config

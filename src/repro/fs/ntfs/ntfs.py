@@ -40,16 +40,7 @@ from repro.fs.ntfs.structures import (
     pack_index_block,
     unpack_index_block,
 )
-from repro.vfs.fdtable import O_APPEND
-from repro.vfs.paths import dirname_basename
-from repro.vfs.stat import (
-    DEFAULT_DIR_MODE,
-    DEFAULT_LINK_MODE,
-    FT_DIR,
-    FT_SYMLINK,
-    StatResult,
-    StatVFS,
-)
+from repro.vfs.stat import FT_DIR, StatResult
 
 
 class NTFS(JournaledFS):
@@ -187,14 +178,6 @@ class NTFS(JournaledFS):
                                   f"metadata write failed after retries: {exc}",
                                   mechanism="error-code", block=block)
 
-    def unmount(self) -> None:
-        self._ensure_mounted()
-        if not self._read_only:
-            self.journal.commit()
-            self.journal.checkpoint()
-        self.fdtable.close_all()
-        self._mounted = False
-
     # ==================================================================
     # MFT records
     # ==================================================================
@@ -215,116 +198,39 @@ class NTFS(JournaledFS):
         self.journal.add_meta(self._mft_block(mft), record.pack(self.block_size))
 
     # ==================================================================
-    # Data path (the bodies the generic layer in JournaledFS frames)
+    # Data path (the block-map primitives of the generic layer): the
+    # record's run table is the whole map
     # ==================================================================
 
-    def _do_read(self, fd: int, size: int, offset: Optional[int]) -> bytes:
-        of = self.fdtable.get(fd)
-        if not of.readable:
-            raise FSError(Errno.EBADF, "fd not open for reading")
-        rec = self._node_get(of.handle)
-        pos = of.offset if offset is None else offset
-        end = min(pos + size, rec.size)
-        if end <= pos:
-            return b""
+    @property
+    def _max_file_bytes(self) -> int:
+        return NUM_RUNS * self.block_size
+
+    def _file_block_read(self, mft: int, rec: MFTRecord, fb: int, readahead: bool,
+                         modifying: bool, bno: int = 0) -> bytes:
+        bno = rec.runs[fb] if fb < NUM_RUNS else 0
+        return self._meta_bread(bno) if bno else b"\x00" * self.block_size
+
+    def _file_block_map(self, mft: int, rec: MFTRecord, fb: int) -> Tuple[int, bool]:
+        fresh = rec.runs[fb] == 0
+        if fresh:
+            rec.runs[fb] = self._alloc_block("data")
+        return rec.runs[fb], fresh
+
+    def _file_block_store(self, mft: int, rec: MFTRecord, fb: int, bno: int,
+                          payload: bytes, fresh: bool) -> None:
+        self._types[bno] = "data"
+        self.journal.add_ordered(bno, payload)
+
+    def _node_shrink(self, mft: int, rec: MFTRecord, size: int) -> None:
         bs = self.block_size
-        chunks = []
-        for fb in range(pos // bs, (end - 1) // bs + 1):
-            bno = rec.runs[fb] if fb < NUM_RUNS else 0
-            chunk = self._meta_bread(bno) if bno else b"\x00" * bs
-            lo = pos - fb * bs if fb == pos // bs else 0
-            hi = end - fb * bs if fb == (end - 1) // bs else bs
-            chunks.append(chunk[lo:hi])
-        if offset is None:
-            of.offset = end
-        return b"".join(chunks)
+        for i in range((size + bs - 1) // bs, NUM_RUNS):
+            if rec.runs[i]:
+                self._free_block(rec.runs[i])
+                rec.runs[i] = 0
 
-    def _do_write(self, fd: int, data: bytes, offset: Optional[int]) -> int:
-        of = self.fdtable.get(fd)
-        if not of.writable:
-            raise FSError(Errno.EBADF, "fd not open for writing")
-        if not data:
-            return 0
-        rec = self._node_get(of.handle)
-        pos = rec.size if of.flags & O_APPEND else (
-            of.offset if offset is None else offset
-        )
-        end = pos + len(data)
-        bs = self.block_size
-        if end > NUM_RUNS * bs:
-            raise FSError(Errno.EFBIG, "file exceeds run capacity")
-        written = 0
-        dirty = False
-        for fb in range(pos // bs, max(pos, end - 1) // bs + 1):
-            lo = pos - fb * bs if fb == pos // bs else 0
-            hi = end - fb * bs if fb == (end - 1) // bs else bs
-            piece = data[written:written + (hi - lo)]
-            if rec.runs[fb] == 0:
-                rec.runs[fb] = self._alloc_block("data")
-                dirty = True
-            bno = rec.runs[fb]
-            if lo == 0 and hi == bs:
-                payload = piece
-            else:
-                base = bytearray(self._meta_bread(bno)
-                                 if fb * bs < rec.size else bytes(bs))
-                base[lo:hi] = piece
-                payload = bytes(base)
-            self._types[bno] = "data"
-            self.journal.add_ordered(bno, payload)
-            written += hi - lo
-        if end > rec.size:
-            rec.size = end
-            dirty = True
-        rec.mtime += 1.0
-        self._node_put(of.handle, rec)
-        if offset is None or of.flags & O_APPEND:
-            of.offset = end
-        return written
-
-    def _do_truncate(self, path: str, size: int) -> None:
-        mft = self._lookup(path, follow=True)
-        rec = self._node_get(mft)
-        if rec.is_dir:
-            raise FSError(Errno.EISDIR, path)
-        if size < rec.size:
-            bs = self.block_size
-            keep = (size + bs - 1) // bs
-            for i in range(keep, NUM_RUNS):
-                if rec.runs[i]:
-                    self._free_block(rec.runs[i])
-                    rec.runs[i] = 0
-        rec.size = size
-        rec.mtime += 1.0
-        self._node_put(mft, rec)
-
-    def _do_symlink(self, target: str, linkpath: str) -> None:
-        if len(target.encode()) > self.block_size:
-            raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
-        parent_path, name = dirname_basename(self.resolve(linkpath))
-        parent = self._lookup(parent_path, follow=True)
-        if self._dir_find(parent, name) is not None:
-            raise FSError(Errno.EEXIST, linkpath)
-        mft = self._alloc_mft(DEFAULT_LINK_MODE, is_dir=False)
-        rec = self._node_get(mft)
-        bno = self._alloc_block("data")
-        rec.runs[0] = bno
-        raw = target.encode()
-        self.journal.add_ordered(bno, raw + b"\x00" * (self.block_size - len(raw)))
-        rec.size = len(raw)
-        self._node_put(mft, rec)
-        self._dir_add(parent, name, mft, FT_SYMLINK)
-
-    def _do_mkdir(self, path: str, mode: int) -> None:
-        parent_path, name = dirname_basename(self.resolve(path))
-        parent = self._lookup(parent_path, follow=True)
-        prec = self._node_get(parent)
-        if not prec.is_dir:
-            raise FSError(Errno.ENOTDIR, parent_path)
-        if self._dir_find(parent, name) is not None:
-            raise FSError(Errno.EEXIST, path)
-        mft = self._alloc_mft((DEFAULT_DIR_MODE & ~0o777) | (mode & 0o777),
-                              is_dir=True)
+    def _dir_create(self, parent: int, mode: int) -> int:
+        mft = self._alloc_mft(mode, is_dir=True)
         rec = self._node_get(mft)
         rec.links = 2
         bno = self._alloc_block("directory")
@@ -333,20 +239,16 @@ class NTFS(JournaledFS):
             [(mft, FT_DIR, "."), (parent, FT_DIR, "..")], self.block_size))
         rec.size = self.block_size
         self._node_put(mft, rec)
-        self._dir_add(parent, name, mft, FT_DIR)
-        self._add_links(parent, +1)
+        return mft
 
-    def statfs(self) -> StatVFS:
-        self._ensure_mounted()
-        free_blocks = self._count_free_blocks()
-        free_mft = self._count_free_mft()
-        return StatVFS(
-            block_size=self.block_size,
-            total_blocks=self.boot.total_blocks,
-            free_blocks=free_blocks,
-            total_inodes=self.boot.mft_records,
-            free_inodes=free_mft,
-        )
+    def _space_counts(self) -> Tuple[int, int, int, int]:
+        boot = self.boot
+        data_start = boot.mft_start + boot.mft_records
+        free_blocks = self._read_bitmap(
+            boot.vol_bitmap_start, boot.total_blocks - data_start).count_free()
+        free_mft = self._read_bitmap(
+            boot.mft_bitmap_block, boot.mft_records).count_free()
+        return boot.total_blocks, free_blocks, boot.mft_records, free_mft
 
     # ==================================================================
     # The generic layer's node primitives
@@ -359,18 +261,8 @@ class NTFS(JournaledFS):
     def _node_create(self, parent: int, mode: int) -> int:
         return self._alloc_mft(mode, is_dir=False)
 
-    def _node_clear(self, mft: int, rec: MFTRecord) -> None:
-        for bno in rec.runs:
-            if bno:
-                self._free_block(bno)
-        rec.runs = [0] * NUM_RUNS
-        rec.size = 0
-        self._node_put(mft, rec)
-
     def _node_drop(self, mft: int, rec: MFTRecord) -> None:
-        for bno in rec.runs:
-            if bno:
-                self._free_block(bno)
+        self._node_shrink(mft, rec, 0)
         self._free_mft(mft)
 
     def _read_link(self, mft: int, rec: MFTRecord) -> Optional[str]:
@@ -556,16 +448,6 @@ class NTFS(JournaledFS):
             self.journal.add_meta(boot.mft_bitmap_block,
                                   bmp.to_bytes(pad_to=self.block_size))
         self._node_put(mft, MFTRecord(flags=0))
-
-    def _count_free_blocks(self) -> int:
-        boot = self.boot
-        data_start = boot.mft_start + boot.mft_records
-        bmp = self._read_bitmap(boot.vol_bitmap_start, boot.total_blocks - data_start)
-        return bmp.count_free()
-
-    def _count_free_mft(self) -> int:
-        bmp = self._read_bitmap(self.boot.mft_bitmap_block, self.boot.mft_records)
-        return bmp.count_free()
 
     # ==================================================================
     # Gray-box: block-type oracle

@@ -60,16 +60,7 @@ from repro.fs.reiserfs.structures import (
     unpack_dirent_body,
     unpack_indirect_body,
 )
-from repro.vfs.fdtable import O_APPEND
-from repro.vfs.paths import dirname_basename
-from repro.vfs.stat import (
-    DEFAULT_DIR_MODE,
-    DEFAULT_LINK_MODE,
-    FT_DIR,
-    FT_SYMLINK,
-    StatResult,
-    StatVFS,
-)
+from repro.vfs.stat import DEFAULT_LINK_MODE, FT_DIR, StatResult
 
 Pair = Tuple[int, int]
 
@@ -204,58 +195,25 @@ class ReiserFS(JournaledFS):
         self._mounted = True
         self._rebuild_types()
 
-    def unmount(self) -> None:
-        self._ensure_mounted()
-        if not self._read_only:
-            self.journal.commit()
-            self.journal.checkpoint()
-        self.fdtable.close_all()
-        self._mounted = False
-
     # ==================================================================
-    # Data path (the bodies the generic layer in JournaledFS frames)
+    # Data path.  An object's body is read and stored whole, not block
+    # by block, so these replace the generic layer's block-map loops.
     # ==================================================================
 
-    def _do_read(self, fd: int, size: int, offset: Optional[int]) -> bytes:
-        of = self.fdtable.get(fd)
-        if not of.readable:
-            raise FSError(Errno.EBADF, "fd not open for reading")
-        pair = of.handle
-        st = self._node_get(pair)
-        pos = of.offset if offset is None else offset
-        end = min(pos + size, st.size)
-        if end <= pos:
-            return b""
-        content = self._read_object_data(pair, st)
-        if offset is None:
-            of.offset = end
-        return content[pos:end]
+    def _node_get_for_update(self, pair: Pair) -> StatBody:
+        return self._node_get(pair, retries=1)
 
-    def _do_write(self, fd: int, data: bytes, offset: Optional[int]) -> int:
-        of = self.fdtable.get(fd)
-        if not of.writable:
-            raise FSError(Errno.EBADF, "fd not open for writing")
-        if not data:
-            return 0
-        pair = of.handle
-        st = self._node_get(pair, retries=1)
-        pos = st.size if of.flags & O_APPEND else (
-            of.offset if offset is None else offset
-        )
+    def _file_read(self, pair: Pair, st: StatBody, pos: int, end: int) -> bytes:
+        return self._read_object_data(pair, st)[pos:end]
+
+    def _file_write(self, pair: Pair, st: StatBody, pos: int, data: bytes) -> None:
         old = self._read_object_data(pair, st, retries=1) if st.size else b""
         new = bytearray(max(len(old), pos + len(data)))
         new[:len(old)] = old
         new[pos:pos + len(data)] = data
         self._store_object_data(pair, st, bytes(new))
-        if offset is None or of.flags & O_APPEND:
-            of.offset = pos + len(data)
-        return len(data)
 
-    def _do_truncate(self, path: str, size: int) -> None:
-        pair = self._lookup(path, follow=True)
-        st = self._node_get(pair, retries=1)
-        if _stat.S_ISDIR(st.mode):
-            raise FSError(Errno.EISDIR, path)
+    def _file_truncate(self, pair: Pair, st: StatBody, size: int) -> None:
         if size == st.size:
             return
         if size > st.size:
@@ -280,42 +238,20 @@ class ReiserFS(JournaledFS):
             return
         self._store_object_data(pair, st, content[:size])
 
-    def _do_symlink(self, target: str, linkpath: str) -> None:
-        if len(target.encode()) > self.block_size:
-            raise FSError(Errno.ENAMETOOLONG, "symlink target too long")
-        parent_path, name = dirname_basename(self.resolve(linkpath))
-        parent = self._lookup(parent_path, follow=True)
-        if self._dir_find(parent, name) is not None:
-            raise FSError(Errno.EEXIST, linkpath)
+    def _symlink_create(self, parent: Pair, raw: bytes) -> Pair:
         pair = self._node_create(parent, DEFAULT_LINK_MODE)
-        st = self._node_get(pair)
-        self._store_object_data(pair, st, target.encode())
-        self._dir_add(parent, name, pair, FT_SYMLINK)
+        self._store_object_data(pair, self._node_get(pair), raw)
+        return pair
 
-    def _do_mkdir(self, path: str, mode: int) -> None:
-        parent_path, name = dirname_basename(self.resolve(path))
-        parent = self._lookup(parent_path, follow=True)
-        pst = self._node_get(parent)
-        if not _stat.S_ISDIR(pst.mode):
-            raise FSError(Errno.ENOTDIR, parent_path)
-        if self._dir_find(parent, name) is not None:
-            raise FSError(Errno.EEXIST, path)
-        pair = self._node_create(
-            parent, (DEFAULT_DIR_MODE & ~0o777) | (mode & 0o777), links=2)
+    def _dir_create(self, parent: Pair, mode: int) -> Pair:
+        pair = self._node_create(parent, mode, links=2)
         self._dir_add(pair, ".", pair, FT_DIR)
         self._dir_add(pair, "..", parent, FT_DIR)
-        self._dir_add(parent, name, pair, FT_DIR)
-        self._add_links(parent, +1)
+        return pair
 
-    def statfs(self) -> StatVFS:
-        self._ensure_mounted()
-        return StatVFS(
-            block_size=self.block_size,
-            total_blocks=self.sb.total_blocks,
-            free_blocks=self.sb.free_blocks,
-            total_inodes=65535,
-            free_inodes=65535 - self.sb.nobjects,
-        )
+    def _space_counts(self) -> Tuple[int, int, int, int]:
+        return (self.sb.total_blocks, self.sb.free_blocks,
+                65535, 65535 - self.sb.nobjects)
 
     # ==================================================================
     # Objects (the generic layer's node primitives)

@@ -157,6 +157,24 @@ class TestFileIO:
         assert e.value.errno is Errno.EBADF
         any_fs.close(fd)
 
+    @pytest.mark.parametrize("call", [
+        lambda fs, fd: fs.write(fd, b"zz", offset=-5),
+        lambda fs, fd: fs.write(fd, b"", offset=-5),
+        lambda fs, fd: fs.read(fd, 10, offset=-5),
+        lambda fs, fd: fs.read(fd, -1),
+        lambda fs, fd: fs.truncate("/f", -1),
+    ], ids=["pwrite-offset", "empty-pwrite-offset", "pread-offset",
+            "read-size", "truncate-size"])
+    def test_negative_argument_is_einval(self, any_fs, call):
+        payload = b"0123456789" * 600
+        any_fs.write_file("/f", payload)
+        fd = any_fs.open("/f", O_RDWR)
+        with pytest.raises(FSError) as e:
+            call(any_fs, fd)
+        assert e.value.errno is Errno.EINVAL
+        any_fs.close(fd)
+        assert any_fs.read_file("/f") == payload
+
     def test_open_missing_without_creat(self, any_fs):
         with pytest.raises(FSError) as e:
             any_fs.open("/missing", O_RDONLY)
