@@ -41,21 +41,26 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 SCHEMA = "repro-bench-timing/1"
-DEFAULT_FILENAME = "BENCH_fingerprint.json"
-CRASH_FILENAME = "BENCH_crash.json"
-ARRAY_FILENAME = "BENCH_array.json"
-FLEET_FILENAME = "BENCH_fleet.json"
+#: Record kind -> (environment override, default file name).
+BENCH_FILES = {
+    "fingerprint": ("REPRO_BENCH_JSON", "BENCH_fingerprint.json"),
+    "crash": ("REPRO_BENCH_CRASH_JSON", "BENCH_crash.json"),
+    "array": ("REPRO_BENCH_ARRAY_JSON", "BENCH_array.json"),
+    "fleet": ("REPRO_BENCH_FLEET_JSON", "BENCH_fleet.json"),
+}
 
 T = TypeVar("T")
 
 
-def bench_json_path(root: Optional[os.PathLike] = None) -> Path:
-    """Where timing records land: ``$REPRO_BENCH_JSON`` when set, else
-    ``BENCH_fingerprint.json`` under *root* (default: cwd)."""
-    env = os.environ.get("REPRO_BENCH_JSON")
+def bench_json_path(kind: str, root: Optional[os.PathLike] = None) -> Path:
+    """Where records of *kind* land: the kind's environment variable
+    when set, else its default file name under *root* (default: cwd);
+    see :data:`BENCH_FILES`."""
+    env_var, filename = BENCH_FILES[kind]
+    env = os.environ.get(env_var)
     if env:
         return Path(env)
-    return Path(root) / DEFAULT_FILENAME if root else Path.cwd() / DEFAULT_FILENAME
+    return Path(root or Path.cwd()) / filename
 
 
 def timed(fn: Callable[[], T]) -> Tuple[T, float]:
@@ -138,15 +143,6 @@ def fingerprint_record(fp, matrix, wall_s: float) -> Dict[str, Any]:
     return record
 
 
-def crash_json_path(root: Optional[os.PathLike] = None) -> Path:
-    """Where crash-exploration records land: ``$REPRO_BENCH_CRASH_JSON``
-    when set, else ``BENCH_crash.json`` under *root* (default: cwd)."""
-    env = os.environ.get("REPRO_BENCH_CRASH_JSON")
-    if env:
-        return Path(env)
-    return Path(root) / CRASH_FILENAME if root else Path.cwd() / CRASH_FILENAME
-
-
 def crash_record(report, wall_s: float) -> Dict[str, Any]:
     """Build the JSON record for one crash-exploration run.
 
@@ -169,15 +165,6 @@ def crash_record(report, wall_s: float) -> Dict[str, Any]:
     if getattr(report, "traced", False):
         record["span_digest"] = report.span_digest()
     return record
-
-
-def array_json_path(root: Optional[os.PathLike] = None) -> Path:
-    """Where redundancy-array records land: ``$REPRO_BENCH_ARRAY_JSON``
-    when set, else ``BENCH_array.json`` under *root* (default: cwd)."""
-    env = os.environ.get("REPRO_BENCH_ARRAY_JSON")
-    if env:
-        return Path(env)
-    return Path(root) / ARRAY_FILENAME if root else Path.cwd() / ARRAY_FILENAME
 
 
 def array_record(geometry: str, members: int, wall_s: float,
@@ -207,15 +194,6 @@ def array_record(geometry: str, members: int, wall_s: float,
         }
     record.update(extra)
     return record
-
-
-def fleet_json_path(root: Optional[os.PathLike] = None) -> Path:
-    """Where fleet-campaign records land: ``$REPRO_BENCH_FLEET_JSON``
-    when set, else ``BENCH_fleet.json`` under *root* (default: cwd)."""
-    env = os.environ.get("REPRO_BENCH_FLEET_JSON")
-    if env:
-        return Path(env)
-    return Path(root) / FLEET_FILENAME if root else Path.cwd() / FLEET_FILENAME
 
 
 def fleet_record(report, wall_s: float, **extra: Any) -> Dict[str, Any]:
@@ -260,7 +238,7 @@ def record_entry(
     A missing or unreadable file starts fresh rather than failing — the
     timing layer must never take a benchmark down with it.
     """
-    target = Path(path) if path is not None else bench_json_path()
+    target = Path(path) if path is not None else bench_json_path("fingerprint")
     data: Dict[str, Any] = {"schema": SCHEMA, "entries": {}}
     try:
         existing = json.loads(target.read_text())

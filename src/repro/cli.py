@@ -153,7 +153,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
 
 
 def _cmd_crash(args: argparse.Namespace) -> int:
-    from repro.bench.timing import crash_json_path, crash_record, record_entry, timed
+    from repro.bench.timing import bench_json_path, crash_record, record_entry, timed
     from repro.crash import CRASH_PROFILES, CRASH_WORKLOADS, explore
 
     if args.list:
@@ -187,7 +187,7 @@ def _cmd_crash(args: argparse.Namespace) -> int:
                 f"crash_{args.fs}_{args.workload}_j{args.jobs}",
                 failure_record(exc, jobs=args.jobs, profile=args.fs,
                                workload=args.workload),
-                path=crash_json_path(),
+                path=bench_json_path("crash"),
             )
         raise
     print(report.render())
@@ -202,7 +202,7 @@ def _cmd_crash(args: argparse.Namespace) -> int:
         path = record_entry(
             f"crash_{args.fs}_{args.workload}_j{args.jobs}",
             crash_record(report, wall_s),
-            path=crash_json_path(),
+            path=bench_json_path("crash"),
         )
         print(f"timing written to {path} ({wall_s:.2f}s wall, jobs={args.jobs})")
     return 1 if (args.fail_on_violation and report.violations) else 0
@@ -269,7 +269,7 @@ def _cmd_table6(args: argparse.Namespace) -> int:
 
 
 def _cmd_array(args: argparse.Namespace) -> int:
-    from repro.bench.timing import array_json_path, record_entry, timed
+    from repro.bench.timing import bench_json_path, record_entry, timed
     from repro.redundancy.fingerprint import (
         ARRAY_GEOMETRIES,
         run_array_fingerprint,
@@ -301,7 +301,7 @@ def _cmd_array(args: argparse.Namespace) -> int:
         }
         path = record_entry(
             f"array_fingerprint_j{args.jobs}", record,
-            path=array_json_path(),
+            path=bench_json_path("array"),
         )
         print(f"timing written to {path} ({wall_s:.2f}s wall, jobs={args.jobs})")
     return 0
@@ -351,7 +351,7 @@ def _fleet_spec_from_args(args: argparse.Namespace):
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.bench.timing import fleet_json_path, fleet_record, record_entry, timed
+    from repro.bench.timing import bench_json_path, fleet_record, record_entry, timed
     from repro.fleet.campaign import run_fleet
 
     spec = _fleet_spec_from_args(args)
@@ -383,7 +383,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             **{f"event_digest_jobs{args.jobs}": report.digest,
                f"incident_digest_jobs{args.jobs}": report.incident_digest})
         path = record_entry(f"fleet_{spec.name}_j{args.jobs}", record,
-                            path=fleet_json_path())
+                            path=bench_json_path("fleet"))
         print(f"timing written to {path} ({wall_s:.2f}s wall, jobs={args.jobs})")
     return 0
 

@@ -53,15 +53,27 @@ class TestTimed:
         assert record["wall_s"] == 0.0
 
 
+BENCH_KINDS = [
+    ("fingerprint", "REPRO_BENCH_JSON", "BENCH_fingerprint.json"),
+    ("crash", "REPRO_BENCH_CRASH_JSON", "BENCH_crash.json"),
+    ("array", "REPRO_BENCH_ARRAY_JSON", "BENCH_array.json"),
+    ("fleet", "REPRO_BENCH_FLEET_JSON", "BENCH_fleet.json"),
+]
+
+
 class TestBenchJsonPath:
     def test_env_override(self, tmp_path, monkeypatch):
-        target = tmp_path / "custom.json"
-        monkeypatch.setenv("REPRO_BENCH_JSON", str(target))
-        assert bench_json_path() == target
+        for kind, env_var, _ in BENCH_KINDS:
+            target = tmp_path / f"custom-{kind}.json"
+            monkeypatch.setenv(env_var, str(target))
+            assert bench_json_path(kind) == target
 
     def test_default_is_root_file(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_JSON", raising=False)
-        assert bench_json_path(tmp_path) == tmp_path / "BENCH_fingerprint.json"
+        monkeypatch.chdir(tmp_path)
+        for kind, env_var, filename in BENCH_KINDS:
+            monkeypatch.delenv(env_var, raising=False)
+            assert bench_json_path(kind, tmp_path / "r") == tmp_path / "r" / filename
+            assert bench_json_path(kind) == tmp_path / filename
 
 
 class TestRecordEntry:
