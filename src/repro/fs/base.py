@@ -411,9 +411,11 @@ class JournaledFS(FileSystem):
         """Bytes ``pos..end`` of a file (``end`` within its size)."""
         bs = self.block_size
         first, last = pos // bs, (end - 1) // bs
+        readahead = last > first
         chunks = []
         for fb in range(first, last + 1):
-            chunk = self._file_block_read(handle, node, fb, last > first, False)
+            chunk = self._file_block_read(handle, node, fb, readahead,
+                                          modifying=False)
             lo = pos - fb * bs if fb == first else 0
             hi = end - fb * bs if fb == last else bs
             chunks.append(chunk[lo:hi])
@@ -455,7 +457,8 @@ class JournaledFS(FileSystem):
             if hi - lo < bs:
                 # Read-modify-write of a partial block.
                 base = bytearray(
-                    self._file_block_read(handle, node, fb, False, True, bno)
+                    self._file_block_read(handle, node, fb, readahead=False,
+                                          modifying=True, bno=bno)
                     if fb * bs < node.size else bytes(bs))
                 base[lo:hi] = payload
                 payload = bytes(base)
