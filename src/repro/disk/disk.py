@@ -224,7 +224,77 @@ class DiskStats:
         return self
 
 
-class SimulatedDisk:
+class DirtyDelta:
+    """The dirty-block delta of a copy-on-write device: which blocks
+    were written since the last restore, and with what.
+
+    Methods only — shared by :class:`SimulatedDisk` (raw blocks over
+    its base slab) and the logical face of a redundancy array.  The
+    owner calls :meth:`_reset_dirty` when it is built and whenever it
+    restores, and :meth:`_put` for every block it stores.
+    """
+
+    def _reset_dirty(self, num_blocks: int) -> None:
+        self._dirty = bytearray(num_blocks)  # 1 = privatized since restore
+        self._dirty_count = 0
+        self._delta: Dict[int, bytes] = {}   # privatized block contents
+
+    def _put(self, block: int, data: bytes) -> None:
+        self._delta[block] = data
+        if not self._dirty[block]:
+            self._dirty[block] = 1
+            self._dirty_count += 1
+
+    @property
+    def dirty_count(self) -> int:
+        """Number of blocks privatized since the last restore."""
+        return self._dirty_count
+
+    def any_dirty_in(self, blocks: Iterable[int]) -> bool:
+        """True when any of *blocks* was written since the last restore.
+        Used by gray-box consumers to decide whether state derived from
+        :attr:`base_image` is still valid."""
+        dirty = self._dirty
+        return any(dirty[b] for b in blocks)
+
+    def dirty_contents(self, blocks: Iterable[int]) -> tuple:
+        """``(block, payload)`` for each of *blocks* privatized since the
+        last restore, in the given order.  Together with the (immutable)
+        base image this fingerprints everything a gray-box walk over
+        *blocks* could observe, so derived state memoized on the image
+        can be revalidated content-exactly instead of being discarded on
+        any write."""
+        dirty = self._dirty
+        delta = self._delta
+        return tuple((b, delta[b]) for b in blocks if dirty[b])
+
+    def dirty_items(self) -> List[Tuple[int, bytes]]:
+        """Every privatized ``(block, payload)`` pair, sorted by block —
+        ``dirty_contents(range(num_blocks))`` without the full-range
+        scan (the delta map holds exactly the dirty set)."""
+        return sorted(self._delta.items())
+
+    def fingerprint_matches(self, blocks: Iterable[int], fp: tuple) -> bool:
+        """Does ``dirty_contents(blocks)`` equal *fp*?  Equivalent to
+        building the tuple and comparing, but bails at the first
+        mismatching block so a stale cache entry costs one bitmap scan
+        plus at most one payload compare."""
+        dirty = self._dirty
+        delta = self._delta
+        i = 0
+        n = len(fp)
+        for b in blocks:
+            if dirty[b]:
+                if i >= n:
+                    return False
+                entry = fp[i]
+                if entry[0] != b or delta[b] != entry[1]:
+                    return False
+                i += 1
+        return i == n
+
+
+class SimulatedDisk(DirtyDelta):
     """An in-memory disk with a seek/rotation/transfer timing model.
 
     Virtual time accumulates in :attr:`clock`; higher layers (the journal
@@ -243,11 +313,8 @@ class SimulatedDisk:
 
     def __init__(self, geometry: DiskGeometry):
         self.geometry = geometry
-        n = geometry.num_blocks
         self._image: Optional[SlabImage] = None  # base slab (None = all zeros)
-        self._dirty = bytearray(n)               # 1 = privatized since restore
-        self._dirty_count = 0
-        self._delta: Dict[int, bytes] = {}       # privatized block contents
+        self._reset_dirty(geometry.num_blocks)
         self._zero = b"\x00" * geometry.block_size
         self._head = 0
         self.clock = 0.0
@@ -471,54 +538,6 @@ class SimulatedDisk:
         """The slab image this device was last restored from (or None)."""
         return self._image
 
-    @property
-    def dirty_count(self) -> int:
-        """Number of blocks privatized since the last restore."""
-        return self._dirty_count
-
-    def any_dirty_in(self, blocks: Iterable[int]) -> bool:
-        """True when any of *blocks* was written since the last restore.
-        Used by gray-box consumers to decide whether state derived from
-        :attr:`base_image` is still valid."""
-        dirty = self._dirty
-        return any(dirty[b] for b in blocks)
-
-    def dirty_contents(self, blocks: Iterable[int]) -> tuple:
-        """``(block, payload)`` for each of *blocks* privatized since the
-        last restore, in the given order.  Together with the (immutable)
-        base image this fingerprints everything a gray-box walk over
-        *blocks* could observe, so derived state memoized on the image
-        can be revalidated content-exactly instead of being discarded on
-        any write."""
-        dirty = self._dirty
-        delta = self._delta
-        return tuple((b, delta[b]) for b in blocks if dirty[b])
-
-    def dirty_items(self) -> List[Tuple[int, bytes]]:
-        """Every privatized ``(block, payload)`` pair, sorted by block —
-        ``dirty_contents(range(num_blocks))`` without the full-range
-        scan (the delta map holds exactly the dirty set)."""
-        return sorted(self._delta.items())
-
-    def fingerprint_matches(self, blocks: Iterable[int], fp: tuple) -> bool:
-        """Does ``dirty_contents(blocks)`` equal *fp*?  Equivalent to
-        building the tuple and comparing, but bails at the first
-        mismatching block so a stale cache entry costs one bitmap scan
-        plus at most one payload compare."""
-        dirty = self._dirty
-        delta = self._delta
-        i = 0
-        n = len(fp)
-        for b in blocks:
-            if dirty[b]:
-                if i >= n:
-                    return False
-                entry = fp[i]
-                if entry[0] != b or delta[b] != entry[1]:
-                    return False
-                i += 1
-        return i == n
-
     def snapshot(self) -> SlabImage:
         """Frozen image of the raw block contents (harness golden
         images).  The image is immutable and independent of the
@@ -558,19 +577,11 @@ class SimulatedDisk:
             raise ValueError("snapshot block size does not match device")
         self._image = snapshot
         if self._dirty_count:
-            self._dirty = bytearray(self.num_blocks)
-            self._dirty_count = 0
-            self._delta = {}
+            self._reset_dirty(self.num_blocks)
         self._head = 0
         self.clock = 0.0
         self.stats.reset()
         self.failed = False
-
-    def _put(self, block: int, data: bytes) -> None:
-        self._delta[block] = data
-        if not self._dirty[block]:
-            self._dirty[block] = 1
-            self._dirty_count += 1
 
     def _get(self, block: int) -> Optional[bytes]:
         if self._dirty[block]:

@@ -17,7 +17,7 @@ Entry points: ``python -m repro fleet``, :func:`run_fleet`.
 from repro.fleet.analytic import binomial_tolerance, mirror2_loss_probability
 from repro.fleet.campaign import CellResult, FleetReport, run_fleet
 from repro.fleet.rates import FaultRates, GRAY_VANINGEN, default_rates
-from repro.fleet.sim import IntervalScrubScheduler, TrialOutcome, run_trial
+from repro.fleet.sim import TrialOutcome, run_trial
 from repro.fleet.spec import (
     CROSSCHECK_POLICY,
     DEFAULT_GEOMETRIES,
@@ -37,7 +37,6 @@ __all__ = [
     "FleetSpec",
     "GRAY_VANINGEN",
     "GeometrySpec",
-    "IntervalScrubScheduler",
     "PolicySpec",
     "TrialOutcome",
     "binomial_tolerance",

@@ -19,14 +19,14 @@ streams (:mod:`repro.common.rng`):
   disk below the injector: no error code, only D_redundancy (scrub
   comparison) or the mission-end verify can see it.
 
-Scrubbing is driven by the fleet clock through
-:class:`IntervalScrubScheduler`, which steps the incremental cursor
-PR 6 left dormant (``ArrayDevice.scrub_step``).  Scrub pauses while the
-array is degraded — scanning around a failed or half-rebuilt member
-would misread expected redundancy gaps as damage — and, when the spec
-allows, skips scans while nothing has been armed or corrupted since the
-last clean pass (outcome-identical: scrubbing an untouched array
-repairs nothing).
+Scrubbing is driven by the fleet clock: every ``scrub_interval_hours``
+the trial's own event heap pops a tick, and the tick steps the array's
+incremental cursor (``ArrayDevice.scrub_step``) by the policy's
+``scrub_units_per_tick`` (0 = the whole remaining pass).  Scrub pauses
+while the array is degraded — scanning around a failed or half-rebuilt
+member would misread expected redundancy gaps as damage — and skips
+scans while nothing has been armed or corrupted since the last clean
+pass (outcome-identical: scrubbing an untouched array repairs nothing).
 
 A trial ends at the first established data loss (``detected-loss``), at
 an R_stop freeze (``stopped``), or at mission end, where a full verify
@@ -134,57 +134,6 @@ class _RetryDevice:
         return getattr(self._inner, name)
 
 
-class IntervalScrubScheduler:
-    """Interval-based scrubbing driven by the fleet clock.
-
-    PR 6 gave arrays an incremental scrub cursor but only an op-count
-    trigger (``set_scrub_schedule``); fleets scrub on *time*, not I/O.
-    This scheduler owns the due-time bookkeeping: every
-    ``interval_hours`` of fleet time, :meth:`tick` advances the shared
-    cursor by ``units_per_tick`` scrub units (0 = the whole remaining
-    pass), so a pass makes partial progress across ticks and wraps —
-    coverage accounting included.
-    """
-
-    def __init__(self, array, interval_hours: float,
-                 units_per_tick: int = 0):
-        if interval_hours < 0:
-            raise ValueError("scrub interval must be >= 0 (0 disables)")
-        self.array = array
-        self.interval_hours = interval_hours
-        self.units_per_tick = units_per_tick
-        self.next_due: Optional[float] = (
-            interval_hours if interval_hours > 0 else None)
-        self.ticks = 0
-        self.units_scanned = 0
-        self.passes_completed = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.next_due is not None
-
-    def due(self, now: float) -> bool:
-        return self.next_due is not None and now >= self.next_due - 1e-9
-
-    def tick(self, now: float):
-        """Run one scrub increment if the clock says it is due.
-
-        Returns the :class:`~repro.redundancy.array.ArrayScrubReport`
-        for the increment, or ``None`` when not yet due (or disabled).
-        """
-        if not self.due(now):
-            return None
-        self.next_due = self.next_due + self.interval_hours
-        remaining = self.array.scrub_units - self.array.scrub_cursor
-        units = self.units_per_tick or max(1, remaining)
-        report = self.array.scrub_step(units)
-        self.ticks += 1
-        self.units_scanned += report.units_scanned
-        if report.units_scanned and self.array.scrub_cursor == 0:
-            self.passes_completed += 1
-        return report
-
-
 @dataclass(frozen=True)
 class TrialOutcome:
     """The compact, picklable verdict one trial sends back to the pool."""
@@ -275,7 +224,6 @@ class _Trial:
             self.array = None
             self.n_members = 1
             self.single_cursor = 0
-            self.scheduler: Optional[IntervalScrubScheduler] = None
         else:
             self.stack = DeviceStack.build(
                 spec.num_blocks, spec.block_size, events=self.events,
@@ -287,9 +235,6 @@ class _Trial:
                     member.device = _RetryDevice(
                         member.injector, policy.retries,
                         self.events, member.index)
-            self.scheduler = IntervalScrubScheduler(
-                self.array, policy.scrub_interval_hours,
-                policy.scrub_units_per_tick)
 
         for block in range(spec.num_blocks):
             self.stack.write_block(
@@ -604,12 +549,12 @@ class _Trial:
                 # has priority on a real array, too).
                 self._count("scrubs_deferred")
                 return
-            if self.spec.skip_clean_scrubs and not self.dirty_since_scrub:
+            if not self.dirty_since_scrub:
                 self._count("scrubs_skipped")
                 return
-            report = self.scheduler.tick(t)
-            if report is None:  # pragma: no cover - scheduler disabled
-                return
+            report = self.array.scrub_step(
+                self.policy.scrub_units_per_tick
+                or self.array.scrub_units - self.array.scrub_cursor)
             self._count("scrub_ticks")
             self._count("scrub_units", report.units_scanned)
             self._count("scrub_repairs", len(report.repaired))
@@ -637,7 +582,7 @@ class _Trial:
     def _single_scrub(self, t: float) -> None:
         """Media scan for the R_zero baseline: sequential reads with the
         policy's retry depth; an unreadable block has no second copy."""
-        if self.spec.skip_clean_scrubs and not self.dirty_since_scrub:
+        if not self.dirty_since_scrub:
             self._count("scrubs_skipped")
             return
         total = self.spec.num_blocks
@@ -802,7 +747,6 @@ def run_trial(spec: FleetSpec, geometry: GeometrySpec, policy: PolicySpec,
 
 
 __all__ = [
-    "IntervalScrubScheduler",
     "TRIAL_LOG_EVENTS",
     "TrialOutcome",
     "run_trial",

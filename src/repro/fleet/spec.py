@@ -48,9 +48,10 @@ class PolicySpec:
     applied to member reads; the array geometries supply R_redundancy
     inherently; ``stop_on_fault`` is R_stop (freeze the array at the
     first detected fault rather than risk compound damage).  Scrub
-    interval/increment drive the fleet-clock scheduler from satellite 2,
-    and ``rebuild_concurrency`` scales reconstruction bandwidth, which
-    shrinks the post-replacement vulnerability window.
+    interval/increment set how often the trial's clock steps the scrub
+    cursor and how far, and ``rebuild_concurrency`` scales
+    reconstruction bandwidth, which shrinks the post-replacement
+    vulnerability window.
     """
 
     name: str
@@ -77,6 +78,10 @@ class PolicySpec:
     #: spec-wide ones — how the analytic cross-check cell isolates the
     #: fail-stop process.
     rates_override: Optional[FaultRates] = None
+
+    def __post_init__(self) -> None:
+        if self.scrub_interval_hours < 0:
+            raise ValueError("scrub interval must be >= 0 (0 disables)")
 
     def rebuild_hours(self, member_blocks: int) -> float:
         """Length of the reconstruction window for one member."""
@@ -177,10 +182,6 @@ class FleetSpec:
     policies: Tuple[PolicySpec, ...] = DEFAULT_POLICIES
     #: Append the mirror2 × failstop-only analytic cross-check cell.
     crosscheck: bool = True
-    #: Skip a scrub tick's scan while nothing has been armed/corrupted
-    #: since the last clean pass — outcome-identical (a scan of an
-    #: untouched array repairs nothing) but much cheaper.
-    skip_clean_scrubs: bool = True
 
     def cells(self) -> Tuple[Tuple[GeometrySpec, PolicySpec], ...]:
         """The (geometry, policy) matrix in deterministic enumeration
@@ -209,7 +210,6 @@ class FleetSpec:
             "geometries": [g.to_dict() for g in self.geometries],
             "policies": [p.to_dict() for p in self.policies],
             "crosscheck": self.crosscheck,
-            "skip_clean_scrubs": self.skip_clean_scrubs,
         }
 
     @classmethod
@@ -231,8 +231,6 @@ class FleetSpec:
             policies=(tuple(PolicySpec.from_dict(p) for p in policies)
                       or spec.policies),
             crosscheck=bool(data.get("crosscheck", spec.crosscheck)),
-            skip_clean_scrubs=bool(
-                data.get("skip_clean_scrubs", spec.skip_clean_scrubs)),
         )
 
     @classmethod

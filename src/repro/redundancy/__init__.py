@@ -8,7 +8,6 @@ from repro.redundancy.array import (
     GEOMETRIES,
     MirrorDevice,
     RDPDevice,
-    ScrubSchedule,
     StripeParityDevice,
     make_array,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "MirrorDevice",
     "RDPDevice",
     "RDPStripe",
-    "ScrubSchedule",
     "StripeParityDevice",
     "encode_blocks",
     "is_prime",

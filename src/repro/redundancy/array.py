@@ -43,13 +43,15 @@ recovery like it does over a bare disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.common.errors import OutOfRangeError, ReadError, WriteError
-from repro.disk.disk import DiskStats, SimulatedDisk, SlabImage, make_disk
+from repro.disk.disk import (
+    DirtyDelta, DiskStats, SimulatedDisk, SlabImage, make_disk,
+)
 from repro.disk.geometry import DiskGeometry
 from repro.disk.injector import FaultInjector
 from repro.obs.events import (
@@ -61,6 +63,15 @@ from repro.obs.events import (
     StorageEvent,
 )
 from repro.redundancy.rdp import RDPStripe, _xor, _xor_all
+
+#: How a recovery path reads a peer: ``read(member, member_block,
+#: logical)`` -> contents, or None for a cell that is not to be had.
+#: ``ArrayDevice._member_read`` is the charged reader (a member error
+#: is a detection tagged *logical*), ``_member_peek`` the uncharged one.
+Reader = Callable[[int, int, Optional[int]], Optional[bytes]]
+
+#: Ring capacity of a member's private boundary-I/O log.
+MEMBER_LOG_EVENTS = 4096
 
 
 class ArrayMember:
@@ -74,10 +85,9 @@ class ArrayMember:
     """
 
     def __init__(self, index: int, num_blocks: int, block_size: int,
-                 timing: Optional[dict] = None,
-                 member_log_events: Optional[int] = 4096):
+                 timing: Optional[dict] = None):
         self.index = index
-        self.events = EventLog(max_events=member_log_events)
+        self.events = EventLog(max_events=MEMBER_LOG_EVENTS)
         self.disk = make_disk(num_blocks, block_size, **(timing or {}))
         self.disk.events = self.events
         self.injector = FaultInjector(self.disk, events=self.events)
@@ -91,10 +101,6 @@ class ArrayMember:
         self.disk.events = self.events
         self.disk.latency_observer = old.latency_observer
         self.injector.lower = self.disk
-
-    @property
-    def failed(self) -> bool:
-        return self.disk.failed
 
     def __repr__(self) -> str:
         return f"ArrayMember({self.index}, {self.disk!r})"
@@ -159,33 +165,20 @@ class _ArrayBaseView:
 
 @dataclass
 class ArrayScrubReport:
-    """Outcome of one scrub pass (or one scheduled increment)."""
+    """Outcome of one scrub pass (or one ``scrub_step`` increment)."""
 
     units_scanned: int = 0
     blocks_scanned: int = 0
     #: (member, member-block) pairs that returned device errors.
-    latent_errors: List[Tuple[int, int]] = None
+    latent_errors: List[Tuple[int, int]] = field(default_factory=list)
     #: (member, member-block) pairs whose contents mismatched redundancy.
-    corruptions: List[Tuple[int, int]] = None
-    repaired: List[Tuple[int, int]] = None
-    unrepairable: List[Tuple[int, int]] = None
-
-    def __post_init__(self) -> None:
-        for name in ("latent_errors", "corruptions", "repaired", "unrepairable"):
-            if getattr(self, name) is None:
-                setattr(self, name, [])
+    corruptions: List[Tuple[int, int]] = field(default_factory=list)
+    repaired: List[Tuple[int, int]] = field(default_factory=list)
+    unrepairable: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def problems(self) -> int:
         return len(self.latent_errors) + len(self.corruptions)
-
-    def merge(self, other: "ArrayScrubReport") -> None:
-        self.units_scanned += other.units_scanned
-        self.blocks_scanned += other.blocks_scanned
-        self.latent_errors.extend(other.latent_errors)
-        self.corruptions.extend(other.corruptions)
-        self.repaired.extend(other.repaired)
-        self.unrepairable.extend(other.unrepairable)
 
     def render(self) -> str:
         return (f"scrubbed {self.blocks_scanned} member blocks: "
@@ -195,28 +188,18 @@ class ArrayScrubReport:
                 f"{len(self.unrepairable)} unrepairable")
 
 
-@dataclass
-class ScrubSchedule:
-    """Background-scrub scheduling: every *every_ops* logical I/Os the
-    array scrubs the next *units_per_step* scrub units (a unit is one
-    logical block for a mirror, one stripe for parity geometries)."""
-
-    every_ops: int
-    units_per_step: int = 8
-    hook: Optional[Callable[[ArrayScrubReport], None]] = None
-
-
-class ArrayDevice:
+class ArrayDevice(DirtyDelta):
     """Common machinery for every geometry: the ``BlockDevice``
     protocol plus the gray-box surface a :class:`DeviceStack` (and the
     file systems' ``_raw_disk`` walk, the crash engine, and the
     fingerprinting type oracles) expect from the bottom device.
 
-    Subclasses define the address mapping (:meth:`_locate`), the
-    reconstruction path (:meth:`_reconstruct`), the write path
-    (:meth:`_write_logical`), out-of-band pokes (:meth:`_poke_logical`),
-    member-content derivation for rebuild (:meth:`_member_content`),
-    and the scrub unit (:meth:`_scrub_unit`).
+    A geometry defines the address mapping (:meth:`_locate`), how one
+    member cell is recovered from its peers (:meth:`_recover`, under
+    the degraded read, the rebuild and the gray-box peek), the write
+    path (:meth:`_write_logical`), out-of-band pokes
+    (:meth:`_poke_logical`) and the verdict on one scrub unit
+    (:meth:`_scrub_unit`, over the shared :meth:`_scrub_read`).
     """
 
     kind = "array"
@@ -228,6 +211,7 @@ class ArrayDevice:
             raise ValueError("array must expose at least one block")
         self._num_blocks = num_blocks
         self._block_size = block_size
+        self._member_blocks = member_blocks
         self._zero = b"\x00" * block_size
         self.members: List[ArrayMember] = [
             ArrayMember(i, member_blocks, block_size, timing)
@@ -244,9 +228,7 @@ class ArrayDevice:
         #: Logical-interface accounting (live object, mutated in place).
         self.stats = DiskStats()
         # Logical CoW-style dirty tracking (crash-engine content keys).
-        self._dirty = bytearray(num_blocks)
-        self._dirty_count = 0
-        self._delta: Dict[int, bytes] = {}
+        self._reset_dirty(num_blocks)
         self._base_metas: Dict[tuple, Dict] = {}
         #: Member blocks whose on-disk contents are known stale (a
         #: member write failed after the array acknowledged the logical
@@ -257,11 +239,11 @@ class ArrayDevice:
         #: granularity of the same idea).
         self._stale: Set[int] = set()
         self._latency_observer = None
-        # Scrub scheduling.
-        self._schedule: Optional[ScrubSchedule] = None
+        self._reset_counters()
+
+    def _reset_counters(self) -> None:
+        #: Next unit of the incremental scrub (:meth:`scrub_step`).
         self._scrub_cursor = 0
-        self._op_count = 0
-        self._in_scrub = False
         # Cumulative redundancy-path counters (collect_metrics).
         self.degraded_reads = 0
         self.degraded_writes = 0
@@ -295,7 +277,6 @@ class ArrayDevice:
         self.stats.reads += 1
         self.stats.bytes_read += self._block_size
         self.stats.busy_time_s += self.clock - before
-        self._tick()
         return data
 
     def write_block(self, block: int, data: bytes) -> None:
@@ -307,11 +288,10 @@ class ArrayDevice:
         before = self.clock
         data = bytes(data)
         self._write_logical(block, data)
-        self._note(block, data)
+        self._put(block, data)
         self.stats.writes += 1
         self.stats.bytes_written += self._block_size
         self.stats.busy_time_s += self.clock - before
-        self._tick()
 
     def flush(self) -> None:
         for member in self.members:
@@ -333,18 +313,9 @@ class ArrayDevice:
         self._suspect = set(snapshot.suspects)
         self._stale = set(snapshot.stale)
         if self._dirty_count:
-            self._dirty = bytearray(self._num_blocks)
-            self._dirty_count = 0
-            self._delta = {}
+            self._reset_dirty(self._num_blocks)
         self.stats.reset()
-        self._scrub_cursor = 0
-        self._op_count = 0
-        self.degraded_reads = 0
-        self.degraded_writes = 0
-        self.read_repairs = 0
-        self.rebuilt_blocks = 0
-        self.scrub_repairs = 0
-        self.scrub_passes = 0
+        self._reset_counters()
 
     # -- time ----------------------------------------------------------------
 
@@ -378,8 +349,8 @@ class ArrayDevice:
         self._check_range(block, "read")
         return self._peek_logical(block)
 
-    def peek_view(self, block: int):
-        return self._peek_logical(block)
+    #: An array has no cheaper view of a block than its bytes.
+    peek_view = peek
 
     def poke(self, block: int, data: bytes) -> None:
         """Out-of-band logical write, parity maintained (the crash
@@ -391,7 +362,7 @@ class ArrayDevice:
             raise ValueError("poke payload must be exactly one block")
         data = bytes(data)
         self._poke_logical(block, data)
-        self._note(block, data)
+        self._put(block, data)
 
     @property
     def base_image(self) -> Optional[_ArrayBaseView]:
@@ -414,37 +385,6 @@ class ArrayDevice:
                 self._base_metas.pop(next(iter(self._base_metas)))
             entry = self._base_metas[key] = (images, {})
         return entry[1]
-
-    @property
-    def dirty_count(self) -> int:
-        return self._dirty_count
-
-    def any_dirty_in(self, blocks: Iterable[int]) -> bool:
-        dirty = self._dirty
-        return any(dirty[b] for b in blocks)
-
-    def dirty_contents(self, blocks: Iterable[int]) -> tuple:
-        dirty = self._dirty
-        delta = self._delta
-        return tuple((b, delta[b]) for b in blocks if dirty[b])
-
-    def dirty_items(self) -> List[Tuple[int, bytes]]:
-        return sorted(self._delta.items())
-
-    def fingerprint_matches(self, blocks: Iterable[int], fp: tuple) -> bool:
-        dirty = self._dirty
-        delta = self._delta
-        i = 0
-        n = len(fp)
-        for b in blocks:
-            if dirty[b]:
-                if i >= n:
-                    return False
-                entry = fp[i]
-                if entry[0] != b or delta[b] != entry[1]:
-                    return False
-                i += 1
-        return i == n
 
     # -- member lifecycle -----------------------------------------------------
 
@@ -546,7 +486,7 @@ class ArrayDevice:
     def scrub_units(self) -> int:
         """Total scrub units (logical blocks for mirrors, stripes for
         parity geometries)."""
-        raise NotImplementedError
+        return self._member_blocks // self._unit_blocks
 
     def scrub(self, start: int = 0, end: Optional[int] = None) -> ArrayScrubReport:
         """Scan scrub units ``[start, end)`` (default: whole array),
@@ -559,27 +499,23 @@ class ArrayDevice:
         if not 0 <= start <= end <= self.scrub_units:
             raise ValueError("scrub range out of bounds")
         report = ArrayScrubReport()
-        self._in_scrub = True
         per_unit = self._unit_blocks
-        try:
-            unit = start
-            while unit < end:
-                clean = self._scrub_clean_units(unit, end)
-                if clean:
-                    run = range(unit * per_unit, (unit + clean) * per_unit)
-                    for member in self.members:
-                        member.device.read_blocks(run)
-                    report.blocks_scanned += len(run) * len(self.members)
-                    report.units_scanned += clean
-                    unit += clean
-                    if unit == end:
-                        break
-                # The first unit that is not clean: one at a time.
-                self._scrub_unit(unit, report)
-                report.units_scanned += 1
-                unit += 1
-        finally:
-            self._in_scrub = False
+        unit = start
+        while unit < end:
+            clean = self._scrub_clean_units(unit, end)
+            if clean:
+                run = range(unit * per_unit, (unit + clean) * per_unit)
+                for member in self.members:
+                    member.device.read_blocks(run)
+                report.blocks_scanned += len(run) * len(self.members)
+                report.units_scanned += clean
+                unit += clean
+                if unit == end:
+                    break
+            # The first unit that is not clean: one at a time.
+            self._scrub_unit(unit, report)
+            report.units_scanned += 1
+            unit += 1
         self.scrub_repairs += len(report.repaired)
         if report.unrepairable:
             self._emit(ArrayPolicyEvent(
@@ -592,20 +528,6 @@ class ArrayDevice:
                 f"pass complete: {report.render()}"))
         return report
 
-    def set_scrub_schedule(self, every_ops: Optional[int],
-                           units_per_step: int = 8,
-                           hook: Optional[Callable[[ArrayScrubReport], None]] = None,
-                           ) -> None:
-        """Arm (or with ``None`` disarm) the background scrub: every
-        *every_ops* logical I/Os, scrub the next *units_per_step* units
-        and invoke *hook* with the increment's report."""
-        if every_ops is None:
-            self._schedule = None
-            return
-        if every_ops < 1 or units_per_step < 1:
-            raise ValueError("scrub schedule parameters must be >= 1")
-        self._schedule = ScrubSchedule(every_ops, units_per_step, hook)
-
     @property
     def scrub_cursor(self) -> int:
         """Next scrub unit the incremental scan will visit (0 after a
@@ -615,12 +537,11 @@ class ArrayDevice:
     def scrub_step(self, units: int) -> ArrayScrubReport:
         """Advance the incremental scrub cursor by up to *units* units.
 
-        This is the single stepping primitive behind both schedulers:
-        the op-count ``set_scrub_schedule`` hook and the fleet clock's
-        interval scheduler (:class:`repro.fleet.sim.IntervalScrubScheduler`).
-        The cursor wraps to 0 when a pass completes, so repeated calls
-        scan the array round-robin; ``report.units_scanned`` tells the
-        caller how far this step actually got.
+        The one trigger-agnostic stepping primitive: whoever owns the
+        cadence (the fleet trial's clock heap) calls it when a step is
+        due.  The cursor wraps to 0 when a pass completes, so repeated
+        calls scan the array round-robin; ``report.units_scanned``
+        tells the caller how far this step actually got.
         """
         if units < 1:
             raise ValueError("scrub step must advance at least one unit")
@@ -629,16 +550,6 @@ class ArrayDevice:
         report = self.scrub(start, end)
         self._scrub_cursor = 0 if end >= self.scrub_units else end
         return report
-
-    def _tick(self) -> None:
-        self._op_count += 1
-        schedule = self._schedule
-        if (schedule is None or self._in_scrub
-                or self._op_count % schedule.every_ops):
-            return
-        report = self.scrub_step(schedule.units_per_step)
-        if schedule.hook is not None:
-            schedule.hook(report)
 
     # -- metrics ---------------------------------------------------------------
 
@@ -672,10 +583,38 @@ class ArrayDevice:
         """Logical block -> (data member index, member block)."""
         raise NotImplementedError
 
+    def _recover(self, m: int, mb: int, read: Reader,
+                 logical: Optional[int]) -> Optional[bytes]:
+        """What member *m* should hold at *mb*, worked out from its
+        peers through *read* (which peers, in which order, is the
+        geometry's own); None when they do not suffice."""
+        raise NotImplementedError
+
+    #: Why :meth:`_recover` came back empty, for the ``ReadError``.
+    _exhausted = "redundancy exhausted"
+
     def _reconstruct(self, block: int, m: int, mb: int) -> bytes:
         """Rebuild one logical block from the surviving members
         (raises :class:`ReadError` when the geometry cannot)."""
-        raise NotImplementedError
+        data = self._recover(m, mb, self._member_read, block)
+        if data is None:
+            raise ReadError(block, self._exhausted)
+        return data
+
+    def _member_content(self, m: int, mb: int) -> Optional[bytes]:
+        """What member *m* should hold at *mb* (rebuild path); None if
+        unreconstructable."""
+        return self._recover(m, mb, self._member_read, None)
+
+    def _peek_logical(self, block: int) -> bytes:
+        m, mb = self._locate(block)
+        data = self._member_peek(m, mb)
+        if data is None:
+            data = self._recover(m, mb, self._member_peek, None)
+        if data is None:
+            # Nothing better to show than what the member holds.
+            data = self.members[m].disk.peek(mb)
+        return data
 
     def _write_logical(self, block: int, data: bytes) -> None:
         raise NotImplementedError
@@ -683,15 +622,9 @@ class ArrayDevice:
     def _poke_logical(self, block: int, data: bytes) -> None:
         raise NotImplementedError
 
-    def _peek_logical(self, block: int) -> bytes:
-        raise NotImplementedError
-
-    def _member_content(self, m: int, mb: int) -> Optional[bytes]:
-        """What member *m* should hold at *mb* (rebuild path); None if
-        unreconstructable."""
-        raise NotImplementedError
-
     def _scrub_unit(self, unit: int, report: ArrayScrubReport) -> None:
+        """Scrub one unit: :meth:`_scrub_read`, then the geometry's
+        verdict (vote, XOR or syndromes) and its repairs."""
         raise NotImplementedError
 
     #: Member blocks (per member) that make up one scrub unit.
@@ -772,9 +705,10 @@ class ArrayDevice:
 
     def _member_read(self, m: int, mb: int,
                      logical: Optional[int] = None) -> Optional[bytes]:
-        """One member read for a reconstruction path: None when the
-        member block is untrusted or errors (the error is a *detected*
-        member failure — D_errorcode at the array boundary)."""
+        """The charged reader — one member read for a reconstruction
+        path: None when the member block is untrusted or errors (the
+        error is a *detected* member failure — D_errorcode at the array
+        boundary)."""
         if not self._trusted(m, mb):
             return None
         try:
@@ -783,17 +717,79 @@ class ArrayDevice:
             self._detect(m, mb, "member-read-error", logical=logical)
             return None
 
-    def _member_write(self, m: int, mb: int, data: bytes) -> bool:
+    def _member_peek(self, m: int, mb: int,
+                     logical: Optional[int] = None) -> Optional[bytes]:
+        """The uncharged reader: a trusted member block's raw contents
+        (no time, no stats, no events), None for an untrusted one."""
+        if not self._trusted(m, mb):
+            return None
+        return self.members[m].disk.peek(mb)
+
+    def _member_write(self, m: int, mb: int, data: bytes,
+                      logical: Optional[int] = None) -> bool:
         """One member write; a failure marks the block suspect (the
         array *knows* the write did not land — it got the error code)."""
         try:
             self.members[m].device.write_block(mb, data)
         except WriteError:
             self._suspect.add((m, mb))
-            self._detect(m, mb, "member-write-error")
+            self._detect(m, mb, "member-write-error", logical=logical)
             return False
         self._suspect.discard((m, mb))
         return True
+
+    def _degraded_write(self, block: int, member: int,
+                        how: Optional[str] = None) -> None:
+        """Count and report a logical write that did not land on
+        *member* but is held by redundancy (R_redundancy)."""
+        self.degraded_writes += 1
+        self._emit(ArrayRecoveryEvent(
+            Severity.WARNING, self._source(), "degraded-write",
+            f"block {block} "
+            + (how or f"held by parity around member {member}"),
+            block, member=member))
+
+    def _scrub_read(self, unit: int, report: ArrayScrubReport,
+                    logical: Optional[int] = None,
+                    ) -> Tuple[List[Optional[List[bytes]]], List[int]]:
+        """The read phase of one scrub unit: each member's cells of the
+        unit, charged, trusted or not.  A stale member is not read; a
+        member's first error is a latent error, detected (tagged
+        *logical*), and erases its column, so its remaining rows are
+        not read.  Returns the cells per member (None for a member with
+        nothing to offer) and the indices of those members."""
+        per_unit = self._unit_blocks
+        run = range(unit * per_unit, (unit + 1) * per_unit)
+        columns: List[Optional[List[bytes]]] = []
+        missing: List[int] = []
+        for member in self.members:
+            m = member.index
+            cells: Optional[List[bytes]] = None
+            if m not in self._stale:
+                cells = []
+                for mb in run:
+                    report.blocks_scanned += 1
+                    try:
+                        cells.append(member.device.read_block(mb))
+                    except ReadError:
+                        report.latent_errors.append((m, mb))
+                        self._detect(m, mb, "member-read-error",
+                                     logical=logical)
+                        cells = None
+                        break
+            columns.append(cells)
+            if cells is None:
+                missing.append(m)
+        return columns, missing
+
+    def _repair(self, m: int, mb: int, data: bytes,
+                report: ArrayScrubReport) -> bool:
+        """One scrub repair write, booked in *report* either way."""
+        if self._member_write(m, mb, data):
+            report.repaired.append((m, mb))
+            return True
+        report.unrepairable.append((m, mb))
+        return False
 
     def _degraded_read(self, block: int, m: int, mb: int) -> bytes:
         tracer = self._tracer()
@@ -817,20 +813,13 @@ class ArrayDevice:
         return data
 
     def _read_repair(self, m: int, mb: int, data: bytes, block: int) -> None:
-        member = self.members[m]
-        if m in self._stale or member.disk.failed:
+        if m in self._stale or self.members[m].disk.failed:
             return
-        try:
-            member.device.write_block(mb, data)
-        except WriteError:
-            self._suspect.add((m, mb))
-            self._detect(m, mb, "member-write-error", logical=block)
-            return
-        self._suspect.discard((m, mb))
-        self.read_repairs += 1
-        self._emit(ArrayRecoveryEvent(
-            Severity.INFO, self._source(), "read-repair",
-            f"block {block} repaired on member {m}", block, member=m))
+        if self._member_write(m, mb, data, logical=block):
+            self.read_repairs += 1
+            self._emit(ArrayRecoveryEvent(
+                Severity.INFO, self._source(), "read-repair",
+                f"block {block} repaired on member {m}", block, member=m))
 
     def _detect(self, m: int, mb: int, tag: str,
                 logical: Optional[int] = None,
@@ -852,12 +841,6 @@ class ArrayDevice:
         if tracer is not None and tracer.enabled:
             return tracer
         return None
-
-    def _note(self, block: int, data: bytes) -> None:
-        self._delta[block] = data
-        if not self._dirty[block]:
-            self._dirty[block] = 1
-            self._dirty_count += 1
 
     def _check_range(self, block: int, op: str) -> None:
         if not 0 <= block < self._num_blocks:
@@ -886,6 +869,7 @@ class MirrorDevice(ArrayDevice):
     """
 
     kind = "mirror"
+    _exhausted = "all mirror members failed"
 
     def __init__(self, num_blocks: int, block_size: int = 4096,
                  copies: int = 2, timing: Optional[dict] = None):
@@ -893,26 +877,25 @@ class MirrorDevice(ArrayDevice):
             raise ValueError("a mirror needs at least two copies")
         super().__init__(num_blocks, block_size, copies, num_blocks, timing)
 
-    @property
-    def scrub_units(self) -> int:
-        return self._num_blocks
-
     def _locate(self, block: int) -> Tuple[int, int]:
         return block % len(self.members), block
 
-    def _replica_order(self, block: int) -> List[int]:
+    def _recover(self, m: int, mb: int, read: Reader,
+                 logical: Optional[int]) -> Optional[bytes]:
+        # The first good replica, in rotation from the block's primary.
         n = len(self.members)
-        primary = block % n
-        return [(primary + k) % n for k in range(n)]
+        for k in range(n):
+            other = (mb + k) % n
+            if other != m:
+                data = read(other, mb, logical)
+                if data is not None:
+                    return data
+        return None
 
-    def _reconstruct(self, block: int, m: int, mb: int) -> bytes:
-        for other in self._replica_order(block):
-            if other == m:
-                continue
-            data = self._member_read(other, block, logical=block)
-            if data is not None:
-                return data
-        raise ReadError(block, "all mirror members failed")
+    def _member_content(self, m: int, mb: int) -> Optional[bytes]:
+        # A replica's member block *is* the logical block, and a
+        # mirror's rebuild says so in its detections.
+        return self._recover(m, mb, self._member_read, mb)
 
     def _write_logical(self, block: int, data: bytes) -> None:
         landed = 0
@@ -925,31 +908,14 @@ class MirrorDevice(ArrayDevice):
         if landed == 0:
             raise WriteError(block, "all mirror members failed")
         if failed:
-            self.degraded_writes += 1
-            self._emit(ArrayRecoveryEvent(
-                Severity.WARNING, self._source(), "degraded-write",
-                f"block {block} stored on {landed}/{len(self.members)} copies",
-                block, member=failed[0]))
+            self._degraded_write(
+                block, failed[0],
+                f"stored on {landed}/{len(self.members)} copies")
 
     def _poke_logical(self, block: int, data: bytes) -> None:
         for member in self.members:
             member.disk.poke(block, data)
             self._suspect.discard((member.index, block))
-
-    def _peek_logical(self, block: int) -> bytes:
-        for m in self._replica_order(block):
-            if self._trusted(m, block):
-                return self.members[m].disk.peek(block)
-        return self.members[block % len(self.members)].disk.peek(block)
-
-    def _member_content(self, m: int, mb: int) -> Optional[bytes]:
-        for other in self._replica_order(mb):
-            if other == m:
-                continue
-            data = self._member_read(other, mb, logical=mb)
-            if data is not None:
-                return data
-        return None
 
     def _rebuild_clean_run(self, index: int, start: int, end: int) -> int:
         stop = start + self._clean_run("write", index, range(start, end))
@@ -991,19 +957,11 @@ class MirrorDevice(ArrayDevice):
         return limit
 
     def _scrub_unit(self, unit: int, report: ArrayScrubReport) -> None:
-        copies: Dict[int, bytes] = {}
-        errored: List[int] = []
-        for member in self.members:
-            if member.index in self._stale:
-                continue
-            report.blocks_scanned += 1
-            try:
-                copies[member.index] = member.device.read_block(unit)
-            except ReadError:
-                errored.append(member.index)
-                report.latent_errors.append((member.index, unit))
-                self._detect(member.index, unit, "member-read-error",
-                             logical=unit)
+        columns, missing = self._scrub_read(unit, report, logical=unit)
+        copies = {m: cells[0] for m, cells in enumerate(columns)
+                  if cells is not None}
+        # A stale replica is passed over, not counted a casualty.
+        errored = [m for m in missing if m not in self._stale]
         if not copies:
             for m in errored:
                 report.unrepairable.append((m, unit))
@@ -1035,14 +993,6 @@ class MirrorDevice(ArrayDevice):
         for m in errored:
             self._repair(m, unit, reference, report)
 
-    def _repair(self, m: int, mb: int, data: bytes,
-                report: ArrayScrubReport) -> bool:
-        if self._member_write(m, mb, data):
-            report.repaired.append((m, mb))
-            return True
-        report.unrepairable.append((m, mb))
-        return False
-
 
 class StripeParityDevice(ArrayDevice):
     """RAID-5-style striping with one rotating parity block per stripe.
@@ -1056,6 +1006,7 @@ class StripeParityDevice(ArrayDevice):
     """
 
     kind = "parity"
+    _exhausted = "second member failure: single parity exhausted"
 
     def __init__(self, num_blocks: int, block_size: int = 4096,
                  members: int = 4, timing: Optional[dict] = None):
@@ -1066,10 +1017,6 @@ class StripeParityDevice(ArrayDevice):
         super().__init__(num_blocks, block_size, members, stripes, timing)
         self.stripes = stripes
 
-    @property
-    def scrub_units(self) -> int:
-        return self.stripes
-
     def _parity_member(self, stripe: int) -> int:
         return stripe % len(self.members)
 
@@ -1078,17 +1025,26 @@ class StripeParityDevice(ArrayDevice):
         pm = self._parity_member(stripe)
         return (i if i < pm else i + 1), stripe
 
-    def _reconstruct(self, block: int, m: int, mb: int) -> bytes:
+    def _recover(self, m: int, mb: int, read: Reader,
+                 logical: Optional[int]) -> Optional[bytes]:
+        # XOR of every peer; the first one not to be had ends it.
         acc = self._zero
         for other in range(len(self.members)):
-            if other == m:
-                continue
-            data = self._member_read(other, mb, logical=block)
-            if data is None:
-                raise ReadError(
-                    block, "second member failure: single parity exhausted")
-            acc = _xor(acc, data)
+            if other != m:
+                data = read(other, mb, logical)
+                if data is None:
+                    return None
+                acc = _xor(acc, data)
         return acc
+
+    def _member_peek(self, m: int, mb: int,
+                     logical: Optional[int] = None) -> Optional[bytes]:
+        # A peek has always folded the stripe's parity block in even
+        # when the array does not trust it (tests/test_array_pin.py
+        # holds the bytes that gives).
+        if m == self._parity_member(mb):
+            return self.members[m].disk.peek(mb)
+        return super()._member_peek(m, mb)
 
     def _write_logical(self, block: int, data: bytes) -> None:
         dm, stripe = self._locate(block)
@@ -1117,11 +1073,7 @@ class StripeParityDevice(ArrayDevice):
         if not wrote_data and wrote_parity:
             # The new contents live only in parity: a degraded write the
             # reconstruction read path will serve (R_redundancy).
-            self.degraded_writes += 1
-            self._emit(ArrayRecoveryEvent(
-                Severity.WARNING, self._source(), "degraded-write",
-                f"block {block} held by parity around member {dm}",
-                block, member=dm))
+            self._degraded_write(block, dm)
         if wrote_data and new_parity is None:
             # Data landed but parity could not be maintained: the stripe
             # has no redundancy until scrubbed/rebuilt.
@@ -1139,31 +1091,6 @@ class StripeParityDevice(ArrayDevice):
             acc = _xor(acc, self.members[other].disk.peek(stripe))
         self.members[pm].disk.poke(stripe, acc)
         self._suspect.discard((pm, stripe))
-
-    def _peek_logical(self, block: int) -> bytes:
-        dm, stripe = self._locate(block)
-        if self._trusted(dm, stripe):
-            return self.members[dm].disk.peek(stripe)
-        pm = self._parity_member(stripe)
-        acc = self._zero
-        for other in range(len(self.members)):
-            if other == dm:
-                continue
-            if not self._trusted(other, stripe) and other != pm:
-                return self.members[dm].disk.peek(stripe)
-            acc = _xor(acc, self.members[other].disk.peek(stripe))
-        return acc
-
-    def _member_content(self, m: int, mb: int) -> Optional[bytes]:
-        acc = self._zero
-        for other in range(len(self.members)):
-            if other == m:
-                continue
-            data = self._member_read(other, mb, logical=None)
-            if data is None:
-                return None
-            acc = _xor(acc, data)
-        return acc
 
     def _rebuild_clean_run(self, index: int, start: int, end: int) -> int:
         others = [m for m in range(len(self.members)) if m != index]
@@ -1189,39 +1116,19 @@ class StripeParityDevice(ArrayDevice):
         return limit
 
     def _scrub_unit(self, unit: int, report: ArrayScrubReport) -> None:
-        contents: Dict[int, bytes] = {}
-        missing: List[int] = []
-        for member in self.members:
-            if member.index in self._stale:
-                missing.append(member.index)
-                continue
-            report.blocks_scanned += 1
-            try:
-                contents[member.index] = member.device.read_block(unit)
-            except ReadError:
-                missing.append(member.index)
-                report.latent_errors.append((member.index, unit))
-                self._detect(member.index, unit, "member-read-error")
+        columns, missing = self._scrub_read(unit, report)
         if len(missing) > 1:
             for m in missing:
                 report.unrepairable.append((m, unit))
             return
-        if len(missing) == 1:
+        acc = _xor_all([cells[0] for cells in columns if cells is not None])
+        if missing:
             m = missing[0]
-            acc = self._zero
-            for data in contents.values():
-                acc = _xor(acc, data)
-            if self._member_write(m, unit, acc):
-                report.repaired.append((m, unit))
+            if self._repair(m, unit, acc, report):
                 self._emit(ArrayRecoveryEvent(
                     Severity.INFO, self._source(), "scrub-repair",
                     f"stripe {unit} block rebuilt on member {m}", member=m))
-            else:
-                report.unrepairable.append((m, unit))
             return
-        acc = self._zero
-        for data in contents.values():
-            acc = _xor(acc, data)
         if acc != self._zero:
             # Single parity detects the mismatch but cannot attribute it.
             pm = self._parity_member(unit)
@@ -1242,6 +1149,7 @@ class RDPDevice(ArrayDevice):
     """
 
     kind = "rdp"
+    _exhausted = "more than two member failures: RDP exhausted"
 
     def __init__(self, num_blocks: int, block_size: int = 4096,
                  p: int = 5, timing: Optional[dict] = None):
@@ -1256,10 +1164,6 @@ class RDPDevice(ArrayDevice):
         self._unit_blocks = self.rows
         self._row_parity = p - 1
         self._diag_parity = p
-
-    @property
-    def scrub_units(self) -> int:
-        return self.stripes
 
     def _consistent_units(self, start: int, limit: int) -> int:
         disks = [member.disk for member in self.members]
@@ -1277,19 +1181,24 @@ class RDPDevice(ArrayDevice):
         col, row = divmod(rem, self.rows)
         return col, stripe * self.rows + row
 
-    def _read_columns(self, stripe: int,
-                      logical: Optional[int] = None,
+    def _read_columns(self, stripe: int, read: Reader,
+                      logical: Optional[int],
                       ) -> List[Optional[List[bytes]]]:
+        """Every column of *stripe* through *read*; a column stops at,
+        and is None from, its first cell that is not to be had."""
         base = stripe * self.rows
+        # Only charged reads may move a head: a clean column then goes
+        # in one vectored call.
+        vectored = read == self._member_read
         columns: List[Optional[List[bytes]]] = []
         for col in range(self.p + 1):
             run = range(base, base + self.rows)
-            if self._clean_run("read", col, run) == self.rows:
+            if vectored and self._clean_run("read", col, run) == self.rows:
                 columns.append(self.members[col].device.read_blocks(run))
                 continue
             cells: Optional[List[bytes]] = []
             for row in run:
-                data = self._member_read(col, row, logical=logical)
+                data = read(col, row, logical)
                 if data is None:
                     cells = None
                     break
@@ -1297,16 +1206,16 @@ class RDPDevice(ArrayDevice):
             columns.append(cells)
         return columns
 
-    def _reconstruct(self, block: int, m: int, mb: int) -> bytes:
+    def _recover(self, m: int, mb: int, read: Reader,
+                 logical: Optional[int]) -> Optional[bytes]:
+        # Every column is read, the one about to be discarded included.
         stripe, row = divmod(mb, self.rows)
-        columns = self._read_columns(stripe, logical=block)
+        columns = self._read_columns(stripe, read, logical)
         columns[m] = None  # the cell we are here for is untrusted
         try:
-            full = self.stripe.reconstruct(columns)
+            return self.stripe.reconstruct(columns)[m][row]
         except ValueError:
-            raise ReadError(
-                block, "more than two member failures: RDP exhausted")
-        return full[m][row]
+            return None
 
     def _write_logical(self, block: int, data: bytes) -> None:
         col, mb = self._locate(block)
@@ -1340,15 +1249,11 @@ class RDPDevice(ArrayDevice):
         if (col, mb) in self._suspect:
             # The data cell itself failed but parity landed: the new
             # contents are recoverable through reconstruction.
-            self.degraded_writes += 1
-            self._emit(ArrayRecoveryEvent(
-                Severity.WARNING, self._source(), "degraded-write",
-                f"block {block} held by parity around member {col}",
-                block, member=col))
+            self._degraded_write(block, col)
 
     def _full_stripe_write(self, block: int, stripe: int, row: int,
                            col: int, data: bytes) -> None:
-        columns = self._read_columns(stripe, logical=block)
+        columns = self._read_columns(stripe, self._member_read, block)
         try:
             full = self.stripe.reconstruct(columns)
         except ValueError:
@@ -1365,11 +1270,7 @@ class RDPDevice(ArrayDevice):
         if len(failed_cols) > 2:
             raise WriteError(block, "array cannot store block")
         if col in failed_cols:
-            self.degraded_writes += 1
-            self._emit(ArrayRecoveryEvent(
-                Severity.WARNING, self._source(), "degraded-write",
-                f"block {block} held by parity around member {col}",
-                block, member=col))
+            self._degraded_write(block, col)
 
     def _poke_logical(self, block: int, data: bytes) -> None:
         col, mb = self._locate(block)
@@ -1396,61 +1297,9 @@ class RDPDevice(ArrayDevice):
             self.members[self._diag_parity].disk.poke(base + d, acc)
             self._suspect.discard((self._diag_parity, base + d))
 
-    def _peek_logical(self, block: int) -> bytes:
-        col, mb = self._locate(block)
-        if self._trusted(col, mb):
-            return self.members[col].disk.peek(mb)
-        stripe, row = divmod(mb, self.rows)
-        base = stripe * self.rows
-        columns: List[Optional[List[bytes]]] = []
-        erased = 0
-        for c in range(self.p + 1):
-            bad = c == col or c in self._stale or any(
-                (c, base + r) in self._suspect for r in range(self.rows))
-            if bad:
-                columns.append(None)
-                erased += 1
-            else:
-                columns.append([self.members[c].disk.peek(base + r)
-                                for r in range(self.rows)])
-        if erased > 2:
-            return self.members[col].disk.peek(mb)
-        return self.stripe.reconstruct(columns)[col][row]
-
-    def _member_content(self, m: int, mb: int) -> Optional[bytes]:
-        stripe, row = divmod(mb, self.rows)
-        columns = self._read_columns(stripe)
-        columns[m] = None
-        try:
-            full = self.stripe.reconstruct(columns)
-        except ValueError:
-            return None
-        return full[m][row]
-
     def _scrub_unit(self, unit: int, report: ArrayScrubReport) -> None:
         base = unit * self.rows
-        columns: List[Optional[List[bytes]]] = []
-        missing: List[int] = []
-        for col in range(self.p + 1):
-            if col in self._stale:
-                columns.append(None)
-                missing.append(col)
-                continue
-            cells: Optional[List[bytes]] = []
-            for row in range(self.rows):
-                report.blocks_scanned += 1
-                try:
-                    cells.append(self.members[col].device.read_block(base + row))
-                except ReadError:
-                    report.latent_errors.append((col, base + row))
-                    self._detect(col, base + row, "member-read-error")
-                    cells = None
-                    # The column is erased for reconstruction purposes;
-                    # its remaining rows are not read.
-                    break
-            columns.append(cells)
-            if cells is None and col not in missing:
-                missing.append(col)
+        columns, missing = self._scrub_read(unit, report)
         if len(missing) > 2:
             for col in missing:
                 for row in range(self.rows):
@@ -1466,11 +1315,8 @@ class RDPDevice(ArrayDevice):
                 return
             for col in missing:
                 for row in range(self.rows):
-                    target = (col, base + row)
-                    if self._member_write(col, base + row, full[col][row]):
-                        report.repaired.append(target)
-                    else:
-                        report.unrepairable.append(target)
+                    self._repair(col, base + row, full[col][row], report)
+            # Reported whether or not every cell landed.
             self._emit(ArrayRecoveryEvent(
                 Severity.INFO, self._source(), "scrub-repair",
                 f"stripe {unit}: {len(missing)} columns rebuilt",
@@ -1518,14 +1364,11 @@ class RDPDevice(ArrayDevice):
         report.corruptions.append((col, target))
         self._detect(col, target, "member-mismatch", mechanism="redundancy")
         current = columns[col][target - base]
-        if self._member_write(col, target, _xor(current, delta)):
-            report.repaired.append((col, target))
+        if self._repair(col, target, _xor(current, delta), report):
             self._emit(ArrayRecoveryEvent(
                 Severity.INFO, self._source(), "scrub-repair",
                 f"stripe {unit}: corrupt block healed on member {col}",
                 member=col))
-        else:
-            report.unrepairable.append((col, target))
 
 
 #: Geometry registry for declarative construction (adapters, CLI).

@@ -22,7 +22,6 @@ from repro.redundancy import (
     GEOMETRIES,
     MirrorDevice,
     RDPDevice,
-    ScrubSchedule,
     StripeParityDevice,
     make_array,
 )
@@ -47,11 +46,22 @@ def _assert_contents(array, salt: int = 0):
 
 DEFAULT_MEMBERS = {"mirror": 2, "parity": 4, "rdp": 5}
 
+#: The four array shapes the fleet matrix runs.
+FOUR_GEOMETRIES = [("mirror", 2), ("mirror", 3), ("parity", 4), ("rdp", 5)]
+
 
 @pytest.fixture(params=list(GEOMETRIES))
 def any_array(request):
     array = make_array(request.param, NUM_BLOCKS, BS,
                        members=DEFAULT_MEMBERS[request.param])
+    array.events = EventLog()
+    return array
+
+
+@pytest.fixture(params=FOUR_GEOMETRIES, ids=lambda g: f"{g[0]}{g[1]}")
+def each_array(request):
+    geometry, members = request.param
+    array = make_array(geometry, NUM_BLOCKS, BS, members=members)
     array.events = EventLog()
     return array
 
@@ -103,6 +113,20 @@ class TestIO:
             any_array.read_block(NUM_BLOCKS)
         with pytest.raises(OutOfRangeError):
             any_array.write_block(-1, b"\0" * BS)
+
+    @pytest.mark.parametrize("geometry,members", FOUR_GEOMETRIES)
+    def test_peek_view_checks_the_logical_range(self, geometry, members):
+        # 10 logical blocks leave padding slots in the last parity / RDP
+        # stripe; peek_view used to hand those out, or fail naming a
+        # *member* block.
+        array = make_array(geometry, 10, BS, members=members)
+        for block in (-1, 10, 12, 15, 10 ** 6):
+            with pytest.raises(OutOfRangeError) as peeked:
+                array.peek(block)
+            with pytest.raises(OutOfRangeError) as viewed:
+                array.peek_view(block)
+            assert str(viewed.value) == str(peeked.value)
+        assert bytes(array.peek_view(9)) == array.peek(9)
 
     def test_wrong_block_size_rejected(self, any_array):
         with pytest.raises(ValueError):
@@ -258,20 +282,60 @@ class TestScrub:
         assert array.members[m].disk.peek(mb) == _payload(11)
         _assert_contents(array)
 
-    def test_scheduled_scrub_fires_incrementally(self, any_array):
-        _fill(any_array)
-        seen = []
-        any_array.set_scrub_schedule(
-            every_ops=4, units_per_step=2, hook=seen.append)
-        for _ in range(4 * any_array.scrub_units):
-            any_array.read_block(0)
-        assert seen
-        assert any_array.scrub_passes >= 1
-        any_array.set_scrub_schedule(None)
-        before = len(seen)
-        for _ in range(16):
-            any_array.read_block(0)
-        assert len(seen) == before
+
+class TestScrubStep:
+    """``scrub_step`` is the one incremental-scrub primitive; whoever
+    owns the cadence calls it."""
+
+    def test_partial_progress_across_calls(self, each_array):
+        _fill(each_array)
+        total = each_array.scrub_units
+        assert total > 2
+        first = each_array.scrub_step(2)
+        assert first.units_scanned == 2
+        assert each_array.scrub_cursor == 2
+        second = each_array.scrub_step(1)
+        assert second.units_scanned == 1
+        assert each_array.scrub_cursor == 3 % total
+        assert each_array.scrub_passes == (1 if total == 3 else 0)
+
+    def test_cursor_wraps_after_one_pass(self, each_array):
+        _fill(each_array)
+        total = each_array.scrub_units
+        steps = scanned = 0
+        while True:
+            report = each_array.scrub_step(5)
+            steps += 1
+            scanned += report.units_scanned
+            if each_array.scrub_cursor == 0:
+                break
+            assert each_array.scrub_passes == 0
+        assert scanned == total
+        assert steps == -(-total // 5)  # ceil division
+        assert each_array.scrub_passes == 1
+        completions = [e for e in each_array.events.of_type(ArrayPolicyEvent)
+                       if e.tag == "scrub-complete"]
+        assert len(completions) == 1
+
+    def test_full_pass_when_units_cover_the_rest(self, each_array):
+        _fill(each_array)
+        total = each_array.scrub_units
+        each_array.scrub_step(1)
+        report = each_array.scrub_step(total)  # more than is left
+        assert report.units_scanned == total - 1
+        assert each_array.scrub_cursor == 0
+        assert each_array.scrub_passes == 1
+        whole = each_array.scrub_step(total)
+        assert whole.units_scanned == total
+        assert whole.blocks_scanned == sum(
+            member.disk.num_blocks for member in each_array.members)
+        assert each_array.scrub_passes == 2
+
+    @pytest.mark.parametrize("units", [0, -3])
+    def test_a_step_advances_at_least_one_unit(self, each_array, units):
+        with pytest.raises(ValueError):
+            each_array.scrub_step(units)
+        assert each_array.scrub_cursor == 0
 
 
 class TestSnapshotRestore:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fleet.rates import FaultRates, ZERO_RATES
-from repro.fleet.sim import IntervalScrubScheduler, run_trial
+from repro.fleet.sim import run_trial
 from repro.fleet.spec import (
     CROSSCHECK_GEOMETRY,
     CROSSCHECK_POLICY,
@@ -160,51 +160,6 @@ class TestCrosscheckCell:
         assert out.counters.get("lse", 0) == 0
         assert out.counters.get("corruptions", 0) == 0
         assert out.counters.get("scrub_ticks", 0) == 0
-
-
-class TestIntervalScrubScheduler:
-    def _array(self):
-        array = make_array("mirror", 16, 512, members=2)
-        for b in range(16):
-            array.write_block(b, bytes([b]) * 512)
-        return array
-
-    def test_partial_progress_across_ticks(self):
-        array = self._array()
-        sched = IntervalScrubScheduler(array, interval_hours=10.0,
-                                       units_per_tick=5)
-        total = array.scrub_units
-        assert not sched.due(9.9)
-        assert sched.tick(9.9) is None
-        report = sched.tick(10.0)
-        assert report is not None and report.units_scanned == 5
-        assert array.scrub_cursor == 5
-        # A pass completes only once the cursor wraps to zero.
-        ticks = 1
-        while array.scrub_cursor != 0:
-            assert sched.tick(10.0 * (ticks + 1)) is not None
-            ticks += 1
-        assert sched.passes_completed == 1
-        assert sched.units_scanned == total
-        assert ticks == -(-total // 5)  # ceil division
-
-    def test_full_pass_when_units_zero(self):
-        array = self._array()
-        sched = IntervalScrubScheduler(array, interval_hours=24.0)
-        report = sched.tick(24.0)
-        assert report.units_scanned == array.scrub_units
-        assert array.scrub_cursor == 0
-        assert sched.passes_completed == 1
-
-    def test_disabled_when_interval_zero(self):
-        array = self._array()
-        sched = IntervalScrubScheduler(array, interval_hours=0.0)
-        assert not sched.enabled
-        assert sched.tick(1e9) is None
-
-    def test_negative_interval_rejected(self):
-        with pytest.raises(ValueError):
-            IntervalScrubScheduler(self._array(), interval_hours=-1.0)
 
 
 class TestFlightRecorder:
