@@ -16,6 +16,14 @@ override no longer exists, or when ``base.py`` does not define each
 name exactly once.  What a file system *may* define is the primitive
 protocol and the policy hooks documented on ``JournaledFS``.
 
+The same rule holds one level down, for the arrays: ``ArrayDevice``
+(``src/repro/redundancy/array.py``) holds the logical I/O, scrub,
+rebuild, snapshot and recovery bodies once, over the per-geometry
+hooks its docstring lists.  ``perf/trace.py`` wraps
+``vars(ArrayDevice)[name]`` for the public ones, so a geometry that
+redefined one would run untraced — and one that moved out of
+``ArrayDevice`` would break the traced benchmark pass.
+
 It then prints the source-line count (``wc -l``) of every package under
 ``src/repro``, so each CI run records how large the tree is; ``--loc-out
 PATH`` also writes the table to a file for upload as an artifact.
@@ -59,6 +67,17 @@ ALLOWED_OVERRIDES = frozenset({
 })
 
 
+ARRAY_MODULE = ROOT / "src" / "repro" / "redundancy" / "array.py"
+
+#: Defined by ``ArrayDevice`` exactly once and by no other class in the
+#: module: what ``perf/trace.py`` patches, plus the two recovery bodies
+#: written over the geometries' ``_recover``.
+ARRAY_GENERIC = frozenset({
+    "read_block", "write_block", "scrub", "scrub_step", "rebuild_member",
+    "snapshot", "restore", "_reconstruct", "_peek_logical",
+})
+
+
 def class_methods(path: Path):
     """Yield ``(class name, method name, line)`` for every method in *path*."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -90,6 +109,24 @@ def lint() -> list[str]:
     problems.extend(f"tools/lint_generic_ops.py: allowed override {cls}.{name} "
                     "does not exist; drop it from ALLOWED_OVERRIDES"
                     for cls, name in sorted(unused))
+    return problems + lint_arrays()
+
+
+def lint_arrays() -> list[str]:
+    problems = []
+    where = ARRAY_MODULE.relative_to(ROOT)
+    methods = list(class_methods(ARRAY_MODULE))
+    generic = [name for cls, name, _ in methods if cls == "ArrayDevice"]
+    for op in sorted(ARRAY_GENERIC):
+        if generic.count(op) != 1:
+            problems.append(
+                f"{where}: ArrayDevice.{op} defined {generic.count(op)} "
+                "times, expected exactly once")
+    problems.extend(
+        f"{where}:{line}: {cls}.{name} redefines a generic array op; "
+        "implement a geometry hook instead (see ArrayDevice)"
+        for cls, name, line in methods
+        if cls != "ArrayDevice" and name in ARRAY_GENERIC)
     return problems
 
 
@@ -124,7 +161,7 @@ def main(argv=None) -> int:
     if problems:
         print(f"{len(problems)} generic-op violation(s)", file=sys.stderr)
         return 1
-    print("generic ops: each defined once, in JournaledFS")
+    print("generic ops: each defined once, in JournaledFS and ArrayDevice")
     return 0
 
 
