@@ -608,13 +608,12 @@ class ArrayDevice(DirtyDelta):
 
     def _peek_logical(self, block: int) -> bytes:
         m, mb = self._locate(block)
-        data = self._member_peek(m, mb)
-        if data is None:
+        if not self._trusted(m, mb):
             data = self._recover(m, mb, self._member_peek, None)
-        if data is None:
-            # Nothing better to show than what the member holds.
-            data = self.members[m].disk.peek(mb)
-        return data
+            if data is not None:
+                return data
+        # Trusted — or nothing better to show than what the member holds.
+        return self.members[m].disk.peek(mb)
 
     def _write_logical(self, block: int, data: bytes) -> None:
         raise NotImplementedError
