@@ -14,6 +14,7 @@ Run:  python examples/mail_server_survival.py
 import random
 
 from repro.common.errors import FSError
+from repro.common.rng import random_bytes
 from repro.disk import (
     CorruptionMode,
     Fault,
@@ -60,7 +61,7 @@ def main() -> None:
         for _ in range(MAILS_PER_ROUND):
             mid = f"msg{delivered:04d}"
             body = (f"From: sender{delivered}\n\n".encode()
-                    + bytes(RNG.randrange(256) for _ in range(RNG.randrange(400, 3000))))
+                    + random_bytes(RNG, RNG.randrange(400, 3000)))
             fs.write_file(f"/spool/{mid}", body)
             mailbox[mid] = body
             delivered += 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from repro.common.rng import stream as _seeded_stream
+from repro.common.rng import random_bytes, stream as _seeded_stream
 from repro.vfs.api import FileSystem
 from repro.vfs.fdtable import O_RDONLY, O_RDWR, O_WRONLY
 
@@ -80,7 +80,7 @@ def ssh_build(fs: FileSystem, scale: BenchScale, seed: int = 1) -> None:
     for i in range(scale.ssh_sources):
         d = i % scale.ssh_dirs
         path = f"/ssh/dir{d}/src{i}.c"
-        body = bytes(rng.randrange(256) for _ in range(scale.ssh_source_size))
+        body = random_bytes(rng, scale.ssh_source_size)
         fs.write_file(path, body)
         sources.append(path)
     # Configure: probe headers (reads) and write small config outputs.
@@ -96,7 +96,7 @@ def ssh_build(fs: FileSystem, scale: BenchScale, seed: int = 1) -> None:
         fs.read_file(sources[i % len(sources)])
         _compute(fs, scale.ssh_compile_cpu_s)  # the compiler runs
         obj = f"/ssh/dir{i % scale.ssh_dirs}/obj{i}.o"
-        fs.write_file(obj, bytes(rng.randrange(256) for _ in range(scale.ssh_object_size)))
+        fs.write_file(obj, random_bytes(rng, scale.ssh_object_size))
         objects.append(obj)
     linked = bytearray()
     for obj in objects:
@@ -109,7 +109,7 @@ def web_server_setup(fs: FileSystem, scale: BenchScale, seed: int = 2) -> None:
     rng = _seeded_stream(seed)
     fs.mkdir("/htdocs")
     for i in range(scale.web_files):
-        body = bytes(rng.randrange(256) for _ in range(scale.web_file_size))
+        body = random_bytes(rng, scale.web_file_size)
         fs.write_file(f"/htdocs/page{i}.html", body)
     fs.sync()
 
@@ -140,7 +140,7 @@ def postmark(fs: FileSystem, scale: BenchScale, seed: int = 4) -> None:
         path = f"/pm{d}/file{serial}"
         serial += 1
         size = rng.randrange(scale.post_min_size, scale.post_max_size)
-        fs.write_file(path, bytes(rng.randrange(256) for _ in range(size)))
+        fs.write_file(path, random_bytes(rng, size))
         live[path] = size
 
     for _ in range(scale.post_files):
@@ -159,13 +159,17 @@ def postmark(fs: FileSystem, scale: BenchScale, seed: int = 4) -> None:
         else:
             path = rng.choice(sorted(live))
             fd = fs.open(path, O_WRONLY)
-            append = bytes(rng.randrange(256) for _ in range(256))
+            append = random_bytes(rng, 256)
             fs.write(fd, append, offset=live[path])
             fs.close(fd)
             live[path] += 256
     for path in sorted(live):
         fs.unlink(path)
     fs.sync()
+
+
+#: TPC-B's "update": every byte of a 64-byte record plus one, mod 256.
+_INCREMENT = bytes((b + 1) % 256 for b in range(256))
 
 
 def tpcb(fs: FileSystem, scale: BenchScale, seed: int = 5) -> None:
@@ -183,7 +187,7 @@ def tpcb(fs: FileSystem, scale: BenchScale, seed: int = 5) -> None:
         for _ in range(3):
             blk = rng.randrange(scale.tpcb_accounts_blocks)
             old = fs.read(acct_fd, 64, offset=blk * bs)
-            record = bytes((b + 1) % 256 for b in old.ljust(64, b"\x00"))
+            record = old.ljust(64, b"\x00").translate(_INCREMENT)
             fs.write(acct_fd, record, offset=blk * bs)
         entry = f"txn {txn:08d} commit\n".encode()
         fs.write(hist_fd, entry, offset=hist_off)

@@ -45,40 +45,53 @@ class Bitmap:
         self._bytes[i >> 3] &= ~(1 << (i & 7)) & 0xFF
 
     # -- bulk operations --------------------------------------------------
+    #
+    # Each is one wide-integer operation over the whole image (bit *i*
+    # of the integer is bit *i* of the map), never a loop over bits.
+
+    def _free(self, start: int) -> int:
+        """The clear bits at or after *start*, shifted down to bit 0;
+        padding bits past ``nbits`` never count as free."""
+        if start < 0:
+            self._check(start)
+        used = int.from_bytes(self._bytes, "little")
+        return (~used & ((1 << self.nbits) - 1)) >> start
+
+    @staticmethod
+    def _lowest(bits: int, start: int) -> Optional[int]:
+        """*start* plus the index of the lowest set bit, ``None`` for 0."""
+        return start + (bits & -bits).bit_length() - 1 if bits else None
 
     def find_free(self, start: int = 0) -> Optional[int]:
         """First clear bit at or after *start*, or ``None`` if full."""
-        for i in range(start, self.nbits):
-            if not self.test(i):
-                return i
-        return None
+        return self._lowest(self._free(start), start)
 
     def find_free_run(self, length: int, start: int = 0) -> Optional[int]:
-        """First run of *length* clear bits, or ``None``."""
-        run = 0
-        for i in range(start, self.nbits):
-            run = run + 1 if not self.test(i) else 0
-            if run == length:
-                return i - length + 1
-        return None
+        """First run of *length* clear bits at or after *start*, or
+        ``None``."""
+        if length < 1:
+            raise ValueError("run length must be at least 1")
+        # After folding, bit i is set iff bits i .. i+length-1 are free.
+        runs = self._free(start)
+        have = 1
+        while have < length and runs:
+            step = min(have, length - have)
+            runs &= runs >> step
+            have += step
+        return self._lowest(runs, start)
 
     def count_set(self) -> int:
-        total = 0
-        full_bytes, rem = divmod(self.nbits, 8)
-        for b in self._bytes[:full_bytes]:
-            total += bin(b).count("1")
-        if rem:
-            mask = (1 << rem) - 1
-            total += bin(self._bytes[full_bytes] & mask).count("1")
-        return total
+        return self.nbits - self.count_free()
 
     def count_free(self) -> int:
-        return self.nbits - self.count_set()
+        return bin(self._free(0)).count("1")
 
     def iter_set(self) -> Iterator[int]:
-        for i in range(self.nbits):
-            if self.test(i):
-                yield i
+        free = format(self._free(0), "b").zfill(self.nbits)[::-1]  # bit 0 first
+        i = free.find("0")
+        while i >= 0:
+            yield i
+            i = free.find("0", i + 1)
 
     # -- serialization -----------------------------------------------------
 

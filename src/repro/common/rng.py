@@ -80,4 +80,36 @@ def spawn_seeds(root: int, n: int, *names: Name) -> List[int]:
     return [derive_seed(root, *names, i) for i in range(n)]
 
 
-__all__ = ["derive_seed", "spawn_seeds", "stream", "SEED_BITS"]
+#: The nine bits of one ``randrange(256)`` try within its 32-bit word.
+_TRY_BITS = b"\xff\x01\x00\x00"
+
+
+def random_bytes(rng: random.Random, n: int) -> bytes:
+    """*n* bytes, exactly ``bytes(rng.randrange(256) for _ in range(n))``.
+
+    ``randrange(256)`` draws ``getrandbits(9)`` until the value is below
+    256, and each try is the top nine bits of one 32-bit generator word.
+    ``getrandbits(32 * k)`` is the same *k* words, first draw least
+    significant, so one bulk draw shifted right by 23 and masked holds
+    try *i* as the little-endian 32-bit value at byte ``4 * i``.  Read as
+    UTF-32 that is one code point (0..511) per try, and encoding to
+    Latin-1 with ``"ignore"`` keeps exactly the tries below 256, in
+    order, without a Python-level step per byte.
+
+    Each round draws no more words than bytes are still missing, so the
+    last word drawn is the one the per-byte loop would have accepted
+    last and *rng* is left in the same state: payload call sites can use
+    this between ``randrange``/``choice`` draws without moving any later
+    draw.  (``Random.randbytes`` is a different stream.)
+    """
+    out = b""
+    while len(out) < n:
+        k = n - len(out)
+        tries = ((rng.getrandbits(32 * k) >> 23)
+                 & int.from_bytes(_TRY_BITS * k, "little"))
+        out += (tries.to_bytes(4 * k, "little")
+                .decode("utf-32-le").encode("latin-1", "ignore"))
+    return out
+
+
+__all__ = ["derive_seed", "random_bytes", "spawn_seeds", "stream", "SEED_BITS"]

@@ -17,14 +17,11 @@ from repro.common import rng
 
 #: Memoized noise blocks, keyed by (seed, length).  NOISE corruption is
 #: a pure function of the fault's seed and the payload length — the
-#: stream is ``random.Random(seed).randrange(256)`` per byte — so the
-#: bytes are computed once and reused across every cell that arms the
-#: same fault shape.  The generator below reproduces CPython's
-#: ``randrange(256)`` exactly (``_randbelow_with_getrandbits``: draw
-#: ``bit_length(256) == 9`` bits, reject values >= 256) without the
-#: per-byte wrapper overhead; equality with the reference stream is
-#: pinned by a unit test.  Seeding routes through ``repro.common.rng``
-#: (the no-name form is the legacy ``random.Random(seed)`` exactly).
+#: stream is ``random.Random(seed).randrange(256)`` per byte, which
+#: ``rng.random_bytes`` reproduces — so the bytes are computed once and
+#: reused across every cell that arms the same fault shape.  Seeding
+#: routes through ``repro.common.rng`` (the no-name form is the legacy
+#: ``random.Random(seed)`` exactly).
 _NOISE_CACHE: Dict[Tuple[int, int], bytes] = {}
 
 
@@ -32,14 +29,7 @@ def _noise(seed: int, n: int) -> bytes:
     key = (seed, n)
     cached = _NOISE_CACHE.get(key)
     if cached is None:
-        getrandbits = rng.stream(seed).getrandbits
-        out = bytearray(n)
-        for i in range(n):
-            r = getrandbits(9)
-            while r >= 256:
-                r = getrandbits(9)
-            out[i] = r
-        cached = _NOISE_CACHE[key] = bytes(out)
+        cached = _NOISE_CACHE[key] = rng.random_bytes(rng.stream(seed), n)
     return cached
 
 

@@ -482,8 +482,7 @@ class _Trial:
         self._clock(t, "corrupt-arrival",
                     f"silent corruption on member {member} block {block}",
                     member=member, block=block)
-        noise = bytes(self._noise.randrange(256)
-                      for _ in range(self.spec.block_size))
+        noise = rng_mod.random_bytes(self._noise, self.spec.block_size)
         # Below the injector, no error code: the definition of silent.
         disk.poke(block, noise)
         self._corrupt.add((member, block))

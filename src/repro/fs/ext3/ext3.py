@@ -29,6 +29,7 @@ import stat as _stat
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.bitmap import Bitmap
 from repro.common.errors import (
     CorruptionDetected,
     DiskError,
@@ -484,7 +485,6 @@ class Ext3(JournaledFS):
         for g in self._group_order(hint_group):
             bmp_block = cfg.inode_bitmap_block(g)
             raw = self._meta_bread(bmp_block, modifying=True)
-            from repro.common.bitmap import Bitmap
             bmp = Bitmap(cfg.inodes_per_group, raw)
             bit = bmp.find_free()
             if bit is None:
@@ -508,7 +508,6 @@ class Ext3(JournaledFS):
         bit = (ino - 1) % cfg.inodes_per_group
         bmp_block = cfg.inode_bitmap_block(g)
         raw = self._meta_bread(bmp_block, modifying=True)
-        from repro.common.bitmap import Bitmap
         bmp = Bitmap(cfg.inodes_per_group, raw)
         if bmp.test(bit):
             bmp.clear(bit)
@@ -525,7 +524,6 @@ class Ext3(JournaledFS):
         for g in self._group_order(hint_group):
             bmp_block = cfg.block_bitmap_block(g)
             raw = self._meta_bread(bmp_block, modifying=True)
-            from repro.common.bitmap import Bitmap
             bmp = Bitmap(cfg.data_blocks_per_group, raw)
             bit = bmp.find_free()
             if bit is None:
@@ -552,7 +550,6 @@ class Ext3(JournaledFS):
             return
         bmp_block = cfg.block_bitmap_block(g)
         raw = self._meta_bread(bmp_block, modifying=True)
-        from repro.common.bitmap import Bitmap
         bmp = Bitmap(cfg.data_blocks_per_group, raw)
         if bmp.test(bit):
             bmp.clear(bit)

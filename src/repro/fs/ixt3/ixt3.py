@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional
 
 from repro.common.errors import CorruptionDetected, DiskError, Errno, FSError
+from repro.common.xor import xor_all
 from repro.fs.ext3.ext3 import Ext3, _static_types_ext3
 from repro.fs.ext3.structures import (
     FEAT_DATA_CSUM,
@@ -284,16 +285,13 @@ class Ixt3(Ext3):
     def _reconstruct_from_parity(self, inode: Inode, skip_block: int) -> Optional[bytes]:
         """XOR the parity block with every other data block of the file."""
         bs = self.block_size
-        acc = bytearray(bs)
         try:
-            parity = self._plain_bread(inode.parity_block)
+            blocks = [self._plain_bread(inode.parity_block)]
         except DiskError as exc:
             self.syslog.detection(self.name, "read-error",
                                   f"parity read failed: {exc}",
                                   mechanism="error-code", block=inode.parity_block)
             return None
-        for i in range(bs):
-            acc[i] ^= parity[i]
         nblocks = (inode.size + bs - 1) // bs
         for fb in range(nblocks):
             try:
@@ -303,13 +301,11 @@ class Ixt3(Ext3):
             if bno == 0 or bno == skip_block:
                 continue
             try:
-                data = self._plain_bread(bno)
+                blocks.append(self._plain_bread(bno))
             except DiskError:
                 # Parity tolerates exactly one lost block per file.
                 return None
-            for i in range(bs):
-                acc[i] ^= data[i]
-        return bytes(acc)
+        return xor_all(blocks)
 
     # ==================================================================
     # Parity maintenance (Dp)
@@ -341,16 +337,14 @@ class Ixt3(Ext3):
             except DiskError:
                 old = b"\x00" * bs
         try:
-            parity = bytearray(self._plain_bread(inode.parity_block))
+            parity = self._plain_bread(inode.parity_block)
         except DiskError as exc:
             self.syslog.detection(self.name, "read-error",
                                   f"parity read failed during update: {exc}",
                                   mechanism="error-code", block=inode.parity_block)
             self._abort_journal()
             raise FSError(Errno.EIO, "cannot update parity") from exc
-        for i in range(bs):
-            parity[i] ^= old[i] ^ new_payload[i]
-        frozen = bytes(parity)
+        frozen = xor_all((parity, old, new_payload))
         # Parity goes out with the ordered data writes; the elevator
         # batches all parity updates of a transaction into one pass.
         self.journal.add_ordered(inode.parity_block, frozen)
@@ -369,7 +363,7 @@ class Ixt3(Ext3):
         # Parity covers the remaining blocks; recompute it.
         if self.data_parity and inode.parity_block and kind == "data":
             bs = self.block_size
-            acc = bytearray(bs)
+            blocks = [b"\x00" * bs]
             nblocks = (new_size + bs - 1) // bs
             intact = True
             for fb in range(nblocks):
@@ -377,14 +371,12 @@ class Ixt3(Ext3):
                 if bno == 0:
                     continue
                 try:
-                    data = self._plain_bread(bno)
+                    blocks.append(self._plain_bread(bno))
                 except DiskError:
                     intact = False
                     break
-                for i in range(bs):
-                    acc[i] ^= data[i]
             if intact:
-                frozen = bytes(acc)
+                frozen = xor_all(blocks)
                 self.journal.add_ordered(inode.parity_block, frozen)
                 self._on_block_contents_change(inode.parity_block, frozen, "data")
 
@@ -465,18 +457,16 @@ class Ixt3(Ext3):
             if not inode.is_allocated or inode.parity_block != block:
                 continue
             bs = self.block_size
-            acc = bytearray(bs)
+            blocks = [b"\x00" * bs]
             for fb in range((inode.size + bs - 1) // bs):
                 try:
                     bno, _ = self._bmap(inode, fb, allocate=False)
                     if bno == 0:
                         continue
-                    data = self._plain_bread(bno)
+                    blocks.append(self._plain_bread(bno))
                 except (FSError, DiskError):
                     return None  # cannot rebuild with a second failure
-                for i in range(bs):
-                    acc[i] ^= data[i]
-            frozen = bytes(acc)
+            frozen = xor_all(blocks)
             self.journal.add_ordered(block, frozen)
             self._on_block_contents_change(block, frozen, "data")
             return frozen

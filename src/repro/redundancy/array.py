@@ -49,6 +49,7 @@ from typing import (
 )
 
 from repro.common.errors import OutOfRangeError, ReadError, WriteError
+from repro.common.xor import xor, xor_all
 from repro.disk.disk import (
     DirtyDelta, DiskStats, SimulatedDisk, SlabImage, make_disk,
 )
@@ -62,7 +63,7 @@ from repro.obs.events import (
     Severity,
     StorageEvent,
 )
-from repro.redundancy.rdp import RDPStripe, _xor, _xor_all
+from repro.redundancy.rdp import RDPStripe
 
 #: How a recovery path reads a peer: ``read(member, member_block,
 #: logical)`` -> contents, or None for a cell that is not to be had.
@@ -1033,7 +1034,7 @@ class StripeParityDevice(ArrayDevice):
                 data = read(other, mb, logical)
                 if data is None:
                     return None
-                acc = _xor(acc, data)
+                acc = xor(acc, data)
         return acc
 
     def _member_peek(self, m: int, mb: int,
@@ -1051,7 +1052,7 @@ class StripeParityDevice(ArrayDevice):
         old = self._member_read(dm, stripe, logical=block)
         old_parity = self._member_read(pm, stripe, logical=block)
         if old is not None and old_parity is not None:
-            new_parity: Optional[bytes] = _xor(_xor(old_parity, old), data)
+            new_parity: Optional[bytes] = xor(xor(old_parity, old), data)
         else:
             # Reconstruct-write: parity = new data XOR surviving peers.
             acc: Optional[bytes] = data
@@ -1062,7 +1063,7 @@ class StripeParityDevice(ArrayDevice):
                 if peer is None:
                     acc = None
                     break
-                acc = _xor(acc, peer)
+                acc = xor(acc, peer)
             new_parity = acc
         wrote_data = self._member_write(dm, stripe, data)
         wrote_parity = (new_parity is not None
@@ -1087,7 +1088,7 @@ class StripeParityDevice(ArrayDevice):
         for other in range(len(self.members)):
             if other == pm:
                 continue
-            acc = _xor(acc, self.members[other].disk.peek(stripe))
+            acc = xor(acc, self.members[other].disk.peek(stripe))
         self.members[pm].disk.poke(stripe, acc)
         self._suspect.discard((pm, stripe))
 
@@ -1103,14 +1104,14 @@ class StripeParityDevice(ArrayDevice):
         run = range(start, start + n)
         columns = [self.members[m].device.read_blocks(run) for m in others]
         self.members[index].device.write_blocks(
-            run, [_xor_all(cells) for cells in zip(*columns)])
+            run, [xor_all(cells) for cells in zip(*columns)])
         self._trust(index, run)
         return n
 
     def _consistent_units(self, start: int, limit: int) -> int:
         disks = [member.disk for member in self.members]
         for unit in range(start, start + limit):
-            if _xor_all([disk.peek(unit) for disk in disks]) != self._zero:
+            if xor_all([disk.peek(unit) for disk in disks]) != self._zero:
                 return unit - start
         return limit
 
@@ -1120,7 +1121,7 @@ class StripeParityDevice(ArrayDevice):
             for m in missing:
                 report.unrepairable.append((m, unit))
             return
-        acc = _xor_all([cells[0] for cells in columns if cells is not None])
+        acc = xor_all([cells[0] for cells in columns if cells is not None])
         if missing:
             m = missing[0]
             if self._repair(m, unit, acc, report):
@@ -1223,14 +1224,14 @@ class RDPDevice(ArrayDevice):
         if old is None:
             self._full_stripe_write(block, stripe, row, col, data)
             return
-        delta = _xor(old, data)
+        delta = xor(old, data)
         row_parity = self._member_read(self._row_parity, mb, logical=block)
         if row_parity is None:
             self._full_stripe_write(block, stripe, row, col, data)
             return
         updates: List[Tuple[int, int, bytes]] = [
             (col, mb, data),
-            (self._row_parity, mb, _xor(row_parity, delta)),
+            (self._row_parity, mb, xor(row_parity, delta)),
         ]
         base = stripe * self.rows
         for d in ((row + col) % self.p, (row + self._row_parity) % self.p):
@@ -1240,7 +1241,7 @@ class RDPDevice(ArrayDevice):
             if diag is None:
                 self._full_stripe_write(block, stripe, row, col, data)
                 return
-            updates.append((self._diag_parity, base + d, _xor(diag, delta)))
+            updates.append((self._diag_parity, base + d, xor(diag, delta)))
         landed = sum(1 for m, target, payload in updates
                      if self._member_write(m, target, payload))
         if landed == 0:
@@ -1282,7 +1283,7 @@ class RDPDevice(ArrayDevice):
         # inconsistency in its row/diagonals.
         acc = self._zero
         for c in range(self.rows):  # data columns 0..p-2
-            acc = _xor(acc, self.members[c].disk.peek(mb))
+            acc = xor(acc, self.members[c].disk.peek(mb))
         self.members[self._row_parity].disk.poke(mb, acc)
         self._suspect.discard((self._row_parity, mb))
         for d in ((row + col) % self.p, (row + self._row_parity) % self.p):
@@ -1292,7 +1293,7 @@ class RDPDevice(ArrayDevice):
             for c in range(self.p):  # data + row-parity columns
                 r = (d - c) % self.p
                 if r <= self.rows - 1:
-                    acc = _xor(acc, self.members[c].disk.peek(base + r))
+                    acc = xor(acc, self.members[c].disk.peek(base + r))
             self.members[self._diag_parity].disk.poke(base + d, acc)
             self._suspect.discard((self._diag_parity, base + d))
 
@@ -1363,7 +1364,7 @@ class RDPDevice(ArrayDevice):
         report.corruptions.append((col, target))
         self._detect(col, target, "member-mismatch", mechanism="redundancy")
         current = columns[col][target - base]
-        if self._repair(col, target, _xor(current, delta), report):
+        if self._repair(col, target, xor(current, delta), report):
             self._emit(ArrayRecoveryEvent(
                 Severity.INFO, self._source(), "scrub-repair",
                 f"stripe {unit}: corrupt block healed on member {col}",

@@ -32,28 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings.
-
-    This is the inner loop of every parity and reconstruction
-    operation, so it runs as one wide integer XOR instead of a Python
-    byte loop (~2 orders of magnitude on 4 KiB blocks; equivalence is
-    pinned by a property test against the byte-by-byte form).
-    """
-    n = len(a)
-    if len(b) != n:
-        raise ValueError("xor operands must have equal length")
-    return (int.from_bytes(a, "little")
-            ^ int.from_bytes(b, "little")).to_bytes(n, "little")
-
-
-def _xor_all(blocks: Sequence[bytes]) -> bytes:
-    """XOR of any number of equal-length byte strings (at least one)."""
-    acc = 0
-    for block in blocks:
-        acc ^= int.from_bytes(block, "little")
-    return acc.to_bytes(len(blocks[0]), "little")
+from repro.common.xor import xor
 
 
 def is_prime(n: int) -> bool:
@@ -245,7 +224,7 @@ class RDPStripe:
                     for c in range(p):
                         if (r, c) == holes[0]:
                             continue
-                        acc = _xor(acc, grid[(r, c)])  # type: ignore[arg-type]
+                        acc = xor(acc, grid[(r, c)])  # type: ignore[arg-type]
                     grid[holes[0]] = acc
                     unknown.remove(holes[0])
                     progress = True
@@ -259,7 +238,7 @@ class RDPStripe:
                     for cell in cells:
                         if cell == holes[0]:
                             continue
-                        acc = _xor(acc, grid[cell])  # type: ignore[arg-type]
+                        acc = xor(acc, grid[cell])  # type: ignore[arg-type]
                     grid[holes[0]] = acc
                     unknown.remove(holes[0])
                     progress = True

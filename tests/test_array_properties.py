@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.redundancy import make_array
-from repro.redundancy.rdp import _xor
+from repro.common.xor import xor, xor_all
 
 NUM_BLOCKS = 24
 BS = 512
@@ -100,15 +100,26 @@ class TestXor:
     def test_wide_xor_matches_bytewise(self, n, data):
         a = data.draw(st.binary(min_size=n, max_size=n))
         b = data.draw(st.binary(min_size=n, max_size=n))
-        assert _xor(a, b) == _xor_reference(a, b)
+        assert xor(a, b) == _xor_reference(a, b)
 
     @given(st.binary(min_size=1, max_size=64))
     @settings(max_examples=50, deadline=None)
     def test_xor_identities(self, a):
         zero = bytes(len(a))
-        assert _xor(a, a) == zero
-        assert _xor(a, zero) == a
+        assert xor(a, a) == zero
+        assert xor(a, zero) == a
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=1024),
+           st.integers(min_value=1, max_value=6), st.data())
+    def test_wide_xor_all_matches_bytewise(self, n, count, data):
+        blocks = [data.draw(st.binary(min_size=n, max_size=n))
+                  for _ in range(count)]
+        expected = bytes(n)
+        for block in blocks:
+            expected = _xor_reference(expected, block)
+        assert xor_all(blocks) == expected
 
     def test_xor_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            _xor(b"ab", b"abc")
+            xor(b"ab", b"abc")

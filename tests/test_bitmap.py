@@ -1,7 +1,7 @@
 """Unit and property tests for the shared Bitmap structure."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.bitmap import Bitmap
 
@@ -142,3 +142,74 @@ def test_property_find_free_is_really_free(bits, start):
         assert free >= start
         assert not bmp.test(free)
         assert all(bmp.test(i) for i in range(start, free))
+
+
+# -- bulk operations against a bit-by-bit reference ---------------------------
+
+
+def _ref_find_free(bmp, start):
+    for i in range(start, bmp.nbits):
+        if not bmp.test(i):
+            return i
+    return None
+
+
+def _ref_find_free_run(bmp, length, start):
+    run = 0
+    for i in range(start, bmp.nbits):
+        run = run + 1 if not bmp.test(i) else 0
+        if run == length:
+            return i - length + 1
+    return None
+
+
+@st.composite
+def _images(draw):
+    """A bitmap over a raw image: any size, garbage in the padding bits
+    of the last byte and in the bytes after it."""
+    nbits = draw(st.integers(min_value=1, max_value=300))
+    nbytes = (nbits + 7) // 8
+    # Mostly-full and mostly-empty images as well as noise, so long runs
+    # and "no free bit" both come up.
+    fill = draw(st.sampled_from([None, 0x00, 0xFF]))
+    raw = bytearray(draw(st.binary(min_size=nbytes + 2, max_size=nbytes + 2)))
+    if fill is not None:
+        for i in draw(st.sets(st.integers(0, nbytes - 1), max_size=nbytes)):
+            raw[i] = fill
+    return Bitmap(nbits, bytes(raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_images(), st.data())
+def test_property_bulk_ops_match_bitwise_reference(bmp, data):
+    start = data.draw(st.integers(min_value=0, max_value=bmp.nbits + 20))
+    length = data.draw(st.integers(min_value=1, max_value=bmp.nbits + 2))
+    set_bits = [i for i in range(bmp.nbits) if bmp.test(i)]
+    assert bmp.find_free(start) == _ref_find_free(bmp, start)
+    assert bmp.find_free() == _ref_find_free(bmp, 0)
+    assert bmp.find_free_run(length, start) == \
+        _ref_find_free_run(bmp, length, start)
+    assert bmp.find_free_run(length) == _ref_find_free_run(bmp, length, 0)
+    assert bmp.count_set() == len(set_bits)
+    assert bmp.count_free() == bmp.nbits - len(set_bits)
+    assert list(bmp.iter_set()) == set_bits
+
+
+def test_bulk_ops_reject_bad_arguments():
+    bmp = Bitmap(13, b"\x0f\xff")
+    with pytest.raises(IndexError):
+        bmp.find_free(-1)
+    with pytest.raises(IndexError):
+        bmp.find_free_run(2, start=-1)
+    with pytest.raises(ValueError):
+        bmp.find_free_run(0)
+
+
+def test_padding_bits_are_never_free():
+    # Bits 0..12 set, padding bits 13..15 clear: still full.
+    bmp = Bitmap(13, b"\xff\x1f")
+    assert bmp.find_free() is None
+    assert bmp.find_free_run(1) is None
+    assert bmp.count_free() == 0
+    assert bmp.find_free(13) is None
+    assert bmp.find_free(10**6) is None

@@ -174,6 +174,45 @@ class TestParity:
         injector.arm(read_failure("data"))
         assert fs.read_file("/d/big") == expected
 
+    def test_parity_block_is_bytewise_xor_of_data_blocks(self):
+        """The Dp invariant itself, checked on the platter with a
+        byte-at-a-time XOR after every kind of size change."""
+        disk, _, fs = fresh(FEAT_DATA_PARITY, populate=False)
+        bs = fs.statfs().block_size
+
+        def check(*paths):
+            fs.sync()
+            for path in paths:
+                inode = fs._node_get(fs.stat(path).ino)
+                assert inode.parity_block != 0
+                expected = bytearray(bs)
+                for fb in range((inode.size + bs - 1) // bs):
+                    bno, _ = fs._bmap(inode, fb, allocate=False)
+                    if bno:
+                        data = disk.peek(bno)
+                        for i in range(bs):
+                            expected[i] ^= data[i]
+                assert disk.peek(inode.parity_block) == bytes(expected), path
+
+        fs.write_file("/a", bytes((i * 11 + 3) % 256 for i in range(9 * bs + 100)))
+        fs.write_file("/b", bytes((i * 5 + 1) % 256 for i in range(3 * bs)))
+        fs.write_file("/empty", b"")
+        check("/a", "/b", "/empty")
+        fd = fs.open("/a", 2)
+        fs.write(fd, b"OVERWRITE" * 150, offset=2 * bs + 37)   # overwrite
+        fs.write(fd, b"tail" * 300, offset=9 * bs + 100)       # append
+        fs.write(fd, b"far", offset=14 * bs + 5)               # past a hole
+        fs.close(fd)
+        check("/a", "/b")
+        fs.truncate("/a", 4 * bs + 3)
+        check("/a", "/b")
+        fs.truncate("/a", 0)
+        fs.truncate("/b", 6 * bs)                              # grow: a hole
+        check("/a", "/b")
+        fs.unlink("/b")
+        fs.write_file("/c", b"reuses the freed blocks " * 100)
+        check("/a", "/c", "/empty")
+
     def test_two_lost_blocks_not_recoverable(self):
         _, injector, fs = fresh()
         injector.arm(Fault(op=FaultOp.READ, kind=FaultKind.FAIL,

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import random
 
-from repro.common.rng import SEED_BITS, derive_seed, spawn_seeds, stream
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.rng import (
+    SEED_BITS, derive_seed, random_bytes, spawn_seeds, stream,
+)
 
 
 class TestDeriveSeed:
@@ -87,3 +92,46 @@ class TestSpawnSeeds:
     def test_all_distinct(self):
         seeds = spawn_seeds(7, 200, "trial")
         assert len(set(seeds)) == 200
+
+
+def _per_byte(rng: random.Random, n: int) -> bytes:
+    """The form every payload site used to spell out."""
+    return bytes(rng.randrange(256) for _ in range(n))
+
+
+class TestRandomBytes:
+    """``random_bytes`` is the per-byte ``randrange(256)`` stream, and
+    leaves the generator exactly where that loop leaves it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64),
+           st.integers(min_value=0, max_value=40_000))
+    def test_matches_per_byte_stream_and_state(self, seed, n):
+        wide, reference = random.Random(seed), random.Random(seed)
+        assert random_bytes(wide, n) == _per_byte(reference, n)
+        assert wide.getstate() == reference.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64),
+           st.lists(st.tuples(st.sampled_from(["bytes", "randrange", "choice"]),
+                              st.integers(min_value=1, max_value=3000)),
+                    max_size=12))
+    def test_interleaves_with_other_draws(self, seed, steps):
+        # PostMark's shape: sizes, op codes and path choices are drawn
+        # between payloads from the same generator.
+        wide, reference = random.Random(seed), random.Random(seed)
+        for kind, n in steps:
+            if kind == "bytes":
+                assert random_bytes(wide, n) == _per_byte(reference, n)
+            elif kind == "randrange":
+                assert wide.randrange(n) == reference.randrange(n)
+            else:
+                assert wide.choice(range(n)) == reference.choice(range(n))
+        assert wide.getstate() == reference.getstate()
+
+    def test_small_sizes_every_seed(self):
+        for seed in range(64):
+            for n in range(20):
+                wide, reference = random.Random(seed), random.Random(seed)
+                assert random_bytes(wide, n) == _per_byte(reference, n)
+                assert wide.getstate() == reference.getstate()
