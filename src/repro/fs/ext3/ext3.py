@@ -137,8 +137,6 @@ class Ext3(JournaledFS):
         self.config: Optional[Ext3Config] = None
         self.gdt: List[GroupDescriptor] = []
         self.journal: Optional[Journal] = None
-        self._types: Dict[int, str] = {}
-        self._jtypes: Dict[int, str] = {}
 
     # ==================================================================
     # Failure-policy hooks.  ext3's write policy is D_zero: issue the
@@ -854,80 +852,43 @@ class Ext3(JournaledFS):
     def _txn_checksum_enabled(self) -> bool:
         return False
 
-    def _rebuild_types(self) -> None:
-        """Reconstruct the dynamic block-type map by walking on-disk
-        structures out-of-band (gray-box knowledge used by the
-        fingerprinting harness; generates no device traffic).
+    def _types_key(self) -> tuple:
+        return (self.config, self.sb.ptrs_per_block)
 
-        The reconstruction is a pure function of the blocks it reads
-        (journal headers, inode tables, indirect blocks) plus the
-        geometry, so the result is memoized on the device's base
-        :class:`~repro.disk.disk.SlabImage`, keyed by the exact set of
-        blocks the walk touched *and* the contents of whichever of them
-        have been privatized since the last restore (the delta
-        fingerprint).  A later rebuild reuses an entry when the current
-        dirty-dependency contents match the entry's fingerprint exactly
-        — which covers both the clean case (hundreds of restores of one
-        golden image per fingerprint matrix, empty fingerprint) and the
-        crash-replay case, where distinct crash states recover to
-        identical journal/inode-table contents and every mount after
-        the first hits the cache.  Soundness: the walk only ever reads
-        dependency blocks, dependency-block reads determine which
-        further blocks become dependencies, and clean dependencies
-        carry immutable base-image contents — so equal fingerprints
-        imply the walk would observe identical bytes throughout.
-        """
+    def _walk_types(self, peek) -> Tuple[Dict[int, str], Dict[int, str]]:
         cfg = self.config
-        p = self.sb.ptrs_per_block if self.sb else cfg.effective_ptrs
-        raw = self._raw_disk()
-        image = getattr(raw, "base_image", None)
-        entries = None
-        if image is not None and hasattr(raw, "dirty_contents"):
-            cache_key = (type(self).__name__, cfg, p)
-            entries = image.meta.get(cache_key)
-            if entries is None:
-                entries = image.meta[cache_key] = []
-            for deps, fp, types, jtypes in reversed(entries):
-                if raw.fingerprint_matches(deps, fp):
-                    self._types = dict(types)
-                    self._jtypes = dict(jtypes)
-                    return
-        self._types = {}
-        self._jtypes = {cfg.journal_start: "j-super"}
-        deps: List[int] = []
-        peek = self._peek_view
+        p = self.sb.ptrs_per_block
         jstart = cfg.journal_start
+        types: Dict[int, str] = {}
+        jtypes = {jstart: "j-super"}
         # Journal region roles from stored headers.
         pos = 1
         while pos < cfg.journal_blocks:
-            deps.append(jstart + pos)
             raw_blk = peek(jstart + pos)
             d = parse_desc(raw_blk)
             if d is not None:
-                self._jtypes[jstart + pos] = "j-desc"
+                jtypes[jstart + pos] = "j-desc"
                 pos += 1
                 for _ in d[1]:
                     if pos >= cfg.journal_blocks:
                         break
-                    self._jtypes[jstart + pos] = "j-data"
+                    jtypes[jstart + pos] = "j-data"
                     pos += 1
                 continue
             if parse_commit(raw_blk) is not None:
-                self._jtypes[jstart + pos] = "j-commit"
+                jtypes[jstart + pos] = "j-commit"
             elif parse_revoke(raw_blk) is not None:
-                self._jtypes[jstart + pos] = "j-revoke"
+                jtypes[jstart + pos] = "j-revoke"
             pos += 1
         # File/dir/indirect blocks from the inode tables, scanned one
         # table block at a time over zero-copy views.  Free slots are
         # skipped on a two-field probe; allocated ones are consumed as
         # raw field tuples (Inode.unpack order) without building Inode
         # objects — this walk visits every slot on every mount.
-        types = self._types
         isdir = _stat.S_ISDIR
         for g in range(cfg.num_groups):
             table_start = cfg.inode_table_start(g)
             for block_off in range(cfg.inode_table_blocks):
-                deps.append(table_start + block_off)
                 payload = peek(table_start + block_off)
                 for _slot, f in iter_allocated_inodes(payload, cfg.inodes_per_block):
                     kind = "dir" if isdir(f[0]) else "data"
@@ -937,26 +898,21 @@ class Ext3(JournaledFS):
                     for level in (1, 2, 3):
                         root = f[8 + NUM_DIRECT + level]
                         if root:
-                            self._label_indirect_tree(root, level, kind, p, deps)
+                            self._label_indirect_tree(root, level, kind, p,
+                                                      types, peek)
                     if f[13 + NUM_DIRECT]:
                         types[f[13 + NUM_DIRECT]] = "parity"
-        if entries is not None:
-            deps_t = tuple(deps)
-            entries.append((deps_t, raw.dirty_contents(deps_t),
-                            dict(self._types), dict(self._jtypes)))
-            if len(entries) > 16:
-                del entries[0]
+        return types, jtypes
 
     def _label_indirect_tree(self, root: int, levels: int, kind: str, p: int,
-                             deps: List[int]) -> None:
+                             types: Dict[int, str], peek) -> None:
         if not 0 < root < self.device.num_blocks:
             return
-        self._types[root] = "indirect"
-        deps.append(root)
-        for ptr in unpack_pointer_block(self._peek_view(root), p):
+        types[root] = "indirect"
+        for ptr in unpack_pointer_block(peek(root), p):
             if not 0 < ptr < self.device.num_blocks:
                 continue
             if levels == 1:
-                self._types[ptr] = kind
+                types[ptr] = kind
             else:
-                self._label_indirect_tree(ptr, levels - 1, kind, p, deps)
+                self._label_indirect_tree(ptr, levels - 1, kind, p, types, peek)

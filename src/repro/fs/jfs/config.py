@@ -23,6 +23,7 @@ the secondary aggregate-inode table right after the primary one):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,11 @@ class JFSConfig:
         if self.data_start >= self.total_blocks:
             raise ValueError("volume too small for metadata regions")
 
-    @property
+    # Derived layout: a pure function of the frozen fields, computed on
+    # first use and kept in the instance ``__dict__`` — not fields, so
+    # equality, hash, repr and ``dataclasses.replace`` do not see them.
+
+    @cached_property
     def inodes_per_block(self) -> int:
         # One header word pair precedes the inode slots.
         return (self.block_size - 8) // self.inode_size
@@ -58,53 +63,53 @@ class JFSConfig:
     def journal_data_start(self) -> int:
         return 3
 
-    @property
+    @cached_property
     def aggr_inode_block(self) -> int:
         return self.journal_data_start + self.journal_blocks
 
-    @property
+    @cached_property
     def aggr_inode_secondary(self) -> int:
         return self.aggr_inode_block + 1
 
-    @property
+    @cached_property
     def bmap_desc_block(self) -> int:
         return self.aggr_inode_secondary + 1
 
-    @property
+    @cached_property
     def bmap_start(self) -> int:
         return self.bmap_desc_block + 1
 
-    @property
+    @cached_property
     def bmap_blocks(self) -> int:
         bits = (self.block_size - 16) * 8
         return (self.total_blocks + bits - 1) // bits
 
-    @property
+    @cached_property
     def imap_control_block(self) -> int:
         return self.bmap_start + self.bmap_blocks
 
-    @property
+    @cached_property
     def imap_start(self) -> int:
         return self.imap_control_block + 1
 
-    @property
+    @cached_property
     def imap_blocks(self) -> int:
         bits = (self.block_size - 16) * 8
         return (self.num_inodes + bits - 1) // bits
 
-    @property
+    @cached_property
     def inode_table_start(self) -> int:
         return self.imap_start + self.imap_blocks
 
-    @property
+    @cached_property
     def inode_table_blocks(self) -> int:
         return self.num_inodes // self.inodes_per_block
 
-    @property
+    @cached_property
     def data_start(self) -> int:
         return self.inode_table_start + self.inode_table_blocks
 
-    @property
+    @cached_property
     def max_file_blocks(self) -> int:
         return self.num_direct + self.tree_fanout + self.tree_fanout ** 2
 

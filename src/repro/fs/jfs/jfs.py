@@ -51,6 +51,7 @@ from repro.fs.jfs.structures import (
     JFSInode,
     JFSSuper,
     check_inode_block,
+    iter_allocated_inodes,
     pack_dir_block,
     pack_map_block,
     pack_tree_block,
@@ -96,7 +97,6 @@ class JFS(JournaledFS):
         self.config: Optional[JFSConfig] = None
         self.aggr: Optional[AggregateInode] = None
         self.journal: Optional[RecordJournal] = None
-        self._types: Dict[int, str] = {}
 
     # ==================================================================
     # Failure-policy write hooks
@@ -146,7 +146,6 @@ class JFS(JournaledFS):
             record_write=self._write_nocheck,
             home_write=self._write_nocheck,
             read_block=self.buf.bread,
-            set_type=self._set_type,
             stall=self._stall,
             commit_stall_s=self.commit_stall_s,
         )
@@ -301,11 +300,8 @@ class JFS(JournaledFS):
         raw = bytearray(self._meta_bread(block, check="inode"))
         raw[off:off + self.config.inode_size] = inode.pack(self.config.inode_size)
         # Refresh the header count.
-        count = 0
-        for slot in range(self.config.inodes_per_block):
-            o = 8 + slot * self.config.inode_size
-            if JFSInode.unpack(bytes(raw[o:o + self.config.inode_size])).is_allocated:
-                count += 1
+        count = sum(1 for _ in iter_allocated_inodes(
+            raw, self.config.inodes_per_block, self.config.inode_size))
         raw[0:8] = U32x2.pack(count, 0)
         self._meta_update(block, bytes(raw))
 
@@ -757,40 +753,41 @@ class JFS(JournaledFS):
             return "inode"
         return self._types.get(block)
 
-    def _set_type(self, block: int, jtype: str) -> None:
-        # Journal region roles are fixed by layout; nothing dynamic.
-        pass
-
     def redundancy_types(self) -> List[str]:
         return ["super"]
 
-    def _rebuild_types(self) -> None:
-        cfg = self.config
-        self._types = {}
-        for ino in range(1, cfg.num_inodes + 1):
-            block, off = cfg.inode_location(ino)
-            inode = JFSInode.unpack(self._peek(block)[off:off + cfg.inode_size])
-            if not inode.is_allocated:
-                continue
-            kind = "dir" if _stat.S_ISDIR(inode.mode) else "data"
-            for bno in inode.direct:
-                if bno:
-                    self._types[bno] = kind
-            if inode.tree_root:
-                self._label_tree(inode.tree_root, inode.tree_levels, kind)
+    def _types_key(self) -> tuple:
+        return (self.config,)
 
-    def _label_tree(self, block: int, level: int, kind: str) -> None:
+    def _walk_types(self, peek) -> Tuple[Dict[int, str], Dict[int, str]]:
+        # Journal-region roles are fixed by layout: no jtypes.
+        cfg = self.config
+        types: Dict[int, str] = {}
+        for block in range(cfg.inode_table_start, cfg.data_start):
+            payload = peek(block)
+            for f in iter_allocated_inodes(
+                    payload, cfg.inodes_per_block, cfg.inode_size):
+                kind = "dir" if _stat.S_ISDIR(f[0]) else "data"
+                for bno in f[8:16]:
+                    if bno:
+                        types[bno] = kind
+                if f[16]:
+                    self._label_tree(f[16], f[17], kind, types, peek)
+        return types, {}
+
+    def _label_tree(self, block: int, level: int, kind: str,
+                    types: Dict[int, str], peek) -> None:
         if not 0 < block < self.device.num_blocks or level <= 0:
             return
-        self._types[block] = "internal"
+        types[block] = "internal"
         try:
-            _, ptrs = unpack_tree_block(self._peek(block), block, self.config.tree_fanout)
+            _, ptrs = unpack_tree_block(peek(block), block, self.config.tree_fanout)
         except CorruptionDetected:
             return
         for ptr in ptrs:
             if not 0 < ptr < self.device.num_blocks:
                 continue
             if level > 1:
-                self._label_tree(ptr, level - 1, kind)
+                self._label_tree(ptr, level - 1, kind, types, peek)
             else:
-                self._types[ptr] = kind
+                types[ptr] = kind

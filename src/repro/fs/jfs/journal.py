@@ -18,6 +18,7 @@ illogical inconsistencies.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from struct import Struct
 from typing import Callable, Dict, List, Optional, Tuple
@@ -25,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.common.errors import CorruptionDetected, DiskError
 from repro.common.structs import U32
 from repro.common.syslog import SysLog
+from repro.common.xor import xor
 
 JLOG_MAGIC = 0x474F4C4A  # "JLOG"
 
@@ -91,34 +93,25 @@ def _parse_record_block(data: bytes, block: int) -> Tuple[int, List[LogRecord], 
     return seq, records, bool(flags & FLAG_COMMIT)
 
 
+#: Maps a byte of ``old ^ new`` to 0 (equal) or 1 (differs).
+_DIFF_MASK = bytes([0]) + bytes([1]) * 255
+
+
 def diff_records(home: int, old: Optional[bytes], new: bytes,
                  max_span_gap: int = 16) -> List[LogRecord]:
     """Compute patch records turning *old* into *new* (record-level
-    logging).  With no prior image, one whole-block record results."""
+    logging): one record per run of differing bytes, runs separated by
+    at most *max_span_gap* equal bytes sharing a record.  With no prior
+    image, one whole-block record results."""
     if old is None or len(old) != len(new):
         return [LogRecord(home, 0, new)]
-    spans: List[Tuple[int, int]] = []
-    i, n = 0, len(new)
-    while i < n:
-        if old[i] == new[i]:
-            i += 1
-            continue
-        j = i + 1
-        gap = 0
-        while j < n and gap <= max_span_gap:
-            if old[j] != new[j]:
-                gap = 0
-            else:
-                gap += 1
-            j += 1
-        end = j - gap
-        spans.append((i, end))
-        i = j
-    return [LogRecord(home, s, new[s:e]) for s, e in spans]
+    mask = xor(old, new).translate(_DIFF_MASK)
+    # ``re`` keeps the compiled scanner; the one caller uses one gap.
+    spans = re.finditer(rb"\x01(?:\x00{0,%d}\x01)*" % max_span_gap, mask)
+    return [LogRecord(home, m.start(), new[m.start():m.end()]) for m in spans]
 
 
 WriteFn = Callable[[int, bytes], None]
-TypeFn = Callable[[int, str], None]
 StallFn = Callable[[float], None]
 
 
@@ -140,7 +133,6 @@ class RecordJournal:
         record_write: WriteFn,      # failures ignored (D_zero)
         home_write: WriteFn,
         read_block: Callable[[int], bytes],
-        set_type: TypeFn,
         stall: StallFn,
         commit_stall_s: float,
     ):
@@ -153,7 +145,6 @@ class RecordJournal:
         self._record_write = record_write
         self._home_write = home_write
         self._read_block = read_block
-        self._set_type = set_type
         self._stall = stall
         self.commit_stall_s = commit_stall_s
 
@@ -220,7 +211,6 @@ class RecordJournal:
                 # the commit-flagged block is issued.
                 self._stall(self.commit_stall_s)
             block = self.data_start + self.head
-            self._set_type(block, "j-data")
             self._record_write(block, _pack_record_block(
                 self.block_size, self.seq, batch, commit=is_last))
             self.head += 1
@@ -236,7 +226,6 @@ class RecordJournal:
             self._home_write(block, self.checkpoint_blocks[block])
         self.checkpoint_blocks.clear()
         self.head = 0
-        self._set_type(self.super_block, "j-super")
         self._super_write(self.super_block,
                           pack_log_super(self.block_size, self.seq, clean=True))
 
@@ -284,7 +273,6 @@ class RecordJournal:
                 expected += 1
                 self.seq = max(self.seq, expected)
         self.head = 0
-        self._set_type(self.super_block, "j-super")
         self._super_write(self.super_block,
                           pack_log_super(self.block_size, self.seq, clean=True))
         if replayed:

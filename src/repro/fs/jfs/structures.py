@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from repro.common.bitmap import Bitmap
 from repro.common.errors import CorruptionDetected
-from repro.common.structs import U32x2, U32x3, u32_seq
+from repro.common.structs import U16x2, U32x2, U32x3, u32_seq
 
 JFS_MAGIC = 0x3153464A  # "JFS1"
 JFS_VERSION = 2
@@ -117,6 +117,21 @@ def pack_inode_block(inodes: List[Optional[JFSInode]], block_size: int,
         out += raw
     out += b"\x00" * (block_size - len(out))
     return bytes(out)
+
+
+def iter_allocated_inodes(data, inodes_per_block: int, inode_size: int):
+    """Yield the raw field tuple (``JFSInode.unpack``'s order: direct
+    pointers at 8..15, then tree root, levels, nblocks) of each
+    allocated slot in one inode block, skipping free slots on a
+    two-field probe — the type-oracle walk visits every slot and needs
+    no :class:`JFSInode`.  Accepts ``bytes`` or a zero-copy
+    ``memoryview``."""
+    probe = U16x2.unpack_from
+    unpack = _INODE_STRUCT.unpack_from
+    for off in range(8, 8 + inodes_per_block * inode_size, inode_size):
+        mode, links = probe(data, off)
+        if links or mode:  # JFSInode.is_allocated
+            yield unpack(data, off)
 
 
 def check_inode_block(data: bytes, block: int, inodes_per_block: int) -> None:

@@ -70,7 +70,6 @@ class NTFS(JournaledFS):
         super().__init__(device, sync_mode=sync_mode, commit_every=commit_every,
                          commit_stall_s=commit_stall_s)
         self.boot: Optional[BootFile] = None
-        self._types: Dict[int, str] = {}
 
     # ==================================================================
     # Failure-policy hooks
@@ -469,13 +468,16 @@ class NTFS(JournaledFS):
             return "MFT"
         return self._types.get(block)
 
-    def _rebuild_types(self) -> None:
+    def _types_key(self) -> tuple:
+        return (self.boot,)
+
+    def _walk_types(self, peek) -> Tuple[Dict[int, str], Dict[int, str]]:
+        # The whole journal region is 'logfile': no jtypes.
         boot = self.boot
-        self._types = {}
-        for mft in range(boot.mft_records):
+        types: Dict[int, str] = {}
+        for block in range(boot.mft_start, boot.mft_start + boot.mft_records):
             try:
-                rec = MFTRecord.unpack(self._peek(boot.mft_start + mft),
-                                       boot.mft_start + mft)
+                rec = MFTRecord.unpack(peek(block), block)
             except CorruptionDetected:
                 continue
             if not rec.in_use:
@@ -483,4 +485,5 @@ class NTFS(JournaledFS):
             kind = "directory" if rec.is_dir else "data"
             for bno in rec.runs:
                 if 0 < bno < self.device.num_blocks:
-                    self._types[bno] = kind
+                    types[bno] = kind
+        return types, {}

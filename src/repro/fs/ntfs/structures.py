@@ -31,9 +31,10 @@ NUM_RUNS = 48
 _BOOT_STRUCT = Struct("<8sIIIIIIII")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BootFile:
-    """Contains info about the NTFS volume (Table 4)."""
+    """Contains info about the NTFS volume (Table 4).  Never modified
+    after mkfs; frozen so it can key the type-oracle memo."""
 
     magic: bytes
     block_size: int

@@ -96,8 +96,6 @@ class ReiserFS(JournaledFS):
         self.sb: Optional[ReiserSuper] = None
         self.config: Optional[ReiserConfig] = None
         self.tree: Optional[BTree] = None
-        self._types: Dict[int, str] = {}
-        self._jtypes: Dict[int, str] = {}
 
     # ==================================================================
     # Failure-policy hooks: check write errors and panic (R_stop).
@@ -618,44 +616,48 @@ class ReiserFS(JournaledFS):
     def _set_jtype(self, block: int, jtype: str) -> None:
         self._jtypes[block] = "j-header" if jtype == "j-super" else jtype
 
-    def _rebuild_types(self) -> None:
+    def _types_key(self) -> tuple:
+        return (self.config, self.tree.root_block)
+
+    def _walk_types(self, peek) -> Tuple[Dict[int, str], Dict[int, str]]:
         cfg = self.config
-        self._types = {}
-        self._jtypes = {}
+        types: Dict[int, str] = {}
+        jtypes: Dict[int, str] = {}
         pos = 1
         while pos < cfg.journal_blocks:
-            raw = self._peek(cfg.journal_start + pos)
+            raw = peek(cfg.journal_start + pos)
             d = parse_desc(raw)
             if d is not None:
-                self._jtypes[cfg.journal_start + pos] = "j-desc"
+                jtypes[cfg.journal_start + pos] = "j-desc"
                 pos += 1
                 for _ in d[1]:
                     if pos >= cfg.journal_blocks:
                         break
-                    self._jtypes[cfg.journal_start + pos] = "j-data"
+                    jtypes[cfg.journal_start + pos] = "j-data"
                     pos += 1
                 continue
             if parse_commit(raw) is not None:
-                self._jtypes[cfg.journal_start + pos] = "j-commit"
+                jtypes[cfg.journal_start + pos] = "j-commit"
             pos += 1
-        if self.tree is not None:
-            self._walk_label(self.tree.root_block, 0)
+        self._walk_label(self.tree.root_block, 0, types, peek)
+        return types, jtypes
 
-    def _walk_label(self, block: int, depth: int) -> None:
+    def _walk_label(self, block: int, depth: int, types: Dict[int, str],
+                    peek) -> None:
         if depth > 8 or not 0 < block < self.device.num_blocks:
             return
         try:
-            node = Node.unpack(self._peek(block), block)
+            node = Node.unpack(peek(block), block)
         except CorruptionDetected:
             return
         if node.is_leaf:
-            self._types[block] = self._label_for(block, node)
+            types[block] = self._label_for(block, node)
             for item in node.items:
                 if item.kind == IT_INDIRECT:
                     for ptr in unpack_indirect_body(item.body):
                         if 0 < ptr < self.device.num_blocks:
-                            self._types[ptr] = "data"
+                            types[ptr] = "data"
             return
-        self._types[block] = "internal"
+        types[block] = "internal"
         for child in node.children:
-            self._walk_label(child, depth + 1)
+            self._walk_label(child, depth + 1, types, peek)

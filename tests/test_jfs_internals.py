@@ -1,5 +1,8 @@
 """JFS internals: structures, sanity checks, and the record journal."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -56,6 +59,27 @@ class TestConfigLayout:
             seen.add(loc)
         with pytest.raises(ValueError):
             cfg.inode_location(cfg.num_inodes + 1)
+
+    def test_cached_layout_is_invisible_to_the_dataclass(self):
+        """The derived layout is computed once per instance and kept
+        beside the fields, never among them."""
+        warm, cold = JFSConfig(), JFSConfig()
+        layout = [warm.data_start, warm.inode_table_start, warm.bmap_blocks,
+                  warm.inodes_per_block, warm.max_file_blocks]
+        assert "data_start" in vars(warm)  # computed once, then a plain attribute
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) and "data_start" not in repr(warm)
+        assert [f.name for f in dataclasses.fields(warm)] == [
+            "block_size", "total_blocks", "journal_blocks", "num_inodes",
+            "num_direct", "tree_fanout", "inode_size"]
+        # replace() starts from the fields alone: nothing stale rides along.
+        bigger = dataclasses.replace(warm, journal_blocks=warm.journal_blocks + 8,
+                                     total_blocks=1024)
+        assert bigger != warm and bigger.data_start == warm.data_start + 8
+        assert [warm.data_start, warm.inode_table_start, warm.bmap_blocks,
+                warm.inodes_per_block, warm.max_file_blocks] == layout
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            warm.block_size = 2048
 
 
 class TestStructures:
@@ -133,7 +157,87 @@ class TestStructures:
         assert not AggregateInode.unpack(b"\x00" * 1024).is_valid()
 
 
+def _diff_spans_bytewise(old, new, max_span_gap):
+    """The per-byte loop ``diff_records`` used to be, kept as the
+    reference: ``(start, end)`` of each run of differing bytes, runs
+    fewer than ``max_span_gap + 1`` equal bytes apart merged."""
+    spans = []
+    i, n = 0, len(new)
+    while i < n:
+        if old[i] == new[i]:
+            i += 1
+            continue
+        j = i + 1
+        gap = 0
+        while j < n and gap <= max_span_gap:
+            if old[j] != new[j]:
+                gap = 0
+            else:
+                gap += 1
+            j += 1
+        spans.append((i, j - gap))
+        i = j
+    return spans
+
+
+_GAPS = (0, 1, 16, 40)
+
+
 class TestDiffRecords:
+    @staticmethod
+    def _check(old, new, gap):
+        recs = diff_records(7, old, new, max_span_gap=gap)
+        assert recs == [LogRecord(7, s, new[s:e])
+                        for s, e in _diff_spans_bytewise(old, new, gap)]
+
+    @settings(max_examples=120, deadline=None)
+    @given(size=st.sampled_from([64, 128, 1024]), seed=st.integers(0, 2**32),
+           runs=st.lists(st.tuples(st.integers(0, 1023), st.integers(1, 48)),
+                         max_size=8),
+           gap=st.sampled_from(_GAPS))
+    def test_property_matches_bytewise_reference(self, size, seed, runs, gap):
+        old = random.Random(seed).randbytes(size)
+        new = bytearray(old)
+        for start, length in runs:
+            for i in range(start % size, min(start % size + length, size)):
+                new[i] ^= 1 + (i * 7 + seed) % 255  # never the old byte
+        self._check(old, bytes(new), gap)
+
+    @pytest.mark.parametrize("gap", _GAPS)
+    @pytest.mark.parametrize("size", [64, 128, 1024])
+    def test_edges_and_exact_gaps_match_reference(self, size, gap):
+        old = bytes(size)
+
+        def differing_at(*offsets):
+            new = bytearray(size)
+            for off in offsets:
+                new[off] = 0xFF
+            return bytes(new)
+
+        self._check(old, differing_at(0), gap)
+        self._check(old, differing_at(size - 1), gap)
+        self._check(old, differing_at(0, size - 1), gap)
+        self._check(old, bytes([0xFF]) * size, gap)
+        # Two diffs with exactly ``gap`` equal bytes between them share a
+        # record; one more equal byte splits them.
+        merged = diff_records(7, old, differing_at(3, 3 + gap + 1), max_span_gap=gap)
+        split = diff_records(7, old, differing_at(3, 3 + gap + 2), max_span_gap=gap)
+        assert [(r.offset, len(r.data)) for r in merged] == [(3, gap + 2)]
+        assert [(r.offset, len(r.data)) for r in split] == [(3, 1), (3 + gap + 2, 1)]
+        self._check(old, differing_at(3, 3 + gap + 1), gap)
+        self._check(old, differing_at(3, 3 + gap + 2), gap)
+        # ... at the far end of the block too.
+        self._check(old, differing_at(size - gap - 2, size - 1), gap)
+        self._check(old, differing_at(size - gap - 3, size - 1), gap)
+
+    @pytest.mark.parametrize("gap", _GAPS)
+    def test_no_usable_prior_image_logs_whole_block(self, gap):
+        new = bytes(range(64))
+        whole = [LogRecord(7, 0, new)]
+        assert diff_records(7, None, new, max_span_gap=gap) == whole
+        assert diff_records(7, new[:-1], new, max_span_gap=gap) == whole
+        assert diff_records(7, new + b"x", new, max_span_gap=gap) == whole
+
     def test_no_prior_image_logs_whole_block(self):
         recs = diff_records(7, None, b"abc")
         assert len(recs) == 1 and recs[0].offset == 0 and recs[0].data == b"abc"
@@ -183,7 +287,7 @@ class TestRecordJournal:
         j = RecordJournal(
             super_block=0, data_start=1, nblocks=16, block_size=1024,
             syslog=SysLog(), super_write=write, record_write=write,
-            home_write=write, read_block=read, set_type=lambda b, t: None,
+            home_write=write, read_block=read,
             stall=lambda s: None, commit_stall_s=0.0,
         )
         store[0] = pack_log_super(1024, 1, clean=True)

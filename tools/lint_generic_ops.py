@@ -52,6 +52,9 @@ GENERIC_OPS = frozenset({
     "statfs", "unmount",
     "_do_read", "_do_write", "_do_truncate", "_do_symlink", "_do_mkdir",
     "_file_read", "_file_write", "_file_truncate",
+    # The type-oracle memo: a file system supplies the walk and its key
+    # (``_walk_types`` / ``_types_key``), never a rebuild of its own.
+    "_rebuild_types",
 })
 
 #: The only overrides of a generic name.  ReiserFS keeps an object's
