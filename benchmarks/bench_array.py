@@ -10,20 +10,17 @@ RDP at p=5), the virtual-time throughput of four phases:
   hit on the dead member reconstructs from the survivors),
 * **rebuild** — repopulating a replaced member from peers.
 
-Virtual MB/s is the honest axis (the simulator's disk-time model);
-wall seconds are recorded alongside.  The run also regenerates the
-array fingerprint matrix at ``jobs=1`` and ``jobs=4`` and asserts the
-event fold digests are identical — the determinism witness committed
-to ``BENCH_array.json``.
+Virtual MB/s is the axis (the simulator's disk-time model).  The run
+also regenerates the array fingerprint matrix at ``jobs=1`` and
+``jobs=4`` and asserts the event fold digests are identical — the
+determinism witness committed to ``BENCH_array.json``.
 """
 
 from __future__ import annotations
 
-import time
-
 from conftest import REPO_ROOT, run_once, save_result
 
-from repro.bench.timing import array_record, record_entry
+from repro.bench.records import array_record, record_entry
 from repro.redundancy import make_array
 from repro.redundancy.fingerprint import run_array_fingerprint
 
@@ -63,16 +60,14 @@ def _member_io(array):
 def _phase(array, fn, blocks: int):
     """Run one phase, returning virtual cost plus member I/O counts."""
     v0 = _busy(array)
-    r0, w0_ops = _member_io(array)
-    w0 = time.perf_counter()
+    r0, w0 = _member_io(array)
     fn()
-    wall = time.perf_counter() - w0
     virtual = _busy(array) - v0
-    r1, w1_ops = _member_io(array)
+    r1, w1 = _member_io(array)
     mbps = (blocks * BS / MB) / virtual if virtual > 0 else 0.0
     return {"blocks": blocks, "virtual_s": round(virtual, 6),
-            "wall_s": round(wall, 6), "virtual_mb_s": round(mbps, 3),
-            "member_reads": r1 - r0, "member_writes": w1_ops - w0_ops}
+            "virtual_mb_s": round(mbps, 3),
+            "member_reads": r1 - r0, "member_writes": w1 - w0}
 
 
 def _bench_geometry(label: str, geometry: str, members: int):
@@ -109,16 +104,14 @@ def test_array_throughput(benchmark):
             out[label] = _bench_geometry(label, geometry, members)
         return out
 
-    started = time.perf_counter()
     results = run_once(benchmark, run)
-    wall = time.perf_counter() - started
 
     lines = [f"array throughput ({NUM_BLOCKS} blocks x {BS} B, virtual MB/s)",
              ""]
     for label, geometry, members in GEOMETRIES:
         array, throughput = results[label]
         record = array_record(
-            geometry, members, wall_s=wall, throughput=throughput,
+            geometry, members, throughput=throughput,
             stats=array.stats,
             degraded_reads=array.degraded_reads,
             read_repairs=array.read_repairs,
@@ -140,24 +133,13 @@ def test_array_throughput(benchmark):
 
 
 def test_array_fingerprint_determinism(benchmark):
-    def run():
-        started = time.perf_counter()
-        fp1 = run_array_fingerprint(jobs=1)
-        wall_j1 = time.perf_counter() - started
-        started = time.perf_counter()
-        fp4 = run_array_fingerprint(jobs=4)
-        wall_j4 = time.perf_counter() - started
-        return fp1, fp4, wall_j1, wall_j4
-
-    fp1, fp4, wall_j1, wall_j4 = run_once(benchmark, run)
+    fp1, fp4 = run_once(benchmark, lambda: (
+        run_array_fingerprint(jobs=1), run_array_fingerprint(jobs=4)))
     assert fp1.digest == fp4.digest
     assert fp1.render() == fp4.render()
     record_entry(
         "array_fingerprint",
         {
-            "wall_s": round(wall_j1 + wall_j4, 6),
-            "wall_s_jobs1": round(wall_j1, 6),
-            "wall_s_jobs4": round(wall_j4, 6),
             "cells": sum(len(m.cells) for m in fp1.matrices.values()),
             "geometries": sorted(fp1.matrices),
             "event_digest_jobs1": fp1.digest,

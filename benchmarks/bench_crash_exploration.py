@@ -8,9 +8,9 @@ determinism witness (violation digests at two pool widths).
 
 from conftest import run_once, save_result
 
-from repro.bench.timing import crash_record
+from repro.bench.records import crash_record
 from repro.common.pool import warm_pool
-from repro.crash import CRASH_PROFILES, explore
+from repro.crash import explore
 
 FS_ORDER = ["ext3", "ixt3", "reiserfs", "jfs", "ntfs"]
 
@@ -24,7 +24,7 @@ def test_crash_exploration_matrix(benchmark):
         out = {}
         for fs_key in FS_ORDER:
             report = explore(fs_key, "creat")
-            out[fs_key] = crash_record(report, 0.0)
+            out[fs_key] = crash_record(report)
         # Determinism witness: the fan-out must not change the report.
         out["ext3_j4_digest"] = explore(
             "ext3", "creat", jobs=4).violation_digest()
@@ -45,7 +45,7 @@ def test_crash_exploration_matrix(benchmark):
         )
     save_result("crash_exploration", "\n".join(lines))
 
-    assert set(results) - {"ext3_j4_digest"} == set(CRASH_PROFILES)
+    assert set(results) - {"ext3_j4_digest"} == set(FS_ORDER)
     ext3, ixt3 = results["ext3"], results["ixt3"]
     # The acceptance triangle: enough states, a real ext3 failure mode,
     # and Tc closing the window ext3 leaves open.

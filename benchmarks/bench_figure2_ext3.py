@@ -5,9 +5,9 @@ write failures, and corruption across every block type and workload,
 and checks the headline §5.1 findings hold in the result.
 """
 
-from conftest import record_bench_timing, run_once, save_result
+from conftest import record_bench_result, run_once, save_result
 
-from repro.bench.timing import fingerprint_record, timed
+from repro.bench.records import fingerprint_record
 from repro.fingerprint import Fingerprinter
 from repro.fingerprint.adapters import make_ext3_adapter
 from repro.taxonomy import Detection, Recovery, render_full_figure
@@ -15,8 +15,8 @@ from repro.taxonomy import Detection, Recovery, render_full_figure
 
 def test_figure2_ext3(benchmark):
     fp = Fingerprinter(make_ext3_adapter())
-    matrix, wall_s = timed(lambda: run_once(benchmark, fp.run))
-    record_bench_timing("figure2_ext3", fingerprint_record(fp, matrix, wall_s))
+    matrix = run_once(benchmark, fp.run)
+    record_bench_result("figure2_ext3", fingerprint_record(fp, matrix))
     save_result("figure2_ext3", render_full_figure(matrix)
                 + f"\n\ntests run: {fp.tests_run}")
 

@@ -1,9 +1,9 @@
 """Figure 2 (ReiserFS panels): the full fingerprint of ReiserFS, with
 §5.2's headline findings asserted on the result."""
 
-from conftest import record_bench_timing, run_once, save_result
+from conftest import record_bench_result, run_once, save_result
 
-from repro.bench.timing import fingerprint_record, timed
+from repro.bench.records import fingerprint_record
 from repro.fingerprint import Fingerprinter
 from repro.fingerprint.adapters import make_reiserfs_adapter
 from repro.taxonomy import Detection, Recovery, render_full_figure
@@ -11,8 +11,8 @@ from repro.taxonomy import Detection, Recovery, render_full_figure
 
 def test_figure2_reiserfs(benchmark):
     fp = Fingerprinter(make_reiserfs_adapter())
-    matrix, wall_s = timed(lambda: run_once(benchmark, fp.run))
-    record_bench_timing("figure2_reiserfs", fingerprint_record(fp, matrix, wall_s))
+    matrix = run_once(benchmark, fp.run)
+    record_bench_result("figure2_reiserfs", fingerprint_record(fp, matrix))
     save_result("figure2_reiserfs", render_full_figure(matrix)
                 + f"\n\ntests run: {fp.tests_run}")
 

@@ -2,10 +2,10 @@
 feature enabled, plus the §6.2 robustness count ("detects and recovers
 from over 200 possible different partial-error scenarios")."""
 
-from conftest import record_bench_timing, run_once, save_result
+from conftest import record_bench_result, run_once, save_result
 
 from repro.bench.paperdata import PAPER_IXT3_SCENARIOS
-from repro.bench.timing import fingerprint_record, timed
+from repro.bench.records import fingerprint_record
 from repro.fingerprint import Fingerprinter
 from repro.fingerprint.adapters import make_ixt3_adapter
 from repro.taxonomy import Detection, Recovery, render_full_figure
@@ -13,8 +13,8 @@ from repro.taxonomy import Detection, Recovery, render_full_figure
 
 def test_figure3_ixt3(benchmark):
     fp = Fingerprinter(make_ixt3_adapter())
-    matrix, wall_s = timed(lambda: run_once(benchmark, fp.run))
-    record_bench_timing("figure3_ixt3", fingerprint_record(fp, matrix, wall_s))
+    matrix = run_once(benchmark, fp.run)
+    record_bench_result("figure3_ixt3", fingerprint_record(fp, matrix))
 
     counts = matrix.technique_counts()
     covered, total = matrix.coverage()

@@ -19,12 +19,9 @@ incident cause ref must resolve against the retained event streams.
 
 from __future__ import annotations
 
-import time
-
 from conftest import REPO_ROOT, run_once, save_result
 
-from repro.bench.timing import fleet_record, record_entry
-from repro.common.pool import warm_pool
+from repro.bench.records import fleet_record, record_entry
 from repro.fleet.campaign import run_fleet
 from repro.fleet.spec import FleetSpec
 from repro.obs.trace import resolve_ref
@@ -35,17 +32,8 @@ FLEET_JSON = REPO_ROOT / "BENCH_fleet.json"
 def test_fleet_campaign(benchmark):
     spec = FleetSpec()  # trials=200, mission 10,000 h, the committed matrix
 
-    def run():
-        t0 = time.perf_counter()
-        r1 = run_fleet(spec, jobs=1)
-        wall_j1 = time.perf_counter() - t0
-        warm_pool(4)
-        t0 = time.perf_counter()
-        r4 = run_fleet(spec, jobs=4)
-        wall_j4 = time.perf_counter() - t0
-        return r1, r4, wall_j1, wall_j4
-
-    r1, r4, wall_j1, wall_j4 = run_once(benchmark, run)
+    r1, r4 = run_once(benchmark, lambda: (
+        run_fleet(spec, jobs=1), run_fleet(spec, jobs=4)))
 
     # The determinism witness: same digest at any --jobs width.
     assert r1.digest == r4.digest
@@ -82,9 +70,7 @@ def test_fleet_campaign(benchmark):
     assert r1.crosscheck["within_tolerance"], r1.crosscheck
 
     record = fleet_record(
-        r1, wall_s=wall_j1 + wall_j4,
-        wall_s_jobs1=round(wall_j1, 6),
-        wall_s_jobs4=round(wall_j4, 6),
+        r1,
         event_digest_jobs1=r1.digest,
         event_digest_jobs4=r4.digest,
         incident_digest_jobs1=r1.incident_digest,

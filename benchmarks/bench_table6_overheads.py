@@ -15,11 +15,11 @@ claims checked are the paper's *shape* claims (§6.2):
    overhead.
 """
 
-from conftest import record_bench_timing, run_once, save_result
+from conftest import record_bench_result, run_once, save_result
 
 from repro.bench.harness import run_table6
 from repro.bench.paperdata import VARIANT_ORDER
-from repro.bench.timing import table6_record, timed
+from repro.bench.records import table6_record
 
 
 def _row(run, bench, features):
@@ -27,8 +27,8 @@ def _row(run, bench, features):
 
 
 def test_table6_overheads(benchmark):
-    run, wall_s = timed(lambda: run_once(benchmark, run_table6))
-    record_bench_timing("table6_overheads", table6_record(run, wall_s))
+    run = run_once(benchmark, run_table6)
+    record_bench_result("table6_overheads", table6_record(run))
     save_result("table6_overheads", run.render())
 
     # 1. SSH / Web: little overhead even with everything on.

@@ -27,9 +27,9 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
 
 
-def record_bench_timing(name: str, record: dict) -> pathlib.Path:
-    """Merge one wall-clock record into BENCH_fingerprint.json at the
-    repo root (see repro.bench.timing for the schema)."""
-    from repro.bench.timing import record_entry
+def record_bench_result(name: str, record: dict) -> pathlib.Path:
+    """Merge one result record into BENCH_fingerprint.json at the repo
+    root (see repro.bench.records for the schema)."""
+    from repro.bench.records import record_entry
 
     return record_entry(name, record, path=REPO_ROOT / "BENCH_fingerprint.json")

@@ -18,14 +18,13 @@ from repro.bench.paperdata import (
     VARIANT_ORDER,
     variant_label,
 )
-from repro.bench.space import PROFILES, SpaceOverhead, analyze, analyze_all, render
-from repro.bench.timing import (
+from repro.bench.records import (
     bench_json_path,
     fingerprint_record,
     record_entry,
     table6_record,
-    timed,
 )
+from repro.bench.space import PROFILES, SpaceOverhead, analyze, analyze_all, render
 from repro.bench.workloads import BENCHMARKS, BenchScale
 
 __all__ = [
@@ -52,6 +51,5 @@ __all__ = [
     "run_table6",
     "run_variant",
     "table6_record",
-    "timed",
     "variant_label",
 ]

@@ -1,28 +1,28 @@
-"""Wall-clock timing layer for the benchmark drivers.
+"""Result records for the CLI and the benchmark drivers.
 
-The simulator's own observable is *virtual* disk time; this module
-records the other axis — how long the harness itself takes to run — so
-the repo's performance trajectory is machine-readable.  Records merge
-into a single JSON file, ``BENCH_fingerprint.json`` at the repo root
-(override with the ``REPRO_BENCH_JSON`` environment variable), keyed by
-entry name so successive runs update in place.
+Everything this repo reports — policy matrices, crash verdicts, loss
+tables, virtual disk time — is deterministic, so the ``BENCH_*.json``
+files at the repo root hold *results and digests only*: re-running the
+command that wrote an entry rewrites the file byte for byte, and
+``python -m repro bench --compare OLD NEW`` names every value that
+moved.  Host time is not recorded here; it lives in the perf ledger
+(``python3 perf/run.py``).  Records merge by entry name into one file
+per kind (see :data:`BENCH_FILES`).
 
-Schema (``repro-bench-timing/1``)::
+Schema (``repro-bench-results/1``)::
 
     {
-      "schema": "repro-bench-timing/1",
-      "generated_at": "2026-08-06T12:00:00Z",
+      "schema": "repro-bench-results/1",
       "entries": {
         "fingerprint_ext3": {
-          "wall_s": 12.3,          # total wall-clock for the run
           "jobs": 4,               # process-pool width used
           "tests_run": 420,        # fault-injection tests executed
           "total_cells": 420,      # CellResults recorded
           "applicable_cells": 312, # matrix cells with an observation
           "workloads": {           # per-workload breakdown
-            "a": {"wall_s": 0.61, "reads": 1200, "writes": 340,
+            "a": {"reads": 1200, "writes": 340,
                   "bytes_read": 1228800, "bytes_written": 348160,
-                  "seeks": 95, "busy_time_s": 0.8,
+                  "seeks": 95, "busy_time_s": 0.8,   # virtual seconds
                   "events": 5000,  # typed storage events observed
                   "event_digest": "sha256-hex"}  # determinism witness
           }
@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
+from typing import Any, Dict, Optional
 
-SCHEMA = "repro-bench-timing/1"
+SCHEMA = "repro-bench-results/1"
 #: Record kind -> (environment override, default file name).
 BENCH_FILES = {
     "fingerprint": ("REPRO_BENCH_JSON", "BENCH_fingerprint.json"),
@@ -48,8 +47,6 @@ BENCH_FILES = {
     "array": ("REPRO_BENCH_ARRAY_JSON", "BENCH_array.json"),
     "fleet": ("REPRO_BENCH_FLEET_JSON", "BENCH_fleet.json"),
 }
-
-T = TypeVar("T")
 
 
 def bench_json_path(kind: str, root: Optional[os.PathLike] = None) -> Path:
@@ -63,62 +60,39 @@ def bench_json_path(kind: str, root: Optional[os.PathLike] = None) -> Path:
     return Path(root or Path.cwd()) / filename
 
 
-def timed(fn: Callable[[], T]) -> Tuple[T, float]:
-    """Run *fn*, returning ``(result, wall_clock_seconds)``.
-
-    When *fn* raises, the measurement is not lost: the elapsed time up
-    to the failure is attached to the exception as ``timed_wall_s``, so
-    drivers can record a failed entry (see :func:`failure_record`)
-    before re-raising instead of dropping the run from the BENCH JSON.
-    """
-    started = time.perf_counter()
-    try:
-        value = fn()
-    except BaseException as exc:
-        exc.timed_wall_s = time.perf_counter() - started
-        raise
-    return value, time.perf_counter() - started
-
-
 def failure_record(exc: BaseException, **context: Any) -> Dict[str, Any]:
-    """Build the JSON record for a benched run that raised.
+    """Build the JSON record for a run that raised.
 
-    ``wall_s`` is the elapsed time :func:`timed` attached to the
-    exception (0.0 when the failure happened outside ``timed``), and
-    ``status``/``error`` mark the entry so dashboards and the BENCH
-    sanity checks can tell a crashed run from a slow one.  Extra
+    ``status``/``error`` mark the entry, so a crashed run replaces its
+    result row instead of leaving the previous one standing.  Extra
     keyword context (jobs, profile, workload...) is merged in.
     """
     record: Dict[str, Any] = {
         "status": "failed",
         "error": type(exc).__name__,
         "error_detail": str(exc)[:200],
-        "wall_s": round(getattr(exc, "timed_wall_s", 0.0), 6),
     }
     record.update(context)
     return record
 
 
-def fingerprint_record(fp, matrix, wall_s: float) -> Dict[str, Any]:
+def fingerprint_record(fp, matrix) -> Dict[str, Any]:
     """Build the JSON record for one Fingerprinter run.
 
     *fp* is the (already-run) :class:`~repro.fingerprint.Fingerprinter`;
-    its per-workload wall times and raw-device traffic become the
+    its per-workload raw-device traffic and event digests become the
     ``workloads`` breakdown.
     """
     workloads: Dict[str, Any] = {}
-    for key, secs in fp.workload_wall.items():
-        entry: Dict[str, Any] = {"wall_s": round(secs, 6)}
-        io = fp.workload_io.get(key)
-        if io is not None:
-            entry.update(
-                reads=io.reads,
-                writes=io.writes,
-                bytes_read=io.bytes_read,
-                bytes_written=io.bytes_written,
-                seeks=io.seeks,
-                busy_time_s=round(io.busy_time_s, 6),
-            )
+    for key, io in fp.workload_io.items():
+        entry: Dict[str, Any] = {
+            "reads": io.reads,
+            "writes": io.writes,
+            "bytes_read": io.bytes_read,
+            "bytes_written": io.bytes_written,
+            "seeks": io.seeks,
+            "busy_time_s": round(io.busy_time_s, 6),
+        }
         if key in getattr(fp, "workload_events", {}):
             entry["events"] = fp.workload_events[key]
         if getattr(fp, "workload_digest", {}).get(key):
@@ -127,7 +101,6 @@ def fingerprint_record(fp, matrix, wall_s: float) -> Dict[str, Any]:
             entry["span_digest"] = fp.workload_span_digest[key]
         workloads[key] = entry
     record = {
-        "wall_s": round(wall_s, 6),
         "jobs": fp.jobs,
         "tests_run": fp.tests_run,
         "total_cells": len(fp.cells),
@@ -143,7 +116,7 @@ def fingerprint_record(fp, matrix, wall_s: float) -> Dict[str, Any]:
     return record
 
 
-def crash_record(report, wall_s: float) -> Dict[str, Any]:
+def crash_record(report) -> Dict[str, Any]:
     """Build the JSON record for one crash-exploration run.
 
     *report* is a :class:`~repro.crash.engine.CrashReport`; the
@@ -151,7 +124,6 @@ def crash_record(report, wall_s: float) -> Dict[str, Any]:
     ``--jobs`` widths.
     """
     record = {
-        "wall_s": round(wall_s, 6),
         "jobs": report.jobs,
         "profile": report.profile,
         "workload": report.workload,
@@ -167,7 +139,7 @@ def crash_record(report, wall_s: float) -> Dict[str, Any]:
     return record
 
 
-def array_record(geometry: str, members: int, wall_s: float,
+def array_record(geometry: str, members: int,
                  throughput: Dict[str, Any],
                  stats: Optional[Any] = None,
                  **extra: Any) -> Dict[str, Any]:
@@ -181,7 +153,6 @@ def array_record(geometry: str, members: int, wall_s: float,
     record: Dict[str, Any] = {
         "geometry": geometry,
         "members": members,
-        "wall_s": round(wall_s, 6),
         "throughput": throughput,
     }
     if stats is not None:
@@ -196,7 +167,7 @@ def array_record(geometry: str, members: int, wall_s: float,
     return record
 
 
-def fleet_record(report, wall_s: float, **extra: Any) -> Dict[str, Any]:
+def fleet_record(report, **extra: Any) -> Dict[str, Any]:
     """Build the JSON record for one fleet campaign.
 
     *report* is a :class:`repro.fleet.campaign.FleetReport`; the record
@@ -206,14 +177,13 @@ def fleet_record(report, wall_s: float, **extra: Any) -> Dict[str, Any]:
     can hard-fail on any intra-entry digest disagreement.
     """
     record = report.to_record()
-    record["wall_s"] = round(wall_s, 6)
     record["jobs"] = report.jobs
     record["digest"] = report.digest
     record.update(extra)
     return record
 
 
-def table6_record(run, wall_s: float) -> Dict[str, Any]:
+def table6_record(run) -> Dict[str, Any]:
     """Build the JSON record for a Table-6 variant sweep."""
     benches: Dict[str, Any] = {}
     for bench, rows in run.results.items():
@@ -225,7 +195,7 @@ def table6_record(run, wall_s: float) -> Dict[str, Any]:
             ],
             "normalized": [round(x, 4) for x in run.normalized(bench)],
         }
-    return {"wall_s": round(wall_s, 6), "benches": benches}
+    return {"benches": benches}
 
 
 def record_entry(
@@ -233,21 +203,24 @@ def record_entry(
     record: Dict[str, Any],
     path: Optional[os.PathLike] = None,
 ) -> Path:
-    """Merge one named record into the timing JSON (atomic rewrite).
+    """Merge one named record into the results JSON (atomic rewrite).
 
-    A missing or unreadable file starts fresh rather than failing — the
-    timing layer must never take a benchmark down with it.
+    The single writer: sorted keys and no clock, so recording the same
+    result again leaves the file's bytes unchanged.  A missing or
+    unreadable file, or one of another schema, starts fresh rather
+    than failing — the recorder must never take a benchmark down with
+    it, and never carries another schema's fields under this one's name.
     """
     target = Path(path) if path is not None else bench_json_path("fingerprint")
     data: Dict[str, Any] = {"schema": SCHEMA, "entries": {}}
     try:
         existing = json.loads(target.read_text())
-        if isinstance(existing, dict) and isinstance(existing.get("entries"), dict):
+        if (isinstance(existing, dict) and existing.get("schema") == SCHEMA
+                and isinstance(existing.get("entries"), dict)):
             data["entries"] = existing["entries"]
     except (OSError, ValueError):
         pass
     data["entries"][name] = record
-    data["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     tmp = target.with_suffix(target.suffix + ".tmp")
     tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     tmp.replace(target)

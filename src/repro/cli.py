@@ -84,19 +84,8 @@ def _write_observability(
         print(f"metrics written to {path} and {prom}")
 
 
-def _warm_pool(args: argparse.Namespace) -> None:
-    """Spawn the persistent workers before the timed region, so the
-    recorded wall-clock measures the run and not pool start-up (skipped
-    when the run will fall back to in-process serial)."""
-    if args.jobs > 1:
-        from repro.common.pool import effective_jobs, warm_pool
-
-        if effective_jobs(args.jobs) > 1:
-            warm_pool(args.jobs)
-
-
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
-    from repro.bench.timing import fingerprint_record, record_entry, timed
+    from repro.bench.records import failure_record, fingerprint_record, record_entry
     from repro.disk import CorruptionMode
     from repro.fingerprint import Fingerprinter, WORKLOAD_BY_KEY
     from repro.fingerprint.adapters import ADAPTERS
@@ -122,15 +111,14 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
     fp = Fingerprinter(adapter, workloads=workloads, corruption_mode=mode,
                        progress=(print if args.verbose else None),
                        jobs=args.jobs, trace=args.trace, metrics=args.metrics)
-    _warm_pool(args)
+    # Only a full-matrix run owns the committed ``fingerprint_{fs}`` row.
+    entry = f"fingerprint_{args.fs}" + (
+        f"_{args.workloads}" if args.workloads else "")
     try:
-        matrix, wall_s = timed(fp.run)
+        matrix = fp.run()
     except Exception as exc:
         if not args.no_bench_json:
-            from repro.bench.timing import failure_record
-
-            record_entry(f"fingerprint_{args.fs}",
-                         failure_record(exc, jobs=args.jobs, fs=args.fs))
+            record_entry(entry, failure_record(exc, jobs=args.jobs, fs=args.fs))
         raise
     print(render_full_figure(matrix))
     covered, total = matrix.coverage()
@@ -146,14 +134,18 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
         args.metrics_out or (f"metrics_fingerprint_{args.fs}.json" if args.metrics else None),
     )
     if not args.no_bench_json:
-        path = record_entry(f"fingerprint_{args.fs}",
-                            fingerprint_record(fp, matrix, wall_s))
-        print(f"timing written to {path} ({wall_s:.2f}s wall, jobs={args.jobs})")
+        path = record_entry(entry, fingerprint_record(fp, matrix))
+        print(f"results written to {path} ({entry})")
     return 0
 
 
 def _cmd_crash(args: argparse.Namespace) -> int:
-    from repro.bench.timing import bench_json_path, crash_record, record_entry, timed
+    from repro.bench.records import (
+        bench_json_path,
+        crash_record,
+        failure_record,
+        record_entry,
+    )
     from repro.crash import CRASH_PROFILES, CRASH_WORKLOADS, explore
 
     if args.list:
@@ -171,20 +163,18 @@ def _cmd_crash(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
-    _warm_pool(args)
+    entry = f"crash_{args.fs}_{args.workload}_j{args.jobs}"
     try:
-        report, wall_s = timed(lambda: explore(
+        report = explore(
             args.fs, args.workload, jobs=args.jobs,
             max_torn_per_epoch=args.max_torn,
             progress=(print if args.verbose else None),
             trace=args.trace,
-        ))
+        )
     except Exception as exc:
         if not args.no_bench_json:
-            from repro.bench.timing import failure_record
-
             record_entry(
-                f"crash_{args.fs}_{args.workload}_j{args.jobs}",
+                entry,
                 failure_record(exc, jobs=args.jobs, profile=args.fs,
                                workload=args.workload),
                 path=bench_json_path("crash"),
@@ -199,12 +189,9 @@ def _cmd_crash(args: argparse.Namespace) -> int:
             None,
         )
     if not args.no_bench_json:
-        path = record_entry(
-            f"crash_{args.fs}_{args.workload}_j{args.jobs}",
-            crash_record(report, wall_s),
-            path=bench_json_path("crash"),
-        )
-        print(f"timing written to {path} ({wall_s:.2f}s wall, jobs={args.jobs})")
+        path = record_entry(entry, crash_record(report),
+                            path=bench_json_path("crash"))
+        print(f"results written to {path} ({entry})")
     return 1 if (args.fail_on_violation and report.violations) else 0
 
 
@@ -269,7 +256,7 @@ def _cmd_table6(args: argparse.Namespace) -> int:
 
 
 def _cmd_array(args: argparse.Namespace) -> int:
-    from repro.bench.timing import bench_json_path, record_entry, timed
+    from repro.bench.records import bench_json_path, record_entry
     from repro.redundancy.fingerprint import (
         ARRAY_GEOMETRIES,
         run_array_fingerprint,
@@ -286,24 +273,20 @@ def _cmd_array(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
-    _warm_pool(args)
-    fp, wall_s = timed(lambda: run_array_fingerprint(
+    fp = run_array_fingerprint(
         jobs=args.jobs, labels=labels,
-        progress=(print if args.verbose else None)))
+        progress=(print if args.verbose else None))
     print(fp.render())
     if not args.no_bench_json:
         record = {
-            "wall_s": round(wall_s, 6),
             "jobs": args.jobs,
             "cells": sum(len(m.cells) for m in fp.matrices.values()),
             "geometries": sorted(fp.matrices),
             f"event_digest_jobs{args.jobs}": fp.digest,
         }
-        path = record_entry(
-            f"array_fingerprint_j{args.jobs}", record,
-            path=bench_json_path("array"),
-        )
-        print(f"timing written to {path} ({wall_s:.2f}s wall, jobs={args.jobs})")
+        entry = f"array_fingerprint_j{args.jobs}"
+        path = record_entry(entry, record, path=bench_json_path("array"))
+        print(f"results written to {path} ({entry})")
     return 0
 
 
@@ -351,16 +334,14 @@ def _fleet_spec_from_args(args: argparse.Namespace):
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.bench.timing import bench_json_path, fleet_record, record_entry, timed
+    from repro.bench.records import bench_json_path, fleet_record, record_entry
     from repro.fleet.campaign import run_fleet
 
     spec = _fleet_spec_from_args(args)
     if spec is None:
         return 2
-    _warm_pool(args)
-    report, wall_s = timed(lambda: run_fleet(
-        spec, jobs=args.jobs,
-        progress=(print if args.verbose else None)))
+    report = run_fleet(spec, jobs=args.jobs,
+                       progress=(print if args.verbose else None))
     print(report.render())
     summary = report.incident_summary()
     if summary:
@@ -379,12 +360,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"metrics written to {args.metrics_out}")
     if not args.no_bench_json:
         record = fleet_record(
-            report, wall_s,
+            report,
             **{f"event_digest_jobs{args.jobs}": report.digest,
                f"incident_digest_jobs{args.jobs}": report.incident_digest})
-        path = record_entry(f"fleet_{spec.name}_j{args.jobs}", record,
-                            path=bench_json_path("fleet"))
-        print(f"timing written to {path} ({wall_s:.2f}s wall, jobs={args.jobs})")
+        entry = f"fleet_{spec.name}_j{args.jobs}"
+        path = record_entry(entry, record, path=bench_json_path("fleet"))
+        print(f"results written to {path} ({entry})")
     return 0
 
 
@@ -399,7 +380,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.trace_trial:
         return _report_trace_trial(args, spec)
 
-    _warm_pool(args)
     report = run_fleet(spec, jobs=args.jobs,
                        progress=(print if args.verbose else None),
                        profile=args.profile)
@@ -475,7 +455,7 @@ _DIGEST_FAMILIES = ("event_digest", "incident_digest")
 
 def _digest_mismatches(entries) -> List[str]:
     """Entries whose own jobs-width digests disagree within a family —
-    a determinism failure, not a perf regression."""
+    a determinism failure inside one file."""
     bad = []
     for name, record in sorted(entries.items()):
         if not isinstance(record, dict):
@@ -489,8 +469,34 @@ def _digest_mismatches(entries) -> List[str]:
     return bad
 
 
+_ABSENT = object()
+
+
+def _value_diffs(old, new, path: str = "") -> List[tuple]:
+    """``(key path, old, new)`` for every leaf at which two JSON values
+    differ: dicts are walked by key (a key on one side only is a leaf),
+    equal-length lists by index."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        pairs = [(f"{path}.{key}" if path else key,
+                  old.get(key, _ABSENT), new.get(key, _ABSENT))
+                 for key in sorted(set(old) | set(new))]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(old, new))]
+    else:
+        return [] if old == new else [(path, old, new)]
+    return [diff for sub, a, b in pairs for diff in _value_diffs(a, b, sub)]
+
+
+def _clip(value) -> str:
+    text = "<absent>" if value is _ABSENT else json.dumps(value, sort_keys=True)
+    return text if len(text) <= 40 else text[:39] + "…"
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Compare two BENCH timing JSONs entry by entry (warn-only gate)."""
+    """Compare two BENCH result JSONs: every shared entry must hold the
+    same values, and each file's jobs-width digests must agree."""
+    from repro.bench.records import SCHEMA
+
     if not args.compare:
         print("nothing to do: pass --compare OLD.json NEW.json", file=sys.stderr)
         return 2
@@ -499,52 +505,39 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         old = json.loads(Path(old_path).read_text())
         new = json.loads(Path(new_path).read_text())
     except (OSError, ValueError) as exc:
-        print(f"cannot read timing JSON: {exc}", file=sys.stderr)
+        print(f"cannot read results JSON: {exc}", file=sys.stderr)
         return 2
+    for path, doc in ((old_path, old), (new_path, new)):
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != SCHEMA:
+            print(f"{path}: schema {schema!r}, want {SCHEMA!r}", file=sys.stderr)
+            return 2
     old_entries = old.get("entries", {})
     new_entries = new.get("entries", {})
     shared = sorted(set(old_entries) & set(new_entries))
     if not shared:
         print("no common entries between the two files", file=sys.stderr)
         return 2
-    regressions = []
-    print(f"{'entry':32} {'old wall_s':>12} {'new wall_s':>12} {'delta':>8}")
+    errors = []
+    print(f"{'entry':32} {'values differing':>16}")
     for name in shared:
-        old_wall = old_entries[name].get("wall_s")
-        new_wall = new_entries[name].get("wall_s")
-        if not isinstance(old_wall, (int, float)) or \
-                not isinstance(new_wall, (int, float)):
-            print(f"{name:32} {'-':>12} {'-':>12} {'n/a':>8}")
-            continue
-        ratio = (new_wall / old_wall) if old_wall > 0 else float("inf")
-        print(f"{name:32} {old_wall:12.4f} {new_wall:12.4f} {ratio:7.2f}x")
-        if ratio > args.threshold:
-            regressions.append((name, ratio))
+        diffs = _value_diffs(old_entries[name], new_entries[name])
+        print(f"{name:32} {len(diffs):>16}")
+        errors += [f"{name}: {path}: {_clip(a)} -> {_clip(b)}"
+                   for path, a, b in diffs]
     only_old = sorted(set(old_entries) - set(new_entries))
     only_new = sorted(set(new_entries) - set(old_entries))
     if only_old:
         print(f"only in {old_path}: {', '.join(only_old)}")
     if only_new:
         print(f"only in {new_path}: {', '.join(only_new)}")
-    for name, ratio in regressions:
-        # Warn-only: wall clock on shared CI runners is noisy, so a
-        # slowdown past the gate flags the entry without failing the
-        # job (use --strict to turn warnings into a non-zero exit).
-        print(f"::warning::{name} slowed {ratio:.2f}x "
-              f"(> {args.threshold:.1f}x gate)")
-    # Digest disagreement across jobs widths inside either file is a
-    # determinism failure, so it fails hard regardless of --strict.
-    broken = [f"{path}:{name}"
-              for path, entries in ((old_path, old_entries),
-                                    (new_path, new_entries))
-              for name in _digest_mismatches(entries)]
-    for item in broken:
-        print(f"::error::{item} digests disagree across jobs widths")
-    if broken:
-        return 1
-    if regressions and args.strict:
-        return 1
-    return 0
+    errors += [f"{path}:{name} digests disagree across jobs widths"
+               for path, entries in ((old_path, old_entries),
+                                     (new_path, new_entries))
+               for name in _digest_mismatches(entries)]
+    for error in errors:
+        print(f"::error::{error}")
+    return 1 if errors else 0
 
 
 def _cmd_space(args: argparse.Namespace) -> int:
@@ -615,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fan workloads out across N worker processes "
                         "(output is byte-identical to --jobs 1)")
     p.add_argument("--no-bench-json", action="store_true",
-                   help="skip writing timing records to BENCH_fingerprint.json")
+                   help="skip writing the result record to BENCH_fingerprint.json")
     p.add_argument("--trace", action="store_true",
                    help="record spans and write a Chrome trace-event JSON")
     p.add_argument("--trace-out", metavar="PATH",
@@ -642,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-on-violation", action="store_true",
                    help="exit non-zero when any oracle is violated")
     p.add_argument("--no-bench-json", action="store_true",
-                   help="skip writing timing records to BENCH_crash.json")
+                   help="skip writing the result record to BENCH_crash.json")
     p.add_argument("--trace", action="store_true",
                    help="keep every state's recovery stream and write a "
                         "Chrome trace-event JSON")
@@ -686,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fan (geometry, scenario) cells across N worker "
                         "processes (output is byte-identical to --jobs 1)")
     p.add_argument("--no-bench-json", action="store_true",
-                   help="skip writing timing records to BENCH_array.json")
+                   help="skip writing the result record to BENCH_array.json")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_array)
 
@@ -718,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the campaign's repro_fleet_* metrics "
                         "snapshot JSON here")
     p.add_argument("--no-bench-json", action="store_true",
-                   help="skip writing timing records to BENCH_fleet.json")
+                   help="skip writing the result record to BENCH_fleet.json")
     p.set_defaults(func=_cmd_fleet)
 
     p = sub.add_parser("report",
@@ -741,14 +734,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: trace_fleet_GEO_POL_N.json)")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("bench", help="compare BENCH timing JSON files")
+    p = sub.add_parser("bench", help="compare BENCH result JSON files")
     p.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                   help="two repro-bench-timing/1 JSONs to diff by entry")
-    p.add_argument("--threshold", type=float, default=2.0, metavar="X",
-                   help="flag entries whose wall_s grew more than X-fold "
-                        "(default: 2.0; warnings only)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit non-zero when any entry trips the threshold")
+                   help="two repro-bench-results/1 JSONs; exit 1 naming "
+                        "every shared entry and key whose value differs")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("space", help="print the space-overhead analysis")

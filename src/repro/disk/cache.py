@@ -72,7 +72,7 @@ class BlockCache:
         self.invalidate_all()
         self.reset_stats()
 
-    # -- statistics (read by the benchmark timing layer) --------------------
+    # -- statistics (read by the harnesses and the metrics layer) ------------
 
     def hit_rate(self) -> float:
         """Fraction of reads served from the cache (0.0 when idle)."""
@@ -96,7 +96,7 @@ class BlockCache:
     @property
     def stats(self):
         """The underlying device's :class:`DiskStats`, when it has one —
-        lets the timing layer read raw traffic through the stack."""
+        lets the harness read raw traffic through the stack."""
         return getattr(self.lower, "stats", None)
 
     @property

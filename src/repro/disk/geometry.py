@@ -48,10 +48,6 @@ class DiskGeometry:
         if self.block_size <= 0 or self.block_size % 512:
             raise ValueError("block size must be a positive multiple of 512")
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.num_blocks * self.block_size
-
     def seek_time(self, from_block: int, to_block: int) -> float:
         """Seconds to move the head between two logical blocks.
 

@@ -224,7 +224,7 @@ class FaultInjector:
     @property
     def stats(self):
         """The underlying device's :class:`DiskStats`, when it has one —
-        lets the timing layer read raw traffic through the stack."""
+        lets the harness read raw traffic through the stack."""
         return getattr(self.lower, "stats", None)
 
     # -- internals ----------------------------------------------------------------

@@ -17,7 +17,6 @@ The result is a :class:`~repro.taxonomy.policy.PolicyMatrix` — Figure 2
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -103,8 +102,6 @@ class WorkloadOutcome:
     ops: List[MatrixOp]
     cells: List[CellResult]
     tests_run: int
-    #: Wall-clock seconds spent fingerprinting this workload.
-    wall_s: float
     #: Aggregate raw-device traffic over all of the workload's runs.
     io: DiskStats
     #: Typed storage events observed across all of the workload's runs,
@@ -151,9 +148,8 @@ class Fingerprinter:
         self.metrics = metrics
         self.tests_run = 0
         self.cells: List[CellResult] = []
-        #: Per-workload wall-clock seconds (key -> seconds) and raw
-        #: device traffic, populated by run() for the timing layer.
-        self.workload_wall: Dict[str, float] = {}
+        #: Per-workload raw device traffic, populated by run() for the
+        #: result records.
         self.workload_io: Dict[str, DiskStats] = {}
         #: Per-workload typed-event totals and determinism digests.
         self.workload_events: Dict[str, int] = {}
@@ -197,7 +193,6 @@ class Fingerprinter:
         """Fingerprint every (fault class × block type) cell of one
         workload.  Pure with respect to the matrix: results come back as
         an ordered op list so serial and parallel runs merge identically."""
-        started = time.perf_counter()
         self._io_acc = DiskStats()
         self._metrics_acc = MetricsRegistry() if self.metrics else None
         self._trace_acc = [] if self.trace else None
@@ -261,7 +256,6 @@ class Fingerprinter:
             ops=ops,
             cells=cells,
             tests_run=tests_run,
-            wall_s=time.perf_counter() - started,
             io=io,
             event_count=event_count,
             event_digest=hasher.hexdigest(),
@@ -278,7 +272,6 @@ class Fingerprinter:
                 matrix.put(fault_class, btype, outcome.name, observation)
         self.cells.extend(outcome.cells)
         self.tests_run += outcome.tests_run
-        self.workload_wall[outcome.key] = outcome.wall_s
         self.workload_io[outcome.key] = outcome.io
         self.workload_events[outcome.key] = outcome.event_count
         self.workload_digest[outcome.key] = outcome.event_digest

@@ -132,9 +132,8 @@ def run_parallel(fp: "Fingerprinter") -> List["WorkloadOutcome"]:
     finally:
         for slab in slabs.values():
             slab.close()
-    for workload, outcome in zip(fp.workloads, outcomes):
+    for workload in fp.workloads:
         fp.progress(
-            f"{fp.adapter.name}: workload {workload.key} ({workload.name}) "
-            f"[{outcome.wall_s:.2f}s]"
+            f"{fp.adapter.name}: workload {workload.key} ({workload.name})"
         )
     return outcomes

@@ -283,7 +283,7 @@ class FleetReport:
         return report
 
     def to_record(self) -> Dict[str, Any]:
-        """The BENCH_fleet.json entry body (wall time added by caller)."""
+        """The BENCH_fleet.json entry body."""
         record: Dict[str, Any] = {
             "trials_per_cell": self.spec.trials,
             "trials": self.trials,

@@ -177,10 +177,6 @@ class Ext3Config:
     def group_of_inode(self, ino: int) -> int:
         return (ino - 1) // self.inodes_per_group
 
-    def _check_group(self, group: int) -> None:
-        if not 0 <= group < self.num_groups:
-            raise ValueError(f"group {group} out of range")
-
     # -- file size limits ----------------------------------------------------------
 
     @cached_property

@@ -252,11 +252,6 @@ def pack_bmap_desc(total_blocks: int, nmaps: int, block_size: int) -> bytes:
     return payload + b"\x00" * (block_size - len(payload))
 
 
-def unpack_bmap_desc(data: bytes) -> Tuple[int, int]:
-    total, nmaps, _ = _BMAPDESC_STRUCT.unpack_from(data)
-    return total, nmaps
-
-
 _IMAPCTL_STRUCT = U32x3  # num inodes, free inodes, next search hint
 
 
@@ -264,7 +259,3 @@ def pack_imap_control(num_inodes: int, free_inodes: int, hint: int,
                       block_size: int) -> bytes:
     payload = _IMAPCTL_STRUCT.pack(num_inodes, free_inodes, hint)
     return payload + b"\x00" * (block_size - len(payload))
-
-
-def unpack_imap_control(data: bytes) -> Tuple[int, int, int]:
-    return _IMAPCTL_STRUCT.unpack_from(data)

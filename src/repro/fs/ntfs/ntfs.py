@@ -75,15 +75,6 @@ class NTFS(JournaledFS):
     # Failure-policy hooks
     # ==================================================================
 
-    def _write_meta(self, block: int, data: bytes) -> None:
-        try:
-            self.buf.bwrite(block, data, retries=self.META_WRITE_ATTEMPTS - 1)
-        except DiskError as exc:
-            self.syslog.detection(self.name, "write-error",
-                                  f"metadata write failed after retries: {exc}",
-                                  mechanism="error-code", block=block)
-            raise FSError(Errno.EIO, f"cannot write block {block}") from exc
-
     def _write_data(self, block: int, data: bytes) -> None:
         try:
             self.buf.bwrite(block, data, retries=self.DATA_WRITE_ATTEMPTS - 1)

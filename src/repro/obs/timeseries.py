@@ -134,9 +134,6 @@ class TimeSeries:
             return 0
         return min(self.bins - 1, int(t / self.t_max * self.bins))
 
-    def bin_mid(self, index: int) -> float:
-        return (index + 0.5) * self.t_max / self.bins
-
     def observe(self, t: float, value: float) -> None:
         i = self.bin_index(t)
         value = float(value)

@@ -1,56 +1,53 @@
-"""The benchmark timing layer: record building, merge-on-write JSON,
-and path resolution."""
+"""The BENCH result records (``repro.bench.records``): record building,
+the one merge-on-write writer, path resolution, and the ``repro bench
+--compare`` results comparator.
 
+The module keeps the name it had when the records carried wall-clock
+fields, so the tests that survived that change keep their ids.
+"""
+
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
-import time
-
-from repro.bench.timing import (
+from repro.bench.records import (
     SCHEMA,
     bench_json_path,
     failure_record,
     fingerprint_record,
     record_entry,
     table6_record,
-    timed,
 )
+from repro.cli import main
 from repro.fingerprint import Fingerprinter, WORKLOAD_BY_KEY
 from repro.fingerprint.adapters import make_ext3_adapter
 
+REPO_ROOT = Path(__file__).parent.parent
 
-class TestTimed:
-    def test_returns_value_and_duration(self):
-        value, wall = timed(lambda: 42)
-        assert value == 42
-        assert wall >= 0.0
 
-    def test_exception_keeps_the_measurement(self):
-        def boom():
-            time.sleep(0.01)
-            raise RuntimeError("mid-run failure")
+def _clock_keys(value, path=""):
+    """Key paths of every host-clock field in a JSON value."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            here = f"{path}.{key}" if path else key
+            if key.startswith("wall_s") or key == "generated_at":
+                yield here
+            yield from _clock_keys(sub, here)
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield from _clock_keys(sub, f"{path}[{i}]")
 
-        with pytest.raises(RuntimeError) as excinfo:
-            timed(boom)
-        # The elapsed time up to the failure rides on the exception, so
-        # drivers can still record the run instead of dropping it.
-        assert excinfo.value.timed_wall_s >= 0.01
 
+class TestFailureRecord:
     def test_failure_record_shape(self):
-        try:
-            timed(lambda: (_ for _ in ()).throw(ValueError("x" * 500)))
-        except ValueError as exc:
-            record = failure_record(exc, jobs=4, fs="ext3")
+        record = failure_record(ValueError("x" * 500), jobs=4, fs="ext3")
         assert record["status"] == "failed"
         assert record["error"] == "ValueError"
         assert len(record["error_detail"]) <= 200
-        assert record["wall_s"] >= 0.0
         assert (record["jobs"], record["fs"]) == (4, "ext3")
-
-    def test_failure_record_outside_timed_defaults_to_zero(self):
-        record = failure_record(RuntimeError("never timed"))
-        assert record["wall_s"] == 0.0
+        assert not list(_clock_keys(record))
 
 
 BENCH_KINDS = [
@@ -79,56 +76,77 @@ class TestBenchJsonPath:
 class TestRecordEntry:
     def test_creates_and_merges(self, tmp_path):
         path = tmp_path / "BENCH_fingerprint.json"
-        record_entry("first", {"wall_s": 1.0}, path=path)
-        record_entry("second", {"wall_s": 2.0}, path=path)
+        record_entry("first", {"states": 1}, path=path)
+        record_entry("second", {"states": 2}, path=path)
         data = json.loads(path.read_text())
+        assert set(data) == {"schema", "entries"}
         assert data["schema"] == SCHEMA
         assert set(data["entries"]) == {"first", "second"}
-        assert "generated_at" in data
 
     def test_rerun_updates_in_place(self, tmp_path):
         path = tmp_path / "BENCH_fingerprint.json"
-        record_entry("run", {"wall_s": 1.0}, path=path)
-        record_entry("run", {"wall_s": 0.5}, path=path)
+        record_entry("run", {"states": 1}, path=path)
+        record_entry("run", {"states": 5}, path=path)
         data = json.loads(path.read_text())
-        assert data["entries"]["run"]["wall_s"] == 0.5
+        assert data["entries"]["run"]["states"] == 5
 
     def test_corrupt_file_starts_fresh(self, tmp_path):
         path = tmp_path / "BENCH_fingerprint.json"
         path.write_text("{not json")
-        record_entry("run", {"wall_s": 1.0}, path=path)
+        record_entry("run", {"states": 1}, path=path)
         data = json.loads(path.read_text())
-        assert data["entries"] == {"run": {"wall_s": 1.0}}
+        assert data["entries"] == {"run": {"states": 1}}
+
+    def test_foreign_schema_starts_fresh(self, tmp_path):
+        path = tmp_path / "BENCH_fingerprint.json"
+        path.write_text(json.dumps({
+            "schema": "repro-bench-timing/1",
+            "entries": {"old": {"wall_s": 1.0}}}))
+        record_entry("run", {"states": 1}, path=path)
+        data = json.loads(path.read_text())
+        assert data["entries"] == {"run": {"states": 1}}
+
+
+def _run_ab():
+    fp = Fingerprinter(make_ext3_adapter(),
+                       workloads=[WORKLOAD_BY_KEY["a"], WORKLOAD_BY_KEY["b"]])
+    return fp, fp.run()
 
 
 class TestFingerprintRecord:
     @pytest.fixture(scope="class")
     def run(self):
-        fp = Fingerprinter(make_ext3_adapter(),
-                           workloads=[WORKLOAD_BY_KEY["a"], WORKLOAD_BY_KEY["b"]])
-        matrix, wall_s = timed(fp.run)
-        return fp, matrix, wall_s
+        return _run_ab()
 
     def test_record_shape(self, run):
-        fp, matrix, wall_s = run
-        record = fingerprint_record(fp, matrix, wall_s)
+        fp, matrix = run
+        record = fingerprint_record(fp, matrix)
         assert record["jobs"] == 1
         assert record["tests_run"] == fp.tests_run
         assert record["total_cells"] == len(fp.cells)
         assert record["applicable_cells"] == len(matrix.cells)
         assert set(record["workloads"]) == {"a", "b"}
         for entry in record["workloads"].values():
-            assert entry["wall_s"] > 0
             assert entry["reads"] > 0
             assert entry["busy_time_s"] > 0
+            assert entry["event_digest"]
+        assert not list(_clock_keys(record))
 
     def test_record_is_json_serializable(self, run, tmp_path):
-        fp, matrix, wall_s = run
+        fp, matrix = run
         path = record_entry("fingerprint_ext3",
-                            fingerprint_record(fp, matrix, wall_s),
+                            fingerprint_record(fp, matrix),
                             path=tmp_path / "BENCH_fingerprint.json")
         data = json.loads(path.read_text())
         assert data["entries"]["fingerprint_ext3"]["total_cells"] > 0
+
+    def test_rerecording_a_rerun_leaves_the_bytes_unchanged(self, run, tmp_path):
+        path = tmp_path / "BENCH_fingerprint.json"
+        record_entry("fingerprint_ext3_ab", fingerprint_record(*run), path=path)
+        first = path.read_bytes()
+        record_entry("fingerprint_ext3_ab", fingerprint_record(*_run_ab()),
+                     path=path)
+        assert path.read_bytes() == first
 
 
 class TestTable6Record:
@@ -145,7 +163,105 @@ class TestTable6Record:
             def normalized(self, bench):
                 return [1.0]
 
-        record = table6_record(FakeRun(), 3.0)
-        assert record["wall_s"] == 3.0
+        record = table6_record(FakeRun())
+        assert set(record) == {"benches"}
         assert record["benches"]["Web"]["variants"][0]["label"] == "Baseline"
         assert record["benches"]["Web"]["normalized"] == [1.0]
+
+
+class TestCommittedFiles:
+    def test_result_files_carry_no_host_clock(self):
+        files = sorted(REPO_ROOT.glob("BENCH_*.json"))
+        assert len(files) == len(BENCH_KINDS)
+        for path in files:
+            data = json.loads(path.read_text())
+            assert data["schema"] == SCHEMA, path.name
+            assert not list(_clock_keys(data)), path.name
+
+
+#: One entry per record family, shaped like the committed files.
+ENTRIES = {
+    "crash_ext3_creat_j1": {"jobs": 1, "violations": 36,
+                            "violation_digest": "aa11"},
+    "fleet_campaign": {"matrix": {"mirror2": {"baseline": 0.125,
+                                              "scrub": 0.02}},
+                       "event_digest_jobs1": "e1", "event_digest_jobs4": "e1"},
+    "figure2_ext3": {"tests_run": 271,
+                     "workloads": {"a": {"reads": 34, "event_digest": "d0"}}},
+    "table6_overheads": {"benches": {"Web": {"normalized": [1.0, 1.02]}}},
+}
+
+
+class TestCompare:
+    @pytest.fixture
+    def compare(self, tmp_path, capsys):
+        def run(old_entries, new_entries, new_schema=SCHEMA):
+            old, new = tmp_path / "old.json", tmp_path / "new.json"
+            old.write_text(json.dumps(
+                {"schema": SCHEMA, "entries": old_entries}))
+            new.write_text(json.dumps(
+                {"schema": new_schema, "entries": new_entries}))
+            code = main(["bench", "--compare", str(old), str(new)])
+            captured = capsys.readouterr()
+            return code, captured.out + captured.err
+        return run
+
+    def test_identical_files_pass(self, compare):
+        code, _ = compare(ENTRIES, ENTRIES)
+        assert code == 0
+
+    def test_disjoint_extra_entries_pass(self, compare):
+        new = dict(ENTRIES, fleet_default_j2={"matrix": {}})
+        old = dict(ENTRIES, crash_ixt3_creat_j2={"violations": 1})
+        code, out = compare(old, new)
+        assert code == 0
+        assert "fleet_default_j2" in out and "crash_ixt3_creat_j2" in out
+
+    @pytest.mark.parametrize("entry, keys, value, named", [
+        ("crash_ext3_creat_j1", ["violation_digest"], "bb22",
+         "crash_ext3_creat_j1: violation_digest:"),
+        ("fleet_campaign", ["matrix", "mirror2", "baseline"], 0.13,
+         "fleet_campaign: matrix.mirror2.baseline:"),
+        ("figure2_ext3", ["workloads", "a", "event_digest"], "d1",
+         "figure2_ext3: workloads.a.event_digest:"),
+        ("table6_overheads", ["benches", "Web", "normalized", 1], 1.03,
+         "table6_overheads: benches.Web.normalized[1]:"),
+    ])
+    def test_changed_value_fails_naming_entry_and_key(
+            self, compare, entry, keys, value, named):
+        new = copy.deepcopy(ENTRIES)
+        target = new[entry]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        code, out = compare(ENTRIES, new)
+        assert code == 1
+        assert named in out
+        # ... and only that one value is reported.
+        assert out.count("::error::") == 1
+
+    def test_key_on_one_side_only_fails(self, compare):
+        new = copy.deepcopy(ENTRIES)
+        del new["crash_ext3_creat_j1"]["violations"]
+        code, out = compare(ENTRIES, new)
+        assert code == 1
+        assert "crash_ext3_creat_j1: violations: 36 -> <absent>" in out
+
+    def test_jobs_width_disagreement_inside_one_file_fails(self, compare):
+        new = copy.deepcopy(ENTRIES)
+        new["fleet_campaign"]["event_digest_jobs4"] = "e4"
+        old = copy.deepcopy(new)
+        code, out = compare(old, new)
+        assert code == 1
+        assert "digests disagree across jobs widths" in out
+
+    def test_foreign_schema_is_a_usage_error(self, compare):
+        code, out = compare(ENTRIES, ENTRIES, new_schema="repro-bench-timing/1")
+        assert code == 2
+        assert "repro-bench-timing/1" in out
+
+    def test_threshold_and_strict_are_gone(self, capsys):
+        for flag in (["--threshold", "2.0"], ["--strict"]):
+            with pytest.raises(SystemExit):
+                main(["bench", "--compare", "a", "b", *flag])
+        capsys.readouterr()

@@ -9,7 +9,7 @@ from repro.cli import build_parser, main
 
 @pytest.fixture(autouse=True)
 def bench_json(tmp_path, monkeypatch):
-    """Redirect the CLI's timing records away from the repo root."""
+    """Redirect the CLI's result records away from the repo root."""
     target = tmp_path / "BENCH_fingerprint.json"
     monkeypatch.setenv("REPRO_BENCH_JSON", str(target))
     return target
@@ -33,9 +33,11 @@ class TestCLI:
 
     def test_fingerprint_writes_bench_json(self, capsys, bench_json):
         assert main(["fingerprint", "ext3", "--workloads", "ab"]) == 0
-        assert "timing written to" in capsys.readouterr().out
+        assert "results written to" in capsys.readouterr().out
         data = json.loads(bench_json.read_text())
-        entry = data["entries"]["fingerprint_ext3"]
+        # A sliced run never lands on the full-matrix row's key.
+        assert set(data["entries"]) == {"fingerprint_ext3_ab"}
+        entry = data["entries"]["fingerprint_ext3_ab"]
         assert entry["jobs"] == 1 and entry["total_cells"] > 0
         assert set(entry["workloads"]) == {"a", "b"}
 
@@ -45,12 +47,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "fault-injection tests" in out
         data = json.loads(bench_json.read_text())
-        assert data["entries"]["fingerprint_ext3"]["jobs"] == 2
+        assert data["entries"]["fingerprint_ext3_ab"]["jobs"] == 2
 
     def test_fingerprint_no_bench_json(self, capsys, bench_json):
         assert main(["fingerprint", "ext3", "--workloads", "g",
                      "--no-bench-json"]) == 0
-        assert "timing written" not in capsys.readouterr().out
+        assert "results written" not in capsys.readouterr().out
         assert not bench_json.exists()
 
     def test_fingerprint_unknown_fs(self, capsys):
@@ -100,7 +102,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "span-tree digest:" in out
         assert json.loads(trace_out.read_text())["traceEvents"]
-        entry = json.loads(bench_json.read_text())["entries"]["fingerprint_ext3"]
+        entry = json.loads(bench_json.read_text())["entries"]["fingerprint_ext3_a"]
         assert entry["span_digest"]
         assert entry["metrics"]["schema"] == "repro-metrics/1"
 

@@ -52,7 +52,7 @@ class TestParallelDeterminism:
         fp4.run()
         assert fp4.tests_run == fp1.tests_run
         assert fp4.cells == fp1.cells
-        assert set(fp4.workload_wall) == {w.key for w in SUBSET}
+        assert set(fp4.workload_io) == {w.key for w in SUBSET}
         for key, io in fp4.workload_io.items():
             assert io == fp1.workload_io[key], key
 

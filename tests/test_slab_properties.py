@@ -12,8 +12,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legacy_disk import make_legacy_disk
 from repro.disk.disk import SlabImage, make_disk
-from repro.disk.legacy import make_legacy_disk
 
 NUM_BLOCKS = 16
 BS = 512

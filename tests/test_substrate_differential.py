@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 import repro.fingerprint.adapters as adapters_mod
-from repro.disk.legacy import make_legacy_disk
+from legacy_disk import make_legacy_disk
 from repro.fingerprint import Fingerprinter
 from repro.fingerprint.adapters import ADAPTERS
 from repro.taxonomy import render_full_figure
