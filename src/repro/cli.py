@@ -32,8 +32,7 @@ Commands
     ``campaign_report.json`` — classified incidents with provenance
     refs plus flight-recorder time series; ``--trace-trial
     GEOMETRY/POLICY:N`` re-runs one pure trial through the tracer and
-    exports a Perfetto timeline, ``--profile`` adds the wall-time
-    self-time attribution table.
+    exports a Perfetto timeline.
 
 ``table6``
     Run the Table-6 overhead sweep (all 32 ixt3 variants by default)
@@ -284,7 +283,9 @@ def _cmd_array(args: argparse.Namespace) -> int:
             "geometries": sorted(fp.matrices),
             f"event_digest_jobs{args.jobs}": fp.digest,
         }
-        entry = f"array_fingerprint_j{args.jobs}"
+        # Only a full-matrix run owns the ``array_fingerprint_jN`` row.
+        sliced = "-".join(labels) + "_" if labels else ""
+        entry = f"array_fingerprint_{sliced}j{args.jobs}"
         path = record_entry(entry, record, path=bench_json_path("array"))
         print(f"results written to {path} ({entry})")
     return 0
@@ -381,8 +382,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return _report_trace_trial(args, spec)
 
     report = run_fleet(spec, jobs=args.jobs,
-                       progress=(print if args.verbose else None),
-                       profile=args.profile)
+                       progress=(print if args.verbose else None))
     body = report.campaign_report()
     errors = validate_json(
         body, schema_root() / "campaign_report.schema.json")
@@ -399,11 +399,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
           f"{len(report.cells)} cells:")
     for line in report.incident_summary():
         print(f"  {line}")
-    if report.profile is not None:
-        from repro.obs.trace import render_profile
-
-        print()
-        print(render_profile(report.profile))
     print()
     print(f"campaign report written to {out} (schema-valid)")
     return 0
@@ -723,9 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="campaign_report.json",
                    help="campaign report output path "
                         "(default: campaign_report.json)")
-    p.add_argument("--profile", action="store_true",
-                   help="attach the wall-time self-time profiler and "
-                        "include the attribution table (digests unchanged)")
     p.add_argument("--trace-trial", metavar="GEOMETRY/POLICY:N",
                    help="skip the campaign; re-run one pure trial with "
                         "span tracing and export its Perfetto timeline")

@@ -24,7 +24,7 @@ from repro.disk.injector import FaultInjector
 from repro.disk.recorder import WriteRecorder
 from repro.disk.scrub import ScrubReport, Scrubber
 from repro.disk.stack import DeviceStack
-from repro.disk.trace import IOTrace, TraceEntry
+from repro.disk.trace import IOTrace
 
 __all__ = [
     "BlockCache",
@@ -44,7 +44,6 @@ __all__ = [
     "SimulatedDisk",
     "SlabImage",
     "Snapshot",
-    "TraceEntry",
     "WriteRecorder",
     "corruption",
     "make_disk",

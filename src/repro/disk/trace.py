@@ -7,33 +7,16 @@ observables — retries show up as repeated requests for the same block,
 redundancy as reads of replica or parity locations, remapping as writes
 landing at a different address than the fault-free run.
 
-``IOTrace`` keeps the historical query API (``entries``, ``reads_of``,
-``retry_count``…) as a rendering view, exactly as ``SysLog`` does for
-log events.
+``IOTrace`` is the query API over those events (``entries``,
+``reads_of``, ``retry_count``…): every helper filters the shared log
+and hands back its ``IOEvent`` objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 from repro.obs.events import EventLog, IOEvent, io_event
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    """One request observed at the device boundary."""
-
-    op: str  # "read" | "write"
-    block: int
-    outcome: str  # "ok" | "error" | "corrupted" | "dropped"
-    block_type: Optional[str] = None
-
-    def is_read(self) -> bool:
-        return self.op == "read"
-
-    def is_write(self) -> bool:
-        return self.op == "write"
 
 
 class IOTrace:
@@ -44,11 +27,8 @@ class IOTrace:
         self.events_log = events if events is not None else EventLog()
 
     @property
-    def entries(self) -> List[TraceEntry]:
-        return [
-            TraceEntry(e.op, e.block, e.outcome, e.block_type)
-            for e in self.events_log.io_events()
-        ]
+    def entries(self) -> List[IOEvent]:
+        return self.events_log.io_events()
 
     def record(self, op: str, block: int, outcome: str, block_type: Optional[str] = None) -> None:
         self.events_log.emit(io_event(op, block, outcome, block_type))
@@ -67,32 +47,29 @@ class IOTrace:
     def __len__(self) -> int:
         return sum(1 for e in self.events_log if isinstance(e, IOEvent))
 
-    def __iter__(self) -> Iterator[TraceEntry]:
+    def __iter__(self) -> Iterator[IOEvent]:
         return iter(self.entries)
 
     # -- queries used by policy inference ---------------------------------
 
-    def _io(self) -> List[IOEvent]:
-        return self.events_log.io_events()
-
     def reads_of(self, block: int) -> int:
-        return sum(1 for e in self._io() if e.is_read() and e.block == block)
+        return sum(1 for e in self.entries if e.is_read() and e.block == block)
 
     def writes_of(self, block: int) -> int:
-        return sum(1 for e in self._io() if e.is_write() and e.block == block)
+        return sum(1 for e in self.entries if e.is_write() and e.block == block)
 
     def blocks_read(self) -> List[int]:
-        return [e.block for e in self._io() if e.is_read()]
+        return [e.block for e in self.entries if e.is_read()]
 
     def blocks_written(self) -> List[int]:
-        return [e.block for e in self._io() if e.is_write()]
+        return [e.block for e in self.entries if e.is_write()]
 
-    def errors(self) -> List[TraceEntry]:
+    def errors(self) -> List[IOEvent]:
         return [e for e in self.entries if e.outcome == "error"]
 
     def retry_count(self, block: int, op: str) -> int:
         """Requests for *block* beyond the first — i.e. retries."""
-        n = sum(1 for e in self._io() if e.op == op and e.block == block)
+        n = sum(1 for e in self.entries if e.op == op and e.block == block)
         return max(0, n - 1)
 
     def render(self, limit: Optional[int] = None) -> str:

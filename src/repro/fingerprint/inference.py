@@ -30,6 +30,7 @@ from repro.obs.events import (
     LogEvent,
     PolicyActionEvent,
     RecoveryEvent,
+    STOP_ACTION_TAGS as STOP_ACTIONS,
     Severity,
     StorageEvent,
     classify_log,
@@ -38,13 +39,6 @@ from repro.obs.trace import SpanEndEvent, SpanStartEvent, event_ref, span_ref
 from repro.taxonomy.detection import Detection
 from repro.taxonomy.policy import PolicyObservation
 from repro.taxonomy.recovery import Recovery
-
-#: Policy actions that mean the file system halted activity (R_stop).
-STOP_ACTIONS = {"remount-ro", "journal-abort", "unmountable", "mount-failed"}
-#: Backward-compatible aliases (tag sets, pre-typed-event names).
-STOP_EVENTS = STOP_ACTIONS
-SANITY_EVENTS = {"sanity-fail"}
-REDUNDANCY_DETECT_EVENTS = {"checksum-mismatch"}
 
 
 @dataclass
@@ -56,7 +50,7 @@ class RunObservation:
     behaviour.  Plain strings are accepted for convenience (tests,
     hand-built observations) and coerced via the central tag
     classifier; an ``IOTrace`` may be passed separately, in which case
-    its entries are folded in as typed I/O events.
+    its I/O events are folded in.
     """
 
     results: List[OpResult]
@@ -82,10 +76,7 @@ class RunObservation:
             else:
                 typed.append(classify_log(Severity.INFO, "run", e, e))
         if self.trace is not None and not any(isinstance(e, IOEvent) for e in typed):
-            typed.extend(
-                IOEvent(t.op, t.block, t.outcome, t.block_type)
-                for t in self.trace.entries
-            )
+            typed.extend(self.trace.entries)
         self.typed_events = typed
 
     # -- typed accessors used by inference --------------------------------

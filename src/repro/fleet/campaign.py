@@ -39,7 +39,6 @@ from repro.obs.postmortem import (
     mode_counts,
     stream_label,
 )
-from repro.obs.trace import merge_profiles
 
 OUTCOMES = ("survived", "detected-loss", "silent-loss", "stopped")
 
@@ -122,8 +121,6 @@ class FleetReport:
     #: Flight-recorder time series folded across all trials (a
     #: registry holding only timeseries instruments).
     series: MetricsRegistry = field(default_factory=MetricsRegistry)
-    #: Merged wall-time self-time attribution (``profile=True`` runs).
-    profile: Optional[Dict[str, Dict[str, float]]] = None
 
     @property
     def trials(self) -> int:
@@ -278,8 +275,6 @@ class FleetReport:
         }
         if self.crosscheck is not None:
             report["crosscheck"] = self.crosscheck
-        if self.profile is not None:
-            report["profile"] = self.profile
         return report
 
     def to_record(self) -> Dict[str, Any]:
@@ -305,10 +300,9 @@ class FleetReport:
         return record
 
 
-def _trial_worker(spec: FleetSpec, cell_index: int, trial: int,
-                  profile: bool = False) -> TrialOutcome:
+def _trial_worker(spec: FleetSpec, cell_index: int, trial: int) -> TrialOutcome:
     geometry, policy = spec.cells()[cell_index]
-    return run_trial(spec, geometry, policy, trial, profile=profile)
+    return run_trial(spec, geometry, policy, trial)
 
 
 def _crosscheck_repair_hours(spec: FleetSpec, geometry: GeometrySpec,
@@ -321,17 +315,10 @@ def _crosscheck_repair_hours(spec: FleetSpec, geometry: GeometrySpec,
 
 
 def run_fleet(spec: FleetSpec, jobs: int = 1,
-              progress: Optional[Callable[[str], None]] = None,
-              profile: bool = False) -> FleetReport:
-    """Run the campaign; byte-identical results at any *jobs* width.
-
-    ``profile=True`` attaches a wall-time self-time profiler to every
-    trial and merges the per-trial tables into
-    :attr:`FleetReport.profile` — digests are unchanged (profiling is
-    a side table, never an event).
-    """
+              progress: Optional[Callable[[str], None]] = None) -> FleetReport:
+    """Run the campaign; byte-identical results at any *jobs* width."""
     cells = spec.cells()
-    tasks = [(spec, cell_index, trial, profile)
+    tasks = [(spec, cell_index, trial)
              for cell_index in range(len(cells))
              for trial in range(spec.trials)]
     report = FleetReport(spec=spec, jobs=jobs)
@@ -343,7 +330,6 @@ def run_fleet(spec: FleetSpec, jobs: int = 1,
 
     chunksize = max(1, min(16, spec.trials // 8 or 1))
     hasher = hashlib.sha256()
-    profiles: List[Dict[str, Dict[str, float]]] = []
     done = 0
     for outcome in pool_map(_trial_worker, tasks, jobs, chunksize=chunksize):
         cell = report.cells[(outcome.geometry, outcome.policy)]
@@ -372,16 +358,12 @@ def run_fleet(spec: FleetSpec, jobs: int = 1,
                 cell.incident_modes.get(incident.mode, 0) + 1
             if outcome.stream is not None:
                 report.streams[stream_label(outcome)] = outcome.stream
-        if outcome.profile:
-            profiles.append(outcome.profile)
         done += 1
         if progress is not None and done % max(1, spec.trials // 2) == 0:
             progress(f"fleet: {done}/{len(tasks)} trials "
                      f"({outcome.geometry}/{outcome.policy})")
     report.digest = hasher.hexdigest()
     report.incident_digest = fold_incidents(report.incidents)
-    if profile:
-        report.profile = merge_profiles(profiles)
 
     if spec.crosscheck:
         cell = report.cells[(CROSSCHECK_GEOMETRY.label,

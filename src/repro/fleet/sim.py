@@ -73,7 +73,7 @@ from repro.obs.events import (
     fold_digest,
 )
 from repro.obs.timeseries import FlightRecorder
-from repro.obs.trace import SelfTimeProfiler, enable_tracing
+from repro.obs.trace import enable_tracing
 from repro.fleet.spec import FleetSpec, GeometrySpec, PolicySpec
 
 #: Ring capacity of a trial's event log: big enough that a trial's
@@ -166,8 +166,6 @@ class TrialOutcome:
     #: Events the ring evicted before trial end (post-mortems report
     #: a truncated causal prefix honestly instead of silently).
     dropped_events: int = 0
-    #: Wall-time self-time attribution table (``--profile`` runs only).
-    profile: Optional[Dict[str, Dict[str, float]]] = None
     #: Raw flight-recorder samples (``repro-timeseries/1``; traced
     #: re-runs only — feeds the exported timeline).
     flight: Optional[Dict[str, Any]] = None
@@ -187,7 +185,7 @@ class _Trial:
 
     def __init__(self, spec: FleetSpec, geometry: GeometrySpec,
                  policy: PolicySpec, trial: int,
-                 trace: bool = False, profile: bool = False):
+                 trace: bool = False):
         self.spec = spec
         self.geometry = geometry
         self.policy = policy
@@ -213,7 +211,6 @@ class _Trial:
         #: Open rebuild windows: member -> (opened_at, expected_close).
         self._windows: Dict[int, Tuple[float, float]] = {}
         self._trace = trace
-        self._profiler = SelfTimeProfiler() if profile else None
         self._window_spans: Dict[int, int] = {}
 
         self.events = EventLog(max_events=TRIAL_LOG_EVENTS)
@@ -429,11 +426,7 @@ class _Trial:
         self._push(t + self.policy.rebuild_hours(blocks), _REBUILD, member)
 
     def _on_rebuild(self, t: float, member: int) -> None:
-        if self._profiler is not None:
-            self._profiler.enter("fleet:rebuild")
         rebuilt = self.array.rebuild_member(member)
-        if self._profiler is not None:
-            self._profiler.exit()
         self._count("rebuilt_blocks", rebuilt)
         self._count("rebuilds")
         fresh = self.events.consume_new()
@@ -504,43 +497,27 @@ class _Trial:
                              else self.outcome)
 
     def _foreground_io(self, t: float) -> None:
-        if self._profiler is not None:
-            self._profiler.enter("fleet:foreground-io")
-        try:
-            for _ in range(self.policy.io_reads_per_tick):
-                block = self._io.randrange(self.spec.num_blocks)
-                try:
-                    self._read_logical(block)
-                except ReadError:
-                    # Every recovery level below already had its chance
-                    # (member retries, reconstruction): the error
-                    # reaching the application is loss — or the R_stop
-                    # trigger.
-                    self._count("foreground_errors")
-                    if self.policy.stop_on_fault:
-                        self._stop(t, site="foreground")
-                    else:
-                        self._lose(t, site="foreground")
-                    return
-                self._count("foreground_reads")
-            if self.policy.stop_on_fault and self._detections_since():
-                self._stop(t, site="detection")
-        finally:
-            if self._profiler is not None:
-                self._profiler.exit()
+        for _ in range(self.policy.io_reads_per_tick):
+            block = self._io.randrange(self.spec.num_blocks)
+            try:
+                self._read_logical(block)
+            except ReadError:
+                # Every recovery level below already had its chance
+                # (member retries, reconstruction): the error reaching
+                # the application is loss — or the R_stop trigger.
+                self._count("foreground_errors")
+                if self.policy.stop_on_fault:
+                    self._stop(t, site="foreground")
+                else:
+                    self._lose(t, site="foreground")
+                return
+            self._count("foreground_reads")
+        if self.policy.stop_on_fault and self._detections_since():
+            self._stop(t, site="detection")
 
     def _scrub_tick(self, t: float) -> None:
         if self.policy.scrub_interval_hours <= 0:
             return
-        if self._profiler is not None:
-            self._profiler.enter("fleet:scrub")
-        try:
-            self._scrub_tick_inner(t)
-        finally:
-            if self._profiler is not None:
-                self._profiler.exit()
-
-    def _scrub_tick_inner(self, t: float) -> None:
         if self.array is not None:
             if self.array.degraded:
                 # Scrub pauses while failed/stale members would make
@@ -617,8 +594,6 @@ class _Trial:
         self._clock(t, "verify-start", "mission-end verify sweep")
         span = self._tracer.start("verify", "phase", source="fleet") \
             if self._trace else 0
-        if self._profiler is not None:
-            self._profiler.enter("fleet:verify")
         try:
             for block in range(self.spec.num_blocks):
                 expected = _payload(block, self.trial, self.spec.block_size)
@@ -631,8 +606,6 @@ class _Trial:
                     self._lose(t, silent=True, site="verify")
                     return
         finally:
-            if self._profiler is not None:
-                self._profiler.exit()
             if self._trace:
                 self._tracer.end(span, status=self.outcome
                                  if self._done else "ok")
@@ -667,11 +640,7 @@ class _Trial:
             if kind == _TICK:
                 self._on_tick(t)
             else:
-                if self._profiler is not None and kind in _ARRIVALS:
-                    with self._profiler.section("fleet:arrivals"):
-                        handlers[kind](t, member)
-                else:
-                    handlers[kind](t, member)
+                handlers[kind](t, member)
             self._sample(t)
 
         if not self._done:
@@ -726,26 +695,21 @@ class _Trial:
                 policy=self.policy.name)),
             stream=stream,
             dropped_events=self.events.dropped,
-            profile=(self._profiler.table()
-                     if self._profiler is not None else None),
             flight=self._recorder.to_snapshot() if self._trace else None,
         )
 
 
 def run_trial(spec: FleetSpec, geometry: GeometrySpec, policy: PolicySpec,
-              trial: int, trace: bool = False,
-              profile: bool = False) -> TrialOutcome:
+              trial: int, trace: bool = False) -> TrialOutcome:
     """Simulate one device's mission; pure in ``(spec, cell, trial)``.
 
     ``trace=True`` re-runs the same trial with span tracing enabled:
     the verdict, time-to-loss and arrival sequence are identical (spans
     draw no randomness), but the event stream gains span events for the
     Perfetto timeline export, so the per-trial digest differs from the
-    untraced run by construction.  ``profile=True`` attaches a wall-time
-    self-time profiler — a side table only; digests are unchanged.
+    untraced run by construction.
     """
-    return _Trial(spec, geometry, policy, trial,
-                  trace=trace, profile=profile).run()
+    return _Trial(spec, geometry, policy, trial, trace=trace).run()
 
 
 __all__ = [

@@ -2,21 +2,20 @@
 
 The fingerprinting methodology (§4.3) infers failure policy from three
 observables — API results, the system log, and the I/O trace at the
-device boundary.  Historically each lived in its own shape (free-text
-``SysLog`` strings, ``IOTrace`` entries, ad-hoc state checks); this
-module unifies them as one ordered stream of :class:`StorageEvent`
-records that the fault injector, the VFS buffer layer, the journal
-framing, and every file system's policy code emit into a shared
-:class:`EventLog`.
+device boundary.  This module holds them as one ordered stream of
+:class:`StorageEvent` records that the fault injector, the VFS buffer
+layer, the journal framing, and every file system's policy code emit
+into a shared :class:`EventLog`.
 
 Design constraints:
 
 * **Replayable** — events are frozen dataclasses of primitives, so a
   stream pickles across process-pool workers and hashes to a stable
   digest (``jobs=N`` determinism checks compare these digests).
-* **View-compatible** — ``SysLog`` and ``IOTrace`` are re-implemented
-  as rendering views over an ``EventLog``, so string-based consumers
-  keep working while inference matches structured events.
+* **View-compatible** — ``SysLog`` and ``IOTrace`` are views over an
+  ``EventLog``: ``SysLog`` renders its :class:`LogEvent`\\ s as log
+  lines, ``IOTrace`` filters out its :class:`IOEvent`\\ s and returns
+  those same objects, and inference matches the structured events.
 
 Event kinds:
 
@@ -36,6 +35,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import (
     Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple, Type,
 )
@@ -340,6 +340,9 @@ POLICY_ACTION_TAGS = {
     "replica-full",
 }
 
+#: The policy actions that halt file-system activity (R_stop).
+STOP_ACTION_TAGS = {"remount-ro", "journal-abort", "unmountable", "mount-failed"}
+
 
 def classify_log(
     severity: Severity,
@@ -452,10 +455,6 @@ class EventLog:
 
     # -- incremental consumption ---------------------------------------------
 
-    def since(self, mark: int) -> List[StorageEvent]:
-        """Events appended at or after index *mark* (no state change)."""
-        return self._events[mark:]
-
     def consume_new(self) -> List[StorageEvent]:
         """Return events appended since the last call and advance the
         high-water mark past them."""
@@ -498,8 +497,13 @@ class EventLog:
         self.released = 0
 
     def remove_where(self, predicate: Callable[[StorageEvent], bool]) -> None:
-        self._events[:] = [e for e in self._events if not predicate(e)]
-        self.high_water = min(self.high_water, len(self._events))
+        # The mark drops by the removed events that sat before it, so
+        # an unconsumed tail stays unconsumed.
+        events = iter(self._events)
+        kept = [e for e in islice(events, self.high_water) if not predicate(e)]
+        self.high_water = len(kept)
+        kept.extend(e for e in events if not predicate(e))
+        self._events[:] = kept
 
     # -- digests -------------------------------------------------------------
 

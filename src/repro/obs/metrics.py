@@ -41,10 +41,11 @@ from repro.obs.events import (
     JournalCommitEvent,
     PolicyActionEvent,
     RecoveryEvent,
+    STOP_ACTION_TAGS,
     StorageEvent,
     WriteImageEvent,
 )
-from repro.obs.timeseries import SERIES_BINS, TimeSeries
+from repro.obs.timeseries import SERIES_BINS, LabelsKey, TimeSeries, labels_key
 from repro.obs.trace import SpanStartEvent
 
 SNAPSHOT_SCHEMA = "repro-metrics/1"
@@ -55,15 +56,9 @@ SNAPSHOT_SCHEMA = "repro-metrics/1"
 LATENCY_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
                    0.01, 0.025, 0.05, 0.1, 0.5, 1.0)
 
-LabelsKey = Tuple[Tuple[str, str], ...]
-
-
-def _labels_key(labels: Mapping[str, str]) -> LabelsKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
 
 class Counter:
-    """A monotonically increasing count."""
+    """A count that only ever increases."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -132,14 +127,14 @@ class MetricsRegistry:
     # -- instrument access ---------------------------------------------------
 
     def counter(self, name: str, **labels: str) -> Counter:
-        key = (name, _labels_key(labels))
+        key = (name, labels_key(labels))
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter(name, key[1])
         return instrument
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = (name, _labels_key(labels))
+        key = (name, labels_key(labels))
         instrument = self._gauges.get(key)
         if instrument is None:
             instrument = self._gauges[key] = Gauge(name, key[1])
@@ -151,7 +146,7 @@ class MetricsRegistry:
         bounds: Tuple[float, ...] = LATENCY_BUCKETS,
         **labels: str,
     ) -> Histogram:
-        key = (name, _labels_key(labels))
+        key = (name, labels_key(labels))
         instrument = self._histograms.get(key)
         if instrument is None:
             instrument = self._histograms[key] = Histogram(name, key[1], bounds)
@@ -174,7 +169,7 @@ class MetricsRegistry:
         re-registering with a different layout is an error because it
         would break associative merging.
         """
-        key = (name, _labels_key(labels))
+        key = (name, labels_key(labels))
         instrument = self._timeseries.get(key)
         if instrument is None:
             instrument = self._timeseries[key] = TimeSeries(
@@ -508,11 +503,6 @@ RECOVERY_LEVELS = {
     "remap": "R_remap",
     "journal-replay": "R_repair",
 }
-
-#: Policy-action tags that stop activity (must mirror
-#: ``repro.fingerprint.inference.STOP_ACTIONS``; kept local because
-#: obs must not import the fingerprint package).
-STOP_ACTION_TAGS = {"remount-ro", "journal-abort", "unmountable", "mount-failed"}
 
 
 def metrics_from_events(

@@ -258,14 +258,6 @@ def mode_counts(incidents: Sequence[Incident]) -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def digest_incidents(
-    incidents: Sequence[Incident],
-) -> List[Dict[str, Any]]:
-    """The campaign-level incident digest list (records, enumeration
-    order preserved)."""
-    return [incident.to_record() for incident in incidents]
-
-
 __all__ = [
     "ARRIVAL_TAGS",
     "CAUSE_CAP",
@@ -275,7 +267,6 @@ __all__ = [
     "IncidentCause",
     "build_incident",
     "classify",
-    "digest_incidents",
     "fold_incidents",
     "mode_counts",
     "stream_label",

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -46,7 +45,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -118,21 +116,15 @@ class Tracer:
 
     Disabled (the default), every call is a cheap no-op returning span
     id 0, and nothing is emitted.
-
-    When a :class:`SelfTimeProfiler` is attached (:attr:`profiler`),
-    every non-floating span also charges wall time to its
-    ``category:name`` key — the ``--profile`` attribution table — with
-    zero effect on the emitted event stream.
     """
 
-    __slots__ = ("events", "enabled", "_next_id", "_stack", "profiler")
+    __slots__ = ("events", "enabled", "_next_id", "_stack")
 
     def __init__(self, events: EventLog):
         self.events = events
         self.enabled = False
         self._next_id = 1
         self._stack: List[int] = []
-        self.profiler: Optional["SelfTimeProfiler"] = None
 
     @property
     def current(self) -> Optional[int]:
@@ -163,27 +155,20 @@ class Tracer:
         ))
         if not floating:
             self._stack.append(span_id)
-            if self.profiler is not None:
-                self.profiler.enter(f"{category}:{name}")
         return span_id
 
     def end(self, span_id: int, status: str = "ok") -> None:
         """Close a span by id.  Id 0 (disabled-tracer handle) is a no-op."""
         if span_id == 0 or not self.enabled:
             return
-        popped = 0
         if span_id in self._stack:
             # Pop through any unclosed children (error paths that
             # skipped their end); the tree builder treats them as
             # implicitly closed at the parent's end.
             while self._stack and self._stack[-1] != span_id:
                 self._stack.pop()
-                popped += 1
             if self._stack:
                 self._stack.pop()
-                popped += 1
-        if popped and self.profiler is not None:
-            self.profiler.exit(popped)
         self.events.emit(SpanEndEvent(span_id=span_id, status=status))
 
     def span(
@@ -215,116 +200,6 @@ def enable_tracing(events: EventLog) -> Tracer:
     return tracer
 
 
-# -- wall-time self-time profiling --------------------------------------------
-
-
-class SelfTimeProfiler:
-    """Wall-clock attribution over named sections (span self-time).
-
-    A section's **self time** is its elapsed wall time minus the time
-    spent in sections it opened — the quantity worth sorting by when
-    hunting the hot path, since totals double-count parents.  The
-    profiler is a side table only: it emits no events and draws no
-    randomness, so profiled runs keep byte-identical digests.  Tables
-    pickle across pool workers and merge by key (:func:`merge_profiles`)
-    for the ``--profile`` campaign view.
-    """
-
-    __slots__ = ("frames", "_stack")
-
-    def __init__(self):
-        #: key -> {"calls", "total_s", "self_s"} accumulated so far.
-        self.frames: Dict[str, Dict[str, float]] = {}
-        self._stack: List[List[Any]] = []  # [key, start, child_seconds]
-
-    def enter(self, key: str) -> None:
-        self._stack.append([key, time.perf_counter(), 0.0])
-
-    def exit(self, count: int = 1) -> None:
-        """Close the innermost *count* open sections (tolerates
-        underflow so a mirrored span stack can never wedge it)."""
-        for _ in range(count):
-            if not self._stack:
-                return
-            key, start, child = self._stack.pop()
-            elapsed = time.perf_counter() - start
-            frame = self.frames.setdefault(
-                key, {"calls": 0, "total_s": 0.0, "self_s": 0.0})
-            frame["calls"] += 1
-            frame["total_s"] += elapsed
-            frame["self_s"] += elapsed - child
-            if self._stack:
-                self._stack[-1][2] += elapsed
-
-    def section(self, key: str):
-        """``with profiler.section("scrub"):`` convenience wrapper."""
-        return _ProfiledSection(self, key)
-
-    def table(self) -> Dict[str, Dict[str, float]]:
-        """The picklable attribution table (keys sorted, times rounded)."""
-        return {
-            key: {
-                "calls": int(frame["calls"]),
-                "total_s": round(frame["total_s"], 6),
-                "self_s": round(frame["self_s"], 6),
-            }
-            for key, frame in sorted(self.frames.items())
-        }
-
-
-class _ProfiledSection:
-    __slots__ = ("_profiler", "_key")
-
-    def __init__(self, profiler: SelfTimeProfiler, key: str):
-        self._profiler = profiler
-        self._key = key
-
-    def __enter__(self):
-        self._profiler.enter(self._key)
-        return self._profiler
-
-    def __exit__(self, exc_type, exc, tb):
-        self._profiler.exit()
-
-
-def merge_profiles(
-    tables: Iterable[Mapping[str, Mapping[str, float]]],
-) -> Dict[str, Dict[str, float]]:
-    """Sum attribution tables across workers/trials (associative)."""
-    merged: Dict[str, Dict[str, float]] = {}
-    for table in tables:
-        if not table:
-            continue
-        for key, frame in table.items():
-            mine = merged.setdefault(
-                key, {"calls": 0, "total_s": 0.0, "self_s": 0.0})
-            mine["calls"] += int(frame["calls"])
-            mine["total_s"] += float(frame["total_s"])
-            mine["self_s"] += float(frame["self_s"])
-    return {key: {"calls": frame["calls"],
-                  "total_s": round(frame["total_s"], 6),
-                  "self_s": round(frame["self_s"], 6)}
-            for key, frame in sorted(merged.items())}
-
-
-def render_profile(table: Mapping[str, Mapping[str, float]]) -> str:
-    """The attribution table as fixed-width text, hottest self-time
-    first — the terminal face of ``repro report --profile``."""
-    if not table:
-        return "profile: no sections recorded"
-    total_self = sum(frame["self_s"] for frame in table.values()) or 1.0
-    width = max(12, max(len(key) for key in table))
-    lines = [f"{'section'.ljust(width)} {'calls':>10} {'total_s':>10} "
-             f"{'self_s':>10} {'self%':>6}"]
-    for key, frame in sorted(table.items(),
-                             key=lambda kv: (-kv[1]["self_s"], kv[0])):
-        lines.append(
-            f"{key.ljust(width)} {frame['calls']:>10} "
-            f"{frame['total_s']:>10.3f} {frame['self_s']:>10.3f} "
-            f"{100 * frame['self_s'] / total_self:>5.1f}%")
-    return "\n".join(lines)
-
-
 # -- span trees ---------------------------------------------------------------
 
 
@@ -344,11 +219,6 @@ class SpanNode:
     #: Non-span events that occurred *directly* inside this span
     #: (not inside a child), counted by event kind.
     event_counts: Dict[str, int] = field(default_factory=dict)
-
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
 
 def span_tree(events: Iterable[StorageEvent]) -> List[SpanNode]:

@@ -6,6 +6,7 @@ The module keeps the name it had when the records carried wall-clock
 fields, so the tests that survived that change keep their ids.
 """
 
+import ast
 import copy
 import json
 from pathlib import Path
@@ -25,6 +26,10 @@ from repro.fingerprint import Fingerprinter, WORKLOAD_BY_KEY
 from repro.fingerprint.adapters import make_ext3_adapter
 
 REPO_ROOT = Path(__file__).parent.parent
+
+#: What ``test_src_reads_no_host_clock`` refuses under ``src/``.
+CLOCK_MODULES = {"time", "datetime"}
+CLOCK_FUNCTIONS = {"perf_counter", "monotonic", "process_time"}
 
 
 def _clock_keys(value, path=""):
@@ -177,6 +182,31 @@ class TestCommittedFiles:
             data = json.loads(path.read_text())
             assert data["schema"] == SCHEMA, path.name
             assert not list(_clock_keys(data)), path.name
+
+    def test_src_reads_no_host_clock(self):
+        """Timing lives in ``perf/``: nothing under ``src/`` imports a
+        clock module or names a clock function, so every output of the
+        package is a function of its arguments."""
+        offenders = []
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        alias.name for alias in node.names]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {name}"
+                    for name in names
+                    if name.split(".")[0] in CLOCK_MODULES
+                    or name in CLOCK_FUNCTIONS]
+        assert not offenders, offenders
 
 
 #: One entry per record family, shaped like the committed files.

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.bench.records import SCHEMA
 from repro.cli import build_parser, main
 
 
@@ -119,6 +120,21 @@ class TestCLI:
         )["entries"]["crash_ext3_creat_j1"]
         assert entry["span_digest"]
 
+    def test_array_slice_leaves_the_full_matrix_key(self, capsys, tmp_path,
+                                                    monkeypatch):
+        target = tmp_path / "BENCH_array.json"
+        monkeypatch.setenv("REPRO_BENCH_ARRAY_JSON", str(target))
+        full = {"cells": "the full-matrix row"}
+        target.write_text(json.dumps({
+            "schema": SCHEMA, "entries": {"array_fingerprint_j1": full}}))
+        assert main(["array", "--geometry", "mirror2",
+                     "--geometry", "rdp5"]) == 0
+        assert "(array_fingerprint_mirror2-rdp5_j1)" in capsys.readouterr().out
+        entries = json.loads(target.read_text())["entries"]
+        assert entries["array_fingerprint_j1"] == full
+        assert entries["array_fingerprint_mirror2-rdp5_j1"]["geometries"] \
+            == ["mirror2", "rdp5"]
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -170,14 +186,10 @@ class TestReportCLI:
         for incident in body["incidents"]:
             assert incident["causes"]
 
-    def test_report_profile_renders_attribution(self, capsys, tmp_path):
-        out_path = tmp_path / "r.json"
-        assert main(["report", *TINY_FLEET, "--profile",
-                     "-o", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "self_s" in out
-        assert "fleet:" in out
-        assert "profile" in json.loads(out_path.read_text())
+    def test_report_has_no_profile_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", *TINY_FLEET, "--profile"])
+        assert exc.value.code == 2
 
     def test_trace_trial_exports_perfetto_timeline(self, capsys, tmp_path):
         trace_out = tmp_path / "t.json"

@@ -13,13 +13,22 @@ from repro.disk import (
     FaultInjector,
     FaultKind,
     FaultOp,
+    IOTrace,
     SimulatedDisk,
     make_disk,
 )
 from repro.common.errors import ReadError
+from repro.common.syslog import SysLog
 from repro.disk.recorder import WriteRecorder
 from repro.fs.ext3 import Ext3, mkfs_ext3
-from repro.obs.events import EventLog, FaultArmedEvent, IOEvent, WriteImageEvent
+from repro.obs.events import (
+    EventLog,
+    FaultArmedEvent,
+    IOEvent,
+    LogEvent,
+    Severity,
+    WriteImageEvent,
+)
 
 from tests.conftest import EXT3_CFG
 
@@ -261,6 +270,24 @@ class TestRecorderAndHighWater:
         assert log.high_water == 0
         log.emit(IOEvent(op="write", block=3, outcome="ok"))
         assert [e.block for e in log.consume_new()] == [3]
+
+    @pytest.mark.parametrize("view", [SysLog, IOTrace])
+    def test_clearing_a_view_keeps_the_unconsumed_tail(self, view):
+        """``clear()`` on one view removes its events from both sides of
+        the mark; the other view's unconsumed event must still reach
+        the incremental reader."""
+        log = EventLog()
+        io = IOEvent(op="write", block=1, outcome="ok")
+        line = LogEvent(Severity.INFO, "fs", "note", "a log line")
+        mine, other = (line, io) if view is SysLog else (io, line)
+        log.emit(mine)
+        log.emit(other)
+        log.consume_new()
+        log.emit(mine)
+        log.emit(other)
+        view(log).clear()
+        assert log.high_water == 1
+        assert log.consume_new() == [other]
 
 
 class TestIntrospection:

@@ -178,15 +178,12 @@ class TestCampaignReport:
         assert len(body["incidents"]) == len(report.incidents)
         assert body["timeseries"]
 
-    def test_profile_attached_only_when_requested(self):
+    def test_two_runs_give_equal_reports(self):
         spec = SMALL.scaled(trials=1, crosscheck=False)
-        plain = run_fleet(spec, jobs=1)
-        assert plain.profile is None
-        profiled = run_fleet(spec, jobs=1, profile=True)
-        assert profiled.profile
-        assert profiled.digest == plain.digest
-        body = profiled.campaign_report()
-        assert "profile" in body
+        first = run_fleet(spec, jobs=1).campaign_report()
+        again = run_fleet(spec, jobs=1).campaign_report()
+        assert first == again
+        assert "profile" not in first
 
 
 class TestCellResult:

@@ -222,20 +222,8 @@ class TestFlightRecorder:
         assert traced.flight is not None
         assert traced.flight["schema"] == "repro-timeseries/1"
 
-    def test_profile_rerun_keeps_the_digest(self):
-        spec = _spec()
-        plain = run_trial(spec, MIRROR2, BASELINE, 0)
-        profiled = run_trial(spec, MIRROR2, BASELINE, 0, profile=True)
-        assert profiled.digest == plain.digest
-        assert profiled.outcome == plain.outcome
-        assert profiled.profile
-        for frame in profiled.profile.values():
-            assert frame["calls"] >= 1
-            assert frame["self_s"] >= 0.0
-
     def test_plain_runs_carry_no_heavy_payloads(self):
         out = run_trial(_spec(rates=ZERO_RATES), MIRROR2, BASELINE, 0)
-        assert out.profile is None
         assert out.flight is None
 
 

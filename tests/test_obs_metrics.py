@@ -198,12 +198,13 @@ class TestMetricsFromEvents:
         assert self._value(snap, "repro_faults_fired_total", op="read") == 2
 
     def test_stop_levels_match_inference_stop_actions(self):
-        # The duplicated tag set must never drift from the inference
-        # module's (obs cannot import fingerprint — import cycle).
+        # One set in obs.events serves both: metrics' R_stop counter and
+        # inference's R_stop verdict cannot drift apart.
         from repro.fingerprint.inference import STOP_ACTIONS
         from repro.obs.metrics import STOP_ACTION_TAGS
 
         assert STOP_ACTION_TAGS == STOP_ACTIONS
+        assert STOP_ACTION_TAGS is STOP_ACTIONS
 
 
 class TestSchemaValidation:

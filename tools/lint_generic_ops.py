@@ -24,6 +24,15 @@ hooks its docstring lists.  ``perf/trace.py`` wraps
 redefined one would run untraced — and one that moved out of
 ``ArrayDevice`` would break the traced benchmark pass.
 
+And one level further down, for the device stack: ``perf/trace.py``
+patches ``BlockCache``, ``FaultInjector``, ``WriteRecorder``,
+``DeviceStack`` and ``SimulatedDisk`` the same way, so each of them
+must define, in its own class body, every name its ``Spec`` lists.
+The names are read from ``SPECS`` by AST, never copied here.  Hoisting
+``flush`` / ``snapshot`` / ``restore`` / ``stall`` into a shared
+forwarding base class would therefore fail this lint instead of the
+traced benchmark pass.
+
 It then prints the source-line count (``wc -l``) of every package under
 ``src/repro``, so each CI run records how large the tree is; ``--loc-out
 PATH`` also writes the table to a file for upload as an artifact.
@@ -81,6 +90,15 @@ ARRAY_GENERIC = frozenset({
 })
 
 
+PERF_TRACE = ROOT / "perf" / "trace.py"
+
+#: The device-stack classes whose ``perf/trace.py`` specs are enforced.
+STACK_CLASSES = frozenset({
+    "BlockCache", "FaultInjector", "WriteRecorder", "DeviceStack",
+    "SimulatedDisk",
+})
+
+
 def class_methods(path: Path):
     """Yield ``(class name, method name, line)`` for every method in *path*."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -112,7 +130,7 @@ def lint() -> list[str]:
     problems.extend(f"tools/lint_generic_ops.py: allowed override {cls}.{name} "
                     "does not exist; drop it from ALLOWED_OVERRIDES"
                     for cls, name in sorted(unused))
-    return problems + lint_arrays()
+    return problems + lint_arrays() + lint_stack()
 
 
 def lint_arrays() -> list[str]:
@@ -130,6 +148,42 @@ def lint_arrays() -> list[str]:
         "implement a geometry hook instead (see ArrayDevice)"
         for cls, name, line in methods
         if cls != "ArrayDevice" and name in ARRAY_GENERIC)
+    return problems
+
+
+def traced_specs():
+    """Yield ``(module, class name, method names)`` for every entry of
+    ``perf/trace.py``'s ``SPECS`` that names a class and spells its
+    method names out as literals."""
+    tree = ast.parse(PERF_TRACE.read_text(), filename=str(PERF_TRACE))
+    specs = next(node.value for node in tree.body
+                 if isinstance(node, ast.AnnAssign)
+                 and getattr(node.target, "id", "") == "SPECS")
+    for call in specs.elts:
+        owner, names = call.args[1], call.args[2]
+        if isinstance(owner, ast.Constant) and isinstance(names, ast.Tuple):
+            module, _, cls = owner.value.partition(":")
+            if cls:
+                yield module, cls, ast.literal_eval(names)
+
+
+def lint_stack() -> list[str]:
+    problems = []
+    missing = set(STACK_CLASSES)
+    for module, cls, names in traced_specs():
+        if cls not in STACK_CLASSES:
+            continue
+        missing.discard(cls)
+        path = ROOT / "src" / (module.replace(".", "/") + ".py")
+        own = [name for owner, name, _ in class_methods(path) if owner == cls]
+        problems.extend(
+            f"{path.relative_to(ROOT)}: {cls}.{name} defined "
+            f"{own.count(name)} times in the class body, expected exactly "
+            "once (perf/trace.py patches vars(cls)[name])"
+            for name in names if own.count(name) != 1)
+    problems.extend(
+        f"{PERF_TRACE.relative_to(ROOT)}: no Spec for {cls}; drop it from "
+        "STACK_CLASSES" for cls in sorted(missing))
     return problems
 
 
@@ -164,7 +218,8 @@ def main(argv=None) -> int:
     if problems:
         print(f"{len(problems)} generic-op violation(s)", file=sys.stderr)
         return 1
-    print("generic ops: each defined once, in JournaledFS and ArrayDevice")
+    print("generic ops: each defined once, in JournaledFS and ArrayDevice; "
+          "device-stack layers define every name perf/trace.py patches")
     return 0
 
 
