@@ -67,7 +67,7 @@ def scenario(title, fault_builder, action_builder):
         injector, fs, types = fresh(name)
         injector.arm(fault_builder(types))
         result = outcome(lambda: action_builder(fs))
-        events = {r.event for r in fs.syslog.records} & {
+        events = {r.tag for r in fs.syslog.records} & {
             "read-error", "write-error", "read-retry", "write-retry",
             "sanity-fail", "remount-ro", "journal-abort", "silent-failure",
             "ignored-error", "redundancy-used", "unmountable",

@@ -38,7 +38,7 @@ def tour_basic_journaling():
     print("after crash + replay:")
     print("  /committed   ->", fs2.read_file("/committed").decode())
     print("  /uncommitted ->", "exists" if fs2.exists("/uncommitted") else "gone (correct)")
-    print("  syslog:", [r.message for r in fs2.syslog.records if r.event == "recovery"])
+    print("  syslog:", [r.message for r in fs2.syslog.records if r.tag == "recovery"])
     fs2.unmount()
     print("  fsck:", "clean" if fsck_ext3(disk).clean else "DAMAGED")
 

@@ -82,8 +82,8 @@ def demo_ixt3():
           if b"important" in data else "garbage?!")
 
     for record in fs.syslog.records:
-        if record.event in ("checksum-mismatch", "redundancy-used"):
-            print("  syslog:", record.event, "-", record.message)
+        if record.tag in ("checksum-mismatch", "redundancy-used"):
+            print("  syslog:", record.tag, "-", record.message)
 
 
 if __name__ == "__main__":

@@ -85,21 +85,16 @@ def fingerprint_record(fp, matrix) -> Dict[str, Any]:
     """
     workloads: Dict[str, Any] = {}
     for key, io in fp.workload_io.items():
-        entry: Dict[str, Any] = {
+        workloads[key] = {
             "reads": io.reads,
             "writes": io.writes,
             "bytes_read": io.bytes_read,
             "bytes_written": io.bytes_written,
             "seeks": io.seeks,
             "busy_time_s": round(io.busy_time_s, 6),
+            "events": fp.workload_events[key],
+            "event_digest": fp.workload_digest[key],
         }
-        if key in getattr(fp, "workload_events", {}):
-            entry["events"] = fp.workload_events[key]
-        if getattr(fp, "workload_digest", {}).get(key):
-            entry["event_digest"] = fp.workload_digest[key]
-        if getattr(fp, "workload_span_digest", {}).get(key):
-            entry["span_digest"] = fp.workload_span_digest[key]
-        workloads[key] = entry
     record = {
         "jobs": fp.jobs,
         "tests_run": fp.tests_run,
@@ -109,10 +104,12 @@ def fingerprint_record(fp, matrix) -> Dict[str, Any]:
     }
     # Observability extras: the structural span-tree digest (a second
     # jobs-width determinism witness) and the merged metrics snapshot.
-    if getattr(fp, "trace", False):
-        record["span_digest"] = fp.span_digest()
-    if getattr(fp, "metrics", False):
-        record["metrics"] = fp.merged_metrics()
+    if fp.trace:
+        record["span_digest"] = fp.observed.span_digest()
+        for part in fp.observed.parts:
+            workloads[part.root]["span_digest"] = part.span_digest()
+    if fp.metrics:
+        record["metrics"] = fp.observed.metrics
     return record
 
 
@@ -134,8 +131,8 @@ def crash_record(report) -> Dict[str, Any]:
         "violations_by_oracle": report.violations_by_oracle(),
         "violation_digest": report.violation_digest(),
     }
-    if getattr(report, "traced", False):
-        record["span_digest"] = report.span_digest()
+    if report.traced:
+        record["span_digest"] = report.observed.span_digest()
     return record
 
 

@@ -58,53 +58,47 @@ from pathlib import Path
 from typing import List, Optional
 
 
-def _write_observability(
-    events,
-    metrics_snapshot,
-    trace_out: Optional[str],
-    metrics_out: Optional[str],
-) -> None:
-    """Write the Chrome trace and/or metrics snapshot files for a run.
+def _unknown(what: str, given, known) -> bool:
+    """True — after saying so on stderr — when a name in *given* is not
+    one of *known*."""
+    bad = [name for name in given if name not in known]
+    if bad:
+        print(f"unknown {what}: {', '.join(bad)}; "
+              f"pick from {', '.join(known)}", file=sys.stderr)
+    return bool(bad)
 
-    The metrics snapshot lands both as JSON (``repro-metrics/1``) and,
-    next to it, as Prometheus text exposition (``.prom``).
-    """
-    from repro.obs.metrics import render_prometheus
-    from repro.obs.trace import write_chrome_trace
 
-    if trace_out and events is not None:
-        write_chrome_trace(events, trace_out)
-        print(f"chrome trace written to {trace_out} (load in ui.perfetto.dev)")
-    if metrics_out and metrics_snapshot is not None:
-        path = Path(metrics_out)
-        path.write_text(json.dumps(metrics_snapshot, indent=2, sort_keys=True) + "\n")
-        prom = path.with_suffix(".prom")
-        prom.write_text(render_prometheus(metrics_snapshot))
-        print(f"metrics written to {path} and {prom}")
+def _list_crash_workloads() -> int:
+    from repro.crash import CRASH_WORKLOADS
+
+    for key in sorted(CRASH_WORKLOADS):
+        print(f"{key:10} {CRASH_WORKLOADS[key].name}")
+    return 0
+
+
+def _record(args: argparse.Namespace, kind: str, entry: str, record) -> None:
+    """Merge *record* into the kind's BENCH file as *entry* and say
+    where, unless ``--no-bench-json``."""
+    from repro.bench.records import bench_json_path, record_entry
+
+    if not args.no_bench_json:
+        path = record_entry(entry, record, path=bench_json_path(kind))
+        print(f"results written to {path} ({entry})")
 
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
-    from repro.bench.records import failure_record, fingerprint_record, record_entry
+    from repro.bench.records import failure_record, fingerprint_record
     from repro.disk import CorruptionMode
     from repro.fingerprint import Fingerprinter, WORKLOAD_BY_KEY
     from repro.fingerprint.adapters import ADAPTERS
     from repro.taxonomy import render_full_figure
 
-    if args.fs not in ADAPTERS:
-        print(f"unknown file system {args.fs!r}; pick from {sorted(ADAPTERS)}",
-              file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
+    if (_unknown("file system", [args.fs], sorted(ADAPTERS))
+            or _unknown("workload letter", args.workloads or "", WORKLOAD_BY_KEY)):
         return 2
     adapter = ADAPTERS[args.fs]()
     workloads = None
     if args.workloads:
-        unknown = [k for k in args.workloads if k not in WORKLOAD_BY_KEY]
-        if unknown:
-            print(f"unknown workload letters {''.join(unknown)!r}; "
-                  f"pick from 'a'..'t'", file=sys.stderr)
-            return 2
         workloads = [WORKLOAD_BY_KEY[k] for k in args.workloads]
     mode = CorruptionMode.FIELD if args.field_corruption else CorruptionMode.NOISE
     fp = Fingerprinter(adapter, workloads=workloads, corruption_mode=mode,
@@ -116,8 +110,8 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
     try:
         matrix = fp.run()
     except Exception as exc:
-        if not args.no_bench_json:
-            record_entry(entry, failure_record(exc, jobs=args.jobs, fs=args.fs))
+        _record(args, "fingerprint", entry,
+                failure_record(exc, jobs=args.jobs, fs=args.fs))
         raise
     print(render_full_figure(matrix))
     covered, total = matrix.coverage()
@@ -125,42 +119,25 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
     print(f"{fp.tests_run} fault-injection tests; "
           f"{covered}/{total} cells show some detection or recovery")
     if args.trace:
-        print(f"span-tree digest: {fp.span_digest()}")
-    _write_observability(
-        fp.merged_trace() if args.trace else None,
-        fp.merged_metrics() if args.metrics else None,
-        args.trace_out or (f"trace_fingerprint_{args.fs}.json" if args.trace else None),
-        args.metrics_out or (f"metrics_fingerprint_{args.fs}.json" if args.metrics else None),
+        print(f"span-tree digest: {fp.observed.span_digest()}")
+    fp.observed.write(
+        (args.trace_out or f"trace_fingerprint_{args.fs}.json")
+        if args.trace else None,
+        (args.metrics_out or f"metrics_fingerprint_{args.fs}.json")
+        if args.metrics else None,
     )
-    if not args.no_bench_json:
-        path = record_entry(entry, fingerprint_record(fp, matrix))
-        print(f"results written to {path} ({entry})")
+    _record(args, "fingerprint", entry, fingerprint_record(fp, matrix))
     return 0
 
 
 def _cmd_crash(args: argparse.Namespace) -> int:
-    from repro.bench.records import (
-        bench_json_path,
-        crash_record,
-        failure_record,
-        record_entry,
-    )
+    from repro.bench.records import crash_record, failure_record
     from repro.crash import CRASH_PROFILES, CRASH_WORKLOADS, explore
 
     if args.list:
-        for key in sorted(CRASH_WORKLOADS):
-            print(f"{key:10} {CRASH_WORKLOADS[key].name}")
-        return 0
-    if args.fs not in CRASH_PROFILES:
-        print(f"unknown file system {args.fs!r}; pick from {sorted(CRASH_PROFILES)}",
-              file=sys.stderr)
-        return 2
-    if args.workload not in CRASH_WORKLOADS:
-        print(f"unknown workload {args.workload!r}; pick from "
-              f"{sorted(CRASH_WORKLOADS)}", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
+        return _list_crash_workloads()
+    if (_unknown("file system", [args.fs], sorted(CRASH_PROFILES))
+            or _unknown("workload", [args.workload], sorted(CRASH_WORKLOADS))):
         return 2
     entry = f"crash_{args.fs}_{args.workload}_j{args.jobs}"
     try:
@@ -171,26 +148,16 @@ def _cmd_crash(args: argparse.Namespace) -> int:
             trace=args.trace,
         )
     except Exception as exc:
-        if not args.no_bench_json:
-            record_entry(
-                entry,
-                failure_record(exc, jobs=args.jobs, profile=args.fs,
-                               workload=args.workload),
-                path=bench_json_path("crash"),
-            )
+        _record(args, "crash", entry, failure_record(
+            exc, jobs=args.jobs, profile=args.fs, workload=args.workload))
         raise
     print(report.render())
     if args.trace:
-        print(f"span-tree digest: {report.span_digest()}")
-        _write_observability(
-            report.merged_trace(), None,
+        print(f"span-tree digest: {report.observed.span_digest()}")
+        report.observed.write(
             args.trace_out or f"trace_crash_{args.fs}_{args.workload}.json",
-            None,
-        )
-    if not args.no_bench_json:
-        path = record_entry(entry, crash_record(report),
-                            path=bench_json_path("crash"))
-        print(f"results written to {path} ({entry})")
+            None)
+    _record(args, "crash", entry, crash_record(report))
     return 1 if (args.fail_on_violation and report.violations) else 0
 
 
@@ -199,36 +166,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.capture import trace_workloads
 
     if args.list:
-        for key in sorted(CRASH_WORKLOADS):
-            print(f"{key:10} {CRASH_WORKLOADS[key].name}")
-        return 0
-    if args.fs not in CRASH_PROFILES:
-        print(f"unknown file system {args.fs!r}; pick from {sorted(CRASH_PROFILES)}",
-              file=sys.stderr)
+        return _list_crash_workloads()
+    if (_unknown("file system", [args.fs], sorted(CRASH_PROFILES))
+            or _unknown("workload", args.workload or [], sorted(CRASH_WORKLOADS))):
         return 2
-    keys = args.workload or None
-    if keys:
-        unknown = [k for k in keys if k not in CRASH_WORKLOADS]
-        if unknown:
-            print(f"unknown workloads {unknown}; pick from "
-                  f"{sorted(CRASH_WORKLOADS)}", file=sys.stderr)
-            return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    capture = trace_workloads(args.fs, keys, jobs=args.jobs)
-    merged = capture.merged()
+    capture = trace_workloads(args.fs, args.workload, jobs=args.jobs)
     for label, events in capture.streams:
         print(f"{label:10} {len(events)} events")
     print(f"span-tree digest: {capture.span_digest()}")
     suffix = "-".join(k for k, _ in capture.streams)
-    _write_observability(
-        merged,
-        capture.metrics if not args.no_metrics else None,
+    capture.write(
         args.output or f"trace_{args.fs}_{suffix}.json",
-        args.metrics_out or (
-            None if args.no_metrics else f"metrics_{args.fs}_{suffix}.json"
-        ),
+        None if args.no_metrics
+        else args.metrics_out or f"metrics_{args.fs}_{suffix}.json",
     )
     return 0
 
@@ -255,39 +205,27 @@ def _cmd_table6(args: argparse.Namespace) -> int:
 
 
 def _cmd_array(args: argparse.Namespace) -> int:
-    from repro.bench.records import bench_json_path, record_entry
     from repro.redundancy.fingerprint import (
         ARRAY_GEOMETRIES,
         run_array_fingerprint,
     )
 
-    known = [label for label, _, _ in ARRAY_GEOMETRIES]
     labels = args.geometry or None
-    if labels:
-        unknown = [label for label in labels if label not in known]
-        if unknown:
-            print(f"unknown geometry labels {unknown}; pick from {known}",
-                  file=sys.stderr)
-            return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
+    if _unknown("geometry", labels or [],
+                [label for label, _, _ in ARRAY_GEOMETRIES]):
         return 2
     fp = run_array_fingerprint(
         jobs=args.jobs, labels=labels,
         progress=(print if args.verbose else None))
     print(fp.render())
-    if not args.no_bench_json:
-        record = {
-            "jobs": args.jobs,
-            "cells": sum(len(m.cells) for m in fp.matrices.values()),
-            "geometries": sorted(fp.matrices),
-            f"event_digest_jobs{args.jobs}": fp.digest,
-        }
-        # Only a full-matrix run owns the ``array_fingerprint_jN`` row.
-        sliced = "-".join(labels) + "_" if labels else ""
-        entry = f"array_fingerprint_{sliced}j{args.jobs}"
-        path = record_entry(entry, record, path=bench_json_path("array"))
-        print(f"results written to {path} ({entry})")
+    # Only a full-matrix run owns the ``array_fingerprint_jN`` row.
+    sliced = "-".join(labels) + "_" if labels else ""
+    _record(args, "array", f"array_fingerprint_{sliced}j{args.jobs}", {
+        "jobs": args.jobs,
+        "cells": sum(len(m.cells) for m in fp.matrices.values()),
+        "geometries": sorted(fp.matrices),
+        f"event_digest_jobs{args.jobs}": fp.digest,
+    })
     return 0
 
 
@@ -307,18 +245,12 @@ def _fleet_spec_from_args(args: argparse.Namespace):
         changes["mission_hours"] = args.mission_hours
     if args.geometry:
         known = {g.label: g for g in spec.geometries}
-        unknown = [label for label in args.geometry if label not in known]
-        if unknown:
-            print(f"unknown geometry labels {unknown}; "
-                  f"pick from {sorted(known)}", file=sys.stderr)
+        if _unknown("geometry", args.geometry, sorted(known)):
             return None
         changes["geometries"] = tuple(known[g] for g in args.geometry)
     if args.policy:
         known_p = {p.name: p for p in spec.policies}
-        unknown = [name for name in args.policy if name not in known_p]
-        if unknown:
-            print(f"unknown policy names {unknown}; "
-                  f"pick from {sorted(known_p)}", file=sys.stderr)
+        if _unknown("policy", args.policy, sorted(known_p)):
             return None
         changes["policies"] = tuple(known_p[p] for p in args.policy)
     if args.no_crosscheck:
@@ -328,14 +260,11 @@ def _fleet_spec_from_args(args: argparse.Namespace):
     if spec.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return None
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return None
     return spec
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.bench.records import bench_json_path, fleet_record, record_entry
+    from repro.bench.records import fleet_record
     from repro.fleet.campaign import run_fleet
 
     spec = _fleet_spec_from_args(args)
@@ -350,23 +279,21 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print("incidents (top loss mode per cell):")
         for line in summary:
             print(f"  {line}")
-    if report.crosscheck is not None and not report.crosscheck["within_tolerance"]:
-        print("::error::mirror2 simulated loss probability outside the "
-              "analytic tolerance", file=sys.stderr)
-        return 1
     if args.metrics_out:
         snapshot = report.metrics().snapshot()
         Path(args.metrics_out).write_text(
             json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
         print(f"metrics written to {args.metrics_out}")
-    if not args.no_bench_json:
-        record = fleet_record(
-            report,
-            **{f"event_digest_jobs{args.jobs}": report.digest,
-               f"incident_digest_jobs{args.jobs}": report.incident_digest})
-        entry = f"fleet_{spec.name}_j{args.jobs}"
-        path = record_entry(entry, record, path=bench_json_path("fleet"))
-        print(f"results written to {path} ({entry})")
+    _record(args, "fleet", f"fleet_{spec.name}_j{args.jobs}", fleet_record(
+        report,
+        **{f"event_digest_jobs{args.jobs}": report.digest,
+           f"incident_digest_jobs{args.jobs}": report.incident_digest}))
+    # After the record, so a failed cross-check replaces the row
+    # instead of leaving the last passing one standing.
+    if report.crosscheck is not None and not report.crosscheck["within_tolerance"]:
+        print("::error::mirror2 simulated loss probability outside the "
+              "analytic tolerance", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -408,38 +335,30 @@ def _report_trace_trial(args: argparse.Namespace, spec) -> int:
     """Re-run one pure trial with span tracing and export its Perfetto
     timeline (plus the raw flight-recorder samples)."""
     from repro.fleet.sim import run_trial
-    from repro.obs.trace import write_chrome_trace
 
     cell_text, _, trial_text = args.trace_trial.rpartition(":")
     geometry_label, _, policy_name = cell_text.partition("/")
-    try:
-        trial = int(trial_text)
-    except ValueError:
-        trial = -1
     geometries = {g.label: g for g in spec.geometries}
     policies = {p.name: p for p in spec.policies}
-    if (trial < 0 or geometry_label not in geometries
+    if (not trial_text.isdecimal() or geometry_label not in geometries
             or policy_name not in policies):
         print(f"--trace-trial wants GEOMETRY/POLICY:N "
               f"(geometries {sorted(geometries)}, "
               f"policies {sorted(policies)}), got {args.trace_trial!r}",
               file=sys.stderr)
         return 2
+    trial = int(trial_text)
     outcome = run_trial(spec, geometries[geometry_label],
                         policies[policy_name], trial, trace=True)
-    trace_out = args.trace_out or \
-        f"trace_fleet_{geometry_label}_{policy_name}_{trial}.json"
-    write_chrome_trace(outcome.stream, trace_out)
-    flight_out = Path(trace_out).with_suffix(".flight.json")
-    flight_out.write_text(
-        json.dumps(outcome.flight, indent=2, sort_keys=True) + "\n")
     print(f"trial {geometry_label}/{policy_name}#{trial}: "
           f"{outcome.outcome}"
           + (f" at {outcome.ttdl_hours}h via {outcome.site}"
              if outcome.site else "")
           + f", {outcome.events} events")
-    print(f"chrome trace written to {trace_out} (load in ui.perfetto.dev)")
-    print(f"flight-recorder samples written to {flight_out}")
+    outcome.observed.write(
+        args.trace_out
+        or f"trace_fleet_{geometry_label}_{policy_name}_{trial}.json",
+        None)
     return 0
 
 
@@ -587,133 +506,126 @@ def _cmd_fsck_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    """``type=`` of ``-j/--jobs``: an integer >= 1, else exit 2."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("--jobs must be >= 1")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="IRON File Systems (SOSP 2005) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options several commands take, each declared once as a parent.
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
+        "-j", "--jobs", type=_jobs, default=1, metavar="N",
+        help="fan the run's units (workloads, crash states, cells, trials) "
+             "out across N worker processes; output and digests are "
+             "byte-identical to --jobs 1")
+    verbose = argparse.ArgumentParser(add_help=False)
+    verbose.add_argument("-v", "--verbose", action="store_true")
+    no_bench_json = argparse.ArgumentParser(add_help=False)
+    no_bench_json.add_argument(
+        "--no-bench-json", action="store_true",
+        help="skip writing the result record to the command's BENCH_*.json")
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument("--trace", action="store_true",
+                        help="keep every run's event stream (spans on) and "
+                             "write a Chrome trace-event JSON")
+    traced.add_argument("--trace-out", metavar="PATH",
+                        help="trace output path (default: "
+                             "trace_fingerprint_FS.json / trace_crash_FS_W.json)")
+    listing = argparse.ArgumentParser(add_help=False)
+    listing.add_argument("--list", action="store_true",
+                         help="list the crash workloads and exit")
 
-    p = sub.add_parser("fingerprint", help="fingerprint a file system's failure policy")
+    p = sub.add_parser("fingerprint",
+                       parents=[jobs, verbose, no_bench_json, traced],
+                       help="fingerprint a file system's failure policy")
     p.add_argument("fs", help="ext3 | reiserfs | jfs | ntfs | ixt3")
     p.add_argument("--workloads", help="subset of workload letters, e.g. 'adgp'")
     p.add_argument("--field-corruption", action="store_true",
                    help="use FS-aware corrupted-field blocks instead of noise")
-    p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                   help="fan workloads out across N worker processes "
-                        "(output is byte-identical to --jobs 1)")
-    p.add_argument("--no-bench-json", action="store_true",
-                   help="skip writing the result record to BENCH_fingerprint.json")
-    p.add_argument("--trace", action="store_true",
-                   help="record spans and write a Chrome trace-event JSON")
-    p.add_argument("--trace-out", metavar="PATH",
-                   help="trace output path (default: trace_fingerprint_FS.json)")
     p.add_argument("--metrics", action="store_true",
                    help="collect metrics; write JSON snapshot + Prometheus text")
     p.add_argument("--metrics-out", metavar="PATH",
                    help="metrics output path (default: metrics_fingerprint_FS.json)")
-    p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_fingerprint)
 
-    p = sub.add_parser("crash", help="explore bounded crash states of a workload")
+    p = sub.add_parser("crash",
+                       parents=[jobs, verbose, no_bench_json, traced, listing],
+                       help="explore bounded crash states of a workload")
     p.add_argument("fs", nargs="?", default="ext3",
                    help="ext3 | reiserfs | jfs | ntfs | ixt3 (ixt3 = Tc enabled)")
     p.add_argument("--workload", default="creat",
                    help="crash workload key (see --list)")
-    p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                   help="fan crash states out across N worker processes "
-                        "(reports are identical to --jobs 1)")
     p.add_argument("--max-torn", type=int, default=None, metavar="K",
                    help="cap torn states per commit epoch (default: all)")
-    p.add_argument("--list", action="store_true",
-                   help="list crash workloads and exit")
     p.add_argument("--fail-on-violation", action="store_true",
                    help="exit non-zero when any oracle is violated")
-    p.add_argument("--no-bench-json", action="store_true",
-                   help="skip writing the result record to BENCH_crash.json")
-    p.add_argument("--trace", action="store_true",
-                   help="keep every state's recovery stream and write a "
-                        "Chrome trace-event JSON")
-    p.add_argument("--trace-out", metavar="PATH",
-                   help="trace output path (default: trace_crash_FS_W.json)")
-    p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_crash)
 
-    p = sub.add_parser("trace",
+    p = sub.add_parser("trace", parents=[jobs, listing],
                        help="trace a workload; write Chrome/Perfetto JSON")
     p.add_argument("fs", nargs="?", default="ext3",
                    help="ext3 | reiserfs | jfs | ntfs | ixt3")
     p.add_argument("--workload", action="append", metavar="W",
                    help="crash workload key, repeatable (default: all)")
-    p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                   help="fan workloads out across N worker processes "
-                        "(the merged trace is byte-identical to --jobs 1)")
     p.add_argument("-o", "--output", metavar="PATH",
                    help="trace output path (default: trace_FS_WORKLOADS.json)")
     p.add_argument("--metrics-out", metavar="PATH",
                    help="metrics output path (default: metrics_FS_WORKLOADS.json)")
     p.add_argument("--no-metrics", action="store_true",
                    help="skip the metrics snapshot")
-    p.add_argument("--list", action="store_true",
-                   help="list traceable workloads and exit")
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("table6", help="run the Table-6 overhead sweep")
+    p = sub.add_parser("table6", parents=[verbose],
+                       help="run the Table-6 overhead sweep")
     p.add_argument("--quick", action="store_true",
                    help="baseline + single features + all-on only")
     p.add_argument("--benches", help="comma list: SSH,Web,Post,TPCB")
-    p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_table6)
 
-    p = sub.add_parser("array",
+    p = sub.add_parser("array", parents=[jobs, verbose, no_bench_json],
                        help="fingerprint the redundancy arrays' failure policy")
     p.add_argument("--geometry", action="append", metavar="LABEL",
                    help="geometry label, repeatable: mirror2 | mirror3 | "
                         "parity4 | rdp5 (default: all)")
-    p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                   help="fan (geometry, scenario) cells across N worker "
-                        "processes (output is byte-identical to --jobs 1)")
-    p.add_argument("--no-bench-json", action="store_true",
-                   help="skip writing the result record to BENCH_array.json")
-    p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_array)
 
-    def add_fleet_spec_flags(p):
-        p.add_argument("--spec", metavar="JSON",
-                       help="FleetSpec JSON file (missing keys take defaults)")
-        p.add_argument("--trials", type=int, metavar="N",
-                       help="trials per (geometry, policy) cell")
-        p.add_argument("--seed", type=int, metavar="S",
-                       help="root seed for the campaign's named streams")
-        p.add_argument("--mission-hours", type=float, metavar="H",
-                       help="virtual mission length per trial")
-        p.add_argument("--geometry", action="append", metavar="LABEL",
-                       help="geometry label, repeatable (default: all in spec)")
-        p.add_argument("--policy", action="append", metavar="NAME",
-                       help="policy name, repeatable (default: all in spec)")
-        p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                       help="fan trials across N worker processes (digests "
-                            "are byte-identical to --jobs 1)")
-        p.add_argument("--no-crosscheck", action="store_true",
-                       help="skip the mirror2 analytic cross-check cell")
-        p.add_argument("-v", "--verbose", action="store_true")
+    fleet_spec = argparse.ArgumentParser(add_help=False)
+    fleet_spec.add_argument("--spec", metavar="JSON",
+                            help="FleetSpec JSON file (missing keys take defaults)")
+    fleet_spec.add_argument("--trials", type=int, metavar="N",
+                            help="trials per (geometry, policy) cell")
+    fleet_spec.add_argument("--seed", type=int, metavar="S",
+                            help="root seed for the campaign's named streams")
+    fleet_spec.add_argument("--mission-hours", type=float, metavar="H",
+                            help="virtual mission length per trial")
+    fleet_spec.add_argument("--geometry", action="append", metavar="LABEL",
+                            help="geometry label, repeatable (default: all in spec)")
+    fleet_spec.add_argument("--policy", action="append", metavar="NAME",
+                            help="policy name, repeatable (default: all in spec)")
+    fleet_spec.add_argument("--no-crosscheck", action="store_true",
+                            help="skip the mirror2 analytic cross-check cell")
 
     p = sub.add_parser("fleet",
+                       parents=[fleet_spec, jobs, verbose, no_bench_json],
                        help="Monte Carlo fleet reliability campaign "
                             "(loss-probability matrix)")
-    add_fleet_spec_flags(p)
     p.add_argument("--metrics-out", metavar="PATH",
                    help="also write the campaign's repro_fleet_* metrics "
                         "snapshot JSON here")
-    p.add_argument("--no-bench-json", action="store_true",
-                   help="skip writing the result record to BENCH_fleet.json")
     p.set_defaults(func=_cmd_fleet)
 
-    p = sub.add_parser("report",
+    p = sub.add_parser("report", parents=[fleet_spec, jobs, verbose],
                        help="aggregate a fleet campaign into a "
                             "schema-validated campaign_report.json "
                             "(incidents + time series)")
-    add_fleet_spec_flags(p)
     p.add_argument("-o", "--out", metavar="PATH",
                    default="campaign_report.json",
                    help="campaign report output path "

@@ -14,7 +14,7 @@ from repro.common.errors import (
     StorageError,
     WriteError,
 )
-from repro.common.syslog import LogRecord, Severity, SysLog
+from repro.common.syslog import Severity, SysLog
 from repro.common.units import DEFAULT_BLOCK_SIZE, GB, KB, MB, blocks_for, human_bytes
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "GB",
     "KB",
     "KernelPanic",
-    "LogRecord",
     "MB",
     "OutOfRangeError",
     "ReadError",

@@ -14,7 +14,6 @@ digests) read the events directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from repro.obs.events import (
@@ -28,23 +27,7 @@ from repro.obs.events import (
     classify_log,
 )
 
-__all__ = ["LogRecord", "Severity", "SysLog"]
-
-
-@dataclass(frozen=True)
-class LogRecord:
-    """One kernel-log line.
-
-    ``event`` is a machine-readable tag (e.g. ``"sanity-fail"``,
-    ``"journal-abort"``, ``"remount-ro"``, ``"checksum-mismatch"``,
-    ``"panic"``); ``source`` names the subsystem that emitted it.
-    """
-
-    severity: Severity
-    source: str
-    event: str
-    message: str
-    block: Optional[int] = None
+__all__ = ["Severity", "SysLog"]
 
 
 class SysLog:
@@ -59,12 +42,12 @@ class SysLog:
         self.events_log = events if events is not None else EventLog()
 
     @property
-    def records(self) -> List[LogRecord]:
-        """The stream's log-renderable events, as classic log records."""
-        return [
-            LogRecord(e.severity, e.source, e.tag, e.message, e.block)
-            for e in self.events_log.log_events()
-        ]
+    def records(self) -> List[LogEvent]:
+        """The stream's log-renderable events: ``tag`` is the
+        machine-readable name (``"sanity-fail"``, ``"journal-abort"``,
+        ``"remount-ro"``, ``"panic"``…), ``source`` the subsystem that
+        emitted it."""
+        return self.events_log.log_events()
 
     def log(
         self,
@@ -148,8 +131,8 @@ class SysLog:
     def has_event(self, event: str) -> bool:
         return any(e.tag == event for e in self.events_log.log_events())
 
-    def find(self, event: str) -> Iterator[LogRecord]:
-        return (r for r in self.records if r.event == event)
+    def find(self, event: str) -> Iterator[LogEvent]:
+        return (r for r in self.records if r.tag == event)
 
     def clear(self) -> None:
         """Drop the log-renderable events (other layers' events stay)."""
@@ -162,5 +145,5 @@ class SysLog:
         lines = []
         for r in self.records:
             blk = f" block={r.block}" if r.block is not None else ""
-            lines.append(f"[{r.severity.name:8}] {r.source}: {r.event}: {r.message}{blk}")
+            lines.append(f"[{r.severity.name:8}] {r.source}: {r.tag}: {r.message}{blk}")
         return "\n".join(lines)

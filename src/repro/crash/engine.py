@@ -71,6 +71,7 @@ from repro.disk.stack import DeviceStack
 from repro.fingerprint.adapters import ADAPTERS, adapter_for
 from repro.fs.ext3.fsck import fsck_ext3
 from repro.fs.ixt3 import FEAT_TXN_CSUM
+from repro.obs.capture import TraceCapture
 from repro.obs.events import (
     DetectionEvent,
     EventLog,
@@ -85,9 +86,7 @@ from repro.obs.trace import (
     SpanStartEvent,
     enable_tracing,
     event_ref,
-    merge_streams,
     span_ref,
-    span_tree_digest,
 )
 
 #: Default cap on torn states per epoch (None = every single-write loss).
@@ -159,7 +158,7 @@ class Violation:
     #: stream — at minimum the per-state replay span, plus the first
     #: detection/recovery/policy event recovery emitted.  Resolve with
     #: :func:`repro.obs.trace.resolve_ref` against
-    #: :meth:`CrashReport.streams`.
+    #: ``CrashReport.observed.by_label()``.
     provenance: Tuple[str, ...] = ()
 
     def as_tuple(self) -> Tuple[str, str, str]:
@@ -205,9 +204,6 @@ class Recording:
     #: Keep per-state recovery streams for *every* state (not just
     #: violating ones) — set by ``record(trace=True)``.
     trace: bool = False
-    #: The recording phase's own event stream (op spans + write images
-    #: + commit barriers), retained only when ``trace=True``.
-    trace_events: List[StorageEvent] = field(default_factory=list)
     #: Content-keyed memos for the *untraced* pure-read checks — the
     #: second-mount digest walk and read-only fsck.  Distinct crash
     #: states routinely recover to identical on-disk contents, and
@@ -250,8 +246,6 @@ def record(
     adapter.mkfs(disk)
     stack = DeviceStack(disk, record=True, events=EventLog(max_events=max_events))
     fs = adapter.make_fs(stack)
-    if trace:
-        enable_tracing(stack.events)
     fs.mount()
     workload.setup(fs)
     fs.sync()
@@ -260,7 +254,6 @@ def record(
 
     writes: List[Tuple[int, bytes]] = []
     boundaries: List[int] = []
-    trace_events: List[StorageEvent] = []
 
     def ingest(batch: List[StorageEvent]) -> None:
         for event in batch:
@@ -269,8 +262,6 @@ def record(
             elif isinstance(event, JournalCommitEvent):
                 if not boundaries or boundaries[-1] != len(writes):
                     boundaries.append(len(writes))
-        if trace:
-            trace_events.extend(batch)
 
     # Batched journaling: one transaction per step, committed to the
     # log but never checkpointed — every epoch leaves recovery real
@@ -292,7 +283,6 @@ def record(
         writes=writes,
         boundaries=boundaries,
         trace=trace,
-        trace_events=trace_events,
     )
     _prepare_reference(rec)
     return rec
@@ -743,25 +733,16 @@ class CrashReport:
             h.update(repr(v.as_tuple()).encode())
         return h.hexdigest()
 
-    def streams(self) -> Dict[str, List[StorageEvent]]:
-        """Kept per-state recovery streams, by state key — what the
-        violations' provenance references resolve against."""
-        return {
-            obs.key: list(obs.trace) for obs in self.observations if obs.trace
-        }
-
-    def merged_trace(self) -> List[StorageEvent]:
-        """All kept state streams spliced into one deterministic trace
-        (enumeration order), exportable as Chrome trace-event JSON."""
-        return merge_streams(
-            [(obs.key, list(obs.trace)) for obs in self.observations if obs.trace],
-            root=f"crash:{self.profile}:{self.workload}",
+    @property
+    def observed(self) -> TraceCapture:
+        """The kept per-state recovery streams, by state key in
+        enumeration order (violating states; every state when
+        ``traced``) — what the violations' provenance references
+        resolve against, and what ``--trace`` exports."""
+        return TraceCapture(
+            f"crash:{self.profile}:{self.workload}",
+            [(obs.key, obs.trace) for obs in self.observations if obs.trace],
         )
-
-    def span_digest(self) -> str:
-        """Structural span-tree digest over :meth:`merged_trace` — the
-        jobs-width determinism witness for traced crash runs."""
-        return span_tree_digest(self.merged_trace())
 
     def render(self) -> str:
         lines = [

@@ -26,9 +26,10 @@ from repro.disk.faults import CorruptionMode, Fault, FaultKind, FaultOp
 from repro.disk.stack import DeviceStack
 from repro.fingerprint.inference import RunObservation, infer_policy
 from repro.fingerprint.workloads import WORKLOADS, OpResult, Recorder, Workload
-from repro.obs.events import StorageEvent, fold_digest
+from repro.obs.capture import TraceCapture
+from repro.obs.events import fold_digest
 from repro.obs.metrics import MetricsRegistry, metrics_from_events
-from repro.obs.trace import enable_tracing, merge_streams, span_tree_digest
+from repro.obs.trace import enable_tracing
 from repro.taxonomy.policy import FAULT_CLASSES, PolicyMatrix, PolicyObservation
 from repro.vfs.api import FileSystem
 
@@ -104,19 +105,16 @@ class WorkloadOutcome:
     tests_run: int
     #: Aggregate raw-device traffic over all of the workload's runs.
     io: DiskStats
+    #: The workload's observed-run product: one labelled stream per
+    #: baseline / cell run (``trace=True`` only) and the workload's
+    #: metrics snapshot (``metrics=True`` only; per-worker snapshots
+    #: merge associatively in the parent).
+    observed: TraceCapture
     #: Typed storage events observed across all of the workload's runs,
     #: and a sha256 over their ordered keys — the determinism witness
     #: (``jobs=N`` must reproduce ``jobs=1`` exactly).
     event_count: int = 0
     event_digest: str = ""
-    #: ``repro-metrics/1`` snapshot for this workload (None unless the
-    #: fingerprinter ran with ``metrics=True``); per-worker snapshots
-    #: merge associatively in the parent.
-    metrics: Optional[Dict[str, Any]] = None
-    #: Labeled per-run event streams (only when ``trace=True``) and the
-    #: structural span-tree digest over their deterministic merge.
-    trace: List[Tuple[str, List[StorageEvent]]] = field(default_factory=list)
-    span_digest: str = ""
 
 
 class Fingerprinter:
@@ -154,13 +152,16 @@ class Fingerprinter:
         #: Per-workload typed-event totals and determinism digests.
         self.workload_events: Dict[str, int] = {}
         self.workload_digest: Dict[str, str] = {}
-        #: Per-workload observability products (trace / metrics runs).
-        self.workload_trace: Dict[str, List[Tuple[str, List[StorageEvent]]]] = {}
-        self.workload_span_digest: Dict[str, str] = {}
-        self.workload_metrics: Dict[str, Optional[Dict[str, Any]]] = {}
+        #: What the run kept for export: one part per workload, in
+        #: workload order — not completion order — so ``jobs=N`` merges
+        #: to the identical stream, digest and metrics snapshot.
+        self.observed = TraceCapture(f"fingerprint:{adapter.name}")
+        #: The workload in progress (set by ``_run_workload``): its
+        #: device traffic, its metrics registry (``metrics=True`` only)
+        #: and its part of ``observed``.
         self._io_acc: Optional[DiskStats] = None
         self._metrics_acc: Optional[MetricsRegistry] = None
-        self._trace_acc: Optional[List[Tuple[str, List[StorageEvent]]]] = None
+        self._part: Optional[TraceCapture] = None
 
     # -- public entry point --------------------------------------------------
 
@@ -185,6 +186,9 @@ class Fingerprinter:
                 outcomes.append(self._run_workload(workload))
         for outcome in outcomes:
             self._merge(matrix, outcome)
+        if self.metrics:
+            self.observed.metrics = MetricsRegistry.merge_snapshots(
+                part.metrics for part in self.observed.parts)
         return matrix
 
     # -- one workload (the unit of parallelism) ---------------------------------
@@ -195,7 +199,7 @@ class Fingerprinter:
         an ordered op list so serial and parallel runs merge identically."""
         self._io_acc = DiskStats()
         self._metrics_acc = MetricsRegistry() if self.metrics else None
-        self._trace_acc = [] if self.trace else None
+        self._part = TraceCapture(workload.key, category="workload")
         ops: List[MatrixOp] = []
         cells: List[CellResult] = []
         tests_run = 0
@@ -239,29 +243,18 @@ class Fingerprinter:
                     baseline, obs, fault, self.adapter.redundancy_types
                 )
                 ops.append(("put", fault_class, btype, observation))
-        io, self._io_acc = self._io_acc, None
-        metrics_snapshot = None
         if self._metrics_acc is not None:
-            metrics_snapshot = self._metrics_acc.snapshot()
-            self._metrics_acc = None
-        trace_streams, self._trace_acc = self._trace_acc or [], None
-        span_digest = ""
-        if trace_streams:
-            span_digest = span_tree_digest(
-                merge_streams(trace_streams, root=workload.key, root_category="workload")
-            )
+            self._part.metrics = self._metrics_acc.snapshot()
         return WorkloadOutcome(
             key=workload.key,
             name=workload.name,
             ops=ops,
             cells=cells,
             tests_run=tests_run,
-            io=io,
+            io=self._io_acc,
             event_count=event_count,
             event_digest=hasher.hexdigest(),
-            metrics=metrics_snapshot,
-            trace=trace_streams,
-            span_digest=span_digest,
+            observed=self._part,
         )
 
     def _merge(self, matrix: PolicyMatrix, outcome: WorkloadOutcome) -> None:
@@ -275,49 +268,7 @@ class Fingerprinter:
         self.workload_io[outcome.key] = outcome.io
         self.workload_events[outcome.key] = outcome.event_count
         self.workload_digest[outcome.key] = outcome.event_digest
-        self.workload_trace[outcome.key] = outcome.trace
-        self.workload_span_digest[outcome.key] = outcome.span_digest
-        self.workload_metrics[outcome.key] = outcome.metrics
-
-    # -- observability products ----------------------------------------------
-
-    def merged_trace(self) -> List[StorageEvent]:
-        """All traced runs spliced into one deterministic stream.
-
-        Two-level structure: a root span for the fingerprint run, one
-        container per workload, one container per (baseline / cell)
-        run.  Workload order — not completion order — drives the merge,
-        so ``jobs=N`` produces the identical stream.
-        """
-        workload_streams = []
-        for workload in self.workloads:
-            streams = self.workload_trace.get(workload.key) or []
-            if not streams:
-                continue
-            workload_streams.append((
-                workload.key,
-                merge_streams(streams, root=workload.key,
-                              root_category="workload"),
-            ))
-        return merge_streams(
-            workload_streams, root=f"fingerprint:{self.adapter.name}"
-        )
-
-    def span_digest(self) -> str:
-        """Structural digest of :meth:`merged_trace` — the jobs-width
-        determinism witness recorded in BENCH JSON."""
-        return span_tree_digest(self.merged_trace())
-
-    def merged_metrics(self) -> Optional[Dict[str, Any]]:
-        """Associative merge of the per-workload metrics snapshots
-        (None when the run did not collect metrics)."""
-        snapshots = [
-            snap for workload in self.workloads
-            if (snap := self.workload_metrics.get(workload.key)) is not None
-        ]
-        if not snapshots:
-            return None
-        return MetricsRegistry.merge_snapshots(snapshots)
+        self.observed.parts.append(outcome.observed)
 
     # -- image preparation ------------------------------------------------------
 
@@ -360,7 +311,7 @@ class Fingerprinter:
         snapshot: Any,
         frozen_oracle: Dict[int, str],
         fault: Optional[Fault],
-        label: str = "",
+        label: str,
     ) -> RunObservation:
         stack = self.adapter.build_stack()
         stack.restore(snapshot)
@@ -385,7 +336,7 @@ class Fingerprinter:
         # Enable tracing only now: the run span must open after the
         # mount-traffic clear above, or its start would be erased.
         tracer = enable_tracing(stack.events) if self.trace else None
-        run_span = tracer.start(label or workload.key, "run",
+        run_span = tracer.start(label, "run",
                                 source=self.adapter.name) if tracer else 0
 
         if fault is not None:
@@ -416,25 +367,17 @@ class Fingerprinter:
             fired = fault._fired
             fault_block = fault._locked_block if fault.block is None else fault.block
 
-        if self._io_acc is not None:
-            acc, s = self._io_acc, stack.stats
-            acc.reads += s.reads
-            acc.writes += s.writes
-            acc.bytes_read += s.bytes_read
-            acc.bytes_written += s.bytes_written
-            acc.seeks += s.seeks
-            acc.busy_time_s += s.busy_time_s
-
+        self._io_acc.merge(stack.stats)
+        events = list(stack.events)
         if self._metrics_acc is not None:
-            metrics_from_events(stack.events, self._metrics_acc)
+            metrics_from_events(events, self._metrics_acc)
             stack.collect_metrics(self._metrics_acc)
-        if self._trace_acc is not None:
-            self._trace_acc.append((label or workload.key, list(stack.events)))
+        if tracer is not None:
+            self._part.streams.append((label, events))
 
         return RunObservation(
             results=recorder.results,
-            events=list(stack.events),
-            trace=stack.injector.trace,
+            events=events,
             panic=panic,
             fault_fired=fired,
             fault_block=fault_block,
@@ -447,7 +390,7 @@ class Fingerprinter:
 
     def _accessed_types(self, baseline: RunObservation, op: str) -> set:
         return {
-            e.block_type for e in baseline.io_events()
+            e.block_type for e in baseline.io_events
             if e.op == op and e.block_type is not None and e.outcome == "ok"
         }
 

@@ -69,48 +69,35 @@ class RunObservation:
     typed_events: List[StorageEvent] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        typed: List[StorageEvent] = []
-        for e in self.events:
-            if isinstance(e, StorageEvent):
-                typed.append(e)
-            else:
-                typed.append(classify_log(Severity.INFO, "run", e, e))
-        if self.trace is not None and not any(isinstance(e, IOEvent) for e in typed):
-            typed.extend(self.trace.entries)
+        """Normalise the stream and partition it, once: inference reads
+        a baseline's partitions once per cell, so they are attributes —
+        ``io_events`` and the ``log_tags`` / ``detection_mechanisms`` /
+        ``recovery_mechanisms`` / ``policy_actions`` counters."""
+        typed = [
+            e if isinstance(e, StorageEvent)
+            else classify_log(Severity.INFO, "run", e, e)
+            for e in self.events
+        ]
+        io = [e for e in typed if isinstance(e, IOEvent)]
+        if self.trace is not None and not io:
+            io = self.trace.entries
+            typed.extend(io)
+        logs = [e for e in typed if isinstance(e, LogEvent)]
         self.typed_events = typed
-
-    # -- typed accessors used by inference --------------------------------
-
-    def io_events(self) -> List[IOEvent]:
-        return [e for e in self.typed_events if isinstance(e, IOEvent)]
-
-    def log_tags(self) -> List[str]:
-        return [e.tag for e in self.typed_events if isinstance(e, LogEvent)]
-
-    def recovery_mechanisms(self) -> Counter:
-        return Counter(
-            e.mechanism for e in self.typed_events if isinstance(e, RecoveryEvent)
-        )
-
-    def detection_mechanisms(self) -> Counter:
-        return Counter(
-            e.mechanism for e in self.typed_events if isinstance(e, DetectionEvent)
-        )
-
-    def policy_actions(self) -> Counter:
-        return Counter(
-            e.action for e in self.typed_events if isinstance(e, PolicyActionEvent)
-        )
+        self.io_events: List[IOEvent] = io
+        self.log_tags = Counter(e.tag for e in logs)
+        self.detection_mechanisms = Counter(
+            e.mechanism for e in logs if isinstance(e, DetectionEvent))
+        self.recovery_mechanisms = Counter(
+            e.mechanism for e in logs if isinstance(e, RecoveryEvent))
+        self.policy_actions = Counter(
+            e.action for e in logs if isinstance(e, PolicyActionEvent))
 
 
 def _counter_diff(observed: Counter, baseline: Counter) -> Counter:
     diff = Counter(observed)
     diff.subtract(baseline)
     return Counter({k: n for k, n in diff.items() if n > 0})
-
-
-def _event_diff(observed: List[str], baseline: List[str]) -> Counter:
-    return _counter_diff(Counter(observed), Counter(baseline))
 
 
 def _pair_results(
@@ -187,9 +174,9 @@ def infer_policy(
     recovery = set()
     notes: List[str] = []
 
-    new_events = _event_diff(observed.log_tags(), baseline.log_tags())
-    base_io = baseline.io_events()
-    obs_io = observed.io_events()
+    new_events = _counter_diff(observed.log_tags, baseline.log_tags)
+    base_io = baseline.io_events
+    obs_io = observed.io_events
     pairs = _pair_results(baseline.results, observed.results)
     all_errors_new = [
         (b.op, o.errno) for b, o in pairs
@@ -213,7 +200,7 @@ def infer_policy(
     if observed.panic is not None:
         recovery.add(Recovery.STOP)
         notes.append(f"panic: {observed.panic}")
-    new_actions = _counter_diff(observed.policy_actions(), baseline.policy_actions())
+    new_actions = _counter_diff(observed.policy_actions, baseline.policy_actions)
     if any(a in new_actions for a in STOP_ACTIONS) or (
         observed.final_read_only and not baseline.final_read_only
     ):
@@ -243,7 +230,7 @@ def infer_policy(
     # block to a different locale (no current stock FS does — the event
     # exists for IRON-style extensions and shows up here when they do).
     new_mechanisms = _counter_diff(
-        observed.recovery_mechanisms(), baseline.recovery_mechanisms()
+        observed.recovery_mechanisms, baseline.recovery_mechanisms
     )
     if new_mechanisms.get("remap", 0) > 0:
         recovery.add(Recovery.REMAP)
@@ -279,7 +266,7 @@ def infer_policy(
             detection.add(Detection.ZERO)
     else:  # corruption
         new_detections = _counter_diff(
-            observed.detection_mechanisms(), baseline.detection_mechanisms()
+            observed.detection_mechanisms, baseline.detection_mechanisms
         )
         if new_detections.get("redundancy", 0) > 0:
             detection.add(Detection.REDUNDANCY)

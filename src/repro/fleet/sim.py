@@ -63,6 +63,7 @@ from repro.common.errors import ReadError
 from repro.disk.disk import DiskStats
 from repro.disk.faults import Fault, FaultKind, FaultOp, Persistence
 from repro.disk.stack import DeviceStack
+from repro.obs.capture import TraceCapture
 from repro.obs.events import (
     ArrayRecoveryEvent,
     DetectionEvent,
@@ -166,9 +167,10 @@ class TrialOutcome:
     #: Events the ring evicted before trial end (post-mortems report
     #: a truncated causal prefix honestly instead of silently).
     dropped_events: int = 0
-    #: Raw flight-recorder samples (``repro-timeseries/1``; traced
-    #: re-runs only — feeds the exported timeline).
-    flight: Optional[Dict[str, Any]] = None
+    #: Traced re-runs only — the observed-run product behind the
+    #: exported timeline: the whole stream (spans and block I/O too)
+    #: and the raw flight-recorder samples (``repro-timeseries/1``).
+    observed: Optional[TraceCapture] = None
 
     @property
     def lost(self) -> bool:
@@ -670,8 +672,12 @@ class _Trial:
         # leave the block-I/O firehose behind, so ten thousand trials'
         # worth of retained streams stays small.  Traced re-runs keep
         # everything — the timeline export wants spans and I/O too.
+        observed = None
         if self._trace:
             stream: Optional[Tuple[StorageEvent, ...]] = tuple(self.events)
+            observed = TraceCapture(
+                f"fleet:{self.geometry.label}:{self.policy.name}",
+                [(label, stream)], flight=self._recorder.to_snapshot())
         elif self.outcome != "survived":
             stream = tuple(e for e in self.events
                            if isinstance(e, LogEvent))
@@ -695,7 +701,7 @@ class _Trial:
                 policy=self.policy.name)),
             stream=stream,
             dropped_events=self.events.dropped,
-            flight=self._recorder.to_snapshot() if self._trace else None,
+            observed=observed,
         )
 
 

@@ -360,10 +360,7 @@ _CATEGORY_TRACK = {
 }
 
 
-def chrome_trace(
-    events: Iterable[StorageEvent],
-    process_name: str = "repro",
-) -> Dict[str, Any]:
+def chrome_trace(events: Iterable[StorageEvent]) -> Dict[str, Any]:
     """Render an event stream as a Chrome trace-event JSON object.
 
     Timestamps are the event's stream ordinal in microseconds — the
@@ -381,7 +378,7 @@ def chrome_trace(
         for tid, name in sorted(_TRACK_NAMES.items())
     ]
     trace.insert(0, {"ph": "M", "pid": 1, "name": "process_name",
-                     "args": {"name": process_name}})
+                     "args": {"name": "repro"}})
     span_track: Dict[int, int] = {}
     for index, event in enumerate(events):
         ts = index
@@ -441,15 +438,11 @@ def chrome_trace(
     }
 
 
-def write_chrome_trace(
-    events: Iterable[StorageEvent],
-    path,
-    process_name: str = "repro",
-) -> Path:
+def write_chrome_trace(events: Iterable[StorageEvent], path) -> Path:
     """Serialize :func:`chrome_trace` to *path*; returns the path."""
     target = Path(path)
     events = list(events)
-    target.write_text(json.dumps(chrome_trace(events, process_name)) + "\n")
+    target.write_text(json.dumps(chrome_trace(events)) + "\n")
     return target
 
 
@@ -487,6 +480,8 @@ def resolve_ref(ref: str, streams) -> StorageEvent:
     events = streams[label]
     if anchor.startswith("e"):
         index_text, _, kind = anchor[1:].partition(":")
+        if not index_text.isdecimal():
+            raise ValueError(f"{ref!r}: event ordinal is not a number >= 0")
         index = int(index_text)
         if index >= len(events):
             raise ValueError(f"{ref!r}: index past end of stream ({len(events)})")

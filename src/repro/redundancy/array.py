@@ -1037,15 +1037,6 @@ class StripeParityDevice(ArrayDevice):
                 acc = xor(acc, data)
         return acc
 
-    def _member_peek(self, m: int, mb: int,
-                     logical: Optional[int] = None) -> Optional[bytes]:
-        # A peek has always folded the stripe's parity block in even
-        # when the array does not trust it (tests/test_array_pin.py
-        # holds the bytes that gives).
-        if m == self._parity_member(mb):
-            return self.members[m].disk.peek(mb)
-        return super()._member_peek(m, mb)
-
     def _write_logical(self, block: int, data: bytes) -> None:
         dm, stripe = self._locate(block)
         pm = self._parity_member(stripe)

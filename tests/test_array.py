@@ -196,6 +196,31 @@ class TestDegradedPaths:
                    and e.tag == "read-repair"]
         assert repairs and repairs[0].mechanism == "redundancy"
 
+    def test_parity_peek_leaves_a_suspect_parity_block_out(self):
+        from repro.common.xor import xor_all
+
+        array = StripeParityDevice(NUM_BLOCKS, BS, members=4)
+        _fill(array)
+        dm, stripe = array._locate(16)
+        pm = array._parity_member(stripe)
+        # The data write is refused (parity lands), then a neighbour's
+        # write is refused by the parity member: both cells suspect.
+        array.members[dm].injector.arm(
+            Fault(FaultOp.WRITE, FaultKind.FAIL, block=stripe))
+        array.write_block(16, _payload(16, salt=3))
+        array.members[dm].injector.clear_faults()
+        array.members[pm].injector.arm(
+            Fault(FaultOp.WRITE, FaultKind.FAIL, block=stripe))
+        array.write_block(17, _payload(17, salt=3))
+        assert {(dm, stripe), (pm, stripe)} <= array._suspect
+        through_stale_parity = xor_all([
+            member.disk.peek(stripe)
+            for m, member in enumerate(array.members) if m != dm])
+        # Nothing trustworthy to rebuild from: the peek shows what the
+        # member holds, not an XOR through parity the array distrusts.
+        assert array.peek(16) != through_stale_parity
+        assert array.peek(16) == array.members[dm].disk.peek(stripe)
+
     def test_degraded_write_lands_and_rebuild_heals(self, any_array):
         _fill(any_array)
         victim, _ = any_array._locate(3)

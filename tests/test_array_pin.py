@@ -609,8 +609,8 @@ PINNED = {
         ("write-fault-healed", "fc4197ab3484fa49"),
         ("redundancy-write-fault", "62914ab515a6d260"),
         ("all-write-fault", "5b6c1265772e11a3"),
-        ("data-and-parity-suspect", "1e06be983fbe41d4"),
-        ("parity-unmaintained", "1a5f4f1fc12a6986"),
+        ("data-and-parity-suspect", "0c89c782a6195982"),
+        ("parity-unmaintained", "c0f23ae7dcb5d0ca"),
         ("fail0-read", "9791d1d03e6c8c52"),
         ("fail0-write", "0440fb9677a6b1cd"),
         ("fail0-replaced", "a84f797741fa6ae4"),
@@ -643,18 +643,18 @@ PINNED = {
         ("stale-rebuild-scrub", "2551473d32ae32d4"),
         ("scrub-steps", "09866a9a831c1d22"),
         ("snapshot", "7ac2bd73e73226b3"),
-        ("moved-on", "a9f8242c5c03961f"),
+        ("moved-on", "06de42138b7fa14e"),
         ("restored", "a0211fbcee9b6445"),
         ("restored-reads", "c586f79b43657492"),
         ("base-image", "6cf536cfc42c33ab"),
         ("latency-observer", "15d1d9034a620c11"),
         ("traced", "f8a057613da00628"),
         ("exhausted-read", "ee2792e8dfd4719f"),
-        ("exhausted-write", "f79a212137dd17ff"),
-        ("exhausted-scrub", "0c15227dad686b92"),
-        ("exhausted-rebuild", "0db612dcc2550fad"),
-        ("revived-read", "fbb424132a3624cb"),
-        ("revived-scrub", "4829d15097bc10da"),
+        ("exhausted-write", "2d20a697b998c2b6"),
+        ("exhausted-scrub", "cdac618ac5b4ad3b"),
+        ("exhausted-rebuild", "1840d5b78625cf41"),
+        ("revived-read", "0ee5a09d512a4c68"),
+        ("revived-scrub", "5636dad06761cda1"),
     ],
     "rdp5": [
         ("fill", "8a24f594e03f7eb3"),

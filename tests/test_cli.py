@@ -135,6 +135,15 @@ class TestCLI:
         assert entries["array_fingerprint_mirror2-rdp5_j1"]["geometries"] \
             == ["mirror2", "rdp5"]
 
+    @pytest.mark.parametrize("command", [
+        ["fingerprint", "ext3"], ["crash"], ["trace"], ["array"],
+        ["fleet"], ["report"]])
+    def test_jobs_below_one_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -165,6 +174,27 @@ class TestFleetCLI:
             fleet_json.read_text())["entries"]["fleet_default_j1"]
         assert entry["event_digest_jobs1"]
         assert entry["incident_digest_jobs1"]
+
+    def test_failed_crosscheck_replaces_the_passing_row(
+            self, capsys, fleet_json, tmp_path, monkeypatch):
+        from repro.fleet import campaign
+
+        argv = ["fleet", *TINY_FLEET[:-1],
+                "--metrics-out", str(tmp_path / "m.json")]
+        assert main(argv) == 0
+        row = json.loads(fleet_json.read_text())["entries"]["fleet_default_j1"]
+        assert row["crosscheck"]["within_tolerance"] is True
+
+        summary = campaign.crosscheck_summary
+        monkeypatch.setattr(
+            campaign, "crosscheck_summary",
+            lambda **kw: {**summary(**kw), "within_tolerance": False})
+        (tmp_path / "m.json").unlink()
+        assert main(argv) == 1
+        assert "::error::mirror2" in capsys.readouterr().err
+        row = json.loads(fleet_json.read_text())["entries"]["fleet_default_j1"]
+        assert row["crosscheck"]["within_tolerance"] is False
+        assert (tmp_path / "m.json").exists()
 
     def test_fleet_rejects_unknown_geometry(self, capsys):
         assert main(["fleet", "--geometry", "floppy8"]) == 2

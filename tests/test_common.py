@@ -9,7 +9,6 @@ from repro.common import (
     Errno,
     FSError,
     KernelPanic,
-    LogRecord,
     ReadError,
     ReadOnlyError,
     Severity,
@@ -135,6 +134,8 @@ class TestSysLog:
         assert log.events() == []
 
     def test_records_are_frozen(self):
-        rec = LogRecord(Severity.INFO, "a", "b", "c")
+        log = SysLog()
+        log.info("a", "b", "c")
+        [rec] = log.records
         with pytest.raises(AttributeError):
-            rec.event = "other"
+            rec.tag = "other"

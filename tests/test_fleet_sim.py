@@ -219,12 +219,13 @@ class TestFlightRecorder:
         assert traced.digest != plain.digest
         kinds = {type(e) for e in traced.stream}
         assert SpanStartEvent in kinds and SpanEndEvent in kinds
-        assert traced.flight is not None
-        assert traced.flight["schema"] == "repro-timeseries/1"
+        assert traced.observed.by_label() == {
+            "fleet:single:baseline:0": traced.stream}
+        assert traced.observed.flight["schema"] == "repro-timeseries/1"
 
     def test_plain_runs_carry_no_heavy_payloads(self):
         out = run_trial(_spec(rates=ZERO_RATES), MIRROR2, BASELINE, 0)
-        assert out.flight is None
+        assert out.observed is None
 
 
 class TestArrayScrubStep:

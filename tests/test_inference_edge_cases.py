@@ -105,8 +105,64 @@ class TestArmedButUnfired:
 
     def test_typed_accessors_ignore_armed_markers(self):
         obs = self._observed()
-        assert obs.io_events() == []
-        assert obs.log_tags() == []
-        assert not obs.recovery_mechanisms()
-        assert not obs.detection_mechanisms()
-        assert not obs.policy_actions()
+        assert obs.io_events == []
+        assert not obs.log_tags
+        assert not obs.recovery_mechanisms
+        assert not obs.detection_mechanisms
+        assert not obs.policy_actions
+
+
+class TestPartitions:
+    """The partitions made at construction hold what a filter over
+    ``typed_events`` returns, per query — the accessors they replaced."""
+
+    def test_mixed_stream_with_a_separate_io_trace(self):
+        from collections import Counter
+
+        from repro.common.syslog import Severity
+        from repro.disk.trace import IOTrace
+        from repro.obs.events import (
+            DetectionEvent, JournalCommitEvent, LogEvent, PolicyActionEvent,
+            RecoveryEvent, classify_log)
+        from repro.obs.trace import SpanEndEvent, SpanStartEvent
+
+        trace = IOTrace()
+        trace.record("read", 7, "error", "inode")
+        trace.record("read", 7, "ok", "inode")
+        trace.record("write", 9, "ok")
+        obs = observation(trace=trace, events=[
+            SpanStartEvent(1, None, "run", "run"),
+            "read-retry", "remount-ro", "some-chatter",
+            classify_log(Severity.ERROR, "ext3", "sanity-fail", "bad", 7),
+            RecoveryEvent(Severity.INFO, "ixt3", "replica", "used", 7,
+                          mechanism="redundancy"),
+            DetectionEvent(Severity.ERROR, "ixt3", "csum", "bad", 7,
+                           mechanism="redundancy"),
+            PolicyActionEvent(Severity.CRITICAL, "jfs", "panic", "dying"),
+            JournalCommitEvent("ext3", 2),
+            SpanEndEvent(1),
+        ])
+        typed = obs.typed_events
+        assert len(typed) == 13    # every string classified, the trace folded in
+        assert obs.io_events == trace.entries == \
+            [e for e in typed if isinstance(e, IOEvent)]
+        assert obs.log_tags == Counter(
+            e.tag for e in typed if isinstance(e, LogEvent))
+        assert obs.log_tags["some-chatter"] == 1 and len(obs.log_tags) == 7
+        assert obs.detection_mechanisms == Counter(
+            e.mechanism for e in typed if isinstance(e, DetectionEvent))
+        assert obs.detection_mechanisms == {"sanity": 1, "redundancy": 1}
+        assert obs.recovery_mechanisms == Counter(
+            e.mechanism for e in typed if isinstance(e, RecoveryEvent))
+        assert obs.recovery_mechanisms == {"retry": 1, "redundancy": 1}
+        assert obs.policy_actions == Counter(
+            e.action for e in typed if isinstance(e, PolicyActionEvent))
+        assert obs.policy_actions == {"remount-ro": 1, "panic": 1}
+
+    def test_a_trace_is_not_folded_in_twice(self):
+        from repro.disk.trace import IOTrace
+
+        trace = IOTrace()
+        trace.record("read", 1, "ok")
+        io = IOEvent("read", 2, "ok")
+        assert observation(trace=trace, events=[io]).io_events == [io]

@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 
-from repro.common.syslog import LogRecord, SysLog
+from repro.common.syslog import SysLog
 from repro.obs.events import (
     DETECTION_MECHANISMS,
     POLICY_ACTION_TAGS,
@@ -138,9 +138,11 @@ class TestSysLogView:
         log = SysLog()
         log.error("ext3", "sanity-fail", "inode 3 bad", block=3)
         [rec] = log.records
-        assert rec == LogRecord(Severity.ERROR, "ext3", "sanity-fail",
-                                "inode 3 bad", 3)
+        assert (rec.severity, rec.source, rec.tag, rec.message, rec.block) == \
+            (Severity.ERROR, "ext3", "sanity-fail", "inode 3 bad", 3)
+        # The record *is* the stream's event, not a copy of it.
         [event] = list(log.events_log)
+        assert rec is event
         assert isinstance(event, DetectionEvent) and event.mechanism == "sanity"
 
     def test_typed_emitters_match_classify_log(self):

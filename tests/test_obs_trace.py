@@ -255,3 +255,12 @@ class TestProvenanceRefs:
             resolve_ref("nope#e0:io", streams)  # unknown stream
         with pytest.raises(ValueError):
             resolve_ref("malformed", streams)
+
+    def test_ordinal_must_be_a_number_from_zero(self):
+        # "#e-1" used to index from the end of the stream.
+        streams, _ = self._labeled()
+        label = next(iter(streams))
+        with pytest.raises(ValueError, match="ordinal"):
+            resolve_ref(f"{label}#e-1:span-end", streams)
+        with pytest.raises(ValueError, match="ordinal"):
+            resolve_ref(f"{label}#ex:io", streams)

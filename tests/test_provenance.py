@@ -18,12 +18,7 @@ class TestFingerprintProvenance:
     def traced_run(self):
         fp = Fingerprinter(make_ext3_adapter(), workloads=SUBSET, trace=True)
         matrix = fp.run()
-        streams = {
-            label: events
-            for per_workload in fp.workload_trace.values()
-            for label, events in per_workload
-        }
-        return matrix, streams
+        return matrix, fp.observed.by_label()
 
     def test_every_cell_carries_provenance(self, traced_run):
         matrix, _ = traced_run
@@ -83,14 +78,14 @@ class TestCrashProvenance:
 
     def test_every_violation_resolves(self, report):
         assert report.violations
-        streams = report.streams()
+        streams = report.observed.by_label()
         for violation in report.violations:
             assert violation.provenance
             for ref in violation.provenance:
                 resolve_ref(ref, streams)
 
     def test_replay_span_names_the_state(self, report):
-        streams = report.streams()
+        streams = report.observed.by_label()
         for violation in report.violations:
             span_refs = [r for r in violation.provenance
                          if r.rpartition("#")[2].startswith("s")]

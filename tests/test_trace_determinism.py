@@ -26,13 +26,14 @@ def traced_serial_and_parallel():
 class TestFingerprintTraceDeterminism:
     def test_span_digests_identical_across_jobs(self, traced_serial_and_parallel):
         _, _, fp1, fp4 = traced_serial_and_parallel
-        assert fp1.span_digest() == fp4.span_digest()
-        assert fp1.workload_span_digest == fp4.workload_span_digest
-        assert all(fp1.workload_span_digest.values())
+        assert fp1.observed.span_digest() == fp4.observed.span_digest()
+        assert [part.root for part in fp1.observed.parts] == ["a", "b"]
+        assert [part.span_digest() for part in fp1.observed.parts] == \
+            [part.span_digest() for part in fp4.observed.parts]
 
     def test_merged_metrics_identical_across_jobs(self, traced_serial_and_parallel):
         _, _, fp1, fp4 = traced_serial_and_parallel
-        m1, m4 = fp1.merged_metrics(), fp4.merged_metrics()
+        m1, m4 = fp1.observed.metrics, fp4.observed.metrics
         assert json.dumps(m1, sort_keys=True) == json.dumps(m4, sort_keys=True)
         assert validate_snapshot(m1) == []
 
@@ -52,7 +53,7 @@ class TestFingerprintTraceDeterminism:
 
     def test_workload_metrics_merge_associatively(self, traced_serial_and_parallel):
         _, _, fp1, _ = traced_serial_and_parallel
-        snaps = [s for s in fp1.workload_metrics.values() if s is not None]
+        snaps = [part.metrics for part in fp1.observed.parts]
         assert len(snaps) == len(SUBSET)
         left = MetricsRegistry.merge_snapshots(
             [MetricsRegistry.merge_snapshots(snaps[:1]), snaps[1]]
@@ -70,7 +71,7 @@ class TestCrashTraceDeterminism:
 
     def test_span_digests_identical_across_jobs(self, reports):
         r1, r4 = reports
-        assert r1.span_digest() == r4.span_digest()
+        assert r1.observed.span_digest() == r4.observed.span_digest()
 
     def test_violation_digest_unchanged_by_tracing(self, reports):
         r1, _ = reports
@@ -80,4 +81,4 @@ class TestCrashTraceDeterminism:
     def test_traced_run_keeps_every_state_stream(self, reports):
         r1, _ = reports
         assert r1.traced
-        assert len(r1.streams()) == r1.states_explored
+        assert len(r1.observed.streams) == r1.states_explored

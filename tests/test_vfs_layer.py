@@ -135,7 +135,7 @@ class TestBufferLayer:
         injector.arm(Fault(op=FaultOp.READ, kind=FaultKind.FAIL, block=3,
                            persistence=Persistence.TRANSIENT, transient_count=2))
         assert buf.bread(3) == bytes([3]) * 512
-        assert sum(1 for r in log.records if r.event == "read-retry") == 2
+        assert sum(1 for r in log.records if r.tag == "read-retry") == 2
 
     def test_retry_gives_up_on_sticky(self):
         injector, log, buf = _layer(retries_r=3)
