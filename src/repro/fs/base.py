@@ -5,8 +5,9 @@ syslog, operation framing around the journal, crash simulation,
 gray-box access to the raw disk, and the whole syscall surface: the
 symlink-following path walk, the namespace calls (``creat`` ...
 ``readlink``), the data path (``read``, ``write``, ``truncate``,
-``symlink``, ``mkdir``) and the ``unmount`` / ``statfs`` templates are
-written once here, over the primitive protocol documented on
+``symlink``, ``mkdir``), the block-list directory operations and the
+``unmount`` / ``statfs`` templates are written once here, over the
+primitive protocol documented on
 :class:`JournaledFS`.  Each file system keeps its on-disk format,
 allocation, block mapping, journaling and *failure policy* in its own
 code, which is precisely where the paper locates the interesting
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import stat as _stat
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import Errno, FSError, KernelPanic, ReadOnlyError
 from repro.common.syslog import SysLog
@@ -51,8 +52,8 @@ class JournaledFS(FileSystem):
     **The specific half.**  A file system names its objects by an opaque
     *handle* (inode number, MFT number, ReiserFS key pair) and exposes
     each as a mutable *node* carrying ``mode``, ``links``, ``uid``,
-    ``gid``, ``size``, ``atime`` and ``mtime``.  The generic code below
-    is written over these primitives and nothing else:
+    ``gid``, ``size``, ``atime``, ``mtime`` and ``ctime``.  The generic
+    code below is written over these primitives and nothing else:
 
     ======================================  ==================================
     ``ROOT``                                handle of ``/``
@@ -62,20 +63,33 @@ class JournaledFS(FileSystem):
     ``_node_clear(h, n)``                   free a file's body; size 0
     ``_node_drop(h, n)``                    free the object and its blocks
     ``_read_link(h, n)``                    symlink target; None = no body
-    ``_stat_of(h)``                         ``StatResult`` for the object
-    ``_dir_find(dir, name, n=None)``        ``(child, ftype)`` or None
-    ``_dir_entries(dir, n)``                ``[(child, ftype, name), ...]``
-    ``_dir_add(dir, name, child, ftype)``   insert one entry
-    ``_dir_remove(dir, name)``              delete one entry (ENOENT if absent)
-    ``_dir_set_dotdot(dir, parent)``        repoint ``..``
-    ``_dir_create(parent, mode)``           new directory: ``.``, ``..``, 2 links
     ``_space_counts()``                     total, free blocks; total, free nodes
     ======================================  ==================================
 
-    ``_dir_find`` and ``_dir_entries`` are handed the directory's node
-    when the caller already holds it; an implementation whose directory
-    code reads the node itself ignores it (and keeps its historical I/O
-    sequence).
+    A directory is a *block list*: an ordered run of blocks, each
+    holding ``(child, ftype, name)`` triples.  :meth:`_dir_entries`,
+    :meth:`_dir_find`, :meth:`_dir_add`, :meth:`_dir_remove`,
+    :meth:`_dir_set_dotdot`, :meth:`_dir_create` and :meth:`_stat_of`
+    are written once over:
+
+    ======================================  ==================================
+    ``_dir_blocks(h, n)``                   its blocks in order; ENOTDIR
+    ``_dir_block_load(bno, modifying)``     one block's triples, sanity-checked
+    ``_dir_block_store(bno, entries)``      journal one block's new contents
+    ``_dir_block_fits(entries, name)``      room for one more entry?
+    ``_dir_block_map(h, n, fb)``            allocate block ``fb``; its number
+    ``_dir_child_in_range(child)``          may ``_dir_find`` return this id?
+    ``_dir_lookup_scan(h, n)``              entry lists ``_dir_find`` searches
+    ======================================  ==================================
+
+    ``_dir_blocks`` maps lazily: a scan that stops early never maps or
+    reads the blocks behind it.  ``_dir_find`` is handed the
+    directory's node when its caller holds one, and ``_dir_lookup_scan``
+    decides what becomes of it: ext3 walks that copy block by block;
+    JFS walks a node it reads again; NTFS reads the record again and
+    loads the *whole* directory before the first comparison.  ReiserFS
+    has no block list — its entries are hashed items of the tree — so
+    it overrides the seven operations and implements none of these.
 
     The data path is written over a *block map*: file block ``fb`` of a
     node lives in device block ``bno``.
@@ -327,6 +341,80 @@ class JournaledFS(FileSystem):
         else:
             node.links -= 1
             self._node_put(handle, node)
+
+    # -- generic layer: block-list directories ---------------------------------------
+
+    def _dir_entries(self, handle, node) -> List[Tuple[object, int, str]]:
+        out = []
+        for bno in self._dir_blocks(handle, node):
+            out.extend(self._dir_block_load(bno))
+        return out
+
+    def _dir_find(self, handle, name: str, node=None) -> Optional[Tuple[object, int]]:
+        for entries in self._dir_lookup_scan(handle, node):
+            for child, ftype, ename in entries:
+                if ename == name and self._dir_child_in_range(child):
+                    return child, ftype
+        return None
+
+    def _dir_add(self, handle, name: str, child, ftype: int) -> None:
+        node = self._node_get(handle)
+        for bno in self._dir_blocks(handle, node):
+            entries = self._dir_block_load(bno, modifying=True)
+            if self._dir_block_fits(entries, name):
+                entries.append((child, ftype, name))
+                self._dir_block_store(bno, entries)
+                return
+        # Grow the directory by one block.
+        bs = self.block_size
+        fb = (node.size + bs - 1) // bs
+        bno = self._dir_block_map(handle, node, fb)
+        self._dir_block_store(bno, [(child, ftype, name)])
+        node.size = (fb + 1) * bs
+        self._node_put(handle, node)
+
+    def _dir_remove(self, handle, name: str) -> None:
+        node = self._node_get(handle)
+        for bno in self._dir_blocks(handle, node):
+            entries = self._dir_block_load(bno, modifying=True)
+            kept = [e for e in entries if e[2] != name]
+            if len(kept) != len(entries):
+                self._dir_block_store(bno, kept)
+                return
+        raise FSError(Errno.ENOENT, name)
+
+    def _dir_set_dotdot(self, handle, parent) -> None:
+        node = self._node_get(handle)
+        for bno in self._dir_blocks(handle, node):
+            entries = self._dir_block_load(bno, modifying=True)
+            if any(e[2] == ".." for e in entries):
+                self._dir_block_store(bno, [
+                    (parent, FT_DIR, "..") if e[2] == ".." else e for e in entries])
+                return
+
+    def _dir_create(self, parent, mode: int):
+        """A new directory holding ``.`` and ``..``, two links."""
+        child = self._node_create(parent, mode)
+        node = self._node_get(child)
+        node.links = 2
+        bno = self._dir_block_map(child, node, 0)
+        self._dir_block_store(bno, [(child, FT_DIR, "."), (parent, FT_DIR, "..")])
+        node.size = self.block_size
+        self._node_put(child, node)
+        return child
+
+    def _stat_of(self, handle) -> StatResult:
+        node = self._node_get(handle)
+        mode = node.mode
+        if self._is_dir(node):
+            # Where "is a directory" lives outside the mode (NTFS: a
+            # record flag), stat still reports S_IFDIR.
+            mode |= _stat.S_IFDIR
+        return StatResult(
+            ino=handle, mode=mode, nlink=node.links, uid=node.uid,
+            gid=node.gid, size=node.size, atime=node.atime,
+            mtime=node.mtime, ctime=node.ctime,
+        )
 
     # -- generic layer: policy hooks ------------------------------------------------
 

@@ -53,6 +53,7 @@ from repro.fs.ext3.structures import (
     inode_slot,
     iter_allocated_inodes,
     pack_dir_block,
+    pack_dirent,
     pack_gdt,
     pack_pointer_block,
     patch_inode_block,
@@ -61,7 +62,6 @@ from repro.fs.ext3.structures import (
     unpack_pointer_block,
 )
 from repro.fs.base import JournaledFS
-from repro.vfs.stat import StatResult
 
 #: Sentinel in the static type table for journal blocks whose role is
 #: dynamic (``j-desc``/``j-data``/``j-commit``/``j-revoke`` depend on
@@ -334,19 +334,6 @@ class Ext3(JournaledFS):
         data = self._data_bread(ino, inode, 0, bno, readahead=False)
         return data[:inode.size].decode(errors="replace")
 
-    def _dir_create(self, parent_ino: int, mode: int) -> int:
-        ino = self._node_create(parent_ino, mode)
-        inode = self._node_get(ino)
-        inode.links = 2
-        bno, _ = self._bmap(inode, 0, allocate=True, block_kind="dir")
-        entries = [DirEntry(ino, FT_DIR, "."), DirEntry(parent_ino, FT_DIR, "..")]
-        payload = pack_dir_block(entries, self.block_size)
-        self.journal.add_meta(bno, payload)
-        self._on_block_contents_change(bno, payload, "meta")
-        inode.size = self.block_size
-        self._node_put(ino, inode)
-        return ino
-
     def _rmdir_scan_failed(self) -> bool:
         # ext3 bug (§5.1): read errors during the emptiness scan are
         # swallowed and rmdir returns silently without doing anything.
@@ -362,99 +349,44 @@ class Ext3(JournaledFS):
         return FT_SYMLINK if _stat.S_ISLNK(inode.mode) else FT_REG
 
     # ==================================================================
-    # Directories
+    # Directories (the block-list primitives of the generic layer)
     # ==================================================================
 
-    def _dir_blocks(self, inode: Inode):
+    def _dir_blocks(self, ino: int, inode: Inode):
         # Directory ops on a non-directory must fail with ENOTDIR, not
         # parse file data as dirents (content-dependent garbage).
         if not _stat.S_ISDIR(inode.mode):
             raise FSError(Errno.ENOTDIR, "not a directory")
         bs = self.block_size
-        nblocks = (inode.size + bs - 1) // bs
-        for fb in range(nblocks):
+        for fb in range((inode.size + bs - 1) // bs):
             bno, _ = self._bmap(inode, fb, allocate=False)
             if bno:
-                yield fb, bno
+                yield bno
 
-    def _dir_entries(self, ino: int, inode: Inode) -> List[Tuple[int, int, str]]:
+    def _dir_block_load(self, bno: int, modifying: bool = False) -> List[DirEntry]:
         # Directory blocks carry no type information and are parsed
         # blindly (§5.1): corruption yields garbage names, not errors.
-        out: List[Tuple[int, int, str]] = []
-        for _, bno in self._dir_blocks(inode):
-            out.extend((e.ino, e.ftype, e.name)
-                       for e in unpack_dir_block(self._meta_bread(bno)))
-        return out
+        return unpack_dir_block(self._meta_bread(bno, modifying))
 
-    def _dir_find(self, ino: int, name: str,
-                  inode: Optional[Inode] = None) -> Optional[Tuple[int, int]]:
+    def _dir_block_store(self, bno: int, entries) -> None:
+        self._meta_update(bno, pack_dir_block(entries, self.block_size))
+
+    def _dir_block_fits(self, entries, name: str) -> bool:
+        used = sum(len(pack_dirent(*e)) for e in entries)
+        return used + len(pack_dirent(0, 0, name)) <= self.block_size
+
+    def _dir_block_map(self, ino: int, inode: Inode, fb: int) -> int:
+        return self._bmap(inode, fb, allocate=True, block_kind="dir")[0]
+
+    def _dir_child_in_range(self, ino: int) -> bool:
+        return 0 < ino <= self.sb.inodes_count
+
+    def _dir_lookup_scan(self, ino: int, inode: Optional[Inode]):
+        # Block by block over the caller's copy of the inode, when
+        # there is one.
         if inode is None:
             inode = self._node_get(ino)
-        for _, bno in self._dir_blocks(inode):
-            for e in unpack_dir_block(self._meta_bread(bno)):
-                if e.name == name and 0 < e.ino <= self.sb.inodes_count:
-                    return e.ino, e.ftype
-        return None
-
-    def _dir_add(self, ino: int, name: str, child_ino: int, ftype: int) -> None:
-        inode = self._node_get(ino)
-        new_entry = DirEntry(child_ino, ftype, name)
-        need = len(new_entry.pack())
-        for fb, bno in self._dir_blocks(inode):
-            raw = self._meta_bread(bno, modifying=True)
-            entries = unpack_dir_block(raw)
-            used = sum(len(e.pack()) for e in entries)
-            if used + need <= self.block_size:
-                entries.append(new_entry)
-                payload = pack_dir_block(entries, self.block_size)
-                self.journal.add_meta(bno, payload)
-                self._on_block_contents_change(bno, payload, "meta")
-                return
-        # Grow the directory by one block.
-        fb = (inode.size + self.block_size - 1) // self.block_size
-        bno, _ = self._bmap(inode, fb, allocate=True, block_kind="dir")
-        payload = pack_dir_block([new_entry], self.block_size)
-        self.journal.add_meta(bno, payload)
-        self._on_block_contents_change(bno, payload, "meta")
-        inode.size = (fb + 1) * self.block_size
-        self._node_put(ino, inode)
-
-    def _dir_remove(self, ino: int, name: str) -> None:
-        inode = self._node_get(ino)
-        for fb, bno in self._dir_blocks(inode):
-            raw = self._meta_bread(bno, modifying=True)
-            entries = unpack_dir_block(raw)
-            kept = [e for e in entries if e.name != name]
-            if len(kept) != len(entries):
-                payload = pack_dir_block(kept, self.block_size)
-                self.journal.add_meta(bno, payload)
-                self._on_block_contents_change(bno, payload, "meta")
-                return
-        raise FSError(Errno.ENOENT, name)
-
-    def _dir_set_dotdot(self, ino: int, new_parent: int) -> None:
-        inode = self._node_get(ino)
-        for fb, bno in self._dir_blocks(inode):
-            raw = self._meta_bread(bno, modifying=True)
-            entries = unpack_dir_block(raw)
-            changed = False
-            for i, e in enumerate(entries):
-                if e.name == "..":
-                    entries[i] = DirEntry(new_parent, FT_DIR, "..")
-                    changed = True
-            if changed:
-                payload = pack_dir_block(entries, self.block_size)
-                self.journal.add_meta(bno, payload)
-                self._on_block_contents_change(bno, payload, "meta")
-                return
-
-    def _stat_of(self, ino: int) -> StatResult:
-        inode = self._node_get(ino)
-        return StatResult(
-            ino=ino, mode=inode.mode, nlink=inode.links, uid=inode.uid,
-            gid=inode.gid, size=inode.size, atime=inode.atime,
-            mtime=inode.mtime, ctime=inode.ctime,
-        )
+        return map(self._dir_block_load, self._dir_blocks(ino, inode))
 
     # ==================================================================
     # Inodes
@@ -470,9 +402,7 @@ class Ext3(JournaledFS):
     def _node_put(self, ino: int, inode: Inode) -> None:
         block, off = self.config.inode_location(ino)
         raw = self._meta_bread(block, modifying=True)
-        payload = patch_inode_block(raw, off, inode)
-        self.journal.add_meta(block, payload)
-        self._on_block_contents_change(block, payload, "meta")
+        self._meta_update(block, patch_inode_block(raw, off, inode))
 
     # ==================================================================
     # Allocation
@@ -488,9 +418,7 @@ class Ext3(JournaledFS):
             if bit is None:
                 continue
             bmp.set(bit)
-            payload = bmp.to_bytes(pad_to=self.block_size)
-            self.journal.add_meta(bmp_block, payload)
-            self._on_block_contents_change(bmp_block, payload, "meta")
+            self._meta_update(bmp_block, bmp.to_bytes(pad_to=self.block_size))
             self.gdt[g].free_inodes -= 1
             self.sb.free_inodes -= 1
             self._flush_sb_gdt()
@@ -509,9 +437,7 @@ class Ext3(JournaledFS):
         bmp = Bitmap(cfg.inodes_per_group, raw)
         if bmp.test(bit):
             bmp.clear(bit)
-            payload = bmp.to_bytes(pad_to=self.block_size)
-            self.journal.add_meta(bmp_block, payload)
-            self._on_block_contents_change(bmp_block, payload, "meta")
+            self._meta_update(bmp_block, bmp.to_bytes(pad_to=self.block_size))
             self.gdt[g].free_inodes += 1
             self.sb.free_inodes += 1
         self._node_put(ino, Inode())
@@ -527,9 +453,7 @@ class Ext3(JournaledFS):
             if bit is None:
                 continue
             bmp.set(bit)
-            payload = bmp.to_bytes(pad_to=self.block_size)
-            self.journal.add_meta(bmp_block, payload)
-            self._on_block_contents_change(bmp_block, payload, "meta")
+            self._meta_update(bmp_block, bmp.to_bytes(pad_to=self.block_size))
             self.gdt[g].free_blocks -= 1
             self.sb.free_blocks -= 1
             self._flush_sb_gdt()
@@ -551,9 +475,7 @@ class Ext3(JournaledFS):
         bmp = Bitmap(cfg.data_blocks_per_group, raw)
         if bmp.test(bit):
             bmp.clear(bit)
-            payload = bmp.to_bytes(pad_to=self.block_size)
-            self.journal.add_meta(bmp_block, payload)
-            self._on_block_contents_change(bmp_block, payload, "meta")
+            self._meta_update(bmp_block, bmp.to_bytes(pad_to=self.block_size))
             self.gdt[g].free_blocks += 1
             self.sb.free_blocks += 1
             self._flush_sb_gdt()
@@ -567,12 +489,8 @@ class Ext3(JournaledFS):
         return list(range(hint, n)) + list(range(0, hint))
 
     def _flush_sb_gdt(self) -> None:
-        sb_payload = self.sb.pack(self.block_size)
-        self.journal.add_meta(0, sb_payload)
-        self._on_block_contents_change(0, sb_payload, "meta")
-        gdt_payload = pack_gdt(self.gdt, self.block_size)
-        self.journal.add_meta(self.config.gdt_block, gdt_payload)
-        self._on_block_contents_change(self.config.gdt_block, gdt_payload, "meta")
+        self._meta_update(0, self.sb.pack(self.block_size))
+        self._meta_update(self.config.gdt_block, pack_gdt(self.gdt, self.block_size))
 
     # ==================================================================
     # Block mapping (direct / indirect / double / triple)
@@ -612,10 +530,8 @@ class Ext3(JournaledFS):
 
     def _alloc_indirect_block(self) -> int:
         bno = self._alloc_block(0, "indirect")
-        payload = pack_pointer_block([0] * self.sb.ptrs_per_block,
-                                     self.block_size, self.sb.ptrs_per_block)
-        self.journal.add_meta(bno, payload)
-        self._on_block_contents_change(bno, payload, "meta")
+        p = self.sb.ptrs_per_block
+        self._meta_update(bno, pack_pointer_block([0] * p, self.block_size, p))
         return bno
 
     def _walk_indirect(self, root: int, levels: int, idx: int, allocate: bool,
@@ -638,9 +554,7 @@ class Ext3(JournaledFS):
                 else:
                     nxt = self._alloc_indirect_block()
                 ptrs[slot] = nxt
-                payload = pack_pointer_block(ptrs, self.block_size, p)
-                self.journal.add_meta(block, payload)
-                self._on_block_contents_change(block, payload, "meta")
+                self._meta_update(block, pack_pointer_block(ptrs, self.block_size, p))
                 if level == 1:
                     return nxt, True
             block = nxt
@@ -710,9 +624,7 @@ class Ext3(JournaledFS):
             elif levels > 1 and lo + span > keep:
                 freed += self._free_indirect_partial(ptrs[slot], levels - 1, keep - lo, kind)
         if dirty:
-            payload = pack_pointer_block(ptrs, self.block_size, p)
-            self.journal.add_meta(root, payload)
-            self._on_block_contents_change(root, payload, "meta")
+            self._meta_update(root, pack_pointer_block(ptrs, self.block_size, p))
         return freed
 
     def _release_parity(self, ino: int, inode: Inode) -> None:
@@ -763,6 +675,12 @@ class Ext3(JournaledFS):
             if modifying:
                 self._abort_journal()
             raise FSError(Errno.EIO, f"data block {block} unreadable") from exc
+
+    def _meta_update(self, block: int, payload: bytes) -> None:
+        """Journal a metadata block's new contents (and let ixt3
+        checksum them)."""
+        self.journal.add_meta(block, payload)
+        self._on_block_contents_change(block, payload, "meta")
 
     def _abort_journal(self) -> None:
         if self._read_only:

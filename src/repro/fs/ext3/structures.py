@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from struct import Struct
-from typing import List
+from typing import List, NamedTuple, Tuple
 
 from repro.common.structs import U16x2, u32_seq
 from repro.fs.ext3.config import INODE_SIZE, NUM_DIRECT, Ext3Config
@@ -274,23 +274,28 @@ class Inode:
 _DIRENT_HDR = Struct("<IBB")
 
 
-@dataclass(frozen=True)
-class DirEntry:
-    """One directory entry: list-of-files-in-directory record."""
+class DirEntry(NamedTuple):
+    """One directory entry: list-of-files-in-directory record — the
+    ``(child, ftype, name)`` triple the generic directory layer trades
+    in, so a parsed block needs no conversion on the lookup path."""
 
     ino: int
     ftype: int
     name: str
 
     def pack(self) -> bytes:
-        # latin-1 keeps one byte per character, so even garbage names
-        # recovered from a corrupted block repack at the same length.
-        raw = self.name.encode("latin-1", errors="replace")[:255]
-        return _DIRENT_HDR.pack(self.ino & 0xFFFFFFFF, len(raw), self.ftype & 0xFF) + raw
+        return pack_dirent(*self)
 
 
-def pack_dir_block(entries: List[DirEntry], block_size: int) -> bytes:
-    payload = b"".join(e.pack() for e in entries)
+def pack_dirent(ino: int, ftype: int, name: str) -> bytes:
+    # latin-1 keeps one byte per character, so even garbage names
+    # recovered from a corrupted block repack at the same length.
+    raw = name.encode("latin-1", errors="replace")[:255]
+    return _DIRENT_HDR.pack(ino & 0xFFFFFFFF, len(raw), ftype & 0xFF) + raw
+
+
+def pack_dir_block(entries: List[Tuple[int, int, str]], block_size: int) -> bytes:
+    payload = b"".join(pack_dirent(*e) for e in entries)
     if len(payload) > block_size:
         raise ValueError("directory entries exceed one block")
     return payload + b"\x00" * (block_size - len(payload))

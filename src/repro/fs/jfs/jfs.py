@@ -59,7 +59,6 @@ from repro.fs.jfs.structures import (
     unpack_map_block,
     unpack_tree_block,
 )
-from repro.vfs.stat import FT_DIR, StatResult
 
 ROOT_INO = 2
 
@@ -268,18 +267,6 @@ class JFS(JournaledFS):
         self._types[bno] = "data"
         self._write_nocheck(bno, payload)
 
-    def _dir_create(self, parent_ino: int, mode: int) -> int:
-        ino = self._alloc_inode(mode)
-        inode = self._node_get(ino)
-        inode.links = 2
-        bno = self._bmap(ino, inode, 0, allocate=True, kind="dir")
-        payload = pack_dir_block([(ino, FT_DIR, "."), (parent_ino, FT_DIR, "..")],
-                                 self.block_size)
-        self._meta_update(bno, payload)
-        inode.size = self.block_size
-        self._node_put(ino, inode)
-        return ino
-
     def _space_counts(self) -> Tuple[int, int, int, int]:
         return (self.sb.total_blocks, self.sb.free_blocks,
                 self.sb.num_inodes, self.sb.free_inodes)
@@ -316,14 +303,8 @@ class JFS(JournaledFS):
         body = self._file_block_read(ino, inode, 0)
         return body[:inode.size].decode(errors="replace")
 
-    def _stat_of(self, ino: int) -> StatResult:
-        inode = self._node_get(ino)
-        return StatResult(ino=ino, mode=inode.mode, nlink=inode.links,
-                          uid=inode.uid, gid=inode.gid, size=inode.size,
-                          atime=inode.atime, mtime=inode.mtime, ctime=inode.ctime)
-
     # ==================================================================
-    # Directories
+    # Directories (the block-list primitives of the generic layer)
     # ==================================================================
 
     def _dir_blocks(self, ino: int, inode: JFSInode):
@@ -336,16 +317,11 @@ class JFS(JournaledFS):
         for fb in range((inode.size + bs - 1) // bs):
             bno = self._bmap(ino, inode, fb, allocate=False)
             if bno:
-                yield fb, bno
+                yield bno
 
-    def _dir_entries(self, ino: int, inode: JFSInode) -> List[Tuple[int, int, str]]:
-        out = []
-        for _, bno in self._dir_blocks(ino, inode):
-            raw = self._meta_bread(bno, check="dir")
-            out.extend(self._parse_dir(raw, bno))
-        return out
-
-    def _parse_dir(self, raw: bytes, bno: int) -> List[Tuple[int, int, str]]:
+    def _dir_block_load(self, bno: int,
+                        modifying: bool = False) -> List[Tuple[int, int, str]]:
+        raw = self._meta_bread(bno, check="dir")
         try:
             return unpack_dir_block(raw, bno, self.block_size)
         except CorruptionDetected as exc:
@@ -355,60 +331,25 @@ class JFS(JournaledFS):
             self._remount_ro()
             raise FSError(Errno.EUCLEAN, str(exc)) from exc
 
-    def _dir_find(self, ino: int, name: str,
-                  inode: Optional[JFSInode] = None) -> Optional[Tuple[int, int]]:
+    def _dir_block_store(self, bno: int, entries) -> None:
+        self._meta_update(bno, pack_dir_block(entries, self.block_size))
+
+    def _dir_block_fits(self, entries, name: str) -> bool:
+        used = 8 + sum(6 + len(n.encode("latin-1", errors="replace")[:255])
+                       for _, _, n in entries)
+        return used + 6 + len(name.encode()) <= self.block_size
+
+    def _dir_block_map(self, ino: int, inode: JFSInode, fb: int) -> int:
+        return self._bmap(ino, inode, fb, allocate=True, kind="dir")
+
+    def _dir_child_in_range(self, ino: int) -> bool:
+        return 0 < ino <= self.sb.num_inodes
+
+    def _dir_lookup_scan(self, ino: int, inode: Optional[JFSInode]):
         # The caller's copy goes unused: this code has always re-read
         # the directory inode, and the fingerprints count that read.
-        inode = self._node_get(ino)
-        for _, bno in self._dir_blocks(ino, inode):
-            raw = self._meta_bread(bno, check="dir")
-            for eino, ftype, ename in self._parse_dir(raw, bno):
-                if ename == name and 0 < eino <= self.sb.num_inodes:
-                    return eino, ftype
-        return None
-
-    def _dir_add(self, ino: int, name: str, child: int, ftype: int) -> None:
-        inode = self._node_get(ino)
-        entry_size = 6 + len(name.encode())
-        for _, bno in self._dir_blocks(ino, inode):
-            raw = self._meta_bread(bno, check="dir")
-            entries = self._parse_dir(raw, bno)
-            used = 8 + sum(6 + len(n.encode("latin-1", errors="replace")[:255])
-                           for _, _, n in entries)
-            if used + entry_size <= self.block_size:
-                entries.append((child, ftype, name))
-                self._meta_update(bno, pack_dir_block(entries, self.block_size))
-                return
-        fb = (inode.size + self.block_size - 1) // self.block_size
-        bno = self._bmap(ino, inode, fb, allocate=True, kind="dir")
-        self._meta_update(bno, pack_dir_block([(child, ftype, name)], self.block_size))
-        inode.size = (fb + 1) * self.block_size
-        self._node_put(ino, inode)
-
-    def _dir_remove(self, ino: int, name: str) -> None:
-        inode = self._node_get(ino)
-        for _, bno in self._dir_blocks(ino, inode):
-            raw = self._meta_bread(bno, check="dir")
-            entries = self._parse_dir(raw, bno)
-            kept = [(i, f, n) for i, f, n in entries if n != name]
-            if len(kept) != len(entries):
-                self._meta_update(bno, pack_dir_block(kept, self.block_size))
-                return
-        raise FSError(Errno.ENOENT, name)
-
-    def _dir_set_dotdot(self, ino: int, new_parent: int) -> None:
-        inode = self._node_get(ino)
-        for _, bno in self._dir_blocks(ino, inode):
-            raw = self._meta_bread(bno, check="dir")
-            entries = self._parse_dir(raw, bno)
-            changed = False
-            for i, (eino, ftype, n) in enumerate(entries):
-                if n == "..":
-                    entries[i] = (new_parent, FT_DIR, "..")
-                    changed = True
-            if changed:
-                self._meta_update(bno, pack_dir_block(entries, self.block_size))
-                return
+        return map(self._dir_block_load,
+                   self._dir_blocks(ino, self._node_get(ino)))
 
     # ==================================================================
     # Extent tree (file block mapping)

@@ -40,7 +40,6 @@ from repro.fs.ntfs.structures import (
     pack_index_block,
     unpack_index_block,
 )
-from repro.vfs.stat import FT_DIR, StatResult
 
 
 class NTFS(JournaledFS):
@@ -219,18 +218,6 @@ class NTFS(JournaledFS):
                 self._free_block(rec.runs[i])
                 rec.runs[i] = 0
 
-    def _dir_create(self, parent: int, mode: int) -> int:
-        mft = self._alloc_mft(mode, is_dir=True)
-        rec = self._node_get(mft)
-        rec.links = 2
-        bno = self._alloc_block("directory")
-        rec.runs[0] = bno
-        self.journal.add_meta(bno, pack_index_block(
-            [(mft, FT_DIR, "."), (parent, FT_DIR, "..")], self.block_size))
-        rec.size = self.block_size
-        self._node_put(mft, rec)
-        return mft
-
     def _space_counts(self) -> Tuple[int, int, int, int]:
         boot = self.boot
         data_start = boot.mft_start + boot.mft_records
@@ -249,7 +236,7 @@ class NTFS(JournaledFS):
         return rec.is_dir
 
     def _node_create(self, parent: int, mode: int) -> int:
-        return self._alloc_mft(mode, is_dir=False)
+        return self._alloc_mft(mode)
 
     def _node_drop(self, mft: int, rec: MFTRecord) -> None:
         self._node_shrink(mft, rec, 0)
@@ -260,127 +247,53 @@ class NTFS(JournaledFS):
             return None
         return self._meta_bread(rec.runs[0])[:rec.size].decode(errors="replace")
 
-    def _stat_of(self, mft: int) -> StatResult:
-        rec = self._node_get(mft)
-        mode = rec.mode
-        if rec.is_dir and not _stat.S_ISDIR(mode):
-            mode |= _stat.S_IFDIR
-        return StatResult(ino=mft, mode=mode, nlink=rec.links, uid=rec.uid,
-                          gid=rec.gid, size=rec.size, atime=rec.atime,
-                          mtime=rec.mtime, ctime=rec.ctime)
+    # -- directories (the block-list primitives of the generic layer) -------
 
-    # -- directories --------------------------------------------------------
-
-    @staticmethod
-    def _run_span(rec: MFTRecord, bs: int) -> int:
-        """File blocks covered by *rec*, clamped to the run table.  A
-        stale or corrupted record may carry an absurd size; iterating
-        past NUM_RUNS can only ever yield empty runs, so the clamp is
-        both a liveness and a sanity bound."""
-        return min((rec.size + bs - 1) // bs, NUM_RUNS)
-
-    @staticmethod
-    def _require_dir(rec: MFTRecord) -> None:
+    def _dir_blocks(self, mft: int, rec: MFTRecord):
         # Directory ops on a non-directory must fail with ENOTDIR —
         # parsing file data as index blocks would trip the sanity
         # checks and mark the volume unmountable over a bad path.
         if not rec.is_dir:
             raise FSError(Errno.ENOTDIR, "not a directory")
-
-    def _dir_entries(self, mft: int, rec: MFTRecord) -> List[Tuple[int, int, str]]:
-        self._require_dir(rec)
-        out = []
+        # Clamped to the run table: a stale or corrupted record may
+        # carry an absurd size; iterating past NUM_RUNS can only ever
+        # yield empty runs, so the clamp is both a liveness and a
+        # sanity bound.
         bs = self.block_size
-        for fb in range(self._run_span(rec, bs)):
-            bno = rec.runs[fb]
-            if not bno:
-                continue
-            raw = self._meta_bread(bno)
-            try:
-                out.extend(unpack_index_block(raw, bno, bs))
-            except CorruptionDetected as exc:
-                raise self._sanity_violation(exc) from exc
-        return out
+        for fb in range(min((rec.size + bs - 1) // bs, NUM_RUNS)):
+            if rec.runs[fb]:
+                yield rec.runs[fb]
 
-    def _dir_find(self, mft: int, name: str,
-                  rec: Optional[MFTRecord] = None) -> Optional[Tuple[int, int]]:
-        # The caller's copy goes unused: this code has always re-read
-        # the directory's record, and the fingerprints count that read.
-        rec = self._node_get(mft)
-        for emft, ftype, ename in self._dir_entries(mft, rec):
-            if ename == name and 0 < emft < self.boot.mft_records:
-                return emft, ftype
-        return None
+    def _dir_block_load(self, bno: int,
+                        modifying: bool = False) -> List[Tuple[int, int, str]]:
+        raw = self._meta_bread(bno)
+        try:
+            return unpack_index_block(raw, bno, self.block_size)
+        except CorruptionDetected as exc:
+            raise self._sanity_violation(exc) from exc
 
-    def _dir_add(self, mft: int, name: str, child: int, ftype: int) -> None:
-        rec = self._node_get(mft)
-        self._require_dir(rec)
-        bs = self.block_size
-        need = 6 + len(name.encode())
-        for fb in range(self._run_span(rec, bs)):
-            bno = rec.runs[fb]
-            if not bno:
-                continue
-            raw = self._meta_bread(bno)
-            try:
-                entries = unpack_index_block(raw, bno, bs)
-            except CorruptionDetected as exc:
-                raise self._sanity_violation(exc) from exc
-            used = 12 + sum(6 + len(n.encode("latin-1", errors="replace")[:255])
-                            for _, _, n in entries)
-            if used + need <= bs:
-                entries.append((child, ftype, name))
-                self.journal.add_meta(bno, pack_index_block(entries, bs))
-                return
-        fb = (rec.size + bs - 1) // bs
+    def _dir_block_store(self, bno: int, entries) -> None:
+        self.journal.add_meta(bno, pack_index_block(entries, self.block_size))
+
+    def _dir_block_fits(self, entries, name: str) -> bool:
+        used = 12 + sum(6 + len(n.encode("latin-1", errors="replace")[:255])
+                        for _, _, n in entries)
+        return used + 6 + len(name.encode()) <= self.block_size
+
+    def _dir_block_map(self, mft: int, rec: MFTRecord, fb: int) -> int:
         if fb >= NUM_RUNS:
             raise FSError(Errno.ENOSPC, "directory full")
-        bno = self._alloc_block("directory")
-        rec.runs[fb] = bno
-        self.journal.add_meta(bno, pack_index_block([(child, ftype, name)], bs))
-        rec.size = (fb + 1) * bs
-        self._node_put(mft, rec)
+        rec.runs[fb] = self._alloc_block("directory")
+        return rec.runs[fb]
 
-    def _dir_remove(self, mft: int, name: str) -> None:
-        rec = self._node_get(mft)
-        self._require_dir(rec)
-        bs = self.block_size
-        for fb in range(self._run_span(rec, bs)):
-            bno = rec.runs[fb]
-            if not bno:
-                continue
-            raw = self._meta_bread(bno)
-            try:
-                entries = unpack_index_block(raw, bno, bs)
-            except CorruptionDetected as exc:
-                raise self._sanity_violation(exc) from exc
-            kept = [(m, f, n) for m, f, n in entries if n != name]
-            if len(kept) != len(entries):
-                self.journal.add_meta(bno, pack_index_block(kept, bs))
-                return
-        raise FSError(Errno.ENOENT, name)
+    def _dir_child_in_range(self, mft: int) -> bool:
+        return 0 < mft < self.boot.mft_records
 
-    def _dir_set_dotdot(self, mft: int, new_parent: int) -> None:
-        rec = self._node_get(mft)
-        self._require_dir(rec)
-        bs = self.block_size
-        for fb in range(self._run_span(rec, bs)):
-            bno = rec.runs[fb]
-            if not bno:
-                continue
-            raw = self._meta_bread(bno)
-            try:
-                entries = unpack_index_block(raw, bno, bs)
-            except CorruptionDetected as exc:
-                raise self._sanity_violation(exc) from exc
-            changed = False
-            for i, (m, f, n) in enumerate(entries):
-                if n == "..":
-                    entries[i] = (new_parent, FT_DIR, "..")
-                    changed = True
-            if changed:
-                self.journal.add_meta(bno, pack_index_block(entries, bs))
-                return
+    def _dir_lookup_scan(self, mft: int, rec: Optional[MFTRecord]):
+        # The caller's copy goes unused: this code has always re-read
+        # the directory's record, and loaded every index block before
+        # comparing a name; the fingerprints count those reads.
+        return [self._dir_entries(mft, self._node_get(mft))]
 
     # -- allocation --------------------------------------------------------------
 
@@ -415,7 +328,7 @@ class NTFS(JournaledFS):
         self.journal.revoke(bno)
         self._types.pop(bno, None)
 
-    def _alloc_mft(self, mode: int, is_dir: bool) -> int:
+    def _alloc_mft(self, mode: int) -> int:
         boot = self.boot
         bmp = self._read_bitmap(boot.mft_bitmap_block, boot.mft_records)
         bit = bmp.find_free(FIRST_USER_MFT)
@@ -424,7 +337,7 @@ class NTFS(JournaledFS):
         bmp.set(bit)
         self.journal.add_meta(boot.mft_bitmap_block,
                               bmp.to_bytes(pad_to=self.block_size))
-        flags = FLAG_IN_USE | (FLAG_IS_DIR if is_dir else 0)
+        flags = FLAG_IN_USE | (FLAG_IS_DIR if _stat.S_ISDIR(mode) else 0)
         rec = MFTRecord(flags=flags, links=1, mode=mode,
                         atime=1.0, mtime=1.0, ctime=1.0)
         self._node_put(bit, rec)

@@ -3,8 +3,8 @@
 
 ``JournaledFS`` (``src/repro/fs/base.py``) holds the generic half of
 every file system: the path walk, one framed entry point per syscall,
-the namespace and data-path bodies behind them, and the ``unmount`` /
-``statfs`` templates.  A file system that redefined one of them would
+the namespace and data-path bodies behind them, the block-list
+directory operations, and the ``unmount`` / ``statfs`` templates.  A file system that redefined one of them would
 fork that code again — and, because ``FileSystem.__init_subclass__``
 wraps every class-level definition of a syscall in a trace span, an
 override that chained to the generic one would be traced twice.
@@ -64,6 +64,10 @@ GENERIC_OPS = frozenset({
     # The type-oracle memo: a file system supplies the walk and its key
     # (``_walk_types`` / ``_types_key``), never a rebuild of its own.
     "_rebuild_types",
+    # The block-list directory: a file system supplies the
+    # ``_dir_block*`` primitives, never a scan, insert or remove.
+    "_dir_entries", "_dir_find", "_dir_add", "_dir_remove",
+    "_dir_set_dotdot", "_dir_create", "_stat_of",
 })
 
 #: The only overrides of a generic name.  ReiserFS keeps an object's
@@ -71,11 +75,21 @@ GENERIC_OPS = frozenset({
 #: indirect items — and has no per-file block map, so it replaces the
 #: three block-by-block loops that run beneath the shared ``_do_read``
 #: / ``_do_write`` / ``_do_truncate`` prologue and epilogue.  None of
-#: them is a syscall, so none is traced.
+#: them is a syscall, so none is traced.  Its directory entries are
+#: hashed items of the same tree — there is no per-directory block list
+#: to scan — and ``stat`` reports the object id of a key pair, so it
+#: keeps the seven directory operations as well.
 ALLOWED_OVERRIDES = frozenset({
     ("ReiserFS", "_file_read"),
     ("ReiserFS", "_file_write"),
     ("ReiserFS", "_file_truncate"),
+    ("ReiserFS", "_dir_entries"),
+    ("ReiserFS", "_dir_find"),
+    ("ReiserFS", "_dir_add"),
+    ("ReiserFS", "_dir_remove"),
+    ("ReiserFS", "_dir_set_dotdot"),
+    ("ReiserFS", "_dir_create"),
+    ("ReiserFS", "_stat_of"),
 })
 
 
