@@ -111,7 +111,9 @@ class JFSConfig:
 
     @cached_property
     def max_file_blocks(self) -> int:
-        return self.num_direct + self.tree_fanout + self.tree_fanout ** 2
+        # What ``JFS._bmap_inner`` addresses: the direct slots plus a
+        # two-level extent tree.
+        return self.num_direct + self.tree_fanout ** 2
 
     def inode_location(self, ino: int):
         """(block, byte offset) of inode *ino* (1-based; ino 2 = root)."""

@@ -166,6 +166,32 @@ class TestNameCollisions:
         assert any_fs.exists("/c/aaaaaab")
 
 
+class TestSizeLimits:
+    def test_jfs_refuses_an_unmappable_write_before_allocating(self, jfs_fs):
+        """A write past what the extent tree maps (8 direct + 16 * 16
+        blocks) used to pass the up-front check against a limit 16
+        blocks too high, allocate up to the tree's end and only then
+        fail: EFBIG with the size still 0 and 281 blocks gone."""
+        _, fs = jfs_fs
+        fd = fs.creat("/big")
+        free = fs.statfs().free_blocks
+        for nblocks in (270, 265):
+            with pytest.raises(FSError) as e:
+                fs.write(fd, b"x" * (nblocks * fs.block_size))
+            assert e.value.errno is Errno.EFBIG
+            assert fs.statfs().free_blocks == free
+        assert fs.stat("/big").size == 0
+        # The largest file the tree maps still goes in, and comes out.
+        limit = (8 + 16 * 16) * fs.block_size
+        assert fs.write(fd, b"y" * limit) == limit
+        with pytest.raises(FSError) as e:
+            fs.write(fd, b"z", offset=limit)
+        assert e.value.errno is Errno.EFBIG
+        fs.close(fd)
+        fs.truncate("/big", 0)
+        assert fs.statfs().free_blocks == free
+
+
 class TestOutOfSpace:
     @pytest.mark.parametrize("name", ["ext3", "jfs", "ntfs"])
     def test_enospc_then_recoverable(self, name):

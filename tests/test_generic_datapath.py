@@ -41,9 +41,13 @@ PAT = bytes((i * 7 + 3) % 251 for i in range(4096))
 DENSE = bytes((i * 13 + 1) % 253 for i in range(30 * BS))
 
 #: Largest file each block map addresses, in bytes; ReiserFS has none.
-#: JFS checks a write against ``JFS_MAX`` (``config.max_file_blocks``)
-#: up front, but its two-level extent tree maps only ``JFS_TREE_MAX``,
-#: so a write between the two fails with EFBIG from the block map.
+#: JFS's two-level extent tree maps ``JFS_TREE_MAX``, and since ROADMAP
+#: 2(c) that is also ``config.max_file_blocks``, the limit a write is
+#: checked against up front.  ``JFS_MAX`` is the old, 16-blocks-too-high
+#: limit: a write between the two used to fail with EFBIG from the block
+#: map after partial work (the ``ZZ`` write at ``JFS_TREE_MAX - 1`` below
+#: re-mapped and rewrote block 263 first), which is why the JFS
+#: ``events`` digest — and nothing else — was re-captured with that fix.
 NTFS_MAX = 48 * BS
 JFS_TREE_MAX = (8 + 16 * 16) * BS
 JFS_MAX = (8 + 16 + 16 * 16) * BS
@@ -266,7 +270,7 @@ PINNED = {
              "state": "46ee6e64054d6485", "image": "c0ec627ac94f8021"},
     "reiserfs": {"outcomes": "09574558fc81b0b4", "events": "66f1ae777f1deccb",
                  "state": "1a456353516d3887", "image": "5106dd91051eecba"},
-    "jfs": {"outcomes": "360c817e7eaa5e76", "events": "357520d6b6b6f686",
+    "jfs": {"outcomes": "360c817e7eaa5e76", "events": "494d01f7a6fcfdc0",
             "state": "350dce61021beecc", "image": "db50ab2c5be88390"},
     "ntfs": {"outcomes": "19cbbba02d9e1a9f", "events": "16bfd5c508b89e8a",
              "state": "13c1ae92a9168948", "image": "22819c9ebfbccd6d"},
