@@ -230,12 +230,13 @@ class Journal:
             self._ordered_write(block, txn.ordered[block])
 
         homes = list(txn.meta.keys())
-        needed = self._txn_footprint(len(homes), bool(txn.revoked))
+        needed = self._txn_footprint(len(homes), len(txn.revoked))
         if self.head + needed > self.nblocks:
             # Journal full: checkpoint everything and reset the log.
             self.checkpoint()
 
-        # 2. Descriptor + metadata copies (+ revoke) into the log.
+        # 2. Descriptor + metadata copies (+ revokes) into the log, a
+        #    descriptor or revoke block naming at most *cap* homes.
         cap = desc_capacity(self.block_size)
         copies_in_order: List[bytes] = []
         for i in range(0, len(homes), cap):
@@ -245,8 +246,9 @@ class Journal:
                 payload = txn.meta[home]
                 copies_in_order.append(payload)
                 self._jwrite("j-data", payload)
-        if txn.revoked:
-            self._jwrite("j-revoke", pack_revoke(self.block_size, txn.seq, sorted(txn.revoked)))
+        revoked = sorted(txn.revoked)
+        for i in range(0, len(revoked), cap):
+            self._jwrite("j-revoke", pack_revoke(self.block_size, txn.seq, revoked[i:i + cap]))
 
         # 3. Ordering: standard ext3 waits for the journal writes to
         #    reach the platter before issuing the commit block — an
@@ -394,10 +396,11 @@ class Journal:
 
     # -- internals --------------------------------------------------------------------
 
-    def _txn_footprint(self, nmeta: int, has_revoke: bool) -> int:
+    def _txn_footprint(self, nmeta: int, nrevoked: int) -> int:
+        """Log blocks a commit writes: descriptors, copies, revoke
+        blocks, and the commit block."""
         cap = desc_capacity(self.block_size)
-        ndesc = (nmeta + cap - 1) // cap if nmeta else 0
-        return ndesc + nmeta + (1 if has_revoke else 0) + 1
+        return -(-nmeta // cap) + nmeta + -(-nrevoked // cap) + 1
 
     def _jwrite(self, jtype: str, payload: bytes) -> None:
         if self.aborted:

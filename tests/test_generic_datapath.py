@@ -162,8 +162,10 @@ SCRIPT = [
     ("write", ("fd:/lim", b"ZZ", EXT3_MAX - 1), _by_limit(EXT3_MAX)),
     ("stat", ("/lim",), "ok"),
     ("read", ("fd:/lim", 3 * BS, NTFS_MAX - 2 * BS), "ok"),
-    # In steps: ReiserFS revokes every block it frees, and one journal
-    # block holds about 250 revoke records.
+    # In steps: ReiserFS revokes every block it frees, and when these
+    # digests were captured a transaction's revokes had to fit one
+    # journal block (about 250 records).  ROADMAP 2(b) lifted that; the
+    # steps stay because the digests pin them.
     ("truncate", ("/lim", 400 * BS), "ok"),
     ("truncate", ("/lim", 200 * BS), "ok"),
     ("truncate", ("/lim", 20 * BS + 1), "ok"),       # frees the deep levels
