@@ -400,7 +400,9 @@ class Journal:
         """Log blocks a commit writes: descriptors, copies, revoke
         blocks, and the commit block."""
         cap = desc_capacity(self.block_size)
-        return -(-nmeta // cap) + nmeta + -(-nrevoked // cap) + 1
+        ndesc = (nmeta + cap - 1) // cap
+        nrevoke = (nrevoked + cap - 1) // cap
+        return ndesc + nmeta + nrevoke + 1
 
     def _jwrite(self, jtype: str, payload: bytes) -> None:
         if self.aborted:

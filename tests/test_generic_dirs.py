@@ -240,7 +240,9 @@ def damage(name, stack, fs, adapter, path, how):
         if fs.block_type(block) != block_type or b"marker-one" not in raw:
             continue
         if how == "far-child":
-            entries = [tuple(dataclasses.astuple(e)) if dataclasses.is_dataclass(e)
+            # ext3's DirEntry was a dataclass at the commit the pins
+            # were captured on; this file runs unchanged on both.
+            entries = [dataclasses.astuple(e) if dataclasses.is_dataclass(e)
                        else tuple(e) for e in unpack(raw, block)]
             payload = pack(entries + [(0x7FFFFFF0, FT_REG, "far")])
         else:
