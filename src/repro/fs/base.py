@@ -352,9 +352,11 @@ class JournaledFS(FileSystem):
 
     def _dir_find(self, handle, name: str, node=None) -> Optional[Tuple[object, int]]:
         for entries in self._dir_lookup_scan(handle, node):
-            for child, ftype, ename in entries:
-                if ename == name and self._dir_child_in_range(child):
-                    return child, ftype
+            # Indexed, not unpacked: ext3's entries are a tuple subclass,
+            # which the interpreter unpacks the slow way, once per entry.
+            for entry in entries:
+                if entry[2] == name and self._dir_child_in_range(entry[0]):
+                    return entry[0], entry[1]
         return None
 
     def _dir_add(self, handle, name: str, child, ftype: int) -> None:

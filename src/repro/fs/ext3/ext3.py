@@ -382,8 +382,7 @@ class Ext3(JournaledFS):
         return 0 < ino <= self.sb.inodes_count
 
     def _dir_lookup_scan(self, ino: int, inode: Optional[Inode]):
-        # Block by block over the caller's copy of the inode, when
-        # there is one.
+        # Block by block, over the caller's copy of the inode if any.
         if inode is None:
             inode = self._node_get(ino)
         return map(self._dir_block_load, self._dir_blocks(ino, inode))
