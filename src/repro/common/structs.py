@@ -9,12 +9,18 @@ dominates hot paths that touch thousands of records per mount.
 For variable-length runs of fixed-width integers (pointer blocks,
 journal descriptor tables, directory name prefixes) use the cached
 factories below; they compile each distinct length once per process.
+
+Decoding is memoised the same way: every metadata block decoder keeps
+one :class:`DecodeMemo`, so a payload already decoded in this process
+costs a dictionary probe instead of the ``struct`` work and object
+construction behind it (DESIGN.md, "Decode memo").
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from struct import Struct
+from typing import Any, ClassVar, Dict, List
 
 #: Single little-endian primitives, shared by all parsers.
 U8 = Struct("<B")
@@ -36,3 +42,59 @@ def u32_seq(count: int) -> Struct:
 def compiled(fmt: str) -> Struct:
     """Cached ``Struct`` for an arbitrary format built at runtime."""
     return Struct(fmt)
+
+
+class DecodeMemo:
+    """One decoder's bounded, payload-keyed memo of decoded values.
+
+    A decoder is a pure function of the payload and its other inputs,
+    and the zero-copy substrate hands an unchanged block back as the
+    same ``bytes`` object, whose hash is cached — so a hit costs one
+    probe.  The rules that keep it sound:
+
+    * The key is the payload itself plus every other input of the
+      decoder (``nptrs``, ``fanout``, ``block_size``), never the block
+      number.  Only an exact ``bytes`` payload is looked up or stored:
+      a ``memoryview`` or ``bytearray`` may change under the key.
+    * A decode that raises stores nothing — the caller only reaches
+      :meth:`put` with a value — so a payload that fails its sanity
+      check is decoded, and reported against the caller's block, on
+      every access.
+    * A stored value is shared by every later caller, so it must be
+      immutable; the decoder builds the mutable object it returns from
+      it afresh on each call.
+    * At most *capacity* entries, a constant of the decoder; a full
+      memo gives up its oldest entry for each new one.
+    """
+
+    #: Every memo of the process, so a test can empty or disable them.
+    instances: ClassVar[List["DecodeMemo"]] = []
+
+    __slots__ = ("capacity", "_entries")
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries: Dict[Any, Any] = {}
+        DecodeMemo.instances.append(self)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def get(self, payload, *params):
+        """The value stored for this payload and *params*, else None."""
+        if type(payload) is bytes:
+            return self._entries.get((payload, *params) if params else payload)
+        return None
+
+    def put(self, value, payload, *params):
+        """Store *value*, the decode of *payload* under *params*, and
+        return it."""
+        if type(payload) is bytes and self.capacity > 0:
+            entries = self._entries
+            if len(entries) >= self.capacity:
+                del entries[next(iter(entries))]
+            entries[(payload, *params) if params else payload] = value
+        return value

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 from struct import Struct
 from typing import List, NamedTuple, Tuple
 
-from repro.common.structs import U16x2, u32_seq
+from repro.common.structs import DecodeMemo, U16x2, u32_seq
 from repro.fs.ext3.config import INODE_SIZE, NUM_DIRECT, Ext3Config
 from repro.vfs.stat import FT_DIR, FT_REG, FT_SYMLINK  # noqa: F401  (re-exported)
 
@@ -27,6 +27,7 @@ FEAT_TXN_CSUM = 1 << 4
 
 _SB_STRUCT = Struct("<IIIIIIIIIIIIIIIHHIIIII")
 _SB_SIZE = _SB_STRUCT.size
+_SB_MEMO = DecodeMemo(64)
 
 
 @dataclass
@@ -109,30 +110,12 @@ class Superblock:
 
     @classmethod
     def unpack(cls, data: bytes) -> "Superblock":
-        fields = _SB_STRUCT.unpack_from(data)
-        return cls(
-            magic=fields[0],
-            block_size=fields[1],
-            blocks_count=fields[2],
-            inodes_count=fields[3],
-            free_blocks=fields[4],
-            free_inodes=fields[5],
-            blocks_per_group=fields[6],
-            inodes_per_group=fields[7],
-            num_groups=fields[8],
-            journal_start=fields[9],
-            journal_blocks=fields[10],
-            groups_start=fields[11],
-            ptrs_per_block=fields[12],
-            checksum_start=fields[13],
-            checksum_blocks=fields[14],
-            state=fields[15],
-            mount_count=fields[17],
-            features=fields[18],
-            replica_start=fields[19],
-            replica_blocks=fields[20],
-            first_free_ino_hint=fields[21],
-        )
+        fields = _SB_MEMO.get(data)
+        if fields is None:
+            f = _SB_STRUCT.unpack_from(data)
+            # Declaration order, less the pad after ``state``.
+            fields = _SB_MEMO.put(f[:16] + f[17:], data)
+        return cls(*fields)
 
     def is_valid(self) -> bool:
         """The sanity (type) check ext3 performs on its superblock."""
@@ -146,6 +129,7 @@ class Superblock:
 
 _GD_STRUCT = Struct("<IIIHHII")
 _GD_SIZE = _GD_STRUCT.size
+_GDT_MEMO = DecodeMemo(64)
 
 
 @dataclass
@@ -184,13 +168,21 @@ def pack_gdt(descriptors: List[GroupDescriptor], block_size: int) -> bytes:
 
 
 def unpack_gdt(data: bytes, num_groups: int) -> List[GroupDescriptor]:
-    unpack = _GD_STRUCT.unpack_from
-    return [GroupDescriptor(*unpack(data, g * _GD_SIZE)) for g in range(num_groups)]
+    rows = _GDT_MEMO.get(data, num_groups)
+    if rows is None:
+        unpack = _GD_STRUCT.unpack_from
+        rows = _GDT_MEMO.put(
+            tuple(unpack(data, g * _GD_SIZE) for g in range(num_groups)),
+            data, num_groups)
+    return [GroupDescriptor(*row) for row in rows]
 
 
 _INODE_STRUCT = Struct("<HHHHQdddI" + "I" * NUM_DIRECT + "IIIIII")
 _INODE_USED = _INODE_STRUCT.size
 assert _INODE_USED <= INODE_SIZE, _INODE_USED
+#: Keyed on the 128-byte slot, not the table block: the memo retains
+#: the slot alone, and a neighbour changing evicts nothing.
+_INODE_MEMO = DecodeMemo(256)
 
 
 @dataclass(slots=True)
@@ -241,25 +233,13 @@ class Inode:
 
     @classmethod
     def unpack(cls, data: bytes) -> "Inode":
-        f = _INODE_STRUCT.unpack_from(data)
-        return cls(
-            mode=f[0],
-            links=f[1],
-            uid=f[2],
-            gid=f[3],
-            size=f[4],
-            atime=f[5],
-            mtime=f[6],
-            ctime=f[7],
-            nblocks=f[8],
-            direct=list(f[9:9 + NUM_DIRECT]),
-            indirect=f[9 + NUM_DIRECT],
-            dindirect=f[10 + NUM_DIRECT],
-            tindirect=f[11 + NUM_DIRECT],
-            flags=f[12 + NUM_DIRECT],
-            parity_block=f[13 + NUM_DIRECT],
-            generation=f[14 + NUM_DIRECT],
-        )
+        parts = _INODE_MEMO.get(data)
+        if parts is None:
+            f = _INODE_STRUCT.unpack_from(data)
+            parts = _INODE_MEMO.put(
+                (f[:9], f[9:9 + NUM_DIRECT], f[9 + NUM_DIRECT:]), data)
+        head, direct, tail = parts
+        return cls(*head, list(direct), *tail)
 
     def copy(self) -> "Inode":
         out = replace(self)
@@ -301,13 +281,7 @@ def pack_dir_block(entries: List[Tuple[int, int, str]], block_size: int) -> byte
     return payload + b"\x00" * (block_size - len(payload))
 
 
-#: Content-keyed parse cache.  Parsing is a pure function of the block
-#: payload, directory blocks are re-read constantly (every path lookup
-#: walks them), and the zero-copy substrate returns stable ``bytes``
-#: objects for unmodified blocks — so the common hit costs one (cached)
-#: hash.  Entries are frozen, so sharing them is safe; the returned
-#: list is fresh per call because callers mutate it.
-_DIR_PARSE_CACHE: dict = {}
+_DIR_MEMO = DecodeMemo(128)
 
 
 def unpack_dir_block(data: bytes) -> List[DirEntry]:
@@ -317,11 +291,9 @@ def unpack_dir_block(data: bytes) -> List[DirEntry]:
     blocks (§5.1), so garbage parses into garbage entries or an early
     stop — exactly the blind behaviour the paper documents.
     """
-    cacheable = type(data) is bytes
-    if cacheable:
-        cached = _DIR_PARSE_CACHE.get(data)
-        if cached is not None:
-            return list(cached)
+    cached = _DIR_MEMO.get(data)
+    if cached is not None:
+        return list(cached)
     entries: List[DirEntry] = []
     off = 0
     n = len(data)
@@ -337,10 +309,7 @@ def unpack_dir_block(data: bytes) -> List[DirEntry]:
         off += name_len
         if ino != 0:
             entries.append(DirEntry(ino, ftype, name))
-    if cacheable:
-        if len(_DIR_PARSE_CACHE) > 4096:
-            _DIR_PARSE_CACHE.clear()
-        _DIR_PARSE_CACHE[data] = tuple(entries)
+    _DIR_MEMO.put(tuple(entries), data)
     return entries
 
 
@@ -352,8 +321,14 @@ def pack_pointer_block(pointers: List[int], block_size: int, nptrs: int) -> byte
     return payload + b"\x00" * (block_size - len(payload))
 
 
+_POINTER_MEMO = DecodeMemo(128)
+
+
 def unpack_pointer_block(data: bytes, nptrs: int) -> List[int]:
-    return list(u32_seq(nptrs).unpack_from(data))
+    ptrs = _POINTER_MEMO.get(data, nptrs)
+    if ptrs is None:
+        ptrs = _POINTER_MEMO.put(u32_seq(nptrs).unpack_from(data), data, nptrs)
+    return list(ptrs)
 
 
 def inode_slot(table_block_payload: bytes, offset: int) -> Inode:

@@ -15,12 +15,13 @@ from typing import List, Optional, Tuple
 
 from repro.common.bitmap import Bitmap
 from repro.common.errors import CorruptionDetected
-from repro.common.structs import U16x2, U32x2, U32x3, u32_seq
+from repro.common.structs import DecodeMemo, U16x2, U32x2, U32x3, u32_seq
 
 JFS_MAGIC = 0x3153464A  # "JFS1"
 JFS_VERSION = 2
 
 _SB_STRUCT = Struct("<IIIIIIIIIIII")
+_SB_MEMO = DecodeMemo(64)
 
 
 @dataclass
@@ -51,7 +52,10 @@ class JFSSuper:
 
     @classmethod
     def unpack(cls, data: bytes) -> "JFSSuper":
-        return cls(*_SB_STRUCT.unpack_from(data))
+        fields = _SB_MEMO.get(data)
+        if fields is None:
+            fields = _SB_MEMO.put(_SB_STRUCT.unpack_from(data), data)
+        return cls(*fields)
 
     def is_valid(self) -> bool:
         """Magic and version check (D_sanity, §5.3)."""
@@ -65,6 +69,7 @@ class JFSSuper:
 
 _INODE_STRUCT = Struct("<HHHHQddd8IIII")
 INODE_USED = _INODE_STRUCT.size
+_INODE_MEMO = DecodeMemo(256)
 
 
 @dataclass
@@ -94,12 +99,12 @@ class JFSInode:
 
     @classmethod
     def unpack(cls, data: bytes) -> "JFSInode":
-        f = _INODE_STRUCT.unpack_from(data)
-        return cls(
-            mode=f[0], links=f[1], uid=f[2], gid=f[3], size=f[4],
-            atime=f[5], mtime=f[6], ctime=f[7], direct=list(f[8:16]),
-            tree_root=f[16], tree_levels=f[17], nblocks=f[18],
-        )
+        parts = _INODE_MEMO.get(data)
+        if parts is None:
+            f = _INODE_STRUCT.unpack_from(data)
+            parts = _INODE_MEMO.put((f[:8], f[8:16], f[16:]), data)
+        head, direct, tail = parts
+        return cls(*head, list(direct), *tail)
 
     @property
     def is_allocated(self) -> bool:
@@ -142,6 +147,7 @@ def check_inode_block(data: bytes, block: int, inodes_per_block: int) -> None:
 
 _DIR_HDR = U32x2  # nentries, pad
 _DIRENT_HDR = Struct("<IBB")
+_DIR_MEMO = DecodeMemo(128)
 
 
 def pack_dir_block(entries: List[Tuple[int, int, str]], block_size: int) -> bytes:
@@ -157,6 +163,9 @@ def pack_dir_block(entries: List[Tuple[int, int, str]], block_size: int) -> byte
 
 def unpack_dir_block(data: bytes, block: int, block_size: int) -> List[Tuple[int, int, str]]:
     """Parse a directory block, sanity-checking the entry count (§5.3)."""
+    seen = _DIR_MEMO.get(data, block_size)
+    if seen is not None:
+        return list(seen)
     nentries, _ = _DIR_HDR.unpack_from(data)
     max_entries = (block_size - 8) // 6
     if nentries > max_entries:
@@ -171,10 +180,12 @@ def unpack_dir_block(data: bytes, block: int, block_size: int) -> List[Tuple[int
         name = data[off:off + nlen].decode("latin-1")
         off += nlen
         out.append((ino, ftype, name))
+    _DIR_MEMO.put(tuple(out), data, block_size)
     return out
 
 
 _TREE_HDR = Struct("<HHI")  # level, count, pad
+_TREE_MEMO = DecodeMemo(128)
 
 
 def pack_tree_block(level: int, pointers: List[int], block_size: int,
@@ -189,11 +200,13 @@ def pack_tree_block(level: int, pointers: List[int], block_size: int,
 
 def unpack_tree_block(data: bytes, block: int, fanout: int) -> Tuple[int, List[int]]:
     """Parse an internal block, checking the pointer count (§5.3)."""
-    level, count, _ = _TREE_HDR.unpack_from(data)
-    if count > fanout or level == 0 or level > 4:
-        raise CorruptionDetected(block, f"tree block level={level} count={count} invalid")
-    ptrs = list(u32_seq(count).unpack_from(data, 8))
-    return level, ptrs
+    seen = _TREE_MEMO.get(data, fanout)
+    if seen is None:
+        level, count, _ = _TREE_HDR.unpack_from(data)
+        if count > fanout or level == 0 or level > 4:
+            raise CorruptionDetected(block, f"tree block level={level} count={count} invalid")
+        seen = _TREE_MEMO.put((level, u32_seq(count).unpack_from(data, 8)), data, fanout)
+    return seen[0], list(seen[1])
 
 
 _MAP_HDR = U32x2  # free count, free count copy (equality-checked)
@@ -217,6 +230,7 @@ def unpack_map_block(data: bytes, block: int, nbits: int) -> Bitmap:
 
 
 _AGGR_STRUCT = Struct("<IIIII")  # magic, bmap_desc, imap_cntl, log_start, generation
+_AGGR_MEMO = DecodeMemo(64)
 AGGR_MAGIC = 0x41475232  # "AGR2"
 
 
@@ -238,7 +252,10 @@ class AggregateInode:
 
     @classmethod
     def unpack(cls, data: bytes) -> "AggregateInode":
-        return cls(*_AGGR_STRUCT.unpack_from(data))
+        fields = _AGGR_MEMO.get(data)
+        if fields is None:
+            fields = _AGGR_MEMO.put(_AGGR_STRUCT.unpack_from(data), data)
+        return cls(*fields)
 
     def is_valid(self) -> bool:
         return self.magic == AGGR_MAGIC

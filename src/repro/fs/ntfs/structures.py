@@ -15,6 +15,7 @@ from struct import Struct
 from typing import List, Tuple
 
 from repro.common.errors import CorruptionDetected
+from repro.common.structs import DecodeMemo
 
 BOOT_MAGIC = b"NTFS    "
 FILE_MAGIC = b"FILE"
@@ -29,6 +30,7 @@ FIRST_USER_MFT = 16
 NUM_RUNS = 48
 
 _BOOT_STRUCT = Struct("<8sIIIIIIII")
+_BOOT_MEMO = DecodeMemo(64)
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,9 @@ class BootFile:
 
     @classmethod
     def unpack(cls, data: bytes) -> "BootFile":
-        return cls(*_BOOT_STRUCT.unpack_from(data))
+        # Frozen, so the memo holds the decoded object itself.
+        return (_BOOT_MEMO.get(data)
+                or _BOOT_MEMO.put(cls(*_BOOT_STRUCT.unpack_from(data)), data))
 
     def is_valid(self) -> bool:
         return self.magic == BOOT_MAGIC and self.block_size >= 512
@@ -66,6 +70,7 @@ FLAG_IN_USE = 1
 FLAG_IS_DIR = 2
 
 _MFT_STRUCT = Struct("<4sHHHHIIQddd" + f"{NUM_RUNS}I")
+_MFT_MEMO = DecodeMemo(128)
 
 
 @dataclass
@@ -93,12 +98,16 @@ class MFTRecord:
 
     @classmethod
     def unpack(cls, data: bytes, block: int) -> "MFTRecord":
-        f = _MFT_STRUCT.unpack_from(data)
-        if f[0] != FILE_MAGIC:
-            raise CorruptionDetected(block, "MFT record magic invalid")
-        return cls(flags=f[1], links=f[2], uid=f[3], gid=f[4], mode=f[5],
-                   size=f[7], atime=f[8], mtime=f[9], ctime=f[10],
-                   runs=list(f[11:11 + NUM_RUNS]))
+        parts = _MFT_MEMO.get(data)
+        if parts is None:
+            f = _MFT_STRUCT.unpack_from(data)
+            if f[0] != FILE_MAGIC:
+                raise CorruptionDetected(block, "MFT record magic invalid")
+            # Declaration order: flags, links, mode, uid, gid, size, times.
+            parts = _MFT_MEMO.put(
+                ((f[1], f[2], f[5], f[3], f[4], *f[7:11]), f[11:11 + NUM_RUNS]), data)
+        head, runs = parts
+        return cls(*head, list(runs))
 
     @property
     def in_use(self) -> bool:
@@ -111,6 +120,7 @@ class MFTRecord:
 
 _INDX_HDR = Struct("<4sII")  # magic, nentries, pad
 _INDX_ENT = Struct("<IBB")
+_INDX_MEMO = DecodeMemo(128)
 
 
 def pack_index_block(entries: List[Tuple[int, int, str]], block_size: int) -> bytes:
@@ -125,6 +135,9 @@ def pack_index_block(entries: List[Tuple[int, int, str]], block_size: int) -> by
 
 
 def unpack_index_block(data: bytes, block: int, block_size: int) -> List[Tuple[int, int, str]]:
+    seen = _INDX_MEMO.get(data, block_size)
+    if seen is not None:
+        return list(seen)
     magic, nentries, _ = _INDX_HDR.unpack_from(data)
     if magic != INDX_MAGIC:
         raise CorruptionDetected(block, "index block magic invalid")
@@ -141,4 +154,5 @@ def unpack_index_block(data: bytes, block: int, block_size: int) -> List[Tuple[i
         name = data[off:off + nlen].decode("latin-1")
         off += nlen
         out.append((mft, ftype, name))
+    _INDX_MEMO.put(tuple(out), data, block_size)
     return out

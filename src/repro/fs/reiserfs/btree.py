@@ -21,7 +21,7 @@ from struct import Struct
 from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import CorruptionDetected
-from repro.common.structs import U32, u32_seq
+from repro.common.structs import DecodeMemo, U32, u32_seq
 
 # Item types, in key sort order.
 IT_STAT = 0
@@ -41,10 +41,13 @@ _IHEAD_SIZE = _IHEAD_STRUCT.size
 
 MAX_HEIGHT = 7
 
+_NODE_MEMO = DecodeMemo(128)
 
-@dataclass
+
+@dataclass(frozen=True)
 class Item:
-    """One leaf item: key plus opaque body."""
+    """One leaf item: key plus opaque body.  Frozen, because every
+    decode of one leaf payload hands out the same items."""
 
     key: Key
     body: bytes
@@ -106,6 +109,10 @@ class Node:
     def unpack(cls, data: bytes, block: int) -> "Node":
         """Parse and sanity-check a node (D_sanity: level, item count,
         free space are all verified — §5.2)."""
+        seen = _NODE_MEMO.get(data)
+        if seen is not None:
+            level, items, keys, children = seen
+            return cls(level, list(items), list(keys), list(children))
         level, nitems, free, _pad = _HDR_STRUCT.unpack_from(data)
         if not 1 <= level <= MAX_HEIGHT:
             raise CorruptionDetected(block, f"tree node level {level} out of range")
@@ -126,8 +133,8 @@ class Node:
             expect_free = bs - _HDR_SIZE - nitems * _IHEAD_SIZE - total_body
             if free != expect_free:
                 raise CorruptionDetected(block, "leaf free-space field inconsistent")
-            node = cls(level=1, items=items)
-            return node
+            _NODE_MEMO.put((1, tuple(items), (), ()), data)
+            return cls(level=1, items=items)
         nkeys = nitems
         need = _HDR_SIZE + nkeys * _KEY_SIZE + (nkeys + 1) * 4
         if need > bs:
@@ -147,6 +154,7 @@ class Node:
             if prev is not None and key < prev:
                 raise CorruptionDetected(block, "internal keys out of order")
             prev = key
+        _NODE_MEMO.put((level, (), tuple(keys), tuple(children)), data)
         return cls(level=level, keys=keys, children=children)
 
 

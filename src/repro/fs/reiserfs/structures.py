@@ -8,12 +8,13 @@ from struct import Struct
 from typing import List, Tuple
 
 from repro.common.checksum import crc32
-from repro.common.structs import U32, u32_seq
+from repro.common.structs import DecodeMemo, U32, u32_seq
 
 REISER_MAGIC = b"ReIsErFs"
 
 _SB_STRUCT = Struct("<8sIIIIIIIIIIIH")
 _SB_SIZE = _SB_STRUCT.size
+_SB_MEMO = DecodeMemo(64)
 
 #: Root object identity: (dirid, objectid).
 ROOT_KEY_PAIR = (1, 2)
@@ -49,9 +50,11 @@ class ReiserSuper:
 
     @classmethod
     def unpack(cls, data: bytes) -> "ReiserSuper":
-        f = _SB_STRUCT.unpack_from(data)
-        (nobjects,) = U32.unpack_from(data, _SB_SIZE)
-        return cls(*f, nobjects=nobjects)
+        fields = _SB_MEMO.get(data)
+        if fields is None:
+            fields = _SB_MEMO.put(
+                _SB_STRUCT.unpack_from(data) + U32.unpack_from(data, _SB_SIZE), data)
+        return cls(*fields)
 
     def is_valid(self) -> bool:
         """ReiserFS superblock magic check (D_sanity, §5.2)."""
