@@ -111,8 +111,8 @@ class JournaledFS(FileSystem):
     has no block map: it stores an object's body whole, so it overrides
     the three loops built on these primitives — :meth:`_file_read`,
     :meth:`_file_write`, :meth:`_file_truncate` — together with
-    :meth:`_node_clear` and :meth:`_symlink_create`, and implements none
-    of the five.
+    :meth:`_node_clear` and :meth:`_symlink_create`, and implements only
+    ``_max_file_bytes`` of the five (the pool a body must fit in).
 
     The gray-box type oracle (§4.2) is relearnt at mount by the one
     :meth:`_rebuild_types` here, which memoises on the golden image
@@ -590,6 +590,8 @@ class JournaledFS(FileSystem):
         node = self._node_get_for_update(handle)
         if self._is_dir(node):
             raise FSError(Errno.EISDIR, path)
+        if size > self._max_file_bytes:
+            raise FSError(Errno.EFBIG, "file would exceed maximum size")
         self._file_truncate(handle, node, size)
 
     def _file_truncate(self, handle, node, size: int) -> None:

@@ -204,7 +204,15 @@ class ReiserFS(JournaledFS):
     def _file_read(self, pair: Pair, st: StatBody, pos: int, end: int) -> bytes:
         return self._read_object_data(pair, st)[pos:end]
 
+    @property
+    def _max_file_bytes(self) -> int:
+        # There is no block map to run out of; a body is held whole in
+        # memory and stored whole, so the pool it must fit in bounds it.
+        return (self.config.total_blocks - self.config.data_start) * self.block_size
+
     def _file_write(self, pair: Pair, st: StatBody, pos: int, data: bytes) -> None:
+        if pos + len(data) > self._max_file_bytes:
+            raise FSError(Errno.EFBIG, "file would exceed maximum size")
         old = self._read_object_data(pair, st, retries=1) if st.size else b""
         new = bytearray(max(len(old), pos + len(data)))
         new[:len(old)] = old

@@ -4,6 +4,7 @@ multi-block directories, relative symlinks, rename edge semantics."""
 import pytest
 
 from repro.common.errors import Errno, FSError
+from repro.fingerprint.adapters import ADAPTERS
 
 from conftest import FS_FACTORIES
 
@@ -190,6 +191,46 @@ class TestSizeLimits:
         fs.close(fd)
         fs.truncate("/big", 0)
         assert fs.statfs().free_blocks == free
+
+
+    #: A size past what each ``ADAPTERS`` geometry can hold: ext3/ixt3
+    #: map 610,304 bytes, JFS 270,336, NTFS 49,152, and a ReiserFS body
+    #: must fit in the volume.
+    PAST_LIMIT = {"ext3": 700_000, "ixt3": 700_000, "jfs": 300_000,
+                  "ntfs": 60_000, "reiserfs": 1 << 40}
+
+    @pytest.mark.parametrize("name", sorted(PAST_LIMIT))
+    def test_truncate_past_the_limit_is_efbig_and_changes_nothing(self, name):
+        """``truncate`` had no size check: ext3/ixt3 recorded a size
+        ``open`` then rejects as a corrupted inode, JFS and NTFS a size
+        their maps cannot hold, and ReiserFS died of ``MemoryError``
+        building the zero tail."""
+        adapter = ADAPTERS[name]()
+        stack = adapter.build_stack()
+        adapter.mkfs(stack.top)
+        fs = adapter.make_fs(stack.top)
+        fs.mount()
+        fs.write_file("/f", b"x" * 100)
+        free = fs.statfs().free_blocks
+        with pytest.raises(FSError) as e:
+            fs.truncate("/f", self.PAST_LIMIT[name])
+        assert e.value.errno is Errno.EFBIG
+        assert fs.stat("/f").size == 100
+        assert fs.statfs().free_blocks == free
+        fs.close(fs.open("/f"))
+        assert fs.read_file("/f") == b"x" * 100
+
+    def test_reiserfs_write_past_the_volume_is_efbig(self, reiser_fs):
+        """The same missing limit through ``write``: the whole body is
+        built in memory before a block is allocated."""
+        _, fs = reiser_fs
+        fd = fs.creat("/f")
+        free = fs.statfs().free_blocks
+        with pytest.raises(FSError) as e:
+            fs.write(fd, b"x", offset=1 << 40)
+        assert e.value.errno is Errno.EFBIG
+        assert fs.statfs().free_blocks == free
+        assert fs.stat("/f").size == 0
 
 
 class TestOutOfSpace:
