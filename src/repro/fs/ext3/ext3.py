@@ -260,6 +260,7 @@ class Ext3(JournaledFS):
     def _node_drop(self, ino: int, inode: Inode) -> None:
         self._node_shrink(ino, inode, 0,
                           kind="dir" if _stat.S_ISDIR(inode.mode) else "data")
+        self._release_parity(ino, inode)
         self._free_inode(ino)
 
     def _open_check(self, ino: int, inode: Inode) -> None:
@@ -319,11 +320,7 @@ class Ext3(JournaledFS):
             raise FSError(Errno.EUCLEAN, "corrupt link count")
         inode.links -= 1
         if inode.links == 0:
-            # Not _node_drop: only unlink releases ixt3's parity block
-            # (a file replaced by rename keeps it allocated).
-            self._node_shrink(ino, inode, 0)
-            self._release_parity(ino, inode)
-            self._free_inode(ino)
+            self._node_drop(ino, inode)
         else:
             self._node_put(ino, inode)
 

@@ -227,6 +227,24 @@ class TestParity:
         fs.unlink("/p")
         assert fs.statfs().free_blocks == free0
 
+    def test_parity_block_freed_when_rename_replaces_the_file(self):
+        """ROADMAP 2(d): only ``unlink`` released the parity block, so
+        a file replaced by ``rename`` leaked one block each time."""
+        def free_after(replace):
+            _, _, fs = fresh(populate=False)
+            fs.write_file("/victim", b"v" * 3000)
+            fs.write_file("/mover", b"m" * 3000)
+            replace(fs)
+            assert fs.read_file("/victim") == b"m" * 3000
+            return fs.statfs().free_blocks
+
+        def unlink_then_rename(fs):
+            fs.unlink("/victim")
+            fs.rename("/mover", "/victim")
+
+        assert (free_after(lambda fs: fs.rename("/mover", "/victim"))
+                == free_after(unlink_then_rename))
+
 
 class TestTransactionalChecksum:
     def test_commit_carries_checksum_and_skips_stall(self):
