@@ -302,8 +302,8 @@ PINNED = {
             "state": "772c18c1f572e192", "image": "7050006000c21162"},
     "ntfs": {"outcomes": "83f010e86422023d", "events": "58cd8cc6ca35b291",
              "state": "3f49031a3da1439a", "image": "888b16226aaab008"},
-    "ixt3": {"outcomes": "41d0e2b2b1699507", "events": "317bf71cb062be66",
-             "state": "fa68b7685763fa95", "image": "7d61b8f6ae78e8cd"},
+    "ixt3": {"outcomes": "94964e493a1841e4", "events": "3e1c9d982090304b",
+             "state": "39568db4e6a870e5", "image": "5a251dd878643f88"},
 }
 
 
