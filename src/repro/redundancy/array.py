@@ -322,7 +322,15 @@ class ArrayDevice(DirtyDelta):
 
     @property
     def clock(self) -> float:
-        return max(member.disk.clock for member in self.members)
+        # Read twice per logical I/O: a plain loop, no generator frame.
+        # The disks are looked up each time because ``replace_member``
+        # reassigns ``member.disk``.
+        latest = 0.0
+        for member in self.members:
+            now = member.disk.clock
+            if now > latest:
+                latest = now
+        return latest
 
     def stall(self, seconds: float) -> None:
         """Members share the wall clock: a commit-ordering wait stalls
