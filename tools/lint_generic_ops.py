@@ -33,6 +33,15 @@ The names are read from ``SPECS`` by AST, never copied here.  Hoisting
 forwarding base class would therefore fail this lint instead of the
 traced benchmark pass.
 
+And for decode caches: a metadata decoder memoises through
+``repro.common.structs.DecodeMemo``, which carries the rules that make
+a payload-keyed memo sound (DESIGN.md, "Decode memo").  A module under
+``src/repro/fs/`` that bound a module-level ``dict`` / ``OrderedDict``
+of its own would be a second mechanism without them, so binding one
+(an empty display, or a ``dict`` / ``OrderedDict`` / ``defaultdict``
+call) fails here; a constant table written as a non-empty display is
+not a cache and passes.
+
 It then prints the source-line count (``wc -l``) of every package under
 ``src/repro``, so each CI run records how large the tree is; ``--loc-out
 PATH`` also writes the table to a file for upload as an artifact.
@@ -144,7 +153,30 @@ def lint() -> list[str]:
     problems.extend(f"tools/lint_generic_ops.py: allowed override {cls}.{name} "
                     "does not exist; drop it from ALLOWED_OVERRIDES"
                     for cls, name in sorted(unused))
-    return problems + lint_arrays() + lint_stack()
+    return problems + lint_fs_caches() + lint_arrays() + lint_stack()
+
+
+def lint_fs_caches() -> list[str]:
+    problems = []
+    for path in sorted(FS_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or value is None:
+                continue
+            if isinstance(value, ast.Call):
+                func = value.func
+                made = getattr(func, "id", getattr(func, "attr", ""))
+                cache = made in ("dict", "OrderedDict", "defaultdict")
+            else:
+                cache = isinstance(value, ast.Dict) and not value.keys
+            if cache:
+                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+                problems.append(
+                    f"{path.relative_to(ROOT)}:{node.lineno}: module-level dict "
+                    f"{ast.unparse(target)}; a decoder memoises through "
+                    "repro.common.structs.DecodeMemo, not a cache of its own")
+    return problems
 
 
 def lint_arrays() -> list[str]:
@@ -230,10 +262,11 @@ def main(argv=None) -> int:
     if args.loc_out:
         args.loc_out.write_text(table + "\n")
     if problems:
-        print(f"{len(problems)} generic-op violation(s)", file=sys.stderr)
+        print(f"{len(problems)} violation(s)", file=sys.stderr)
         return 1
     print("generic ops: each defined once, in JournaledFS and ArrayDevice; "
-          "device-stack layers define every name perf/trace.py patches")
+          "device-stack layers define every name perf/trace.py patches; "
+          "no private decode cache under src/repro/fs")
     return 0
 
 
