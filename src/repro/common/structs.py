@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from struct import Struct
-from typing import Any, ClassVar, Dict, List
+from typing import Any, Dict
 
 #: Single little-endian primitives, shared by all parsers.
 U8 = Struct("<B")
@@ -67,15 +67,11 @@ class DecodeMemo:
       memo gives up its oldest entry for each new one.
     """
 
-    #: Every memo of the process, so a test can empty or disable them.
-    instances: ClassVar[List["DecodeMemo"]] = []
-
     __slots__ = ("capacity", "_entries")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self._entries: Dict[Any, Any] = {}
-        DecodeMemo.instances.append(self)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -17,6 +17,7 @@ number, stores a failure, or drops ``nptrs`` / ``fanout`` /
 from __future__ import annotations
 
 import dataclasses
+import gc
 from typing import Any, Callable, Optional
 
 import pytest
@@ -133,18 +134,23 @@ CASES = [
 by_case = pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 
 
-def test_every_memo_in_the_process_is_covered():
+def all_memos():
+    """Every decode memo alive in the process."""
     import repro.cli  # noqa: F401  (imports every file system)
-    assert {id(m) for m in DecodeMemo.instances} == {id(c.memo) for c in CASES}
+    return [o for o in gc.get_objects() if isinstance(o, DecodeMemo)]
+
+
+def test_every_memo_in_the_process_is_covered():
+    assert {id(m) for m in all_memos()} == {id(c.memo) for c in CASES}
 
 
 @pytest.fixture(autouse=True)
 def empty_memos():
     """Each test starts, and leaves the next, with nothing memoised."""
-    for memo in DecodeMemo.instances:
+    for memo in all_memos():
         memo.clear()
     yield
-    for memo in DecodeMemo.instances:
+    for memo in all_memos():
         memo.clear()
 
 
@@ -153,7 +159,7 @@ class memos_off:
     (``capacity`` is a constant of each decoder, not a product knob.)"""
 
     def __enter__(self):
-        self.saved = [(m, m.capacity) for m in DecodeMemo.instances]
+        self.saved = [(m, m.capacity) for m in all_memos()]
         for memo, _ in self.saved:
             memo.capacity = 0
             memo.clear()
@@ -195,33 +201,24 @@ def _scramble(value):
 class TestDecodeMemo:
     def test_evicts_the_oldest_entry_one_at_a_time(self):
         memo = DecodeMemo(3)
-        try:
-            for i in range(5):
-                memo.put(i, bytes([i]))
-                assert len(memo) == min(i + 1, 3)
-            assert [memo.get(bytes([i])) for i in range(5)] == [None, None, 2, 3, 4]
-        finally:
-            DecodeMemo.instances.remove(memo)
+        for i in range(5):
+            memo.put(i, bytes([i]))
+            assert len(memo) == min(i + 1, 3)
+        assert [memo.get(bytes([i])) for i in range(5)] == [None, None, 2, 3, 4]
 
     def test_the_other_decoder_inputs_are_part_of_the_key(self):
         memo = DecodeMemo(8)
-        try:
-            assert memo.put("eight", b"p", 8) == "eight"
-            assert memo.get(b"p", 8) == "eight"
-            assert memo.get(b"p", 16) is None and memo.get(b"p") is None
-        finally:
-            DecodeMemo.instances.remove(memo)
+        assert memo.put("eight", b"p", 8) == "eight"
+        assert memo.get(b"p", 8) == "eight"
+        assert memo.get(b"p", 16) is None and memo.get(b"p") is None
 
     def test_only_an_exact_bytes_payload_is_stored_or_found(self):
         memo = DecodeMemo(8)
-        try:
-            memo.put("kept", b"p")
-            for foreign in (memoryview(b"p"), bytearray(b"p")):
-                assert memo.get(foreign) is None
-                assert memo.put("other", foreign) == "other"
-            assert len(memo) == 1 and memo.get(b"p") == "kept"
-        finally:
-            DecodeMemo.instances.remove(memo)
+        memo.put("kept", b"p")
+        for foreign in (memoryview(b"p"), bytearray(b"p")):
+            assert memo.get(foreign) is None
+            assert memo.put("other", foreign) == "other"
+        assert len(memo) == 1 and memo.get(b"p") == "kept"
 
 
 # -- every decoder, rule by rule ----------------------------------------------------
@@ -376,6 +373,6 @@ def test_drivers_agree_with_the_memos_off_and_warm(drive):
     with memos_off():
         off = drive()
     cold = drive()      # fills the memos
-    assert any(len(memo) for memo in DecodeMemo.instances)
+    assert any(len(memo) for memo in all_memos())
     warm = drive()      # runs on what the last call left
     assert off == cold == warm
