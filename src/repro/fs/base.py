@@ -547,6 +547,8 @@ class JournaledFS(FileSystem):
         appending = of.flags & O_APPEND
         pos = node.size if appending else (
             of.offset if offset is None else offset)
+        if pos + len(data) > self._max_file_bytes:
+            raise FSError(Errno.EFBIG, "file would exceed maximum size")
         self._file_write(of.handle, node, pos, data)
         if offset is None or appending:
             of.offset = pos + len(data)
@@ -555,8 +557,6 @@ class JournaledFS(FileSystem):
     def _file_write(self, handle, node, pos: int, data: bytes) -> None:
         """Store *data* at *pos*, growing the file when it ends later."""
         end = pos + len(data)
-        if end > self._max_file_bytes:
-            raise FSError(Errno.EFBIG, "file would exceed maximum size")
         bs = self.block_size
         first, last = pos // bs, (end - 1) // bs
         written = 0

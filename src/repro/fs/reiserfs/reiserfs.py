@@ -211,8 +211,6 @@ class ReiserFS(JournaledFS):
         return (self.config.total_blocks - self.config.data_start) * self.block_size
 
     def _file_write(self, pair: Pair, st: StatBody, pos: int, data: bytes) -> None:
-        if pos + len(data) > self._max_file_bytes:
-            raise FSError(Errno.EFBIG, "file would exceed maximum size")
         old = self._read_object_data(pair, st, retries=1) if st.size else b""
         new = bytearray(max(len(old), pos + len(data)))
         new[:len(old)] = old

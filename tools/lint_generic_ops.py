@@ -161,9 +161,9 @@ def lint_fs_caches() -> list[str]:
     for path in sorted(FS_ROOT.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            value = getattr(node, "value", None)
-            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or value is None:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                 continue
+            value = node.value      # None for a bare annotation
             if isinstance(value, ast.Call):
                 func = value.func
                 made = getattr(func, "id", getattr(func, "attr", ""))
