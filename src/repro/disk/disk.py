@@ -339,14 +339,23 @@ class SimulatedDisk(DirtyDelta):
         return self.geometry.block_size
 
     def read_block(self, block: int) -> bytes:
-        if not 0 <= block < self.geometry.num_blocks:
+        geometry = self.geometry
+        if not 0 <= block < geometry.num_blocks:
             self._check_range(block, "read")
         if self.failed:
             raise ReadError(block, "whole-disk failure")
-        self._charge(block, is_write=False)
+        head = self._head
+        t = geometry.service_time(block - head, False)
         stats = self.stats
+        if block != head and block != head + 1:
+            stats.seeks += 1
+        self.clock += t
+        stats.busy_time_s += t
+        self._head = block
+        if self.latency_observer is not None:
+            self.latency_observer("read", t)
         stats.reads += 1
-        stats.bytes_read += self.geometry.block_size
+        stats.bytes_read += geometry.block_size
         if self._dirty[block]:
             return self._delta[block]
         if self._image is not None:
@@ -356,18 +365,27 @@ class SimulatedDisk(DirtyDelta):
         return self._zero
 
     def write_block(self, block: int, data: bytes) -> None:
-        if not 0 <= block < self.geometry.num_blocks:
+        geometry = self.geometry
+        if not 0 <= block < geometry.num_blocks:
             self._check_range(block, "write")
         if self.failed:
             raise WriteError(block, "whole-disk failure")
-        if len(data) != self.geometry.block_size:
+        if len(data) != geometry.block_size:
             raise ValueError(
                 f"write of {len(data)} bytes to device with {self.block_size}-byte blocks"
             )
-        self._charge(block, is_write=True)
+        head = self._head
+        t = geometry.service_time(block - head, True)
         stats = self.stats
+        if block != head and block != head + 1:
+            stats.seeks += 1
+        self.clock += t
+        stats.busy_time_s += t
+        self._head = block
+        if self.latency_observer is not None:
+            self.latency_observer("write", t)
         stats.writes += 1
-        stats.bytes_written += self.geometry.block_size
+        stats.bytes_written += geometry.block_size
         self._put(block, bytes(data))
 
     # -- vectored I/O ---------------------------------------------------------
@@ -386,7 +404,7 @@ class SimulatedDisk(DirtyDelta):
         geometry = self.geometry
         num_blocks = geometry.num_blocks
         block_size = geometry.block_size
-        access_time = geometry.access_time
+        service_time = geometry.service_time
         dirty = self._dirty
         delta = self._delta
         image = self._image
@@ -404,7 +422,7 @@ class SimulatedDisk(DirtyDelta):
                     self._check_range(block, "read")
                 if failed:
                     raise ReadError(block, "whole-disk failure")
-                t = access_time(head, block, block_size, False)
+                t = service_time(block - head, False)
                 if block != head and block != head + 1:
                     seeks += 1
                 clock += t
@@ -434,7 +452,7 @@ class SimulatedDisk(DirtyDelta):
         geometry = self.geometry
         num_blocks = geometry.num_blocks
         block_size = geometry.block_size
-        access_time = geometry.access_time
+        service_time = geometry.service_time
         failed = self.failed
         stats = self.stats
         head = self._head
@@ -452,7 +470,7 @@ class SimulatedDisk(DirtyDelta):
                     raise ValueError(
                         f"write of {len(data)} bytes to device with "
                         f"{block_size}-byte blocks")
-                t = access_time(head, block, block_size, True)
+                t = service_time(block - head, True)
                 if block != head and block != head + 1:
                     seeks += 1
                 clock += t
@@ -481,19 +499,6 @@ class SimulatedDisk(DirtyDelta):
             raise ValueError("cannot stall for negative time")
         self.clock += seconds
         self.stats.busy_time_s += seconds
-
-    def _charge(self, block: int, is_write: bool = False) -> None:
-        geometry = self.geometry
-        head = self._head
-        t = geometry.access_time(head, block, geometry.block_size, is_write)
-        stats = self.stats
-        if block != head and block != head + 1:
-            stats.seeks += 1
-        self.clock += t
-        stats.busy_time_s += t
-        self._head = block
-        if self.latency_observer is not None:
-            self.latency_observer("write" if is_write else "read", t)
 
     # -- control -------------------------------------------------------------
 

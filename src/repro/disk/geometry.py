@@ -47,54 +47,45 @@ class DiskGeometry:
             raise ValueError("disk must have at least one block")
         if self.block_size <= 0 or self.block_size % 512:
             raise ValueError("block size must be a positive multiple of 512")
+        # Every request moves one block, so everything but the seek
+        # curve is a constant of the geometry, worked out here once.
+        # They are plain attributes, not fields: equality, hash, repr
+        # and ``dataclasses.replace`` do not see them.
+        transfer = self.block_size / self.transfer_bps
+        half_rotation = self.rotation_s / 2.0
+        constants = {
+            # Moving one block under the head.
+            "transfer_s": transfer,
+            # Service time of an on-track request, by forward gap
+            # 0..near_skip_blocks: free positioning for sequential or
+            # repeat access, a pass-over wait for a short skip, and no
+            # rotational miss either way.
+            "_near_s": tuple(
+                gap * self.block_size / self.transfer_bps + transfer
+                if gap > 1 else transfer
+                for gap in range(self.near_skip_blocks + 1)),
+            # The average rotational miss off-track: half a turn, of
+            # which queued writes overlap all but write_rot_factor.
+            "_miss_read_s": half_rotation,
+            "_miss_write_s": half_rotation * self.write_rot_factor,
+            # The seek curve's full stroke, in blocks.
+            "_seek_span": max(self.num_blocks - 1, 1),
+        }
+        for name, value in constants.items():
+            object.__setattr__(self, name, value)
 
-    def seek_time(self, from_block: int, to_block: int) -> float:
-        """Seconds to move the head between two logical blocks.
+    def service_time(self, gap: int, is_write: bool = False) -> float:
+        """Seconds to serve one block request *gap* blocks past the
+        head: the one timing model, run once per simulated I/O.
 
-        Sequential access (``to == from + 1``) is free: the head is
-        already there.  Otherwise cost grows with sqrt(distance), the
-        usual concave seek curve.
+        Off-track it is seek + rotational miss + transfer, summed in
+        that order; the seek grows with the square root of the
+        fractional distance (the usual concave seek curve).
         """
-        if to_block == from_block + 1 or to_block == from_block:
-            return 0.0
-        gap = to_block - from_block
-        if 0 < gap <= self.near_skip_blocks:
-            # Same-track pass-over: wait for the gap to rotate by.
-            return self.transfer_time(gap * self.block_size)
-        distance = abs(gap) / max(self.num_blocks - 1, 1)
-        return self.seek_base_s + self.seek_full_s * distance ** 0.5
-
-    def rotational_delay(self, sequential: bool, is_write: bool = False) -> float:
-        """Average rotational wait; sequential requests stream for free,
-        and queued writes overlap most of the rotation."""
-        if sequential:
-            return 0.0
-        base = self.rotation_s / 2.0
-        return base * self.write_rot_factor if is_write else base
-
-    def transfer_time(self, nbytes: int) -> float:
-        return nbytes / self.transfer_bps
-
-    def access_time(self, from_block: int, to_block: int, nbytes: int,
-                    is_write: bool = False) -> float:
-        """Total service time for one request.
-
-        Flattened composition of :meth:`seek_time`,
-        :meth:`rotational_delay` and :meth:`transfer_time` (bit-exact,
-        same summation order) — this runs once per simulated I/O and is
-        the single hottest call in long fault matrices.
-        """
-        gap = to_block - from_block
-        transfer = nbytes / self.transfer_bps
-        if 0 <= gap <= self.near_skip_blocks:
-            # On-track: free for sequential/repeat access, a pass-over
-            # wait for short forward skips; no rotational miss either way.
-            if gap > 1:
-                return gap * self.block_size / self.transfer_bps + transfer
-            return transfer
-        rot = self.rotation_s / 2.0
-        if is_write:
-            rot = rot * self.write_rot_factor
-        distance = abs(gap) / max(self.num_blocks - 1, 1)
+        near = self._near_s
+        if 0 <= gap < len(near):
+            return near[gap]
+        distance = abs(gap) / self._seek_span
         return (self.seek_base_s + self.seek_full_s * distance ** 0.5
-                + rot + transfer)
+                + (self._miss_write_s if is_write else self._miss_read_s)
+                + self.transfer_s)

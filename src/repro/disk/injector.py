@@ -24,7 +24,7 @@ from repro.common.errors import ReadError, WriteError
 from repro.disk.disk import BlockDevice
 from repro.disk.faults import Fault, FaultKind
 from repro.disk.trace import IOTrace
-from repro.obs.events import EventLog, FaultArmedEvent
+from repro.obs.events import EventLog, FaultArmedEvent, io_event
 
 TypeOracle = Callable[[int], Optional[str]]
 
@@ -96,7 +96,7 @@ class FaultInjector:
         if not self.faults and self.type_oracle is None:
             # Nothing armed, nothing to type: pass straight through.
             data = self.lower.read_block(block)
-            self.trace.record("read", block, "ok")
+            self.events.emit(io_event("read", block, "ok"))
             return data
         btype = self.block_type_of(block)
         fault = self._match("read", block, btype)
@@ -115,7 +115,7 @@ class FaultInjector:
     def write_block(self, block: int, data: bytes) -> None:
         if not self.faults and self.type_oracle is None:
             self.lower.write_block(block, data)
-            self.trace.record("write", block, "ok")
+            self.events.emit(io_event("write", block, "ok"))
             return
         btype = self.block_type_of(block)
         fault = self._match("write", block, btype)

@@ -378,9 +378,18 @@ class EventLog:
     system mounted on it (see :class:`repro.disk.stack.DeviceStack`),
     so cross-layer ordering — an injected error followed by the FS's
     detection followed by its policy action — is preserved exactly.
+
+    In ring mode (``max_events`` set) the log trims lazily: it evicts
+    its oldest events down to the capacity when it reaches twice the
+    capacity, and before any read.  Every read — iteration, ``len``,
+    indexing, the queries, consumption, digests, ``dropped`` and
+    ``high_water`` — therefore sees exactly what trimming on every
+    emit would have left, and a full ring costs one ``del`` per
+    capacity's worth of events instead of one per event.
     """
 
-    __slots__ = ("_events", "high_water", "max_events", "dropped", "released", "tracer")
+    __slots__ = ("_events", "_high_water", "_max_events", "_limit",
+                 "_dropped", "released", "tracer")
 
     def __init__(
         self,
@@ -390,50 +399,75 @@ class EventLog:
         if max_events is not None and max_events < 1:
             raise ValueError("max_events must be >= 1")
         self._events: List[StorageEvent] = list(events) if events else []
-        #: Index of the first event *not yet consumed* by an incremental
-        #: reader (the crash recorder).  ``consume_new()`` advances it;
-        #: ``clear()`` and ``reset_high_water()`` rewind it.
-        self.high_water: int = 0
-        #: Ring-mode capacity: when set, :meth:`emit` evicts the oldest
-        #: events past this bound (long crash sweeps opt in to cap
-        #: memory).  ``None`` keeps the log unbounded.
-        self.max_events = max_events
-        #: Events evicted by ring mode since the last clear().
-        self.dropped: int = 0
+        self._high_water: int = 0
+        self._max_events = max_events
+        #: Length at which a ring's :meth:`emit` trims.
+        self._limit = None if max_events is None else 2 * max_events
+        self._dropped: int = 0
         #: Events released by :meth:`drain` since the last clear().
         self.released: int = 0
         #: The span tracer bound to this stream, when tracing is in use
         #: (set by :func:`repro.obs.trace.tracer_for`; None otherwise).
         self.tracer = None
 
+    @property
+    def max_events(self) -> Optional[int]:
+        """Ring-mode capacity: when set, the log keeps only the newest
+        this many events (long crash sweeps opt in to cap memory).
+        ``None`` keeps the log unbounded."""
+        return self._max_events
+
+    @property
+    def high_water(self) -> int:
+        """Index of the first event *not yet consumed* by an incremental
+        reader (the crash recorder).  ``consume_new()`` advances it;
+        ``clear()`` and ``reset_high_water()`` rewind it."""
+        self._settle()
+        return self._high_water
+
+    @property
+    def dropped(self) -> int:
+        """Events evicted by ring mode since the last clear()."""
+        self._settle()
+        return self._dropped
+
     # -- emission ------------------------------------------------------------
 
     def emit(self, event: StorageEvent) -> StorageEvent:
         self._events.append(event)
-        if self.max_events is not None and len(self._events) > self.max_events:
+        if self._max_events is not None and len(self._events) >= self._limit:
             self._trim()
         return event
 
     def emit_many(self, events: Iterable[StorageEvent]) -> None:
         """Append *events* in order, exactly as one :meth:`emit` each
-        would — same contents, ``dropped`` and ``high_water`` — except
-        that a full ring is trimmed once for the batch, not per event."""
+        would."""
         self._events.extend(events)
-        if self.max_events is not None and len(self._events) > self.max_events:
+        if self._max_events is not None and len(self._events) >= self._limit:
+            self._trim()
+
+    def _settle(self) -> None:
+        """Trim a ring that holds more than its capacity (every read
+        starts here)."""
+        if self._max_events is not None and len(self._events) > self._max_events:
             self._trim()
 
     def _trim(self) -> None:
-        excess = len(self._events) - self.max_events
+        # One eviction of k events leaves what k single evictions would:
+        # the mark, floored at zero, drops by k either way.
+        excess = len(self._events) - self._max_events
         del self._events[:excess]
-        self.dropped += excess
-        self.high_water = max(0, self.high_water - excess)
+        self._dropped += excess
+        self._high_water = max(0, self._high_water - excess)
 
     # -- access --------------------------------------------------------------
 
     def __iter__(self) -> Iterator[StorageEvent]:
+        self._settle()
         return iter(self._events)
 
     def __len__(self) -> int:
+        self._settle()
         return len(self._events)
 
     def __bool__(self) -> bool:
@@ -442,15 +476,19 @@ class EventLog:
         return True
 
     def __getitem__(self, index):
+        self._settle()
         return self._events[index]
 
     def of_type(self, cls: Type[StorageEvent]) -> List[StorageEvent]:
+        self._settle()
         return [e for e in self._events if isinstance(e, cls)]
 
     def io_events(self) -> List[IOEvent]:
+        self._settle()
         return [e for e in self._events if isinstance(e, IOEvent)]
 
     def log_events(self) -> List[LogEvent]:
+        self._settle()
         return [e for e in self._events if isinstance(e, LogEvent)]
 
     # -- incremental consumption ---------------------------------------------
@@ -458,8 +496,9 @@ class EventLog:
     def consume_new(self) -> List[StorageEvent]:
         """Return events appended since the last call and advance the
         high-water mark past them."""
-        new = self._events[self.high_water:]
-        self.high_water = len(self._events)
+        self._settle()
+        new = self._events[self._high_water:]
+        self._high_water = len(self._events)
         return new
 
     def drain(self) -> List[StorageEvent]:
@@ -473,10 +512,11 @@ class EventLog:
         ``drain() + drain() + ...`` yields exactly the same stream as a
         single trailing ``consume_new()`` would have.
         """
-        new = self._events[self.high_water:]
+        self._settle()
+        new = self._events[self._high_water:]
         self.released += len(self._events)
         self._events.clear()
-        self.high_water = 0
+        self._high_water = 0
         return new
 
     def reset_high_water(self, mark: int = 0) -> None:
@@ -486,32 +526,36 @@ class EventLog:
         restored stack does not hand stale pre-snapshot events to the
         crash recorder as if they were new.
         """
-        self.high_water = max(0, min(mark, len(self._events)))
+        self._settle()
+        self._high_water = max(0, min(mark, len(self._events)))
 
     # -- mutation ------------------------------------------------------------
 
     def clear(self) -> None:
         self._events.clear()
-        self.high_water = 0
-        self.dropped = 0
+        self._high_water = 0
+        self._dropped = 0
         self.released = 0
 
     def remove_where(self, predicate: Callable[[StorageEvent], bool]) -> None:
         # The mark drops by the removed events that sat before it, so
         # an unconsumed tail stays unconsumed.
+        self._settle()
         events = iter(self._events)
-        kept = [e for e in islice(events, self.high_water) if not predicate(e)]
-        self.high_water = len(kept)
+        kept = [e for e in islice(events, self._high_water) if not predicate(e)]
+        self._high_water = len(kept)
         kept.extend(e for e in events if not predicate(e))
         self._events[:] = kept
 
     # -- digests -------------------------------------------------------------
 
     def key_sequence(self) -> List[Tuple]:
+        self._settle()
         return [e.key() for e in self._events]
 
     def digest(self) -> str:
         """SHA-256 over the ordered event keys (determinism checks)."""
+        self._settle()
         h = hashlib.sha256()
         for e in self._events:
             h.update(repr(e.key()).encode())

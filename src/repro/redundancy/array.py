@@ -49,7 +49,7 @@ from typing import (
 )
 
 from repro.common.errors import OutOfRangeError, ReadError, WriteError
-from repro.common.xor import xor, xor_all
+from repro.common.xor import xor, xor_all, xor_update
 from repro.disk.disk import (
     DirtyDelta, DiskStats, SimulatedDisk, SlabImage, make_disk,
 )
@@ -1036,34 +1036,35 @@ class StripeParityDevice(ArrayDevice):
     def _recover(self, m: int, mb: int, read: Reader,
                  logical: Optional[int]) -> Optional[bytes]:
         # XOR of every peer; the first one not to be had ends it.
-        acc = self._zero
+        peers = []
         for other in range(len(self.members)):
             if other != m:
                 data = read(other, mb, logical)
                 if data is None:
                     return None
-                acc = xor(acc, data)
-        return acc
+                peers.append(data)
+        return xor_all(peers)
 
     def _write_logical(self, block: int, data: bytes) -> None:
         dm, stripe = self._locate(block)
         pm = self._parity_member(stripe)
         old = self._member_read(dm, stripe, logical=block)
         old_parity = self._member_read(pm, stripe, logical=block)
+        new_parity: Optional[bytes] = None
         if old is not None and old_parity is not None:
-            new_parity: Optional[bytes] = xor(xor(old_parity, old), data)
+            [new_parity] = xor_update([old_parity], old, data)
         else:
             # Reconstruct-write: parity = new data XOR surviving peers.
-            acc: Optional[bytes] = data
+            peers = [data]
             for other in range(len(self.members)):
                 if other in (dm, pm):
                     continue
                 peer = self._member_read(other, stripe, logical=block)
                 if peer is None:
-                    acc = None
                     break
-                acc = xor(acc, peer)
-            new_parity = acc
+                peers.append(peer)
+            else:
+                new_parity = xor_all(peers)
         wrote_data = self._member_write(dm, stripe, data)
         wrote_parity = (new_parity is not None
                         and self._member_write(pm, stripe, new_parity))
@@ -1083,12 +1084,9 @@ class StripeParityDevice(ArrayDevice):
         pm = self._parity_member(stripe)
         self.members[dm].disk.poke(stripe, data)
         self._suspect.discard((dm, stripe))
-        acc = self._zero
-        for other in range(len(self.members)):
-            if other == pm:
-                continue
-            acc = xor(acc, self.members[other].disk.peek(stripe))
-        self.members[pm].disk.poke(stripe, acc)
+        self.members[pm].disk.poke(stripe, xor_all([
+            member.disk.peek(stripe) for member in self.members
+            if member.index != pm]))
         self._suspect.discard((pm, stripe))
 
     def _rebuild_clean_run(self, index: int, start: int, end: int) -> int:
@@ -1212,7 +1210,7 @@ class RDPDevice(ArrayDevice):
         columns = self._read_columns(stripe, read, logical)
         columns[m] = None  # the cell we are here for is untrusted
         try:
-            return self.stripe.reconstruct(columns)[m][row]
+            return self.stripe.cell(columns, m, row)
         except ValueError:
             return None
 
@@ -1223,15 +1221,14 @@ class RDPDevice(ArrayDevice):
         if old is None:
             self._full_stripe_write(block, stripe, row, col, data)
             return
-        delta = xor(old, data)
         row_parity = self._member_read(self._row_parity, mb, logical=block)
         if row_parity is None:
             self._full_stripe_write(block, stripe, row, col, data)
             return
-        updates: List[Tuple[int, int, bytes]] = [
-            (col, mb, data),
-            (self._row_parity, mb, xor(row_parity, delta)),
-        ]
+        # The parity cells covering the data cell: its row, then its
+        # stored diagonals.
+        cells: List[Tuple[int, int]] = [(self._row_parity, mb)]
+        parities = [row_parity]
         base = stripe * self.rows
         for d in ((row + col) % self.p, (row + self._row_parity) % self.p):
             if d == self.p - 1:
@@ -1240,7 +1237,11 @@ class RDPDevice(ArrayDevice):
             if diag is None:
                 self._full_stripe_write(block, stripe, row, col, data)
                 return
-            updates.append((self._diag_parity, base + d, xor(diag, delta)))
+            cells.append((self._diag_parity, base + d))
+            parities.append(diag)
+        updates = [(col, mb, data)] + [
+            (m, target, payload) for (m, target), payload
+            in zip(cells, xor_update(parities, old, data))]
         landed = sum(1 for m, target, payload in updates
                      if self._member_write(m, target, payload))
         if landed == 0:
@@ -1280,20 +1281,19 @@ class RDPDevice(ArrayDevice):
         # Recompute (not incrementally update) the affected parities
         # from raw member contents, so a poke also heals any prior
         # inconsistency in its row/diagonals.
-        acc = self._zero
-        for c in range(self.rows):  # data columns 0..p-2
-            acc = xor(acc, self.members[c].disk.peek(mb))
-        self.members[self._row_parity].disk.poke(mb, acc)
+        self.members[self._row_parity].disk.poke(mb, xor_all([
+            self.members[c].disk.peek(mb)
+            for c in range(self.rows)]))  # data columns 0..p-2
         self._suspect.discard((self._row_parity, mb))
         for d in ((row + col) % self.p, (row + self._row_parity) % self.p):
             if d == self.p - 1:
                 continue
-            acc = self._zero
-            for c in range(self.p):  # data + row-parity columns
-                r = (d - c) % self.p
-                if r <= self.rows - 1:
-                    acc = xor(acc, self.members[c].disk.peek(base + r))
-            self.members[self._diag_parity].disk.poke(base + d, acc)
+            # The cells of diagonal d in the data + row-parity columns
+            # (row r of column c; r = p-1 is not a stored row).
+            on_diagonal = [(c, (d - c) % self.p) for c in range(self.p)]
+            self.members[self._diag_parity].disk.poke(base + d, xor_all([
+                self.members[c].disk.peek(base + r)
+                for c, r in on_diagonal if r < self.rows]))
             self._suspect.discard((self._diag_parity, base + d))
 
     def _scrub_unit(self, unit: int, report: ArrayScrubReport) -> None:

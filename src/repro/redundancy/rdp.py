@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.common.xor import xor
+from repro.common.xor import xor_all
 
 
 def is_prime(n: int) -> bool:
@@ -166,6 +166,32 @@ class RDPStripe:
 
     # -- reconstruct ---------------------------------------------------------------------
 
+    def _erasures(self, columns: Sequence[Optional[Sequence[bytes]]]) -> List[int]:
+        """Indices of the erased (``None``) columns; :class:`ValueError`
+        for a stripe of the wrong width or more than two erasures."""
+        if len(columns) != self.p + 1:
+            raise ValueError(f"expected {self.p + 1} columns")
+        missing = [c for c, col in enumerate(columns) if col is None]
+        if len(missing) > 2:
+            raise ValueError("RDP tolerates at most two erased columns")
+        return missing
+
+    def cell(self, columns: Sequence[Optional[Sequence[bytes]]],
+             col: int, row: int) -> bytes:
+        """``reconstruct(columns)[col][row]``, one cell of a stripe.
+
+        When *col* is the only erasure among columns ``0..p-1`` (an
+        erased diagonal column besides changes nothing) the cell is the
+        XOR of the rest of its row, and only that row is touched; every
+        other case goes through :meth:`reconstruct`.
+        """
+        missing = self._erasures(columns)
+        if col in missing and col != self.p and (
+                len(missing) == 1 or self.p in missing):
+            return xor_all([columns[c][row]  # type: ignore[index]
+                            for c in range(self.p) if c != col])
+        return self.reconstruct(columns)[col][row]
+
     def reconstruct(
         self,
         columns: Sequence[Optional[Sequence[bytes]]],
@@ -174,12 +200,8 @@ class RDPStripe:
 
         Raises :class:`ValueError` when more than two columns are gone.
         """
-        p, bs = self.p, self.block_size
-        if len(columns) != p + 1:
-            raise ValueError(f"expected {p + 1} columns")
-        missing = [c for c, col in enumerate(columns) if col is None]
-        if len(missing) > 2:
-            raise ValueError("RDP tolerates at most two erased columns")
+        p = self.p
+        missing = self._erasures(columns)
         if not missing:
             return [list(map(bytes, col)) for col in columns]  # type: ignore[arg-type]
 
@@ -220,12 +242,9 @@ class RDPStripe:
             for r in range(self.rows):
                 holes = [(r, c) for c in range(p) if (r, c) in unknown]
                 if len(holes) == 1:
-                    acc = bytes(bs)
-                    for c in range(p):
-                        if (r, c) == holes[0]:
-                            continue
-                        acc = xor(acc, grid[(r, c)])  # type: ignore[arg-type]
-                    grid[holes[0]] = acc
+                    grid[holes[0]] = xor_all([
+                        grid[(r, c)] for c in range(p)
+                        if (r, c) != holes[0]])  # type: ignore[misc]
                     unknown.remove(holes[0])
                     progress = True
             # Diagonal constraints for d in 0..p-2.
@@ -234,12 +253,10 @@ class RDPStripe:
                          if self.diagonal_of(r, c) == d]
                 holes = [cell for cell in cells if cell in unknown]
                 if len(holes) == 1:
-                    acc = bytes(grid[(d, self.diag_parity_column)])  # type: ignore[arg-type]
-                    for cell in cells:
-                        if cell == holes[0]:
-                            continue
-                        acc = xor(acc, grid[cell])  # type: ignore[arg-type]
-                    grid[holes[0]] = acc
+                    grid[holes[0]] = xor_all(
+                        [grid[(d, self.diag_parity_column)]]
+                        + [grid[cell] for cell in cells
+                           if cell != holes[0]])  # type: ignore[misc]
                     unknown.remove(holes[0])
                     progress = True
         if unknown:

@@ -83,7 +83,7 @@ class LegacyListDisk:
     def _charge(self, block: int, is_write: bool = False) -> None:
         geometry = self.geometry
         head = self._head
-        t = geometry.access_time(head, block, geometry.block_size, is_write)
+        t = geometry.service_time(block - head, is_write)
         if block != head and block != head + 1:
             self.stats.seeks += 1
         self.clock += t

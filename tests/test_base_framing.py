@@ -142,17 +142,17 @@ class TestGeometryProperties:
         geo = DiskGeometry(num_blocks=1000, block_size=512)
         for frm in (0, 10, 500, 999):
             for to in (0, 1, 11, 998):
-                assert geo.access_time(frm, to, 512) > 0
-                assert geo.access_time(frm, to, 512, is_write=True) > 0
+                assert geo.service_time(to - frm) > 0
+                assert geo.service_time(to - frm, is_write=True) > 0
 
     def test_writes_cheaper_than_reads_when_scattered(self):
         geo = DiskGeometry(num_blocks=1000, block_size=512)
-        r = geo.access_time(0, 500, 512, is_write=False)
-        w = geo.access_time(0, 500, 512, is_write=True)
+        r = geo.service_time(500, is_write=False)
+        w = geo.service_time(500, is_write=True)
         assert w < r  # write-back caching overlaps rotation
 
     def test_near_skip_cheaper_than_far_seek(self):
         geo = DiskGeometry(num_blocks=10000, block_size=512)
-        near = geo.access_time(100, 104, 512)
-        far = geo.access_time(100, 5000, 512)
+        near = geo.service_time(104 - 100)
+        far = geo.service_time(5000 - 100)
         assert near < far / 4

@@ -66,14 +66,15 @@ class TestTimingModel:
 
     def test_seek_time_monotone_in_distance(self):
         geo = DiskGeometry(num_blocks=10000, block_size=512)
-        near = geo.seek_time(0, 10)
-        far = geo.seek_time(0, 9000)
+        # Positioning is whatever a request costs beyond its transfer.
+        near = geo.service_time(10) - geo.transfer_s
+        far = geo.service_time(9000) - geo.transfer_s
         assert 0 < near < far
 
     def test_same_and_next_block_are_free_seeks(self):
         geo = DiskGeometry(num_blocks=100, block_size=512)
-        assert geo.seek_time(5, 5) == 0.0
-        assert geo.seek_time(5, 6) == 0.0
+        assert geo.service_time(0) == geo.transfer_s
+        assert geo.service_time(1) == geo.transfer_s
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
