@@ -140,6 +140,17 @@ class JournaledFS(FileSystem):
     write it in place, fold it into parity first — is its
     ``_file_block_store``.
 
+    A write that runs out of free blocks or of journal room fails with
+    ``ENOSPC`` and leaves the in-memory state — free counts, bitmaps,
+    the running transaction — as it found it, so the file and the free
+    count are unchanged.  Two hooks provide that, and the defaults keep
+    no snapshot:
+
+    ======================================  ==================================
+    ``_capacity_state(n, pos, end)``        snapshot, or None: surely fits
+    ``_restore_capacity(state)``            put the snapshot back
+    ======================================  ==================================
+
     A file system must not redefine a generic op (``tools/
     lint_generic_ops.py`` enforces it): every class-level definition of
     a syscall is wrapped in its own trace span, so an override chaining
@@ -549,10 +560,38 @@ class JournaledFS(FileSystem):
             of.offset if offset is None else offset)
         if pos + len(data) > self._max_file_bytes:
             raise FSError(Errno.EFBIG, "file would exceed maximum size")
-        self._file_write(of.handle, node, pos, data)
+        self._all_or_nothing(
+            self._capacity_state(node, pos, pos + len(data)),
+            lambda: self._file_write(of.handle, node, pos, data))
         if offset is None or appending:
             of.offset = pos + len(data)
         return len(data)
+
+    def _capacity_state(self, node, pos: int, end: int):
+        """What to restore should storing bytes ``pos..end`` of *node*
+        run out of free blocks or journal room; None when the store
+        certainly fits (and by default: no snapshot is kept)."""
+        return None
+
+    def _restore_capacity(self, state) -> None:
+        """Put back the in-memory state :meth:`_capacity_state` saved."""
+
+    def _all_or_nothing(self, state, body: Callable[[], None]) -> None:
+        """Run *body*, a store :meth:`_capacity_state` returned *state*
+        for.  With a snapshot, a store that runs out of blocks, or whose
+        transaction would no longer fit the journal, raises ``ENOSPC``
+        with the snapshot restored."""
+        if state is None:
+            body()
+            return
+        try:
+            body()
+            if not self.journal.fits():
+                raise FSError(Errno.ENOSPC, "transaction larger than the journal")
+        except FSError as exc:
+            if exc.errno is Errno.ENOSPC:
+                self._restore_capacity(state)
+            raise
 
     def _file_write(self, handle, node, pos: int, data: bytes) -> None:
         """Store *data* at *pos*, growing the file when it ends later."""

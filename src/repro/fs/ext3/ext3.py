@@ -26,6 +26,7 @@ put it, so fingerprinting can reverse-engineer it from observables:
 from __future__ import annotations
 
 import stat as _stat
+from copy import copy
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -298,6 +299,29 @@ class Ext3(JournaledFS):
                        block: int, new_payload: bytes, fresh: bool = False) -> None:
         """ixt3 Dp hook; plain ext3 keeps no parity.  *fresh* marks a
         just-allocated block whose prior contents are zero."""
+
+    def _capacity_state(self, inode: Inode, pos: int, end: int):
+        # Bounds without I/O.  The n file blocks hang off at most n + 9
+        # indirect blocks (n/p + 3 on the level above the data, n/p² + 3
+        # above that, and the triple-indirect root), so a write
+        # allocates at most 2n + 9 blocks.
+        bs = self.config.block_size
+        n = (end - 1) // bs - pos // bs + 1
+        if (2 * n + 9 <= self.sb.free_blocks
+                and self.journal.fits(self._meta_bound(n))):
+            return None
+        return (self.journal.save(), copy(self.sb),
+                [copy(desc) for desc in self.gdt], dict(self._types))
+
+    def _meta_bound(self, n: int) -> int:
+        """Metadata blocks a write of *n* file blocks may journal: its
+        indirect blocks, every group's block bitmap, the group
+        descriptors, the superblock and the inode's block."""
+        return n + 9 + self.config.num_groups + 3
+
+    def _restore_capacity(self, state) -> None:
+        saved, self.sb, self.gdt, self._types = state
+        self.journal.restore(saved)
 
     def _truncate_shrink_failed(self) -> bool:
         # ext3 bug (§5.1): internal read errors while releasing blocks

@@ -166,6 +166,7 @@ class Journal:
         self._stall = stall
         self.commit_stall_s = commit_stall_s
         self.txn_checksum = txn_checksum
+        self._desc_capacity = desc_capacity(block_size)
 
         self.seq = 1
         self.head = 1  # next free slot, relative to self.start
@@ -204,6 +205,28 @@ class Journal:
                 return self.current.ordered[block]
         return self.checkpoint_blocks.get(block)
 
+    def fits(self, more_meta: int = 0) -> bool:
+        """Whether the running transaction, grown by *more_meta*
+        metadata blocks, fits an empty log — whether :meth:`commit`
+        could write it without overflowing the journal."""
+        txn = self.current
+        if txn is None:
+            return self._txn_footprint(more_meta, 0) < self.nblocks
+        return self._txn_footprint(
+            len(txn.meta) + more_meta, len(txn.revoked)) < self.nblocks
+
+    def save(self) -> Optional[Transaction]:
+        """A copy of the running transaction, for :meth:`restore`."""
+        txn = self.current
+        if txn is None:
+            return None
+        return Transaction(txn.seq, dict(txn.meta), dict(txn.ordered),
+                           set(txn.revoked))
+
+    def restore(self, saved: Optional[Transaction]) -> None:
+        """Make *saved* (from :meth:`save`) the running transaction again."""
+        self.current = saved
+
     # -- commit ------------------------------------------------------------------
 
     def commit(self) -> None:
@@ -237,7 +260,7 @@ class Journal:
 
         # 2. Descriptor + metadata copies (+ revokes) into the log, a
         #    descriptor or revoke block naming at most *cap* homes.
-        cap = desc_capacity(self.block_size)
+        cap = self._desc_capacity
         copies_in_order: List[bytes] = []
         for i in range(0, len(homes), cap):
             chunk = homes[i:i + cap]
@@ -399,7 +422,7 @@ class Journal:
     def _txn_footprint(self, nmeta: int, nrevoked: int) -> int:
         """Log blocks a commit writes: descriptors, copies, revoke
         blocks, and the commit block."""
-        cap = desc_capacity(self.block_size)
+        cap = self._desc_capacity
         ndesc = (nmeta + cap - 1) // cap
         nrevoke = (nrevoked + cap - 1) // cap
         return ndesc + nmeta + nrevoke + 1

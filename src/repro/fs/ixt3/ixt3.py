@@ -350,6 +350,18 @@ class Ixt3(Ext3):
         self.journal.add_ordered(inode.parity_block, frozen)
         self._on_block_contents_change(inode.parity_block, frozen, "data")
 
+    def _meta_bound(self, n: int) -> int:
+        # Each metadata block may bring its checksum block and the
+        # replica map; each data block its checksum block.
+        return 2 * super()._meta_bound(n) + n + REPLICA_MAP_BLOCKS
+
+    def _restore_capacity(self, state) -> None:
+        super()._restore_capacity(state)
+        # Reloaded on demand from the restored transaction and the disk.
+        for store in (self.checksums, self.replicas):
+            if store is not None:
+                store.drop_cache()
+
     def _release_parity(self, ino: int, inode: Inode) -> None:
         if inode.parity_block:
             if self.checksums is not None and self.data_csum:

@@ -27,6 +27,7 @@ policy, expressed as code paths:
 from __future__ import annotations
 
 import stat as _stat
+from copy import copy
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.bitmap import Bitmap
@@ -222,7 +223,10 @@ class ReiserFS(JournaledFS):
             return
         if size > st.size:
             content = self._read_object_data(pair, st, retries=1)
-            self._store_object_data(pair, st, content + b"\x00" * (size - st.size))
+            self._all_or_nothing(
+                self._capacity_state(st, st.size, size),
+                lambda: self._store_object_data(
+                    pair, st, content + b"\x00" * (size - st.size)))
             return
         try:
             content = self._read_object_data(pair, st, retries=1)
@@ -241,6 +245,24 @@ class ReiserFS(JournaledFS):
                 pass
             return
         self._store_object_data(pair, st, content[:size])
+
+    def _capacity_state(self, st: StatBody, pos: int, end: int):
+        # A body is stored whole: at most every block of the new body is
+        # allocated, and each of its indirect items, plus the stat item,
+        # is inserted by splitting at most one node per level of a tree
+        # that may grow by one level per insert.
+        blocks = -(-max(st.size, end) // self.config.block_size)
+        inserts = -(-blocks // self.config.indirect_ptrs_per_item) + 1
+        splits = inserts * (self.tree.height + inserts)
+        if (blocks + splits <= self.sb.free_blocks
+                and self.journal.fits(2 * splits + self.config.bitmap_blocks + 1)):
+            return None
+        return (self.journal.save(), copy(self.sb), self.tree.root_block,
+                self.tree.height, dict(self._types))
+
+    def _restore_capacity(self, state) -> None:
+        saved, self.sb, self.tree.root_block, self.tree.height, self._types = state
+        self.journal.restore(saved)
 
     def _symlink_create(self, parent: Pair, raw: bytes) -> Pair:
         pair = self._node_create(parent, DEFAULT_LINK_MODE)
