@@ -42,6 +42,14 @@ of its own would be a second mechanism without them, so binding one
 call) fails here; a constant table written as a non-empty display is
 not a cache and passes.
 
+And for XOR: nearly all the cost of ``repro.common.xor.xor`` on a block
+is converting its operands to and from integers, so a block that goes
+through a chain of them is converted once per link.  Anywhere under
+``src/repro``, an ``xor(...)`` call with an ``xor(...)`` argument, or
+``name = xor(name, ...)`` inside a loop, fails here; collect the
+operands and call ``xor_all`` (or ``xor_update`` for parity blocks that
+follow one data block) instead.
+
 It then prints the source-line count (``wc -l``) of every package under
 ``src/repro``, so each CI run records how large the tree is; ``--loc-out
 PATH`` also writes the table to a file for upload as an artifact.
@@ -153,7 +161,8 @@ def lint() -> list[str]:
     problems.extend(f"tools/lint_generic_ops.py: allowed override {cls}.{name} "
                     "does not exist; drop it from ALLOWED_OVERRIDES"
                     for cls, name in sorted(unused))
-    return problems + lint_fs_caches() + lint_arrays() + lint_stack()
+    return (problems + lint_fs_caches() + lint_arrays() + lint_stack()
+            + lint_xor_chains())
 
 
 def lint_fs_caches() -> list[str]:
@@ -233,6 +242,47 @@ def lint_stack() -> list[str]:
     return problems
 
 
+def _is_xor(node: ast.AST) -> bool:
+    """Is *node* a call of ``xor`` (bare or as an attribute)?"""
+    if not isinstance(node, ast.Call):
+        return False
+    return getattr(node.func, "id", getattr(node.func, "attr", "")) == "xor"
+
+
+def _xor_chains(node: ast.AST, in_loop: bool = False):
+    """Yield ``(line, why)`` for each chained ``xor`` under *node*.  A
+    ``for`` or ``while`` statement puts everything in it ``in_loop``; a
+    function, lambda or class body starts over."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda, ast.ClassDef)):
+            yield from _xor_chains(child)
+            continue
+        if _is_xor(child) and any(_is_xor(arg) for arg in child.args):
+            yield child.lineno, "xor(...) of an xor(...)"
+        if (in_loop and isinstance(child, ast.Assign) and _is_xor(child.value)
+                and len(child.targets) == 1
+                and isinstance(child.targets[0], ast.Name)
+                and any(isinstance(arg, ast.Name)
+                        and arg.id == child.targets[0].id
+                        for arg in child.value.args)):
+            yield child.lineno, (f"{child.targets[0].id} = "
+                                 f"xor({child.targets[0].id}, ...) in a loop")
+        yield from _xor_chains(
+            child, in_loop or isinstance(child, (ast.For, ast.While)))
+
+
+def lint_xor_chains() -> list[str]:
+    problems = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        problems.extend(
+            f"{path.relative_to(ROOT)}:{line}: {why} converts a block once "
+            "per link; collect the operands for xor_all (or xor_update)"
+            for line, why in _xor_chains(tree))
+    return problems
+
+
 def loc_table() -> str:
     """``wc -l`` of the ``*.py`` files in each package under ``src/repro``."""
     src = ROOT / "src" / "repro"
@@ -266,7 +316,7 @@ def main(argv=None) -> int:
         return 1
     print("generic ops: each defined once, in JournaledFS and ArrayDevice; "
           "device-stack layers define every name perf/trace.py patches; "
-          "no private decode cache under src/repro/fs")
+          "no private decode cache under src/repro/fs; no chained xor")
     return 0
 
 
