@@ -1,24 +1,18 @@
-"""Persistent worker pool and shared-memory slab transport.
+"""Persistent worker pool.
 
 Every parallel consumer in the tree (the fingerprinting matrix, the
-crash-state explorer, the observation capture driver) fans out through
-:func:`pool_map`.  Historically each call built a fresh
-``ProcessPoolExecutor`` and tore it down again, so a benchmark sweep
-paid worker spawn + interpreter warm-up once per run; the pool here is
-**persistent** — created on first use, grown on demand, reused across
-drivers and matrices in the same process, shut down atexit.  Warm
-workers also keep their per-process caches (memoized adapters, golden
-images, attached slabs), which is where most of the repeat-run win
-comes from.
+crash-state explorer, the observation capture driver, the array
+fingerprint, the fleet campaign) fans out through :func:`pool_map`.
+The pool is **persistent** — created on first use, grown on demand,
+reused across drivers and matrices in the same process, shut down
+atexit.  Warm workers keep their per-process caches (memoized adapters
+and the golden images hanging off them), so a repeat run pays neither
+worker spawn nor golden rebuild.
 
-Large immutable inputs — golden :class:`~repro.disk.disk.SlabImage`
-snapshots — do not travel through the task pickle stream.  The parent
-publishes the slab once via :class:`SharedSlab`
-(``multiprocessing.shared_memory``) and ships only a small descriptor;
-workers :func:`attach_image` the same physical pages and build a
-zero-copy ``SlabImage`` over them.  Attachments are cached per worker
-and dropped when the parent moves on to a new run
-(:func:`begin_run`).
+Everything a task needs travels in its pickled arguments.  The largest
+are the crash explorer's golden snapshots, about a megabyte each and
+sent once per chunk; fingerprint workers build their own goldens from
+the adapter recipe instead.
 
 Submission is **streaming and bounded**: ``pool_map`` keeps at most a
 small window of tasks in flight instead of submitting the whole matrix
@@ -30,14 +24,10 @@ submission order (``jobs=N`` output is byte-identical to ``jobs=1``).
 from __future__ import annotations
 
 import atexit
-import itertools
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.disk.disk import SlabImage
 
 # -- the persistent pool ------------------------------------------------------
 
@@ -47,12 +37,16 @@ _pool_workers = 0
 
 def effective_jobs(jobs: int) -> int:
     """Worker processes that can actually run concurrently on this
-    machine.  A pool wider than the CPU count adds IPC without adding
-    concurrency; on a single-CPU host any pool is pure overhead, so
-    consumers use this to fall back to their in-process serial path —
-    output is identical either way (``jobs=N`` merges are defined to be
-    byte-identical to ``jobs=1``), only the transport changes."""
-    return max(1, min(jobs, os.cpu_count() or 1))
+    machine: the CPUs this process may run on (its affinity mask where
+    the platform has one, else the CPU count).  A pool wider than that
+    adds IPC without adding concurrency; with one usable CPU any pool
+    is pure overhead, so consumers use this to fall back to their
+    in-process serial path — output is identical either way (``jobs=N``
+    merges are defined to be byte-identical to ``jobs=1``), only the
+    transport changes."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    return max(1, min(jobs, cpus))
 
 
 def get_pool(jobs: int) -> ProcessPoolExecutor:
@@ -67,15 +61,6 @@ def get_pool(jobs: int) -> ProcessPoolExecutor:
         return _pool
     if _pool is not None:
         _pool.shutdown(wait=False, cancel_futures=True)
-    # Start the resource tracker *before* forking workers: a worker
-    # forked without one would lazily spawn its own on first shared-
-    # memory attach, and that private tracker then warns about (and
-    # tries to re-unlink) segments the parent already cleaned up.
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.ensure_running()
-    except Exception:  # pragma: no cover - platform without tracker
-        pass
     _pool = ProcessPoolExecutor(max_workers=jobs)
     _pool_workers = jobs
     return _pool
@@ -168,191 +153,3 @@ def _map_chunks(
         for future in done:
             results[in_flight.pop(future)] = future.result()
     return results  # type: ignore[return-value]
-
-
-# -- shared-memory slab transport --------------------------------------------
-
-#: Descriptor shipped to workers: (shm name, num_blocks, block_size,
-#: written bitmap).  Everything but the slab itself — which stays in
-#: the shared segment.
-SlabDescriptor = Tuple[str, int, int, bytes]
-
-
-class SharedSlab:
-    """A :class:`SlabImage` published in POSIX shared memory.
-
-    The parent owns the segment's lifetime: create one per golden
-    image, ship :attr:`descriptor` inside task arguments, and
-    :meth:`close` (which also unlinks) once the run's ``pool_map``
-    returns — workers that still hold attachments keep the pages
-    mapped until they drop them, per POSIX semantics.
-    """
-
-    def __init__(self, image: SlabImage):
-        size = len(image.data)
-        self._shm = shared_memory.SharedMemory(create=True, size=max(size, 1))
-        self._shm.buf[:size] = image.data
-        self.descriptor: SlabDescriptor = (
-            self._shm.name, image.num_blocks, image.block_size,
-            bytes(image.written),
-        )
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-        finally:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-
-class SharedSnapshot:
-    """A published golden *snapshot* — slab or composite.
-
-    Generalizes :class:`SharedSlab` to the snapshot types a device
-    stack can produce: a bare :class:`SlabImage` (single disk) or a
-    composite carrying one slab per array member (anything exposing an
-    ``images`` tuple plus positional extra state via ``__reduce__``,
-    e.g. :class:`repro.redundancy.array.ArraySnapshot`).  Each member
-    slab is published once; the descriptor ships the segment names plus
-    the composite's class path and non-slab state, and
-    :func:`attach_snapshot` rebuilds the same snapshot on the worker
-    side over zero-copy attachments.
-    """
-
-    def __init__(self, snapshot):
-        self._slabs: List[SharedSlab] = []
-        if isinstance(snapshot, SlabImage):
-            slab = SharedSlab(snapshot)
-            self._slabs.append(slab)
-            self.descriptor = ("slab", slab.descriptor)
-            return
-        images = getattr(snapshot, "images", None)
-        if images is None:
-            raise TypeError(
-                f"cannot publish snapshot of type {type(snapshot).__name__}")
-        cls, state = snapshot.__reduce__()
-        if tuple(state[0]) != tuple(images):  # pragma: no cover - invariant
-            raise TypeError("composite snapshot must lead with its images")
-        self._slabs = [SharedSlab(image) for image in images]
-        self.descriptor = (
-            "composite",
-            f"{cls.__module__}:{cls.__qualname__}",
-            tuple(slab.descriptor for slab in self._slabs),
-            tuple(state[1:]),
-        )
-
-    def close(self) -> None:
-        for slab in self._slabs:
-            slab.close()
-
-
-def attach_snapshot(descriptor):
-    """Rebuild a published snapshot on the worker side (zero-copy).
-
-    The inverse of :class:`SharedSnapshot`: slab descriptors go through
-    :func:`attach_image`; composite descriptors re-import the snapshot
-    class by path and reconstruct it over the attached member images.
-    """
-    kind = descriptor[0]
-    if kind == "slab":
-        return attach_image(descriptor[1])
-    if kind != "composite":
-        raise ValueError(f"unknown snapshot descriptor kind {kind!r}")
-    _, path, slab_descriptors, extra = descriptor
-    import importlib
-
-    module, _, qualname = path.partition(":")
-    cls = getattr(importlib.import_module(module), qualname)
-    images = tuple(attach_image(d) for d in slab_descriptors)
-    return cls(images, *extra)
-
-
-_run_counter = itertools.count(1)
-
-
-def run_token() -> Tuple[int, int]:
-    """A parent-side token identifying one fan-out run.  Workers use it
-    (via :func:`begin_run`) to notice run boundaries and drop the prior
-    run's shared-memory attachments."""
-    return (os.getpid(), next(_run_counter))
-
-
-#: Worker-side attachment cache: shm name -> (segment, image).  Keeping
-#: the segment object alive keeps the mapping alive; entries drop when
-#: the parent signals a new run via begin_run().
-_attached: Dict[str, Tuple[shared_memory.SharedMemory, SlabImage]] = {}
-_deferred: List[shared_memory.SharedMemory] = []
-_run_token: Any = None
-_run_callbacks: List[Callable[[], None]] = []
-
-
-def attach_image(descriptor: SlabDescriptor) -> SlabImage:
-    """Attach a published golden image (worker side), zero-copy.
-
-    The returned ``SlabImage`` reads directly out of the shared
-    segment; attachments are cached, so every task in a run that names
-    the same descriptor shares one mapping and one image (and with it
-    the image's per-process ``meta`` caches).
-    """
-    name, num_blocks, block_size, written = descriptor
-    cached = _attached.get(name)
-    if cached is not None:
-        return cached[1]
-    shm = shared_memory.SharedMemory(name=name)
-    _untrack(shm)
-    image = SlabImage(shm.buf[:num_blocks * block_size],
-                      num_blocks, block_size, written)
-    _attached[name] = (shm, image)
-    return image
-
-
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Stop the attaching process's resource tracker from unlinking the
-    parent-owned segment when this worker exits (CPython registers
-    attachments as if they were creations; see bpo-39959).
-
-    Forked workers share the parent's tracker process, where the
-    attach-registration is a set re-add; unregistering there would
-    steal the parent's own entry, so only spawn-started workers (own
-    tracker, real duplicate registration) need the fixup."""
-    import multiprocessing
-
-    if multiprocessing.get_start_method(allow_none=True) == "fork":
-        return
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:  # pragma: no cover - tracker semantics vary
-        pass
-
-
-def on_run_change(callback: Callable[[], None]) -> None:
-    """Register a worker-side cleanup hook invoked when the parent
-    moves to a new run (used to drop caches that reference attached
-    images, so their segments can actually unmap)."""
-    _run_callbacks.append(callback)
-
-
-def begin_run(token: Any) -> None:
-    """Worker-side run barrier: when *token* differs from the previous
-    task's, drop the prior run's attachments (the parent has already,
-    or will shortly, unlink their segments)."""
-    global _run_token
-    if token == _run_token:
-        return
-    _run_token = token
-    for callback in _run_callbacks:
-        callback()
-    stale = [shm for shm, _ in _attached.values()]
-    _attached.clear()
-    stale.extend(_deferred)
-    _deferred.clear()
-    for shm in stale:
-        try:
-            shm.close()
-        except BufferError:
-            # Something still exports a view over the mapping; keep the
-            # handle and retry at the next run boundary.
-            _deferred.append(shm)

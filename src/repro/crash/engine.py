@@ -42,12 +42,12 @@ Every violation carries the exact state key (``prefix:i`` or
 ``torn:e:j``) that reproduces it; :func:`apply_state` rebuilds the
 disk image for any key.  Exploration fans out across the same
 persistent process pool as fingerprinting
-(:mod:`repro.common.pool`): the parent records **once**, publishes the
-golden slab in shared memory, and ships workers the recorded write
-stream plus the reference digests — each worker attaches the golden
-image zero-copy, rebuilds a :class:`Recording` around it, and checks
-its slice of the state space.  Results merge in enumeration order, so
-``--jobs N`` reports are identical to ``--jobs 1``.
+(:mod:`repro.common.pool`): the parent records **once** and ships
+workers the golden snapshot, the recorded write stream and the
+reference digests in the task arguments — each worker rebuilds a
+:class:`Recording` around them and checks its slice of the state
+space.  Results merge in enumeration order, so ``--jobs N`` reports
+are identical to ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -58,14 +58,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import KernelPanic, StorageError
-from repro.common.pool import (
-    SharedSnapshot,
-    attach_snapshot,
-    begin_run,
-    effective_jobs,
-    pool_map,
-    run_token,
-)
+from repro.common.pool import effective_jobs, pool_map
 from repro.crash.workloads import CRASH_WORKLOADS, CrashWorkload
 from repro.disk.stack import DeviceStack
 from repro.fingerprint.adapters import ADAPTERS, adapter_for
@@ -768,7 +761,7 @@ class CrashReport:
 def _replay_chunk(
     profile_key: str,
     workload_key: str,
-    golden_descriptor,
+    golden,
     writes: List[Tuple[int, bytes]],
     boundaries: List[int],
     boundary_digests: Dict[str, int],
@@ -777,17 +770,14 @@ def _replay_chunk(
     lo: int,
     hi: int,
     trace: bool = False,
-    token=None,
 ) -> List[StateObservation]:
-    """Pool entry point: attach the parent's golden image from shared
-    memory, rebuild a :class:`Recording` around it, check one slice.
+    """Pool entry point: rebuild a :class:`Recording` around the
+    parent's golden snapshot and check one slice.
 
-    The worker never re-runs the workload — the recorded write stream
-    and reference digests travel in the task arguments, and the golden
-    slab comes zero-copy out of the published segment.
+    The worker never re-runs the workload — the golden snapshot, the
+    recorded write stream and the reference digests all travel in the
+    task arguments.
     """
-    if token is not None:
-        begin_run(token)
     profile = CRASH_PROFILES[profile_key]
     workload = CRASH_WORKLOADS[workload_key]
     adapter = adapter_for(profile.registry_key, profile.registry_kwargs)
@@ -796,7 +786,7 @@ def _replay_chunk(
         workload=workload,
         disk=adapter.build_device(),
         adapter=adapter,
-        golden=attach_snapshot(golden_descriptor),
+        golden=golden,
         writes=writes,
         boundaries=boundaries,
         boundary_digests=boundary_digests,
@@ -817,9 +807,9 @@ def explore(
 ) -> CrashReport:
     """Record one workload and check every enumerated crash state.
 
-    Output is deterministic and independent of *jobs*: workers re-run
-    the (deterministic) recording and results merge in enumeration
-    order.  With ``trace=True``, every state's recovery stream is kept
+    Output is deterministic and independent of *jobs*: workers check
+    slices of the parent's one recording and results merge in
+    enumeration order.  With ``trace=True``, every state's recovery stream is kept
     (not just violating ones) for Chrome-trace export.
     """
     profile = CRASH_PROFILES[profile_key]
@@ -840,24 +830,18 @@ def explore(
         width = min(jobs, total) or 1
         step = (total + width - 1) // width
         bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        slab = SharedSnapshot(rec.golden)
-        token = run_token()
-        try:
-            chunks = pool_map(
-                _replay_chunk,
-                [
-                    (
-                        profile_key, workload_key, slab.descriptor,
-                        rec.writes, rec.boundaries, rec.boundary_digests,
-                        rec.protected, max_torn_per_epoch, lo, hi, trace,
-                        token,
-                    )
-                    for lo, hi in bounds
-                ],
-                jobs,
-            )
-        finally:
-            slab.close()
+        chunks = pool_map(
+            _replay_chunk,
+            [
+                (
+                    profile_key, workload_key, rec.golden,
+                    rec.writes, rec.boundaries, rec.boundary_digests,
+                    rec.protected, max_torn_per_epoch, lo, hi, trace,
+                )
+                for lo, hi in bounds
+            ],
+            jobs,
+        )
         observations = [obs for chunk in chunks for obs in chunk]
 
     report = CrashReport(

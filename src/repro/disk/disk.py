@@ -38,8 +38,9 @@ class SlabImage:
     list-of-``Optional[bytes]`` snapshot semantics.  The image is the
     unit of copy-on-write sharing: :meth:`SimulatedDisk.restore`
     aliases it in O(1) and writes privatize blocks into the device's
-    delta, so an image may back any number of devices (or processes —
-    the slab maps directly into shared memory) at once.
+    delta, so an image may back any number of devices at once.  It
+    crosses a process boundary by pickling (:meth:`__reduce__`): a
+    pool worker gets its own copy of the slab.
 
     ``meta`` is a free-form per-process cache that layers above hang
     derived state on (e.g. the gray-box block-type oracle caches its
@@ -56,9 +57,8 @@ class SlabImage:
 
     def __init__(self, data, num_blocks: int, block_size: int,
                  written: bytes):
-        # data may be bytes or any readable buffer (e.g. a memoryview
-        # over a multiprocessing.shared_memory segment) — the image
-        # never mutates it either way.
+        # data may be bytes or any readable buffer — the image never
+        # mutates it either way.
         if len(data) != num_blocks * block_size:
             raise ValueError("slab length does not match geometry")
         if len(written) != num_blocks:
@@ -139,7 +139,7 @@ class SlabImage:
 
     def __reduce__(self):
         # meta and the materialization cache are per-process; a
-        # shared-memory-backed buffer pickles as its bytes copy.
+        # buffer-backed slab pickles as its bytes copy.
         return (SlabImage, (bytes(self.data), self.num_blocks,
                             self.block_size, self.written))
 

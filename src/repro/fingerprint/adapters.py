@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.common.pool import on_run_change
 from repro.common.structs import U16, U32
 from repro.disk.disk import SimulatedDisk, make_disk
 from repro.fs.ext3 import Ext3, Ext3Config, mkfs_ext3
@@ -300,16 +299,6 @@ def adapter_for(registry_key: str, registry_kwargs: Dict[str, Any]):
         adapter = ADAPTERS[registry_key](**registry_kwargs)
         _adapter_cache[cache_key] = adapter
     return adapter
-
-
-def _drop_seeded_goldens() -> None:
-    """Run-boundary cleanup: golden caches may hold images backed by the
-    previous run's shared segments; drop them so the mappings release."""
-    for adapter in _adapter_cache.values():
-        adapter.golden_cache.clear()
-
-
-on_run_change(_drop_seeded_goldens)
 
 
 def make_array_adapter(base: str = "ext3", geometry: str = "mirror",

@@ -13,24 +13,18 @@ The parent merges outcomes in submission (= workload) order, so
 Workers are **warm**: they come from the persistent pool in
 :mod:`repro.common.pool` and memoize the rebuilt adapter per registry
 recipe, so repeated matrices reuse one adapter (and its caches) per
-worker instead of rebuilding per task.  Golden images do not travel
-through the task pickle stream either — the parent builds each
-distinct golden once, publishes its slab in shared memory, and workers
-attach the same physical pages zero-copy
-(:func:`repro.common.pool.attach_image`).
+worker instead of rebuilding per task.  That includes the golden
+images: a worker builds each one itself through
+:meth:`Fingerprinter._golden`, once per process and ``(setup,
+crash_ops)``, exactly as a serial run does — nothing image-sized
+travels in a task.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.common.pool import (
-    SharedSnapshot,
-    attach_snapshot,
-    begin_run,
-    pool_map,
-    run_token,
-)
+from repro.common.pool import pool_map
 from repro.disk.faults import CorruptionMode
 from repro.fingerprint.adapters import ADAPTERS, adapter_for
 
@@ -45,30 +39,14 @@ def _worker(
     corruption_mode: CorruptionMode,
     trace: bool = False,
     metrics: bool = False,
-    golden: Optional[Tuple[Any, Dict[int, str]]] = None,
-    token: Any = None,
 ) -> "WorkloadOutcome":
-    """Pool entry point: rebuild the adapter by name, run one workload.
-
-    *golden* is the parent's pre-built image for this workload as a
-    ``(slab descriptor, oracle)`` pair; the worker attaches the shared
-    slab and seeds the adapter's golden cache so the harness never
-    rebuilds it.
-    """
+    """Pool entry point: rebuild the adapter by name, run one workload."""
     from repro.fingerprint.harness import Fingerprinter
     from repro.fingerprint.workloads import WORKLOAD_BY_KEY
 
-    if token is not None:
-        begin_run(token)
-    adapter = adapter_for(registry_key, registry_kwargs)
     workload = WORKLOAD_BY_KEY[workload_key]
-    if golden is not None:
-        descriptor, oracle = golden
-        cache_key = (workload.setup, workload.crash_ops)
-        if cache_key not in adapter.golden_cache:
-            adapter.golden_cache[cache_key] = (attach_snapshot(descriptor), oracle)
-    fp = Fingerprinter(adapter, workloads=[workload],
-                       corruption_mode=corruption_mode,
+    fp = Fingerprinter(adapter_for(registry_key, registry_kwargs),
+                       workloads=[workload], corruption_mode=corruption_mode,
                        trace=trace, metrics=metrics)
     return fp._run_workload(workload)
 
@@ -95,43 +73,24 @@ def run_parallel(fp: "Fingerprinter") -> List["WorkloadOutcome"]:
     """Fan the fingerprinter's workloads out across the persistent pool.
 
     Returns outcomes in workload order regardless of completion order;
-    the caller's merge is therefore deterministic.  Distinct golden
-    images (one per ``(setup, crash_ops)`` recipe — typically two for
-    the Table-3 matrix) are built once in the parent and published via
-    shared memory; each task carries its workload's slab descriptor.
+    the caller's merge is therefore deterministic.
     """
     check_parallelizable(fp)
-    slabs: Dict[Any, SharedSnapshot] = {}
-    goldens: Dict[str, Tuple[Any, Dict[int, str]]] = {}
-    for workload in fp.workloads:
-        cache_key = (workload.setup, workload.crash_ops)
-        snapshot, oracle = fp._golden(workload)
-        slab = slabs.get(cache_key)
-        if slab is None:
-            slab = slabs[cache_key] = SharedSnapshot(snapshot)
-        goldens[workload.key] = (slab.descriptor, oracle)
-    token = run_token()
-    try:
-        outcomes: List["WorkloadOutcome"] = pool_map(
-            _worker,
-            [
-                (
-                    fp.adapter.registry_key,
-                    fp.adapter.registry_kwargs,
-                    workload.key,
-                    fp.corruption_mode,
-                    fp.trace,
-                    fp.metrics,
-                    goldens[workload.key],
-                    token,
-                )
-                for workload in fp.workloads
-            ],
-            fp.jobs,
-        )
-    finally:
-        for slab in slabs.values():
-            slab.close()
+    outcomes: List["WorkloadOutcome"] = pool_map(
+        _worker,
+        [
+            (
+                fp.adapter.registry_key,
+                fp.adapter.registry_kwargs,
+                workload.key,
+                fp.corruption_mode,
+                fp.trace,
+                fp.metrics,
+            )
+            for workload in fp.workloads
+        ],
+        fp.jobs,
+    )
     for workload in fp.workloads:
         fp.progress(
             f"{fp.adapter.name}: workload {workload.key} ({workload.name})"

@@ -7,7 +7,11 @@ import dataclasses
 import pytest
 
 from repro.fingerprint import Fingerprinter, WORKLOAD_BY_KEY
-from repro.fingerprint.adapters import make_ext3_adapter, make_ixt3_adapter
+from repro.fingerprint.adapters import (
+    ADAPTERS,
+    make_ext3_adapter,
+    make_ixt3_adapter,
+)
 from repro.fingerprint.parallel import check_parallelizable
 from repro.fingerprint.workloads import Workload
 from repro.taxonomy import render_full_figure
@@ -61,6 +65,17 @@ class TestParallelDeterminism:
         m1 = Fingerprinter(make_ixt3_adapter(), workloads=subset).run()
         m2 = Fingerprinter(make_ixt3_adapter(), workloads=subset, jobs=2).run()
         assert render_full_figure(m1) == render_full_figure(m2)
+
+    @pytest.mark.parametrize("key", ["ext3@rdp5", "ext3@mirror2"])
+    def test_array_adapter_parallel_roundtrip(self, key):
+        """Workers build array goldens (one image per member) themselves;
+        the matrix must not notice."""
+        subset = [WORKLOAD_BY_KEY["a"], WORKLOAD_BY_KEY["b"]]
+        fp1 = Fingerprinter(ADAPTERS[key](), workloads=subset)
+        fp2 = Fingerprinter(ADAPTERS[key](), workloads=subset, jobs=2)
+        assert render_full_figure(fp1.run()) == render_full_figure(fp2.run())
+        assert fp2.workload_digest == fp1.workload_digest
+        assert fp2.tests_run == fp1.tests_run > 0
 
 
 class TestParallelGuards:

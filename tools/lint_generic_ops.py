@@ -50,6 +50,12 @@ through a chain of them is converted once per link.  Anywhere under
 operands and call ``xor_all`` (or ``xor_update`` for parity blocks that
 follow one data block) instead.
 
+And for the worker pool: everything a pool task needs travels in its
+pickled arguments (``repro.common.pool``).  Anywhere under
+``src/repro``, importing ``multiprocessing.shared_memory`` or naming
+``SharedMemory`` fails here, so a side channel with segment lifetimes
+of its own does not come back.
+
 It then prints the source-line count (``wc -l``) of every package under
 ``src/repro``, so each CI run records how large the tree is; ``--loc-out
 PATH`` also writes the table to a file for upload as an artifact.
@@ -162,7 +168,7 @@ def lint() -> list[str]:
                     "does not exist; drop it from ALLOWED_OVERRIDES"
                     for cls, name in sorted(unused))
     return (problems + lint_fs_caches() + lint_arrays() + lint_stack()
-            + lint_xor_chains())
+            + lint_xor_chains() + lint_shared_memory())
 
 
 def lint_fs_caches() -> list[str]:
@@ -283,6 +289,40 @@ def lint_xor_chains() -> list[str]:
     return problems
 
 
+#: Names that only the shared-memory side channel uses.
+SHARED_MEMORY_NAMES = frozenset({"shared_memory", "SharedMemory"})
+
+
+def _shared_memory_lines(tree: ast.AST):
+    """Yield the line of each import of, or reference to, a name in
+    ``SHARED_MEMORY_NAMES`` (dotted import paths count by component)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if any(SHARED_MEMORY_NAMES.intersection(name.split("."))
+               for name in names):
+            yield node.lineno
+
+
+def lint_shared_memory() -> list[str]:
+    problems = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        problems.extend(
+            f"{path.relative_to(ROOT)}:{line}: shared memory; pool tasks "
+            "take what they need in their pickled arguments"
+            for line in sorted(set(_shared_memory_lines(tree))))
+    return problems
+
+
 def loc_table() -> str:
     """``wc -l`` of the ``*.py`` files in each package under ``src/repro``."""
     src = ROOT / "src" / "repro"
@@ -316,7 +356,8 @@ def main(argv=None) -> int:
         return 1
     print("generic ops: each defined once, in JournaledFS and ArrayDevice; "
           "device-stack layers define every name perf/trace.py patches; "
-          "no private decode cache under src/repro/fs; no chained xor")
+          "no private decode cache under src/repro/fs; no chained xor; "
+          "no shared memory")
     return 0
 
 
