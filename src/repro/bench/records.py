@@ -15,7 +15,6 @@ Schema (``repro-bench-results/1``)::
       "schema": "repro-bench-results/1",
       "entries": {
         "fingerprint_ext3": {
-          "jobs": 4,               # process-pool width used
           "tests_run": 420,        # fault-injection tests executed
           "total_cells": 420,      # CellResults recorded
           "applicable_cells": 312, # matrix cells with an observation
@@ -65,7 +64,7 @@ def failure_record(exc: BaseException, **context: Any) -> Dict[str, Any]:
 
     ``status``/``error`` mark the entry, so a crashed run replaces its
     result row instead of leaving the previous one standing.  Extra
-    keyword context (jobs, profile, workload...) is merged in.
+    keyword context (fs, profile, workload...) is merged in.
     """
     record: Dict[str, Any] = {
         "status": "failed",
@@ -96,14 +95,13 @@ def fingerprint_record(fp, matrix) -> Dict[str, Any]:
             "event_digest": fp.workload_digest[key],
         }
     record = {
-        "jobs": fp.jobs,
         "tests_run": fp.tests_run,
         "total_cells": len(fp.cells),
         "applicable_cells": len(matrix.cells),
         "workloads": workloads,
     }
     # Observability extras: the structural span-tree digest (a second
-    # jobs-width determinism witness) and the merged metrics snapshot.
+    # determinism witness) and the merged metrics snapshot.
     if fp.trace:
         record["span_digest"] = fp.observed.span_digest()
         for part in fp.observed.parts:
@@ -117,11 +115,9 @@ def crash_record(report) -> Dict[str, Any]:
     """Build the JSON record for one crash-exploration run.
 
     *report* is a :class:`~repro.crash.engine.CrashReport`; the
-    violation digest is the determinism witness compared across
-    ``--jobs`` widths.
+    violation digest is its determinism witness.
     """
     record = {
-        "jobs": report.jobs,
         "profile": report.profile,
         "workload": report.workload,
         "writes": report.writes,

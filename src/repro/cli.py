@@ -103,7 +103,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
     mode = CorruptionMode.FIELD if args.field_corruption else CorruptionMode.NOISE
     fp = Fingerprinter(adapter, workloads=workloads, corruption_mode=mode,
                        progress=(print if args.verbose else None),
-                       jobs=args.jobs, trace=args.trace, metrics=args.metrics)
+                       trace=args.trace, metrics=args.metrics)
     # Only a full-matrix run owns the committed ``fingerprint_{fs}`` row.
     entry = f"fingerprint_{args.fs}" + (
         f"_{args.workloads}" if args.workloads else "")
@@ -111,7 +111,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
         matrix = fp.run()
     except Exception as exc:
         _record(args, "fingerprint", entry,
-                failure_record(exc, jobs=args.jobs, fs=args.fs))
+                failure_record(exc, fs=args.fs))
         raise
     print(render_full_figure(matrix))
     covered, total = matrix.coverage()
@@ -139,17 +139,17 @@ def _cmd_crash(args: argparse.Namespace) -> int:
     if (_unknown("file system", [args.fs], sorted(CRASH_PROFILES))
             or _unknown("workload", [args.workload], sorted(CRASH_WORKLOADS))):
         return 2
-    entry = f"crash_{args.fs}_{args.workload}_j{args.jobs}"
+    entry = f"crash_{args.fs}_{args.workload}"
     try:
         report = explore(
-            args.fs, args.workload, jobs=args.jobs,
+            args.fs, args.workload,
             max_torn_per_epoch=args.max_torn,
             progress=(print if args.verbose else None),
             trace=args.trace,
         )
     except Exception as exc:
         _record(args, "crash", entry, failure_record(
-            exc, jobs=args.jobs, profile=args.fs, workload=args.workload))
+            exc, profile=args.fs, workload=args.workload))
         raise
     print(report.render())
     if args.trace:
@@ -170,7 +170,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if (_unknown("file system", [args.fs], sorted(CRASH_PROFILES))
             or _unknown("workload", args.workload or [], sorted(CRASH_WORKLOADS))):
         return 2
-    capture = trace_workloads(args.fs, args.workload, jobs=args.jobs)
+    capture = trace_workloads(args.fs, args.workload)
     for label, events in capture.streams:
         print(f"{label:10} {len(events)} events")
     print(f"span-tree digest: {capture.span_digest()}")
@@ -215,16 +215,14 @@ def _cmd_array(args: argparse.Namespace) -> int:
                 [label for label, _, _ in ARRAY_GEOMETRIES]):
         return 2
     fp = run_array_fingerprint(
-        jobs=args.jobs, labels=labels,
-        progress=(print if args.verbose else None))
+        labels=labels, progress=(print if args.verbose else None))
     print(fp.render())
-    # Only a full-matrix run owns the ``array_fingerprint_jN`` row.
-    sliced = "-".join(labels) + "_" if labels else ""
-    _record(args, "array", f"array_fingerprint_{sliced}j{args.jobs}", {
-        "jobs": args.jobs,
+    # Only a full-matrix run owns the ``array_fingerprint`` row.
+    sliced = "_" + "-".join(labels) if labels else ""
+    _record(args, "array", f"array_fingerprint{sliced}", {
         "cells": sum(len(m.cells) for m in fp.matrices.values()),
         "geometries": sorted(fp.matrices),
-        f"event_digest_jobs{args.jobs}": fp.digest,
+        "event_digest": fp.digest,
     })
     return 0
 
@@ -513,6 +511,13 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
+def _max_torn(text: str) -> int:
+    """``type=`` of ``--max-torn``: an integer >= 0, else exit 2."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("--max-torn must be >= 0")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -523,9 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument(
         "-j", "--jobs", type=_jobs, default=1, metavar="N",
-        help="fan the run's units (workloads, crash states, cells, trials) "
-             "out across N worker processes; output and digests are "
-             "byte-identical to --jobs 1")
+        help="fan the campaign's trials out across N worker processes; "
+             "output and digests are byte-identical to --jobs 1")
     verbose = argparse.ArgumentParser(add_help=False)
     verbose.add_argument("-v", "--verbose", action="store_true")
     no_bench_json = argparse.ArgumentParser(add_help=False)
@@ -544,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="list the crash workloads and exit")
 
     p = sub.add_parser("fingerprint",
-                       parents=[jobs, verbose, no_bench_json, traced],
+                       parents=[verbose, no_bench_json, traced],
                        help="fingerprint a file system's failure policy")
     p.add_argument("fs", help="ext3 | reiserfs | jfs | ntfs | ixt3")
     p.add_argument("--workloads", help="subset of workload letters, e.g. 'adgp'")
@@ -557,19 +561,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fingerprint)
 
     p = sub.add_parser("crash",
-                       parents=[jobs, verbose, no_bench_json, traced, listing],
+                       parents=[verbose, no_bench_json, traced, listing],
                        help="explore bounded crash states of a workload")
     p.add_argument("fs", nargs="?", default="ext3",
                    help="ext3 | reiserfs | jfs | ntfs | ixt3 (ixt3 = Tc enabled)")
     p.add_argument("--workload", default="creat",
                    help="crash workload key (see --list)")
-    p.add_argument("--max-torn", type=int, default=None, metavar="K",
+    p.add_argument("--max-torn", type=_max_torn, default=None, metavar="K",
                    help="cap torn states per commit epoch (default: all)")
     p.add_argument("--fail-on-violation", action="store_true",
                    help="exit non-zero when any oracle is violated")
     p.set_defaults(func=_cmd_crash)
 
-    p = sub.add_parser("trace", parents=[jobs, listing],
+    p = sub.add_parser("trace", parents=[listing],
                        help="trace a workload; write Chrome/Perfetto JSON")
     p.add_argument("fs", nargs="?", default="ext3",
                    help="ext3 | reiserfs | jfs | ntfs | ixt3")
@@ -590,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benches", help="comma list: SSH,Web,Post,TPCB")
     p.set_defaults(func=_cmd_table6)
 
-    p = sub.add_parser("array", parents=[jobs, verbose, no_bench_json],
+    p = sub.add_parser("array", parents=[verbose, no_bench_json],
                        help="fingerprint the redundancy arrays' failure policy")
     p.add_argument("--geometry", action="append", metavar="LABEL",
                    help="geometry label, repeatable: mirror2 | mirror3 | "

@@ -1,18 +1,14 @@
 """Persistent worker pool.
 
-Every parallel consumer in the tree (the fingerprinting matrix, the
-crash-state explorer, the observation capture driver, the array
-fingerprint, the fleet campaign) fans out through :func:`pool_map`.
+The fleet campaign (:func:`repro.fleet.campaign.run_fleet`) is the one
+driver in the tree that fans out, through :func:`pool_map`.  The
+fingerprint, crash, array and trace drivers run in-process: each of
+their runs costs less than starting a pool (docs/performance.md).
 The pool is **persistent** — created on first use, grown on demand,
-reused across drivers and matrices in the same process, shut down
-atexit.  Warm workers keep their per-process caches (memoized adapters
-and the golden images hanging off them), so a repeat run pays neither
-worker spawn nor golden rebuild.
+reused across campaigns in the same process, shut down atexit — so a
+repeat campaign pays no worker spawn.
 
-Everything a task needs travels in its pickled arguments.  The largest
-are the crash explorer's golden snapshots, about a megabyte each and
-sent once per chunk; fingerprint workers build their own goldens from
-the adapter recipe instead.
+Everything a task needs travels in its pickled arguments.
 
 Submission is **streaming and bounded**: ``pool_map`` keeps at most a
 small window of tasks in flight instead of submitting the whole matrix

@@ -1,11 +1,11 @@
 """Named-stream deterministic RNG derivation.
 
 Everywhere the repo needs randomness it needs *reproducible* randomness:
-the fingerprint matrix, the crash-state explorer, and now the fleet
-simulator all promise byte-identical output at any ``--jobs`` width,
-which only holds if every worker derives its random stream from the
-run's root seed and a stable name — never from worker identity, wall
-clock, or iteration order.
+the fingerprint matrix and the crash-state explorer promise
+byte-identical output run for run, and the fleet simulator at any
+``--jobs`` width, which only holds if every worker derives its random
+stream from the run's root seed and a stable name — never from worker
+identity, wall clock, or iteration order.
 
 This module is the one place that derivation lives.  It is a stdlib
 re-implementation of the useful part of ``numpy.random.SeedSequence``:

@@ -40,14 +40,7 @@ This engine validates them systematically instead of by spot checks:
 
 Every violation carries the exact state key (``prefix:i`` or
 ``torn:e:j``) that reproduces it; :func:`apply_state` rebuilds the
-disk image for any key.  Exploration fans out across the same
-persistent process pool as fingerprinting
-(:mod:`repro.common.pool`): the parent records **once** and ships
-workers the golden snapshot, the recorded write stream and the
-reference digests in the task arguments — each worker rebuilds a
-:class:`Recording` around them and checks its slice of the state
-space.  Results merge in enumeration order, so ``--jobs N`` reports
-are identical to ``--jobs 1``.
+disk image for any key.
 """
 
 from __future__ import annotations
@@ -58,10 +51,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import KernelPanic, StorageError
-from repro.common.pool import effective_jobs, pool_map
 from repro.crash.workloads import CRASH_WORKLOADS, CrashWorkload
 from repro.disk.stack import DeviceStack
-from repro.fingerprint.adapters import ADAPTERS, adapter_for
+from repro.fingerprint.adapters import ADAPTERS
 from repro.fs.ext3.fsck import fsck_ext3
 from repro.fs.ixt3 import FEAT_TXN_CSUM
 from repro.obs.capture import TraceCapture
@@ -115,7 +107,7 @@ CRASH_PROFILES: Dict[str, CrashProfile] = {
     # Array-backed twins: the same file system with its single disk
     # swapped for a redundancy array.  Crash exploration is geometry-
     # agnostic — the composite array snapshot restores O(1) per state
-    # and travels across workers like a slab image.
+    # like a slab image.
     "ext3@mirror2": CrashProfile(
         "ext3@mirror2", "ext3@mirror2", fsck=True, digest_counts=True
     ),
@@ -156,8 +148,8 @@ class Violation:
 
     def as_tuple(self) -> Tuple[str, str, str]:
         # Provenance deliberately excluded: the violation digest is the
-        # cross-jobs determinism witness and must stay comparable with
-        # records produced before tracing existed.
+        # determinism witness and must stay comparable with records
+        # produced before tracing existed.
         return (self.state_key, self.oracle, self.detail)
 
 
@@ -184,8 +176,7 @@ class Recording:
     workload: CrashWorkload
     disk: object
     adapter: object
-    #: Golden slab image (snapshot after setup); restored O(1) per state
-    #: and shareable across processes via :mod:`repro.common.pool`.
+    #: Golden slab image (snapshot after setup); restored O(1) per state.
     golden: object
     writes: List[Tuple[int, bytes]]
     #: Prefix lengths at each journal-commit barrier, strictly increasing.
@@ -319,6 +310,9 @@ def enumerate_states(
     rec: Recording, max_torn_per_epoch: Optional[int] = DEFAULT_MAX_TORN
 ) -> List[CrashState]:
     """Every prefix cut, plus bounded torn states per commit epoch."""
+    if max_torn_per_epoch is not None and max_torn_per_epoch < 0:
+        raise ValueError(
+            f"max_torn_per_epoch must be >= 0, got {max_torn_per_epoch}")
     states = [CrashState(f"prefix:{i}", i) for i in range(len(rec.writes) + 1)]
     prev = 0
     for epoch, bound in enumerate(rec.boundaries):
@@ -696,7 +690,6 @@ class CrashReport:
 
     profile: str
     workload: str
-    jobs: int
     writes: int
     epochs: int
     observations: List[StateObservation]
@@ -720,7 +713,7 @@ class CrashReport:
 
     def violation_digest(self) -> str:
         """SHA-256 over the ordered violation tuples: the determinism
-        witness compared across ``--jobs`` widths."""
+        witness recorded in ``BENCH_crash.json``."""
         h = hashlib.sha256()
         for v in self.violations:
             h.update(repr(v.as_tuple()).encode())
@@ -758,99 +751,35 @@ class CrashReport:
         return "\n".join(lines)
 
 
-def _replay_chunk(
-    profile_key: str,
-    workload_key: str,
-    golden,
-    writes: List[Tuple[int, bytes]],
-    boundaries: List[int],
-    boundary_digests: Dict[str, int],
-    protected: Dict[str, bytes],
-    max_torn_per_epoch: Optional[int],
-    lo: int,
-    hi: int,
-    trace: bool = False,
-) -> List[StateObservation]:
-    """Pool entry point: rebuild a :class:`Recording` around the
-    parent's golden snapshot and check one slice.
-
-    The worker never re-runs the workload — the golden snapshot, the
-    recorded write stream and the reference digests all travel in the
-    task arguments.
-    """
-    profile = CRASH_PROFILES[profile_key]
-    workload = CRASH_WORKLOADS[workload_key]
-    adapter = adapter_for(profile.registry_key, profile.registry_kwargs)
-    rec = Recording(
-        profile=profile,
-        workload=workload,
-        disk=adapter.build_device(),
-        adapter=adapter,
-        golden=golden,
-        writes=writes,
-        boundaries=boundaries,
-        boundary_digests=boundary_digests,
-        protected=protected,
-        trace=trace,
-    )
-    states = enumerate_states(rec, max_torn_per_epoch)
-    return [check_state(rec, state) for state in states[lo:hi]]
-
-
 def explore(
     profile_key: str,
     workload_key: str,
-    jobs: int = 1,
     max_torn_per_epoch: Optional[int] = DEFAULT_MAX_TORN,
     progress: Optional[Callable[[str], None]] = None,
     trace: bool = False,
 ) -> CrashReport:
     """Record one workload and check every enumerated crash state.
 
-    Output is deterministic and independent of *jobs*: workers check
-    slices of the parent's one recording and results merge in
-    enumeration order.  With ``trace=True``, every state's recovery stream is kept
+    Output is deterministic: states are checked in enumeration order.
+    With ``trace=True``, every state's recovery stream is kept
     (not just violating ones) for Chrome-trace export.
     """
     profile = CRASH_PROFILES[profile_key]
     workload = CRASH_WORKLOADS[workload_key]
     rec = record(profile, workload, trace=trace)
     states = enumerate_states(rec, max_torn_per_epoch)
-    total = len(states)
     if progress:
         progress(
             f"{profile_key}/{workload_key}: {len(rec.writes)} writes, "
-            f"{len(rec.boundaries)} epochs, {total} crash states"
+            f"{len(rec.boundaries)} epochs, {len(states)} crash states"
         )
-
-    jobs = max(1, jobs)
-    if effective_jobs(jobs) == 1:
-        observations = [check_state(rec, state) for state in states]
-    else:
-        width = min(jobs, total) or 1
-        step = (total + width - 1) // width
-        bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        chunks = pool_map(
-            _replay_chunk,
-            [
-                (
-                    profile_key, workload_key, rec.golden,
-                    rec.writes, rec.boundaries, rec.boundary_digests,
-                    rec.protected, max_torn_per_epoch, lo, hi, trace,
-                )
-                for lo, hi in bounds
-            ],
-            jobs,
-        )
-        observations = [obs for chunk in chunks for obs in chunk]
 
     report = CrashReport(
         profile=profile_key,
         workload=workload_key,
-        jobs=jobs,
         writes=len(rec.writes),
         epochs=len(rec.boundaries),
-        observations=observations,
+        observations=[check_state(rec, state) for state in states],
         traced=trace,
     )
     if progress:

@@ -5,10 +5,8 @@ from repro.fingerprint.harness import (
     CellResult,
     FSAdapter,
     Fingerprinter,
-    WorkloadOutcome,
 )
 from repro.fingerprint.inference import RunObservation, infer_policy
-from repro.fingerprint.parallel import run_parallel
 from repro.fingerprint.workloads import (
     WORKLOAD_BY_KEY,
     WORKLOADS,
@@ -29,9 +27,7 @@ __all__ = [
     "WORKLOADS",
     "WORKLOAD_BY_KEY",
     "Workload",
-    "WorkloadOutcome",
     "infer_policy",
     "render_workload_table",
-    "run_parallel",
     "standard_setup",
 ]

@@ -9,7 +9,7 @@ cannot catch.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.common.structs import U16, U32
 from repro.disk.disk import SimulatedDisk, make_disk
@@ -130,8 +130,6 @@ def make_reiserfs_adapter(config: Optional[ReiserConfig] = None) -> FSAdapter:
         make_fs=lambda dev: ReiserFS(dev, sync_mode=True),
         field_corruptor=reiserfs_field_corruptor,
         redundancy_types=[],
-        registry_key="reiserfs",
-        registry_kwargs={"config": cfg},
     )
 
 
@@ -179,8 +177,6 @@ def make_jfs_adapter(config: Optional[JFSConfig] = None) -> FSAdapter:
         make_fs=lambda dev: JFS(dev, sync_mode=True),
         field_corruptor=jfs_field_corruptor,
         redundancy_types=["super"],
-        registry_key="jfs",
-        registry_kwargs={"config": cfg},
     )
 
 
@@ -198,8 +194,6 @@ def make_ext3_adapter(config: Optional[Ext3Config] = None) -> FSAdapter:
         make_fs=lambda dev: Ext3(dev, sync_mode=True),
         field_corruptor=ext3_field_corruptor,
         redundancy_types=[],  # ext3 never reads its superblock copies (§5.1)
-        registry_key="ext3",
-        registry_kwargs={"config": cfg},
     )
 
 
@@ -241,8 +235,6 @@ def make_ntfs_adapter(config: Optional[NTFSConfig] = None) -> FSAdapter:
         # The paper's NTFS analysis is partial (closed-source, §5.4):
         # no recovery/log-write workloads.
         workload_keys="abcdefghijklmnopqr",
-        registry_key="ntfs",
-        registry_kwargs={"config": cfg},
     )
 
 
@@ -265,8 +257,6 @@ def make_ixt3_adapter(features: int = ALL_FEATURES,
         make_fs=lambda dev: Ixt3(dev, sync_mode=True),
         field_corruptor=ext3_field_corruptor,
         redundancy_types=["replica", "parity"],
-        registry_key="ixt3",
-        registry_kwargs={"features": features, "base": base_cfg},
     )
 
 
@@ -277,28 +267,6 @@ ADAPTERS = {
     "ntfs": make_ntfs_adapter,
     "ixt3": make_ixt3_adapter,
 }
-
-
-# -- worker-side adapter memoization -----------------------------------------
-
-#: (registry_key, frozen kwargs) -> adapter.  Lives for the worker's
-#: lifetime, so a warm worker reuses one adapter — and its golden-image
-#: and oracle caches — across every task and matrix that names the same
-#: recipe.
-_adapter_cache: Dict[Any, Any] = {}
-
-
-def adapter_for(registry_key: str, registry_kwargs: Dict[str, Any]):
-    """Rebuild (or reuse) an adapter from its registry recipe."""
-    try:
-        cache_key = (registry_key, tuple(sorted(registry_kwargs.items())))
-    except TypeError:
-        return ADAPTERS[registry_key](**registry_kwargs)
-    adapter = _adapter_cache.get(cache_key)
-    if adapter is None:
-        adapter = ADAPTERS[registry_key](**registry_kwargs)
-        _adapter_cache[cache_key] = adapter
-    return adapter
 
 
 def make_array_adapter(base: str = "ext3", geometry: str = "mirror",
@@ -327,8 +295,6 @@ def make_array_adapter(base: str = "ext3", geometry: str = "mirror",
         inner,
         name=f"{inner.name}@{geometry}{members}",
         build_device=build_device,
-        registry_key=f"{base}@{geometry}{members}",
-        registry_kwargs=dict(base_kwargs),
         golden_cache={},
     )
 

@@ -30,7 +30,7 @@ from repro.obs.capture import TraceCapture
 from repro.obs.events import fold_digest
 from repro.obs.metrics import MetricsRegistry, metrics_from_events
 from repro.obs.trace import enable_tracing
-from repro.taxonomy.policy import FAULT_CLASSES, PolicyMatrix, PolicyObservation
+from repro.taxonomy.policy import FAULT_CLASSES, PolicyMatrix
 from repro.vfs.api import FileSystem
 
 FieldCorruptor = Callable[[bytes, str], bytes]
@@ -54,12 +54,6 @@ class FSAdapter:
     redundancy_types: List[str] = field(default_factory=list)
     #: Workload keys to run (NTFS uses a subset, as in the paper).
     workload_keys: str = "abcdefghijklmnopqrst"
-    #: How pool workers rebuild this adapter: ``ADAPTERS[registry_key]
-    #: (**registry_kwargs)``.  The adapter's closures are not picklable,
-    #: so parallel runs ship this recipe instead; None means the adapter
-    #: is serial-only (``jobs=1``).
-    registry_key: Optional[str] = None
-    registry_kwargs: Dict[str, Any] = field(default_factory=dict)
     #: Golden (snapshot, frozen-oracle) pairs keyed by the workload's
     #: ``(setup, crash_ops)`` — the only inputs the pristine image
     #: depends on.  Every standard workload shares one setup, so one
@@ -84,39 +78,6 @@ class CellResult:
     fired: bool
 
 
-#: One merge op recorded while fingerprinting a workload:
-#: ("na" | "put", fault_class, block_type, observation-or-None).
-MatrixOp = Tuple[str, str, str, Optional[PolicyObservation]]
-
-
-@dataclass
-class WorkloadOutcome:
-    """Everything one workload contributes to the final matrix.
-
-    Produced by :meth:`Fingerprinter._run_workload` — serially or inside
-    a pool worker — and merged deterministically by workload order, so
-    ``jobs=N`` renders byte-identical figures to ``jobs=1``.
-    """
-
-    key: str
-    name: str
-    ops: List[MatrixOp]
-    cells: List[CellResult]
-    tests_run: int
-    #: Aggregate raw-device traffic over all of the workload's runs.
-    io: DiskStats
-    #: The workload's observed-run product: one labelled stream per
-    #: baseline / cell run (``trace=True`` only) and the workload's
-    #: metrics snapshot (``metrics=True`` only; per-worker snapshots
-    #: merge associatively in the parent).
-    observed: TraceCapture
-    #: Typed storage events observed across all of the workload's runs,
-    #: and a sha256 over their ordered keys — the determinism witness
-    #: (``jobs=N`` must reproduce ``jobs=1`` exactly).
-    event_count: int = 0
-    event_digest: str = ""
-
-
 class Fingerprinter:
     """Runs the full fault matrix for one file system."""
 
@@ -126,19 +87,15 @@ class Fingerprinter:
         workloads: Optional[Sequence[Workload]] = None,
         corruption_mode: CorruptionMode = CorruptionMode.NOISE,
         progress: Optional[Callable[[str], None]] = None,
-        jobs: int = 1,
         trace: bool = False,
         metrics: bool = False,
     ):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         self.adapter = adapter
         if workloads is None:
             workloads = [w for w in WORKLOADS if w.key in adapter.workload_keys]
         self.workloads = list(workloads)
         self.corruption_mode = corruption_mode
         self.progress = progress or (lambda msg: None)
-        self.jobs = jobs
         #: Emit spans into every run's event stream and keep the labeled
         #: streams for export (Chrome trace) and digesting.
         self.trace = trace
@@ -153,8 +110,7 @@ class Fingerprinter:
         self.workload_events: Dict[str, int] = {}
         self.workload_digest: Dict[str, str] = {}
         #: What the run kept for export: one part per workload, in
-        #: workload order — not completion order — so ``jobs=N`` merges
-        #: to the identical stream, digest and metrics snapshot.
+        #: workload order.
         self.observed = TraceCapture(f"fingerprint:{adapter.name}")
         #: The workload in progress (set by ``_run_workload``): its
         #: device traffic, its metrics registry (``metrics=True`` only)
@@ -171,38 +127,24 @@ class Fingerprinter:
             block_types=list(self.adapter.figure_block_types),
             workloads=[w.name for w in self.workloads],
         )
-        from repro.common.pool import effective_jobs
-
-        if effective_jobs(self.jobs) > 1 and len(self.workloads) > 1:
-            from repro.fingerprint.parallel import run_parallel
-
-            outcomes = run_parallel(self)
-        else:
-            outcomes = []
-            for workload in self.workloads:
-                self.progress(
-                    f"{self.adapter.name}: workload {workload.key} ({workload.name})"
-                )
-                outcomes.append(self._run_workload(workload))
-        for outcome in outcomes:
-            self._merge(matrix, outcome)
+        for workload in self.workloads:
+            self.progress(
+                f"{self.adapter.name}: workload {workload.key} ({workload.name})"
+            )
+            self._run_workload(matrix, workload)
         if self.metrics:
             self.observed.metrics = MetricsRegistry.merge_snapshots(
                 part.metrics for part in self.observed.parts)
         return matrix
 
-    # -- one workload (the unit of parallelism) ---------------------------------
+    # -- one workload ------------------------------------------------------------
 
-    def _run_workload(self, workload: Workload) -> WorkloadOutcome:
+    def _run_workload(self, matrix: PolicyMatrix, workload: Workload) -> None:
         """Fingerprint every (fault class × block type) cell of one
-        workload.  Pure with respect to the matrix: results come back as
-        an ordered op list so serial and parallel runs merge identically."""
+        workload into *matrix*."""
         self._io_acc = DiskStats()
         self._metrics_acc = MetricsRegistry() if self.metrics else None
         self._part = TraceCapture(workload.key, category="workload")
-        ops: List[MatrixOp] = []
-        cells: List[CellResult] = []
-        tests_run = 0
         event_count = 0
         hasher = hashlib.sha256()
         snapshot, oracle = self._golden(workload)
@@ -222,7 +164,7 @@ class Fingerprinter:
         for fault_class in FAULT_CLASSES:
             for btype in self.adapter.figure_block_types:
                 if btype not in applicability[fault_class]:
-                    ops.append(("na", fault_class, btype, None))
+                    matrix.mark_not_applicable(fault_class, btype, workload.name)
                     continue
                 fault = self._build_fault(fault_class, btype)
                 obs = self._observe(
@@ -233,42 +175,23 @@ class Fingerprinter:
                     hasher, f"{workload.key}:{fault_class}:{btype}", obs.typed_events
                 )
                 event_count += len(obs.typed_events)
-                tests_run += 1
+                self.tests_run += 1
                 fired = obs.fault_fired > 0
-                cells.append(CellResult(workload.name, btype, fault_class, fired))
+                self.cells.append(
+                    CellResult(workload.name, btype, fault_class, fired))
                 if not fired:
-                    ops.append(("na", fault_class, btype, None))
+                    matrix.mark_not_applicable(fault_class, btype, workload.name)
                     continue
                 observation = infer_policy(
                     baseline, obs, fault, self.adapter.redundancy_types
                 )
-                ops.append(("put", fault_class, btype, observation))
+                matrix.put(fault_class, btype, workload.name, observation)
         if self._metrics_acc is not None:
             self._part.metrics = self._metrics_acc.snapshot()
-        return WorkloadOutcome(
-            key=workload.key,
-            name=workload.name,
-            ops=ops,
-            cells=cells,
-            tests_run=tests_run,
-            io=self._io_acc,
-            event_count=event_count,
-            event_digest=hasher.hexdigest(),
-            observed=self._part,
-        )
-
-    def _merge(self, matrix: PolicyMatrix, outcome: WorkloadOutcome) -> None:
-        for kind, fault_class, btype, observation in outcome.ops:
-            if kind == "na":
-                matrix.mark_not_applicable(fault_class, btype, outcome.name)
-            else:
-                matrix.put(fault_class, btype, outcome.name, observation)
-        self.cells.extend(outcome.cells)
-        self.tests_run += outcome.tests_run
-        self.workload_io[outcome.key] = outcome.io
-        self.workload_events[outcome.key] = outcome.event_count
-        self.workload_digest[outcome.key] = outcome.event_digest
-        self.observed.parts.append(outcome.observed)
+        self.workload_io[workload.key] = self._io_acc
+        self.workload_events[workload.key] = event_count
+        self.workload_digest[workload.key] = hasher.hexdigest()
+        self.observed.parts.append(self._part)
 
     # -- image preparation ------------------------------------------------------
 

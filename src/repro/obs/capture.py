@@ -10,9 +10,7 @@ span-tree digest, one writer of the trace and metrics files.
 system (via the crash-exploration profiles, so the recipe matches what
 the crash and fingerprint harnesses run), enables span tracing on the
 shared event log and drives one of the portable crash workloads end to
-end.  Workloads fan out over :func:`repro.common.pool.pool_map` and
-merge in submission order, so the merged trace and its digest are
-byte-identical at any ``--jobs`` width.
+end, one workload after another.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ class TraceCapture:
         )
 
     def span_digest(self) -> str:
-        """Structural digest of the merged span tree (jobs-invariant)."""
+        """Structural digest of the merged span tree (deterministic)."""
         return span_tree_digest(self.merged())
 
     def by_label(self) -> Dict[str, Sequence[StorageEvent]]:
@@ -99,7 +97,7 @@ class TraceCapture:
 def _capture_one(
     fs_key: str, workload_key: str
 ) -> Tuple[str, List[StorageEvent], Dict[str, Any]]:
-    """Pool entry point: trace one workload on a fresh stack."""
+    """Trace one workload on a fresh stack."""
     from repro.crash.engine import CRASH_PROFILES
     from repro.crash.workloads import CRASH_WORKLOADS
     from repro.disk.stack import DeviceStack
@@ -137,12 +135,10 @@ def _capture_one(
 def trace_workloads(
     fs_key: str,
     workload_keys: Optional[Sequence[str]] = None,
-    jobs: int = 1,
 ) -> TraceCapture:
     """Trace *workload_keys* (default: all crash workloads) on *fs_key*."""
     from repro.crash.engine import CRASH_PROFILES
     from repro.crash.workloads import CRASH_WORKLOADS
-    from repro.common.pool import pool_map
 
     if fs_key not in CRASH_PROFILES:
         raise KeyError(
@@ -156,7 +152,7 @@ def trace_workloads(
                 f"unknown workload {key!r}; choose from "
                 f"{sorted(CRASH_WORKLOADS)}"
             )
-    results = pool_map(_capture_one, [(fs_key, key) for key in keys], jobs)
+    results = [_capture_one(fs_key, key) for key in keys]
     return TraceCapture(
         f"trace:{fs_key}",
         [(key, events) for key, events, _ in results],

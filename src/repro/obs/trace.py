@@ -19,8 +19,8 @@ Design constraints:
 
 * **Deterministic** — span ids are sequence numbers, never wall-clock
   or randomness, so two runs of the same (deterministic) workload emit
-  identical span streams and ``jobs=N`` fan-outs reproduce ``jobs=1``
-  byte for byte.  :func:`span_tree_digest` is the witness.
+  identical span streams byte for byte.  :func:`span_tree_digest` is
+  the witness.
 * **Opt-in** — tracing is off by default; a disabled tracer emits
   nothing, so untraced runs keep their historical event digests and
   pay only a flag check per operation.
@@ -305,8 +305,7 @@ def merge_streams(
     stream's own span ids are remapped by a running offset (parentless
     spans re-parent onto the container), so ids stay unique and the
     merged stream is a valid single trace.  Merging is deterministic in
-    the input order — fan-out callers pass streams in submission order,
-    making ``jobs=N`` merges identical to ``jobs=1``.
+    the input order — callers pass streams in the order they ran.
     """
     out: List[StorageEvent] = []
     next_id = 1

@@ -26,10 +26,8 @@ Rows (the matrix's "block types") are member-fault scenarios:
 
 Each cell is a baseline-vs-faulty differential over one raw-array
 workload (write a working set, read it all back, scrub), exactly the
-harness recipe.  :func:`run_array_fingerprint` fans cells across the
-persistent pool by (geometry, scenario) — the fold digest is defined
-over merge order, so ``jobs=N`` output is byte-identical to
-``jobs=1``.
+harness recipe.  :func:`run_array_fingerprint` runs the cells in
+(geometry, scenario) order and folds their digests in that order.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ReadError, WriteError
-from repro.common.pool import pool_map
 from repro.disk.faults import Fault, FaultKind, FaultOp
 from repro.fingerprint.inference import RunObservation, infer_policy
 from repro.fingerprint.workloads import OpResult
@@ -215,7 +212,7 @@ def _run_failstop_baseline(array: ArrayDevice) -> Tuple[List[OpResult], list]:
 @dataclass
 class ArrayFingerprint:
     """The full array matrix: one :class:`PolicyMatrix` per geometry
-    plus a fold digest over every observed event stream (the jobs=N
+    plus a fold digest over every observed event stream (the
     determinism witness recorded in ``BENCH_array.json``)."""
 
     matrices: Dict[str, PolicyMatrix] = field(default_factory=dict)
@@ -233,32 +230,18 @@ class ArrayFingerprint:
         return "\n\n".join(panels)
 
 
-def _cell_worker(label: str, scenario: str):
-    observation, digest = fingerprint_cell(label, scenario)
-    return label, scenario, observation, digest
-
-
 def run_array_fingerprint(
-    jobs: int = 1,
     labels: Optional[List[str]] = None,
     progress=None,
 ) -> ArrayFingerprint:
-    """Run every (geometry, scenario) cell, ``jobs`` at a time.
-
-    Cells merge in enumeration order, so the fold digest — and the
-    rendered matrices — are identical at any ``jobs`` width.
-    """
+    """Run every (geometry, scenario) cell in enumeration order."""
     chosen = labels or [label for label, _, _ in ARRAY_GEOMETRIES]
     for label in chosen:
         if label not in _GEOMETRY_BY_LABEL:
             raise ValueError(f"unknown array geometry label {label!r}")
-    tasks = [(label, scenario)
-             for label in chosen
-             for scenario, _fault_class in ARRAY_SCENARIOS]
-    rows = pool_map(_cell_worker, tasks, jobs)
     result = ArrayFingerprint()
     hasher = hashlib.sha256()
-    for label, scenario, observation, cell_digest in rows:
+    for label in chosen:
         matrix = result.matrices.get(label)
         if matrix is None:
             matrix = result.matrices[label] = PolicyMatrix(
@@ -266,10 +249,11 @@ def run_array_fingerprint(
                 block_types=[s for s, _ in ARRAY_SCENARIOS],
                 workloads=[WORKLOAD],
             )
-        fault_class = dict(ARRAY_SCENARIOS)[scenario]
-        matrix.put(fault_class, scenario, WORKLOAD, observation)
-        hasher.update(f"{label}:{scenario}:{cell_digest}".encode())
-        if progress is not None:
-            progress(f"array {label}: {scenario} classified")
+        for scenario, fault_class in ARRAY_SCENARIOS:
+            observation, cell_digest = fingerprint_cell(label, scenario)
+            matrix.put(fault_class, scenario, WORKLOAD, observation)
+            hasher.update(f"{label}:{scenario}:{cell_digest}".encode())
+            if progress is not None:
+                progress(f"array {label}: {scenario} classified")
     result.digest = hasher.hexdigest()
     return result

@@ -1,7 +1,6 @@
 """The array fingerprint matrix: member-fault scenarios classified
-into IRON D_*/R_* levels from typed events, deterministically across
-jobs widths, with the adapter registry wiring that lets workers
-rebuild array-backed file systems."""
+into IRON D_*/R_* levels from typed events, and the adapter registry
+wiring that mounts file systems on arrays."""
 
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from repro.taxonomy.recovery import Recovery
 
 @pytest.fixture(scope="module")
 def fingerprint():
-    return run_array_fingerprint(jobs=1)
+    return run_array_fingerprint()
 
 
 def _cell(fingerprint, label, scenario):
@@ -75,12 +74,6 @@ def test_silent_corruption_detected_by_scrub_redundancy(fingerprint):
         assert Detection.REDUNDANCY in obs.detection, label
 
 
-def test_jobs_width_is_invisible(fingerprint):
-    fanned = run_array_fingerprint(jobs=3)
-    assert fanned.digest == fingerprint.digest
-    assert fanned.render() == fingerprint.render()
-
-
 def test_label_subset_and_validation():
     fp = run_array_fingerprint(labels=["rdp5"])
     assert sorted(fp.matrices) == ["rdp5"]
@@ -104,12 +97,6 @@ class TestArrayAdapters:
         fs.write_file("/f", b"on an array")
         assert fs.read_file("/f") == b"on an array"
         fs.unmount()
-
-    def test_adapter_registry_recipe_round_trips(self):
-        adapter = ADAPTERS["ext3@mirror2"]()
-        assert adapter.registry_key == "ext3@mirror2"
-        rebuilt = ADAPTERS[adapter.registry_key](**adapter.registry_kwargs)
-        assert rebuilt.name == adapter.name
 
     def test_array_device_matches_base_geometry(self):
         base = ADAPTERS["ext3"]().build_device()

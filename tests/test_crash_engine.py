@@ -2,8 +2,8 @@
 
 One full exploration per file system (cached per module) drives every
 assertion: engine invariants, per-FS recovery quality, the ixt3
-transactional-checksum claim (§6.1), parallel determinism, and
-violation reproducibility from reported state keys.
+transactional-checksum claim (§6.1), and violation reproducibility
+from reported state keys.
 """
 
 from __future__ import annotations
@@ -76,6 +76,17 @@ def test_max_torn_caps_enumeration():
     capped = enumerate_states(rec, max_torn_per_epoch=1)
     torn = [s for s in capped if s.key.startswith("torn:")]
     assert len(torn) == len(rec.boundaries)
+
+
+def test_max_torn_zero_keeps_prefixes_and_negative_is_rejected():
+    rec = record(CRASH_PROFILES["ext3"], CRASH_WORKLOADS["creat"])
+    states = enumerate_states(rec, max_torn_per_epoch=0)
+    assert [s.key for s in states] == [
+        f"prefix:{i}" for i in range(len(rec.writes) + 1)]
+    # Read as "no torn states", a negative cap would let a run with
+    # torn-write violations report a pass.
+    with pytest.raises(ValueError, match="max_torn_per_epoch"):
+        enumerate_states(rec, max_torn_per_epoch=-1)
 
 
 @pytest.mark.parametrize("fs_key", ALL_FS)
@@ -154,16 +165,6 @@ def test_ixt3_residual_violations_are_ordered_data_only():
 
 
 # -- determinism and reproducibility ------------------------------------------
-
-
-def test_parallel_exploration_is_deterministic():
-    serial = explore("ext3", "creat", jobs=1)
-    fanned = explore("ext3", "creat", jobs=2)
-    assert serial.violation_digest() == fanned.violation_digest()
-    assert serial.states_explored == fanned.states_explored
-    assert [o.key for o in serial.observations] == [
-        o.key for o in fanned.observations
-    ]
 
 
 def test_state_key_reproduces_violation():

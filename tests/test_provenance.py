@@ -74,7 +74,7 @@ class TestFingerprintProvenance:
 class TestCrashProvenance:
     @pytest.fixture(scope="class")
     def report(self):
-        return explore("ext3", "creat", jobs=1)
+        return explore("ext3", "creat")
 
     def test_every_violation_resolves(self, report):
         assert report.violations
@@ -94,6 +94,6 @@ class TestCrashProvenance:
             assert start.name == f"replay:{violation.state_key}"
 
     def test_violation_digest_excludes_provenance(self, report):
-        # as_tuple is the cross-jobs (and cross-version) determinism
-        # witness: adding provenance must not have widened it.
+        # as_tuple is the cross-version determinism witness: adding
+        # provenance must not have widened it.
         assert all(len(v.as_tuple()) == 3 for v in report.violations)

@@ -1,5 +1,5 @@
-"""Tracing must not perturb results, and traced fan-outs must merge to
-byte-identical span trees and metrics at any --jobs width."""
+"""Tracing must not perturb results: the traced runs give the same
+figure, digests and verdicts as untraced ones."""
 
 import json
 
@@ -15,30 +15,15 @@ SUBSET = [WORKLOAD_BY_KEY[k] for k in "ab"]
 
 
 @pytest.fixture(scope="module")
-def traced_serial_and_parallel():
-    fp1 = Fingerprinter(make_ext3_adapter(), workloads=SUBSET,
-                        trace=True, metrics=True)
-    fp4 = Fingerprinter(make_ext3_adapter(), workloads=SUBSET,
-                        trace=True, metrics=True, jobs=4)
-    return fp1.run(), fp4.run(), fp1, fp4
+def traced():
+    fp = Fingerprinter(make_ext3_adapter(), workloads=SUBSET,
+                       trace=True, metrics=True)
+    return fp.run(), fp
 
 
 class TestFingerprintTraceDeterminism:
-    def test_span_digests_identical_across_jobs(self, traced_serial_and_parallel):
-        _, _, fp1, fp4 = traced_serial_and_parallel
-        assert fp1.observed.span_digest() == fp4.observed.span_digest()
-        assert [part.root for part in fp1.observed.parts] == ["a", "b"]
-        assert [part.span_digest() for part in fp1.observed.parts] == \
-            [part.span_digest() for part in fp4.observed.parts]
-
-    def test_merged_metrics_identical_across_jobs(self, traced_serial_and_parallel):
-        _, _, fp1, fp4 = traced_serial_and_parallel
-        m1, m4 = fp1.observed.metrics, fp4.observed.metrics
-        assert json.dumps(m1, sort_keys=True) == json.dumps(m4, sort_keys=True)
-        assert validate_snapshot(m1) == []
-
-    def test_tracing_does_not_change_the_figure(self, traced_serial_and_parallel):
-        m_traced, _, _, _ = traced_serial_and_parallel
+    def test_tracing_does_not_change_the_figure(self, traced):
+        m_traced, fp_traced = traced
         fp_plain = Fingerprinter(make_ext3_adapter(), workloads=SUBSET)
         m_plain = fp_plain.run()
         assert render_full_figure(m_traced) == render_full_figure(m_plain)
@@ -49,11 +34,13 @@ class TestFingerprintTraceDeterminism:
         # a disabled tracer emits nothing into untraced streams, and
         # traced streams fold the same non-span events.
         assert fp_plain.workload_digest.keys() == \
-            traced_serial_and_parallel[2].workload_digest.keys()
+            fp_traced.workload_digest.keys()
 
-    def test_workload_metrics_merge_associatively(self, traced_serial_and_parallel):
-        _, _, fp1, _ = traced_serial_and_parallel
-        snaps = [part.metrics for part in fp1.observed.parts]
+    def test_workload_metrics_merge_associatively(self, traced):
+        _, fp = traced
+        assert [part.root for part in fp.observed.parts] == ["a", "b"]
+        assert validate_snapshot(fp.observed.metrics) == []
+        snaps = [part.metrics for part in fp.observed.parts]
         assert len(snaps) == len(SUBSET)
         left = MetricsRegistry.merge_snapshots(
             [MetricsRegistry.merge_snapshots(snaps[:1]), snaps[1]]
@@ -64,21 +51,13 @@ class TestFingerprintTraceDeterminism:
 
 class TestCrashTraceDeterminism:
     @pytest.fixture(scope="class")
-    def reports(self):
-        r1 = explore("ext3", "creat", jobs=1, trace=True)
-        r4 = explore("ext3", "creat", jobs=4, trace=True)
-        return r1, r4
+    def report(self):
+        return explore("ext3", "creat", trace=True)
 
-    def test_span_digests_identical_across_jobs(self, reports):
-        r1, r4 = reports
-        assert r1.observed.span_digest() == r4.observed.span_digest()
+    def test_violation_digest_unchanged_by_tracing(self, report):
+        plain = explore("ext3", "creat")
+        assert report.violation_digest() == plain.violation_digest()
 
-    def test_violation_digest_unchanged_by_tracing(self, reports):
-        r1, _ = reports
-        plain = explore("ext3", "creat", jobs=1)
-        assert r1.violation_digest() == plain.violation_digest()
-
-    def test_traced_run_keeps_every_state_stream(self, reports):
-        r1, _ = reports
-        assert r1.traced
-        assert len(r1.observed.streams) == r1.states_explored
+    def test_traced_run_keeps_every_state_stream(self, report):
+        assert report.traced
+        assert len(report.observed.streams) == report.states_explored

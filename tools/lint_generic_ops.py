@@ -54,7 +54,12 @@ And for the worker pool: everything a pool task needs travels in its
 pickled arguments (``repro.common.pool``).  Anywhere under
 ``src/repro``, importing ``multiprocessing.shared_memory`` or naming
 ``SharedMemory`` fails here, so a side channel with segment lifetimes
-of its own does not come back.
+of its own does not come back.  And the pool has one consumer: the
+fleet campaign, whose trials are large enough to repay a worker pool.
+A whole fingerprint, crash, array or trace run costs less than starting
+one (docs/performance.md), so a module under ``src/repro`` outside
+``common/pool.py`` and ``fleet/`` that imports ``repro.common.pool``
+fails here.
 
 It then prints the source-line count (``wc -l``) of every package under
 ``src/repro``, so each CI run records how large the tree is; ``--loc-out
@@ -168,7 +173,7 @@ def lint() -> list[str]:
                     "does not exist; drop it from ALLOWED_OVERRIDES"
                     for cls, name in sorted(unused))
     return (problems + lint_fs_caches() + lint_arrays() + lint_stack()
-            + lint_xor_chains() + lint_shared_memory())
+            + lint_xor_chains() + lint_shared_memory() + lint_pool_consumers())
 
 
 def lint_fs_caches() -> list[str]:
@@ -323,6 +328,42 @@ def lint_shared_memory() -> list[str]:
     return problems
 
 
+POOL_MODULE = "repro.common.pool"
+
+
+def _pool_import_lines(tree: ast.AST):
+    """Yield the line of each import of ``repro.common.pool`` (as a
+    module, or as ``pool`` from ``repro.common``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name == POOL_MODULE
+                      or alias.name.startswith(POOL_MODULE + ".")
+                      for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == POOL_MODULE or (
+                node.module == "repro.common"
+                and any(alias.name == "pool" for alias in node.names))
+        else:
+            continue
+        if hit:
+            yield node.lineno
+
+
+def lint_pool_consumers() -> list[str]:
+    problems = []
+    src = ROOT / "src" / "repro"
+    for path in sorted(src.rglob("*.py")):
+        where = path.relative_to(src).as_posix()
+        if where == "common/pool.py" or where.startswith("fleet/"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        problems.extend(
+            f"{path.relative_to(ROOT)}:{line}: imports {POOL_MODULE}; only "
+            "the fleet campaign fans out (docs/performance.md)"
+            for line in _pool_import_lines(tree))
+    return problems
+
+
 def loc_table() -> str:
     """``wc -l`` of the ``*.py`` files in each package under ``src/repro``."""
     src = ROOT / "src" / "repro"
@@ -357,7 +398,7 @@ def main(argv=None) -> int:
     print("generic ops: each defined once, in JournaledFS and ArrayDevice; "
           "device-stack layers define every name perf/trace.py patches; "
           "no private decode cache under src/repro/fs; no chained xor; "
-          "no shared memory")
+          "no shared memory; the pool's one consumer is the fleet")
     return 0
 
 
