@@ -86,8 +86,21 @@ def _record(args: argparse.Namespace, kind: str, entry: str, record) -> None:
         print(f"results written to {path} ({entry})")
 
 
+def _run_recorded(args: argparse.Namespace, kind: str, entry: str, run,
+                  **context):
+    """``run()``; if it raises anything, an interrupt included, *entry*
+    becomes a failure row first, so no earlier result is left standing."""
+    from repro.bench.records import failure_record
+
+    try:
+        return run()
+    except BaseException as exc:
+        _record(args, kind, entry, failure_record(exc, **context))
+        raise
+
+
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
-    from repro.bench.records import failure_record, fingerprint_record
+    from repro.bench.records import fingerprint_record
     from repro.disk import CorruptionMode
     from repro.fingerprint import Fingerprinter, WORKLOAD_BY_KEY
     from repro.fingerprint.adapters import ADAPTERS
@@ -107,12 +120,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
     # Only a full-matrix run owns the committed ``fingerprint_{fs}`` row.
     entry = f"fingerprint_{args.fs}" + (
         f"_{args.workloads}" if args.workloads else "")
-    try:
-        matrix = fp.run()
-    except Exception as exc:
-        _record(args, "fingerprint", entry,
-                failure_record(exc, fs=args.fs))
-        raise
+    matrix = _run_recorded(args, "fingerprint", entry, fp.run, fs=args.fs)
     print(render_full_figure(matrix))
     covered, total = matrix.coverage()
     print()
@@ -131,7 +139,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
 
 
 def _cmd_crash(args: argparse.Namespace) -> int:
-    from repro.bench.records import crash_record, failure_record
+    from repro.bench.records import crash_record
     from repro.crash import CRASH_PROFILES, CRASH_WORKLOADS, explore
 
     if args.list:
@@ -140,17 +148,13 @@ def _cmd_crash(args: argparse.Namespace) -> int:
             or _unknown("workload", [args.workload], sorted(CRASH_WORKLOADS))):
         return 2
     entry = f"crash_{args.fs}_{args.workload}"
-    try:
-        report = explore(
-            args.fs, args.workload,
-            max_torn_per_epoch=args.max_torn,
-            progress=(print if args.verbose else None),
-            trace=args.trace,
-        )
-    except Exception as exc:
-        _record(args, "crash", entry, failure_record(
-            exc, profile=args.fs, workload=args.workload))
-        raise
+    report = _run_recorded(
+        args, "crash", entry,
+        lambda: explore(args.fs, args.workload,
+                        max_torn_per_epoch=args.max_torn,
+                        progress=(print if args.verbose else None),
+                        trace=args.trace),
+        profile=args.fs, workload=args.workload)
     print(report.render())
     if args.trace:
         print(f"span-tree digest: {report.observed.span_digest()}")
@@ -211,15 +215,18 @@ def _cmd_array(args: argparse.Namespace) -> int:
     )
 
     labels = args.geometry or None
-    if _unknown("geometry", labels or [],
-                [label for label, _, _ in ARRAY_GEOMETRIES]):
+    known = [label for label, _, _ in ARRAY_GEOMETRIES]
+    if _unknown("geometry", labels or [], known):
         return 2
-    fp = run_array_fingerprint(
-        labels=labels, progress=(print if args.verbose else None))
-    print(fp.render())
     # Only a full-matrix run owns the ``array_fingerprint`` row.
-    sliced = "_" + "-".join(labels) if labels else ""
-    _record(args, "array", f"array_fingerprint{sliced}", {
+    entry = "array_fingerprint" + ("_" + "-".join(labels) if labels else "")
+    fp = _run_recorded(
+        args, "array", entry,
+        lambda: run_array_fingerprint(
+            labels=labels, progress=(print if args.verbose else None)),
+        geometries=sorted(labels or known))
+    print(fp.render())
+    _record(args, "array", entry, {
         "cells": sum(len(m.cells) for m in fp.matrices.values()),
         "geometries": sorted(fp.matrices),
         "event_digest": fp.digest,
@@ -268,8 +275,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     spec = _fleet_spec_from_args(args)
     if spec is None:
         return 2
-    report = run_fleet(spec, jobs=args.jobs,
-                       progress=(print if args.verbose else None))
+    entry = f"fleet_{spec.name}_j{args.jobs}"
+    report = _run_recorded(
+        args, "fleet", entry,
+        lambda: run_fleet(spec, jobs=args.jobs,
+                          progress=(print if args.verbose else None)),
+        spec=spec.name, jobs=args.jobs)
     print(report.render())
     summary = report.incident_summary()
     if summary:
@@ -282,7 +293,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         Path(args.metrics_out).write_text(
             json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
         print(f"metrics written to {args.metrics_out}")
-    _record(args, "fleet", f"fleet_{spec.name}_j{args.jobs}", fleet_record(
+    _record(args, "fleet", entry, fleet_record(
         report,
         **{f"event_digest_jobs{args.jobs}": report.digest,
            f"incident_digest_jobs{args.jobs}": report.incident_digest}))

@@ -102,14 +102,14 @@ class FaultInjector:
         fault = self._match("read", block, btype)
         if fault is not None and fault.consume(block):
             if fault.kind is FaultKind.FAIL:
-                self.trace.record("read", block, "error", btype)
+                self.events.emit(io_event("read", block, "error", btype))
                 raise ReadError(block, f"injected: {fault.describe()}")
             data = self.lower.read_block(block)
             bad = fault.corrupt(data, btype)
-            self.trace.record("read", block, "corrupted", btype)
+            self.events.emit(io_event("read", block, "corrupted", btype))
             return bad
         data = self.lower.read_block(block)
-        self.trace.record("read", block, "ok", btype)
+        self.events.emit(io_event("read", block, "ok", btype))
         return data
 
     def write_block(self, block: int, data: bytes) -> None:
@@ -122,15 +122,15 @@ class FaultInjector:
         if fault is not None and fault.consume(block):
             if fault.kind is FaultKind.FAIL:
                 # The operation never reaches the medium.
-                self.trace.record("write", block, "error", btype)
+                self.events.emit(io_event("write", block, "error", btype))
                 raise WriteError(block, f"injected: {fault.describe()}")
             # Corrupt-on-write: store altered data but report success
             # (a misdirected/phantom-style firmware fault).
-            self.trace.record("write", block, "corrupted", btype)
+            self.events.emit(io_event("write", block, "corrupted", btype))
             self.lower.write_block(block, fault.corrupt(data, btype))
             return
         self.lower.write_block(block, data)
-        self.trace.record("write", block, "ok", btype)
+        self.events.emit(io_event("write", block, "ok", btype))
 
     # -- vectored I/O -------------------------------------------------------------
     #
@@ -174,7 +174,8 @@ class FaultInjector:
                 out = self.lower.read_blocks(run)
             finally:
                 # The lower device's own count says how far it got.
-                self.trace.record_ok_run("read", run[:stats.reads - served])
+                self.events.emit_many([io_event("read", block, "ok")
+                                       for block in run[:stats.reads - served]])
         for block in blocks[clean:]:
             out.append(self.read_block(block))
         return out
@@ -192,7 +193,8 @@ class FaultInjector:
             try:
                 self.lower.write_blocks(run, payloads[:clean])
             finally:
-                self.trace.record_ok_run("write", run[:stats.writes - served])
+                self.events.emit_many([io_event("write", block, "ok")
+                                       for block in run[:stats.writes - served]])
         for i in range(clean, len(blocks)):
             self.write_block(blocks[i], payloads[i])
 

@@ -14,7 +14,7 @@ and hands back its ``IOEvent`` objects.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.obs.events import EventLog, IOEvent, io_event
 
@@ -32,13 +32,6 @@ class IOTrace:
 
     def record(self, op: str, block: int, outcome: str, block_type: Optional[str] = None) -> None:
         self.events_log.emit(io_event(op, block, outcome, block_type))
-
-    def record_ok_run(self, op: str, blocks: Sequence[int]) -> None:
-        """Record an untyped ``"ok"`` request for each of *blocks*, in
-        order — the stream :meth:`record` would leave, emitted as one
-        batch."""
-        self.events_log.emit_many(
-            [io_event(op, block, "ok") for block in blocks])
 
     def clear(self) -> None:
         """Drop the I/O events (other layers' events stay)."""

@@ -9,7 +9,7 @@ cannot catch.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.common.structs import U16, U32
 from repro.disk.disk import SimulatedDisk, make_disk
@@ -21,6 +21,12 @@ from repro.fs.jfs import JFS, JFSConfig, mkfs_jfs
 from repro.fs.ntfs import NTFS, NTFSConfig, mkfs_ntfs
 from repro.fs.reiserfs import ReiserConfig, ReiserFS, mkfs_reiserfs
 from repro.fingerprint.harness import FSAdapter
+
+
+def _disk_factory(cfg) -> Callable[[], SimulatedDisk]:
+    """A factory of blank disks with *cfg*'s block count and size."""
+    return lambda: make_disk(cfg.total_blocks, cfg.block_size)
+
 
 #: Small geometry: deep indirect chains reachable with tiny images.
 EXT3_FINGERPRINT_CONFIG = Ext3Config(
@@ -118,14 +124,10 @@ def reiserfs_field_corruptor(payload: bytes, block_type: str) -> bytes:
 
 def make_reiserfs_adapter(config: Optional[ReiserConfig] = None) -> FSAdapter:
     cfg = config or REISER_FINGERPRINT_CONFIG
-
-    def build_device() -> SimulatedDisk:
-        return make_disk(cfg.total_blocks, cfg.block_size)
-
     return FSAdapter(
         name="reiserfs",
         figure_block_types=list(REISER_FIGURE_ROWS),
-        build_device=build_device,
+        build_device=_disk_factory(cfg),
         mkfs=lambda dev: mkfs_reiserfs(dev, cfg),
         make_fs=lambda dev: ReiserFS(dev, sync_mode=True),
         field_corruptor=reiserfs_field_corruptor,
@@ -165,14 +167,10 @@ def jfs_field_corruptor(payload: bytes, block_type: str) -> bytes:
 
 def make_jfs_adapter(config: Optional[JFSConfig] = None) -> FSAdapter:
     cfg = config or JFS_FINGERPRINT_CONFIG
-
-    def build_device() -> SimulatedDisk:
-        return make_disk(cfg.total_blocks, cfg.block_size)
-
     return FSAdapter(
         name="jfs",
         figure_block_types=list(JFS_FIGURE_ROWS),
-        build_device=build_device,
+        build_device=_disk_factory(cfg),
         mkfs=lambda dev: mkfs_jfs(dev, cfg),
         make_fs=lambda dev: JFS(dev, sync_mode=True),
         field_corruptor=jfs_field_corruptor,
@@ -182,14 +180,10 @@ def make_jfs_adapter(config: Optional[JFSConfig] = None) -> FSAdapter:
 
 def make_ext3_adapter(config: Optional[Ext3Config] = None) -> FSAdapter:
     cfg = config or EXT3_FINGERPRINT_CONFIG
-
-    def build_device() -> SimulatedDisk:
-        return make_disk(cfg.total_blocks, cfg.block_size)
-
     return FSAdapter(
         name="ext3",
         figure_block_types=list(EXT3_FIGURE_ROWS),
-        build_device=build_device,
+        build_device=_disk_factory(cfg),
         mkfs=lambda dev: mkfs_ext3(dev, cfg),
         make_fs=lambda dev: Ext3(dev, sync_mode=True),
         field_corruptor=ext3_field_corruptor,
@@ -220,14 +214,10 @@ def ntfs_field_corruptor(payload: bytes, block_type: str) -> bytes:
 
 def make_ntfs_adapter(config: Optional[NTFSConfig] = None) -> FSAdapter:
     cfg = config or NTFSConfig()
-
-    def build_device() -> SimulatedDisk:
-        return make_disk(cfg.total_blocks, cfg.block_size)
-
     return FSAdapter(
         name="ntfs",
         figure_block_types=list(NTFS_FIGURE_ROWS),
-        build_device=build_device,
+        build_device=_disk_factory(cfg),
         mkfs=lambda dev: mkfs_ntfs(dev, cfg),
         make_fs=lambda dev: NTFS(dev, sync_mode=True),
         field_corruptor=ntfs_field_corruptor,
@@ -245,14 +235,10 @@ def make_ixt3_adapter(features: int = ALL_FEATURES,
                       base: Optional[Ext3Config] = None) -> FSAdapter:
     base_cfg = base or EXT3_FINGERPRINT_CONFIG
     cfg = ixt3_config(base_cfg)
-
-    def build_device() -> SimulatedDisk:
-        return make_disk(cfg.total_blocks, cfg.block_size)
-
     return FSAdapter(
         name="ixt3",
         figure_block_types=list(IXT3_FIGURE_ROWS),
-        build_device=build_device,
+        build_device=_disk_factory(cfg),
         mkfs=lambda dev: mkfs_ixt3(dev, base_cfg, features=features, config=cfg),
         make_fs=lambda dev: Ixt3(dev, sync_mode=True),
         field_corruptor=ext3_field_corruptor,

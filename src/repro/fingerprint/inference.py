@@ -17,9 +17,9 @@ matching.  Legacy callers may still pass plain tag strings and an
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import zip_longest
+from typing import Dict, List, Optional, Union
 
 from repro.disk.faults import Fault, FaultKind, FaultOp
 from repro.disk.trace import IOTrace
@@ -69,57 +69,49 @@ class RunObservation:
     typed_events: List[StorageEvent] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Normalise the stream and partition it, once: inference reads
-        a baseline's partitions once per cell, so they are attributes —
-        ``io_events`` and the ``log_tags`` / ``detection_mechanisms`` /
-        ``recovery_mechanisms`` / ``policy_actions`` counters."""
+        """Normalise the stream, then count in one pass all inference
+        reads — ``io_events``, the tag / mechanism / action counts,
+        ``type_reads`` (per block type) and ``requests`` (per ``(op,
+        block)``) — so a baseline is counted once, not once per cell."""
         typed = [
             e if isinstance(e, StorageEvent)
             else classify_log(Severity.INFO, "run", e, e)
             for e in self.events
         ]
-        io = [e for e in typed if isinstance(e, IOEvent)]
-        if self.trace is not None and not io:
-            io = self.trace.entries
-            typed.extend(io)
-        logs = [e for e in typed if isinstance(e, LogEvent)]
+        if self.trace is not None and not any(
+                isinstance(e, IOEvent) for e in typed):
+            typed.extend(self.trace.entries)
         self.typed_events = typed
-        self.io_events: List[IOEvent] = io
-        self.log_tags = Counter(e.tag for e in logs)
-        self.detection_mechanisms = Counter(
-            e.mechanism for e in logs if isinstance(e, DetectionEvent))
-        self.recovery_mechanisms = Counter(
-            e.mechanism for e in logs if isinstance(e, RecoveryEvent))
-        self.policy_actions = Counter(
-            e.action for e in logs if isinstance(e, PolicyActionEvent))
+        io = self.io_events = []
+        tags = self.log_tags = {}
+        detections = self.detection_mechanisms = {}
+        recoveries = self.recovery_mechanisms = {}
+        actions = self.policy_actions = {}
+        type_reads = self.type_reads = {}
+        requests = self.requests = {}
+        for e in typed:
+            if isinstance(e, IOEvent):
+                io.append(e)
+                key = (e.op, e.block)
+                requests[key] = requests.get(key, 0) + 1
+                if e.block_type and e.op == "read":
+                    type_reads[e.block_type] = type_reads.get(e.block_type, 0) + 1
+            elif isinstance(e, LogEvent):
+                tags[e.tag] = tags.get(e.tag, 0) + 1
+                if isinstance(e, DetectionEvent):
+                    detections[e.mechanism] = detections.get(e.mechanism, 0) + 1
+                elif isinstance(e, RecoveryEvent):
+                    recoveries[e.mechanism] = recoveries.get(e.mechanism, 0) + 1
+                elif isinstance(e, PolicyActionEvent):
+                    actions[e.tag] = actions.get(e.tag, 0) + 1
 
 
-def _counter_diff(observed: Counter, baseline: Counter) -> Counter:
-    diff = Counter(observed)
-    diff.subtract(baseline)
-    return Counter({k: n for k, n in diff.items() if n > 0})
-
-
-def _pair_results(
-    baseline: List[OpResult], observed: List[OpResult]
-) -> List[Tuple[OpResult, Optional[OpResult]]]:
-    pairs: List[Tuple[OpResult, Optional[OpResult]]] = []
-    by_index = {i: r for i, r in enumerate(observed)}
-    for i, base in enumerate(baseline):
-        pairs.append((base, by_index.get(i)))
-    return pairs
-
-
-def _type_read_counts(io: List[IOEvent]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for e in io:
-        if e.is_read() and e.block_type:
-            counts[e.block_type] = counts.get(e.block_type, 0) + 1
-    return counts
-
-
-def _requests_of(io: List[IOEvent], op: str, block: int) -> int:
-    return sum(1 for e in io if e.op == op and e.block == block)
+def _new_counts(observed: Dict[str, int],
+                baseline: Dict[str, int]) -> Dict[str, int]:
+    """What *observed* counts beyond *baseline*: the positive part of
+    their difference, as ``Counter`` subtraction keeps it."""
+    return {k: n - baseline.get(k, 0) for k, n in observed.items()
+            if n > baseline.get(k, 0)}
 
 
 def _collect_provenance(observed: RunObservation) -> List[str]:
@@ -174,10 +166,11 @@ def infer_policy(
     recovery = set()
     notes: List[str] = []
 
-    new_events = _counter_diff(observed.log_tags, baseline.log_tags)
-    base_io = baseline.io_events
-    obs_io = observed.io_events
-    pairs = _pair_results(baseline.results, observed.results)
+    new_events = _new_counts(observed.log_tags, baseline.log_tags)
+    # Each baseline result against the observed one at its index (None
+    # when the faulty run stopped short).
+    pairs = list(zip_longest(baseline.results,
+                             observed.results[:len(baseline.results)]))
     all_errors_new = [
         (b.op, o.errno) for b, o in pairs
         if o is not None and b.errno is None and o.errno is not None
@@ -200,7 +193,7 @@ def infer_policy(
     if observed.panic is not None:
         recovery.add(Recovery.STOP)
         notes.append(f"panic: {observed.panic}")
-    new_actions = _counter_diff(observed.policy_actions, baseline.policy_actions)
+    new_actions = _new_counts(observed.policy_actions, baseline.policy_actions)
     if any(a in new_actions for a in STOP_ACTIONS) or (
         observed.final_read_only and not baseline.final_read_only
     ):
@@ -210,18 +203,17 @@ def infer_policy(
         notes.append("errors propagated: " + ", ".join(f"{op}={e}" for op, e in errors_new[:3]))
 
     if observed.fault_block is not None:
-        base_n = _requests_of(base_io, fault.op.value, observed.fault_block)
-        obs_n = _requests_of(obs_io, fault.op.value, observed.fault_block)
+        request = (fault.op.value, observed.fault_block)
+        base_n = baseline.requests.get(request, 0)
+        obs_n = observed.requests.get(request, 0)
         # More requests than the baseline (and more than the one attempt
         # any access implies) means the file system retried.
         if obs_n > max(base_n, 1):
             recovery.add(Recovery.RETRY)
             notes.append(f"retried {obs_n - max(base_n, 1)}x")
 
-    base_reads = _type_read_counts(base_io)
-    obs_reads = _type_read_counts(obs_io)
     for rtype in redundancy_types:
-        if obs_reads.get(rtype, 0) > base_reads.get(rtype, 0):
+        if observed.type_reads.get(rtype, 0) > baseline.type_reads.get(rtype, 0):
             recovery.add(Recovery.REDUNDANCY)
             notes.append(f"read redundant copies ({rtype})")
             break
@@ -229,7 +221,7 @@ def infer_policy(
     # An explicit remap recovery event: the FS redirected the faulty
     # block to a different locale (no current stock FS does — the event
     # exists for IRON-style extensions and shows up here when they do).
-    new_mechanisms = _counter_diff(
+    new_mechanisms = _new_counts(
         observed.recovery_mechanisms, baseline.recovery_mechanisms
     )
     if new_mechanisms.get("remap", 0) > 0:
@@ -265,7 +257,7 @@ def infer_policy(
         else:
             detection.add(Detection.ZERO)
     else:  # corruption
-        new_detections = _counter_diff(
+        new_detections = _new_counts(
             observed.detection_mechanisms, baseline.detection_mechanisms
         )
         if new_detections.get("redundancy", 0) > 0:

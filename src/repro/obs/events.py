@@ -10,8 +10,7 @@ into a shared :class:`EventLog`.
 Design constraints:
 
 * **Replayable** — events are frozen dataclasses of primitives, so a
-  stream pickles across process-pool workers and hashes to a stable
-  digest (``jobs=N`` determinism checks compare these digests).
+  stream pickles and hashes to a stable digest (:func:`event_bytes`).
 * **View-compatible** — ``SysLog`` and ``IOTrace`` are views over an
   ``EventLog``: ``SysLog`` renders its :class:`LogEvent`\\ s as log
   lines, ``IOTrace`` filters out its :class:`IOEvent`\\ s and returns
@@ -36,6 +35,7 @@ import enum
 import hashlib
 from dataclasses import dataclass, fields
 from itertools import islice
+from operator import attrgetter
 from typing import (
     Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple, Type,
 )
@@ -50,11 +50,18 @@ class Severity(enum.IntEnum):
     ERROR = 3
     CRITICAL = 4
 
+    def __repr__(self) -> str:
+        # Enum's own format, made once: every log event's digest reprs it.
+        return _SEVERITY_REPRS[self]
 
-#: Per-class field-name tuples: ``dataclasses.fields`` resolves the
-#: class metadata on every call, which dominates digesting when a run
-#: keys tens of thousands of events.
-_FIELD_NAMES: dict = {}
+
+_SEVERITY_REPRS = {s: enum.IntEnum.__repr__(s) for s in Severity}
+
+
+#: Per-class ``key`` getters: ``dataclasses.fields`` resolves the class
+#: metadata on every call, which dominates digesting when a run keys
+#: tens of thousands of events.
+_KEY_GETTERS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -64,12 +71,15 @@ class StorageEvent:
     kind: ClassVar[str] = "event"
 
     def key(self) -> Tuple:
-        """Stable content tuple (used for digests and determinism checks)."""
-        cls = type(self)
-        names = _FIELD_NAMES.get(cls)
-        if names is None:
-            names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(self))
-        return (self.kind,) + tuple(getattr(self, name) for name in names)
+        """Stable content tuple (used for digests and determinism checks):
+        ``kind``, then every field in declaration order."""
+        getter = _KEY_GETTERS.get(type(self))
+        if getter is None:
+            names = [f.name for f in fields(self)]
+            # attrgetter of one name returns the bare value, not a tuple.
+            getter = _KEY_GETTERS[type(self)] = (
+                attrgetter("kind", *names) if names else lambda e: (e.kind,))
+        return getter(self)
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,10 @@ class IOEvent(StorageEvent):
 #: those of a freshly constructed event.
 _IO_EVENTS: Dict[Tuple, IOEvent] = {}
 
+#: :func:`event_bytes` of every event in ``_IO_EVENTS``, by ``id()``: the
+#: tables are filled and dropped together, so each id is a live event's.
+_IO_EVENT_BYTES: Dict[int, bytes] = {}
+
 #: Bound on the intern table; it is dropped whole when full (events
 #: already in a log stay valid — interning is an allocation saving,
 #: never an identity promise across the bound).
@@ -112,8 +126,17 @@ def io_event(op: str, block: int, outcome: str,
     if event is None:
         if len(_IO_EVENTS) >= IO_EVENT_CACHE_MAX:
             _IO_EVENTS.clear()
+            _IO_EVENT_BYTES.clear()
         event = _IO_EVENTS[key] = IOEvent(op, block, outcome, block_type)
+        _IO_EVENT_BYTES[id(event)] = event_bytes(event)
     return event
+
+
+def event_bytes(event: StorageEvent) -> bytes:
+    """What a digest folds for *event*: ``repr(event.key())``, encoded —
+    looked up for an interned :class:`IOEvent` (:func:`io_event` encoded
+    it once), encoded on the spot for any other event."""
+    return _IO_EVENT_BYTES.get(id(event)) or repr(event.key()).encode()
 
 
 @dataclass(frozen=True)
@@ -556,14 +579,15 @@ class EventLog:
     def digest(self) -> str:
         """SHA-256 over the ordered event keys (determinism checks)."""
         self._settle()
-        h = hashlib.sha256()
-        for e in self._events:
-            h.update(repr(e.key()).encode())
-        return h.hexdigest()
+        return hashlib.sha256(
+            b"".join(map(event_bytes, self._events))).hexdigest()
 
 
 def fold_digest(hasher: "hashlib._Hash", label: str, events) -> None:
-    """Fold one run's ordered events into an accumulating digest."""
-    hasher.update(("\x00run:" + label + "\x00").encode())
-    for e in events:
-        hasher.update(repr(e.key()).encode())
+    """Fold one run's ordered events into an accumulating digest.
+
+    One ``update`` over the run header and every event's
+    :func:`event_bytes`, joined: SHA-256 of the same byte string that
+    one ``update`` per event would feed it."""
+    hasher.update(b"".join(
+        [("\x00run:" + label + "\x00").encode(), *map(event_bytes, events)]))

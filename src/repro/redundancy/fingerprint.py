@@ -84,17 +84,23 @@ def _build(label: str) -> ArrayDevice:
     return array
 
 
-def _run_workload(array: ArrayDevice) -> Tuple[List[OpResult], list]:
-    """The differential workload: read the working set, then scrub."""
+def _read_all(array: ArrayDevice, op: str) -> List[OpResult]:
+    """Read every logical block: a digest of its bytes, or EIO."""
     results: List[OpResult] = []
     for block in range(NUM_BLOCKS):
         try:
             data = array.read_block(block)
         except ReadError as exc:
-            results.append(OpResult(f"read:{block}", "EIO", str(exc)))
+            results.append(OpResult(f"{op}:{block}", "EIO", str(exc)))
         else:
             digest = hashlib.sha256(data).hexdigest()[:12]
-            results.append(OpResult(f"read:{block}", None, digest))
+            results.append(OpResult(f"{op}:{block}", None, digest))
+    return results
+
+
+def _run_workload(array: ArrayDevice) -> Tuple[List[OpResult], list]:
+    """The differential workload: read the working set, then scrub."""
+    results = _read_all(array, "read")
     try:
         array.scrub()
         # Admin ops carry no detail: their outcome is judged from the
@@ -131,27 +137,24 @@ def _arm_scenario(array: ArrayDevice, scenario: str) -> None:
         raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def _run_failstop(array: ArrayDevice) -> Tuple[List[OpResult], list]:
+def _run_failstop(array: ArrayDevice,
+                  faulty: bool = True) -> Tuple[List[OpResult], list]:
     """member-failstop: degraded reads, then a rebuild that collides
-    with a latent error on a surviving peer."""
+    with a latent error on a surviving peer.  With *faulty* false, the
+    fault-free twin: the same op sequence, no member faults (rebuild of
+    an intact replacement is the baseline)."""
     m, mb = array._locate(TARGET)
-    array.fail_member(m)
+    if faulty:
+        array.fail_member(m)
     results, _ = _run_workload(array)
-    peer = _peer_of(array, m, mb)
-    array.members[peer].injector.arm(
-        Fault(FaultOp.READ, FaultKind.FAIL, block=mb))
-    array.revive_member(m)
+    if faulty:
+        array.members[_peer_of(array, m, mb)].injector.arm(
+            Fault(FaultOp.READ, FaultKind.FAIL, block=mb))
+        array.revive_member(m)
     array.replace_member(m)
     array.rebuild_member(m)
     results.append(OpResult("rebuild", None))
-    for block in range(NUM_BLOCKS):
-        try:
-            data = array.read_block(block)
-        except ReadError as exc:
-            results.append(OpResult(f"reread:{block}", "EIO", str(exc)))
-        else:
-            digest = hashlib.sha256(data).hexdigest()[:12]
-            results.append(OpResult(f"reread:{block}", None, digest))
+    results += _read_all(array, "reread")
     return results, list(array.events)
 
 
@@ -166,7 +169,7 @@ def fingerprint_cell(label: str, scenario: str) -> Tuple[object, str]:
         # The baseline for the rebuild run repeats the same op sequence
         # fault-free, so the differential isolates the member faults.
         baseline_array = _build(label)
-        base_results, base_events = _run_failstop_baseline(baseline_array)
+        base_results, base_events = _run_failstop(baseline_array, faulty=False)
 
     observed_array = _build(label)
     if scenario == "member-failstop":
@@ -192,21 +195,6 @@ def fingerprint_cell(label: str, scenario: str) -> Tuple[object, str]:
     hasher = hashlib.sha256()
     fold_digest(hasher, f"{label}:{scenario}", obs_events)
     return observation, hasher.hexdigest()
-
-
-def _run_failstop_baseline(array: ArrayDevice) -> Tuple[List[OpResult], list]:
-    """Fault-free twin of :func:`_run_failstop`: same op sequence, no
-    member faults (rebuild of an intact replacement is the baseline)."""
-    m, _mb = array._locate(TARGET)
-    results, _ = _run_workload(array)
-    array.replace_member(m)
-    array.rebuild_member(m)
-    results.append(OpResult("rebuild", None))
-    for block in range(NUM_BLOCKS):
-        data = array.read_block(block)
-        digest = hashlib.sha256(data).hexdigest()[:12]
-        results.append(OpResult(f"reread:{block}", None, digest))
-    return results, list(array.events)
 
 
 @dataclass

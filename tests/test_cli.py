@@ -257,6 +257,60 @@ class TestReportCLI:
                      "--trace-trial", "floppy8/baseline:0"]) == 2
 
 
+#: (argv, BENCH file, entry, the function it runs) per command that
+#: records a result row.
+FAILING_RUNS = {
+    "fingerprint": (["fingerprint", "ext3", "--workloads", "a"],
+                    "BENCH_fingerprint.json", "fingerprint_ext3_a",
+                    "repro.fingerprint.harness.Fingerprinter.run"),
+    "crash": (["crash", "ext3", "--workload", "creat"],
+              "BENCH_crash.json", "crash_ext3_creat", "repro.crash.explore"),
+    "array": (["array", "--geometry", "mirror2"],
+              "BENCH_array.json", "array_fingerprint_mirror2",
+              "repro.redundancy.fingerprint.run_array_fingerprint"),
+    "fleet": (["fleet", *TINY_FLEET], "BENCH_fleet.json", "fleet_default_j1",
+              "repro.fleet.campaign.run_fleet"),
+}
+
+
+class TestFailureRows:
+    """A run that raises — an error or an interrupt — replaces its
+    command's result row with a failure row, then re-raises."""
+
+    @pytest.fixture(autouse=True)
+    def bench_files(self, tmp_path, monkeypatch):
+        for kind, var in (("fingerprint", "REPRO_BENCH_JSON"),
+                          ("crash", "REPRO_BENCH_CRASH_JSON"),
+                          ("array", "REPRO_BENCH_ARRAY_JSON"),
+                          ("fleet", "REPRO_BENCH_FLEET_JSON")):
+            monkeypatch.setenv(var, str(tmp_path / f"BENCH_{kind}.json"))
+        return tmp_path
+
+    @pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("command", sorted(FAILING_RUNS))
+    def test_failure_row_then_reraise(self, command, exc_type, bench_files,
+                                      capsys):
+        argv, filename, entry, run_path = FAILING_RUNS[command]
+        target = bench_files / filename
+
+        def raiser(*args, **kwargs):
+            raise exc_type("boom")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(run_path, raiser)
+            with pytest.raises(exc_type):
+                main(argv)
+        row = json.loads(target.read_text())["entries"][entry]
+        assert row["status"] == "failed"
+        assert row["error"] == exc_type.__name__
+        assert row["error_detail"] == "boom"
+        # The process is still usable: the same command now succeeds and
+        # its result replaces the failure row.
+        assert main(argv) == 0
+        row = json.loads(target.read_text())["entries"][entry]
+        assert "status" not in row
+        capsys.readouterr()
+
+
 class TestDigestMismatches:
     def test_flags_each_family_separately(self):
         from repro.cli import _digest_mismatches
