@@ -139,6 +139,16 @@ class Fault:
                 return False
         return True
 
+    def extent(self, op: str) -> Optional[range]:
+        """The blocks :meth:`matches` accepts for an untyped *op*
+        request right now (None when it accepts none)."""
+        if self._op != op or self.exhausted():
+            return None
+        anchor = self._locked_block if self._locked_block is not None else self.block
+        if anchor is None:
+            return None  # type-targeted: an untyped request never matches
+        return range(anchor, anchor + self.locality_run + 1)
+
     def consume(self, block: int) -> bool:
         """Register a matching access.  Returns True if the fault fires
         (as opposed to still skipping toward ``match_index``)."""

@@ -147,8 +147,16 @@ class FaultInjector:
         if not faults:
             return len(blocks)
         oracle = self.type_oracle
+        if oracle is None:
+            # Untyped: every fault's reach is a block range, known now.
+            hit: set = set()
+            for fault in faults:
+                hit.update(fault.extent(op) or ())
+            if hit.isdisjoint(blocks):
+                return len(blocks)
+            return next(i for i, block in enumerate(blocks) if block in hit)
         for i, block in enumerate(blocks):
-            btype = None if oracle is None else oracle(block)
+            btype = oracle(block)
             for fault in faults:
                 if fault.matches(op, block, btype):
                     return i

@@ -55,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import Severity
 from repro.common import rng as rng_mod
@@ -94,6 +94,12 @@ _TICK = 5
 
 _ARRIVALS = (_FAILSTOP, _LSE, _CORRUPT)
 
+#: The flight recorder's gauges, in the order ``_Trial._sample`` offers them.
+_GAUGES = ("repro_fleet_degraded_members", "repro_fleet_latent_blocks",
+           "repro_fleet_corrupt_blocks", "repro_fleet_rebuild_progress",
+           "repro_fleet_scrub_cursor", "repro_fleet_foreground_reads",
+           "repro_fleet_scrub_member_reads")
+
 
 class _RetryDevice:
     """R_retry at the member boundary: re-issue failed reads.
@@ -130,6 +136,13 @@ class _RetryDevice:
                     block=block, mechanism="retry", member=self._member))
                 return data
             raise
+
+    def read_blocks(self, blocks: Sequence[int]) -> List[bytes]:
+        """Vectored :meth:`read_block`: the inner device's clean prefix
+        in one call, every other block with the policy's retries."""
+        clean = self._inner.clean_prefix("read", blocks)
+        out = self._inner.read_blocks(blocks[:clean]) if clean else []
+        return out + [self.read_block(block) for block in blocks[clean:]]
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._inner, name)
@@ -205,7 +218,7 @@ class _Trial:
         # Flight recorder: gauges over the virtual clock.  Sampling
         # reads state and draws no randomness, so instrumented trials
         # keep the exact arrival sequences of uninstrumented ones.
-        self._recorder = FlightRecorder()
+        self._recorder = FlightRecorder(_GAUGES)
         #: Members currently failed or awaiting rebuild.
         self._degraded: set = set()
         #: Silently corrupted (member, block) pairs not yet repaired.
@@ -303,26 +316,20 @@ class _Trial:
             block=block, t_hours=round(t, 6), member=member))
 
     def _sample(self, t: float) -> None:
-        """Offer every flight-recorder gauge one sample at clock *t*."""
-        rec = self._recorder
-        rec.sample("repro_fleet_degraded_members", t, len(self._degraded))
-        rec.sample("repro_fleet_latent_blocks", t, len(self._armed))
-        rec.sample("repro_fleet_corrupt_blocks", t, len(self._corrupt))
+        """Offer the flight recorder one row of ``_GAUGES`` at *t*."""
         progress = 0.0
         for opened, closes in self._windows.values():
             span = closes - opened
             if span > 0:
                 progress = max(progress, min(1.0, (t - opened) / span))
-        rec.sample("repro_fleet_rebuild_progress", t, progress)
         if self.array is not None:
             cursor = self.array.scrub_cursor / max(1, self.array.scrub_units)
         else:
             cursor = self.single_cursor / max(1, self.spec.num_blocks)
-        rec.sample("repro_fleet_scrub_cursor", t, cursor)
-        rec.sample("repro_fleet_foreground_reads", t,
-                   self.counters.get("foreground_reads", 0))
-        rec.sample("repro_fleet_scrub_member_reads", t,
-                   self.counters.get("scrub_units", 0))
+        self._recorder.sample(t, (
+            len(self._degraded), len(self._armed), len(self._corrupt),
+            progress, cursor, self.counters.get("foreground_reads", 0),
+            self.counters.get("scrub_units", 0)))
 
     def _lose(self, t: float, silent: bool = False, site: str = "") -> None:
         self.outcome = "silent-loss" if silent else "detected-loss"

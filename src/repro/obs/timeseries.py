@@ -31,7 +31,7 @@ exposition.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Default raw-sample capacity of one flight-recorder track.
 TRACK_CAP = 256
@@ -135,17 +135,23 @@ class TimeSeries:
         return min(self.bins - 1, int(t / self.t_max * self.bins))
 
     def observe(self, t: float, value: float) -> None:
-        i = self.bin_index(t)
-        value = float(value)
-        self.counts[i] += 1
-        self.sums[i] += value
-        self.mins[i] = value if self.mins[i] is None else min(self.mins[i], value)
-        self.maxs[i] = value if self.maxs[i] is None else max(self.maxs[i], value)
+        self.observe_bins((self.bin_index(t),), (float(value),))
 
     def observe_track(self, track: Track) -> None:
         """Fold a raw track's retained samples into the bins."""
         for t, value in track.samples:
             self.observe(t, value)
+
+    def observe_bins(self, slots: Sequence[int],
+                     values: Sequence[float]) -> None:
+        """Fold float ``values[k]`` into bin ``slots[k]``, in order."""
+        counts, sums, mins, maxs = self.counts, self.sums, self.mins, self.maxs
+        for i, value in zip(slots, values):
+            counts[i] += 1
+            sums[i] += value
+            low, high = mins[i], maxs[i]
+            mins[i] = value if low is None or value < low else low
+            maxs[i] = value if high is None or value > high else high
 
     def merge(self, other: "TimeSeries") -> "TimeSeries":
         """Bin-wise combination (in place; returns self).
@@ -197,44 +203,73 @@ class TimeSeries:
 
 
 class FlightRecorder:
-    """Per-trial sampler: named gauge tracks over one virtual clock.
+    """Per-trial sampler: one row of named gauges per virtual instant.
 
-    The fleet simulator owns one per trial and calls :meth:`sample` at
-    every discrete event and tick.  At trial end, :meth:`binned`
-    projects the raw tracks onto mergeable :class:`TimeSeries` entries
-    (the picklable aggregate the campaign folds across workers), and
+    The fleet simulator names its gauges once and offers all of them
+    at every discrete event and tick, so the rows share one
+    :class:`Track` decimation and each gauge's track is exactly the one
+    it would have had on its own.  At trial end, :meth:`binned`
+    projects the rows onto mergeable :class:`TimeSeries` entries (the
+    picklable aggregate the campaign folds across workers), and
     :meth:`to_snapshot` exports the raw samples for single-trial
     post-mortems and the ``--trace-trial`` timeline.
     """
 
-    __slots__ = ("cap", "_tracks")
+    __slots__ = ("names", "cap", "stride", "offered", "rows")
 
-    def __init__(self, cap: int = TRACK_CAP):
+    def __init__(self, names: Sequence[str], cap: int = TRACK_CAP):
+        if cap < 2:
+            raise ValueError("track cap must be >= 2")
+        self.names = tuple(names)
         self.cap = cap
-        self._tracks: Dict[str, Track] = {}
+        self.stride = 1
+        self.offered = 0
+        #: Retained ``(t, *values)`` rows, values in :attr:`names` order.
+        self.rows: List[Tuple[float, ...]] = []
 
-    def track(self, name: str) -> Track:
-        track = self._tracks.get(name)
-        if track is None:
-            track = self._tracks[name] = Track(name, self.cap)
-        return track
+    def sample(self, t: float, values: Sequence[float]) -> None:
+        """Offer one value per gauge at clock *t* (:meth:`Track.sample`)."""
+        if len(values) != len(self.names):
+            raise ValueError("a row holds one value per gauge")
+        index = self.offered
+        self.offered += 1
+        if index % self.stride:
+            return
+        self.rows.append((float(t), *map(float, values)))
+        if len(self.rows) >= self.cap:
+            del self.rows[1::2]
+            self.stride *= 2
 
-    def sample(self, name: str, t: float, value: float) -> None:
-        self.track(name).sample(t, value)
+    def _columns(self) -> Tuple[Tuple[float, ...], List[Tuple[str, Any]]]:
+        """The retained times, and ``(name, values)`` sorted by name."""
+        times, *columns = (list(zip(*self.rows))
+                           or [()] * (len(self.names) + 1))
+        return times, sorted(zip(self.names, columns))
 
     def tracks(self) -> List[Track]:
-        return [self._tracks[name] for name in sorted(self._tracks)]
+        times, columns = self._columns()
+        out = []
+        for name, values in columns:
+            track = Track(name, self.cap)
+            track.stride, track.offered = self.stride, self.offered
+            track.samples = list(zip(times, values))
+            out.append(track)
+        return out
 
     def __len__(self) -> int:
-        return len(self._tracks)
+        return len(self.names)
 
     def binned(self, t_max: float, bins: int = SERIES_BINS,
                **labels: str) -> List[Dict[str, Any]]:
-        """The tracks as mergeable binned-series entries (sorted)."""
+        """The gauges as mergeable binned-series entries (sorted); each
+        row's bin is computed once for all of them."""
+        times, columns = self._columns()
+        bin_index = TimeSeries("", (), t_max, bins).bin_index
+        slots = [bin_index(t) for t in times]
         entries = []
-        for track in self.tracks():
-            series = TimeSeries(track.name, labels_key(labels), t_max, bins)
-            series.observe_track(track)
+        for name, values in columns:
+            series = TimeSeries(name, labels_key(labels), t_max, bins)
+            series.observe_bins(slots, values)
             entries.append(series.to_entry())
         return entries
 

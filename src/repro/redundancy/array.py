@@ -696,9 +696,8 @@ class ArrayDevice(DirtyDelta):
     def _rebuild_clean_run(self, index: int, start: int, end: int) -> int:
         """Rebuild the leading clean run of member blocks ``[start,
         end)`` of member *index* with vectored I/O; returns its length
-        (0 when the first block is not clean — always, for a geometry
-        that rebuilds through the per-block body only)."""
-        return 0
+        (0 when the first block is not clean)."""
+        raise NotImplementedError
 
     def _source(self) -> str:
         return f"{self.kind}-array"
@@ -1213,6 +1212,42 @@ class RDPDevice(ArrayDevice):
             return self.stripe.cell(columns, m, row)
         except ValueError:
             return None
+
+    def _rebuild_clean_run(self, index: int, start: int, end: int) -> int:
+        # A live target's own column is among the stripe reads of the
+        # per-block body; only a stale one is skipped there.
+        if index not in self._stale:
+            return 0
+        others = [m for m in range(self.p + 1) if m != index]
+        rows = self.rows
+        first = start - start % rows
+        stop = start + self._clean_run("write", index, range(start, end))
+        # Each rebuilt cell reads its whole stripe from every survivor,
+        # so a survivor must be clean over every stripe the run touches.
+        for m in others:
+            clean = self._clean_run(
+                "read", m, range(first, stop + (-stop) % rows))
+            stop = min(stop, first + clean - clean % rows)
+        if stop <= start:
+            return 0
+        run = range(start, stop)
+        # The requests the per-block body makes: one stripe per cell.
+        wanted = [mb - mb % rows + r for mb in run for r in range(rows)]
+        fetched = {m: self.members[m].device.read_blocks(wanted)
+                   for m in others}
+        content: List[bytes] = []
+        for k, mb in enumerate(run):
+            row = mb % rows
+            if k == 0 or row == 0:  # the lost column, once per stripe
+                columns = [fetched[m][k * rows:(k + 1) * rows] if m != index
+                           else None for m in range(self.p + 1)]
+                lost = (self.stripe.reconstruct(columns)[index]
+                        if index == self._diag_parity else None)
+            content.append(lost[row] if lost
+                           else self.stripe.cell(columns, index, row))
+        self.members[index].device.write_blocks(run, content)
+        self._trust(index, run)
+        return len(run)
 
     def _write_logical(self, block: int, data: bytes) -> None:
         col, mb = self._locate(block)

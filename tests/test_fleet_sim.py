@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.common.errors import ReadError
+from repro.disk import make_disk
+from repro.disk.faults import Fault, FaultKind, FaultOp, Persistence
+from repro.disk.injector import FaultInjector
 from repro.fleet.rates import FaultRates, ZERO_RATES
-from repro.fleet.sim import run_trial
+from repro.fleet.sim import _RetryDevice, run_trial
+from repro.obs.events import EventLog
 from repro.fleet.spec import (
     CROSSCHECK_GEOMETRY,
     CROSSCHECK_POLICY,
@@ -151,6 +158,48 @@ class TestLatentAndSilent:
         assert lost_retry < lost_plain
         assert sum(o.counters.get("retry_recoveries", 0)
                    for o in retry_outs) > 0
+
+
+class TestRetryDeviceVectored:
+    """``_RetryDevice.read_blocks`` gives every block the policy's
+    retries, exactly like a loop of its ``read_block``."""
+
+    @staticmethod
+    def _member(persistence):
+        disk = make_disk(8, 512)
+        for block in range(8):
+            disk.poke(block, bytes([block + 1]) * 512)
+        injector = FaultInjector(disk, events=EventLog())
+        injector.arm(Fault(FaultOp.READ, FaultKind.FAIL, block=3,
+                           persistence=persistence))
+        return _RetryDevice(injector, 1, EventLog(), 0), disk, injector
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return ("ok", call())
+        except ReadError as exc:
+            return ("raised", exc.block)
+
+    @pytest.mark.parametrize("persistence", list(Persistence))
+    @pytest.mark.parametrize("blocks", [[2, 3], [3, 2, 3], list(range(8))])
+    def test_read_blocks_matches_the_retrying_loop(self, persistence, blocks):
+        vectored, looped = (self._member(persistence) for _ in range(2))
+        got = self._outcome(lambda: vectored[0].read_blocks(blocks))
+        want = self._outcome(
+            lambda: [looped[0].read_block(block) for block in blocks])
+        assert got == want
+        if persistence is Persistence.TRANSIENT:
+            assert got[0] == "ok"
+
+        def state(member):
+            device, disk, injector = member
+            return (injector.events.key_sequence(),
+                    device._log.key_sequence(),
+                    dataclasses.astuple(disk.stats), disk.clock,
+                    device.retry_recoveries)
+
+        assert state(vectored) == state(looped)
 
 
 class TestCrosscheckCell:

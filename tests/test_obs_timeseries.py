@@ -129,17 +129,16 @@ class TestTimeSeries:
 
 class TestFlightRecorder:
     def test_tracks_sorted_and_bounded(self):
-        rec = FlightRecorder(cap=8)
+        rec = FlightRecorder(["z_gauge", "a_gauge"], cap=8)
         for i in range(1000):
-            rec.sample("z_gauge", float(i), 1.0)
-            rec.sample("a_gauge", float(i), 2.0)
+            rec.sample(float(i), (1.0, 2.0))
         assert [t.name for t in rec.tracks()] == ["a_gauge", "z_gauge"]
         assert all(len(t.samples) < 8 for t in rec.tracks())
         assert len(rec) == 2
 
     def test_binned_entries_carry_labels(self):
-        rec = FlightRecorder()
-        rec.sample("g", 1.0, 5.0)
+        rec = FlightRecorder(["g"])
+        rec.sample(1.0, (5.0,))
         entries = rec.binned(10.0, bins=4, geometry="mirror2",
                              policy="baseline")
         assert entries[0]["labels"] == {"geometry": "mirror2",
@@ -147,11 +146,48 @@ class TestFlightRecorder:
         assert entries[0]["bins"] == 4
 
     def test_snapshot_schema_tag(self):
-        rec = FlightRecorder()
-        rec.sample("g", 0.0, 1.0)
+        rec = FlightRecorder(["g"])
+        rec.sample(0.0, (1,))
         snap = rec.to_snapshot()
         assert snap["schema"] == "repro-timeseries/1"
         assert snap["tracks"][0]["samples"] == [[0.0, 1.0]]
+
+    def test_row_of_the_wrong_width_is_rejected(self):
+        rec = FlightRecorder(["a", "b"])
+        with pytest.raises(ValueError):
+            rec.sample(0.0, (1.0,))
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 100, 1000])
+    def test_rows_equal_independent_tracks(self, rows):
+        """One row per instant is seven tracks offered the same instants:
+        same tracks, same bins, same snapshot, byte for byte."""
+        import random
+
+        names = [f"g{k}" for k in (3, 0, 6, 1, 5, 2, 4)]  # not sorted
+        rnd = random.Random(rows)
+        rec = FlightRecorder(names, cap=8)
+        tracks = {name: Track(name, cap=8) for name in names}
+        for i in range(rows):
+            t = i * rnd.uniform(0.1, 3.0)
+            values = [rnd.choice([rnd.randrange(9), rnd.uniform(-2, 2),
+                                  -0.0, 0.0]) for _ in names]
+            rec.sample(t, values)
+            for name, value in zip(names, values):
+                tracks[name].sample(t, value)
+        want = [tracks[name] for name in sorted(names)]
+        assert [t.to_entry() for t in rec.tracks()] == \
+            [t.to_entry() for t in want]
+        binned = []
+        for track in want:
+            series = TimeSeries(track.name, labels_key({"cell": "x"}),
+                                t_max=rows or 1.0, bins=5)
+            series.observe_track(track)
+            binned.append(series.to_entry())
+        got = rec.binned(rows or 1.0, bins=5, cell="x")
+        assert json.dumps(got) == json.dumps(binned)
+        assert json.dumps(rec.to_snapshot()) == json.dumps({
+            "schema": "repro-timeseries/1",
+            "tracks": [t.to_entry() for t in want]})
 
 
 class TestRegistryIntegration:

@@ -75,7 +75,9 @@ block_lists = st.lists(
 
 @st.composite
 def fault_specs(draw):
-    return dict(
+    """``Fault`` arguments, plus ``consumed``: the blocks whose accesses
+    the fault registers right after it is armed."""
+    spec = dict(
         op=draw(st.sampled_from(list(FaultOp))),
         kind=draw(st.sampled_from(list(FaultKind))),
         block=draw(st.integers(min_value=0, max_value=DISK_BLOCKS - 1)),
@@ -85,7 +87,20 @@ def fault_specs(draw):
             [CorruptionMode.ZERO, CorruptionMode.SHIFT, CorruptionMode.NOISE])),
         locality_run=draw(st.integers(min_value=0, max_value=2)),
         match_index=draw(st.integers(min_value=0, max_value=2)),
+        consumed=[],
     )
+    target = draw(st.sampled_from(["block", "type", "locked", "exhausted"]))
+    if target in ("type", "locked"):
+        # Type-targeted; "locked" fires once, binding it to that block.
+        block = spec.pop("block")
+        spec.update(block_type="inode", match_index=0)
+        if target == "locked":
+            spec["consumed"] = [block]
+    elif target == "exhausted":
+        spec["persistence"] = Persistence.TRANSIENT
+        spec["consumed"] = [spec["block"]] * (
+            spec["match_index"] + spec["transient_count"])
+    return spec
 
 
 class _Stack:
@@ -104,7 +119,11 @@ class _Stack:
             self.log.emit(IOEvent("read", block, "ok"))
         self.log.consume_new()
         for spec in faults:
-            self.injector.arm(Fault(**spec))
+            spec = dict(spec)
+            consumed = spec.pop("consumed")
+            fault = self.injector.arm(Fault(**spec))
+            for block in consumed:
+                fault.consume(block)
         self.seen = []
         if observed:
             self.disk.latency_observer = lambda op, t: self.seen.append(
@@ -422,13 +441,20 @@ class TestArrayCleanRuns:
         index = data.draw(st.integers(min_value=0, max_value=count - 1))
         other = data.draw(st.integers(min_value=0, max_value=count - 1))
         second = data.draw(st.sampled_from(["none", "failed", "stale"]))
+        # A live target is rebuilt in place, never replaced.
+        live = data.draw(st.booleans())
         for twin in (array, reference):
-            twin.fail_member(index)
-            twin.replace_member(index)
+            if not live:
+                twin.fail_member(index)
+                twin.replace_member(index)
             if other != index and second == "failed":
                 twin.fail_member(other)
             elif other != index and second == "stale":
                 twin.replace_member(other)
+        if live and geometry == "rdp":
+            # Its own column is among the per-block body's stripe reads.
+            total = array.members[index].disk.num_blocks
+            assert array._rebuild_clean_run(index, 0, total) == 0
         assert array.rebuild_member(index) == \
             _reference_rebuild(reference, index)
         assert _array_state(array) == _array_state(reference)
@@ -442,8 +468,9 @@ class TestArrayCleanRuns:
     def test_healthy_scrub_and_rebuild_take_one_call_per_member(
             self, geometry, members):
         """The point of the exercise: on a healthy array a whole pass is
-        one vectored read per member, and a rebuild of mirror/parity one
-        vectored write."""
+        one vectored read per member, and a rebuild one vectored write
+        (RDP's survivors each read a stripe per rebuilt cell, as the
+        per-block body does)."""
         array = make_array(geometry, NUM_BLOCKS, BS, members=members)
         for block in range(NUM_BLOCKS):
             array.write_block(block, _payload(block))
@@ -466,13 +493,17 @@ class TestArrayCleanRuns:
         assert array.scrub().problems == 0
         assert calls == [("read", m, member_blocks)
                          for m in range(len(array.members))]
-        if geometry != "rdp":
-            del calls[:]
-            array.replace_member(0)
-            array.rebuild_member(0)
-            assert [c for c in calls if c[0] == "write"] == \
-                [("write", 0, member_blocks)]
-            assert sum(c[2] for c in calls if c[0] == "read") == \
+        del calls[:]
+        array.replace_member(0)
+        array.rebuild_member(0)
+        assert [c for c in calls if c[0] == "write"] == \
+            [("write", 0, member_blocks)]
+        reads = [c for c in calls if c[0] == "read"]
+        if geometry == "rdp":
+            assert reads == [("read", m, member_blocks * (members - 1))
+                             for m in range(1, members + 1)]
+        else:
+            assert sum(c[2] for c in reads) == \
                 member_blocks * (1 if geometry == "mirror" else members - 1)
 
     def test_latency_observer_keeps_the_per_unit_order(self):
