@@ -140,12 +140,19 @@ def _map_chunks(
     results: List[Optional[List[Any]]] = [None] * len(chunks)
     in_flight: Dict[Any, int] = {}
     next_index = 0
-    while next_index < len(chunks) or in_flight:
-        while next_index < len(chunks) and len(in_flight) < window:
-            future = pool.submit(_run_chunk, worker, chunks[next_index])
-            in_flight[future] = next_index
-            next_index += 1
-        done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-        for future in done:
-            results[in_flight.pop(future)] = future.result()
+    try:
+        while next_index < len(chunks) or in_flight:
+            while next_index < len(chunks) and len(in_flight) < window:
+                future = pool.submit(_run_chunk, worker, chunks[next_index])
+                in_flight[future] = next_index
+                next_index += 1
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                results[in_flight.pop(future)] = future.result()
+    except BaseException:
+        # An interrupt or a failed chunk: leave nothing of this call
+        # queued in the persistent pool.
+        for future in in_flight:
+            future.cancel()
+        raise
     return results  # type: ignore[return-value]

@@ -292,8 +292,7 @@ class Ext3(JournaledFS):
         # Parity reads the block's *old* contents, so it must run
         # before the new payload enters the journal's write cache.
         self._update_parity(ino, inode, fb, bno, payload, fresh=fresh)
-        self.journal.add_ordered(bno, payload)
-        self._on_block_contents_change(bno, payload, "data")
+        self._data_update(bno, payload)
 
     def _update_parity(self, ino: int, inode: Inode, file_block: int,
                        block: int, new_payload: bytes, fresh: bool = False) -> None:
@@ -310,6 +309,8 @@ class Ext3(JournaledFS):
         if (2 * n + 9 <= self.sb.free_blocks
                 and self.journal.fits(self._meta_bound(n))):
             return None
+        # The snapshot holds final contents; the work it owes is done.
+        self._settle()
         return (self.journal.save(), copy(self.sb),
                 [copy(desc) for desc in self.gdt], dict(self._types))
 
@@ -509,8 +510,26 @@ class Ext3(JournaledFS):
         return list(range(hint, n)) + list(range(0, hint))
 
     def _flush_sb_gdt(self) -> None:
+        # The in-memory superblock and group descriptors are the truth: a
+        # transaction journals them at its first change, where they
+        # always entered it, and _settle repacks them before it is written.
+        if not self._sb_gdt_journaled(self.journal.begin()):
+            self._pack_sb_gdt()
+
+    def _sb_gdt_journaled(self, txn) -> bool:
+        """Whether *txn* holds the superblock and GDT for _settle to repack."""
+        return self.config.gdt_block in txn.meta
+
+    def _pack_sb_gdt(self) -> None:
         self._meta_update(0, self.sb.pack(self.block_size))
         self._meta_update(self.config.gdt_block, pack_gdt(self.gdt, self.block_size))
+
+    def _settle(self, block: Optional[int] = None) -> None:
+        """Journal owner callback: before a commit or abort (no *block*),
+        repack the superblock and GDT; ixt3 also runs pending work."""
+        txn = self.journal.current
+        if block is None and txn is not None and self._sb_gdt_journaled(txn):
+            self._pack_sb_gdt()
 
     # ==================================================================
     # Block mapping (direct / indirect / double / triple)
@@ -702,10 +721,16 @@ class Ext3(JournaledFS):
         self.journal.add_meta(block, payload)
         self._on_block_contents_change(block, payload, "meta")
 
+    def _data_update(self, block: int, payload: bytes) -> None:
+        """Queue a data block's new contents (and let ixt3 checksum them)."""
+        self.journal.add_ordered(block, payload)
+        self._on_block_contents_change(block, payload, "data")
+
     def _abort_journal(self) -> None:
         if self._read_only:
             return
         if self.journal is not None:
+            self._settle()
             self.journal.abort()
         self._read_only = True
         self.syslog.action(self.name, "journal-abort", "aborting journal")
@@ -785,6 +810,7 @@ class Ext3(JournaledFS):
             stall=self._stall,
             commit_stall_s=self.commit_stall_s,
             txn_checksum=self._txn_checksum_enabled(),
+            settle=self._settle,
         )
 
     def _txn_checksum_enabled(self) -> bool:

@@ -119,12 +119,20 @@ def parse_revoke(data: bytes) -> Optional[Tuple[int, List[int]]]:
 
 @dataclass
 class Transaction:
-    """One running transaction: buffered metadata, ordered data, revokes."""
+    """One running transaction: buffered metadata, ordered data, revokes.
+
+    *derived* maps each block whose owner-derived work (ixt3's checksum
+    and replica) ran in this transaction to the kind and replica block it
+    ran for; *pending* holds those changed since.  :meth:`Journal.save`
+    copies neither, so its owner settles the pending work first.
+    """
 
     seq: int
     meta: Dict[int, bytes] = field(default_factory=dict)
     ordered: Dict[int, bytes] = field(default_factory=dict)
     revoked: Set[int] = field(default_factory=set)
+    derived: Dict[int, Tuple[str, Optional[int]]] = field(default_factory=dict)
+    pending: Set[int] = field(default_factory=set)
 
     def is_empty(self) -> bool:
         return not self.meta and not self.ordered and not self.revoked
@@ -134,6 +142,7 @@ class Transaction:
 WriteFn = Callable[[int, bytes], None]
 TypeFn = Callable[[int, str], None]
 StallFn = Callable[[float], None]
+SettleFn = Callable[[Optional[int]], None]
 
 
 class Journal:
@@ -153,6 +162,7 @@ class Journal:
         stall: StallFn,
         commit_stall_s: float,
         txn_checksum: bool = False,
+        settle: SettleFn = lambda block: None,
     ):
         self.start = start
         self.nblocks = nblocks
@@ -166,6 +176,10 @@ class Journal:
         self._stall = stall
         self.commit_stall_s = commit_stall_s
         self.txn_checksum = txn_checksum
+        #: Owner callback bringing the running transaction up to date:
+        #: ``settle(None)`` before a commit, ``settle(block)`` before a
+        #: revoke drops *block*.
+        self._settle = settle
         self._desc_capacity = desc_capacity(block_size)
 
         self.seq = 1
@@ -191,6 +205,7 @@ class Journal:
         self.begin().ordered[block] = bytes(data)
 
     def revoke(self, block: int) -> None:
+        self._settle(block)
         txn = self.begin()
         txn.revoked.add(block)
         txn.meta.pop(block, None)
@@ -216,7 +231,8 @@ class Journal:
             len(txn.meta) + more_meta, len(txn.revoked)) < self.nblocks
 
     def save(self) -> Optional[Transaction]:
-        """A copy of the running transaction, for :meth:`restore`."""
+        """A copy of the running transaction, for :meth:`restore`,
+        without the owner's derived-work bookkeeping."""
         txn = self.current
         if txn is None:
             return None
@@ -238,6 +254,7 @@ class Journal:
         if self.aborted:
             self.current = None
             return
+        self._settle(None)
 
         # 0. Blocks revoked by this transaction must never be written
         #    back from stale checkpoint images — they may already have

@@ -22,6 +22,7 @@ from repro.common.structs import U32x2
 
 ReadBlock = Callable[[int], bytes]
 JournalMeta = Callable[[int, bytes], None]
+Settle = Callable[[int], None]
 
 #: Blocks at the head of the replica region holding the home→slot map.
 REPLICA_MAP_BLOCKS = 2
@@ -33,13 +34,16 @@ class ChecksumStore:
     """SHA-1 per covered block, packed ``block_size // 20`` to a block."""
 
     def __init__(self, region_start: int, region_blocks: int, block_size: int,
-                 read_block: ReadBlock, journal_meta: JournalMeta):
+                 read_block: ReadBlock, journal_meta: JournalMeta,
+                 settle: Settle = lambda block: None):
         self.region_start = region_start
         self.region_blocks = region_blocks
         self.block_size = block_size
         self.per_block = block_size // SHA1_SIZE
         self._read_block = read_block
         self._journal_meta = journal_meta
+        #: Owner callback: apply *block*'s pending update before a lookup.
+        self._settle = settle
         self._cache: Dict[int, bytes] = {}  # cksum block -> payload
         #: Last payload that verified clean per covered block.  A repeat
         #: read of identical bytes short-circuits on equality instead of
@@ -64,6 +68,7 @@ class ChecksumStore:
         """Stored digest for *block*, or None when never checksummed."""
         if not self.covers(block):
             return None
+        self._settle(block)
         cks_block, offset = self.location(block)
         payload = self._load(cks_block)
         digest = payload[offset:offset + SHA1_SIZE]

@@ -83,6 +83,9 @@ class Ixt3(Ext3):
         self.checksums: Optional[ChecksumStore] = None
         self.replicas: Optional[ReplicaMap] = None
         self._verifying = False
+        #: Block kinds ("meta", "data") whose changes are checksummed,
+        #: and those that carry any derived work (checksum or replica).
+        self._checksummed = self._derived_kinds = frozenset()
 
     # -- feature flags --------------------------------------------------------
 
@@ -119,6 +122,7 @@ class Ixt3(Ext3):
                 block_size=self.block_size,
                 read_block=self._plain_bread,
                 journal_meta=self.journal.add_meta,
+                settle=self._settle,
             )
             if self.meta_csum or self.data_csum:
                 # Checksums are small and cached for read verification
@@ -138,6 +142,11 @@ class Ixt3(Ext3):
                 read_block=self._plain_bread,
                 journal_meta=self.journal.add_meta,
             )
+        self._checksummed = frozenset(
+            kind for kind, on in (("meta", self.meta_csum), ("data", self.data_csum))
+            if on and self.checksums is not None)
+        self._derived_kinds = self._checksummed | (
+            {"meta"} if self.meta_replica and self.replicas is not None else set())
 
     def _plain_bread(self, block: int) -> bytes:
         """Unverified read for the redundancy structures themselves."""
@@ -211,14 +220,28 @@ class Ixt3(Ext3):
         raise CorruptionDetected(block, "checksum mismatch")
 
     def _on_block_contents_change(self, block: int, data: bytes, kind: str) -> None:
-        if self.checksums is not None:
-            if (kind == "meta" and self.meta_csum) or (kind == "data" and self.data_csum):
-                self.checksums.update(block, data)
+        # Checksum and replica work runs at a block's first change in the
+        # transaction, so slots are assigned and checksum and replica
+        # blocks join it where they always did.  A later change of the
+        # same kind marks the block pending for _settle.
+        if kind not in self._derived_kinds:
+            return
+        txn = self.journal.begin()
+        done = txn.derived.get(block)
+        if done is not None:
+            if done[0] == kind:
+                txn.pending.add(block)
+                return
+            self._settle(block)
+        if kind in self._checksummed:
+            self.checksums.update(block, data)
+        replica = None
         if kind == "meta" and self.meta_replica and self.replicas is not None:
             try:
                 replica = self.replicas.assign(block)
             except DiskError as exc:
-                # The replica map itself is unreadable: run degraded.
+                # The replica map itself is unreadable: run degraded (and
+                # so, unrecorded, try again at every change).
                 self.syslog.warning(self.name, "replica-unavailable",
                                     f"cannot update replica map: {exc}", block=block)
                 return
@@ -230,6 +253,37 @@ class Ixt3(Ext3):
             # distant region (§6.1), ordered before the commit block so
             # both copies are consistent at every commit point.
             self.journal.add_ordered(replica, data)
+        txn.derived[block] = (kind, replica)
+
+    def _settle(self, block: Optional[int] = None) -> None:
+        """Redo the pending checksum and replica work from final contents:
+        all of it, or *block*'s before it is revoked or read past the log."""
+        super()._settle(block)
+        txn = self.journal.current
+        if txn is None or not txn.pending:
+            return
+        if block is None:
+            blocks = list(txn.pending)
+            txn.pending.clear()
+        elif block in txn.pending:
+            txn.pending.discard(block)
+            blocks = [block]
+        else:
+            return
+        for b in blocks:
+            kind, replica = txn.derived[b]
+            data = txn.meta[b] if kind == "meta" else txn.ordered[b]
+            if kind in self._checksummed:
+                self.checksums.update(b, data)
+            if replica is not None:
+                self.journal.add_ordered(replica, data)
+
+    def _sb_gdt_journaled(self, txn) -> bool:
+        # A superblock or GDT whose replica could not be placed redoes
+        # its work, and its warning, at every change.
+        return super()._sb_gdt_journaled(txn) and (
+            "meta" not in self._derived_kinds
+            or (0 in txn.derived and self.config.gdt_block in txn.derived))
 
     # ==================================================================
     # Recovery: replicas for metadata, parity for data (R_redundancy)
@@ -238,6 +292,7 @@ class Ixt3(Ext3):
     def _recover_meta_read(self, block: int, exc: Exception) -> Optional[bytes]:
         if not self.meta_replica or self.replicas is None:
             return None
+        self._settle(block)
         try:
             replica = self.replicas.replica_block_of(block)
         except DiskError:
@@ -319,8 +374,7 @@ class Ixt3(Ext3):
             inode = self._node_get(ino)
             inode.parity_block = self._alloc_block(0, "parity")
             zero = b"\x00" * self.block_size
-            self.journal.add_ordered(inode.parity_block, zero)
-            self._on_block_contents_change(inode.parity_block, zero, "data")
+            self._data_update(inode.parity_block, zero)
             self._node_put(ino, inode)
         return ino
 
@@ -347,8 +401,7 @@ class Ixt3(Ext3):
         frozen = xor_all((parity, old, new_payload))
         # Parity goes out with the ordered data writes; the elevator
         # batches all parity updates of a transaction into one pass.
-        self.journal.add_ordered(inode.parity_block, frozen)
-        self._on_block_contents_change(inode.parity_block, frozen, "data")
+        self._data_update(inode.parity_block, frozen)
 
     def _meta_bound(self, n: int) -> int:
         # Each metadata block may bring its checksum block and the
@@ -365,6 +418,8 @@ class Ixt3(Ext3):
     def _release_parity(self, ino: int, inode: Inode) -> None:
         if inode.parity_block:
             if self.checksums is not None and self.data_csum:
+                # Its digest is cleared, not brought up to date.
+                self.journal.begin().pending.discard(inode.parity_block)
                 self.checksums.forget(inode.parity_block)
             self._free_block(inode.parity_block, "parity")
             inode.parity_block = 0
@@ -374,23 +429,21 @@ class Ixt3(Ext3):
         super()._node_shrink(ino, inode, new_size, kind)
         # Parity covers the remaining blocks; recompute it.
         if self.data_parity and inode.parity_block and kind == "data":
-            bs = self.block_size
-            blocks = [b"\x00" * bs]
-            nblocks = (new_size + bs - 1) // bs
-            intact = True
-            for fb in range(nblocks):
-                bno, _ = self._bmap(inode, fb, allocate=False)
-                if bno == 0:
-                    continue
-                try:
-                    blocks.append(self._plain_bread(bno))
-                except DiskError:
-                    intact = False
-                    break
-            if intact:
-                frozen = xor_all(blocks)
-                self.journal.add_ordered(inode.parity_block, frozen)
-                self._on_block_contents_change(inode.parity_block, frozen, "data")
+            try:
+                self._data_update(inode.parity_block,
+                                  self._file_parity(inode, new_size))
+            except DiskError:
+                pass
+
+    def _file_parity(self, inode: Inode, size: int) -> bytes:
+        """XOR of the file's data blocks up to *size* (DiskError when
+        one cannot be read)."""
+        blocks = [b"\x00" * self.block_size]
+        for fb in range((size + self.block_size - 1) // self.block_size):
+            bno, _ = self._bmap(inode, fb, allocate=False)
+            if bno:
+                blocks.append(self._plain_bread(bno))
+        return xor_all(blocks)
 
     # ==================================================================
     # Eager detection: in-file-system scrubbing (§3.2)
@@ -454,8 +507,7 @@ class Ixt3(Ext3):
         data = self._recover_data_read(ino, inode, file_block, block, None)
         if data is not None:
             # Rewrite the repaired home copy with the transaction.
-            self.journal.add_ordered(block, data)
-            self._on_block_contents_change(block, data, "data")
+            self._data_update(block, data)
         return data
 
     def _rebuild_parity_block(self, block: int) -> Optional[bytes]:
@@ -468,19 +520,11 @@ class Ixt3(Ext3):
                 continue
             if not inode.is_allocated or inode.parity_block != block:
                 continue
-            bs = self.block_size
-            blocks = [b"\x00" * bs]
-            for fb in range((inode.size + bs - 1) // bs):
-                try:
-                    bno, _ = self._bmap(inode, fb, allocate=False)
-                    if bno == 0:
-                        continue
-                    blocks.append(self._plain_bread(bno))
-                except (FSError, DiskError):
-                    return None  # cannot rebuild with a second failure
-            frozen = xor_all(blocks)
-            self.journal.add_ordered(block, frozen)
-            self._on_block_contents_change(block, frozen, "data")
+            try:
+                frozen = self._file_parity(inode, inode.size)
+            except (FSError, DiskError):
+                return None  # cannot rebuild with a second failure
+            self._data_update(block, frozen)
             return frozen
         return None
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -119,3 +120,63 @@ def test_error_in_a_chunk_reaches_the_parent_then_recovers(rebuilds):
         _within(60, pool.pool_map, _raise_at_five, TASKS, 2, 2)
     assert _within(60, pool.pool_map, _square, TASKS, 2) == SQUARES
     assert rebuilds == []       # an exception in a task leaves the pool whole
+
+
+class _IdlePool:
+    """An executor whose workers never pick a task up: every chunk
+    ``_map_chunks`` submits stays queued until it is cancelled."""
+
+    def __init__(self):
+        self.futures = []
+
+    def submit(self, fn, *args):
+        self.futures.append(Future())
+        return self.futures[-1]
+
+
+def _interrupt_first_wait(monkeypatch):
+    """``pool.wait`` raises ``KeyboardInterrupt`` on its first call."""
+    real_wait = pool.wait
+    calls = []
+
+    def wait(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return real_wait(*args, **kwargs)
+
+    monkeypatch.setattr(pool, "wait", wait)
+
+
+def test_interrupt_cancels_every_queued_chunk(monkeypatch):
+    idle = _IdlePool()
+    monkeypatch.setattr(pool, "get_pool", lambda jobs: idle)
+    _interrupt_first_wait(monkeypatch)
+    chunks = [[(x,)] for x in range(12)]          # more than the window of 4
+    with pytest.raises(KeyboardInterrupt):
+        pool._map_chunks(_square, chunks, 2)
+    assert len(idle.futures) == 4
+    assert all(future.cancelled() for future in idle.futures)
+
+
+@needs_two_cpus
+def test_interrupt_leaves_the_pool_clean_then_recovers(monkeypatch):
+    _interrupt_first_wait(monkeypatch)
+    submitted = []
+    real_pool = pool.get_pool(2)
+    real_submit = real_pool.submit
+
+    def submit(*args):
+        submitted.append(real_submit(*args))
+        return submitted[-1]
+
+    monkeypatch.setattr(real_pool, "submit", submit)
+    tasks = [(x,) for x in range(24)]
+    with pytest.raises(KeyboardInterrupt):
+        pool.pool_map(_square, tasks, 2)
+    assert 0 < len(submitted) < len(tasks)
+    for future in submitted:
+        assert future.cancelled() or future.exception(timeout=30) is None
+    monkeypatch.undo()
+    assert (_within(60, pool.pool_map, _square, tasks, 2)
+            == pool.pool_map(_square, tasks, 1))
