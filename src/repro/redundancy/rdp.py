@@ -20,19 +20,23 @@ Each column holds ``p - 1`` blocks.  Any two erased columns can be
 reconstructed; the classic proof shows the iterative chain below always
 terminates when p is prime.
 
-Whole columns are handled as one wide integer (row ``r`` in bit slot
-``r``): row parity is then a single XOR per column, and diagonal parity
-a single rotate-and-XOR per column, because row ``r`` of column ``c``
-lies on diagonal ``(r + c) mod p`` — the column rotated ``c`` slots
-within a ``p``-slot frame.  Only the two-erasure chain among columns
-``0..p-1`` still walks cells.
+Every cell is handled as one integer taken from the shared table of
+integer forms (``repro.common.xor``), so a cell the array wrote or read
+before costs a dictionary probe, not a conversion: row parity is the
+XOR across each row, diagonal parity the XOR along each stored
+diagonal (row ``r`` of column ``c`` lies on diagonal ``(r + c) mod
+p``).  :meth:`RDPStripe.join` and :meth:`RDPStripe.split` move between
+a column's cells and one wide integer (row ``r`` in bit slot ``r``),
+the form :meth:`RDPStripe.syndromes` reports in.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import xor as _xor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.common.xor import xor_all
+from repro.common.xor import as_block, as_int, xor_all
 
 
 def is_prime(n: int) -> bool:
@@ -61,47 +65,69 @@ class RDPStripe:
         self.p = p
         self.block_size = block_size
         self._slot_bits = block_size * 8
-        self._column_bytes = (p - 1) * block_size
-        #: Slots 0..p-2 of the p-slot frame: the stored diagonals (and
-        #: the rows of a column); slot p-1 is the missing diagonal.
-        self._stored_mask = (1 << ((p - 1) * self._slot_bits)) - 1
+        self._cell_mask = (1 << self._slot_bits) - 1
+        #: ``(col, row)`` of the cells of each stored diagonal 0..p-2 in
+        #: columns 0..p-1; diagonal p-1 is the missing one.
+        self._diagonal_cells = [
+            [(c, (d - c) % p) for c in range(p) if (d - c) % p < p - 1]
+            for d in range(p - 1)]
 
-    # -- whole columns as wide integers --------------------------------------
+    # -- columns as cell integers ---------------------------------------------
+
+    def _ints(self, cells: Sequence[bytes]) -> List[int]:
+        """One column's cells as integers, row r at index r."""
+        shape = "a column holds p - 1 blocks of block_size bytes"
+        if len(cells) != self.rows:
+            raise ValueError(shape)
+        values = []
+        for cell in cells:
+            if len(cell) != self.block_size:
+                raise ValueError(shape)
+            values.append(as_int(cell))
+        return values
+
+    def _cells(self, values: Sequence[int]) -> List[bytes]:
+        """Inverse of :meth:`_ints`."""
+        return [as_block(value, self.block_size) for value in values]
+
+    def _wide(self, values: Sequence[int]) -> int:
+        """Cell integers as one column integer, row r in slot r."""
+        column = shift = 0
+        for value in values:
+            column |= value << shift
+            shift += self._slot_bits
+        return column
 
     def join(self, cells: Sequence[bytes]) -> int:
         """One column (``p - 1`` blocks) as an integer, row r in slot r."""
-        buf = b"".join(cells)
-        if len(buf) != self._column_bytes:
-            raise ValueError("a column holds p - 1 blocks of block_size bytes")
-        return int.from_bytes(buf, "little")
+        return self._wide(self._ints(cells))
 
     def split(self, column: int) -> List[bytes]:
         """Inverse of :meth:`join`."""
-        bs = self.block_size
-        buf = column.to_bytes(self._column_bytes, "little")
-        return [buf[off:off + bs] for off in range(0, len(buf), bs)]
+        bits, mask = self._slot_bits, self._cell_mask
+        return self._cells([(column >> (r * bits)) & mask
+                            for r in range(self.rows)])
 
-    def _diagonals(self, wide: Sequence[int]) -> int:
+    @staticmethod
+    def _row_parity(ints: Sequence[Sequence[int]]) -> List[int]:
+        """XOR across each row of the columns in *ints*."""
+        return [reduce(_xor, row) for row in zip(*ints)]
+
+    def _diagonals(self, ints: Sequence[Sequence[int]]) -> List[int]:
         """Diagonal parity of columns ``0..p-1`` (the first p entries of
-        *wide*, joined), as a joined column: XOR of each column rotated by its index within
-        the p-slot frame, missing diagonal dropped."""
-        p, bits = self.p, self._slot_bits
-        acc = wide[0]
-        for c in range(1, p):
-            x = wide[c]
-            acc ^= (x << (c * bits)) ^ (x >> ((p - c) * bits))
-        return acc & self._stored_mask
+        *ints*), one integer per stored diagonal."""
+        return [reduce(_xor, [ints[c][r] for c, r in cells])
+                for cells in self._diagonal_cells]
 
     def syndromes(self, columns: Sequence[Sequence[bytes]]) -> Tuple[int, int]:
         """``(row, diagonal)`` parity syndromes of a complete stripe as
         joined columns; both are zero exactly when the stripe is
         consistent, and slot r of each is row r's / diagonal r's
         cell-wise syndrome."""
-        wide = [self.join(col) for col in columns]
-        row = 0
-        for c in range(self.p):
-            row ^= wide[c]
-        return row, self._diagonals(wide) ^ wide[self.p]
+        ints = [self._ints(col) for col in columns]
+        return (self._wide(self._row_parity(ints[:self.p])),
+                self._wide(self._row_parity(
+                    [self._diagonals(ints), ints[self.p]])))
 
     # -- geometry -----------------------------------------------------------
 
@@ -133,25 +159,15 @@ class RDPStripe:
         *data* is ``p - 1`` columns of ``p - 1`` blocks each; returns
         ``p + 1`` columns with row and diagonal parity appended.
         """
-        bs = self.block_size
         if len(data) != self.data_columns:
             raise ValueError(f"expected {self.data_columns} data columns")
-        for col in data:
-            if len(col) != self.rows:
-                raise ValueError(f"each column must hold {self.rows} blocks")
-            for block in col:
-                if len(block) != bs:
-                    raise ValueError("block size mismatch")
-
-        wide = [self.join(col) for col in data]
-        row_parity = 0
-        for x in wide:
-            row_parity ^= x
-        wide.append(row_parity)
+        ints = [self._ints(col) for col in data]
+        row_parity = self._row_parity(ints)
+        ints.append(row_parity)
         columns: List[List[bytes]] = [list(col) for col in data]
-        columns.append(self.split(row_parity))
+        columns.append(self._cells(row_parity))
         # Diagonal parity across columns 0..p-1 (data + row parity).
-        columns.append(self.split(self._diagonals(wide)))
+        columns.append(self._cells(self._diagonals(ints)))
         return columns
 
     # -- verify ---------------------------------------------------------------------
@@ -215,11 +231,9 @@ class RDPStripe:
                 None if col is None else list(map(bytes, col))
                 for col in columns]
             if in_rows:
-                acc = 0
-                for c in range(p):
-                    if c != in_rows[0]:
-                        acc ^= self.join(full[c])  # type: ignore[arg-type]
-                full[in_rows[0]] = self.split(acc)
+                full[in_rows[0]] = self._cells(self._row_parity([
+                    self._ints(full[c])  # type: ignore[arg-type]
+                    for c in range(p) if c != in_rows[0]]))
             if self.diag_parity_column in missing:
                 return self.encode(full[:self.data_columns])  # type: ignore[arg-type]
             return full  # type: ignore[return-value]

@@ -123,3 +123,13 @@ class TestXor:
     def test_xor_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             xor(b"ab", b"abc")
+
+    @pytest.mark.parametrize("blocks", [
+        [bytes(8), bytes(4)],      # once zero-padded to 8 bytes
+        [bytes(4), bytes(8)],      # once OverflowError
+        [bytes(4), bytes(4), b"x"],
+        [],                        # once IndexError
+    ], ids=["long-first", "short-first", "short-last", "empty"])
+    def test_xor_all_rejects_unequal_or_no_operands(self, blocks):
+        with pytest.raises(ValueError):
+            xor_all(blocks)

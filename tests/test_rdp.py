@@ -35,6 +35,16 @@ class TestGeometry:
         assert len(enc) == 6            # p + 1 columns
         assert all(len(col) == 4 for col in enc)  # p - 1 rows
 
+    def test_join_checks_every_cell_size(self):
+        stripe = RDPStripe(5, 4096)
+        # 16 KB in all, the right total, but two cells in the wrong slots.
+        with pytest.raises(ValueError):
+            stripe.join([bytes(2048), bytes(6144), bytes(4096), bytes(4096)])
+        with pytest.raises(ValueError):
+            stripe.join([bytes(4096)] * 3)
+        cells = [bytes([r]) * 4096 for r in range(4)]
+        assert stripe.split(stripe.join(cells)) == cells
+
     def test_verify_accepts_and_rejects(self):
         stripe, data, enc = make_stripe(5)
         assert stripe.verify(enc)

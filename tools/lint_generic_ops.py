@@ -48,7 +48,12 @@ through a chain of them is converted once per link.  Anywhere under
 ``src/repro``, an ``xor(...)`` call with an ``xor(...)`` argument, or
 ``name = xor(name, ...)`` inside a loop, fails here; collect the
 operands and call ``xor_all`` (or ``xor_update`` for parity blocks that
-follow one data block) instead.
+follow one data block) instead.  And under ``src/repro/redundancy`` and
+``src/repro/fs/ixt3``, any ``int.from_bytes(...)`` or ``.to_bytes(...)``
+call fails: every block <-> integer conversion there goes through
+``repro.common.xor`` (``as_int`` / ``as_block`` or the XOR kernels), so
+it shares the table that converts each block once (DESIGN.md,
+"Integer forms").
 
 And for the worker pool: everything a pool task needs travels in its
 pickled arguments (``repro.common.pool``).  Anywhere under
@@ -283,14 +288,34 @@ def _xor_chains(node: ast.AST, in_loop: bool = False):
             child, in_loop or isinstance(child, (ast.For, ast.While)))
 
 
+#: Packages (under ``src/repro``) whose block <-> integer conversions all
+#: go through ``repro.common.xor``.
+CONVERSION_PACKAGES = ("redundancy/", "fs/ixt3/")
+
+
+def _conversions(tree: ast.AST):
+    """Yield ``(line, name)`` for each ``from_bytes`` / ``to_bytes`` call."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("from_bytes", "to_bytes")):
+            yield node.lineno, node.func.attr
+
+
 def lint_xor_chains() -> list[str]:
     problems = []
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+    src = ROOT / "src" / "repro"
+    for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         problems.extend(
             f"{path.relative_to(ROOT)}:{line}: {why} converts a block once "
             "per link; collect the operands for xor_all (or xor_update)"
             for line, why in _xor_chains(tree))
+        if path.relative_to(src).as_posix().startswith(CONVERSION_PACKAGES):
+            problems.extend(
+                f"{path.relative_to(ROOT)}:{line}: {name}(...) converts a "
+                "block outside repro.common.xor; use as_int / as_block so "
+                "the integer-form table sees it"
+                for line, name in _conversions(tree))
     return problems
 
 
@@ -398,6 +423,8 @@ def main(argv=None) -> int:
     print("generic ops: each defined once, in JournaledFS and ArrayDevice; "
           "device-stack layers define every name perf/trace.py patches; "
           "no private decode cache under src/repro/fs; no chained xor; "
+          "block <-> int conversions in arrays and ixt3 go through "
+          "repro.common.xor; "
           "no shared memory; the pool's one consumer is the fleet")
     return 0
 
