@@ -2,14 +2,14 @@
 
 Latent sector errors hide in rarely-read blocks.  Under lazy (on
 access) detection, a workload that only touches hot files never
-notices them; an eager scrub pass finds every one — and with ixt3's
-replicas available as a repair source, fixes them on the spot.
+notices them; one pass of ixt3's own scrub (``Ixt3.scrub``) finds
+every one and, with replicas and parity behind it, fixes them on the
+spot.
 """
 
 from conftest import run_once, save_result
 
-from repro.common.errors import ReadError
-from repro.disk import DeviceStack, Fault, FaultKind, FaultOp, Scrubber, make_disk
+from repro.disk import DeviceStack, Fault, FaultKind, FaultOp, make_disk
 from repro.fs.ext3 import Ext3Config
 from repro.fs.ixt3 import Ixt3, ixt3_config, mkfs_ixt3
 
@@ -51,33 +51,27 @@ def test_ablation_scrub(benchmark):
             fs.read_file("/hot")
         lazy_found = sum(1 for e in injector.trace.errors() if e.is_read())
 
-        # Eager phase: scrub the volume, repairing from parity/replica.
-        def repairer(block: int) -> bool:
-            # The FS-level read path performs the reconstruction; if the
-            # file reads back intact, the latent error was masked.
-            for i in range(6):
-                try:
-                    fs.read_file(f"/cold{i}")
-                except Exception:
-                    return False
-            return True
+        # Eager phase: one scrub pass, repairing from replicas/parity.
+        stats = fs.scrub()
+        intact = sum(fs.read_file(f"/cold{i}") == bytes([i]) * 2048
+                     for i in range(6))
+        return lazy_found, stats, intact, len(cold_blocks)
 
-        scrubber = Scrubber(injector, repairer=repairer)
-        report = scrubber.scrub()
-        return lazy_found, report, len(cold_blocks)
-
-    lazy_found, report, injected = run_once(benchmark, run)
+    lazy_found, stats, intact, injected = run_once(benchmark, run)
     save_result("ablation_scrub", "\n".join([
         f"latent errors injected: {injected}",
         f"found by 20 rounds of hot-file reads (lazy): {lazy_found}",
-        f"found by one scrub pass (eager): {len(report.latent_errors)}",
-        report.render(),
+        f"found by one scrub pass (eager): {stats['latent']}",
+        f"scrubbed {stats['scanned']} blocks: {stats['latent']} latent "
+        f"errors, {stats['corrupt']} corruptions, {stats['repaired']} "
+        f"repaired, {stats['lost']} lost",
+        f"cold files intact after the scrub: {intact} of 6",
     ]))
 
     # Lazy detection never sees the cold-file errors...
     assert lazy_found == 0
     # ...one eager pass finds every one of them.
-    assert len(report.latent_errors) == injected
-    assert report.blocks_scanned == CFG.total_blocks
-    # With redundancy available, the scrubber repairs what it finds.
-    assert len(report.repaired) == injected
+    assert stats["latent"] == injected
+    # With redundancy available, the scrub repairs what it finds.
+    assert stats["repaired"] == injected and stats["lost"] == 0
+    assert intact == 6

@@ -86,20 +86,19 @@ class CrashProfile:
     #: Adapter recipe: ``ADAPTERS[registry_key](**registry_kwargs)``.
     registry_key: str
     registry_kwargs: Dict = field(default_factory=dict)
-    #: Run the ext3-family fsck as a consistency oracle.
-    fsck: bool = False
-    #: Fold statfs free counts into the state digest (ext3 family: a
-    #: half-applied transaction shows up as leaked blocks/inodes even
-    #: when the namespace looks plausible).
-    digest_counts: bool = False
+    #: An ext3-family volume: run its fsck as a consistency oracle, and
+    #: fold statfs free counts into the state digest (a half-applied
+    #: transaction shows up as leaked blocks/inodes even when the
+    #: namespace looks plausible).
+    ext3_family: bool = False
 
 
 CRASH_PROFILES: Dict[str, CrashProfile] = {
-    "ext3": CrashProfile("ext3", "ext3", fsck=True, digest_counts=True),
+    "ext3": CrashProfile("ext3", "ext3", ext3_family=True),
     # "ixt3" here means ixt3 with *transactional checksums* (§6.1) —
     # the feature whose crash claim this engine exists to test.
     "ixt3": CrashProfile(
-        "ixt3", "ixt3", {"features": FEAT_TXN_CSUM}, fsck=True, digest_counts=True
+        "ixt3", "ixt3", {"features": FEAT_TXN_CSUM}, ext3_family=True
     ),
     "reiserfs": CrashProfile("reiserfs", "reiserfs"),
     "jfs": CrashProfile("jfs", "jfs"),
@@ -109,11 +108,9 @@ CRASH_PROFILES: Dict[str, CrashProfile] = {
     # agnostic — the composite array snapshot restores O(1) per state
     # like a slab image.
     "ext3@mirror2": CrashProfile(
-        "ext3@mirror2", "ext3@mirror2", fsck=True, digest_counts=True
+        "ext3@mirror2", "ext3@mirror2", ext3_family=True
     ),
-    "ext3@rdp5": CrashProfile(
-        "ext3@rdp5", "ext3@rdp5", fsck=True, digest_counts=True
-    ),
+    "ext3@rdp5": CrashProfile("ext3@rdp5", "ext3@rdp5", ext3_family=True),
 }
 
 
@@ -295,7 +292,7 @@ def _prepare_reference(rec: Recording) -> None:
         apply_state(rec, CrashState(f"prefix:{mark}", mark))
         fs = rec.adapter.make_fs(rec.disk)
         fs.mount()
-        digest = state_digest(fs, rec.profile.digest_counts)
+        digest = state_digest(fs, rec.profile.ext3_family)
         rec.boundary_digests.setdefault(digest, mark)
         if mark == 0:
             for path in rec.workload.protected:
@@ -554,7 +551,7 @@ def _judge_state(
         intact_flags: Tuple[bool, ...] = ()
         walk_ro = False
         try:
-            digest = state_digest(fs, profile.digest_counts)
+            digest = state_digest(fs, profile.ext3_family)
         except StorageError as exc:
             digest = None
             exc_info = (type(exc).__name__, str(exc))
@@ -636,7 +633,7 @@ def _judge_state(
         digest2 = rec.digest_memo.get(key2)
         if digest2 is None:
             digest2 = rec.digest_memo[key2] = state_digest(
-                fs2, profile.digest_counts
+                fs2, profile.ext3_family
             )
         if digest2 != digest:
             violations.append(Violation(
@@ -661,7 +658,7 @@ def _judge_state(
             _evidence(stream, state.key, span_id),
         ))
 
-    if profile.fsck:
+    if profile.ext3_family:
         key3 = _content_key(
             rec.disk, getattr(fs, "journal_region", lambda: None)()
         )

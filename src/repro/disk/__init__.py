@@ -6,7 +6,6 @@ from repro.disk.disk import (
     DiskStats,
     SimulatedDisk,
     SlabImage,
-    Snapshot,
     make_disk,
 )
 from repro.disk.faults import (
@@ -22,7 +21,6 @@ from repro.disk.faults import (
 from repro.disk.geometry import DiskGeometry
 from repro.disk.injector import FaultInjector
 from repro.disk.recorder import WriteRecorder
-from repro.disk.scrub import ScrubReport, Scrubber
 from repro.disk.stack import DeviceStack
 from repro.disk.trace import IOTrace
 
@@ -39,11 +37,8 @@ __all__ = [
     "FaultOp",
     "IOTrace",
     "Persistence",
-    "ScrubReport",
-    "Scrubber",
     "SimulatedDisk",
     "SlabImage",
-    "Snapshot",
     "WriteRecorder",
     "corruption",
     "make_disk",

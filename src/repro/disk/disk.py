@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union,
+    Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
     runtime_checkable,
 )
 
@@ -34,8 +34,8 @@ class SlabImage:
 
     ``data`` is ``num_blocks * block_size`` bytes; ``written`` is a
     per-block bitmap distinguishing blocks that were actually written
-    from never-touched (all-zero) ones, preserving the historical
-    list-of-``Optional[bytes]`` snapshot semantics.  The image is the
+    from never-touched (all-zero) ones, which :meth:`block` reports as
+    ``None``.  The image is the
     unit of copy-on-write sharing: :meth:`SimulatedDisk.restore`
     aliases it in O(1) and writes privatize blocks into the device's
     delta, so an image may back any number of devices at once.  It
@@ -46,10 +46,6 @@ class SlabImage:
     derived state on (e.g. the gray-box block-type oracle caches its
     reconstruction keyed by the blocks it depends on); it never crosses
     process boundaries and never affects the image's identity.
-
-    The image also quacks like the legacy snapshot list: ``len``,
-    iteration, indexing and equality all behave as a list of
-    per-block ``Optional[bytes]``.
     """
 
     __slots__ = ("data", "num_blocks", "block_size", "written", "meta",
@@ -71,24 +67,6 @@ class SlabImage:
         self._view = memoryview(data)
         self._blocks: Dict[int, bytes] = {}  # lazily materialized bytes
 
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Optional[bytes]],
-                    block_size: int) -> "SlabImage":
-        """Build an image from the legacy list-of-blocks form."""
-        blocks = list(blocks)
-        zero = b"\x00" * block_size
-        written = bytearray(len(blocks))
-        parts = []
-        for i, payload in enumerate(blocks):
-            if payload is None:
-                parts.append(zero)
-            else:
-                if len(payload) != block_size:
-                    raise ValueError("snapshot block has wrong size")
-                parts.append(payload)
-                written[i] = 1
-        return cls(b"".join(parts), len(blocks), block_size, bytes(written))
-
     def view(self, block: int) -> memoryview:
         """Zero-copy read-only view of one block's contents."""
         off = block * self.block_size
@@ -109,32 +87,11 @@ class SlabImage:
             self._blocks[block] = cached
         return cached
 
-    # -- legacy list-of-blocks compatibility --------------------------------
-
-    def __len__(self) -> int:
-        return self.num_blocks
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self.block(i) for i in range(*index.indices(self.num_blocks))]
-        if index < 0:
-            index += self.num_blocks
-        if not 0 <= index < self.num_blocks:
-            raise IndexError(index)
-        return self.block(index)
-
-    def __iter__(self):
-        for i in range(self.num_blocks):
-            yield self.block(i)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, SlabImage):
             return (self.block_size == other.block_size
                     and self.written == other.written
                     and self._view == other._view)
-        if isinstance(other, (list, tuple)):
-            return len(other) == self.num_blocks and all(
-                self.block(i) == other[i] for i in range(self.num_blocks))
         return NotImplemented
 
     def __reduce__(self):
@@ -147,11 +104,6 @@ class SlabImage:
         populated = sum(self.written)
         return (f"SlabImage(blocks={self.num_blocks}, bs={self.block_size}, "
                 f"written={populated})")
-
-
-#: Snapshots are slab images; the legacy list-of-blocks form is still
-#: accepted by :meth:`SimulatedDisk.restore` for compatibility.
-Snapshot = Union[SlabImage, List[Optional[bytes]]]
 
 
 @runtime_checkable
@@ -181,7 +133,7 @@ class BlockDevice(Protocol):
 
     def snapshot(self) -> SlabImage: ...
 
-    def restore(self, snapshot: Snapshot) -> None: ...
+    def restore(self, snapshot: SlabImage) -> None: ...
 
     @property
     def stats(self) -> Optional["DiskStats"]: ...
@@ -565,21 +517,21 @@ class SimulatedDisk(DirtyDelta):
             written[block] = 1
         return SlabImage(bytes(merged), n, bs, bytes(written))
 
-    def restore(self, snapshot: Snapshot) -> None:
+    def restore(self, snapshot: SlabImage) -> None:
         """Restore contents from a snapshot; resets head, clock and stats.
 
         Copy-on-write: the image becomes the shared base slab in O(1)
         — no per-block copy — and subsequent writes privatize blocks
         into the delta, so the image itself is never mutated and may be
-        restored any number of times.  The legacy list-of-blocks form
-        is converted on the way in.
+        restored any number of times.  Anything but a :class:`SlabImage`
+        of this device's geometry raises ``ValueError``.
         """
-        if len(snapshot) != self.num_blocks:
-            raise ValueError("snapshot size does not match device")
         if not isinstance(snapshot, SlabImage):
-            snapshot = SlabImage.from_blocks(snapshot, self.block_size)
-        elif snapshot.block_size != self.block_size:
-            raise ValueError("snapshot block size does not match device")
+            raise ValueError(
+                f"snapshot is a {type(snapshot).__name__}, not a SlabImage")
+        if (snapshot.num_blocks, snapshot.block_size) != (
+                self.num_blocks, self.block_size):
+            raise ValueError("snapshot geometry does not match device")
         self._image = snapshot
         if self._dirty_count:
             self._reset_dirty(self.num_blocks)

@@ -11,8 +11,7 @@ performs this comparison by hand; we mechanize it.
 The retry, redundancy, and remap inferences are derived from the
 structured events (request counts per block, typed reads of redundant
 locations, explicit remap recovery events) — not from syslog string
-matching.  Legacy callers may still pass plain tag strings and an
-``IOTrace``; they are coerced into typed events on construction.
+matching.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from itertools import zip_longest
 from typing import Dict, List, Optional, Union
 
 from repro.disk.faults import Fault, FaultKind, FaultOp
-from repro.disk.trace import IOTrace
 from repro.fingerprint.workloads import OpResult
 from repro.obs.events import (
     DetectionEvent,
@@ -49,13 +47,11 @@ class RunObservation:
     :class:`StorageEvent`\\ s covering device-boundary I/O and FS policy
     behaviour.  Plain strings are accepted for convenience (tests,
     hand-built observations) and coerced via the central tag
-    classifier; an ``IOTrace`` may be passed separately, in which case
-    its I/O events are folded in.
+    classifier.
     """
 
     results: List[OpResult]
     events: List[Union[StorageEvent, str]]
-    trace: Optional[IOTrace] = None
     panic: Optional[str] = None
     fault_fired: int = 0
     fault_block: Optional[int] = None
@@ -78,9 +74,6 @@ class RunObservation:
             else classify_log(Severity.INFO, "run", e, e)
             for e in self.events
         ]
-        if self.trace is not None and not any(
-                isinstance(e, IOEvent) for e in typed):
-            typed.extend(self.trace.entries)
         self.typed_events = typed
         io = self.io_events = []
         tags = self.log_tags = {}

@@ -11,7 +11,7 @@ from repro.redundancy.array import (
     StripeParityDevice,
     make_array,
 )
-from repro.redundancy.rdp import RDPStripe, encode_blocks, is_prime
+from repro.redundancy.rdp import RDPStripe, is_prime
 
 __all__ = [
     "ArrayDevice",
@@ -23,7 +23,6 @@ __all__ = [
     "RDPDevice",
     "RDPStripe",
     "StripeParityDevice",
-    "encode_blocks",
     "is_prime",
     "make_array",
 ]

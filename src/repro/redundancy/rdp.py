@@ -5,8 +5,7 @@ encodings ... could also be used, a subject worthy of future
 exploration", citing Corbett et al.'s Row-Diagonal Parity (FAST '04),
 which high-end arrays adopted precisely to survive a second latent
 sector error during reconstruction.  This module implements RDP as a
-pure library over byte-string "blocks", usable by a future ixt3
-variant that wants two-failure tolerance per file.
+pure library over byte-string "blocks".
 
 Layout (p prime):
 
@@ -278,24 +277,3 @@ class RDPStripe:
         return [[grid[(r, c)] for r in range(self.rows)]  # type: ignore[misc]
                 for c in range(p + 1)]
 
-
-def encode_blocks(blocks: Sequence[bytes], p: int) -> Tuple[List[List[bytes]], int]:
-    """Convenience: pack a flat block list into RDP stripes.
-
-    Returns (list of encoded stripes, blocks of padding added).
-    """
-    if not blocks:
-        raise ValueError("nothing to encode")
-    bs = len(blocks[0])
-    stripe = RDPStripe(p, bs)
-    per_stripe = stripe.data_columns * stripe.rows
-    padded = list(blocks)
-    padding = (-len(padded)) % per_stripe
-    padded.extend([bytes(bs)] * padding)
-    out = []
-    for base in range(0, len(padded), per_stripe):
-        chunk = padded[base:base + per_stripe]
-        data = [chunk[c * stripe.rows:(c + 1) * stripe.rows]
-                for c in range(stripe.data_columns)]
-        out.append(stripe.encode(data))
-    return out, padding

@@ -152,8 +152,6 @@ class LegacyListDisk:
     def restore(self, snapshot) -> None:
         if len(snapshot) != self.num_blocks:
             raise ValueError("snapshot size does not match device")
-        # Accepts the legacy list form or anything indexable per block
-        # (including a SlabImage, which quacks like the list).
         self._blocks = [snapshot[i] for i in range(self.num_blocks)]
         self._written_since_restore = set()
         self._head = 0

@@ -1,8 +1,8 @@
-"""Units for the block cache, the scrubber, and the I/O trace."""
+"""Units for the block cache and the I/O trace."""
 
 import pytest
 
-from repro.common.errors import ReadError, WriteError
+from repro.common.errors import WriteError
 from repro.disk import (
     BlockCache,
     Fault,
@@ -10,7 +10,6 @@ from repro.disk import (
     FaultKind,
     FaultOp,
     IOTrace,
-    Scrubber,
     make_disk,
 )
 
@@ -109,56 +108,6 @@ class TestBlockCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             BlockCache(make_disk(4, 512), 0)
-
-
-class TestScrubber:
-    def _decayed_disk(self):
-        disk = make_disk(32, 512)
-        for i in range(32):
-            disk.write_block(i, bytes([i]) * 512)
-        injector = FaultInjector(disk)
-        for b in (5, 17, 30):
-            injector.arm(Fault(op=FaultOp.READ, kind=FaultKind.FAIL, block=b))
-        return disk, injector
-
-    def test_finds_latent_errors(self):
-        _, injector = self._decayed_disk()
-        report = Scrubber(injector).scrub()
-        assert report.latent_errors == [5, 17, 30]
-        assert report.blocks_scanned == 32
-        assert report.unrepairable == [5, 17, 30]  # no repairer given
-        assert report.problems == 3
-
-    def test_finds_corruption_with_verifier(self):
-        disk = make_disk(8, 512)
-        good = {i: bytes([i]) * 512 for i in range(8)}
-        for i, payload in good.items():
-            disk.write_block(i, payload)
-        disk.poke(3, b"\xee" * 512)  # silent at-rest corruption
-
-        report = Scrubber(disk, verifier=lambda b, data: data == good[b]).scrub()
-        assert report.corruptions == [3]
-        assert report.latent_errors == []
-
-    def test_repairer_invoked(self):
-        _, injector = self._decayed_disk()
-        repaired = []
-        report = Scrubber(injector, repairer=lambda b: repaired.append(b) or True).scrub()
-        assert repaired == [5, 17, 30]
-        assert report.repaired == [5, 17, 30]
-        assert not report.unrepairable
-
-    def test_partial_range(self):
-        _, injector = self._decayed_disk()
-        report = Scrubber(injector).scrub(start=0, end=10)
-        assert report.latent_errors == [5]
-        with pytest.raises(ValueError):
-            Scrubber(injector).scrub(start=5, end=100)
-
-    def test_render(self):
-        _, injector = self._decayed_disk()
-        text = Scrubber(injector).scrub().render()
-        assert "3 latent errors" in text
 
 
 class TestIOTrace:

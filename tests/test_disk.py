@@ -122,7 +122,28 @@ class TestSnapshotRestore:
     def test_size_mismatch_rejected(self):
         disk = make_disk(8, 512)
         with pytest.raises(ValueError):
-            disk.restore([None] * 4)
+            disk.restore(make_disk(4, 512).snapshot())
+
+    def test_only_a_slab_image_of_this_geometry_restores(self):
+        """A list, a tuple, an array snapshot, raw bytes and an image of
+        another block size are each refused with ValueError, and the
+        device keeps its contents."""
+        from repro.redundancy import make_array
+
+        disk = make_disk(8, 512)
+        disk.write_block(3, b"\x33" * 512)
+        array = make_array("mirror", 8, 512, members=2)
+        wrong = [
+            [None] * 8,
+            (None,) * 8,
+            array.snapshot(),
+            bytes(8),
+            make_disk(8, 1024).snapshot(),
+        ]
+        for snapshot in wrong:
+            with pytest.raises(ValueError):
+                disk.restore(snapshot)
+        assert disk.peek(3) == b"\x33" * 512
 
     def test_cow_roundtrip_is_bit_identical(self):
         """snapshot -> mutate -> restore round-trips every block exactly,
@@ -132,17 +153,19 @@ class TestSnapshotRestore:
         disk.write_block(1, b"\x01" * 512)
         disk.write_block(6, b"\x06" * 512)
         snap = disk.snapshot()
-        golden = list(snap)  # independent record of the snapshot contents
+        # independent record of the snapshot contents
+        golden = [snap.block(i) for i in range(8)]
         disk.restore(snap)
         disk.write_block(1, b"\xee" * 512)
         disk.write_block(3, b"\x33" * 512)
         disk.poke(6, b"\x99" * 512)
-        assert snap == golden, "mutating a restored disk altered its snapshot"
+        assert [snap.block(i) for i in range(8)] == golden, \
+            "mutating a restored disk altered its snapshot"
         disk.restore(snap)
         for block in range(8):
             expected = golden[block] if golden[block] is not None else b"\x00" * 512
             assert disk.peek(block) == expected, f"block {block} differs"
-        assert snap == golden
+        assert [snap.block(i) for i in range(8)] == golden
 
     def test_cow_restore_resets_head_clock_stats_identically(self):
         """restore()-via-aliasing must reset the timing state exactly as

@@ -36,7 +36,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.obs.events as events_mod
-from repro.disk.trace import IOTrace
 from repro.fingerprint.inference import RunObservation, _new_counts
 from repro.obs.events import (
     ArrayDetectionEvent, ArrayPolicyEvent, ArrayRecoveryEvent,
@@ -255,12 +254,8 @@ class TestRunObservation:
     @given(items=st.lists(run_item, max_size=40),
            traced=st.lists(io_fields, max_size=10))
     def test_counts_match_the_scans_they_replace(self, items, traced):
-        trace = None
-        if traced:
-            trace = IOTrace()
-            for f in traced:
-                trace.record(*f)
-        obs = RunObservation(results=[], events=list(items), trace=trace)
+        stream = list(items) + [io_event(*f) for f in traced]
+        obs = RunObservation(results=[], events=stream)
         typed = obs.typed_events
         io = [e for e in typed if isinstance(e, IOEvent)]
         logs = [e for e in typed if isinstance(e, LogEvent)]

@@ -2,19 +2,17 @@
 observations must classify into the IRON levels the paper would assign."""
 
 from repro.disk.faults import Fault, FaultKind, FaultOp
-from repro.disk.trace import IOTrace
 from repro.fingerprint.inference import RunObservation, infer_policy
 from repro.fingerprint.workloads import OpResult
+from repro.obs.events import io_event
 from repro.taxonomy import Detection, Recovery
 
 
 def obs(results=(), events=(), trace_entries=(), panic=None, fired=1,
         fault_block=50, final_ro=False, free=None):
-    trace = IOTrace()
-    for op, block, outcome in trace_entries:
-        trace.record(op, block, outcome)
+    stream = list(events) + [io_event(*entry) for entry in trace_entries]
     return RunObservation(
-        results=list(results), events=list(events), trace=trace, panic=panic,
+        results=list(results), events=stream, panic=panic,
         fault_fired=fired, fault_block=fault_block, final_read_only=final_ro,
         free_blocks=free,
     )
@@ -108,12 +106,11 @@ class TestRecoveryInference:
         assert Recovery.RETRY not in p.recovery
 
     def test_redundant_reads_are_rredundancy(self):
-        trace = IOTrace()
-        trace.record("read", 50, "error", "inode")
-        trace.record("read", 900, "ok", "replica")
         observed = RunObservation(
             results=[OpResult("stat", None, "aaaa")],
-            events=["read-error", "redundancy-used"], trace=trace,
+            events=["read-error", "redundancy-used",
+                    io_event("read", 50, "error", "inode"),
+                    io_event("read", 900, "ok", "replica")],
             fault_fired=1, fault_block=50, free_blocks=100)
         p = infer_policy(BASE, observed, read_fault(), ["replica", "parity"])
         assert Recovery.REDUNDANCY in p.recovery

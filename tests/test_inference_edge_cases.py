@@ -120,17 +120,14 @@ class TestPartitions:
         from collections import Counter
 
         from repro.common.syslog import Severity
-        from repro.disk.trace import IOTrace
         from repro.obs.events import (
             DetectionEvent, JournalCommitEvent, LogEvent, PolicyActionEvent,
-            RecoveryEvent, classify_log)
+            RecoveryEvent, classify_log, io_event)
         from repro.obs.trace import SpanEndEvent, SpanStartEvent
 
-        trace = IOTrace()
-        trace.record("read", 7, "error", "inode")
-        trace.record("read", 7, "ok", "inode")
-        trace.record("write", 9, "ok")
-        obs = observation(trace=trace, events=[
+        io = [io_event("read", 7, "error", "inode"),
+              io_event("read", 7, "ok", "inode"), io_event("write", 9, "ok")]
+        obs = observation(events=[
             SpanStartEvent(1, None, "run", "run"),
             "read-retry", "remount-ro", "some-chatter",
             classify_log(Severity.ERROR, "ext3", "sanity-fail", "bad", 7),
@@ -141,10 +138,10 @@ class TestPartitions:
             PolicyActionEvent(Severity.CRITICAL, "jfs", "panic", "dying"),
             JournalCommitEvent("ext3", 2),
             SpanEndEvent(1),
-        ])
+        ] + io)
         typed = obs.typed_events
-        assert len(typed) == 13    # every string classified, the trace folded in
-        assert obs.io_events == trace.entries == \
+        assert len(typed) == 13    # every string classified, the I/O kept
+        assert obs.io_events == io == \
             [e for e in typed if isinstance(e, IOEvent)]
         assert obs.log_tags == Counter(
             e.tag for e in typed if isinstance(e, LogEvent))
@@ -158,11 +155,3 @@ class TestPartitions:
         assert obs.policy_actions == Counter(
             e.action for e in typed if isinstance(e, PolicyActionEvent))
         assert obs.policy_actions == {"remount-ro": 1, "panic": 1}
-
-    def test_a_trace_is_not_folded_in_twice(self):
-        from repro.disk.trace import IOTrace
-
-        trace = IOTrace()
-        trace.record("read", 1, "ok")
-        io = IOEvent("read", 2, "ok")
-        assert observation(trace=trace, events=[io]).io_events == [io]

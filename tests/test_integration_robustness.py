@@ -11,7 +11,6 @@ from repro.disk import (
     FaultKind,
     FaultOp,
     Persistence,
-    Scrubber,
     corruption,
     make_disk,
     read_failure,

@@ -98,7 +98,7 @@ class TestExt3CutPoints:
         apply_state(rec, state_by_key(rec, f"prefix:{first_commit}"))
         fs = rec.adapter.make_fs(rec.disk)
         fs.mount()
-        digest = state_digest(fs, rec.profile.digest_counts)
+        digest = state_digest(fs, rec.profile.ext3_family)
         # The recovered state is the epoch-0 boundary (= golden state).
         assert rec.boundary_digests[digest] == 0
         assert not fs.exists("/f0")  # step-1 transaction did not replay
@@ -172,7 +172,7 @@ class TestIxt3TcCutPoints:
         fs = rec.adapter.make_fs(rec.disk)
         fs.mount()
         assert rec.boundary_digests[
-            state_digest(fs, rec.profile.digest_counts)
+            state_digest(fs, rec.profile.ext3_family)
         ] == len(rec.writes)
         assert fs.read_file("/newdir/f") == b"committed payload\n" * 4
         fs.unmount()

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.redundancy.rdp import RDPStripe, encode_blocks, is_prime
+from repro.redundancy.rdp import RDPStripe, is_prime
 
 
 def make_stripe(p, bs=32, seed=7):
@@ -88,25 +88,3 @@ def test_property_double_erasure_random_stripes(a, b, blk, seed):
     cols = [None if c in (a, b) else enc[c] for c in range(6)]
     assert stripe.reconstruct(cols) == enc
 
-
-class TestEncodeBlocks:
-    def test_flat_packing_with_padding(self):
-        blocks = [bytes([i]) * 64 for i in range(10)]
-        stripes, padding = encode_blocks(blocks, p=5)
-        per_stripe = 4 * 4
-        assert padding == (-10) % per_stripe
-        assert len(stripes) == 1
-        # The data round-trips out of the stripe layout.
-        flat = []
-        for s in stripes:
-            for c in range(4):
-                flat.extend(s[c])
-        assert flat[:10] == blocks
-
-    def test_multiple_stripes(self):
-        blocks = [bytes([i % 256]) * 16 for i in range(40)]
-        stripes, padding = encode_blocks(blocks, p=5)
-        assert len(stripes) == 3
-        stripe = RDPStripe(5, 16)
-        for s in stripes:
-            assert stripe.verify(s)

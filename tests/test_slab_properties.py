@@ -111,9 +111,9 @@ def test_slab_agrees_with_legacy_reference(ops):
         assert slab.stats == legacy.stats
     for i in range(NUM_BLOCKS):
         assert slab.peek(i) == legacy.peek(i)
-    # Snapshots quack alike: SlabImage == list-of-Optional[bytes].
+    # Snapshots agree block by block with the legacy lists.
     for s_img, l_img in zip(slab_snaps, legacy_snaps):
-        assert s_img == l_img
+        assert [s_img.block(i) for i in range(NUM_BLOCKS)] == l_img
 
 
 def test_clean_snapshot_is_o1_aliasing():

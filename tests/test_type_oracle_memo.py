@@ -69,7 +69,7 @@ def _golden(name):
         _GOLDENS[name] = disk.snapshot()
     golden = _GOLDENS[name]
     golden.meta.clear()
-    disk = make_disk(len(golden), golden.block_size)
+    disk = make_disk(golden.num_blocks, golden.block_size)
     disk.restore(golden)
     return disk, golden
 

@@ -66,6 +66,13 @@ one (docs/performance.md), so a module under ``src/repro`` outside
 ``common/pool.py`` and ``fleet/`` that imports ``repro.common.pool``
 fails here.
 
+And for code deleted as history: ``SlabImage`` is read through
+``block`` / ``view``, so defining ``__len__``, ``__getitem__``,
+``__iter__`` or ``from_blocks`` on it (the list-of-blocks snapshot
+protocol) fails here; and a scrub lives beside its means of recovery
+(``Ixt3.scrub``, ``ArrayDevice.scrub``), so a class named ``Scrubber``
+anywhere under ``src/repro`` fails too.
+
 It then prints the source-line count (``wc -l``) of every package under
 ``src/repro``, so each CI run records how large the tree is; ``--loc-out
 PATH`` also writes the table to a file for upload as an artifact.
@@ -178,7 +185,8 @@ def lint() -> list[str]:
                     "does not exist; drop it from ALLOWED_OVERRIDES"
                     for cls, name in sorted(unused))
     return (problems + lint_fs_caches() + lint_arrays() + lint_stack()
-            + lint_xor_chains() + lint_shared_memory() + lint_pool_consumers())
+            + lint_xor_chains() + lint_shared_memory() + lint_pool_consumers()
+            + lint_history_only())
 
 
 def lint_fs_caches() -> list[str]:
@@ -389,6 +397,44 @@ def lint_pool_consumers() -> list[str]:
     return problems
 
 
+#: ``SlabImage``'s deleted list-of-blocks protocol.
+SLAB_LIST_PROTOCOL = frozenset({"__len__", "__getitem__", "__iter__",
+                                "from_blocks"})
+
+
+def _history_only(tree: ast.AST):
+    """Yield ``(line, what)`` for each list-protocol name bound in a
+    ``SlabImage`` class body and each class named ``Scrubber``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if node.name == "Scrubber":
+            yield node.lineno, "class Scrubber"
+        elif node.name == "SlabImage":
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [getattr(t, "id", "") for t in item.targets]
+                else:
+                    continue
+                for name in SLAB_LIST_PROTOCOL.intersection(names):
+                    yield item.lineno, f"SlabImage.{name}"
+
+
+def lint_history_only() -> list[str]:
+    problems = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        problems.extend(
+            f"{path.relative_to(ROOT)}:{line}: {what} was deleted as history; "
+            + ("scrub with Ixt3.scrub or ArrayDevice.scrub"
+               if what == "class Scrubber"
+               else "read an image through block() / view()")
+            for line, what in _history_only(tree))
+    return problems
+
+
 def loc_table() -> str:
     """``wc -l`` of the ``*.py`` files in each package under ``src/repro``."""
     src = ROOT / "src" / "repro"
@@ -425,7 +471,8 @@ def main(argv=None) -> int:
           "no private decode cache under src/repro/fs; no chained xor; "
           "block <-> int conversions in arrays and ixt3 go through "
           "repro.common.xor; "
-          "no shared memory; the pool's one consumer is the fleet")
+          "no shared memory; the pool's one consumer is the fleet; "
+          "no list-form SlabImage or standalone Scrubber")
     return 0
 
 
