@@ -38,6 +38,8 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.bench.paperdata import TABLE6_PAPER, VARIANT_ORDER, variant_label
+
 SCHEMA = "repro-bench-results/1"
 #: Record kind -> (environment override, default file name).
 BENCH_FILES = {
@@ -177,16 +179,23 @@ def fleet_record(report, **extra: Any) -> Dict[str, Any]:
 
 
 def table6_record(run) -> Dict[str, Any]:
-    """Build the JSON record for a Table-6 variant sweep."""
+    """Build the JSON record for a Table-6 variant sweep, scoring each
+    bench's normalised run times against the paper's (mean and max)."""
     benches: Dict[str, Any] = {}
     for bench, rows in run.results.items():
+        normalized = run.normalized(bench)
+        paper = dict(zip(map(variant_label, VARIANT_ORDER),
+                         TABLE6_PAPER[bench]))
+        errors = [abs(x - paper[r.label]) for r, x in zip(rows, normalized)]
         benches[bench] = {
             "variants": [
                 {"label": r.label, "seconds": round(r.seconds, 6),
                  "reads": r.reads, "writes": r.writes}
                 for r in rows
             ],
-            "normalized": [round(x, 4) for x in run.normalized(bench)],
+            "normalized": [round(x, 4) for x in normalized],
+            "paper_mean_abs_err": round(sum(errors) / len(errors), 4),
+            "paper_max_abs_err": round(max(errors), 4),
         }
     return {"benches": benches}
 

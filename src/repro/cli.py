@@ -188,7 +188,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_table6(args: argparse.Namespace) -> int:
-    from repro.bench import VARIANT_ORDER, run_table6
+    from repro.bench import VARIANT_ORDER, run_table6, table6_record
 
     benches = args.benches.split(",") if args.benches else None
     variants = VARIANT_ORDER
@@ -205,6 +205,10 @@ def _cmd_table6(args: argparse.Namespace) -> int:
                 print(f"  {r.label:18} {r.seconds / base:5.2f}  ({r.seconds:.3f}s)")
     else:
         print(run.render())
+    for bench, score in table6_record(run)["benches"].items():
+        print(f"{bench} |measured - paper|: mean "
+              f"{score['paper_mean_abs_err']:.3f}, "
+              f"max {score['paper_max_abs_err']:.3f}")
     return 0
 
 

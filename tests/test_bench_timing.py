@@ -158,7 +158,7 @@ class TestFingerprintRecord:
 class TestTable6Record:
     def test_record_shape(self):
         class FakeRow:
-            label = "Baseline"
+            label = "(baseline)"
             seconds = 1.25
             reads = 10
             writes = 5
@@ -171,8 +171,10 @@ class TestTable6Record:
 
         record = table6_record(FakeRun())
         assert set(record) == {"benches"}
-        assert record["benches"]["Web"]["variants"][0]["label"] == "Baseline"
+        assert record["benches"]["Web"]["variants"][0]["label"] == "(baseline)"
         assert record["benches"]["Web"]["normalized"] == [1.0]
+        assert record["benches"]["Web"]["paper_mean_abs_err"] == 0.0
+        assert record["benches"]["Web"]["paper_max_abs_err"] == 0.0
 
 
 class TestCommittedFiles:

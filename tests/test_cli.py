@@ -63,6 +63,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "(baseline)" in out
         assert "Mc Mr Dc Dp Tc" in out
+        assert "Web |measured - paper|: mean 0.00" in out
 
     def test_trace_writes_chrome_json_and_metrics(self, capsys, tmp_path):
         trace_out = tmp_path / "t.json"

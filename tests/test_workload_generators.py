@@ -1,17 +1,24 @@
-"""The Table-6 benchmark workload generators: determinism, shape, and
-correct behaviour on a live file system."""
+"""The Table-6 benchmark workload generators: determinism, shape,
+correct behaviour on a live file system, and the draw tape that lets
+every variant replay one recording."""
+
+import random
 
 import pytest
 
 from repro.bench.workloads import (
     BENCHMARKS,
+    TAPES,
     BenchScale,
+    Tape,
+    TapeMismatch,
     postmark,
     ssh_build,
     tpcb,
     web_server,
     web_server_setup,
 )
+from repro.common.rng import random_bytes
 from repro.disk.cache import BlockCache
 from repro.disk.disk import make_disk
 from repro.fs.ixt3 import Ixt3, ixt3_config, mkfs_ixt3
@@ -35,6 +42,18 @@ def live_fs():
     fs = Ixt3(BlockCache(disk, 4096), sync_mode=False, commit_every=64)
     fs.mount()
     return disk, fs
+
+
+def clear_tapes():
+    for tape in TAPES.values():
+        tape.clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_tapes():
+    clear_tapes()
+    yield
+    clear_tapes()
 
 
 class TestSSHBuild:
@@ -124,3 +143,121 @@ class TestRegistry:
         assert set(BENCHMARKS) == {"SSH", "Web", "Post", "TPCB"}
         for name, spec in BENCHMARKS.items():
             assert callable(spec["run"])
+
+
+#: Each benchmark as the harness runs it: setup (if any), then the run.
+PHASES = {bench: [phase for phase in (spec["setup"], spec["run"]) if phase]
+          for bench, spec in BENCHMARKS.items()}
+
+
+def outcome(bench, scale=TINY, seed=None):
+    """Run *bench* on a fresh volume; what the disk ended with."""
+    disk, fs = live_fs()
+    for phase in PHASES[bench]:
+        if seed is None:
+            phase(fs, scale)
+        else:
+            phase(fs, scale, seed)
+    fs.unmount()
+    return disk.snapshot(), disk.clock, disk.stats.reads, disk.stats.writes
+
+
+class TestTapeEquivalence:
+    @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
+    def test_record_replay_and_rerecord_agree(self, bench):
+        recorded = outcome(bench)
+        assert all(TAPES[phase.__name__].key is not None
+                   for phase in PHASES[bench])
+        replayed = outcome(bench)
+        clear_tapes()
+        rerecorded = outcome(bench)
+        assert recorded == replayed == rerecorded
+
+    @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
+    def test_other_scale_or_seed_records_again(self, bench):
+        tape = TAPES[PHASES[bench][-1].__name__]
+        base = outcome(bench)
+        other_scale = BenchScale(**{**vars(TINY), "web_requests": 12,
+                                    "post_txns": 12, "tpcb_txns": 6,
+                                    "ssh_objects": 5})
+        for scale, seed in ((other_scale, None), (TINY, 99)):
+            taped = outcome(bench, scale, seed)
+            assert taped != base
+            assert tape.key[0] == scale and seed in (None, tape.key[1])
+            clear_tapes()
+            assert outcome(bench, scale, seed) == taped
+
+    def test_draws_match_a_fresh_stream(self):
+        """Record mode draws exactly what ``random.Random(seed)`` would,
+        ``choice`` included."""
+        def script(source, payload):
+            return [(source.randrange(n), source.choice("abcdefg"[:n]),
+                     payload(n), source.randrange(n, 900))
+                    for n in range(1, 8) for _ in range(5)]
+
+        tape = Tape("t")
+        with tape.open(TINY, 7) as draws:
+            got = script(draws, draws.payload)
+        rng = random.Random(7)
+        assert got == script(rng, lambda n: random_bytes(rng, n))
+
+
+def _record(tape):
+    with tape.open(TINY, 1) as draws:
+        draws.randrange(10)
+        draws.payload(8)
+
+
+class TestReplayGuard:
+    def test_different_kind_or_args(self):
+        tape = Tape("t")
+        _record(tape)
+        with pytest.raises(TapeMismatch, match=r"draw 1 is payload\(9,\)"):
+            with tape.open(TINY, 1) as draws:
+                draws.randrange(10)
+                draws.payload(9)
+        with pytest.raises(TapeMismatch, match=r"draw 0 is choice\(10,\)"):
+            with tape.open(TINY, 1) as draws:
+                draws.choice(range(10))
+
+    def test_tape_runs_out(self):
+        tape = Tape("t")
+        _record(tape)
+        with pytest.raises(TapeMismatch, match="past the end"):
+            with tape.open(TINY, 1) as draws:
+                draws.randrange(10)
+                draws.payload(8)
+                draws.randrange(10)
+
+    def test_draws_left_over(self):
+        tape = Tape("t")
+        _record(tape)
+        with pytest.raises(TapeMismatch, match="1 of 2 recorded draws left"):
+            with tape.open(TINY, 1) as draws:
+                draws.randrange(10)
+
+
+class _Failing(Exception):
+    pass
+
+
+class TestCommitOnReturn:
+    def test_failed_recording_leaves_no_tape(self):
+        clean = outcome("Post")
+        outcome("Post", TINY, 11)       # the recording the failed run drops
+        disk, fs = live_fs()
+        writes = fs.write_file
+        calls = []
+
+        def failing_write(path, data):
+            calls.append(path)
+            if len(calls) == 5:
+                raise _Failing(path)
+            writes(path, data)
+
+        fs.write_file = failing_write
+        with pytest.raises(_Failing):
+            postmark(fs, TINY)
+        assert TAPES["postmark"].key is None
+        assert outcome("Post") == clean
+        assert TAPES["postmark"].key == (TINY, 4)

@@ -73,6 +73,14 @@ protocol) fails here; and a scrub lives beside its means of recovery
 (``Ixt3.scrub``, ``ArrayDevice.scrub``), so a class named ``Scrubber``
 anywhere under ``src/repro`` fails too.
 
+And for the Table-6 generators: ``src/repro/bench/workloads.py`` draws
+only through its ``Tape`` class, which records each benchmark's draws
+once and replays them for every variant.  A name bound by importing
+``random`` or ``repro.common.rng`` (``_seeded_stream``,
+``random_bytes``, ``random.Random``...), or the tape's fresh stream
+``_recording``, used anywhere in that module outside ``class Tape``
+fails here: such a draw would bypass the tape and its replay guard.
+
 It then prints the source-line count (``wc -l``) of every package under
 ``src/repro``, so each CI run records how large the tree is; ``--loc-out
 PATH`` also writes the table to a file for upload as an artifact.
@@ -186,7 +194,7 @@ def lint() -> list[str]:
                     for cls, name in sorted(unused))
     return (problems + lint_fs_caches() + lint_arrays() + lint_stack()
             + lint_xor_chains() + lint_shared_memory() + lint_pool_consumers()
-            + lint_history_only())
+            + lint_history_only() + lint_workload_draws())
 
 
 def lint_fs_caches() -> list[str]:
@@ -435,6 +443,51 @@ def lint_history_only() -> list[str]:
     return problems
 
 
+WORKLOADS_MODULE = ROOT / "src" / "repro" / "bench" / "workloads.py"
+#: The one class of ``bench/workloads.py`` that may touch a random source.
+TAPE_HELPER = "Tape"
+RANDOM_MODULES = frozenset({"random", "repro.common.rng"})
+
+
+def _untaped_draws(tree: ast.AST):
+    """Yield ``(line, name)`` for each use, outside ``class Tape``, of a
+    name bound by importing a module in ``RANDOM_MODULES`` (or anything
+    from one), and of a ``_recording`` attribute."""
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            sources.update(alias.asname or alias.name for alias in node.names
+                           if alias.name in RANDOM_MODULES)
+        elif isinstance(node, ast.ImportFrom):
+            sources.update(
+                alias.asname or alias.name for alias in node.names
+                if node.module in RANDOM_MODULES
+                or f"{node.module}.{alias.name}" in RANDOM_MODULES)
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == TAPE_HELPER:
+                continue
+            if isinstance(child, ast.Attribute):
+                if (child.attr == "_recording"
+                        or ast.unparse(child.value) in sources):
+                    yield child.lineno, ast.unparse(child)
+                    continue
+            elif isinstance(child, ast.Name) and child.id in sources:
+                yield child.lineno, child.id
+            yield from visit(child)
+
+    yield from visit(tree)
+
+
+def lint_workload_draws() -> list[str]:
+    tree = ast.parse(WORKLOADS_MODULE.read_text(), filename=str(WORKLOADS_MODULE))
+    return [f"{WORKLOADS_MODULE.relative_to(ROOT)}:{line}: {name} draws "
+            f"outside the tape; generators draw through {TAPE_HELPER} "
+            "(randrange / choice / payload)"
+            for line, name in _untaped_draws(tree)]
+
+
 def loc_table() -> str:
     """``wc -l`` of the ``*.py`` files in each package under ``src/repro``."""
     src = ROOT / "src" / "repro"
@@ -472,7 +525,8 @@ def main(argv=None) -> int:
           "block <-> int conversions in arrays and ixt3 go through "
           "repro.common.xor; "
           "no shared memory; the pool's one consumer is the fleet; "
-          "no list-form SlabImage or standalone Scrubber")
+          "no list-form SlabImage or standalone Scrubber; "
+          "Table-6 generators draw only through their tape")
     return 0
 
 
