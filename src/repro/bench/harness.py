@@ -9,24 +9,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.disk.stack import DeviceStack
 from repro.fs.ext3 import Ext3Config
-from repro.fs.ext3.structures import (
-    FEAT_DATA_CSUM,
-    FEAT_DATA_PARITY,
-    FEAT_META_CSUM,
-    FEAT_META_REPLICA,
-    FEAT_TXN_CSUM,
-)
 from repro.fs.ixt3 import Ixt3, ixt3_config, mkfs_ixt3
+from repro.fs.ixt3.mkfs import features_mask
 from repro.bench.paperdata import TABLE6_PAPER, VARIANT_ORDER, variant_label
 from repro.bench.workloads import BENCHMARKS, BenchScale
-
-FEATURE_BITS = {
-    "Mc": FEAT_META_CSUM,
-    "Mr": FEAT_META_REPLICA,
-    "Dc": FEAT_DATA_CSUM,
-    "Dp": FEAT_DATA_PARITY,
-    "Tc": FEAT_TXN_CSUM,
-}
 
 #: Volume geometry for the benchmarks: large enough for PostMark's file
 #: population, natural pointer fan-out.
@@ -41,13 +27,6 @@ BENCH_BASE_CONFIG = Ext3Config(
 #: Buffer-cache size in blocks (the paper's testbed had 1 GB of RAM —
 #: the whole working set fits; ours likewise).
 CACHE_BLOCKS = 8192
-
-
-def features_mask(features: Tuple[str, ...]) -> int:
-    mask = 0
-    for f in features:
-        mask |= FEATURE_BITS[f]
-    return mask
 
 
 @dataclass

@@ -140,26 +140,36 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
 
 def _cmd_crash(args: argparse.Namespace) -> int:
     from repro.bench.records import crash_record
-    from repro.crash import CRASH_PROFILES, CRASH_WORKLOADS, explore
+    from repro.crash import (
+        CRASH_PROFILES, CRASH_WORKLOADS, PROFILE_GRAMMAR, crash_profile,
+        explore)
 
     if args.list:
+        print("profiles:")
+        print(PROFILE_GRAMMAR)
+        print(f"  named: {', '.join(CRASH_PROFILES)}")
+        print("workloads:")
         return _list_crash_workloads()
-    if (_unknown("file system", [args.fs], sorted(CRASH_PROFILES))
-            or _unknown("workload", [args.workload], sorted(CRASH_WORKLOADS))):
+    try:
+        profile = crash_profile(args.fs).key
+    except KeyError:
+        print(f"unknown crash profile: {args.fs}; see --list", file=sys.stderr)
         return 2
-    entry = f"crash_{args.fs}_{args.workload}"
+    if _unknown("workload", [args.workload], sorted(CRASH_WORKLOADS)):
+        return 2
+    entry = f"crash_{profile}_{args.workload}"
     report = _run_recorded(
         args, "crash", entry,
-        lambda: explore(args.fs, args.workload,
+        lambda: explore(profile, args.workload,
                         max_torn_per_epoch=args.max_torn,
                         progress=(print if args.verbose else None),
                         trace=args.trace),
-        profile=args.fs, workload=args.workload)
+        profile=profile, workload=args.workload)
     print(report.render())
     if args.trace:
         print(f"span-tree digest: {report.observed.span_digest()}")
         report.observed.write(
-            args.trace_out or f"trace_crash_{args.fs}_{args.workload}.json",
+            args.trace_out or f"trace_crash_{profile}_{args.workload}.json",
             None)
     _record(args, "crash", entry, crash_record(report))
     return 1 if (args.fail_on_violation and report.violations) else 0
@@ -560,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "trace_fingerprint_FS.json / trace_crash_FS_W.json)")
     listing = argparse.ArgumentParser(add_help=False)
     listing.add_argument("--list", action="store_true",
-                         help="list the crash workloads and exit")
+                         help="list the crash workloads (and, for crash, "
+                              "the profile grammar) and exit")
 
     p = sub.add_parser("fingerprint",
                        parents=[verbose, no_bench_json, traced],
@@ -579,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[verbose, no_bench_json, traced, listing],
                        help="explore bounded crash states of a workload")
     p.add_argument("fs", nargs="?", default="ext3",
-                   help="ext3 | reiserfs | jfs | ntfs | ixt3 (ixt3 = Tc enabled)")
+                   help="crash profile: FS[+FEATURE...][@GEOMETRY], e.g. "
+                        "ext3, ixt3 (= ixt3+Tc), ixt3+Mc+Dc@rdp5 (see --list)")
     p.add_argument("--workload", default="creat",
                    help="crash workload key (see --list)")
     p.add_argument("--max-torn", type=_max_torn, default=None, metavar="K",

@@ -10,6 +10,7 @@ every violation with the exact state key that reproduces it.  See
 
 from repro.crash.engine import (
     CRASH_PROFILES,
+    PROFILE_GRAMMAR,
     CrashProfile,
     CrashReport,
     CrashState,
@@ -18,6 +19,7 @@ from repro.crash.engine import (
     Violation,
     apply_state,
     check_state,
+    crash_profile,
     enumerate_states,
     explore,
     record,
@@ -33,11 +35,13 @@ __all__ = [
     "CrashReport",
     "CrashState",
     "CrashWorkload",
+    "PROFILE_GRAMMAR",
     "Recording",
     "StateObservation",
     "Violation",
     "apply_state",
     "check_state",
+    "crash_profile",
     "enumerate_states",
     "explore",
     "record",

@@ -55,7 +55,7 @@ from repro.crash.workloads import CRASH_WORKLOADS, CrashWorkload
 from repro.disk.stack import DeviceStack
 from repro.fingerprint.adapters import ADAPTERS
 from repro.fs.ext3.fsck import fsck_ext3
-from repro.fs.ixt3 import FEAT_TXN_CSUM
+from repro.fs.ixt3.mkfs import FEATURE_BITS, features_mask
 from repro.obs.capture import TraceCapture
 from repro.obs.events import (
     DetectionEvent,
@@ -93,25 +93,67 @@ class CrashProfile:
     ext3_family: bool = False
 
 
+#: The file systems and array geometries a profile may name.
+CRASH_FS = ("ext3", "ixt3", "reiserfs", "jfs", "ntfs")
+CRASH_GEOMETRIES = ("mirror2", "parity4", "rdp5")
+
+#: ``repro crash --list`` prints this.
+PROFILE_GRAMMAR = f"""\
+FS[+FEATURE...][@GEOMETRY]
+  FS        {' | '.join(CRASH_FS)}
+  FEATURE   {' | '.join(FEATURE_BITS)} (ixt3 only, Table 6's names; none = all off)
+  GEOMETRY  {' | '.join(CRASH_GEOMETRIES)} (the volume on a redundancy array)
+  e.g. ext3, ixt3+Mc+Dc@rdp5, ixt3+none; ixt3 alone means ixt3+Tc"""
+
+
+def _profile(fs: str, features: Tuple[str, ...] = (), geometry: str = "",
+             key: str = "") -> CrashProfile:
+    at = f"@{geometry}" if geometry else ""
+    if fs == "ixt3":
+        canonical = f"ixt3+{'+'.join(features) or 'none'}{at}"
+        kwargs = {"features": features_mask(features)}
+    else:
+        canonical, kwargs = fs + at, {}
+    return CrashProfile(key or canonical, fs + at, kwargs,
+                        ext3_family=fs in ("ext3", "ixt3"))
+
+
 CRASH_PROFILES: Dict[str, CrashProfile] = {
-    "ext3": CrashProfile("ext3", "ext3", ext3_family=True),
+    "ext3": _profile("ext3"),
     # "ixt3" here means ixt3 with *transactional checksums* (§6.1) —
     # the feature whose crash claim this engine exists to test.
-    "ixt3": CrashProfile(
-        "ixt3", "ixt3", {"features": FEAT_TXN_CSUM}, ext3_family=True
-    ),
-    "reiserfs": CrashProfile("reiserfs", "reiserfs"),
-    "jfs": CrashProfile("jfs", "jfs"),
-    "ntfs": CrashProfile("ntfs", "ntfs"),
+    "ixt3": _profile("ixt3", ("Tc",), key="ixt3"),
+    "reiserfs": _profile("reiserfs"),
+    "jfs": _profile("jfs"),
+    "ntfs": _profile("ntfs"),
     # Array-backed twins: the same file system with its single disk
     # swapped for a redundancy array.  Crash exploration is geometry-
     # agnostic — the composite array snapshot restores O(1) per state
     # like a slab image.
-    "ext3@mirror2": CrashProfile(
-        "ext3@mirror2", "ext3@mirror2", ext3_family=True
-    ),
-    "ext3@rdp5": CrashProfile("ext3@rdp5", "ext3@rdp5", ext3_family=True),
+    "ext3@mirror2": _profile("ext3", geometry="mirror2"),
+    "ext3@rdp5": _profile("ext3", geometry="rdp5"),
 }
+
+
+def crash_profile(key: str) -> CrashProfile:
+    """The profile *key* names: one of :data:`CRASH_PROFILES`, or any
+    member of the :data:`PROFILE_GRAMMAR` family — a file system, for
+    ixt3 a set of Table-6 features, and an optional array geometry
+    (``ixt3+Mc+Dc@rdp5``).  Features are put in Table 6's order, so
+    every spelling of one variant gets the same key; ixt3 with no
+    feature list has Tc, the engine's subject.  An unknown name raises
+    ``KeyError``."""
+    if key in CRASH_PROFILES:
+        return CRASH_PROFILES[key]
+    base, at, geometry = key.partition("@")
+    fs, *features = base.split("+")
+    if fs == "ixt3" and features in ([], ["none"]):
+        features = [] if features else ["Tc"]
+    chosen = tuple(f for f in FEATURE_BITS if f in features)
+    if (fs not in CRASH_FS or (at and geometry not in CRASH_GEOMETRIES)
+            or len(chosen) != len(features) or (chosen and fs != "ixt3")):
+        raise KeyError(f"no such crash profile: {key!r}")
+    return _profile(fs, chosen, geometry)
 
 
 @dataclass(frozen=True)
@@ -202,6 +244,10 @@ class Recording:
     #: live walk would have produced them.  ``None`` marks a segment
     #: that wrote to the disk (a repairing policy): never replayed.
     walk_memo: Dict[tuple, Optional[tuple]] = field(default_factory=dict)
+    #: Pre-recovery device deltas of the prefix states built so far, by
+    #: prefix length (``capture_delta()``): :func:`apply_state` starts
+    #: each state from the nearest earlier one instead of from golden.
+    captures: Dict[int, object] = field(default_factory=dict)
 
 
 # -- record -------------------------------------------------------------------
@@ -338,13 +384,26 @@ def state_by_key(rec: Recording, key: str) -> CrashState:
 
 def apply_state(rec: Recording, state: CrashState) -> None:
     """Reconstruct *state* on the recording's disk: O(1) golden restore
-    plus the selected write images poked back in order."""
+    plus the selected write images poked back in order.
+
+    Chained: the pokes of the longest prefix state already built that
+    the state extends — ``prefix:i-1`` for ``prefix:i``, the prefix
+    ending at the dropped write for a torn state — come back as one
+    captured delta, so a state pokes only its own writes.  Poking in
+    order from golden would leave the same delta, item for item."""
     rec.disk.restore(rec.golden)
-    for i in range(state.end):
+    start = state.end if state.dropped is None else state.dropped
+    while start and start not in rec.captures:
+        start -= 1
+    if start:
+        rec.disk.install_delta(rec.captures[start])
+    for i in range(start, state.end):
         if i == state.dropped:
             continue
         block, data = rec.writes[i]
         rec.disk.poke(block, data)
+    if state.dropped is None and state.end and state.end not in rec.captures:
+        rec.captures[state.end] = rec.disk.capture_delta()
     # Each reconstructed state gets its own event stream so recovery
     # observations never bleed between states (or into the recording).
     rec.disk.events = EventLog()
@@ -761,18 +820,18 @@ def explore(
     With ``trace=True``, every state's recovery stream is kept
     (not just violating ones) for Chrome-trace export.
     """
-    profile = CRASH_PROFILES[profile_key]
+    profile = crash_profile(profile_key)
     workload = CRASH_WORKLOADS[workload_key]
     rec = record(profile, workload, trace=trace)
     states = enumerate_states(rec, max_torn_per_epoch)
     if progress:
         progress(
-            f"{profile_key}/{workload_key}: {len(rec.writes)} writes, "
+            f"{profile.key}/{workload_key}: {len(rec.writes)} writes, "
             f"{len(rec.boundaries)} epochs, {len(states)} crash states"
         )
 
     report = CrashReport(
-        profile=profile_key,
+        profile=profile.key,
         workload=workload_key,
         writes=len(rec.writes),
         epochs=len(rec.boundaries),
@@ -781,7 +840,7 @@ def explore(
     )
     if progress:
         progress(
-            f"{profile_key}/{workload_key}: {len(report.violations)} violations "
+            f"{profile.key}/{workload_key}: {len(report.violations)} violations "
             f"across {report.states_explored} states"
         )
     return report

@@ -245,6 +245,26 @@ class DirtyDelta:
                 i += 1
         return i == n
 
+    def capture_delta(self) -> Tuple[tuple, tuple]:
+        """The delta's blocks and their contents, in insertion order,
+        immune to later writes.  After a restore of the same base,
+        :meth:`install_delta` rebuilds a state made by pokes without
+        them (the crash engine's chained states).  Two flat tuples, not
+        a dict copy: captures live as long as a recording, and many
+        dict tables of that lifetime fragment the heap around the
+        short-lived block payloads (``crash_explore``'s peak RSS)."""
+        return tuple(self._delta), tuple(self._delta.values())
+
+    def install_delta(self, captured: Tuple[tuple, tuple]) -> None:
+        """Make the delta exactly *captured* (see :meth:`capture_delta`)."""
+        blocks, payloads = captured
+        self._reset_dirty(len(self._dirty))
+        self._delta.update(zip(blocks, payloads))
+        dirty = self._dirty
+        for block in blocks:
+            dirty[block] = 1
+        self._dirty_count = len(blocks)
+
 
 class SimulatedDisk(DirtyDelta):
     """An in-memory disk with a seek/rotation/transfer timing model.
@@ -495,6 +515,12 @@ class SimulatedDisk(DirtyDelta):
         """The slab image this device was last restored from (or None)."""
         return self._image
 
+    def frozen_view(self) -> "FrozenView":
+        """What :meth:`peek` and :meth:`peek_view` return now, for a
+        reader that runs later (copies the delta, no block)."""
+        image = self._image
+        return FrozenView(self, image, None if image is None else image.meta)
+
     def snapshot(self) -> SlabImage:
         """Frozen image of the raw block contents (harness golden
         images).  The image is immutable and independent of the
@@ -556,6 +582,31 @@ class SimulatedDisk(DirtyDelta):
             f"SimulatedDisk(blocks={self.num_blocks}, bs={self.block_size}, "
             f"clock={self.clock:.4f}s)"
         )
+
+
+class FrozenView(DirtyDelta):
+    """A device's contents at one instant: its base image plus a copy
+    of its delta and dirty bitmap, peeked by
+    :class:`SimulatedDisk`'s own code.  A gray-box reader that runs
+    later — the block-type walk a file system defers to its first
+    query — sees what the device held when frozen, whatever was
+    written or restored since.  :attr:`meta` is that base image's memo
+    dict (None without one)."""
+
+    def __init__(self, device: DirtyDelta, image: Optional[SlabImage],
+                 meta: Optional[Dict]):
+        self._image = image
+        self._dirty = bytes(device._dirty)
+        self._delta = dict(device._delta)
+        self._dirty_count = device._dirty_count
+        self.num_blocks = len(self._dirty)
+        self._zero = device._zero
+        self.meta = meta
+
+    peek = SimulatedDisk.peek
+    peek_view = SimulatedDisk.peek_view
+    _get = SimulatedDisk._get
+    _check_range = SimulatedDisk._check_range
 
 
 def make_disk(num_blocks: int, block_size: int = 4096, **timing) -> SimulatedDisk:

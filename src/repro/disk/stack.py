@@ -201,25 +201,10 @@ class DeviceStack:
         self.disk.poke(block, data)
 
     @property
-    def base_image(self):
-        """The raw disk's base slab image (copy-on-write state)."""
-        return self.disk.base_image
-
-    @property
-    def dirty_count(self) -> int:
-        return self.disk.dirty_count
-
-    def any_dirty_in(self, blocks) -> bool:
-        return self.disk.any_dirty_in(blocks)
-
-    def dirty_contents(self, blocks) -> tuple:
-        return self.disk.dirty_contents(blocks)
-
-    def fingerprint_matches(self, blocks, fp) -> bool:
-        return self.disk.fingerprint_matches(blocks, fp)
-
-    def dirty_items(self):
-        return self.disk.dirty_items()
+    def frozen_view(self):
+        """The raw disk's ``frozen_view`` method (None if it has none),
+        for the block-type walk a mounted file system defers."""
+        return getattr(self.disk, "frozen_view", None)
 
     # -- metrics -------------------------------------------------------------
 

@@ -115,8 +115,8 @@ class JournaledFS(FileSystem):
     ``_max_file_bytes`` of the five (the pool a body must fit in).
 
     The gray-box type oracle (§4.2) is relearnt at mount by the one
-    :meth:`_rebuild_types` here, which memoises on the golden image
-    what two more primitives compute:
+    :meth:`_relearn_types` here, which walks on first use and memoises
+    on the golden image what two more primitives compute:
 
     ======================================  ==================================
     ``_walk_types(peek)``                   ``(types, jtypes)`` label maps
@@ -129,7 +129,12 @@ class JournaledFS(FileSystem):
     through the ``peek`` it is handed, and anything else it consults —
     the geometry decoded from the superblock, a tree root — is in the
     key, a hashable tuple (the class and ``device.num_blocks`` are
-    added for every file system).
+    added for every file system).  The walk takes that key from
+    ``self._walk_key(peek)``, never from ``self``: it may run long
+    after the mount that captured it.  A file system reads and updates
+    the maps only through the type-map methods here (``_type_of``,
+    ``_jtype_of``, ``_set_type``, ``_forget_type``, ``_set_jtype``,
+    ``_types_state``, ``_restore_types``).
 
     **Policy hooks** mark the places where the study found file systems
     to *behave* differently; the defaults are the common behaviour:
@@ -194,9 +199,12 @@ class JournaledFS(FileSystem):
         #: Open floating journal-transaction span (0 = none / untraced).
         self._txn_span = 0
         #: Dynamic block-type labels, and journal-region roles where the
-        #: layout does not fix them (see :meth:`_rebuild_types`).
+        #: layout does not fix them (see :meth:`_relearn_types`).
         self._types: Dict[int, str] = {}
         self._jtypes: Dict[int, str] = {}
+        #: A relearn not yet walked: ``(frozen view, _types_key(), type
+        #: overlay, jtype overlay)``, or None when the maps are current.
+        self._types_pending: Optional[tuple] = None
 
     # -- state -------------------------------------------------------------
 
@@ -855,6 +863,7 @@ class JournaledFS(FileSystem):
             self._mark_clean()
         self.fdtable.close_all()
         self._mounted = False
+        self._drop_types()
 
     def sync(self) -> None:
         self._ensure_mounted()
@@ -935,59 +944,158 @@ class JournaledFS(FileSystem):
         return dev
 
     # -- gray-box block-type oracle ------------------------------------------------
+    #
+    # The type-map methods: the only code that touches ``_types`` and
+    # ``_jtypes`` (``tools/lint_generic_ops.py``), so the overlay sees
+    # every mutation.
 
-    def _rebuild_types(self) -> None:
-        """Relearn the dynamic block-type map by walking on-disk
-        structures out-of-band (gray-box knowledge used by the
-        fingerprinting harness; generates no device traffic).
-
-        The walk is a pure function of the blocks it peeks plus
-        :meth:`_types_key`, so its result is memoized on the device's
-        base :class:`~repro.disk.disk.SlabImage`, next to the ordered
-        blocks it peeked *and* the contents of whichever of them have
-        been privatized since the last restore (the delta fingerprint).
-        A later rebuild reuses an entry when the current
-        dirty-dependency contents match the entry's fingerprint exactly
-        — which covers both the clean case (hundreds of restores of one
-        golden image per fingerprint matrix, empty fingerprint) and the
-        crash-replay case, where distinct crash states recover to
-        identical journal/inode-table contents and every mount after
-        the first hits the cache.  Soundness: the walk only ever reads
-        dependency blocks, dependency-block reads determine which
-        further blocks become dependencies, and clean dependencies
-        carry immutable base-image contents — so equal fingerprints
-        imply the walk would observe identical bytes throughout.  A
-        device with no base image just runs the walk.
+    def _relearn_types(self) -> None:
+        """Relearn the dynamic block-type map as the device holds it
+        now (gray-box knowledge for the fingerprinting harness and
+        ixt3's verified reads; generates no device traffic), but walk
+        only at the first :meth:`_type_of`, :meth:`_jtype_of` or
+        :meth:`_types_state`.  Recorded meanwhile: a frozen view of the
+        device, the :meth:`_types_key` inputs and an empty overlay that
+        takes every mutation (DESIGN.md, "Block-type maps on first
+        use").  A device with no frozen view is walked at once.
         """
         raw = self._raw_disk()
-        image = getattr(raw, "base_image", None)
+        freeze = getattr(raw, "frozen_view", None)
+        if freeze is not None:
+            self._types_pending = (freeze(), self._types_key(), {}, {})
+            return
+        # One with no gray-box access at all is read through the front door.
+        read = (getattr(raw, "peek_view", None) or getattr(raw, "peek", None)
+                or self.device.read_block)
+        self._types_pending = None
+        self._types, self._jtypes = self._walk_types(
+            _WalkPeek(read, self._types_key()))
+
+    def _rebuild_types(self) -> None:
+        """Relearn the map and walk now: :meth:`_relearn_types` then
+        the walk it would defer."""
+        self._relearn_types()
+        if self._types_pending is not None:
+            self._load_types()
+
+    def _load_types(self) -> None:
+        """Run the pending walk, then apply its overlay."""
+        view, key, types_over, jtypes_over = self._types_pending
+        self._types_pending = None
+        types, jtypes = self._walk_memoised(view, key)
+        for block, kind in types_over.items():
+            if kind is None:
+                types.pop(block, None)
+            else:
+                types[block] = kind
+        jtypes.update(jtypes_over)
+        self._types, self._jtypes = types, jtypes
+
+    def _walk_memoised(self, view, key: tuple
+                       ) -> Tuple[Dict[int, str], Dict[int, str]]:
+        """``_walk_types`` over the frozen *view* with the captured *key*.
+
+        The walk is a pure function of the blocks it peeks plus the
+        key, so its result is memoized on the view's base
+        :class:`~repro.disk.disk.SlabImage`, next to the ordered blocks
+        it peeked *and* the contents of whichever of them were
+        privatized (the delta fingerprint).  A later walk reuses an
+        entry when the frozen dirty-dependency contents match the
+        entry's fingerprint exactly — the clean case (hundreds of
+        restores of one golden image per fingerprint matrix) and crash
+        states that recover to identical journal/inode-table contents.
+        Soundness: the walk only ever reads dependency blocks,
+        dependency-block reads determine which further blocks become
+        dependencies, and clean dependencies carry immutable base-image
+        contents — so equal fingerprints imply the walk would observe
+        identical bytes throughout.  A view with no base image just
+        runs the walk.
+        """
         entries = None
-        if image is not None:
-            key = (type(self).__name__, self.device.num_blocks) + self._types_key()
-            entries = image.meta.setdefault(key, [])
+        if view.meta is not None:
+            memo_key = (type(self).__name__, self.device.num_blocks) + key
+            entries = view.meta.setdefault(memo_key, [])
             for i in range(len(entries) - 1, -1, -1):
                 deps, fp, types, jtypes = entries[i]
-                if raw.fingerprint_matches(deps, fp):
+                if view.fingerprint_matches(deps, fp):
                     # Most recently used last: a crash exploration
                     # inserts one never-reused entry per state, which
                     # must not push out the few images states recover to.
                     entries.append(entries.pop(i))
-                    self._types, self._jtypes = dict(types), dict(jtypes)
-                    return
-        deps: List[int] = []
-        # Zero-copy views where the device has them; one with no
-        # gray-box access at all is read through the front door.
-        read = (getattr(raw, "peek_view", None) or getattr(raw, "peek", None)
-                or self.device.read_block)
-
-        def peek(block: int):
-            deps.append(block)
-            return read(block)
-
-        self._types, self._jtypes = self._walk_types(peek)
+                    return dict(types), dict(jtypes)
+        peek = _WalkPeek(view.peek_view, key)
+        types, jtypes = self._walk_types(peek)
         if entries is not None:
-            deps_t = tuple(deps)
-            entries.append((deps_t, raw.dirty_contents(deps_t),
-                            dict(self._types), dict(self._jtypes)))
+            deps = tuple(peek.deps)
+            entries.append((deps, view.dirty_contents(deps),
+                            dict(types), dict(jtypes)))
             if len(entries) > 16:
                 del entries[0]
+        return types, jtypes
+
+    def _drop_types(self) -> None:
+        """Unmount: forget the map and any pending walk."""
+        self._types_pending = None
+        self._types, self._jtypes = {}, {}
+
+    def _walk_key(self, peek) -> tuple:
+        """The :meth:`_types_key` a walk uses: the one captured with its
+        view (replay may have moved the superblock or tree root since),
+        or the current one for a walk handed a live device's peek."""
+        return peek.key if isinstance(peek, _WalkPeek) else self._types_key()
+
+    def _type_of(self, block: int) -> Optional[str]:
+        """The dynamic label of *block*, or None."""
+        if self._types_pending is not None:
+            self._load_types()
+        return self._types.get(block)
+
+    def _jtype_of(self, block: int) -> str:
+        """The role of journal block *block* (``j-data`` by default)."""
+        if self._types_pending is not None:
+            self._load_types()
+        return self._jtypes.get(block, "j-data")
+
+    def _set_type(self, block: int, kind: str) -> None:
+        pending = self._types_pending
+        (self._types if pending is None else pending[2])[block] = kind
+
+    def _forget_type(self, block: int) -> None:
+        pending = self._types_pending
+        if pending is None:
+            self._types.pop(block, None)
+        else:
+            pending[2][block] = None
+
+    def _set_jtype(self, block: int, jtype: str) -> None:
+        """The journal's ``set_type`` callback."""
+        pending = self._types_pending
+        (self._jtypes if pending is None else pending[3])[block] = jtype
+
+    def _types_state(self) -> Dict[int, str]:
+        """A copy of the dynamic map, for :meth:`_capacity_state`."""
+        if self._types_pending is not None:
+            self._load_types()
+        return dict(self._types)
+
+    def _restore_types(self, saved: Dict[int, str]) -> None:
+        """Put back a :meth:`_types_state` copy (ENOSPC rollback)."""
+        self._types_pending = None
+        self._types = saved
+
+
+class _WalkPeek:
+    """The ``peek`` a block-type walk is handed: reads one block of the
+    view being walked, records it as a dependency, and carries the
+    :meth:`JournaledFS._types_key` captured with the view."""
+
+    __slots__ = ("read", "key", "deps")
+
+    def __init__(self, read: Callable, key: tuple):
+        self.read = read
+        self.key = key
+        self.deps: List[int] = []
+
+    def __call__(self, block: int):
+        self.deps.append(block)
+        return self.read(block)

@@ -66,7 +66,7 @@ from repro.fs.base import JournaledFS
 
 #: Sentinel in the static type table for journal blocks whose role is
 #: dynamic (``j-desc``/``j-data``/``j-commit``/``j-revoke`` depend on
-#: what was last written there); lookups fall through to ``_jtypes``.
+#: what was last written there); lookups fall through to ``_jtype_of``.
 _JTYPE_DYNAMIC = "__journal-dynamic__"
 
 
@@ -74,7 +74,7 @@ _JTYPE_DYNAMIC = "__journal-dynamic__"
 def _static_types_ext3(cfg: Ext3Config) -> List[Optional[str]]:
     """Per-config block→type table for everything the geometry alone
     determines (Table 4's fixed structures).  ``None`` entries are
-    dynamic (file/dir/indirect data — resolved through ``_types``);
+    dynamic (file/dir/indirect data — resolved through ``_type_of``);
     :data:`_JTYPE_DYNAMIC` marks journal-interior blocks.  The oracle
     is consulted on every injected-fault probe, so the common case must
     be one list index, not a chain of geometry comparisons."""
@@ -210,7 +210,7 @@ class Ext3(JournaledFS):
         self.gdt = unpack_gdt(gdt_raw, sb.num_groups)
 
         self.journal = self._make_journal()
-        self._rebuild_types()
+        self._relearn_types()
         try:
             with self._span("journal-replay", "txn"):
                 replayed = self.journal.recover()
@@ -240,7 +240,7 @@ class Ext3(JournaledFS):
         self.sb.mount_count += 1
         if not self._read_only:
             self._write_home(0, self.sb.pack(self.block_size))
-        self._rebuild_types()
+        self._relearn_types()
 
     def _mark_clean(self) -> None:
         self.sb.state = STATE_CLEAN
@@ -312,7 +312,7 @@ class Ext3(JournaledFS):
         # The snapshot holds final contents; the work it owes is done.
         self._settle()
         return (self.journal.save(), copy(self.sb),
-                [copy(desc) for desc in self.gdt], dict(self._types))
+                [copy(desc) for desc in self.gdt], self._types_state())
 
     def _meta_bound(self, n: int) -> int:
         """Metadata blocks a write of *n* file blocks may journal: its
@@ -321,7 +321,8 @@ class Ext3(JournaledFS):
         return n + 9 + self.config.num_groups + 3
 
     def _restore_capacity(self, state) -> None:
-        saved, self.sb, self.gdt, self._types = state
+        saved, self.sb, self.gdt, types = state
+        self._restore_types(types)
         self.journal.restore(saved)
 
     def _truncate_shrink_failed(self) -> bool:
@@ -479,7 +480,7 @@ class Ext3(JournaledFS):
             self.sb.free_blocks -= 1
             self._flush_sb_gdt()
             bno = cfg.data_start(g) + bit
-            self._types[bno] = kind
+            self._set_type(bno, kind)
             return bno
         raise FSError(Errno.ENOSPC, "out of disk space")
 
@@ -502,7 +503,7 @@ class Ext3(JournaledFS):
             self._flush_sb_gdt()
         if kind in ("dir", "indirect"):
             self.journal.revoke(bno)
-        self._types.pop(bno, None)
+        self._forget_type(bno)
 
     def _group_order(self, hint: int):
         n = self.config.num_groups
@@ -760,13 +761,10 @@ class Ext3(JournaledFS):
         table = self._type_table
         label = table[block] if 0 <= block < len(table) else None
         if label is None:
-            return self._types.get(block)
+            return self._type_of(block)
         if label is _JTYPE_DYNAMIC:
-            return self._jtypes.get(block, "j-data")
+            return self._jtype_of(block)
         return label
-
-    def _set_jtype(self, block: int, jtype: str) -> None:
-        self._jtypes[block] = jtype
 
     def journal_region(self) -> Optional[Tuple[int, int]]:
         """Half-open block range of the on-disk journal.  Consumers that
@@ -820,8 +818,7 @@ class Ext3(JournaledFS):
         return (self.config, self.sb.ptrs_per_block)
 
     def _walk_types(self, peek) -> Tuple[Dict[int, str], Dict[int, str]]:
-        cfg = self.config
-        p = self.sb.ptrs_per_block
+        cfg, p = self._walk_key(peek)
         jstart = cfg.journal_start
         types: Dict[int, str] = {}
         jtypes = {jstart: "j-super"}

@@ -26,6 +26,23 @@ from repro.fs.ixt3.features import REPLICA_MAP_BLOCKS
 ALL_FEATURES = (FEAT_META_CSUM | FEAT_DATA_CSUM | FEAT_META_REPLICA
                 | FEAT_DATA_PARITY | FEAT_TXN_CSUM)
 
+#: Table 6's names for the five features, in its column order.
+FEATURE_BITS = {
+    "Mc": FEAT_META_CSUM,
+    "Mr": FEAT_META_REPLICA,
+    "Dc": FEAT_DATA_CSUM,
+    "Dp": FEAT_DATA_PARITY,
+    "Tc": FEAT_TXN_CSUM,
+}
+
+
+def features_mask(features) -> int:
+    """The superblock feature mask of Table-6 feature names."""
+    mask = 0
+    for f in features:
+        mask |= FEATURE_BITS[f]
+    return mask
+
 #: Replica slots reserved for metadata allocated after mkfs
 #: (directories, indirect blocks).
 DYNAMIC_REPLICA_SLOTS = 96

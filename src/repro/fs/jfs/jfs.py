@@ -148,7 +148,7 @@ class JFS(JournaledFS):
             stall=self._stall,
             commit_stall_s=self.commit_stall_s,
         )
-        self._rebuild_types()
+        self._relearn_types()
         try:
             with self._span("journal-replay", "txn"):
                 self.journal.recover()
@@ -168,7 +168,7 @@ class JFS(JournaledFS):
             self.journal.abort()
             self._read_only = True
         self._mounted = True
-        self._rebuild_types()
+        self._relearn_types()
 
     def _read_superblock(self) -> JFSSuper:
         try:
@@ -264,7 +264,7 @@ class JFS(JournaledFS):
                           payload: bytes, fresh: bool) -> None:
         # JFS does not journal user data; in-place write, errors
         # ignored (D_zero).
-        self._types[bno] = "data"
+        self._set_type(bno, "data")
         self._write_nocheck(bno, payload)
 
     def _space_counts(self) -> Tuple[int, int, int, int]:
@@ -389,7 +389,7 @@ class JFS(JournaledFS):
             inode.tree_levels = 1
             self._meta_update(inode.tree_root,
                               pack_tree_block(1, [], self.block_size, f))
-            self._types[inode.tree_root] = "internal"
+            self._set_type(inode.tree_root, "internal")
             self._node_put(ino, inode)
         if idx >= f and inode.tree_levels == 1:
             if not allocate:
@@ -398,7 +398,7 @@ class JFS(JournaledFS):
             new_root = self._alloc_block("internal")
             self._meta_update(new_root, pack_tree_block(
                 2, [inode.tree_root], self.block_size, f))
-            self._types[new_root] = "internal"
+            self._set_type(new_root, "internal")
             inode.tree_root = new_root
             inode.tree_levels = 2
             self._node_put(ino, inode)
@@ -430,7 +430,7 @@ class JFS(JournaledFS):
             child = self._alloc_block("internal")
             self._meta_update(child, pack_tree_block(
                 level - 1, [], self.block_size, f))
-            self._types[child] = "internal"
+            self._set_type(child, "internal")
             while len(ptrs) <= slot:
                 ptrs.append(0)
             ptrs[slot] = child
@@ -593,7 +593,7 @@ class JFS(JournaledFS):
             self._meta_update(map_block, pack_map_block(bmp, self.block_size))
             self.sb.free_blocks -= 1
             self._flush_super()
-            self._types[absolute] = kind
+            self._set_type(absolute, kind)
             return absolute
         raise FSError(Errno.ENOSPC, "out of disk space")
 
@@ -610,7 +610,7 @@ class JFS(JournaledFS):
             self._meta_update(map_block, pack_map_block(bmp, self.block_size))
             self.sb.free_blocks += 1
             self._flush_super()
-        self._types.pop(block, None)
+        self._forget_type(block)
 
     def _alloc_inode(self, mode: int) -> int:
         cfg = self.config
@@ -692,7 +692,7 @@ class JFS(JournaledFS):
             return "imap"
         if cfg.inode_table_start <= block < cfg.inode_table_start + cfg.inode_table_blocks:
             return "inode"
-        return self._types.get(block)
+        return self._type_of(block)
 
     def redundancy_types(self) -> List[str]:
         return ["super"]
@@ -702,7 +702,7 @@ class JFS(JournaledFS):
 
     def _walk_types(self, peek) -> Tuple[Dict[int, str], Dict[int, str]]:
         # Journal-region roles are fixed by layout: no jtypes.
-        cfg = self.config
+        (cfg,) = self._walk_key(peek)
         types: Dict[int, str] = {}
         for block in range(cfg.inode_table_start, cfg.data_start):
             payload = peek(block)
@@ -713,22 +713,23 @@ class JFS(JournaledFS):
                     if bno:
                         types[bno] = kind
                 if f[16]:
-                    self._label_tree(f[16], f[17], kind, types, peek)
+                    self._label_tree(f[16], f[17], kind, cfg.tree_fanout,
+                                     types, peek)
         return types, {}
 
-    def _label_tree(self, block: int, level: int, kind: str,
+    def _label_tree(self, block: int, level: int, kind: str, fanout: int,
                     types: Dict[int, str], peek) -> None:
         if not 0 < block < self.device.num_blocks or level <= 0:
             return
         types[block] = "internal"
         try:
-            _, ptrs = unpack_tree_block(peek(block), block, self.config.tree_fanout)
+            _, ptrs = unpack_tree_block(peek(block), block, fanout)
         except CorruptionDetected:
             return
         for ptr in ptrs:
             if not 0 < ptr < self.device.num_blocks:
                 continue
             if level > 1:
-                self._label_tree(ptr, level - 1, kind, types, peek)
+                self._label_tree(ptr, level - 1, kind, fanout, types, peek)
             else:
                 types[ptr] = kind

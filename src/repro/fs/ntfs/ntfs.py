@@ -138,7 +138,7 @@ class NTFS(JournaledFS):
             commit_stall_s=self.commit_stall_s,
             txn_checksum=False,
         )
-        self._rebuild_types()
+        self._relearn_types()
         try:
             with self._span("journal-replay", "txn"):
                 self.journal.recover()
@@ -155,7 +155,7 @@ class NTFS(JournaledFS):
                                   mechanism="error-code")
             raise FSError(Errno.EIO, "cannot replay logfile") from exc
         self._mounted = True
-        self._rebuild_types()
+        self._relearn_types()
 
     def _write_meta_swallowing(self, block: int, data: bytes) -> None:
         """Journal/checkpoint writes: retried, then logged; the commit
@@ -208,7 +208,7 @@ class NTFS(JournaledFS):
 
     def _file_block_store(self, mft: int, rec: MFTRecord, fb: int, bno: int,
                           payload: bytes, fresh: bool) -> None:
-        self._types[bno] = "data"
+        self._set_type(bno, "data")
         self.journal.add_ordered(bno, payload)
 
     def _node_shrink(self, mft: int, rec: MFTRecord, size: int) -> None:
@@ -312,7 +312,7 @@ class NTFS(JournaledFS):
         self.journal.add_meta(boot.vol_bitmap_start,
                               bmp.to_bytes(pad_to=self.block_size))
         bno = data_start + bit
-        self._types[bno] = kind
+        self._set_type(bno, kind)
         return bno
 
     def _free_block(self, bno: int) -> None:
@@ -326,7 +326,7 @@ class NTFS(JournaledFS):
             self.journal.add_meta(boot.vol_bitmap_start,
                                   bmp.to_bytes(pad_to=self.block_size))
         self.journal.revoke(bno)
-        self._types.pop(bno, None)
+        self._forget_type(bno)
 
     def _alloc_mft(self, mode: int) -> int:
         boot = self.boot
@@ -370,14 +370,14 @@ class NTFS(JournaledFS):
             return "MFT-bitmap"
         if boot.mft_start <= block < boot.mft_start + boot.mft_records:
             return "MFT"
-        return self._types.get(block)
+        return self._type_of(block)
 
     def _types_key(self) -> tuple:
         return (self.boot,)
 
     def _walk_types(self, peek) -> Tuple[Dict[int, str], Dict[int, str]]:
         # The whole journal region is 'logfile': no jtypes.
-        boot = self.boot
+        (boot,) = self._walk_key(peek)
         types: Dict[int, str] = {}
         for block in range(boot.mft_start, boot.mft_start + boot.mft_records):
             try:

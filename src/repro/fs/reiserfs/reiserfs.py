@@ -169,7 +169,7 @@ class ReiserFS(JournaledFS):
         )
         self.tree.root_block = sb.root_block
         self.tree.height = sb.height
-        self._rebuild_types()
+        self._relearn_types()
         try:
             # No sanity or type check protects journal *data* blocks: a
             # corrupted copy is replayed to wherever its descriptor
@@ -192,7 +192,7 @@ class ReiserFS(JournaledFS):
             self.tree.root_block = sb2.root_block
             self.tree.height = sb2.height
         self._mounted = True
-        self._rebuild_types()
+        self._relearn_types()
 
     # ==================================================================
     # Data path.  An object's body is read and stored whole, not block
@@ -258,10 +258,11 @@ class ReiserFS(JournaledFS):
                 and self.journal.fits(2 * splits + self.config.bitmap_blocks + 1)):
             return None
         return (self.journal.save(), copy(self.sb), self.tree.root_block,
-                self.tree.height, dict(self._types))
+                self.tree.height, self._types_state())
 
     def _restore_capacity(self, state) -> None:
-        saved, self.sb, self.tree.root_block, self.tree.height, self._types = state
+        saved, self.sb, self.tree.root_block, self.tree.height, types = state
+        self._restore_types(types)
         self.journal.restore(saved)
 
     def _symlink_create(self, parent: Pair, raw: bytes) -> Pair:
@@ -402,7 +403,7 @@ class ReiserFS(JournaledFS):
             for i, ptr in enumerate(new_ptrs):
                 chunk = content[i * bs:(i + 1) * bs]
                 payload = chunk + b"\x00" * (bs - len(chunk))
-                self._types[ptr] = "data"
+                self._set_type(ptr, "data")
                 self.journal.add_ordered(ptr, payload)
         st.size = len(content)
         st.mtime += 1.0
@@ -510,7 +511,7 @@ class ReiserFS(JournaledFS):
             raise FSError(Errno.EUCLEAN, f"corrupt tree node {block}") from exc
 
     def _node_write(self, block: int, node: Node) -> None:
-        self._types[block] = self._label_for(block, node)
+        self._set_type(block, self._label_for(block, node))
         self.journal.add_meta(block, node.pack(self.block_size))
 
     def _label_for(self, block: int, node: Node) -> str:
@@ -582,7 +583,7 @@ class ReiserFS(JournaledFS):
             self.journal.add_meta(bmp_block, bmp.to_bytes(pad_to=self.block_size))
             self.sb.free_blocks -= 1
             self._flush_super()
-            self._types[absolute] = kind
+            self._set_type(absolute, kind)
             return absolute
         raise FSError(Errno.ENOSPC, "out of disk space")
 
@@ -601,7 +602,7 @@ class ReiserFS(JournaledFS):
             self.sb.free_blocks += 1
             self._flush_super()
         self.journal.revoke(block)
-        self._types.pop(block, None)
+        self._forget_type(block)
 
     def _flush_super(self) -> None:
         self.sb.root_block = self.tree.root_block
@@ -631,10 +632,10 @@ class ReiserFS(JournaledFS):
         if cfg.journal_start <= block < cfg.journal_start + cfg.journal_blocks:
             if block == cfg.journal_start:
                 return "j-header"
-            return self._jtypes.get(block, "j-data")
+            return self._jtype_of(block)
         if cfg.bitmap_start <= block < cfg.bitmap_start + cfg.bitmap_blocks:
             return "bitmap"
-        label = self._types.get(block)
+        label = self._type_of(block)
         if label in ("internal", "root"):
             return "root" if self.tree and block == self.tree.root_block else "internal"
         if self.tree and block == self.tree.root_block:
@@ -642,13 +643,13 @@ class ReiserFS(JournaledFS):
         return label
 
     def _set_jtype(self, block: int, jtype: str) -> None:
-        self._jtypes[block] = "j-header" if jtype == "j-super" else jtype
+        super()._set_jtype(block, "j-header" if jtype == "j-super" else jtype)
 
     def _types_key(self) -> tuple:
         return (self.config, self.tree.root_block)
 
     def _walk_types(self, peek) -> Tuple[Dict[int, str], Dict[int, str]]:
-        cfg = self.config
+        cfg, root = self._walk_key(peek)
         types: Dict[int, str] = {}
         jtypes: Dict[int, str] = {}
         pos = 1
@@ -667,7 +668,7 @@ class ReiserFS(JournaledFS):
             if parse_commit(raw) is not None:
                 jtypes[cfg.journal_start + pos] = "j-commit"
             pos += 1
-        self._walk_label(self.tree.root_block, 0, types, peek)
+        self._walk_label(root, 0, types, peek)
         return types, jtypes
 
     def _walk_label(self, block: int, depth: int, types: Dict[int, str],

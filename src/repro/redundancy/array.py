@@ -51,7 +51,7 @@ from typing import (
 from repro.common.errors import OutOfRangeError, ReadError, WriteError
 from repro.common.xor import xor, xor_all, xor_update
 from repro.disk.disk import (
-    DirtyDelta, DiskStats, SimulatedDisk, SlabImage, make_disk,
+    DirtyDelta, DiskStats, FrozenView, SimulatedDisk, SlabImage, make_disk,
 )
 from repro.disk.geometry import DiskGeometry
 from repro.disk.injector import FaultInjector
@@ -162,6 +162,38 @@ class _ArrayBaseView:
         member base-image objects (the key holds strong references,
         keeping ids stable for the dict's lifetime)."""
         return self._array._base_meta()
+
+
+class _FrozenArray(FrozenView):
+    """An array's logical contents at one instant.  The logical delta
+    backs the memo fingerprints; peeks take the live :meth:`ArrayDevice.peek`
+    path over frozen member views and trust sets, reconstructing an
+    untrusted cell from its peers."""
+
+    def __init__(self, array: "ArrayDevice"):
+        image = array.base_image
+        super().__init__(array, None, None if image is None else image.meta)
+        self._array = array
+        self._members = [member.disk.frozen_view() for member in array.members]
+        self._suspect = frozenset(array._suspect)
+        self._stale = frozenset(array._stale)
+
+    def _member_peek(self, m: int, mb: int,
+                     logical: Optional[int] = None) -> Optional[bytes]:
+        if m in self._stale or (m, mb) in self._suspect:
+            return None
+        return self._members[m].peek(mb)
+
+    def peek(self, block: int) -> bytes:
+        self._check_range(block, "read")
+        m, mb = self._array._locate(block)
+        if m in self._stale or (m, mb) in self._suspect:
+            data = self._array._recover(m, mb, self._member_peek, None)
+            if data is not None:
+                return data
+        return self._members[m].peek(mb)
+
+    peek_view = peek
 
 
 @dataclass
@@ -372,6 +404,26 @@ class ArrayDevice(DirtyDelta):
         data = bytes(data)
         self._poke_logical(block, data)
         self._put(block, data)
+
+    def capture_delta(self) -> tuple:
+        """Everything a :meth:`poke` changes, immune to later writes:
+        the logical delta, every member disk's delta and the suspect
+        set (see :meth:`DirtyDelta.capture_delta`)."""
+        return (DirtyDelta.capture_delta(self),
+                tuple(member.disk.capture_delta() for member in self.members),
+                frozenset(self._suspect))
+
+    def install_delta(self, captured: tuple) -> None:
+        own, members, suspect = captured
+        DirtyDelta.install_delta(self, own)
+        for member, delta in zip(self.members, members):
+            member.disk.install_delta(delta)
+        self._suspect = set(suspect)
+
+    def frozen_view(self) -> "_FrozenArray":
+        """What :meth:`peek` would return now, for a reader that runs
+        later (see :class:`~repro.disk.disk.FrozenView`)."""
+        return _FrozenArray(self)
 
     @property
     def base_image(self) -> Optional[_ArrayBaseView]:

@@ -86,6 +86,13 @@ class TestCLI:
         assert main(["trace", "fat32"]) == 2
         assert "unknown file system" in capsys.readouterr().err
 
+    def test_crash_list_prints_the_profile_grammar(self, capsys):
+        assert main(["crash", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert "FS[+FEATURE...][@GEOMETRY]" in out and "creat" in out
+        assert main(["crash", "ext3+Mc", "--no-bench-json"]) == 2
+        assert "unknown crash profile: ext3+Mc" in capsys.readouterr().err
+
     def test_fingerprint_trace_and_metrics_flags(self, capsys, tmp_path,
                                                  bench_json):
         trace_out = tmp_path / "t.json"

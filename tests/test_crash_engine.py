@@ -15,6 +15,7 @@ from repro.crash import (
     CRASH_WORKLOADS,
     apply_state,
     check_state,
+    crash_profile,
     enumerate_states,
     explore,
     record,
@@ -210,3 +211,153 @@ def test_violation_digest_tracks_content():
     rep_a = creat_report("ext3")
     rep_b = creat_report("ixt3")
     assert rep_a.violation_digest() != rep_b.violation_digest()
+
+
+# -- pinned traced runs -------------------------------------------------------
+
+#: ``explore(profile, "creat", trace=True).observed.span_digest()`` for
+#: every named profile, captured before crash states were chained off
+#: one another and before block-type maps were built on first use.  Both
+#: changes are host-only, so every span a state's recovery opens must
+#: come out the same.  Leave these literals unedited.
+PINNED_SPAN_DIGESTS = {
+    "ext3": "cc18b674002f587284600e0c3e07f4f17a3707649ff635662840a6fb20ba1325",
+    "ixt3": "aa167bdd50eb9787efad1e496606d54c600d7e3fad302f05b88a8439c5d8353f",
+    "reiserfs": "48665f14b3bc228581e9b697e0be2b16bb38882510535d96860556036ba53737",
+    "jfs": "364892970cddc1b32079c4b51e6c20f5a0e3152d0fafd60e6b796a03ce4dcf17",
+    "ntfs": "2f1e4b8808257cc20834b5480d81ede53c347f2aa0fa6b4e2ed4ed5a368b3f13",
+    "ext3@mirror2":
+        "6679f92fd516145337606b9798b19530b4065f8f0f39c7a5443fb2ab9f294a4f",
+    "ext3@rdp5":
+        "ed9e2a616136da8505948fec4e1fdbdc59ea380ace2eb4a414692a590c231541",
+}
+
+
+def test_every_named_profile_is_pinned():
+    assert sorted(PINNED_SPAN_DIGESTS) == ALL_FS
+
+
+@pytest.mark.parametrize("fs_key", sorted(PINNED_SPAN_DIGESTS))
+def test_traced_span_tree_digest_is_pinned(fs_key):
+    report = explore(fs_key, "creat", trace=True)
+    assert report.observed.span_digest() == PINNED_SPAN_DIGESTS[fs_key]
+
+
+# -- chained state construction -----------------------------------------------
+
+
+def _delta_tree(device):
+    """Everything a poke changes, in a comparable form: each dirty
+    delta's items in insertion order, its dirty count and bitmap — the logical
+    one and every member disk's for an array — plus the array's
+    suspect and stale sets."""
+    own = (list(device._delta.items()), device.dirty_count,
+           bytes(device._dirty))
+    members = getattr(device, "members", None)
+    if members is None:
+        return own
+    return (own, [_delta_tree(member.disk) for member in members],
+            sorted(device._suspect), sorted(device._stale))
+
+
+def _from_golden(rec, state):
+    """*state* rebuilt the unchained way: golden plus every poke."""
+    rec.disk.restore(rec.golden)
+    for i in range(state.end):
+        if i != state.dropped:
+            rec.disk.poke(*rec.writes[i])
+    return _delta_tree(rec.disk)
+
+
+@pytest.mark.parametrize("fs_key", ALL_FS)
+def test_chained_states_equal_a_rebuild_from_golden(fs_key):
+    """Every state of every workload, in exploration order with each
+    state's recovery run in between (recovery writes on top of the
+    installed delta, never into a capture)."""
+    for workload in CRASH_WORKLOADS.values():
+        rec = record(CRASH_PROFILES[fs_key], workload)
+        for state in enumerate_states(rec):
+            apply_state(rec, state)
+            chained = _delta_tree(rec.disk)
+            assert chained == _from_golden(rec, state), (
+                f"{fs_key}/{workload.key} {state.key}")
+            check_state(rec, state)
+
+
+def test_an_array_capture_carries_the_suspect_set():
+    """A poke clears the suspect mark of the cells it rewrites, so an
+    install over a golden with suspects must put the smaller set back."""
+    from repro.redundancy.array import make_array
+
+    array = make_array("parity", 16, 512, members=4)
+    for b in range(16):
+        array.write_block(b, bytes([b + 1]) * 512)
+    cell = array._locate(5)
+    array._suspect.add(cell)
+    golden = array.snapshot()
+    array.restore(golden)
+    array.poke(5, bytes(512))
+    captured, after = array.capture_delta(), _delta_tree(array)
+    array.restore(golden)
+    assert cell in array._suspect
+    array.install_delta(captured)
+    assert _delta_tree(array) == after
+
+
+@pytest.mark.parametrize("fs_key", ["ext3", "ext3@rdp5"])
+def test_late_states_rebuild_on_a_fresh_recording(fs_key):
+    for clear in (False, True):
+        rec = record(CRASH_PROFILES[fs_key], CRASH_WORKLOADS["creat"])
+        if clear:
+            rec.captures.clear()  # nothing to chain from: golden + pokes
+        states = enumerate_states(rec)
+        late = [next(s for s in reversed(states) if s.key.startswith(kind))
+                for kind in ("prefix:", "torn:")]
+        for state in late:
+            apply_state(rec, state_by_key(rec, state.key))
+            chained = _delta_tree(rec.disk)
+            assert chained == _from_golden(rec, state), state.key
+
+
+# -- the profile family -------------------------------------------------------
+
+
+def test_named_profiles_are_members_of_the_family():
+    for key, named in CRASH_PROFILES.items():
+        assert crash_profile(key) is named
+    twin = crash_profile("ixt3+Tc")
+    assert (twin.registry_key, twin.registry_kwargs, twin.ext3_family) == (
+        "ixt3", CRASH_PROFILES["ixt3"].registry_kwargs, True)
+    assert crash_profile("ixt3@rdp5") == crash_profile("ixt3+Tc@rdp5")
+    assert crash_profile("ext3@parity4").registry_key == "ext3@parity4"
+
+
+def test_every_table6_variant_and_its_array_twins_resolve():
+    from repro.bench.paperdata import VARIANT_ORDER
+    from repro.fs.ixt3.mkfs import features_mask
+
+    keys = set()
+    for features in VARIANT_ORDER:
+        for at in ("", "@mirror2", "@parity4", "@rdp5"):
+            spelled = "ixt3+" + ("+".join(reversed(features)) or "none") + at
+            profile = crash_profile(spelled)
+            assert profile.registry_key == "ixt3" + at
+            assert profile.registry_kwargs == {"features": features_mask(features)}
+            assert crash_profile(profile.key) == profile
+            keys.add(profile.key)
+    assert len(keys) == 32 * 4
+
+
+@pytest.mark.parametrize("key", [
+    "ext4", "ext3+Mc", "ixt3+Zz", "ixt3+Mc+Mc", "ixt3+", "ixt3+none+Mc",
+    "ext3@raid0", "ixt3@", "reiserfs+none"])
+def test_unknown_profiles_raise(key):
+    with pytest.raises(KeyError):
+        crash_profile(key)
+
+
+def test_a_family_member_explores_like_its_named_twin():
+    named = creat_report("ixt3")
+    spelled = explore("ixt3+Tc", "creat")
+    assert spelled.profile == "ixt3+Tc"
+    assert spelled.violation_digest() == named.violation_digest()

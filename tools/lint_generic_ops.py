@@ -81,6 +81,15 @@ once and replays them for every variant.  A name bound by importing
 ``_recording``, used anywhere in that module outside ``class Tape``
 fails here: such a draw would bypass the tape and its replay guard.
 
+And for the block-type maps: a file system relearns its map at mount
+but walks the on-disk structures only at the first query, over a frozen
+view of the device, and mutations made before the walk wait in an
+overlay (DESIGN.md, "Block-type maps on first use").  A write that
+went straight to ``_types`` or ``_jtypes`` would bypass the overlay and
+be lost when the walk lands, so anywhere under ``src/repro`` an
+attribute named ``_types`` or ``_jtypes`` outside the type-map methods
+of ``JournaledFS`` in ``fs/base.py`` fails here.
+
 It then prints the source-line count (``wc -l``) of every package under
 ``src/repro``, so each CI run records how large the tree is; ``--loc-out
 PATH`` also writes the table to a file for upload as an artifact.
@@ -110,8 +119,12 @@ GENERIC_OPS = frozenset({
     "_do_read", "_do_write", "_do_truncate", "_do_symlink", "_do_mkdir",
     "_file_read", "_file_write", "_file_truncate",
     # The type-oracle memo: a file system supplies the walk and its key
-    # (``_walk_types`` / ``_types_key``), never a rebuild of its own.
-    "_rebuild_types",
+    # (``_walk_types`` / ``_types_key``), never a rebuild of its own,
+    # and reads and updates the maps through the type-map methods.
+    "_rebuild_types", "_relearn_types", "_load_types", "_walk_memoised",
+    "_drop_types",
+    "_walk_key", "_type_of", "_jtype_of", "_set_type", "_forget_type",
+    "_types_state", "_restore_types",
     # The block-list directory: a file system supplies the
     # ``_dir_block*`` primitives, never a scan, insert or remove.
     "_dir_entries", "_dir_find", "_dir_add", "_dir_remove",
@@ -128,6 +141,9 @@ GENERIC_OPS = frozenset({
 #: to scan — and ``stat`` reports the object id of a key pair, so it
 #: keeps the seven directory operations as well.
 ALLOWED_OVERRIDES = frozenset({
+    # ReiserFS names its journal header ``j-header``; it renames the
+    # role and hands it on to the base method.
+    ("ReiserFS", "_set_jtype"),
     ("ReiserFS", "_file_read"),
     ("ReiserFS", "_file_write"),
     ("ReiserFS", "_file_truncate"),
@@ -194,7 +210,7 @@ def lint() -> list[str]:
                     for cls, name in sorted(unused))
     return (problems + lint_fs_caches() + lint_arrays() + lint_stack()
             + lint_xor_chains() + lint_shared_memory() + lint_pool_consumers()
-            + lint_history_only() + lint_workload_draws())
+            + lint_history_only() + lint_workload_draws() + lint_type_maps())
 
 
 def lint_fs_caches() -> list[str]:
@@ -488,6 +504,49 @@ def lint_workload_draws() -> list[str]:
             for line, name in _untaped_draws(tree)]
 
 
+#: Where the dynamic block-type maps may be touched: ``JournaledFS``'s
+#: type-map methods, which keep a deferred walk's overlay in step.
+TYPE_MAPS = frozenset({"_types", "_jtypes"})
+TYPE_MAP_METHODS = frozenset({
+    "__init__", "_relearn_types", "_load_types", "_drop_types", "_type_of",
+    "_jtype_of", "_set_type", "_forget_type", "_set_jtype", "_types_state",
+    "_restore_types",
+})
+
+
+def _type_map_uses(tree: ast.AST, allowed=frozenset()):
+    """Yield ``(line, name)`` for each ``._types`` / ``._jtypes``
+    attribute outside a ``JournaledFS`` method named in *allowed*."""
+    exempt = {id(item) for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "JournaledFS"
+              for item in node.body
+              if isinstance(item, ast.FunctionDef) and item.name in allowed}
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if id(child) in exempt:
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in TYPE_MAPS:
+                yield child.lineno, ast.unparse(child)
+            yield from visit(child)
+
+    yield from visit(tree)
+
+
+def lint_type_maps() -> list[str]:
+    problems = []
+    src = ROOT / "src" / "repro"
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = TYPE_MAP_METHODS if path == FS_ROOT / "base.py" else frozenset()
+        problems.extend(
+            f"{path.relative_to(ROOT)}:{line}: {name} outside the type-map "
+            "methods of JournaledFS; use _type_of / _jtype_of / _set_type / "
+            "_forget_type / _set_jtype / _types_state / _restore_types"
+            for line, name in _type_map_uses(tree, allowed))
+    return problems
+
+
 def loc_table() -> str:
     """``wc -l`` of the ``*.py`` files in each package under ``src/repro``."""
     src = ROOT / "src" / "repro"
@@ -526,7 +585,8 @@ def main(argv=None) -> int:
           "repro.common.xor; "
           "no shared memory; the pool's one consumer is the fleet; "
           "no list-form SlabImage or standalone Scrubber; "
-          "Table-6 generators draw only through their tape")
+          "Table-6 generators draw only through their tape; "
+          "block-type maps change only in JournaledFS's type-map methods")
     return 0
 
 
