@@ -44,6 +44,16 @@ def compiled(fmt: str) -> Struct:
     return Struct(fmt)
 
 
+@lru_cache(maxsize=128)
+def interned(cls, **fields):
+    """The one frozen ``cls(**fields)`` per distinct field set: a disk
+    geometry, or a file-system config decoded from a superblock.  Every
+    disk and every mount of one geometry shares it, and with it the
+    layout its cached properties computed on first use.  A construction
+    that raises (a geometry that fails validation) stores nothing."""
+    return cls(**fields)
+
+
 class DecodeMemo:
     """One decoder's bounded, payload-keyed memo of decoded values.
 

@@ -10,6 +10,7 @@ observes real device behaviour.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import List, Sequence
 
 from repro.disk.disk import BlockDevice
 
@@ -49,6 +50,19 @@ class BlockCache:
         # updated, so a failed write never leaves stale "clean" data.
         self.lower.write_block(block, data)
         self._insert(block, bytes(data))
+
+    # Vectored I/O is the per-block loop: hits and LRU order need each
+    # block's own visit.
+
+    def read_blocks(self, blocks: Sequence[int]) -> List[bytes]:
+        return [self.read_block(block) for block in blocks]
+
+    def write_blocks(self, blocks: Sequence[int],
+                     payloads: Sequence[bytes]) -> None:
+        if len(payloads) != len(blocks):
+            raise ValueError("write_blocks needs one payload per block")
+        for block, data in zip(blocks, payloads):
+            self.write_block(block, data)
 
     def invalidate(self, block: int) -> None:
         self._lru.pop(block, None)

@@ -26,6 +26,7 @@ from typing import (
 )
 
 from repro.common.errors import OutOfRangeError, ReadError, WriteError
+from repro.common.structs import interned
 from repro.disk.geometry import DiskGeometry
 
 
@@ -610,5 +611,7 @@ class FrozenView(DirtyDelta):
 
 
 def make_disk(num_blocks: int, block_size: int = 4096, **timing) -> SimulatedDisk:
-    """Convenience constructor used by tests, examples and benchmarks."""
-    return SimulatedDisk(DiskGeometry(num_blocks=num_blocks, block_size=block_size, **timing))
+    """Convenience constructor used by tests, examples and benchmarks:
+    disks of one shape share one interned geometry."""
+    return SimulatedDisk(interned(DiskGeometry, num_blocks=num_blocks,
+                                  block_size=block_size, **timing))

@@ -77,11 +77,6 @@ class FaultInjector:
     def set_type_oracle(self, oracle: Optional[TypeOracle]) -> None:
         self.type_oracle = oracle
 
-    def block_type_of(self, block: int) -> Optional[str]:
-        if self.type_oracle is None:
-            return None
-        return self.type_oracle(block)
-
     # -- BlockDevice protocol -------------------------------------------------
 
     @property
@@ -93,42 +88,48 @@ class FaultInjector:
         return self.lower.block_size
 
     def read_block(self, block: int) -> bytes:
-        if not self.faults and self.type_oracle is None:
+        oracle = self.type_oracle
+        if oracle is None and not self.faults:
             # Nothing armed, nothing to type: pass straight through.
             data = self.lower.read_block(block)
             self.events.emit(io_event("read", block, "ok"))
             return data
-        btype = self.block_type_of(block)
-        fault = self._match("read", block, btype)
-        if fault is not None and fault.consume(block):
-            if fault.kind is FaultKind.FAIL:
-                self.events.emit(io_event("read", block, "error", btype))
-                raise ReadError(block, f"injected: {fault.describe()}")
-            data = self.lower.read_block(block)
-            bad = fault.corrupt(data, btype)
-            self.events.emit(io_event("read", block, "corrupted", btype))
-            return bad
+        # One oracle call per request; the first matching fault decides.
+        btype = None if oracle is None else oracle(block)
+        for fault in self.faults:
+            if fault.matches("read", block, btype):
+                if fault.consume(block):
+                    if fault.kind is FaultKind.FAIL:
+                        self.events.emit(io_event("read", block, "error", btype))
+                        raise ReadError(block, f"injected: {fault.describe()}")
+                    bad = fault.corrupt(self.lower.read_block(block), btype)
+                    self.events.emit(io_event("read", block, "corrupted", btype))
+                    return bad
+                break
         data = self.lower.read_block(block)
         self.events.emit(io_event("read", block, "ok", btype))
         return data
 
     def write_block(self, block: int, data: bytes) -> None:
-        if not self.faults and self.type_oracle is None:
+        oracle = self.type_oracle
+        if oracle is None and not self.faults:
             self.lower.write_block(block, data)
             self.events.emit(io_event("write", block, "ok"))
             return
-        btype = self.block_type_of(block)
-        fault = self._match("write", block, btype)
-        if fault is not None and fault.consume(block):
-            if fault.kind is FaultKind.FAIL:
-                # The operation never reaches the medium.
-                self.events.emit(io_event("write", block, "error", btype))
-                raise WriteError(block, f"injected: {fault.describe()}")
-            # Corrupt-on-write: store altered data but report success
-            # (a misdirected/phantom-style firmware fault).
-            self.events.emit(io_event("write", block, "corrupted", btype))
-            self.lower.write_block(block, fault.corrupt(data, btype))
-            return
+        btype = None if oracle is None else oracle(block)
+        for fault in self.faults:
+            if fault.matches("write", block, btype):
+                if fault.consume(block):
+                    if fault.kind is FaultKind.FAIL:
+                        # The operation never reaches the medium.
+                        self.events.emit(io_event("write", block, "error", btype))
+                        raise WriteError(block, f"injected: {fault.describe()}")
+                    # Corrupt-on-write: store altered data but report
+                    # success (a misdirected/phantom-style firmware fault).
+                    self.events.emit(io_event("write", block, "corrupted", btype))
+                    self.lower.write_block(block, fault.corrupt(data, btype))
+                    return
+                break
         self.lower.write_block(block, data)
         self.events.emit(io_event("write", block, "ok", btype))
 
@@ -236,14 +237,6 @@ class FaultInjector:
         """The underlying device's :class:`DiskStats`, when it has one —
         lets the harness read raw traffic through the stack."""
         return getattr(self.lower, "stats", None)
-
-    # -- internals ----------------------------------------------------------------
-
-    def _match(self, op: str, block: int, btype: Optional[str]) -> Optional[Fault]:
-        for fault in self.faults:
-            if fault.matches(op, block, btype):
-                return fault
-        return None
 
     def __repr__(self) -> str:
         return f"FaultInjector(faults={len(self.faults)}, trace={len(self.trace)} entries)"

@@ -18,6 +18,8 @@ the medium).
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 from repro.disk.disk import BlockDevice
 from repro.obs.events import EventLog, WriteImageEvent
 
@@ -48,6 +50,19 @@ class WriteRecorder:
             self.events.emit(WriteImageEvent(block=block, data=bytes(data)))
             self.recorded += 1
         self.lower.write_block(block, data)
+
+    # Vectored I/O is the per-block loop: each write image goes into the
+    # shared stream just before its own write.
+
+    def read_blocks(self, blocks: Sequence[int]) -> List[bytes]:
+        return [self.read_block(block) for block in blocks]
+
+    def write_blocks(self, blocks: Sequence[int],
+                     payloads: Sequence[bytes]) -> None:
+        if len(payloads) != len(blocks):
+            raise ValueError("write_blocks needs one payload per block")
+        for block, data in zip(blocks, payloads):
+            self.write_block(block, data)
 
     # -- uniform stack lifecycle --------------------------------------------
 

@@ -28,7 +28,7 @@ uppermost.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.disk.cache import BlockCache
 from repro.disk.disk import BlockDevice, DiskStats, SimulatedDisk, make_disk
@@ -156,6 +156,13 @@ class DeviceStack:
 
     def write_block(self, block: int, data: bytes) -> None:
         self.top.write_block(block, data)
+
+    def read_blocks(self, blocks: Sequence[int]) -> List[bytes]:
+        return self.top.read_blocks(blocks)
+
+    def write_blocks(self, blocks: Sequence[int],
+                     payloads: Sequence[bytes]) -> None:
+        self.top.write_blocks(blocks, payloads)
 
     def flush(self) -> None:
         self.top.flush()

@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import FSError, KernelPanic
 from repro.disk.disk import BlockDevice, DiskStats, SimulatedDisk
 from repro.disk.faults import CorruptionMode, Fault, FaultKind, FaultOp
+from repro.disk.injector import TypeOracle
 from repro.disk.stack import DeviceStack
 from repro.fingerprint.inference import RunObservation, infer_policy
 from repro.fingerprint.workloads import WORKLOADS, OpResult, Recorder, Workload
@@ -195,7 +196,7 @@ class Fingerprinter:
 
     # -- image preparation ------------------------------------------------------
 
-    def _golden(self, workload: Workload) -> Tuple[Any, Dict[int, str]]:
+    def _golden(self, workload: Workload) -> Tuple[Any, TypeOracle]:
         """Build the pristine (or deliberately crashed) image for one
         workload, plus a frozen block-type oracle usable before mount.
         The pair is a pure function of the workload's setup and crash
@@ -217,12 +218,14 @@ class Fingerprinter:
         snapshot = disk.snapshot()
         # Frozen oracle: harvested from a shadow mount on the same disk
         # (post-snapshot mutations are discarded when runs restore).
+        # Probed whole, here: asked lazily instead, the shadow would
+        # keep the build disk's private copy of every block alive.
         shadow = self.adapter.make_fs(disk)
         shadow.mount()
         oracle = {
             b: t for b in range(disk.num_blocks)
             if (t := shadow.block_type(b)) is not None
-        }
+        }.get
         self.adapter.golden_cache[cache_key] = (snapshot, oracle)
         return snapshot, oracle
 
@@ -232,7 +235,7 @@ class Fingerprinter:
         self,
         workload: Workload,
         snapshot: Any,
-        frozen_oracle: Dict[int, str],
+        golden_type: TypeOracle,
         fault: Optional[Fault],
         label: str,
     ) -> RunObservation:
@@ -241,9 +244,8 @@ class Fingerprinter:
         if self._metrics_acc is not None:
             stack.observe_latencies(self._metrics_acc)
         fs = self.adapter.make_fs(stack)
-        stack.injector.set_type_oracle(
-            lambda b: fs.block_type(b) or frozen_oracle.get(b)
-        )
+        fs_type = fs.block_type
+        injector = stack.injector
         recorder = Recorder()
         panic: Optional[str] = None
 
@@ -253,8 +255,11 @@ class Fingerprinter:
             except FSError as exc:
                 recorder.results.append(OpResult("pre-mount", exc.errno.name))
             # The body is the traced part; mount traffic is excluded for
-            # workloads whose subject is not the mount path itself.
+            # workloads whose subject is not the mount path itself, so
+            # it goes untyped: no fault is armed yet and its events are
+            # dropped here unread.
             stack.events.clear()
+        injector.set_type_oracle(lambda b: fs_type(b) or golden_type(b))
 
         # Enable tracing only now: the run span must open after the
         # mount-traffic clear above, or its start would be erased.
@@ -263,7 +268,7 @@ class Fingerprinter:
                                 source=self.adapter.name) if tracer else 0
 
         if fault is not None:
-            stack.injector.arm(fault)
+            injector.arm(fault)
 
         try:
             workload.body(fs, recorder)

@@ -39,6 +39,10 @@ from repro.taxonomy.policy import PolicyObservation
 from repro.taxonomy.recovery import Recovery
 
 
+#: ``isinstance(event, StorageEvent)``, callable from ``map``.
+_is_typed = StorageEvent.__instancecheck__
+
+
 @dataclass
 class RunObservation:
     """Everything observable from one workload run.
@@ -68,12 +72,15 @@ class RunObservation:
         """Normalise the stream, then count in one pass all inference
         reads — ``io_events``, the tag / mechanism / action counts,
         ``type_reads`` (per block type) and ``requests`` (per ``(op,
-        block)``) — so a baseline is counted once, not once per cell."""
-        typed = [
-            e if isinstance(e, StorageEvent)
-            else classify_log(Severity.INFO, "run", e, e)
-            for e in self.events
-        ]
+        block)``) — so a baseline is counted once, not once per cell.
+        A list that is typed throughout (the harness's) is used as is."""
+        typed = self.events
+        if not (type(typed) is list and all(map(_is_typed, typed))):
+            typed = [
+                e if isinstance(e, StorageEvent)
+                else classify_log(Severity.INFO, "run", e, e)
+                for e in typed
+            ]
         self.typed_events = typed
         io = self.io_events = []
         tags = self.log_tags = {}

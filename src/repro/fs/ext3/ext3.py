@@ -196,7 +196,7 @@ class Ext3(JournaledFS):
                                   mechanism="sanity", block=0)
             raise FSError(Errno.EUCLEAN, "bad superblock")
         self.sb = sb
-        self.config = self._config_from_sb(sb)
+        self.config = sb.config()
 
         try:
             gdt_raw = self.buf.bread(self.config.gdt_block)
@@ -780,18 +780,6 @@ class Ext3(JournaledFS):
     # ==================================================================
     # Internals
     # ==================================================================
-
-    def _config_from_sb(self, sb: Superblock) -> Ext3Config:
-        return Ext3Config(
-            block_size=sb.block_size,
-            blocks_per_group=sb.blocks_per_group,
-            inodes_per_group=sb.inodes_per_group,
-            num_groups=sb.num_groups,
-            journal_blocks=sb.journal_blocks,
-            ptrs_per_block=sb.ptrs_per_block,
-            checksum_blocks=sb.checksum_blocks,
-            replica_blocks=sb.replica_blocks,
-        )
 
     def _make_journal(self) -> Journal:
         cfg = self.config

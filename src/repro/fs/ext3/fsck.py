@@ -100,16 +100,7 @@ class Ext3Fsck:
             self.report.problem("superblock invalid; cannot check volume")
             return self.report
         self.sb = sb
-        self.config = Ext3Config(
-            block_size=sb.block_size,
-            blocks_per_group=sb.blocks_per_group,
-            inodes_per_group=sb.inodes_per_group,
-            num_groups=sb.num_groups,
-            journal_blocks=sb.journal_blocks,
-            ptrs_per_block=sb.ptrs_per_block,
-            checksum_blocks=sb.checksum_blocks,
-            replica_blocks=sb.replica_blocks,
-        )
+        self.config = sb.config()
         self._load_inodes()
         self._pass1_pointers()
         self._pass2_directories()

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 from struct import Struct
 from typing import List, NamedTuple, Tuple
 
-from repro.common.structs import DecodeMemo, U16x2, u32_seq
+from repro.common.structs import DecodeMemo, U16x2, interned, u32_seq
 from repro.fs.ext3.config import INODE_SIZE, NUM_DIRECT, Ext3Config
 from repro.vfs.stat import FT_DIR, FT_REG, FT_SYMLINK  # noqa: F401  (re-exported)
 
@@ -79,6 +79,21 @@ class Superblock:
             features=features,
             replica_start=config.replica_start,
             replica_blocks=config.replica_blocks,
+        )
+
+    def config(self) -> Ext3Config:
+        """The geometry this superblock records: the interned config
+        every mount and check of the same geometry shares."""
+        return interned(
+            Ext3Config,
+            block_size=self.block_size,
+            blocks_per_group=self.blocks_per_group,
+            inodes_per_group=self.inodes_per_group,
+            num_groups=self.num_groups,
+            journal_blocks=self.journal_blocks,
+            ptrs_per_block=self.ptrs_per_block,
+            checksum_blocks=self.checksum_blocks,
+            replica_blocks=self.replica_blocks,
         )
 
     def pack(self, block_size: int) -> bytes:

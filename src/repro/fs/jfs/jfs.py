@@ -41,7 +41,7 @@ from repro.common.errors import (
     FSError,
     KernelPanic,
 )
-from repro.common.structs import U32x2
+from repro.common.structs import U32x2, interned
 from repro.common.syslog import Severity
 from repro.fs.base import JournaledFS
 from repro.fs.jfs.config import JFSConfig
@@ -125,7 +125,8 @@ class JFS(JournaledFS):
             raise FSError(Errno.EINVAL, "already mounted")
         sb = self._read_superblock()
         self.sb = sb
-        self.config = JFSConfig(
+        self.config = interned(
+            JFSConfig,
             block_size=sb.block_size,
             total_blocks=sb.total_blocks,
             journal_blocks=sb.journal_blocks,

@@ -14,6 +14,7 @@ splits and multi-level trees arise with tiny images.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -43,15 +44,19 @@ class ReiserConfig:
     def journal_start(self) -> int:
         return 1
 
-    @property
+    # Derived layout, computed on first use and kept in the instance
+    # ``__dict__`` (as in Ext3Config and JFSConfig): a mount's config is
+    # interned, so each geometry works these out once.
+
+    @cached_property
     def bitmap_start(self) -> int:
         return self.journal_start + self.journal_blocks
 
-    @property
+    @cached_property
     def bitmap_blocks(self) -> int:
         bits_per_block = self.block_size * 8
         return (self.total_blocks + bits_per_block - 1) // bits_per_block
 
-    @property
+    @cached_property
     def data_start(self) -> int:
         return self.bitmap_start + self.bitmap_blocks

@@ -38,6 +38,7 @@ from repro.common.errors import (
     FSError,
     KernelPanic,
 )
+from repro.common.structs import interned
 from repro.common.syslog import Severity
 from repro.fs.base import JournaledFS
 from repro.fs.ext3.journal import Journal, parse_commit, parse_desc
@@ -139,7 +140,8 @@ class ReiserFS(JournaledFS):
             self.syslog.action(self.name, "unmountable", "refusing to mount corrupt volume")
             raise FSError(Errno.EUCLEAN, "bad superblock")
         self.sb = sb
-        self.config = ReiserConfig(
+        self.config = interned(
+            ReiserConfig,
             block_size=sb.block_size,
             total_blocks=sb.total_blocks,
             journal_blocks=sb.journal_blocks,

@@ -64,6 +64,27 @@ class TestMultipleFaults:
         inj.arm(Fault(op=FaultOp.READ, kind=FaultKind.FAIL, block=5))
         assert inj.read_block(5) == b"\x00" * 512  # corruption armed first
 
+    @pytest.mark.parametrize("op", [FaultOp.READ, FaultOp.WRITE])
+    def test_a_skipping_first_match_shields_later_faults(self, op):
+        """Only the first matching fault is consulted: while it is still
+        skipping toward its ``match_index`` the request is served, and
+        a fault armed after it is neither consumed nor fired."""
+        disk, inj = build()
+        first = inj.arm(Fault(op=op, kind=FaultKind.FAIL, block=5,
+                              match_index=1))
+        later = inj.arm(Fault(op=op, kind=FaultKind.FAIL, block=5))
+        if op is FaultOp.READ:
+            assert inj.read_block(5) == bytes([5]) * 512
+        else:
+            inj.write_block(5, bytes([7]) * 512)
+        assert (first._skipped, first._fired, later._fired) == (1, 0, 0)
+        with pytest.raises((ReadError, WriteError)):
+            if op is FaultOp.READ:
+                inj.read_block(5)
+            else:
+                inj.write_block(5, bytes([8]) * 512)
+        assert (first._fired, later._fired) == (1, 0)
+
     def test_read_and_write_faults_coexist(self):
         disk, inj = build()
         inj.arm(Fault(op=FaultOp.READ, kind=FaultKind.FAIL, block=5))

@@ -6,7 +6,9 @@ the other a reference that does the work one block (or one cell) at a
 time:
 
 (i)   ``SimulatedDisk`` and ``FaultInjector`` ``read_blocks`` /
-      ``write_blocks`` against a loop of ``read_block`` / ``write_block``;
+      ``write_blocks`` against a loop of ``read_block`` / ``write_block``,
+      and the wrappers above them that forward the vectored calls —
+      ``BlockCache``, ``WriteRecorder`` and ``DeviceStack``;
 (ii)  ``ArrayDevice.scrub`` / ``scrub_step`` / ``rebuild_member`` against
       test-local per-unit and per-block reference loops;
 (iii) the wide-integer RDP kernel against a cell-by-cell solver;
@@ -23,12 +25,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import WriteError
+from repro.common.errors import ReadError, WriteError
 from repro.disk import make_disk
 from repro.disk.faults import (
     CorruptionMode, Fault, FaultKind, FaultOp, Persistence,
 )
 from repro.disk.injector import FaultInjector
+from repro.disk.stack import DeviceStack
 from repro.obs import events as events_mod
 from repro.obs.events import (
     ArrayPolicyEvent, ArrayRecoveryEvent, EventLog, IOEvent, Severity,
@@ -258,6 +261,121 @@ class TestInjectorVectored:
         assert [e.key()[1:4] for e in injector.events] == [
             ("write", 3, "ok"), ("write", 4, "ok"),
             ("read", 4, "ok"), ("read", 3, "ok")]
+
+
+class _Wrapped:
+    """A ``DeviceStack`` of disk, injector, a small cache and a recorder
+    over the same contents and faults as :class:`_Stack`, its cache
+    warmed by *warm* before the disk (maybe) fails whole."""
+
+    def __init__(self, faults, failed, capacity, warm, recording):
+        disk = make_disk(DISK_BLOCKS, BS)
+        for block in range(0, DISK_BLOCKS, 2):
+            disk.poke(block, _payload(block + 1))
+        self.stack = DeviceStack(disk, inject=True, cache_blocks=capacity,
+                                 record=True)
+        self.stack.recorder.enabled = recording
+        for spec in faults:
+            spec = dict(spec)
+            consumed = spec.pop("consumed")
+            fault = self.stack.injector.arm(Fault(**spec))
+            for block in consumed:
+                fault.consume(block)
+        _outcome(lambda: [self.stack.read_block(b) for b in warm])
+        if failed:
+            disk.fail_whole_disk()
+
+    def layer(self, name):
+        return getattr(self.stack, name) if name != "stack" else self.stack
+
+    def state(self):
+        stack = self.stack
+        return (_disk_state(stack.disk), _log_state(stack.events),
+                list(stack.cache._lru.items()), stack.cache.hits,
+                stack.cache.misses, stack.recorder.recorded,
+                [(f._fired, f._skipped) for f in stack.injector.faults])
+
+
+wrapper_layers = st.sampled_from(["cache", "recorder", "stack"])
+
+
+class TestWrappersForwardVectored:
+    r"""Each wrapper's vectored calls against its own per-block loop:
+    payloads, the exception and its block, cache contents and LRU
+    order, hit and miss counts, the recorder's ``WriteImageEvent``\ s
+    (in the shared stream, between the injector's ``IOEvent``\ s) and
+    the disk's stats, head, clock and contents."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(layer=wrapper_layers, faults=st.lists(fault_specs(), max_size=3),
+           blocks=block_lists, warm=block_lists, failed=st.booleans(),
+           capacity=st.integers(min_value=1, max_value=6),
+           recording=st.booleans())
+    def test_read_blocks_matches_the_loop(self, layer, faults, blocks, warm,
+                                          failed, capacity, recording):
+        vectored, looped = [_Wrapped(faults, failed, capacity, warm, recording)
+                            for _ in range(2)]
+        got = _outcome(lambda: vectored.layer(layer).read_blocks(blocks))
+        device = looped.layer(layer)
+        want = _outcome(lambda: [device.read_block(b) for b in blocks])
+        assert got == want
+        assert vectored.state() == looped.state()
+
+    @settings(max_examples=200, deadline=None)
+    @given(layer=wrapper_layers, faults=st.lists(fault_specs(), max_size=3),
+           blocks=block_lists, warm=block_lists, failed=st.booleans(),
+           capacity=st.integers(min_value=1, max_value=6),
+           recording=st.booleans(),
+           short=st.integers(min_value=-1, max_value=24))
+    def test_write_blocks_matches_the_loop(self, layer, faults, blocks, warm,
+                                           failed, capacity, recording,
+                                           short):
+        payloads = [_payload(i + 100) for i in range(len(blocks))]
+        if 0 <= short < len(payloads):
+            payloads[short] = payloads[short][:-1]  # a wrong-size payload
+        vectored, looped = [_Wrapped(faults, failed, capacity, warm, recording)
+                            for _ in range(2)]
+        got = _outcome(
+            lambda: vectored.layer(layer).write_blocks(blocks, payloads))
+        device = looped.layer(layer)
+
+        def loop():
+            for block, data in zip(blocks, payloads):
+                device.write_block(block, data)
+
+        assert got == _outcome(loop)
+        assert vectored.state() == looped.state()
+
+    def test_a_fault_mid_run_leaves_the_loops_state(self):
+        vectored, looped = [_Wrapped([], False, 4, [1], True) for _ in range(2)]
+        for twin in (vectored, looped):
+            twin.stack.injector.arm(Fault(FaultOp.READ, FaultKind.FAIL, block=6))
+        with pytest.raises(ReadError) as raised:
+            vectored.stack.read_blocks([1, 4, 5, 6, 7])
+        assert raised.value.block == 6
+        with pytest.raises(ReadError):
+            for block in (1, 4, 5, 6, 7):
+                looped.stack.read_block(block)
+        # Block 1 was a hit; 4 and 5 were cached before the read of 6
+        # failed, and 6 counts as a miss.
+        assert list(vectored.stack.cache._lru) == [1, 4, 5]
+        assert (vectored.stack.cache.hits, vectored.stack.cache.misses) == (1, 4)
+        assert vectored.state() == looped.state()
+
+    def test_recorded_write_images_precede_their_writes(self):
+        stack = _Wrapped([], False, 4, [], True).stack
+        stack.write_blocks([6, 7], [_payload(6), _payload(7)])
+        assert list(stack.cache._lru) == [6, 7]
+        assert [e.key()[:2] for e in stack.events][-4:] == [
+            ("write-image", 6), ("io", "write"),
+            ("write-image", 7), ("io", "write")]
+
+    def test_a_payload_count_mismatch_is_refused(self):
+        stack = _Wrapped([], False, 4, [], True).stack
+        for device in (stack, stack.cache, stack.recorder):
+            with pytest.raises(ValueError):
+                device.write_blocks([1, 2], [_payload(1)])
+        assert stack.disk.stats.writes == 0
 
 
 # -- (ii) scrub and rebuild against per-unit reference loops --------------------

@@ -90,6 +90,15 @@ be lost when the walk lands, so anywhere under ``src/repro`` an
 attribute named ``_types`` or ``_jtypes`` outside the type-map methods
 of ``JournaledFS`` in ``fs/base.py`` fails here.
 
+And for superblock geometry: a mount decodes its config from the
+superblock through ``repro.common.structs.interned``, so every mount and
+check of one geometry shares one config and the layout its cached
+properties computed (DESIGN.md, "Interned geometry").  Anywhere under
+``src/repro`` outside the ``config.py`` and ``mkfs.py`` modules, a direct
+``Ext3Config`` / ``JFSConfig`` / ``ReiserConfig`` call whose arguments
+read a field (``sb.block_size``) fails here; one built from literals
+(a fingerprint or benchmark geometry) passes.
+
 It then prints the source-line count (``wc -l``) of every package under
 ``src/repro``, so each CI run records how large the tree is; ``--loc-out
 PATH`` also writes the table to a file for upload as an artifact.
@@ -210,7 +219,8 @@ def lint() -> list[str]:
                     for cls, name in sorted(unused))
     return (problems + lint_fs_caches() + lint_arrays() + lint_stack()
             + lint_xor_chains() + lint_shared_memory() + lint_pool_consumers()
-            + lint_history_only() + lint_workload_draws() + lint_type_maps())
+            + lint_history_only() + lint_workload_draws() + lint_type_maps()
+            + lint_config_interning())
 
 
 def lint_fs_caches() -> list[str]:
@@ -547,6 +557,39 @@ def lint_type_maps() -> list[str]:
     return problems
 
 
+#: Configs a mount decodes from its superblock: built only through
+#: ``repro.common.structs.interned`` outside their config and mkfs modules.
+SB_CONFIGS = frozenset({"Ext3Config", "JFSConfig", "ReiserConfig"})
+
+
+def _config_builds(tree: ast.AST):
+    """Yield ``(line, class)`` for each direct ``SB_CONFIGS`` call with
+    an argument that reads an attribute."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        made = getattr(node.func, "id", getattr(node.func, "attr", ""))
+        args = [*node.args, *(keyword.value for keyword in node.keywords)]
+        if made in SB_CONFIGS and any(
+                isinstance(sub, ast.Attribute)
+                for arg in args for sub in ast.walk(arg)):
+            yield node.lineno, made
+
+
+def lint_config_interning() -> list[str]:
+    problems = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path.name in ("config.py", "mkfs.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        problems.extend(
+            f"{path.relative_to(ROOT)}:{line}: {made} built from fields; "
+            "decode a superblock's config through "
+            "repro.common.structs.interned"
+            for line, made in _config_builds(tree))
+    return problems
+
+
 def loc_table() -> str:
     """``wc -l`` of the ``*.py`` files in each package under ``src/repro``."""
     src = ROOT / "src" / "repro"
@@ -586,7 +629,8 @@ def main(argv=None) -> int:
           "no shared memory; the pool's one consumer is the fleet; "
           "no list-form SlabImage or standalone Scrubber; "
           "Table-6 generators draw only through their tape; "
-          "block-type maps change only in JournaledFS's type-map methods")
+          "block-type maps change only in JournaledFS's type-map methods; "
+          "superblock configs are interned")
     return 0
 
 
