@@ -3,12 +3,15 @@
 One script per geometry drives a small array through every recovery,
 write, scrub, rebuild and gray-box path and, after each phase, folds
 what is observable into one digest: the array's typed event stream,
-every member's private I/O stream, ``DiskStats``, clock and raw image,
+every member's requests in the phase (op, block and outcome, in issue
+order, as :class:`~member_requests.MemberRequests` records them),
+``DiskStats``, clock and raw image,
 the suspect and stale sets, the counters and cursor, the phase's own
 results (read payloads, exceptions, scrub report lists) and ``peek`` /
 ``peek_view`` of every logical block.  ``PINNED`` holds the digests the
-script produced at commit 7c46ca4, before the array refactor this file
-was written to hold still; a refactor of
+script produced at commit e7f255f, while members still kept an I/O log
+of their own (it was first taken at 7c46ca4, before the array refactor
+this file was written to hold still, over that log); a refactor of
 ``redundancy/array.py`` that reorders one member request, drops one
 event or changes one recovered byte moves the digest of the phase in
 which it happened.
@@ -26,6 +29,8 @@ from repro.disk.faults import Fault, FaultKind, FaultOp, Persistence
 from repro.obs.events import EventLog
 from repro.obs.trace import enable_tracing
 from repro.redundancy import make_array
+
+from member_requests import MemberRequests
 
 NUM_BLOCKS = 50   # leaves padding slots in the last parity / RDP stripe
 BS = 512
@@ -101,11 +106,13 @@ def _report(report):
 
 
 class _Script:
-    def __init__(self, label: str):
+    def __init__(self, label: str, requests: MemberRequests):
         kind, members = GEOMETRIES[label]
         self.label = label
         self.array = make_array(kind, NUM_BLOCKS, BS, members=members)
         self.array.events = EventLog()
+        self.requests = requests
+        requests.watch(self.array)
         self.n = len(self.array.members)
         self.phases = []
 
@@ -124,7 +131,7 @@ class _Script:
                 "clock": repr(disk.clock),
                 "image": _sha(image),
                 "failed": disk.failed,
-                "io": member.events.digest(),
+                "io": _sha(json.dumps(self.requests.drain(member)).encode()),
                 "dirty": [disk.dirty_count,
                           _sha(repr(disk.dirty_items()).encode())],
             })
@@ -475,270 +482,270 @@ class _Script:
 
 PINNED = {
     "mirror2": [
-        ("fill", "af3859c133d28c46"),
-        ("read", "128b0d53210d5355"),
-        ("stall", "9669ac842916fce8"),
-        ("lse-read-repair", "acf2acda755af221"),
-        ("lse-repair-fails", "fcd5610061cf5d36"),
-        ("suspect-healed", "d2dd54c964278c58"),
-        ("stripe-lses-9", "c9ddeb4b20f339ff"),
-        ("stripe-lses-27", "5be59cfd1837e7e8"),
-        ("settled-1", "7c13ef7b6d5556bb"),
-        ("write-fault", "06c33028b8fc9f7e"),
-        ("write-fault-healed", "2ecb28738891eb64"),
-        ("redundancy-write-fault", "cc176d7c4e58220a"),
-        ("all-write-fault", "5c140586317320d8"),
-        ("fail0-read", "6f3aa315fd5b2d05"),
-        ("fail0-write", "a810a5e5d669f1f7"),
-        ("fail0-replaced", "248dff8135e374f6"),
-        ("fail0-rebuilt", "dab07110b1102b57"),
-        ("fail0-verify", "9473431b0d89a3f9"),
-        ("fail1-read", "109f4a3887ab9302"),
-        ("fail1-write", "685e38368be71831"),
-        ("fail1-replaced", "200d8ba631e1d72d"),
-        ("fail1-rebuilt", "3f2cace582f279eb"),
-        ("fail1-verify", "93636fcfdaaab6cf"),
-        ("rebuild-window", "d84c8dda1f1e8496"),
-        ("rebuild-window-reads", "18c2f62c6b72898a"),
-        ("rebuild-window-scrub", "8769037ac2f6cc1d"),
-        ("corrupt-0-scrub", "35daeb7f180154a0"),
-        ("corrupt-0-rescrub", "43f7eccfc7fc4e7b"),
-        ("corrupt-1-scrub", "4aac6b29f1248a82"),
-        ("corrupt-1-rescrub", "a5e8835498fcb344"),
-        ("scrub-lse", "cca6eb59627fe515"),
-        ("scrub-lse-write-fault", "924fcff08da479aa"),
-        ("scrub-after-suspect", "1a306e411039f0c1"),
-        ("suspect-reads", "599694038ae0ec38"),
-        ("scrub-two-lses", "0194e1d6e2a4fffc"),
-        ("scrub-all-lses", "3fe548a0e0f7462f"),
-        ("scrub-corrupt-write-fault", "0baac8473d8ccdd0"),
-        ("scrub-failed-member", "ef07fe975474d374"),
-        ("scrub-stale-member", "c88d77d0a431b41f"),
-        ("stale-rebuild", "a57c6bf0540c02e0"),
-        ("stale-rebuild-scrub", "da19fd490b34c119"),
-        ("scrub-steps", "73072bddfc3244a7"),
-        ("snapshot", "390ad43cdfc862dc"),
-        ("moved-on", "ddc0d04a13d30d4f"),
-        ("restored", "a5302f1f7c1d5e9c"),
-        ("restored-reads", "8244bffd0c8e3ef9"),
-        ("base-image", "b805ec907cf68bf9"),
-        ("latency-observer", "66e8b46ab8a28a6b"),
-        ("traced", "26aa1b2206fbadde"),
-        ("exhausted-read", "23dcceb30ec995e5"),
-        ("exhausted-write", "bfed021466d839f1"),
-        ("exhausted-scrub", "703f8ac5c0b7ccfa"),
-        ("exhausted-rebuild", "b9f25add04686bf1"),
-        ("revived-read", "c75a3440f544d89f"),
-        ("revived-scrub", "601f593819f4d228"),
+        ("fill", "ae4b813abb6c250f"),
+        ("read", "bd32abca419ca63d"),
+        ("stall", "501afd8b7230b554"),
+        ("lse-read-repair", "5ea575911d1a7fa2"),
+        ("lse-repair-fails", "f05aecf69c878c1b"),
+        ("suspect-healed", "c491f47c03ddbeb4"),
+        ("stripe-lses-9", "12ef8441211de4ce"),
+        ("stripe-lses-27", "64b6305c4ff13df2"),
+        ("settled-1", "2d283637635993c4"),
+        ("write-fault", "9e388f9cbd4ef412"),
+        ("write-fault-healed", "21b8deada436affc"),
+        ("redundancy-write-fault", "0988b6f192a18ad0"),
+        ("all-write-fault", "f6f30abe81762716"),
+        ("fail0-read", "82f01de1e8594b5f"),
+        ("fail0-write", "96b1e8c95d75fe64"),
+        ("fail0-replaced", "91e407493c2e8314"),
+        ("fail0-rebuilt", "c5896a9487208add"),
+        ("fail0-verify", "f9005b79d9bee739"),
+        ("fail1-read", "4ba2d8d964e6d6d0"),
+        ("fail1-write", "08beff6a6150c86e"),
+        ("fail1-replaced", "d25bdc964ea5d6c2"),
+        ("fail1-rebuilt", "9e07027de459dbc9"),
+        ("fail1-verify", "5e514e1ea59f3b29"),
+        ("rebuild-window", "c91723e24897eab1"),
+        ("rebuild-window-reads", "ddc4350d5aa0312c"),
+        ("rebuild-window-scrub", "5f25804358e6740d"),
+        ("corrupt-0-scrub", "e4717a429dc0fbd4"),
+        ("corrupt-0-rescrub", "46e1148d6d5d1235"),
+        ("corrupt-1-scrub", "6812885112c709e7"),
+        ("corrupt-1-rescrub", "d0674b32dd1e995b"),
+        ("scrub-lse", "e828bf15733f6ed6"),
+        ("scrub-lse-write-fault", "b33c70e0cd6e0d07"),
+        ("scrub-after-suspect", "9f4da5eff087423c"),
+        ("suspect-reads", "342fce1abeb514c3"),
+        ("scrub-two-lses", "05bcccd325291ab8"),
+        ("scrub-all-lses", "4149afc404d05333"),
+        ("scrub-corrupt-write-fault", "8b3911e6d669e2a6"),
+        ("scrub-failed-member", "d82516b183e43360"),
+        ("scrub-stale-member", "424f4946055160c7"),
+        ("stale-rebuild", "c2c200aa003698a7"),
+        ("stale-rebuild-scrub", "ca7b9f3f9dfb3328"),
+        ("scrub-steps", "43741b571723b7ae"),
+        ("snapshot", "f38b596ccaa40bc0"),
+        ("moved-on", "b3aedeb338a3b2d8"),
+        ("restored", "078978a62f584b51"),
+        ("restored-reads", "94d8e24f6a3b5a1a"),
+        ("base-image", "97492dfb25960e3b"),
+        ("latency-observer", "dfa439aef742a770"),
+        ("traced", "41855245e24899d4"),
+        ("exhausted-read", "8dfb82790632296e"),
+        ("exhausted-write", "0311cfa6211ad5d7"),
+        ("exhausted-scrub", "a28de5ef78734fe6"),
+        ("exhausted-rebuild", "71b25f93d1ef14e1"),
+        ("revived-read", "e5d19294acea3521"),
+        ("revived-scrub", "b982bc3f9e161fd0"),
     ],
     "mirror3": [
-        ("fill", "4719240f464f51f3"),
-        ("read", "141c06f38ae2b9fe"),
-        ("stall", "d43499efbb7ac4f3"),
-        ("lse-read-repair", "eb348500e4400142"),
-        ("lse-repair-fails", "500a4c3ef0e6efd8"),
-        ("suspect-healed", "ddb3d74ff7171adb"),
-        ("stripe-lses-9", "0a2e2acde3cd980b"),
-        ("stripe-lses-27", "15c770e4b3797aba"),
-        ("settled-1", "da8cb4e4e900e5d8"),
-        ("write-fault", "d6c4edc87b48b6e3"),
-        ("write-fault-healed", "cd4cf5a921a7f388"),
-        ("redundancy-write-fault", "a116127246c13e30"),
-        ("all-write-fault", "d85ec93ba5f3ee36"),
-        ("fail0-read", "f127edc680a8066d"),
-        ("fail0-write", "f0fead19b5d3231c"),
-        ("fail0-replaced", "225ecb5bd5110b14"),
-        ("fail0-rebuilt", "4eec05aac05252e9"),
-        ("fail0-verify", "6df7d5fd011aceed"),
-        ("fail2-read", "1447e9e254888294"),
-        ("fail2-write", "79add150b8f99c20"),
-        ("fail2-replaced", "e9571522c2cd4fd9"),
-        ("fail2-rebuilt", "5ae7ba77157c76ef"),
-        ("fail2-verify", "d9787067302b315f"),
-        ("fail01-read", "083a0c409e091a8b"),
-        ("fail01-write", "f17862d63eda3647"),
-        ("fail01-replaced", "1c4432bad19a6e75"),
-        ("fail01-rebuilt", "780a45fee1580c1f"),
-        ("fail01-verify", "1e02e6b2aa1ce309"),
-        ("rebuild-window", "fa1615a252de1532"),
-        ("rebuild-window-reads", "ea781d60d25e7e43"),
-        ("rebuild-window-scrub", "3e02fd042af77333"),
-        ("corrupt-0-scrub", "ff4b9cb0d3c1c80d"),
-        ("corrupt-0-rescrub", "cb74a69123d8c288"),
-        ("corrupt-1-scrub", "ebad7e0ed09511f7"),
-        ("corrupt-1-rescrub", "c0f95b6c76d1fda3"),
-        ("corrupt-2-scrub", "e28698d6f8281d39"),
-        ("corrupt-2-rescrub", "e31163c73a0bf051"),
-        ("scrub-lse", "f8104feaeaf73cf9"),
-        ("scrub-lse-write-fault", "19d81188d8d0ed78"),
-        ("scrub-after-suspect", "09a317bdc8b390be"),
-        ("suspect-reads", "3ce116809fbf35b4"),
-        ("scrub-two-lses", "6d7fc18b1fb375fa"),
-        ("scrub-all-lses", "946531cdee99d384"),
-        ("scrub-corrupt-write-fault", "211923bce0ad7285"),
-        ("scrub-failed-member", "0ee059fd951e294c"),
-        ("scrub-stale-member", "1f6e19503ead1b7a"),
-        ("stale-rebuild", "81724655d555d582"),
-        ("stale-rebuild-scrub", "cef21b3bc864f265"),
-        ("scrub-steps", "378c7412fb5381eb"),
-        ("snapshot", "98cac384c4613c86"),
-        ("moved-on", "f2a83d0c110e40d2"),
-        ("restored", "81ade867051c12d1"),
-        ("restored-reads", "47411b21ef474ceb"),
-        ("base-image", "00fcf85a48a06d76"),
-        ("latency-observer", "22d17c102cb48879"),
-        ("traced", "74d7ccc1a2e58f47"),
-        ("exhausted-read", "cd73555d7ff25ada"),
-        ("exhausted-write", "3c0a27d6d93bf467"),
-        ("exhausted-scrub", "f9cedbcacaf77f24"),
-        ("exhausted-rebuild", "3c30f2d83e648537"),
-        ("revived-read", "a6db03885596f571"),
-        ("revived-scrub", "4fe9c8869b862889"),
+        ("fill", "a12b727c1f56d9fe"),
+        ("read", "76c38d28780fd287"),
+        ("stall", "1cecbc94071566e5"),
+        ("lse-read-repair", "a4cd57e546d950c1"),
+        ("lse-repair-fails", "9243080a4ff18cf7"),
+        ("suspect-healed", "c237937cb47b2af2"),
+        ("stripe-lses-9", "1778f067efcba67f"),
+        ("stripe-lses-27", "4a19e2df254690ce"),
+        ("settled-1", "bbb526d7c7879b1e"),
+        ("write-fault", "5b6b292641eaca81"),
+        ("write-fault-healed", "71076245a83532b2"),
+        ("redundancy-write-fault", "7ca8980dea7df105"),
+        ("all-write-fault", "4606893ae5915863"),
+        ("fail0-read", "360af720a838ea87"),
+        ("fail0-write", "56f71ae4c541c704"),
+        ("fail0-replaced", "0ba3937aa8559f08"),
+        ("fail0-rebuilt", "1fadc6e05758b5c1"),
+        ("fail0-verify", "982289d47a877080"),
+        ("fail2-read", "b6c9812c96520e6e"),
+        ("fail2-write", "2131f1657fd1465b"),
+        ("fail2-replaced", "3c8a38d84b8aa69e"),
+        ("fail2-rebuilt", "6e7bc5290d78ff6a"),
+        ("fail2-verify", "e52acd356ea02ae5"),
+        ("fail01-read", "224f15ed139b138e"),
+        ("fail01-write", "36890f3805afeaa2"),
+        ("fail01-replaced", "7a0e0e841c843140"),
+        ("fail01-rebuilt", "564867b24508853f"),
+        ("fail01-verify", "3847a069f22d1c07"),
+        ("rebuild-window", "d74f49b41418398a"),
+        ("rebuild-window-reads", "ab41545afd8289a8"),
+        ("rebuild-window-scrub", "745b7c57858d6fb5"),
+        ("corrupt-0-scrub", "8bf288cfa254fef6"),
+        ("corrupt-0-rescrub", "826c734a71858e7c"),
+        ("corrupt-1-scrub", "2524658ad897f474"),
+        ("corrupt-1-rescrub", "9170dffc7e4c9d2e"),
+        ("corrupt-2-scrub", "c4862c6ef90fc360"),
+        ("corrupt-2-rescrub", "b7d21b329905e2c4"),
+        ("scrub-lse", "ce7c748d9e7fb4f8"),
+        ("scrub-lse-write-fault", "fa303a4446a901cf"),
+        ("scrub-after-suspect", "406d8ab592f842b3"),
+        ("suspect-reads", "eb9af91e0ebda247"),
+        ("scrub-two-lses", "d35124e8356869ff"),
+        ("scrub-all-lses", "8ba0ec260a33cf8e"),
+        ("scrub-corrupt-write-fault", "f15b259727274cb8"),
+        ("scrub-failed-member", "a7b14ca3365bf547"),
+        ("scrub-stale-member", "4a4af0c8d2d47f76"),
+        ("stale-rebuild", "73d0523f57947704"),
+        ("stale-rebuild-scrub", "0992a19279a1f60a"),
+        ("scrub-steps", "bd4d69657db73c09"),
+        ("snapshot", "b31e6e7632f45e25"),
+        ("moved-on", "446400c3fe3c4a52"),
+        ("restored", "c2101636200b5375"),
+        ("restored-reads", "cfe9e94cf88ae211"),
+        ("base-image", "fd0b52164699647e"),
+        ("latency-observer", "e3080bf554c5c2af"),
+        ("traced", "72e27fd21c024325"),
+        ("exhausted-read", "c19bc5aee7157d2a"),
+        ("exhausted-write", "820aca1c74f4b9f8"),
+        ("exhausted-scrub", "1ea40c78acb24c74"),
+        ("exhausted-rebuild", "77f091830b802f9e"),
+        ("revived-read", "bce4e15a83498b6b"),
+        ("revived-scrub", "a38f41ffea356ebd"),
     ],
     "parity4": [
-        ("fill", "5df3986f1dcbdcda"),
-        ("read", "8e840ff481e40b13"),
-        ("stall", "6b25a261f9b26119"),
-        ("lse-read-repair", "89f12bbe4a8137f2"),
-        ("lse-repair-fails", "50974072c5d1b7e6"),
-        ("suspect-healed", "1230f8b0b82640f1"),
-        ("stripe-lses-9", "5a4ec358cb736d16"),
-        ("stripe-lses-27", "18b4f0e5d3d11183"),
-        ("settled-1", "2d274238bc227a88"),
-        ("write-fault", "5a24d0d72c347f6a"),
-        ("write-fault-healed", "fc4197ab3484fa49"),
-        ("redundancy-write-fault", "62914ab515a6d260"),
-        ("all-write-fault", "5b6c1265772e11a3"),
-        ("data-and-parity-suspect", "0c89c782a6195982"),
-        ("parity-unmaintained", "c0f23ae7dcb5d0ca"),
-        ("fail0-read", "9791d1d03e6c8c52"),
-        ("fail0-write", "0440fb9677a6b1cd"),
-        ("fail0-replaced", "a84f797741fa6ae4"),
-        ("fail0-rebuilt", "96a905676cfb6ab2"),
-        ("fail0-verify", "8ddbcb6f1d14852c"),
-        ("fail3-read", "2b2dc74fa6321e70"),
-        ("fail3-write", "e7cadbe2f3656d85"),
-        ("fail3-replaced", "9b86bdf89491984f"),
-        ("fail3-rebuilt", "68cba5780fcc001e"),
-        ("fail3-verify", "834bf80011a31332"),
-        ("rebuild-window", "ef29c61d58e6be7e"),
-        ("rebuild-window-reads", "ffa4b5e0ce4b4482"),
-        ("rebuild-window-scrub", "e2a272a5e8d729af"),
-        ("corrupt-0-scrub", "673f150e6a20f732"),
-        ("corrupt-0-rescrub", "a7ed26f568de99e4"),
-        ("corrupt-1-scrub", "8ecc98b11a7f89a0"),
-        ("corrupt-1-rescrub", "0360126ad449e6ef"),
-        ("corrupt-2-scrub", "e74027fec7dabe1c"),
-        ("corrupt-2-rescrub", "fe76508bb23201e3"),
-        ("scrub-lse", "6f880555d8c5f4c4"),
-        ("scrub-lse-write-fault", "e373670eaba47be2"),
-        ("scrub-after-suspect", "b348edbddf173acc"),
-        ("suspect-reads", "035891c637bcbb9b"),
-        ("scrub-two-lses", "00221efcd0a22fd1"),
-        ("scrub-all-lses", "83196a28e16e7cdd"),
-        ("scrub-corrupt-write-fault", "56d374b58c482c72"),
-        ("scrub-failed-member", "06908bb3bfa7dadb"),
-        ("scrub-stale-member", "cae4ed47d7df458a"),
-        ("stale-rebuild", "03d9052751d6b622"),
-        ("stale-rebuild-scrub", "2551473d32ae32d4"),
-        ("scrub-steps", "09866a9a831c1d22"),
-        ("snapshot", "7ac2bd73e73226b3"),
-        ("moved-on", "06de42138b7fa14e"),
-        ("restored", "a0211fbcee9b6445"),
-        ("restored-reads", "c586f79b43657492"),
-        ("base-image", "6cf536cfc42c33ab"),
-        ("latency-observer", "15d1d9034a620c11"),
-        ("traced", "f8a057613da00628"),
-        ("exhausted-read", "ee2792e8dfd4719f"),
-        ("exhausted-write", "2d20a697b998c2b6"),
-        ("exhausted-scrub", "cdac618ac5b4ad3b"),
-        ("exhausted-rebuild", "1840d5b78625cf41"),
-        ("revived-read", "0ee5a09d512a4c68"),
-        ("revived-scrub", "5636dad06761cda1"),
+        ("fill", "ab2ef5bd0094ccda"),
+        ("read", "596778b80fd08881"),
+        ("stall", "7b8d1f16abc12cc4"),
+        ("lse-read-repair", "55cfc11d11f18970"),
+        ("lse-repair-fails", "3c013a9064eae5d7"),
+        ("suspect-healed", "500549d7525c102d"),
+        ("stripe-lses-9", "56e372b71c3720f4"),
+        ("stripe-lses-27", "c8af0e7175408671"),
+        ("settled-1", "a7087e2a6610b385"),
+        ("write-fault", "1f214375a8ef80e9"),
+        ("write-fault-healed", "b7d278ce675dd0c2"),
+        ("redundancy-write-fault", "b8c87128ae52df8d"),
+        ("all-write-fault", "48d20a5998d4b4ec"),
+        ("data-and-parity-suspect", "ce879608b8e2c8c5"),
+        ("parity-unmaintained", "4df6d314649c2af2"),
+        ("fail0-read", "3531b186261b092d"),
+        ("fail0-write", "4af9d534eeb78f11"),
+        ("fail0-replaced", "2c68f894343dfd42"),
+        ("fail0-rebuilt", "677733995b151ca3"),
+        ("fail0-verify", "05d2d73157018318"),
+        ("fail3-read", "245c5cebc0eb431c"),
+        ("fail3-write", "e7e300b16661bfa2"),
+        ("fail3-replaced", "e036e1336503a364"),
+        ("fail3-rebuilt", "e1e1dcf8c901bbf2"),
+        ("fail3-verify", "24da73588afdf1fd"),
+        ("rebuild-window", "daec3a6753f37f1c"),
+        ("rebuild-window-reads", "89c104b99625b149"),
+        ("rebuild-window-scrub", "593825e7e21bf7e4"),
+        ("corrupt-0-scrub", "ecf463e3619719fe"),
+        ("corrupt-0-rescrub", "3a8e75c97a4e1da7"),
+        ("corrupt-1-scrub", "b0a145cd5d679034"),
+        ("corrupt-1-rescrub", "1c217dbcbb479c68"),
+        ("corrupt-2-scrub", "090cbaf29d3ecc02"),
+        ("corrupt-2-rescrub", "afab13113173445b"),
+        ("scrub-lse", "567a32157ff3e2c2"),
+        ("scrub-lse-write-fault", "9ef98874680f330c"),
+        ("scrub-after-suspect", "aa25b2efe697dabe"),
+        ("suspect-reads", "811a76dc23661dca"),
+        ("scrub-two-lses", "76a7c3e0a8ee73e7"),
+        ("scrub-all-lses", "9ae0ce569664c6ac"),
+        ("scrub-corrupt-write-fault", "2c28c10a9bdd553d"),
+        ("scrub-failed-member", "88b25bd8665dc335"),
+        ("scrub-stale-member", "200d2fdcb2104017"),
+        ("stale-rebuild", "5f90c6ef0d68f1ae"),
+        ("stale-rebuild-scrub", "c85c1fa45ac78103"),
+        ("scrub-steps", "15d78eafc4f8f78f"),
+        ("snapshot", "ba10307e8d8678b3"),
+        ("moved-on", "cdf0203879866748"),
+        ("restored", "18e5260b335cb73a"),
+        ("restored-reads", "608ca2753d7ebeed"),
+        ("base-image", "820e304e13c1165d"),
+        ("latency-observer", "cf31afcd92384f98"),
+        ("traced", "d303fb25e9f1b15f"),
+        ("exhausted-read", "c92ea6de332a26bf"),
+        ("exhausted-write", "f0dcabbda0d48b9d"),
+        ("exhausted-scrub", "110a86a2a1d723d0"),
+        ("exhausted-rebuild", "9ea228df4197e08f"),
+        ("revived-read", "8d85f6cace34c30c"),
+        ("revived-scrub", "7c6c12989c28bd47"),
     ],
     "rdp5": [
-        ("fill", "8a24f594e03f7eb3"),
-        ("read", "17e440b325ffee6e"),
-        ("stall", "79dd180496f82a66"),
-        ("lse-read-repair", "27321dbb31048c01"),
-        ("lse-repair-fails", "6c4e40d1e6cc003e"),
-        ("suspect-healed", "1ec7477cea6a4a16"),
-        ("stripe-lses-9", "c3223e5add046185"),
-        ("stripe-lses-27", "02e65f2359b79112"),
-        ("settled-1", "892214f0193cdaa2"),
-        ("write-fault", "6de4e542ac3bd487"),
-        ("write-fault-healed", "07eac690233f6cb1"),
-        ("redundancy-write-fault", "b441306fedaf7602"),
-        ("all-write-fault", "75471877d31c6067"),
-        ("fail1-read", "b868cb64f6530022"),
-        ("fail1-write", "311131f1cc9e80b4"),
-        ("fail1-replaced", "c3d3dc8518a9630d"),
-        ("fail1-rebuilt", "92b0bf259e6618f8"),
-        ("fail1-verify", "38434c0854fa48ee"),
-        ("fail4-read", "527ef8ae04dc146a"),
-        ("fail4-write", "7952232b3695a94f"),
-        ("fail4-replaced", "b0143183a152a346"),
-        ("fail4-rebuilt", "4742ae4a7da8617d"),
-        ("fail4-verify", "bf6212e1a076d10d"),
-        ("fail5-read", "a01e1a03b181649b"),
-        ("fail5-write", "e2e747ba6d00ad2a"),
-        ("fail5-replaced", "f99636e3f101dab7"),
-        ("fail5-rebuilt", "23e363b55cf771db"),
-        ("fail5-verify", "d54770565a356249"),
-        ("fail02-read", "1b4b505653aeed04"),
-        ("fail02-write", "115bab4b28f9e809"),
-        ("fail02-replaced", "e61a410ac456e560"),
-        ("fail02-rebuilt", "67e8042aae3e6f4d"),
-        ("fail02-verify", "a5085baa480948b4"),
-        ("fail15-read", "d399e0646bb3e00f"),
-        ("fail15-write", "52577b8380714647"),
-        ("fail15-replaced", "24fe208ef409386a"),
-        ("fail15-rebuilt", "ba69c4db95957b1e"),
-        ("fail15-verify", "9b8633c7f32453ca"),
-        ("rebuild-window", "bb3f21d552436931"),
-        ("rebuild-window-reads", "08927f916cc77f7a"),
-        ("rebuild-window-scrub", "6f45e92a70093b2d"),
-        ("corrupt-0-scrub", "56212867db8a4047"),
-        ("corrupt-0-rescrub", "41d4523a42b8f3c0"),
-        ("corrupt-1-scrub", "6bcee0526076175e"),
-        ("corrupt-1-rescrub", "8eaf61c6c6c34990"),
-        ("corrupt-2-scrub", "6ed8e349b3c80368"),
-        ("corrupt-2-rescrub", "fe8614d89370ad12"),
-        ("corrupt-3-scrub", "0f62d451a2942863"),
-        ("corrupt-3-rescrub", "e37eee05e5ca5a32"),
-        ("corrupt-4-scrub", "c1f5a138ca9029b0"),
-        ("corrupt-4-rescrub", "9c1ed78a83a77df6"),
-        ("corrupt-5-scrub", "92d03b8c6f326533"),
-        ("corrupt-5-rescrub", "3638053bae4df0f6"),
-        ("scrub-lse", "49929ed1de1ac22b"),
-        ("scrub-lse-write-fault", "bcf0cd506807478d"),
-        ("scrub-after-suspect", "97e095f8bcb9637d"),
-        ("suspect-reads", "6206a49e6e28ffd1"),
-        ("scrub-two-lses", "7dc9b55cff7d5929"),
-        ("scrub-all-lses", "5e961879119980f7"),
-        ("scrub-corrupt-write-fault", "41b1165009303a7f"),
-        ("scrub-failed-member", "6cbbd0301cf68cf0"),
-        ("scrub-stale-member", "44caed96be5fef54"),
-        ("stale-rebuild", "ce9568a8ddbaa410"),
-        ("stale-rebuild-scrub", "1d813acef2ba4cb7"),
-        ("scrub-steps", "43c29db81e013605"),
-        ("snapshot", "ce20b9ad19aed9cd"),
-        ("moved-on", "85fe91e70eca8ff4"),
-        ("restored", "d609b754041e078c"),
-        ("restored-reads", "587db98992220333"),
-        ("base-image", "f135bea65c5d755d"),
-        ("latency-observer", "60ee392e7f777427"),
-        ("traced", "823ab5c3c720e69b"),
-        ("exhausted-read", "4e8c6baf64fa449d"),
-        ("exhausted-write", "f56d8147567aa63c"),
-        ("exhausted-scrub", "5f054442285cb5c6"),
-        ("exhausted-rebuild", "fc379eca269b35df"),
-        ("revived-read", "6f559bf3008fc86c"),
-        ("revived-scrub", "975f3079eb07abfa"),
+        ("fill", "03fb7124c177b15b"),
+        ("read", "bd5412f4eb19d58a"),
+        ("stall", "37bb97582a4f57c0"),
+        ("lse-read-repair", "1b99a7f6052780a2"),
+        ("lse-repair-fails", "26fd35164a55cc00"),
+        ("suspect-healed", "b1392ff21b98bc10"),
+        ("stripe-lses-9", "dfa5f6c5ce000565"),
+        ("stripe-lses-27", "6ecce6fc14ea28de"),
+        ("settled-1", "08718503ce1246d4"),
+        ("write-fault", "3be5162b3a942caa"),
+        ("write-fault-healed", "cdf47cc0f6585691"),
+        ("redundancy-write-fault", "caf1bd7239941483"),
+        ("all-write-fault", "769fb1752f27531b"),
+        ("fail1-read", "1ccda2d91e4fca84"),
+        ("fail1-write", "befefd57e7e9c800"),
+        ("fail1-replaced", "930ba2c069523517"),
+        ("fail1-rebuilt", "77f16dceca014d71"),
+        ("fail1-verify", "1de00169161d802f"),
+        ("fail4-read", "07522f0386bb8769"),
+        ("fail4-write", "7f8390c6b356dab4"),
+        ("fail4-replaced", "1e6e9c85ba2bd22e"),
+        ("fail4-rebuilt", "b466c8d4bbff791b"),
+        ("fail4-verify", "110bb719f62896eb"),
+        ("fail5-read", "174009a7f1cf15f9"),
+        ("fail5-write", "2f5f48a3df146fb0"),
+        ("fail5-replaced", "d169384354cd149c"),
+        ("fail5-rebuilt", "56454ddcd944f29a"),
+        ("fail5-verify", "bf8865d6be26abad"),
+        ("fail02-read", "cec7a2e7b2350b88"),
+        ("fail02-write", "72103c191b965b28"),
+        ("fail02-replaced", "67996ddd37c5829a"),
+        ("fail02-rebuilt", "a4426852f05a2890"),
+        ("fail02-verify", "90d7f25caeff226c"),
+        ("fail15-read", "63566698cd350f68"),
+        ("fail15-write", "56e92102661f0875"),
+        ("fail15-replaced", "76746dcfe63939d0"),
+        ("fail15-rebuilt", "ce9e262523980e0a"),
+        ("fail15-verify", "7dceb77f3e7fe3d0"),
+        ("rebuild-window", "c6bfbb460c23d2d8"),
+        ("rebuild-window-reads", "79baae495813acd3"),
+        ("rebuild-window-scrub", "62d161227717c523"),
+        ("corrupt-0-scrub", "3dae4da3a068ad4d"),
+        ("corrupt-0-rescrub", "695edf71e2b5c62d"),
+        ("corrupt-1-scrub", "9c19fa5cd263f649"),
+        ("corrupt-1-rescrub", "103771b101e7802c"),
+        ("corrupt-2-scrub", "9a0af73d8e3b27f3"),
+        ("corrupt-2-rescrub", "2208a5a6aaadb98d"),
+        ("corrupt-3-scrub", "6d9891b3ab340ebe"),
+        ("corrupt-3-rescrub", "557ce64b4bc50395"),
+        ("corrupt-4-scrub", "404a6c25f8ad98d2"),
+        ("corrupt-4-rescrub", "c4236ca004eee97c"),
+        ("corrupt-5-scrub", "3ef620da0f285fc0"),
+        ("corrupt-5-rescrub", "6b4acba57d5915e5"),
+        ("scrub-lse", "8b21ed40790a397a"),
+        ("scrub-lse-write-fault", "86cf5800df5e8e48"),
+        ("scrub-after-suspect", "84988bd11ffea766"),
+        ("suspect-reads", "0ce8f074a03c4dea"),
+        ("scrub-two-lses", "9eac2af0036c7b38"),
+        ("scrub-all-lses", "741452b1ea094cc3"),
+        ("scrub-corrupt-write-fault", "392abde0feee6f37"),
+        ("scrub-failed-member", "757cb7a1c87eb88b"),
+        ("scrub-stale-member", "7bd625c2ef420a4f"),
+        ("stale-rebuild", "6784c2ebf7d2190f"),
+        ("stale-rebuild-scrub", "c797b087ea77ae23"),
+        ("scrub-steps", "fa7241719cdbaf4c"),
+        ("snapshot", "724ff4dc2d54c9ef"),
+        ("moved-on", "b4f3fce7d3db6847"),
+        ("restored", "42a26c5ceea89bf8"),
+        ("restored-reads", "4cb9638684251eee"),
+        ("base-image", "5c73e39f6c7fa126"),
+        ("latency-observer", "69e8d32c4a88dfd9"),
+        ("traced", "9bedac6afba0e361"),
+        ("exhausted-read", "7fd4428d9fdb8371"),
+        ("exhausted-write", "0d6838031ae5a158"),
+        ("exhausted-scrub", "9d5c0547336864ee"),
+        ("exhausted-rebuild", "c687f63489d2d934"),
+        ("revived-read", "25ccd4fb0bb71d1a"),
+        ("revived-scrub", "bca35b5cfdb887a2"),
     ],
 }
 
 
 @pytest.mark.parametrize("label", list(GEOMETRIES))
-def test_array_streams_are_pinned(label):
-    assert _Script(label).run() == PINNED[label]
+def test_array_streams_are_pinned(label, monkeypatch):
+    assert _Script(label, MemberRequests(monkeypatch)).run() == PINNED[label]
