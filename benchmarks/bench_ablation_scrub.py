@@ -49,7 +49,8 @@ def test_ablation_scrub(benchmark):
         # Lazy phase: a hot-file-only workload discovers nothing.
         for _ in range(20):
             fs.read_file("/hot")
-        lazy_found = sum(1 for e in injector.trace.errors() if e.is_read())
+        lazy_found = sum(1 for e in stack.events.io_events()
+                         if e.is_read() and e.outcome == "error")
 
         # Eager phase: one scrub pass, repairing from replicas/parity.
         stats = fs.scrub()

@@ -22,7 +22,6 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.injector import FaultInjector
 from repro.disk.recorder import WriteRecorder
 from repro.disk.stack import DeviceStack
-from repro.disk.trace import IOTrace
 
 __all__ = [
     "BlockCache",
@@ -35,7 +34,6 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "FaultOp",
-    "IOTrace",
     "Persistence",
     "SimulatedDisk",
     "SlabImage",

@@ -23,8 +23,7 @@ from typing import Callable, List, Optional, Sequence
 from repro.common.errors import ReadError, WriteError
 from repro.disk.disk import BlockDevice
 from repro.disk.faults import Fault, FaultKind
-from repro.disk.trace import IOTrace
-from repro.obs.events import EventLog, FaultArmedEvent, io_event
+from repro.obs.events import EventLog, FaultArmedEvent, IOEvent, io_event
 
 TypeOracle = Callable[[int], Optional[str]]
 
@@ -34,9 +33,11 @@ class FaultInjector:
 
     Also records the low-level I/O trace — the third observable of the
     fingerprinting methodology.  Every request becomes a typed
-    :class:`~repro.obs.events.IOEvent` in the stack's shared event log
-    (``self.events``); :attr:`trace` is the historical query view over
-    that stream.
+    :class:`~repro.obs.events.IOEvent` in the stream the injector is
+    given (its *events* argument, else its lower device's ``events``).
+    With neither, ``self.events`` is None and nothing is recorded: an
+    array member's injector pays for the disk access and the fault
+    match only.
     """
 
     def __init__(
@@ -50,22 +51,20 @@ class FaultInjector:
         self.faults: List[Fault] = []
         if events is None:
             events = getattr(lower, "events", None)
-        if events is None:
-            events = EventLog()
-        self.events = events
-        self.trace = IOTrace(events)
+        self.events: Optional[EventLog] = events
 
     # -- configuration ------------------------------------------------------
 
     def arm(self, fault: Fault) -> Fault:
         """Arm a fault; returns it for later inspection."""
         self.faults.append(fault)
-        self.events.emit(FaultArmedEvent(
-            op=fault.op.value,
-            fault_kind=fault.kind.value,
-            block=fault.block,
-            block_type=fault.block_type,
-        ))
+        if self.events is not None:
+            self.events.emit(FaultArmedEvent(
+                op=fault.op.value,
+                fault_kind=fault.kind.value,
+                block=fault.block,
+                block_type=fault.block_type,
+            ))
         return fault
 
     def disarm(self, fault: Fault) -> None:
@@ -89,10 +88,12 @@ class FaultInjector:
 
     def read_block(self, block: int) -> bytes:
         oracle = self.type_oracle
+        events = self.events
         if oracle is None and not self.faults:
             # Nothing armed, nothing to type: pass straight through.
             data = self.lower.read_block(block)
-            self.events.emit(io_event("read", block, "ok"))
+            if events is not None:
+                events.emit(io_event("read", block, "ok"))
             return data
         # One oracle call per request; the first matching fault decides.
         btype = None if oracle is None else oracle(block)
@@ -100,21 +101,24 @@ class FaultInjector:
             if fault.matches("read", block, btype):
                 if fault.consume(block):
                     if fault.kind is FaultKind.FAIL:
-                        self.events.emit(io_event("read", block, "error", btype))
+                        self._record("read", block, "error", btype)
                         raise ReadError(block, f"injected: {fault.describe()}")
                     bad = fault.corrupt(self.lower.read_block(block), btype)
-                    self.events.emit(io_event("read", block, "corrupted", btype))
+                    self._record("read", block, "corrupted", btype)
                     return bad
                 break
         data = self.lower.read_block(block)
-        self.events.emit(io_event("read", block, "ok", btype))
+        if events is not None:
+            events.emit(io_event("read", block, "ok", btype))
         return data
 
     def write_block(self, block: int, data: bytes) -> None:
         oracle = self.type_oracle
+        events = self.events
         if oracle is None and not self.faults:
             self.lower.write_block(block, data)
-            self.events.emit(io_event("write", block, "ok"))
+            if events is not None:
+                events.emit(io_event("write", block, "ok"))
             return
         btype = None if oracle is None else oracle(block)
         for fault in self.faults:
@@ -122,16 +126,22 @@ class FaultInjector:
                 if fault.consume(block):
                     if fault.kind is FaultKind.FAIL:
                         # The operation never reaches the medium.
-                        self.events.emit(io_event("write", block, "error", btype))
+                        self._record("write", block, "error", btype)
                         raise WriteError(block, f"injected: {fault.describe()}")
                     # Corrupt-on-write: store altered data but report
                     # success (a misdirected/phantom-style firmware fault).
-                    self.events.emit(io_event("write", block, "corrupted", btype))
+                    self._record("write", block, "corrupted", btype)
                     self.lower.write_block(block, fault.corrupt(data, btype))
                     return
                 break
         self.lower.write_block(block, data)
-        self.events.emit(io_event("write", block, "ok", btype))
+        if events is not None:
+            events.emit(io_event("write", block, "ok", btype))
+
+    def _record(self, op: str, block: int, outcome: str,
+                btype: Optional[str]) -> None:
+        if self.events is not None:
+            self.events.emit(io_event(op, block, outcome, btype))
 
     # -- vectored I/O -------------------------------------------------------------
     #
@@ -183,8 +193,9 @@ class FaultInjector:
                 out = self.lower.read_blocks(run)
             finally:
                 # The lower device's own count says how far it got.
-                self.events.emit_many([io_event("read", block, "ok")
-                                       for block in run[:stats.reads - served]])
+                if self.events is not None:
+                    self.events.emit_many([io_event("read", block, "ok") for
+                                           block in run[:stats.reads - served]])
         for block in blocks[clean:]:
             out.append(self.read_block(block))
         return out
@@ -202,8 +213,9 @@ class FaultInjector:
             try:
                 self.lower.write_blocks(run, payloads[:clean])
             finally:
-                self.events.emit_many([io_event("write", block, "ok")
-                                       for block in run[:stats.writes - served]])
+                if self.events is not None:
+                    self.events.emit_many([io_event("write", block, "ok") for
+                                           block in run[:stats.writes - served]])
         for i in range(clean, len(blocks)):
             self.write_block(blocks[i], payloads[i])
 
@@ -216,10 +228,12 @@ class FaultInjector:
         return self.lower.snapshot()
 
     def restore(self, snapshot) -> None:
-        """Rewind the device and drop the observed I/O history.  Armed
-        faults are configuration, not device state — they stay armed."""
+        """Rewind the device and drop the I/O events from the stream it
+        records into.  Armed faults are configuration, not device state
+        — they stay armed."""
         self.lower.restore(snapshot)
-        self.trace.clear()
+        if self.events is not None:
+            self.events.remove_where(lambda e: isinstance(e, IOEvent))
 
     # -- passthroughs to the raw disk (when present) ---------------------------
 
@@ -239,4 +253,4 @@ class FaultInjector:
         return getattr(self.lower, "stats", None)
 
     def __repr__(self) -> str:
-        return f"FaultInjector(faults={len(self.faults)}, trace={len(self.trace)} entries)"
+        return f"FaultInjector(faults={len(self.faults)})"

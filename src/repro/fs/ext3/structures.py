@@ -97,13 +97,16 @@ class Superblock:
         )
 
     def pack(self, block_size: int) -> bytes:
+        # The free and mount counters are stored the way the kernel's
+        # le32 arithmetic leaves them: a count driven below zero by a
+        # damaged descriptor wraps instead of refusing to pack.
         payload = _SB_STRUCT.pack(
             self.magic,
             self.block_size,
             self.blocks_count,
             self.inodes_count,
-            self.free_blocks,
-            self.free_inodes,
+            self.free_blocks & 0xFFFFFFFF,
+            self.free_inodes & 0xFFFFFFFF,
             self.blocks_per_group,
             self.inodes_per_group,
             self.num_groups,
@@ -115,7 +118,7 @@ class Superblock:
             self.checksum_blocks,
             self.state,
             0,  # pad
-            self.mount_count,
+            self.mount_count & 0xFFFFFFFF,
             self.features,
             self.replica_start,
             self.replica_blocks,
@@ -160,12 +163,13 @@ class GroupDescriptor:
     data_blocks: int
 
     def pack(self) -> bytes:
+        # le16 counters, wrapped as the kernel's arithmetic leaves them.
         return _GD_STRUCT.pack(
             self.block_bitmap,
             self.inode_bitmap,
             self.inode_table,
-            self.free_blocks,
-            self.free_inodes,
+            self.free_blocks & 0xFFFF,
+            self.free_inodes & 0xFFFF,
             self.data_start,
             self.data_blocks,
         )

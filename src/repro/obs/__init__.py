@@ -3,10 +3,10 @@
 Every layer of the storage stack — the fault injector at the device
 boundary, the VFS buffer layer, the journal framing, and each file
 system's policy code — reports through :class:`StorageEvent` records
-appended to a shared :class:`EventLog`.  ``SysLog`` and ``IOTrace``
-are views over this stream (``IOTrace`` hands back the log's own
-:class:`IOEvent` objects); policy inference matches the structured
-events directly.
+appended to a shared :class:`EventLog`.  ``SysLog`` is a view over
+this stream; the I/O trace is the log's own :class:`IOEvent` objects
+(``EventLog.io_events()``), and policy inference matches the
+structured events directly.
 
 Import from the submodule that defines a name (``repro.obs.events``,
 ``repro.obs.trace``, …): the package re-exports nothing, so loading

@@ -11,10 +11,10 @@ Design constraints:
 
 * **Replayable** — events are frozen dataclasses of primitives, so a
   stream pickles and hashes to a stable digest (:func:`event_bytes`).
-* **View-compatible** — ``SysLog`` and ``IOTrace`` are views over an
-  ``EventLog``: ``SysLog`` renders its :class:`LogEvent`\\ s as log
-  lines, ``IOTrace`` filters out its :class:`IOEvent`\\ s and returns
-  those same objects, and inference matches the structured events.
+* **View-compatible** — ``SysLog`` is a view over an ``EventLog`` that
+  renders its :class:`LogEvent`\\ s as log lines; the I/O trace is
+  :meth:`EventLog.io_events`, the log's own :class:`IOEvent` objects;
+  and inference matches the structured events.
 
 Event kinds:
 

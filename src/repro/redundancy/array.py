@@ -71,27 +71,22 @@ from repro.redundancy.rdp import RDPStripe
 #: is a detection tagged *logical*), ``_member_peek`` the uncharged one.
 Reader = Callable[[int, int, Optional[int]], Optional[bytes]]
 
-#: Ring capacity of a member's private boundary-I/O log.
-MEMBER_LOG_EVENTS = 4096
-
 
 class ArrayMember:
     """One member sub-stack: a raw disk under its own fault injector.
 
-    The member keeps a private event log for its boundary I/O trace
-    (the injector's :class:`~repro.obs.events.IOEvent` stream); the
-    array's *logical* events — detections, recoveries, policy actions
-    — go to the array's shared stream instead, so the stream a mounted
-    file system joins tells the logical story.
+    A member keeps no I/O trace: its injector is given no stream, so a
+    member request costs the disk access and the fault match and
+    records nothing.  The array's *logical* events — detections,
+    recoveries, policy actions — go to the array's shared stream, so
+    the stream a mounted file system joins tells the logical story.
     """
 
     def __init__(self, index: int, num_blocks: int, block_size: int,
                  timing: Optional[dict] = None):
         self.index = index
-        self.events = EventLog(max_events=MEMBER_LOG_EVENTS)
         self.disk = make_disk(num_blocks, block_size, **(timing or {}))
-        self.disk.events = self.events
-        self.injector = FaultInjector(self.disk, events=self.events)
+        self.injector = FaultInjector(self.disk)
         #: The top of the member sub-stack — what the array issues I/O to.
         self.device = self.injector
 
@@ -99,7 +94,6 @@ class ArrayMember:
         """Swap in a blank disk of the same geometry (a spare)."""
         old = self.disk
         self.disk = SimulatedDisk(old.geometry)
-        self.disk.events = self.events
         self.disk.latency_observer = old.latency_observer
         self.injector.lower = self.disk
 

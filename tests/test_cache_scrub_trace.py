@@ -1,4 +1,4 @@
-"""Units for the block cache and the I/O trace."""
+"""Units for the block cache."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.disk import (
     FaultInjector,
     FaultKind,
     FaultOp,
-    IOTrace,
     make_disk,
 )
 
@@ -108,31 +107,3 @@ class TestBlockCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             BlockCache(make_disk(4, 512), 0)
-
-
-class TestIOTrace:
-    def test_queries(self):
-        t = IOTrace()
-        t.record("read", 5, "ok", "inode")
-        t.record("read", 5, "ok", "inode")
-        t.record("write", 6, "error", "data")
-        assert t.reads_of(5) == 2
-        assert t.writes_of(6) == 1
-        assert t.retry_count(5, "read") == 1
-        assert t.retry_count(6, "write") == 0
-        assert [e.block for e in t.errors()] == [6]
-        assert t.blocks_read() == [5, 5]
-        assert t.blocks_written() == [6]
-
-    def test_render_limit(self):
-        t = IOTrace()
-        for i in range(10):
-            t.record("read", i, "ok")
-        text = t.render(limit=3)
-        assert "7 more" in text
-
-    def test_clear(self):
-        t = IOTrace()
-        t.record("read", 1, "ok")
-        t.clear()
-        assert len(t) == 0

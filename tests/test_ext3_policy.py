@@ -14,11 +14,12 @@ from repro.disk import (
     read_failure,
     write_failure,
 )
-from repro.fs.ext3.structures import Inode
+from repro.fs.ext3 import Ext3
+from repro.fs.ext3.structures import Inode, Superblock, unpack_gdt
 from repro.fs.ext3.config import INODE_SIZE
 from repro.vfs import O_RDONLY
 
-from conftest import faulty_remount, make_ext3
+from conftest import EXT3_CFG, faulty_remount, make_ext3
 
 
 @pytest.fixture
@@ -83,14 +84,15 @@ class TestWriteFailuresIgnored:
         fs.mkdir("/fresh")  # succeeds despite the lost write
         assert not fs.read_only
         assert not fs.syslog.has_event("write-error")
-        assert [e for e in injector.trace.errors() if e.op == "write"]
+        assert [e for e in injector.events.io_events()
+                if e.op == "write" and e.outcome == "error"]
 
     def test_failed_journal_write_still_commits(self, prepared):
         """A failed j-data write does not stop the commit block (§5.1)."""
         _, injector, fs = prepared
         injector.arm(write_failure("j-data"))
         fs.mkdir("/doomed")
-        jtypes = [e.block_type for e in injector.trace
+        jtypes = [e.block_type for e in injector.events.io_events()
                   if e.op == "write" and e.outcome == "ok"]
         assert "j-commit" in jtypes
 
@@ -189,3 +191,33 @@ class TestSuperblockReplicasUnused:
         fs2 = Ext3(injector)
         with pytest.raises(FSError):
             fs2.mount()  # no fallback to the copies: mount just fails
+
+
+class TestDamagedCounters:
+    def test_zeroed_descriptor_block_wraps_its_counters(self):
+        """A zeroed group-descriptor block parses blindly as groups with
+        nothing free; the next allocation drives the counts below zero,
+        and the commit stores them as le16 arithmetic leaves them
+        instead of raising ``struct.error``."""
+        disk, fs = make_ext3()
+        fs.mount()
+        fs.mkdir("/d")
+        fs.unmount()
+        gdt_block = fs.config.gdt_block
+        disk.poke(gdt_block, bytes(disk.block_size))
+        fs = Ext3(disk)
+        fs.mount()
+        fs.write_file("/d/f1", b"x" * 5000)
+        fs.unmount()
+        group = unpack_gdt(disk.peek(gdt_block), fs.config.num_groups)[0]
+        assert (group.free_blocks, group.free_inodes) == (0x10000 - 5, 0xFFFF)
+        fs = Ext3(disk)
+        fs.mount()
+        assert fs.read_file("/d/f1") == b"x" * 5000
+
+    def test_superblock_counters_wrap_as_le32(self):
+        sb = Superblock.for_config(EXT3_CFG)
+        sb.free_blocks, sb.free_inodes, sb.mount_count = -1, -2, 1 << 32
+        back = Superblock.unpack(sb.pack(EXT3_CFG.block_size))
+        assert (back.free_blocks, back.free_inodes, back.mount_count) == \
+            (0xFFFFFFFF, 0xFFFFFFFE, 0)

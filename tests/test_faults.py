@@ -15,13 +15,16 @@ from repro.disk import (
     read_failure,
     write_failure,
 )
+from repro.obs.events import EventLog
 
 
 def build(num=32, bs=512):
     disk = make_disk(num, bs)
     for i in range(num):
         disk.write_block(i, bytes([i]) * bs)
-    return disk, FaultInjector(disk, type_oracle=lambda b: "even" if b % 2 == 0 else "odd")
+    return disk, FaultInjector(
+        disk, type_oracle=lambda b: "even" if b % 2 == 0 else "odd",
+        events=EventLog())
 
 
 class TestFaultSpec:
@@ -164,7 +167,7 @@ class TestTraceRecording:
         inj.read_block(0)
         with pytest.raises(ReadError):
             inj.read_block(1)
-        outcomes = [(e.op, e.block, e.outcome) for e in inj.trace]
+        outcomes = [(e.op, e.block, e.outcome) for e in inj.events.io_events()]
         assert outcomes == [("read", 0, "ok"), ("read", 1, "error")]
 
     def test_retry_count(self):
@@ -172,7 +175,8 @@ class TestTraceRecording:
         inj.read_block(4)
         inj.read_block(4)
         inj.read_block(4)
-        assert inj.trace.retry_count(4, "read") == 2
+        assert [(e.op, e.block) for e in inj.events.io_events()] == \
+            [("read", 4)] * 3
 
     def test_disarm_and_clear(self):
         disk, inj = build()

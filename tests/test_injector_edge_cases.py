@@ -14,13 +14,15 @@ from repro.disk import (
     Persistence,
     make_disk,
 )
+from repro.obs.events import EventLog
 
 
 def build():
     disk = make_disk(32, 512)
     for i in range(32):
         disk.write_block(i, bytes([i]) * 512)
-    return disk, FaultInjector(disk, type_oracle=lambda b: f"t{b % 3}")
+    return disk, FaultInjector(disk, type_oracle=lambda b: f"t{b % 3}",
+                               events=EventLog())
 
 
 class TestStacking:
@@ -124,8 +126,8 @@ class TestOracleDynamics:
         disk, inj = build()
         inj.read_block(0)
         inj.write_block(1, b"\x00" * 512)
-        assert inj.trace.entries[0].block_type == "t0"
-        assert inj.trace.entries[1].block_type == "t1"
+        first, second = inj.events.io_events()
+        assert (first.block_type, second.block_type) == ("t0", "t1")
 
 
 class TestTransientSemantics:

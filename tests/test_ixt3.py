@@ -17,6 +17,7 @@ from repro.disk import (
     write_failure,
 )
 from repro.fs.ext3 import Ext3Config
+from repro.obs.events import EventLog
 from repro.fs.ixt3 import (
     ALL_FEATURES,
     FEAT_DATA_CSUM,
@@ -43,7 +44,7 @@ def fresh(features=ALL_FEATURES, populate=True):
         fs.write_file("/d/big", bytes((i * 7) % 256 for i in range(24 * bs)))
         fs.write_file("/plain", b"iron file contents")
     fs.unmount()
-    injector = FaultInjector(disk)
+    injector = FaultInjector(disk, events=EventLog())
     fs2 = Ixt3(injector)
     fs2.mount()
     injector.set_type_oracle(fs2.block_type)
@@ -70,7 +71,7 @@ class TestMetadataReplication:
         injector.arm(read_failure("inode"))
         assert fs.stat("/plain").size == 18
         assert fs.syslog.has_event("redundancy-used")
-        replica_reads = [e for e in injector.trace
+        replica_reads = [e for e in injector.events.io_events()
                         if e.is_read() and e.block_type == "replica"]
         assert replica_reads
 
@@ -303,7 +304,7 @@ class TestWriteFailurePolicy:
             fs.write_file("/victim", b"v" * 4096)
         except FSError:
             pass
-        committed = [e for e in injector.trace
+        committed = [e for e in injector.events.io_events()
                      if e.op == "write" and e.outcome == "ok"
                      and e.block_type == "j-commit"]
         assert not committed

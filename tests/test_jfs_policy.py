@@ -15,6 +15,7 @@ from repro.disk import (
     write_failure,
 )
 from repro.fs.jfs import JFS
+from repro.obs.events import EventLog
 
 from conftest import faulty_remount, make_jfs
 
@@ -64,7 +65,8 @@ class TestWritePolicy:
         fs.close(fd)
         assert not fs.read_only
         assert not fs.syslog.has_event("write-error")
-        assert [e for e in injector.trace.errors() if e.op == "write"]
+        assert [e for e in injector.events.io_events()
+                if e.op == "write" and e.outcome == "error"]
 
     def test_journal_superblock_write_failure_crashes(self, prepared):
         """The lone exception: j-super write failure → crash (§5.3)."""
@@ -113,12 +115,13 @@ class TestAllocationMapPolicy:
 class TestDualSuperblocks:
     def test_primary_read_error_uses_secondary(self):
         disk, fs = make_jfs()
-        injector = FaultInjector(disk)
+        injector = FaultInjector(disk, events=EventLog())
         injector.arm(Fault(op=FaultOp.READ, kind=FaultKind.FAIL, block=0))
         fs2 = JFS(injector)
         fs2.mount()  # survives via the adjacent secondary copy
         assert fs2.syslog.has_event("redundancy-used")
-        assert injector.trace.reads_of(1) >= 1
+        assert [e for e in injector.events.io_events()
+                if e.is_read() and e.block == 1]
 
     def test_primary_corruption_does_not_use_secondary(self):
         """The paper's illogical inconsistency: a *corrupt* primary is
@@ -151,14 +154,15 @@ class TestAggregateInode:
         fs.mount()
         aggr_block = fs.config.aggr_inode_block
         fs.unmount()
-        injector = FaultInjector(disk)
+        injector = FaultInjector(disk, events=EventLog())
         injector.arm(Fault(op=FaultOp.READ, kind=FaultKind.FAIL, block=aggr_block))
         fs2 = JFS(injector)
         with pytest.raises(FSError) as e:
             fs2.mount()
         assert e.value.errno is Errno.EIO
         # The adjacent secondary was readable but never read.
-        assert injector.trace.reads_of(aggr_block + 1) == 0
+        assert not [e for e in injector.events.io_events()
+                    if e.is_read() and e.block == aggr_block + 1]
 
 
 class TestBlankPageBug:

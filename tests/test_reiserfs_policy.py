@@ -57,10 +57,11 @@ class TestWritePanics:
         bs = fs.statfs().block_size
         fs.write_file("/victim", b"Q" * (3 * bs))  # no panic, no error
         assert not fs.syslog.has_event("write-error")
-        write_errors = [e for e in injector.trace.errors() if e.op == "write"]
+        write_errors = [e for e in injector.events.io_events()
+                        if e.op == "write" and e.outcome == "error"]
         assert write_errors
         # The commit completed despite the lost data write.
-        jtypes = [e.block_type for e in injector.trace
+        jtypes = [e.block_type for e in injector.events.io_events()
                   if e.op == "write" and e.outcome == "ok"]
         assert "j-commit" in jtypes
 

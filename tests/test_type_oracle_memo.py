@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import FSError, KernelPanic
@@ -211,6 +211,10 @@ def _poke(disk, block, how, index):
 @pytest.mark.parametrize("name", FS_NAMES)
 @settings(max_examples=40, deadline=None)
 @given(steps=st.lists(_step, min_size=1, max_size=6))
+# A zeroed ext3 descriptor block: the next allocation drove a free
+# count below zero and the commit raised ``struct.error``.
+@example(steps=[("poke_other", 1, "zero"),
+                ("ops", [("write", "/d/f1", 0, 5000)])])
 def test_memoised_rebuild_equals_fresh_walk(name, steps):
     """After op sequences, crashes with an unreplayed journal, raw pokes
     of dependency and non-dependency blocks and golden restores, every
