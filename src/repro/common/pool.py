@@ -89,37 +89,38 @@ atexit.register(shutdown_pool)
 
 # -- ordered, bounded, chunked map -------------------------------------------
 
+#: Chunks a map gives each worker: fewer pay fewer pool round trips,
+#: more leave less work running alone at the end (docs/performance.md).
+CHUNKS_PER_WORKER = 16
+
 
 def _run_chunk(worker: Callable[..., Any], chunk: Sequence[Tuple]) -> List[Any]:
     return [worker(*args) for args in chunk]
 
 
-def pool_map(
-    worker: Callable[..., Any],
-    arg_tuples: Sequence[Tuple],
-    jobs: int,
-    chunksize: int = 1,
-) -> List[Any]:
+def pool_map(worker: Callable[..., Any], arg_tuples: Sequence[Tuple],
+             jobs: int) -> List[Any]:
     """Apply *worker* to each argument tuple, ``jobs`` at a time.
 
     Results come back in submission order regardless of completion
     order, so callers' merges are deterministic: ``jobs=N`` output is
-    identical to ``jobs=1``.  With ``jobs <= 1`` (or one task) the work
-    runs in-process — no pool, no pickling requirement.
+    identical to ``jobs=1``.  With one usable CPU (or one task) the
+    work runs in-process — no pool, no pickling requirement.
 
-    *chunksize* groups consecutive tasks into one pool submission to
-    amortize IPC for large matrices of small tasks.  Submission is
-    streaming: at most ``2 * jobs`` chunks are in flight at once, so a
-    huge task list never serializes all its arguments up front.
+    The pool is ``effective_jobs(jobs)`` wide; consecutive tasks travel
+    in chunks of ``ceil(tasks / (width * CHUNKS_PER_WORKER))``, at most
+    ``2 * width`` of them in flight, so a huge task list never
+    serializes all its arguments up front.
     """
     tasks = list(arg_tuples)
-    if effective_jobs(jobs) <= 1 or len(tasks) <= 1:
+    width = effective_jobs(jobs)
+    if width <= 1 or len(tasks) <= 1:
         return [worker(*args) for args in tasks]
-    chunksize = max(1, chunksize)
-    chunks = [tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize)]
+    size = -(-len(tasks) // (width * CHUNKS_PER_WORKER))
+    chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
     for attempt in (0, 1):
         try:
-            nested = _map_chunks(worker, chunks, jobs)
+            nested = _map_chunks(worker, chunks, width)
         except BrokenProcessPool:
             # A worker died (OOM kill, signal).  The persistent pool is
             # unusable after that; rebuild it once and retry — tasks are
@@ -133,10 +134,10 @@ def pool_map(
 
 
 def _map_chunks(
-    worker: Callable[..., Any], chunks: List[List[Tuple]], jobs: int
+    worker: Callable[..., Any], chunks: List[List[Tuple]], width: int
 ) -> List[List[Any]]:
-    pool = get_pool(jobs)
-    window = max(2 * jobs, 4)
+    pool = get_pool(width)
+    window = 2 * width
     results: List[Optional[List[Any]]] = [None] * len(chunks)
     in_flight: Dict[Any, int] = {}
     next_index = 0

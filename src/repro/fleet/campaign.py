@@ -61,8 +61,7 @@ class CellResult:
 
     def add(self, outcome: TrialOutcome) -> None:
         self.trials += 1
-        self.outcomes[outcome.outcome] = \
-            self.outcomes.get(outcome.outcome, 0) + 1
+        self.outcomes[outcome.outcome] += 1
         self.device_hours += outcome.device_hours
         if outcome.ttdl_hours is not None:
             self.ttdl_hours.append(outcome.ttdl_hours)
@@ -184,14 +183,8 @@ class FleetReport:
 
     def render(self) -> str:
         """The loss-probability matrix as a fixed-width table."""
-        policies = []
-        for (_g, policy) in self.cells:
-            if policy not in policies:
-                policies.append(policy)
-        geometries = []
-        for (geometry, _p) in self.cells:
-            if geometry not in geometries:
-                geometries.append(geometry)
+        geometries = list(dict.fromkeys(g for g, _p in self.cells))
+        policies = list(dict.fromkeys(p for _g, p in self.cells))
         width = max(12, *(len(p) + 2 for p in policies))
         lines = [
             f"fleet: {self.trials} trials, "
@@ -248,6 +241,10 @@ class FleetReport:
                 f"top {top_mode} x{top_count}")
         return lines
 
+    def _cell_records(self) -> Dict[str, Dict[str, Any]]:
+        return {f"{geometry}/{policy}": cell.to_record()
+                for (geometry, policy), cell in self.cells.items()}
+
     def campaign_report(self) -> Dict[str, Any]:
         """The schema-validated campaign report body
         (``repro-campaign-report/1``): the matrix, every classified
@@ -263,10 +260,7 @@ class FleetReport:
             "device_hours": round(self.device_hours, 3),
             "acceleration": self.spec.rates.acceleration,
             "matrix": self.matrix(),
-            "cells": {
-                f"{geometry}/{policy}": cell.to_record()
-                for (geometry, policy), cell in self.cells.items()
-            },
+            "cells": self._cell_records(),
             "incidents": [
                 incident.to_record() for incident in self.incidents],
             "incident_digest": self.incident_digest,
@@ -290,10 +284,7 @@ class FleetReport:
             "matrix": self.matrix(),
             "incidents": len(self.incidents),
             "incident_modes": mode_counts(self.incidents),
-            "cell_detail": {
-                f"{geometry}/{policy}": cell.to_record()
-                for (geometry, policy), cell in self.cells.items()
-            },
+            "cell_detail": self._cell_records(),
         }
         if self.crosscheck is not None:
             record["crosscheck"] = self.crosscheck
@@ -328,10 +319,9 @@ def run_fleet(spec: FleetSpec, jobs: int = 1,
             geometry=geometry.label, policy=policy.name)
         members[geometry.label] = geometry.members
 
-    chunksize = max(1, min(16, spec.trials // 8 or 1))
     hasher = hashlib.sha256()
     done = 0
-    for outcome in pool_map(_trial_worker, tasks, jobs, chunksize=chunksize):
+    for outcome in pool_map(_trial_worker, tasks, jobs):
         cell = report.cells[(outcome.geometry, outcome.policy)]
         cell.add(outcome)
         event = FleetTrialEvent(
@@ -345,9 +335,9 @@ def run_fleet(spec: FleetSpec, jobs: int = 1,
         report.events.emit(event)
         hasher.update(outcome.digest.encode("ascii"))
         fold_digest(hasher, f"{outcome.geometry}:{outcome.policy}", [event])
-        # Flight-recorder series fold bin-wise (associative), and
-        # pool_map delivers outcomes in submission order, so the merged
-        # series — like the digests — never depends on --jobs.
+        # Float sums do not regroup exactly: the merged series is
+        # --jobs-invariant because pool_map keeps submission order and
+        # each trial folds in here, one at a time.
         for entry in outcome.series:
             report.series.timeseries_from_entry(entry)
         if outcome.outcome != "survived":

@@ -181,12 +181,12 @@ class MetricsRegistry:
         return instrument
 
     def timeseries_from_entry(self, entry: Mapping[str, Any]) -> TimeSeries:
-        """Get-or-create from a serialized entry and merge it in."""
+        """Get-or-create from a :meth:`TimeSeries.to_entry` dict, and fold."""
         series = self.timeseries(
             entry["name"], entry["t_max"], int(entry["bins"]),
             **entry.get("labels", {}))
-        series.merge(TimeSeries.from_entry(entry))
-        return series
+        return series.fold(
+            entry["counts"], entry["sums"], entry["mins"], entry["maxs"])
 
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges)
@@ -251,7 +251,9 @@ class MetricsRegistry:
             hist.count = entry["count"]
             hist.sum = entry["sum"]
         for entry in snapshot.get("timeseries", ()):
-            registry.timeseries_from_entry(entry)
+            # The schema lets a float arrive as a JSON integer.
+            registry.timeseries_from_entry(
+                TimeSeries.from_entry(entry).to_entry())
         return registry
 
     # -- merging -------------------------------------------------------------
@@ -440,16 +442,11 @@ def render_prometheus(snapshot: Mapping[str, Any]) -> str:
             lines.append(f"# HELP {name} {_HELP[name]}")
         lines.append(f"# TYPE {name} {mtype}")
 
-    for entry in snapshot.get("counters", ()):
-        header(entry["name"], "counter")
-        lines.append(
-            f"{entry['name']}{_fmt_labels(entry['labels'])} {_fmt_value(entry['value'])}"
-        )
-    for entry in snapshot.get("gauges", ()):
-        header(entry["name"], "gauge")
-        lines.append(
-            f"{entry['name']}{_fmt_labels(entry['labels'])} {_fmt_value(entry['value'])}"
-        )
+    for kind, mtype in (("counters", "counter"), ("gauges", "gauge")):
+        for entry in snapshot.get(kind, ()):
+            header(entry["name"], mtype)
+            lines.append(f"{entry['name']}{_fmt_labels(entry['labels'])} "
+                         f"{_fmt_value(entry['value'])}")
     for entry in snapshot.get("histograms", ()):
         name = entry["name"]
         header(name, "histogram")

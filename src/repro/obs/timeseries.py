@@ -16,12 +16,15 @@ rest of the observability layer obeys:
   capacity it thins to every second sample and doubles its acceptance
   stride, so a mission of any length costs O(cap) memory while keeping
   samples spread across the whole timeline.
-* **Associative cross-worker merge** — the aggregate shipped between
+* **Ordered cross-worker merge** — the aggregate shipped back from
   pool workers is the *binned* :class:`TimeSeries` (fixed bins over
-  ``[0, t_max]``, per-bin count/sum/min/max).  Bin-wise combination is
-  associative and commutative, so campaign aggregation is byte-identical
-  at any ``--jobs`` width — exactly like counter/histogram merging in
-  the registry, which hosts these series as a fourth instrument type.
+  ``[0, t_max]``, per-bin count/sum/min/max), hosted by the registry as
+  a fourth instrument type.  Counts, mins and maxs combine exactly in
+  any grouping; float sums do not (the scrub-cursor and
+  rebuild-progress gauges are fractions), so a campaign is
+  byte-identical at any ``--jobs`` width because ``pool_map`` returns
+  trials in submission order and the parent folds them one by one in
+  that order.  Workers must never pre-merge a chunk's series.
 
 Two representations, two jobs: raw :class:`Track` samples feed a single
 trial's post-mortem timeline (``repro report --trace-trial``); binned
@@ -156,25 +159,32 @@ class TimeSeries:
     def merge(self, other: "TimeSeries") -> "TimeSeries":
         """Bin-wise combination (in place; returns self).
 
-        Counts and sums add, mins/maxs fold — all associative and
-        commutative, so cross-worker aggregation is order-free.  The
-        two series must agree on the bin layout, like histograms must
-        agree on bucket bounds.
+        Counts and sums add, mins/maxs fold.  Float sums do not regroup
+        exactly, so a reproducible caller merges in a fixed order.  The
+        bin layouts must agree, as histograms' bucket bounds must.
         """
         if (other.t_max, other.bins) != (self.t_max, self.bins):
             raise ValueError(
                 f"timeseries {self.name!r} merged with different bin layout"
             )
-        for i in range(self.bins):
-            self.counts[i] += other.counts[i]
-            self.sums[i] += other.sums[i]
-            for mine, theirs, pick in (
-                (self.mins, other.mins, min),
-                (self.maxs, other.maxs, max),
-            ):
-                if theirs[i] is not None:
-                    mine[i] = (theirs[i] if mine[i] is None
-                               else pick(mine[i], theirs[i]))
+        return self.fold(other.counts, other.sums, other.mins, other.maxs)
+
+    def fold(self, counts: Sequence[int], sums: Sequence[float],
+             mins: Sequence[Optional[float]],
+             maxs: Sequence[Optional[float]]) -> "TimeSeries":
+        """:meth:`merge` of per-bin columns already in this layout's
+        types (another series', or a :meth:`to_entry` dict's)."""
+        if {len(counts), len(sums), len(mins), len(maxs)} != {self.bins}:
+            raise ValueError(f"timeseries {self.name!r} folded with "
+                             "columns of another bin count")
+        self.counts = [a + b for a, b in zip(self.counts, counts)]
+        self.sums = [a + b for a, b in zip(self.sums, sums)]
+        # The comparisons min(a, b) and max(a, b) make: ties, signed
+        # zeros and NaN fold as they do.
+        self.mins = [b if b is not None and (a is None or b < a) else a
+                     for a, b in zip(self.mins, mins)]
+        self.maxs = [b if b is not None and (a is None or b > a) else a
+                     for a, b in zip(self.maxs, maxs)]
         return self
 
     def to_entry(self) -> Dict[str, Any]:

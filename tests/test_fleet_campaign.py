@@ -45,6 +45,32 @@ class TestScheduleIndependence:
         assert a.digest != b.digest
 
 
+class TestWholeReportAcrossWidths:
+    """Everything a campaign reports, merged series included, must not
+    depend on how ``pool_map`` cuts the trials into chunks."""
+
+    @pytest.mark.parametrize("trials", [1, 11, 40])
+    def test_campaign_report_bytes_match_at_every_width(self, trials):
+        import json
+
+        from repro.common import pool
+
+        spec = SMALL.scaled(trials=trials)
+        tasks = len(spec.cells()) * trials
+        for width in {pool.effective_jobs(jobs) for jobs in (2, 3)} - {1}:
+            size = -(-tasks // (width * pool.CHUNKS_PER_WORKER))
+            # 7 tasks: one a chunk, fewer than the chunks the rule aims
+            # for; 77 and 280: the last chunk is a short one.
+            assert (tasks % size != 0) == (trials > 1)
+        bodies = []
+        for jobs in (1, 2, 3):
+            body = run_fleet(spec, jobs=jobs).campaign_report()
+            assert body.pop("jobs") == jobs     # the one field that may differ
+            bodies.append(json.dumps(body, indent=2, sort_keys=True))
+        assert bodies[0] == bodies[1] == bodies[2]
+        assert json.loads(bodies[0])["timeseries"]
+
+
 class TestAggregation:
     def test_matrix_covers_every_cell(self):
         report = run_fleet(SMALL, jobs=1)

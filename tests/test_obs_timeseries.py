@@ -2,8 +2,11 @@
 series, the flight recorder, and their registry integration."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -125,6 +128,72 @@ class TestTimeSeries:
         series = TimeSeries("g", (), 20.0, 4)
         series.observe_track(track)
         assert series.count == 20
+
+
+def _merge_per_bin(mine: TimeSeries, other: TimeSeries) -> TimeSeries:
+    """The per-bin loop ``TimeSeries.merge`` replaced, kept as the
+    reference its zip comprehensions must match."""
+    for i in range(mine.bins):
+        mine.counts[i] += other.counts[i]
+        mine.sums[i] += other.sums[i]
+        for ours, theirs, pick in ((mine.mins, other.mins, min),
+                                   (mine.maxs, other.maxs, max)):
+            if theirs[i] is not None:
+                ours[i] = (theirs[i] if ours[i] is None
+                           else pick(ours[i], theirs[i]))
+    return mine
+
+
+#: The values where a fold's comparisons matter: ties, both zeros,
+#: both infinities, NaN, and empty (``None``) bins.
+_EDGES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 0.5, 1e-300])
+_VALUE = st.one_of(_EDGES, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _series_columns(draw, bins):
+    counts = draw(st.lists(st.integers(0, 9), min_size=bins, max_size=bins))
+    sums = draw(st.lists(_VALUE, min_size=bins, max_size=bins))
+    extremes = st.lists(st.one_of(st.none(), _VALUE),
+                        min_size=bins, max_size=bins)
+    return counts, sums, draw(extremes), draw(extremes)
+
+
+def _with_columns(series, columns):
+    series.counts, series.sums, series.mins, series.maxs = (
+        list(column) for column in columns)
+    return series
+
+
+def _series(columns, bins):
+    return _with_columns(TimeSeries("g", (("cell", "x"),), 40.0, bins),
+                         columns)
+
+
+class TestMergeMatchesThePerBinLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda bins: st.tuples(st.just(bins), st.lists(
+            _series_columns(bins), min_size=1, max_size=4))))
+    def test_merge_and_entry_fold_equal_the_loop(self, drawn):
+        bins, (first, *rest) = drawn
+        want, got = _series(first, bins), _series(first, bins)
+        registry = MetricsRegistry()
+        _with_columns(registry.timeseries("g", 40.0, bins, cell="x"), first)
+        for columns in rest:
+            _merge_per_bin(want, _series(columns, bins))
+            got.merge(_series(columns, bins))
+            registry.timeseries_from_entry(_series(columns, bins).to_entry())
+        # repr tells -0.0 from 0.0, and nan from any other value.
+        expected = repr(want.to_entry())
+        assert repr(got.to_entry()) == expected
+        assert repr(registry.snapshot()["timeseries"][0]) == expected
+
+    def test_a_column_of_the_wrong_length_is_rejected(self):
+        series = TimeSeries("g", (), 10.0, 3)
+        with pytest.raises(ValueError):
+            series.fold([1, 1, 1], [1.0, 1.0, 1.0], [None] * 3, [None] * 2)
 
 
 class TestFlightRecorder:
