@@ -15,7 +15,7 @@ from repro.common.errors import (
     WriteError,
 )
 from repro.common.syslog import Severity, SysLog
-from repro.common.units import DEFAULT_BLOCK_SIZE, GB, KB, MB, blocks_for, human_bytes
+from repro.common.units import DEFAULT_BLOCK_SIZE, GB, KB, MB
 
 __all__ = [
     "Bitmap",
@@ -35,9 +35,7 @@ __all__ = [
     "StorageError",
     "SysLog",
     "WriteError",
-    "blocks_for",
     "crc32",
-    "human_bytes",
     "sha1",
     "transaction_checksum",
 ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import zlib
 
-from repro.common.structs import U32
-
 #: Size in bytes of a stored SHA-1 checksum record.
 SHA1_SIZE = 20
 
@@ -27,10 +25,6 @@ def crc32(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-def crc32_bytes(data: bytes) -> bytes:
-    return U32.pack(crc32(data))
-
-
 def sha1_many(blocks) -> list:
     """SHA-1 digests for a sequence of block payloads.
 
@@ -39,11 +33,6 @@ def sha1_many(blocks) -> list:
     """
     _sha1 = hashlib.sha1
     return [_sha1(b).digest() for b in blocks]
-
-
-def verify_sha1(data: bytes, expected: bytes) -> bool:
-    """Constant-form verification helper; ``True`` when *data* matches."""
-    return sha1(data) == expected
 
 
 def transaction_checksum(blocks) -> bytes:

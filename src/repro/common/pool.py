@@ -67,11 +67,15 @@ def _spawn_probe() -> bool:
 
 
 def warm_pool(jobs: int) -> None:
-    """Force-spawn *jobs* workers now, so the first real batch pays no
-    fork cost inside its timed region (benchmark drivers call this
-    before starting the clock)."""
-    pool = get_pool(jobs)
-    for future in [pool.submit(_spawn_probe) for _ in range(jobs)]:
+    """Force-spawn the workers a ``pool_map(..., jobs)`` would use now,
+    so the first real batch pays no fork cost inside its timed region
+    (benchmark drivers call this before starting the clock).  Spawns
+    nothing where ``pool_map`` runs in-process (one usable CPU)."""
+    width = effective_jobs(jobs)
+    if width <= 1:
+        return
+    pool = get_pool(width)
+    for future in [pool.submit(_spawn_probe) for _ in range(width)]:
         future.result()
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Union
+from typing import Union
 
 Name = Union[str, int]
 
@@ -70,16 +70,6 @@ def stream(root: int, *names: Name) -> random.Random:
     return random.Random(derive_seed(root, *names))
 
 
-def spawn_seeds(root: int, n: int, *names: Name) -> List[int]:
-    """*n* independent child seeds under the given name path.
-
-    ``spawn_seeds(root, n, "trial")[i] == derive_seed(root, "trial", i)``
-    — i.e. the batch form of per-index derivation, for fan-out sites
-    that hand one seed to each worker task.
-    """
-    return [derive_seed(root, *names, i) for i in range(n)]
-
-
 #: The nine bits of one ``randrange(256)`` try within its 32-bit word.
 _TRY_BITS = b"\xff\x01\x00\x00"
 
@@ -112,4 +102,4 @@ def random_bytes(rng: random.Random, n: int) -> bytes:
     return out
 
 
-__all__ = ["derive_seed", "random_bytes", "spawn_seeds", "stream", "SEED_BITS"]
+__all__ = ["derive_seed", "random_bytes", "stream", "SEED_BITS"]

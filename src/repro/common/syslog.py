@@ -19,7 +19,6 @@ from typing import Iterator, List, Optional
 from repro.obs.events import (
     DetectionEvent,
     EventLog,
-    JournalCommitEvent,
     LogEvent,
     PolicyActionEvent,
     RecoveryEvent,
@@ -70,9 +69,6 @@ class SysLog:
     def error(self, source: str, event: str, message: str, block: Optional[int] = None) -> None:
         self.log(Severity.ERROR, source, event, message, block)
 
-    def critical(self, source: str, event: str, message: str, block: Optional[int] = None) -> None:
-        self.log(Severity.CRITICAL, source, event, message, block)
-
     # Typed emitters (used by FS policy code paths) -------------------------
 
     def detection(
@@ -118,10 +114,6 @@ class SysLog:
     ) -> None:
         """The FS took a failure-policy action (remount-ro, panic, …)."""
         self.events_log.emit(PolicyActionEvent(severity, source, event, message, block))
-
-    def journal_commit(self, source: str, ops: int = 0) -> None:
-        """Record a commit barrier (not rendered as a log line)."""
-        self.events_log.emit(JournalCommitEvent(source, ops))
 
     # Queries ----------------------------------------------------------------
 

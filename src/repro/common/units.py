@@ -12,22 +12,3 @@ DEFAULT_BLOCK_SIZE = 4096
 
 MS = 1e-3
 US = 1e-6
-
-
-def blocks_for(nbytes: int, block_size: int) -> int:
-    """Number of blocks needed to hold *nbytes* (ceiling division)."""
-    if nbytes < 0:
-        raise ValueError("negative byte count")
-    return (nbytes + block_size - 1) // block_size
-
-
-def human_bytes(n: int) -> str:
-    """Render a byte count for logs: ``human_bytes(1536) == '1.5 KB'``."""
-    value = float(n)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if value < 1024 or unit == "TB":
-            if unit == "B":
-                return f"{int(value)} {unit}"
-            return f"{value:.1f} {unit}"
-        value /= 1024
-    raise AssertionError("unreachable")

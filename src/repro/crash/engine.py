@@ -455,11 +455,11 @@ def _segment_template(events) -> tuple:
 
 
 def _replay_segment(stream: EventLog, template: tuple) -> None:
-    """Re-emit a recorded segment through *stream*'s own (enabled)
-    tracer.  Span ids are assigned fresh by the tracer — the donor ids
-    in the template only pair each end with its start — so ids, parent
-    links and ordering land exactly as a live walk over the same disk
-    contents would have produced them."""
+    """Re-emit a recorded segment through *stream*'s own tracer.  Span
+    ids are assigned fresh by the tracer — the donor ids in the template
+    only pair each end with its start — so ids, parent links and
+    ordering land exactly as a live walk over the same disk contents
+    would have produced them."""
     tracer = stream.tracer
     id_map: Dict[int, int] = {}
     for op in template:

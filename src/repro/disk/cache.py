@@ -64,9 +64,6 @@ class BlockCache:
         for block, data in zip(blocks, payloads):
             self.write_block(block, data)
 
-    def invalidate(self, block: int) -> None:
-        self._lru.pop(block, None)
-
     def invalidate_all(self) -> None:
         self._lru.clear()
 

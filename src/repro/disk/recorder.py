@@ -30,7 +30,6 @@ class WriteRecorder:
     def __init__(self, lower: BlockDevice, events: EventLog):
         self.lower = lower
         self.events = events
-        self.enabled = True
         #: Write images captured since construction (metrics source).
         self.recorded = 0
 
@@ -46,9 +45,8 @@ class WriteRecorder:
         return self.lower.read_block(block)
 
     def write_block(self, block: int, data: bytes) -> None:
-        if self.enabled:
-            self.events.emit(WriteImageEvent(block=block, data=bytes(data)))
-            self.recorded += 1
+        self.events.emit(WriteImageEvent(block=block, data=bytes(data)))
+        self.recorded += 1
         self.lower.write_block(block, data)
 
     # Vectored I/O is the per-block loop: each write image goes into the
@@ -87,7 +85,3 @@ class WriteRecorder:
     @property
     def stats(self):
         return getattr(self.lower, "stats", None)
-
-    def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
-        return f"WriteRecorder({state})"

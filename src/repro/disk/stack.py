@@ -32,41 +32,9 @@ from typing import List, Optional, Sequence
 
 from repro.disk.cache import BlockCache
 from repro.disk.disk import BlockDevice, DiskStats, SimulatedDisk, make_disk
-from repro.disk.injector import FaultInjector, TypeOracle
+from repro.disk.injector import FaultInjector
 from repro.disk.recorder import WriteRecorder
 from repro.obs.events import EventLog
-
-
-def walk_devices(root) -> List[BlockDevice]:
-    """Every device reachable from *root*, top-down.
-
-    Follows ``.lower`` chains through stacked layers and descends into
-    redundancy arrays (anything exposing ``.members`` whose entries
-    carry a ``.device`` sub-stack), so a consumer auditing the
-    composition — fault-armament checks, metrics sweeps, isinstance
-    walks that used to assume ``DeviceStack.layers()`` was flat — sees
-    the member disks and injectors of a nested array too.  An id-based
-    guard makes accidental cycles terminate.
-    """
-    out: List[BlockDevice] = []
-    seen = set()
-
-    def visit(dev) -> None:
-        if dev is None or id(dev) in seen:
-            return
-        seen.add(id(dev))
-        out.append(dev)
-        members = getattr(dev, "members", None)
-        if members is not None:
-            for member in members:
-                visit(getattr(member, "device", member))
-        visit(getattr(dev, "lower", None))
-
-    if isinstance(root, DeviceStack):
-        visit(root.top)
-    else:
-        visit(root)
-    return out
 
 
 class DeviceStack:
@@ -78,7 +46,6 @@ class DeviceStack:
         *,
         inject: bool = False,
         cache_blocks: Optional[int] = None,
-        type_oracle: Optional[TypeOracle] = None,
         events: Optional[EventLog] = None,
         record: bool = False,
     ):
@@ -89,7 +56,7 @@ class DeviceStack:
         top: BlockDevice = disk
         self.injector: Optional[FaultInjector] = None
         if inject:
-            self.injector = FaultInjector(top, type_oracle=type_oracle, events=self.events)
+            self.injector = FaultInjector(top, events=self.events)
             top = self.injector
         self.cache: Optional[BlockCache] = None
         if cache_blocks:
@@ -111,7 +78,6 @@ class DeviceStack:
         *,
         inject: bool = False,
         cache_blocks: Optional[int] = None,
-        type_oracle: Optional[TypeOracle] = None,
         events: Optional[EventLog] = None,
         record: bool = False,
         array: Optional[str] = None,
@@ -136,7 +102,6 @@ class DeviceStack:
             bottom,
             inject=inject,
             cache_blocks=cache_blocks,
-            type_oracle=type_oracle,
             events=events,
             record=record,
         )
@@ -267,11 +232,8 @@ class DeviceStack:
     # -- introspection -------------------------------------------------------
 
     def layers(self) -> List[BlockDevice]:
-        """The composed *stack* layers, bottom-up.
-
-        The bottom entry may itself be an array of member sub-stacks;
-        use :func:`walk_devices` to enumerate every nested device.
-        """
+        """The composed *stack* layers, bottom-up (the bottom entry may
+        itself be an array of member sub-stacks)."""
         out: List[BlockDevice] = [self.disk]
         if self.injector is not None:
             out.append(self.injector)
@@ -280,10 +242,6 @@ class DeviceStack:
         if self.recorder is not None:
             out.append(self.recorder)
         return out
-
-    def walk_devices(self) -> List[BlockDevice]:
-        """Every device in the stack, top-down, arrays included."""
-        return walk_devices(self)
 
     def describe(self) -> str:
         """One-line bottom-up rendering of the composition."""

@@ -16,7 +16,7 @@ Entry points: ``python -m repro fleet``, :func:`run_fleet`.
 
 from repro.fleet.analytic import binomial_tolerance, mirror2_loss_probability
 from repro.fleet.campaign import CellResult, FleetReport, run_fleet
-from repro.fleet.rates import FaultRates, GRAY_VANINGEN, default_rates
+from repro.fleet.rates import FaultRates, GRAY_VANINGEN
 from repro.fleet.sim import TrialOutcome, run_trial
 from repro.fleet.spec import (
     CROSSCHECK_POLICY,
@@ -40,7 +40,6 @@ __all__ = [
     "PolicySpec",
     "TrialOutcome",
     "binomial_tolerance",
-    "default_rates",
     "mirror2_loss_probability",
     "run_fleet",
     "run_trial",

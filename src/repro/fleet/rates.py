@@ -111,16 +111,10 @@ ZERO_RATES = FaultRates(
 )
 
 
-def default_rates(acceleration: float = DEFAULT_ACCELERATION) -> FaultRates:
-    """The Gray & van Ingen calibration at campaign acceleration."""
-    return GRAY_VANINGEN.accelerated(acceleration)
-
-
 __all__ = [
     "DEFAULT_ACCELERATION",
     "FaultRates",
     "GRAY_VANINGEN",
     "HOURS_PER_YEAR",
     "ZERO_RATES",
-    "default_rates",
 ]

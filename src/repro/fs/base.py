@@ -235,7 +235,7 @@ class JournaledFS(FileSystem):
         journal replay, checksum sweeps).  A no-op context when tracing
         is off, so call sites never branch."""
         tracer = self._tracer()
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return contextlib.nullcontext(0)
         return tracer.span(name, category, detail, source=self.name)
 
@@ -271,7 +271,7 @@ class JournaledFS(FileSystem):
             if self.journal is not None:
                 self.journal.begin()
                 tracer = self._tracer()
-                if tracer is not None and tracer.enabled and not self._txn_span:
+                if tracer is not None and not self._txn_span:
                     # Floating: the transaction outlives the op that
                     # opened it (async mode batches many ops per txn),
                     # so it must not capture the op-span nesting stack.
@@ -970,13 +970,6 @@ class JournaledFS(FileSystem):
         self._types_pending = None
         self._types, self._jtypes = self._walk_types(
             _WalkPeek(read, self._types_key()))
-
-    def _rebuild_types(self) -> None:
-        """Relearn the map and walk now: :meth:`_relearn_types` then
-        the walk it would defer."""
-        self._relearn_types()
-        if self._types_pending is not None:
-            self._load_types()
 
     def _load_types(self) -> None:
         """Run the pending walk, then apply its overlay."""

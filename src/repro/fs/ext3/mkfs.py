@@ -56,12 +56,7 @@ def mkfs_ext3(device: BlockDevice, config: Ext3Config, features: int = 0) -> Sup
     root_inode.direct[0] = root_block
     gdt[0].free_blocks -= 1
     gdt[0].free_inodes -= 2  # reserved ino 1 + root ino 2
-    if config.num_groups > 1:
-        sb.free_blocks -= 1
-        sb.free_inodes = config.total_inodes - 2
-    else:
-        sb.free_blocks -= 1
-        sb.free_inodes -= 0
+    sb.free_blocks -= 1
     sb.free_inodes = config.total_inodes - 2
 
     # Journal: clean superblock; the rest of the region parses as

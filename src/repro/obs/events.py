@@ -412,7 +412,7 @@ class EventLog:
     """
 
     __slots__ = ("_events", "_high_water", "_max_events", "_limit",
-                 "_dropped", "released", "tracer")
+                 "_dropped", "tracer")
 
     def __init__(
         self,
@@ -427,10 +427,8 @@ class EventLog:
         #: Length at which a ring's :meth:`emit` trims.
         self._limit = None if max_events is None else 2 * max_events
         self._dropped: int = 0
-        #: Events released by :meth:`drain` since the last clear().
-        self.released: int = 0
-        #: The span tracer bound to this stream, when tracing is in use
-        #: (set by :func:`repro.obs.trace.tracer_for`; None otherwise).
+        #: The span tracer bound to this stream, when tracing is on
+        #: (set by :func:`repro.obs.trace.enable_tracing`; None otherwise).
         self.tracer = None
 
     @property
@@ -444,7 +442,7 @@ class EventLog:
     def high_water(self) -> int:
         """Index of the first event *not yet consumed* by an incremental
         reader (the crash recorder).  ``consume_new()`` advances it;
-        ``clear()`` and ``reset_high_water()`` rewind it."""
+        ``clear()`` rewinds it."""
         self._settle()
         return self._high_water
 
@@ -537,20 +535,9 @@ class EventLog:
         """
         self._settle()
         new = self._events[self._high_water:]
-        self.released += len(self._events)
         self._events.clear()
         self._high_water = 0
         return new
-
-    def reset_high_water(self, mark: int = 0) -> None:
-        """Rewind the incremental-consumption mark (clamped to the log).
-
-        :meth:`repro.disk.stack.DeviceStack.restore` calls this so a
-        restored stack does not hand stale pre-snapshot events to the
-        crash recorder as if they were new.
-        """
-        self._settle()
-        self._high_water = max(0, min(mark, len(self._events)))
 
     # -- mutation ------------------------------------------------------------
 
@@ -558,7 +545,6 @@ class EventLog:
         self._events.clear()
         self._high_water = 0
         self._dropped = 0
-        self.released = 0
 
     def remove_where(self, predicate: Callable[[StorageEvent], bool]) -> None:
         # The mark drops by the removed events that sat before it, so

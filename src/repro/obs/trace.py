@@ -21,9 +21,9 @@ Design constraints:
   or randomness, so two runs of the same (deterministic) workload emit
   identical span streams byte for byte.  :func:`span_tree_digest` is
   the witness.
-* **Opt-in** — tracing is off by default; a disabled tracer emits
-  nothing, so untraced runs keep their historical event digests and
-  pay only a flag check per operation.
+* **Opt-in** — tracing is off by default; a stream without a tracer
+  emits no spans, so untraced runs keep their historical event digests
+  and pay only a ``None`` check per operation.
 * **Exportable** — :func:`chrome_trace` renders any event stream as
   Chrome trace-event JSON loadable in Perfetto (``chrome://tracing``),
   with spans as duration events, block I/O as complete events, and log
@@ -114,15 +114,14 @@ class Tracer:
     their parent but do not join the stack, so strictly-nested callers
     are never confused by them.
 
-    Disabled (the default), every call is a cheap no-op returning span
-    id 0, and nothing is emitted.
+    Only :func:`enable_tracing` creates one, so a stream has a tracer
+    exactly when tracing is on.
     """
 
-    __slots__ = ("events", "enabled", "_next_id", "_stack")
+    __slots__ = ("events", "_next_id", "_stack")
 
     def __init__(self, events: EventLog):
         self.events = events
-        self.enabled = False
         self._next_id = 1
         self._stack: List[int] = []
 
@@ -140,9 +139,7 @@ class Tracer:
         *,
         floating: bool = False,
     ) -> int:
-        """Open a span and return its id (0 when tracing is disabled)."""
-        if not self.enabled:
-            return 0
+        """Open a span and return its id (ids start at 1)."""
         span_id = self._next_id
         self._next_id += 1
         self.events.emit(SpanStartEvent(
@@ -158,8 +155,8 @@ class Tracer:
         return span_id
 
     def end(self, span_id: int, status: str = "ok") -> None:
-        """Close a span by id.  Id 0 (disabled-tracer handle) is a no-op."""
-        if span_id == 0 or not self.enabled:
+        """Close a span by id.  Id 0 (no span) is a no-op."""
+        if span_id == 0:
             return
         if span_id in self._stack:
             # Pop through any unclosed children (error paths that
@@ -184,19 +181,13 @@ class Tracer:
         return _SpanContext(self, name, category, detail, source, floating)
 
 
-def tracer_for(events: EventLog) -> Tracer:
-    """The tracer bound to *events*, created (disabled) on first use."""
+def enable_tracing(events: EventLog) -> Tracer:
+    """Turn tracing on for *events*: the tracer bound to it, created
+    on first use."""
     tracer = events.tracer
     if tracer is None or tracer.events is not events:
         tracer = Tracer(events)
         events.tracer = tracer
-    return tracer
-
-
-def enable_tracing(events: EventLog) -> Tracer:
-    """Bind-and-enable in one step; returns the (enabled) tracer."""
-    tracer = tracer_for(events)
-    tracer.enabled = True
     return tracer
 
 

@@ -889,11 +889,7 @@ class ArrayDevice(DirtyDelta):
         log.emit(event)
 
     def _tracer(self):
-        log = self.events
-        tracer = getattr(log, "tracer", None) if log is not None else None
-        if tracer is not None and tracer.enabled:
-            return tracer
-        return None
+        return getattr(self.events, "tracer", None)
 
     def _check_range(self, block: int, op: str) -> None:
         if not 0 <= block < self._num_blocks:

@@ -34,15 +34,15 @@ _TRACED_OPS = frozenset({
 def _trace_op(name: str, fn):
     """Wrap one syscall implementation in an op span.
 
-    The fast path — no tracer bound to the FS's event stream, or
-    tracing disabled — is two attribute probes and a call, so untraced
-    runs (the default) keep their behaviour and event digests exactly.
+    The fast path — no tracer bound to the FS's event stream — is two
+    attribute probes and a call, so untraced runs (the default) keep
+    their behaviour and event digests exactly.
     """
 
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
         tracer = getattr(getattr(self, "events", None), "tracer", None)
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return fn(self, *args, **kwargs)
         detail = ""
         if args and isinstance(args[0], (str, int)):

@@ -9,7 +9,6 @@ from repro.common.errors import OutOfRangeError, ReadError, WriteError
 from repro.disk import DeviceStack
 from repro.disk.faults import Fault, FaultKind, FaultOp
 from repro.disk.injector import FaultInjector
-from repro.disk.stack import walk_devices
 from repro.obs.events import (
     ArrayDetectionEvent,
     ArrayPolicyEvent,
@@ -413,13 +412,6 @@ class TestStackIntegration:
         assert stack.read_block(1) == _payload(1)
         assert "MirrorDevice" in stack.describe()
         assert "BlockCache" in stack.describe()
-
-    def test_walk_devices_descends_into_members(self):
-        stack = DeviceStack.build(NUM_BLOCKS, BS, array="rdp", members=5)
-        devices = walk_devices(stack)
-        injectors = [d for d in devices if isinstance(d, FaultInjector)]
-        assert len(injectors) >= 6  # stack injector + one per member
-        assert devices == stack.walk_devices()
 
     def test_array_events_flow_into_stack_log(self):
         stack = DeviceStack.build(NUM_BLOCKS, BS, array="mirror", members=2)

@@ -113,7 +113,6 @@ class EagerLog:
         self.max_events = max_events
         self.high_water = 0
         self.dropped = 0
-        self.released = 0
 
     def emit(self, event):
         self.events.append(event)
@@ -137,17 +136,13 @@ class EagerLog:
 
     def drain(self):
         new = self.events[self.high_water:]
-        self.released += len(self.events)
         self.events.clear()
         self.high_water = 0
         return new
 
-    def reset_high_water(self, mark=0):
-        self.high_water = max(0, min(mark, len(self.events)))
-
     def clear(self):
         self.events.clear()
-        self.high_water = self.dropped = self.released = 0
+        self.high_water = self.dropped = 0
 
     def remove_where(self, predicate):
         events = iter(self.events)
@@ -181,7 +176,6 @@ _STEPS = st.tuples(
         st.tuples(st.just("emit_many"), st.integers(0, 140)),
         st.tuples(st.just("consume_new"), st.none()),
         st.tuples(st.just("drain"), st.none()),
-        st.tuples(st.just("reset_high_water"), st.integers(0, 80)),
         st.tuples(st.just("remove_where"), st.none()),
         st.tuples(st.just("clear"), st.none()),
         st.tuples(st.just("none"), st.none()),
@@ -196,7 +190,6 @@ _READS = {
     "dropped": lambda log: log.dropped,
     "high_water": lambda log: log.high_water,
     "digest": lambda log: log.digest(),
-    "released": lambda log: log.released,
 }
 _EAGER_READS = {
     "len": lambda ref: len(ref.events),
@@ -204,7 +197,6 @@ _EAGER_READS = {
     "dropped": lambda ref: ref.dropped,
     "high_water": lambda ref: ref.high_water,
     "digest": lambda ref: ref.digest(),
-    "released": lambda ref: ref.released,
 }
 
 
@@ -229,9 +221,6 @@ class TestLazyRing:
                 got = getattr(log, op)()
                 assert [e.key() for e in got] == \
                     [e.key() for e in getattr(ref, op)()]
-            elif op == "reset_high_water":
-                log.reset_high_water(arg)
-                ref.reset_high_water(arg)
             elif op == "remove_where":
                 log.remove_where(_is_log)
                 ref.remove_where(_is_log)

@@ -95,15 +95,6 @@ class TestBlockCache:
         assert cache.stats is disk.stats
         assert cache.stats.reads == 1
 
-    def test_invalidate(self):
-        disk = make_disk(16, 512)
-        cache = BlockCache(disk, 8)
-        cache.read_block(0)
-        cache.invalidate(0)
-        r = disk.stats.reads
-        cache.read_block(0)
-        assert disk.stats.reads == r + 1
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             BlockCache(make_disk(4, 512), 0)

@@ -48,7 +48,7 @@ class TestRingMode:
         log.emit(_io(1))
         log.drain()
         log.clear()
-        assert log.dropped == 0 and log.released == 0
+        assert log.dropped == 0 and log.high_water == 0
 
 
 class TestDrain:
@@ -73,7 +73,7 @@ class TestDrain:
         log.emit(_io(8))
         new = log.drain()
         assert [e.block for e in new] == [8]
-        assert len(log) == 0 and log.released == 9
+        assert len(log) == 0 and log.high_water == 0
 
     def test_drain_respects_prior_consumption(self):
         log = EventLog()

@@ -7,6 +7,7 @@ from repro.common.checksum import sha1
 from repro.common.errors import Errno, FSError
 from repro.disk import (
     CorruptionMode,
+    DeviceStack,
     Fault,
     FaultInjector,
     FaultKind,
@@ -16,6 +17,7 @@ from repro.disk import (
     read_failure,
     write_failure,
 )
+from repro.fingerprint.adapters import EXT3_FINGERPRINT_CONFIG
 from repro.fs.ext3 import Ext3Config
 from repro.obs.events import EventLog
 from repro.fs.ixt3 import (
@@ -109,6 +111,32 @@ class TestMetadataReplication:
         replicas = fs.replicas
         for home, slot in replicas.slots.items():
             assert disk.peek(home) == disk.peek(replicas.slot_block(slot)), home
+
+    @pytest.mark.xfail(strict=True, reason="ReplicaMap.release has no "
+                       "caller: a freed directory or indirect block keeps "
+                       "its replica slot")
+    def test_freed_metadata_gives_back_its_replica_slot(self):
+        """Rounds of 25 mkdirs, 25 rmdirs and one 30 KB file on the
+        fingerprint geometry (121 slots): each round should keep only
+        the file's slots, yet the leak fills the region in the fourth
+        (51, 77, 103, 121 used) and later metadata goes unreplicated."""
+        base = EXT3_FINGERPRINT_CONFIG
+        cfg = ixt3_config(base)
+        stack = DeviceStack.build(cfg.total_blocks, cfg.block_size)
+        mkfs_ixt3(stack, base, config=cfg)
+        fs = Ixt3(stack)
+        fs.mount()
+        fs.replicas._ensure_loaded()
+        used = [len(fs.replicas.slots)]
+        for r in range(4):
+            for i in range(25):
+                fs.mkdir(f"/d{r}.{i}")
+            for i in range(25):
+                fs.rmdir(f"/d{r}.{i}")
+            fs.write_file(f"/f{r}", b"x" * 30 * 1024)
+            used.append(len(fs.replicas.slots))
+        assert not fs.syslog.has_event("replica-full")
+        assert all(b - a < 25 for a, b in zip(used, used[1:])), used
 
 
 class TestChecksums:

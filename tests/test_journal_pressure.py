@@ -218,7 +218,8 @@ class TestRevokeOverflow:
         for block in range(300, 300 + BIG_BLOCKS):
             fs.journal.revoke(block)
         fs.journal.commit()
-        fs._rebuild_types()
+        fs._relearn_types()
+        fs._types_state()
         cfg = fs.config
         assert [b for b, t in sorted(fs._jtypes.items()) if t == "j-revoke"] == [
             b for b in range(cfg.journal_start + 1,

@@ -162,7 +162,7 @@ class TestSysLogView:
         shared = EventLog()
         shared.emit(IOEvent("read", 1, "ok"))
         log = SysLog(shared)
-        log.journal_commit("ext3", ops=3)
+        shared.emit(JournalCommitEvent("ext3", 3))
         log.error("ext3", "read-error", "m")
         assert len(log) == 1
         assert log.events() == ["read-error"]

@@ -24,32 +24,16 @@ from repro.obs.trace import (
     span_ref,
     span_tree,
     span_tree_digest,
-    tracer_for,
     write_chrome_trace,
 )
 
 
 class TestTracer:
-    def test_disabled_tracer_emits_nothing(self):
+    def test_enable_tracing_is_cached_per_log(self):
         log = EventLog()
-        tracer = tracer_for(log)
-        assert not tracer.enabled
-        span = tracer.start("op", "op")
-        assert span == 0
-        tracer.end(span)
-        with tracer.span("x", "phase"):
-            pass
-        assert len(log) == 0
-
-    def test_tracer_for_is_cached_per_log(self):
-        log = EventLog()
-        assert tracer_for(log) is tracer_for(log)
-        assert tracer_for(log) is log.tracer
-
-    def test_enable_tracing_flips_the_cached_tracer(self):
-        log = EventLog()
+        assert log.tracer is None
         t = enable_tracing(log)
-        assert t is tracer_for(log) and t.enabled
+        assert t is enable_tracing(log) is log.tracer
 
     def test_nesting_records_parent_ids(self):
         log = EventLog()

@@ -182,6 +182,13 @@ def test_pool_and_window_stay_within_the_usable_cpus(monkeypatch, inline_pool):
     assert max(inline_pool.windows) == 4        # 2 * width, not 2 * jobs
 
 
+def test_warm_pool_spawns_nothing_on_one_usable_cpu(monkeypatch, inline_pool):
+    _cpus(monkeypatch, 1)
+    _within(10, pool.warm_pool, 2)              # an inline probe never resolves
+    assert inline_pool.widths == []             # no pool wider than 1
+    assert inline_pool.queued == []
+
+
 @pytest.mark.parametrize("width", [2, 3])
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 168, 4200])
 def test_chunks_run_every_task_once_in_order(monkeypatch, inline_pool,

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import (
-    SEED_BITS, derive_seed, random_bytes, spawn_seeds, stream,
+    SEED_BITS, derive_seed, random_bytes, stream,
 )
 
 
@@ -82,16 +82,6 @@ class TestStream:
     def test_named_differs_from_root(self):
         assert stream(42, "io").getrandbits(64) != \
             random.Random(42).getrandbits(64)
-
-
-class TestSpawnSeeds:
-    def test_batch_equals_per_index(self):
-        seeds = spawn_seeds(7, 10, "trial")
-        assert seeds == [derive_seed(7, "trial", i) for i in range(10)]
-
-    def test_all_distinct(self):
-        seeds = spawn_seeds(7, 200, "trial")
-        assert len(set(seeds)) == 200
 
 
 def _per_byte(rng: random.Random, n: int) -> bytes:

@@ -1,4 +1,4 @@
-"""The shared type-oracle memo (``JournaledFS._rebuild_types``).
+"""The shared type-oracle memo (``JournaledFS._walk_memoised``).
 
 The gray-box walk that relearns dynamic block types at mount is
 memoised on the golden image, keyed by what the walk consults besides
@@ -106,6 +106,12 @@ def _count_walks(fs):
 
     fs._walk_types = counting
     return calls
+
+
+def _relearn_now(fs):
+    """Relearn the type map and run the walk the relearn defers."""
+    fs._relearn_types()
+    fs._types_state()
 
 
 def _checked_mount(name, disk, wrap=lambda device: device):
@@ -273,15 +279,15 @@ def test_dependency_poke_rewalks_and_other_poke_does_not(name):
     other = next(b for b in range(disk.num_blocks - 1, 0, -1)
                  if again.block_type(b) == "data" and b not in deps)
     disk.poke(other, _flipped(disk, other))
-    fs._rebuild_types()
+    _relearn_now(fs)
     assert not walks, "a non-dependency poke must not force a walk"
 
     for block in sorted(set(deps)):
         disk.restore(golden)
-        fs._rebuild_types()  # the golden's entry exists and was used last
+        _relearn_now(fs)  # the golden's entry exists and was used last
         del walks[:]
         disk.poke(block, _flipped(disk, block))
-        fs._rebuild_types()
+        _relearn_now(fs)
         assert walks, f"dependency block {block} poked, yet no re-walk"
 
 
@@ -366,14 +372,14 @@ def test_hot_entry_survives_forty_one_off_rebuilds(name):
     fs.mount()
     disk.restore(golden)
     victim = _walk_deps(fs, disk)[-1]
-    fs._rebuild_types()  # the hot entry: the golden itself
+    _relearn_now(fs)  # the hot entry: the golden itself
     walks = _count_walks(fs)
     for i in range(40):
         disk.restore(golden)
         disk.poke(victim, _payload(i, disk.block_size))
-        fs._rebuild_types()
+        _relearn_now(fs)
         assert len(walks) == i + 1, "each one-off state is new"
         disk.restore(golden)
-        fs._rebuild_types()
+        _relearn_now(fs)
         assert len(walks) == i + 1, f"hot entry evicted after {i + 1} one-offs"
     assert all(len(entries) <= 16 for entries in disk.base_image.meta.values())
