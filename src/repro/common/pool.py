@@ -6,24 +6,21 @@ fingerprint, crash, array and trace drivers run in-process: each of
 their runs costs less than starting a pool (docs/performance.md).
 The pool is **persistent** — created on first use, grown on demand,
 reused across campaigns in the same process, shut down atexit — so a
-repeat campaign pays no worker spawn.
-
-Everything a task needs travels in its pickled arguments.
-
-Submission is **streaming and bounded**: ``pool_map`` keeps at most a
-small window of tasks in flight instead of submitting the whole matrix
-up front, so arbitrarily long task lists never pile up serialized
-arguments in the executor queue, while results still merge in
-submission order (``jobs=N`` output is byte-identical to ``jobs=1``).
+repeat campaign pays no worker spawn.  Everything a task needs travels
+in its pickled arguments, and results stream back in submission order
+through a bounded window (``jobs=N`` output is byte-identical to
+``jobs=1``).
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Callable, Deque, Iterator, List, Optional, Sequence, Tuple
 
 # -- the persistent pool ------------------------------------------------------
 
@@ -103,61 +100,67 @@ def _run_chunk(worker: Callable[..., Any], chunk: Sequence[Tuple]) -> List[Any]:
 
 
 def pool_map(worker: Callable[..., Any], arg_tuples: Sequence[Tuple],
-             jobs: int) -> List[Any]:
-    """Apply *worker* to each argument tuple, ``jobs`` at a time.
+             jobs: int) -> Iterator[Any]:
+    """Apply *worker* to each argument tuple, ``jobs`` at a time; a
+    generator of the results in submission order.
 
-    Results come back in submission order regardless of completion
-    order, so callers' merges are deterministic: ``jobs=N`` output is
-    identical to ``jobs=1``.  With one usable CPU (or one task) the
-    work runs in-process — no pool, no pickling requirement.
+    A result comes out as soon as its chunk and every earlier chunk are
+    done, so callers fold as the map runs, deterministically.  With one
+    usable CPU (or one task) the work runs in-process, one task a
+    ``next`` — no pool, no pickling requirement.
 
     The pool is ``effective_jobs(jobs)`` wide; consecutive tasks travel
     in chunks of ``ceil(tasks / (width * CHUNKS_PER_WORKER))``, at most
-    ``2 * width`` of them in flight, so a huge task list never
-    serializes all its arguments up front.
+    ``2 * width`` of them submitted and not yet yielded.  A consumer that
+    stops early (raises, or closes the generator) cancels every chunk
+    still queued.
     """
     tasks = list(arg_tuples)
     width = effective_jobs(jobs)
     if width <= 1 or len(tasks) <= 1:
-        return [worker(*args) for args in tasks]
+        return (worker(*args) for args in tasks)
     size = -(-len(tasks) // (width * CHUNKS_PER_WORKER))
-    chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-    for attempt in (0, 1):
-        try:
-            nested = _map_chunks(worker, chunks, width)
-        except BrokenProcessPool:
-            # A worker died (OOM kill, signal).  The persistent pool is
-            # unusable after that; rebuild it once and retry — tasks are
-            # pure functions of their arguments, so a retry is safe.
-            shutdown_pool()
-            if attempt:
-                raise
-            continue
-        return [result for chunk in nested for result in chunk]
-    raise AssertionError("unreachable")
+    return _stream(worker, [tasks[i:i + size]
+                            for i in range(0, len(tasks), size)], width)
 
 
-def _map_chunks(
-    worker: Callable[..., Any], chunks: List[List[Tuple]], width: int
-) -> List[List[Any]]:
-    pool = get_pool(width)
-    window = 2 * width
-    results: List[Optional[List[Any]]] = [None] * len(chunks)
-    in_flight: Dict[Any, int] = {}
-    next_index = 0
+def _stream(worker: Callable[..., Any], chunks: List[List[Tuple]],
+            width: int) -> Iterator[Any]:
+    in_flight: Deque[Future] = deque()
+    submit = _map_chunks(worker, chunks, width)
+    yielded = 0             # chunks handed over whole
+    rebuilt = False
     try:
-        while next_index < len(chunks) or in_flight:
-            while next_index < len(chunks) and len(in_flight) < window:
-                future = pool.submit(_run_chunk, worker, chunks[next_index])
-                in_flight[future] = next_index
-                next_index += 1
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                results[in_flight.pop(future)] = future.result()
+        while yielded < len(chunks):
+            try:
+                in_flight.extend(islice(submit, 2 * width - len(in_flight)))
+                wait((in_flight[0],))
+                # An exhausted iterator lets go of its list, so the
+                # parent keeps no result it has handed over.
+                results = iter(in_flight.popleft().result())
+            except BrokenProcessPool:
+                # A worker died (OOM kill, signal) and the pool with it.
+                # Rebuild it once and resume at the first chunk not yet
+                # yielded: tasks are pure, so nothing comes out twice.
+                in_flight.clear()
+                shutdown_pool()
+                if rebuilt:
+                    raise
+                rebuilt = True
+                submit = _map_chunks(worker, chunks[yielded:], width)
+                continue
+            yield from results
+            yielded += 1
     except BaseException:
-        # An interrupt or a failed chunk: leave nothing of this call
-        # queued in the persistent pool.
+        # An interrupt, a failed chunk, or a consumer that stopped
+        # early: leave nothing of this map queued in the persistent pool.
         for future in in_flight:
             future.cancel()
         raise
-    return results  # type: ignore[return-value]
+
+
+def _map_chunks(worker: Callable[..., Any], chunks: List[List[Tuple]],
+                width: int) -> Iterator[Future]:
+    """Submit *chunks* to the ``width``-wide pool lazily, one a ``next``."""
+    pool = get_pool(width)
+    return (pool.submit(_run_chunk, worker, chunk) for chunk in chunks)

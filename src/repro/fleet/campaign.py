@@ -3,10 +3,11 @@
 A campaign is the cross product ``spec.cells() × range(spec.trials)``
 run through :func:`repro.fleet.sim.run_trial`.  Trials are pure
 functions of ``(spec, cell, trial)`` with per-trial named seed streams,
-and :func:`repro.common.pool.pool_map` preserves submission order, so
-the aggregate — per-cell loss probabilities, the typed
+and :func:`repro.common.pool.pool_map` yields them in submission order,
+so the aggregate — per-cell loss probabilities, the typed
 :class:`~repro.obs.events.FleetTrialEvent` stream, and the fold digest
-over it — is byte-identical at any ``--jobs`` width.
+over it — is byte-identical at any ``--jobs`` width.  The parent folds
+each trial as it arrives and keeps none of them.
 
 The digest folds, in enumeration order, each trial's own event-stream
 digest *and* its outcome key: a single flipped recovery anywhere in any
@@ -22,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.common.pool import pool_map
 from repro.disk.disk import DiskStats
 from repro.fleet.analytic import crosscheck_summary
-from repro.fleet.sim import TrialOutcome, run_trial
+from repro.fleet.sim import GAUGES, TrialOutcome, run_trial
 from repro.fleet.spec import (
     CROSSCHECK_GEOMETRY,
     CROSSCHECK_POLICY,
@@ -338,8 +339,9 @@ def run_fleet(spec: FleetSpec, jobs: int = 1,
         # Float sums do not regroup exactly: the merged series is
         # --jobs-invariant because pool_map keeps submission order and
         # each trial folds in here, one at a time.
-        for entry in outcome.series:
-            report.series.timeseries_from_entry(entry)
+        outcome.series.fold_into([report.series.timeseries(
+            name, spec.mission_hours, geometry=outcome.geometry,
+            policy=outcome.policy) for name in GAUGES])
         if outcome.outcome != "survived":
             incident = build_incident(
                 outcome, members[outcome.geometry])

@@ -73,7 +73,7 @@ from repro.obs.events import (
     StorageEvent,
     fold_digest,
 )
-from repro.obs.timeseries import FlightRecorder
+from repro.obs.timeseries import FlightRecorder, PackedSeries
 from repro.obs.trace import enable_tracing
 from repro.fleet.spec import FleetSpec, GeometrySpec, PolicySpec
 
@@ -95,7 +95,7 @@ _TICK = 5
 _ARRIVALS = (_FAILSTOP, _LSE, _CORRUPT)
 
 #: The flight recorder's gauges, in the order ``_Trial._sample`` offers them.
-_GAUGES = ("repro_fleet_degraded_members", "repro_fleet_latent_blocks",
+GAUGES = ("repro_fleet_degraded_members", "repro_fleet_latent_blocks",
            "repro_fleet_corrupt_blocks", "repro_fleet_rebuild_progress",
            "repro_fleet_scrub_cursor", "repro_fleet_foreground_reads",
            "repro_fleet_scrub_member_reads")
@@ -170,9 +170,8 @@ class TrialOutcome:
     #: "scrub" / "foreground" / "detection" / "verify" / "failstop";
     #: "" for survivors) — the post-mortem classifier's anchor.
     site: str = ""
-    #: Flight-recorder gauges projected onto mergeable fixed-bin
-    #: series entries labelled with the trial's cell.
-    series: Tuple[Dict[str, Any], ...] = ()
+    #: The recorder's :data:`GAUGES` binned over the mission, packed.
+    series: Optional[PackedSeries] = None
     #: The trial's logical event stream (``LogEvent`` subclasses only
     #: — block I/O stays behind), retained for lost/stopped trials so
     #: post-mortem provenance refs resolve; None for survivors.
@@ -218,7 +217,7 @@ class _Trial:
         # Flight recorder: gauges over the virtual clock.  Sampling
         # reads state and draws no randomness, so instrumented trials
         # keep the exact arrival sequences of uninstrumented ones.
-        self._recorder = FlightRecorder(_GAUGES)
+        self._recorder = FlightRecorder(GAUGES)
         #: Members currently failed or awaiting rebuild.
         self._degraded: set = set()
         #: Silently corrupted (member, block) pairs not yet repaired.
@@ -316,7 +315,7 @@ class _Trial:
             block=block, t_hours=round(t, 6), member=member))
 
     def _sample(self, t: float) -> None:
-        """Offer the flight recorder one row of ``_GAUGES`` at *t*."""
+        """Offer the flight recorder one row of ``GAUGES`` at *t*."""
         progress = 0.0
         for opened, closes in self._windows.values():
             span = closes - opened
@@ -703,9 +702,7 @@ class _Trial:
             events=len(self.events),
             digest=hasher.hexdigest(),
             site=self.site,
-            series=tuple(self._recorder.binned(
-                mission, geometry=self.geometry.label,
-                policy=self.policy.name)),
+            series=self._recorder.packed(mission),
             stream=stream,
             dropped_events=self.events.dropped,
             observed=observed,
@@ -726,6 +723,7 @@ def run_trial(spec: FleetSpec, geometry: GeometrySpec, policy: PolicySpec,
 
 
 __all__ = [
+    "GAUGES",
     "TRIAL_LOG_EVENTS",
     "TrialOutcome",
     "run_trial",

@@ -180,14 +180,6 @@ class MetricsRegistry:
             )
         return instrument
 
-    def timeseries_from_entry(self, entry: Mapping[str, Any]) -> TimeSeries:
-        """Get-or-create from a :meth:`TimeSeries.to_entry` dict, and fold."""
-        series = self.timeseries(
-            entry["name"], entry["t_max"], int(entry["bins"]),
-            **entry.get("labels", {}))
-        return series.fold(
-            entry["counts"], entry["sums"], entry["mins"], entry["maxs"])
-
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges)
                 + len(self._histograms) + len(self._timeseries))
@@ -251,9 +243,8 @@ class MetricsRegistry:
             hist.count = entry["count"]
             hist.sum = entry["sum"]
         for entry in snapshot.get("timeseries", ()):
-            # The schema lets a float arrive as a JSON integer.
-            registry.timeseries_from_entry(
-                TimeSeries.from_entry(entry).to_entry())
+            series = TimeSeries.from_entry(entry)   # floats may be JSON ints
+            registry._timeseries[(series.name, series.labels)] = series
         return registry
 
     # -- merging -------------------------------------------------------------

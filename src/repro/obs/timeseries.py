@@ -16,15 +16,16 @@ rest of the observability layer obeys:
   capacity it thins to every second sample and doubles its acceptance
   stride, so a mission of any length costs O(cap) memory while keeping
   samples spread across the whole timeline.
-* **Ordered cross-worker merge** — the aggregate shipped back from
-  pool workers is the *binned* :class:`TimeSeries` (fixed bins over
-  ``[0, t_max]``, per-bin count/sum/min/max), hosted by the registry as
-  a fourth instrument type.  Counts, mins and maxs combine exactly in
-  any grouping; float sums do not (the scrub-cursor and
-  rebuild-progress gauges are fractions), so a campaign is
-  byte-identical at any ``--jobs`` width because ``pool_map`` returns
-  trials in submission order and the parent folds them one by one in
-  that order.  Workers must never pre-merge a chunk's series.
+* **Ordered cross-worker merge** — the registry hosts the *binned*
+  :class:`TimeSeries` (fixed bins over ``[0, t_max]``, per-bin
+  count/sum/min/max) as a fourth instrument type, and a pool worker
+  ships each trial's bins back as a :class:`PackedSeries` (occupied
+  bins only).  Counts, mins and maxs combine exactly in any grouping;
+  float sums do not (the scrub-cursor and rebuild-progress gauges are
+  fractions), so a campaign is byte-identical at any ``--jobs`` width
+  because ``pool_map`` yields trials in submission order and the parent
+  folds them one by one in that order, as they arrive.  Workers must
+  never pre-merge a chunk's series.
 
 Two representations, two jobs: raw :class:`Track` samples feed a single
 trial's post-mortem timeline (``repro report --trace-trial``); binned
@@ -34,7 +35,7 @@ exposition.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 #: Default raw-sample capacity of one flight-recorder track.
 TRACK_CAP = 256
@@ -128,33 +129,10 @@ class TimeSeries:
     def bins(self) -> int:
         return len(self.counts)
 
-    @property
-    def count(self) -> int:
-        return sum(self.counts)
-
     def bin_index(self, t: float) -> int:
         if t <= 0:
             return 0
         return min(self.bins - 1, int(t / self.t_max * self.bins))
-
-    def observe(self, t: float, value: float) -> None:
-        self.observe_bins((self.bin_index(t),), (float(value),))
-
-    def observe_track(self, track: Track) -> None:
-        """Fold a raw track's retained samples into the bins."""
-        for t, value in track.samples:
-            self.observe(t, value)
-
-    def observe_bins(self, slots: Sequence[int],
-                     values: Sequence[float]) -> None:
-        """Fold float ``values[k]`` into bin ``slots[k]``, in order."""
-        counts, sums, mins, maxs = self.counts, self.sums, self.mins, self.maxs
-        for i, value in zip(slots, values):
-            counts[i] += 1
-            sums[i] += value
-            low, high = mins[i], maxs[i]
-            mins[i] = value if low is None or value < low else low
-            maxs[i] = value if high is None or value > high else high
 
     def merge(self, other: "TimeSeries") -> "TimeSeries":
         """Bin-wise combination (in place; returns self).
@@ -167,24 +145,26 @@ class TimeSeries:
             raise ValueError(
                 f"timeseries {self.name!r} merged with different bin layout"
             )
-        return self.fold(other.counts, other.sums, other.mins, other.maxs)
+        return self.fold(range(self.bins), other.counts, other.sums,
+                         other.mins, other.maxs)
 
-    def fold(self, counts: Sequence[int], sums: Sequence[float],
-             mins: Sequence[Optional[float]],
+    def fold(self, slots: Sequence[int], counts: Sequence[int],
+             sums: Sequence[float], mins: Sequence[Optional[float]],
              maxs: Sequence[Optional[float]]) -> "TimeSeries":
-        """:meth:`merge` of per-bin columns already in this layout's
-        types (another series', or a :meth:`to_entry` dict's)."""
-        if {len(counts), len(sums), len(mins), len(maxs)} != {self.bins}:
+        """Fold ``counts[k]``, ``sums[k]``, ``mins[k]`` and ``maxs[k]`` into
+        bin ``slots[k]``, in order (in place; returns self).  An empty bin
+        left out changes nothing in a series whose sums began at ``0.0``."""
+        if not len(slots) == len(counts) == len(sums) == len(mins) == len(maxs):
             raise ValueError(f"timeseries {self.name!r} folded with "
-                             "columns of another bin count")
-        self.counts = [a + b for a, b in zip(self.counts, counts)]
-        self.sums = [a + b for a, b in zip(self.sums, sums)]
-        # The comparisons min(a, b) and max(a, b) make: ties, signed
-        # zeros and NaN fold as they do.
-        self.mins = [b if b is not None and (a is None or b < a) else a
-                     for a, b in zip(self.mins, mins)]
-        self.maxs = [b if b is not None and (a is None or b > a) else a
-                     for a, b in zip(self.maxs, maxs)]
+                             "columns of unequal length")
+        for i, count, total, low, high in zip(slots, counts, sums, mins, maxs):
+            self.counts[i] += count
+            self.sums[i] += total
+            # The comparisons min(a, b) and max(a, b) make: ties, signed
+            # zeros and NaN fold as they do.
+            a, b = self.mins[i], self.maxs[i]
+            self.mins[i] = low if low is not None and (a is None or low < a) else a
+            self.maxs[i] = high if high is not None and (b is None or high > b) else b
         return self
 
     def to_entry(self) -> Dict[str, Any]:
@@ -212,15 +192,33 @@ class TimeSeries:
         return series
 
 
+class PackedSeries(NamedTuple):
+    """One trial's gauges binned, occupied bins only, as a pool worker
+    ships them.  The gauges share their bins and counts; ``sums``,
+    ``mins`` and ``maxs`` hold a column per gauge, in recorder order.
+    Names, labels, ``t_max`` and bin count are the receiver's to know."""
+
+    slots: Tuple[int, ...]
+    counts: Tuple[int, ...]
+    sums: Tuple[Tuple[float, ...], ...]
+    mins: Tuple[Tuple[float, ...], ...]
+    maxs: Tuple[Tuple[float, ...], ...]
+
+    def fold_into(self, series: Sequence[TimeSeries]) -> None:
+        """Fold gauge ``g`` into ``series[g]``, cut into the same bins."""
+        for target, *columns in zip(series, self.sums, self.mins, self.maxs):
+            target.fold(self.slots, self.counts, *columns)
+
+
 class FlightRecorder:
     """Per-trial sampler: one row of named gauges per virtual instant.
 
     The fleet simulator names its gauges once and offers all of them
     at every discrete event and tick, so the rows share one
     :class:`Track` decimation and each gauge's track is exactly the one
-    it would have had on its own.  At trial end, :meth:`binned`
-    projects the rows onto mergeable :class:`TimeSeries` entries (the
-    picklable aggregate the campaign folds across workers), and
+    it would have had on its own.  At trial end, :meth:`packed` bins
+    the rows into a :class:`PackedSeries` (the picklable aggregate the
+    campaign folds into its registry, trial by trial), and
     :meth:`to_snapshot` exports the raw samples for single-trial
     post-mortems and the ``--trace-trial`` timeline.
     """
@@ -250,16 +248,14 @@ class FlightRecorder:
             del self.rows[1::2]
             self.stride *= 2
 
-    def _columns(self) -> Tuple[Tuple[float, ...], List[Tuple[str, Any]]]:
-        """The retained times, and ``(name, values)`` sorted by name."""
-        times, *columns = (list(zip(*self.rows))
-                           or [()] * (len(self.names) + 1))
-        return times, sorted(zip(self.names, columns))
+    def _columns(self) -> List[Tuple[float, ...]]:
+        """The retained times, then one value column per gauge."""
+        return list(zip(*self.rows)) or [()] * (len(self.names) + 1)
 
     def tracks(self) -> List[Track]:
-        times, columns = self._columns()
+        times, *columns = self._columns()
         out = []
-        for name, values in columns:
+        for name, values in sorted(zip(self.names, columns)):
             track = Track(name, self.cap)
             track.stride, track.offered = self.stride, self.offered
             track.samples = list(zip(times, values))
@@ -269,19 +265,27 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self.names)
 
-    def binned(self, t_max: float, bins: int = SERIES_BINS,
-               **labels: str) -> List[Dict[str, Any]]:
-        """The gauges as mergeable binned-series entries (sorted); each
-        row's bin is computed once for all of them."""
-        times, columns = self._columns()
+    def packed(self, t_max: float, bins: int = SERIES_BINS) -> PackedSeries:
+        """The rows binned over ``[0, t_max]``, occupied bins only: each
+        bin takes its rows in row order, the sum from ``0.0`` and the min
+        and max by the comparisons :meth:`TimeSeries.fold` makes."""
+        times, *columns = self._columns()
         bin_index = TimeSeries("", (), t_max, bins).bin_index
         slots = [bin_index(t) for t in times]
-        entries = []
-        for name, values in columns:
-            series = TimeSeries(name, labels_key(labels), t_max, bins)
-            series.observe_bins(slots, values)
-            entries.append(series.to_entry())
-        return entries
+        where = {slot: k for k, slot in enumerate(sorted(set(slots)))}
+        rows, n = [where[slot] for slot in slots], len(where)
+        gauges = []
+        for values in columns:
+            total, low, high = [0.0] * n, [None] * n, [None] * n
+            for k, value in zip(rows, values):
+                total[k] += value
+                a, b = low[k], high[k]
+                low[k] = value if a is None or value < a else a
+                high[k] = value if b is None or value > b else b
+            gauges.append((tuple(total), tuple(low), tuple(high)))
+        sums, mins, maxs = tuple(zip(*gauges)) or ((), (), ())
+        return PackedSeries(tuple(where), tuple(map(slots.count, where)),
+                            sums, mins, maxs)
 
     def to_snapshot(self) -> Dict[str, Any]:
         """Raw per-track samples (``repro-timeseries/1``)."""
@@ -295,6 +299,7 @@ __all__ = [
     "SERIES_BINS",
     "TRACK_CAP",
     "FlightRecorder",
+    "PackedSeries",
     "TimeSeries",
     "Track",
     "labels_key",

@@ -8,7 +8,8 @@ for every cell × trial of ``FleetSpec().scaled(trials=2)``, every
 counters, member I/O, event count, digest, site, binned series,
 retained stream, evicted events); one traced rdp5 trial's raw
 flight-recorder snapshot; and ``run_fleet``'s outcome digest, incident
-digest and merged ``timeseries``.  ``PINNED`` is what the script
+digest and merged ``timeseries``.  A trial's packed series is hashed
+as the binned entries it unpacks to.  ``PINNED`` is what the script
 produced at commit 3c8f17f; a change to the simulator, the arrays, the
 injector or the recorder that moves one sample, one member read or one
 event moves it.  Run ``python tests/test_fleet_pin.py`` to print the
@@ -22,15 +23,27 @@ import hashlib
 import json
 
 from repro.fleet.campaign import run_fleet
-from repro.fleet.sim import run_trial
+from repro.fleet.sim import GAUGES, run_trial
 from repro.fleet.spec import FleetSpec
+from repro.obs.metrics import MetricsRegistry
 
 PINNED = "c35cec98c200a594dc2a6743b2098a5e20fed62d641094549d293f0f090db29c"
 
 TRACED = ("rdp5", "baseline", 0)
 
 
-def _outcome_bytes(outcome) -> bytes:
+def _series_entries(outcome, spec) -> list:
+    """The trial's packed series as the binned entries ``PINNED`` was
+    taken over: each gauge folded into a fresh series of its cell."""
+    registry = MetricsRegistry()
+    outcome.series.fold_into([
+        registry.timeseries(name, spec.mission_hours,
+                            geometry=outcome.geometry, policy=outcome.policy)
+        for name in GAUGES])
+    return registry.snapshot()["timeseries"]
+
+
+def _outcome_bytes(outcome, spec) -> bytes:
     stream = (None if outcome.stream is None
               else [repr(event.key()) for event in outcome.stream])
     return json.dumps([
@@ -39,7 +52,7 @@ def _outcome_bytes(outcome) -> bytes:
         repr(outcome.device_hours), outcome.counters,
         [repr(v) for v in dataclasses.astuple(outcome.io)],
         outcome.events, outcome.digest, outcome.site,
-        list(outcome.series), stream, outcome.dropped_events,
+        _series_entries(outcome, spec), stream, outcome.dropped_events,
     ], sort_keys=True).encode()
 
 
@@ -49,10 +62,10 @@ def capture() -> str:
     for geometry, policy in spec.cells():
         for trial in range(spec.trials):
             hasher.update(_outcome_bytes(
-                run_trial(spec, geometry, policy, trial)))
+                run_trial(spec, geometry, policy, trial), spec))
             if (geometry.label, policy.name, trial) == TRACED:
                 traced = run_trial(spec, geometry, policy, trial, trace=True)
-                hasher.update(_outcome_bytes(traced))
+                hasher.update(_outcome_bytes(traced, spec))
                 hasher.update(json.dumps(traced.observed.flight,
                                          sort_keys=True).encode())
     report = run_fleet(spec)

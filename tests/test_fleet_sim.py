@@ -233,13 +233,17 @@ class TestFlightRecorder:
         assert out.stream is None
 
     def test_series_cover_the_recorder_gauges(self):
+        from repro.fleet.sim import GAUGES
+        from repro.obs.timeseries import SERIES_BINS
+
         out = run_trial(_spec(), MIRROR2, BASELINE, 0)
-        names = {entry["name"] for entry in out.series}
-        assert "repro_fleet_degraded_members" in names
-        assert "repro_fleet_scrub_cursor" in names
-        for entry in out.series:
-            assert entry["labels"] == {"geometry": "mirror2",
-                                       "policy": "baseline"}
+        slots = out.series.slots
+        assert slots and list(slots) == sorted(set(slots))
+        assert 0 <= slots[0] and slots[-1] < SERIES_BINS
+        assert len(out.series.counts) == len(slots) and all(out.series.counts)
+        for column in (out.series.sums, out.series.mins, out.series.maxs):
+            assert len(column) == len(GAUGES)
+            assert all(len(values) == len(slots) for values in column)
 
     def test_terminal_stream_is_log_events_with_clock_arrivals(self):
         from repro.obs.events import FleetClockEvent, LogEvent

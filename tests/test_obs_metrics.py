@@ -335,8 +335,9 @@ class TestMergeOrderProperty:
             registry.histogram(
                 name, bounds=(1.0, 10.0), cell=label).observe(value)
         else:
-            registry.timeseries(
-                name, 100.0, 8, cell=label).observe(value * 7.0, value)
+            series = registry.timeseries(name, 100.0, 8, cell=label)
+            series.fold((series.bin_index(value * 7.0),), (1,), (value,),
+                        (value,), (value,))
 
     @given(
         parts=st.lists(

@@ -3,6 +3,7 @@ series, the flight recorder, and their registry integration."""
 
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,16 @@ from repro.obs.timeseries import (
     SERIES_BINS,
     TRACK_CAP,
     FlightRecorder,
+    PackedSeries,
     TimeSeries,
     Track,
     labels_key,
 )
+
+
+def _observe(series, t, value):
+    """One observation: a fold of one value into the bin of *t*."""
+    series.fold((series.bin_index(t),), (1,), (value,), (value,), (value,))
 
 
 class TestTrack:
@@ -78,9 +85,9 @@ class TestTimeSeries:
 
     def test_observe_tracks_count_sum_min_max(self):
         series = TimeSeries("g", (), t_max=10.0, bins=2)
-        series.observe(1.0, 3.0)
-        series.observe(2.0, 5.0)
-        series.observe(9.0, 7.0)
+        _observe(series, 1.0, 3.0)
+        _observe(series, 2.0, 5.0)
+        _observe(series, 9.0, 7.0)
         assert series.counts == [2, 1]
         assert series.sums == [8.0, 7.0]
         assert series.mins == [3.0, 7.0]
@@ -97,7 +104,7 @@ class TestTimeSeries:
         def build(part):
             s = TimeSeries("g", (), 50.0, 8)
             for t, v in part:
-                s.observe(t, v)
+                _observe(s, t, v)
             return s
 
         a, b, c = build(obs[:100]), build(obs[100:180]), build(obs[180:])
@@ -115,19 +122,11 @@ class TestTimeSeries:
 
     def test_entry_round_trip(self):
         series = TimeSeries("g", labels_key({"cell": "m2"}), 10.0, 4)
-        series.observe(1.0, 2.0)
-        series.observe(8.0, 4.0)
+        _observe(series, 1.0, 2.0)
+        _observe(series, 8.0, 4.0)
         entry = series.to_entry()
         again = TimeSeries.from_entry(json.loads(json.dumps(entry)))
         assert again.to_entry() == entry
-
-    def test_observe_track_folds_raw_samples(self):
-        track = Track("g", cap=64)
-        for i in range(20):
-            track.sample(float(i), 1.0)
-        series = TimeSeries("g", (), 20.0, 4)
-        series.observe_track(track)
-        assert series.count == 20
 
 
 def _merge_per_bin(mine: TimeSeries, other: TimeSeries) -> TimeSeries:
@@ -184,7 +183,8 @@ class TestMergeMatchesThePerBinLoop:
         for columns in rest:
             _merge_per_bin(want, _series(columns, bins))
             got.merge(_series(columns, bins))
-            registry.timeseries_from_entry(_series(columns, bins).to_entry())
+            registry.timeseries("g", 40.0, bins, cell="x").fold(
+                range(bins), *columns)
         # repr tells -0.0 from 0.0, and nan from any other value.
         expected = repr(want.to_entry())
         assert repr(got.to_entry()) == expected
@@ -193,7 +193,8 @@ class TestMergeMatchesThePerBinLoop:
     def test_a_column_of_the_wrong_length_is_rejected(self):
         series = TimeSeries("g", (), 10.0, 3)
         with pytest.raises(ValueError):
-            series.fold([1, 1, 1], [1.0, 1.0, 1.0], [None] * 3, [None] * 2)
+            series.fold(range(3), [1, 1, 1], [1.0, 1.0, 1.0], [None] * 3,
+                        [None] * 2)
 
 
 class TestFlightRecorder:
@@ -205,14 +206,18 @@ class TestFlightRecorder:
         assert all(len(t.samples) < 8 for t in rec.tracks())
         assert len(rec) == 2
 
-    def test_binned_entries_carry_labels(self):
-        rec = FlightRecorder(["g"])
-        rec.sample(1.0, (5.0,))
-        entries = rec.binned(10.0, bins=4, geometry="mirror2",
-                             policy="baseline")
-        assert entries[0]["labels"] == {"geometry": "mirror2",
-                                       "policy": "baseline"}
-        assert entries[0]["bins"] == 4
+    def test_packed_series_hold_occupied_bins_only(self):
+        rec = FlightRecorder(["a", "b"])
+        for t, values in ((1.0, (5.0, -1.0)), (9.0, (2.0, 0.5)),
+                          (2.0, (3.0, -0.0))):
+            rec.sample(t, values)
+        assert rec.packed(10.0, bins=4) == PackedSeries(
+            slots=(0, 3), counts=(2, 1),
+            sums=((8.0, 2.0), (-1.0, 0.5)),
+            mins=((3.0, 2.0), (-1.0, 0.5)),
+            maxs=((5.0, 2.0), (-0.0, 0.5)))
+        assert FlightRecorder(["a"]).packed(10.0) == PackedSeries(
+            (), (), ((),), ((),), ((),))
 
     def test_snapshot_schema_tag(self):
         rec = FlightRecorder(["g"])
@@ -250,13 +255,100 @@ class TestFlightRecorder:
         for track in want:
             series = TimeSeries(track.name, labels_key({"cell": "x"}),
                                 t_max=rows or 1.0, bins=5)
-            series.observe_track(track)
+            for t, value in track.samples:
+                _observe(series, t, value)
             binned.append(series.to_entry())
-        got = rec.binned(rows or 1.0, bins=5, cell="x")
+        registry = MetricsRegistry()
+        rec.packed(rows or 1.0, bins=5).fold_into(
+            [registry.timeseries(name, rows or 1.0, 5, cell="x")
+             for name in names])
+        got = registry.snapshot()["timeseries"]
         assert json.dumps(got) == json.dumps(binned)
         assert json.dumps(rec.to_snapshot()) == json.dumps({
             "schema": "repro-timeseries/1",
             "tracks": [t.to_entry() for t in want]})
+
+
+def _binned_entries(rec, t_max, bins, **labels):
+    """``FlightRecorder.binned`` as it was before trials shipped packed
+    series: per gauge (sorted by name) a fresh entry whose bins take the
+    rows' values one by one, in row order."""
+    index = TimeSeries("", (), t_max, bins).bin_index
+    entries = []
+    for g, name in sorted(enumerate(rec.names), key=lambda item: item[1]):
+        counts, sums = [0] * bins, [0.0] * bins
+        mins, maxs = [None] * bins, [None] * bins
+        for row in rec.rows:
+            i, value = index(row[0]), row[1 + g]
+            counts[i] += 1
+            sums[i] += value
+            low, high = mins[i], maxs[i]
+            mins[i] = value if low is None or value < low else low
+            maxs[i] = value if high is None or value > high else high
+        entries.append({"name": name, "labels": dict(labels_key(labels)),
+                        "t_max": float(t_max), "bins": bins,
+                        "counts": counts, "sums": sums,
+                        "mins": mins, "maxs": maxs})
+    return entries
+
+
+def _fold_entries(merged, entries):
+    """The registry fold trials went through before: every bin of each
+    entry into the series of its name and labels, whole columns."""
+    for entry in entries:
+        key = (entry["name"], tuple(sorted(entry["labels"].items())))
+        mine = merged.setdefault(key, {
+            **entry, "counts": [0] * entry["bins"],
+            "sums": [0.0] * entry["bins"], "mins": [None] * entry["bins"],
+            "maxs": [None] * entry["bins"]})
+        mine["counts"] = [a + b for a, b in zip(mine["counts"],
+                                                entry["counts"])]
+        mine["sums"] = [a + b for a, b in zip(mine["sums"], entry["sums"])]
+        mine["mins"] = [b if b is not None and (a is None or b < a) else a
+                        for a, b in zip(mine["mins"], entry["mins"])]
+        mine["maxs"] = [b if b is not None and (a is None or b > a) else a
+                        for a, b in zip(mine["maxs"], entry["maxs"])]
+
+
+_GAUGE_NAMES = ("g_zeta", "g_alpha", "g_mid")     # not sorted
+
+
+@st.composite
+def _trials(draw):
+    t_max = draw(st.sampled_from([1.0, 40.0, 10_000.0]))
+    bins = draw(st.sampled_from([1, 3, 7, SERIES_BINS]))
+    edges = [t_max * k / bins for k in range(bins + 1)]
+    when = st.one_of(st.sampled_from(edges + [0.0, t_max * 1.5]),
+                     st.floats(0.0, t_max * 1.25))
+    row = st.tuples(when, st.tuples(*[_VALUE] * len(_GAUGE_NAMES)))
+    trials = draw(st.lists(st.tuples(st.sampled_from(["a", "b"]),
+                                     st.lists(row, max_size=24)),
+                           min_size=1, max_size=5))
+    return t_max, bins, trials
+
+
+class TestPackedFoldMatchesToday:
+    @settings(max_examples=300, deadline=None)
+    @given(_trials())
+    def test_packed_fold_equals_binned_entries_folded(self, drawn):
+        """Trials in order, each binned the old way and folded whole
+        into the reference, and packed (through a pickle, as from a
+        worker) and folded into a registry: ``repr``-equal, so signed
+        zeros, infinities and NaN land exactly where they did."""
+        t_max, bins, trials = drawn
+        merged, registry = {}, MetricsRegistry()
+        for cell, rows in trials:
+            rec = FlightRecorder(_GAUGE_NAMES, cap=8)
+            for t, values in rows:
+                rec.sample(t, values)
+            _fold_entries(merged, _binned_entries(rec, t_max, bins,
+                                                  cell=cell))
+            packed = pickle.loads(pickle.dumps(rec.packed(t_max, bins)))
+            packed.fold_into([registry.timeseries(name, t_max, bins,
+                                                  cell=cell)
+                              for name in _GAUGE_NAMES])
+        want = [merged[key] for key in sorted(merged)]
+        assert repr(registry.snapshot()["timeseries"]) == repr(want)
 
 
 class TestRegistryIntegration:
@@ -264,7 +356,7 @@ class TestRegistryIntegration:
         registry = MetricsRegistry()
         series = registry.timeseries("repro_fleet_latent_blocks", 100.0,
                                      10, geometry="mirror2")
-        series.observe(5.0, 1.0)
+        _observe(series, 5.0, 1.0)
         assert len(registry) == 1
         again = registry.timeseries("repro_fleet_latent_blocks", 100.0,
                                     10, geometry="mirror2")
@@ -279,7 +371,7 @@ class TestRegistryIntegration:
     def test_snapshot_round_trip_and_schema(self):
         registry = MetricsRegistry()
         series = registry.timeseries("g", 50.0, 5, cell="a")
-        series.observe(10.0, 2.0)
+        _observe(series, 10.0, 2.0)
         snap = registry.snapshot()
         assert validate_snapshot(snap) == []
         again = MetricsRegistry.from_snapshot(snap)
@@ -287,8 +379,8 @@ class TestRegistryIntegration:
 
     def test_merge_folds_binwise(self):
         a, b = MetricsRegistry(), MetricsRegistry()
-        a.timeseries("g", 10.0, 2).observe(1.0, 1.0)
-        b.timeseries("g", 10.0, 2).observe(8.0, 3.0)
+        _observe(a.timeseries("g", 10.0, 2), 1.0, 1.0)
+        _observe(b.timeseries("g", 10.0, 2), 8.0, 3.0)
         a.merge(b)
         entry = a.snapshot()["timeseries"][0]
         assert entry["counts"] == [1, 1]
@@ -306,8 +398,8 @@ class TestRegistryIntegration:
         registry = MetricsRegistry()
         series = registry.timeseries("repro_fleet_degraded_members",
                                      100.0, 10, geometry="m2")
-        series.observe(5.0, 1.0)
-        series.observe(5.0, 3.0)
+        _observe(series, 5.0, 1.0)
+        _observe(series, 5.0, 3.0)
         text = render_prometheus(registry.snapshot())
         # Bin mean = 2, virtual timestamp = bin midpoint (5 h) in ms.
         assert ('repro_fleet_degraded_members{geometry="m2"} 2 '

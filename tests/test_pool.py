@@ -1,10 +1,13 @@
-"""The persistent pool: how wide it may go, and how ``pool_map`` behaves
-when a worker dies or a task raises."""
+"""The persistent pool: how wide it may go, how ``pool_map`` streams
+its results, and how it behaves when a worker dies, a task raises or
+the consumer stops early."""
 
 from __future__ import annotations
 
+import math
 import os
 import threading
+import weakref
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -27,9 +30,9 @@ def _pid(_):
     return os.getpid()
 
 
-def _die_once(x, marker):
-    """Kill the worker running task 3, the first time only."""
-    if x == 3:
+def _die_once(x, marker, at=3):
+    """Kill the worker running task *at*, the first time only."""
+    if x == at:
         try:
             os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
         except FileExistsError:
@@ -69,6 +72,10 @@ def _within(seconds, fn, *args):
     return box["value"]
 
 
+def _drain(*args):
+    return list(pool.pool_map(*args))
+
+
 @pytest.fixture
 def rebuilds(monkeypatch):
     """Count the pool teardowns ``pool_map`` makes after a broken pool."""
@@ -87,7 +94,7 @@ def test_effective_jobs_follows_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert pool.effective_jobs(4) == 1
-    assert pool.pool_map(_pid, [(i,) for i in range(4)], 4) == [os.getpid()] * 4
+    assert _drain(_pid, [(i,) for i in range(4)], 4) == [os.getpid()] * 4
 
 
 def test_effective_jobs_without_affinity_uses_cpu_count(monkeypatch):
@@ -99,7 +106,7 @@ def test_effective_jobs_without_affinity_uses_cpu_count(monkeypatch):
 @needs_two_cpus
 def test_worker_killed_once_rebuilds_the_pool_once(tmp_path, rebuilds):
     marker = str(tmp_path / "died")
-    results = _within(60, pool.pool_map, _die_once,
+    results = _within(60, _drain, _die_once,
                       [(x, marker) for x in range(8)], 2)
     assert results == SQUARES
     assert os.path.exists(marker)
@@ -109,22 +116,39 @@ def test_worker_killed_once_rebuilds_the_pool_once(tmp_path, rebuilds):
 @needs_two_cpus
 def test_worker_killed_every_time_raises_then_recovers(rebuilds):
     with pytest.raises(BrokenProcessPool):
-        _within(60, pool.pool_map, _die, [(x,) for x in range(4)], 2)
+        _within(60, _drain, _die, [(x,) for x in range(4)], 2)
     assert len(rebuilds) == 2
-    assert _within(60, pool.pool_map, _square, TASKS, 2) == SQUARES
+    assert _within(60, _drain, _square, TASKS, 2) == SQUARES
+
+
+@needs_two_cpus
+def test_worker_killed_mid_stream_resumes_without_duplicates(tmp_path,
+                                                             rebuilds):
+    """40 tasks at width 2 are 20 chunks of 2, at most 4 of them
+    submitted and not yet yielded: task 30's chunk (15) is submitted
+    only after 12 chunks were handed over, and the rebuilt pool resumes
+    at the first chunk not yet yielded."""
+    marker = str(tmp_path / "died")
+    stream = pool.pool_map(_die_once, [(x, marker, 30) for x in range(40)], 2)
+    head = _within(60, lambda: [next(stream) for _ in range(2)])
+    assert not os.path.exists(marker)
+    rest = _within(60, list, stream)
+    assert head + rest == [x * x for x in range(40)]
+    assert os.path.exists(marker)
+    assert len(rebuilds) == 1
 
 
 @needs_two_cpus
 def test_error_in_a_chunk_reaches_the_parent_then_recovers(rebuilds):
     with pytest.raises(ValueError, match="task 5"):
-        _within(60, pool.pool_map, _raise_at_five, TASKS, 2)
-    assert _within(60, pool.pool_map, _square, TASKS, 2) == SQUARES
+        _within(60, _drain, _raise_at_five, TASKS, 2)
+    assert _within(60, _drain, _square, TASKS, 2) == SQUARES
     assert rebuilds == []       # an exception in a task leaves the pool whole
 
 
 class _IdlePool:
     """An executor whose workers never pick a task up: every chunk
-    ``_map_chunks`` submits stays queued until it is cancelled."""
+    ``pool_map`` submits stays queued until it is cancelled."""
 
     def __init__(self):
         self.futures = []
@@ -136,7 +160,8 @@ class _IdlePool:
 
 class _InlinePool:
     """An executor that starts no process: a chunk runs in the test's
-    own thread when the patched ``wait`` asks for the oldest one."""
+    own thread when the patched ``wait`` asks for the oldest one, and a
+    cancelled chunk never runs."""
 
     def __init__(self):
         self.queued = []
@@ -147,10 +172,12 @@ class _InlinePool:
         self.queued.append((Future(), fn, args))
         return self.queued[-1][0]
 
-    def wait(self, in_flight, return_when):
-        self.windows.append(len(in_flight))
+    def wait(self, futures, return_when=None):
+        self.queued = [entry for entry in self.queued
+                       if not entry[0].cancelled()]
+        self.windows.append(len(self.queued))
         future, fn, args = self.queued.pop(0)
-        assert future in in_flight
+        assert future in futures
         future.set_result(fn(*args))
         return {future}, set()
 
@@ -177,7 +204,7 @@ def _cpus(monkeypatch, count):
 def test_pool_and_window_stay_within_the_usable_cpus(monkeypatch, inline_pool):
     _cpus(monkeypatch, 2)
     tasks = [(x,) for x in range(168)]
-    assert pool.pool_map(_square, tasks, 8) == [x * x for x in range(168)]
+    assert _drain(_square, tasks, 8) == [x * x for x in range(168)]
     assert inline_pool.widths == [2]
     assert max(inline_pool.windows) == 4        # 2 * width, not 2 * jobs
 
@@ -201,7 +228,7 @@ def test_chunks_run_every_task_once_in_order(monkeypatch, inline_pool,
         return -x
 
     tasks = [(x,) for x in range(count)]
-    assert pool.pool_map(record, tasks, width) == [-x for x in range(count)]
+    assert _drain(record, tasks, width) == [-x for x in range(count)]
     assert ran == list(range(count))
     chunks = len(inline_pool.windows)           # one wait per chunk
     if count <= 1:
@@ -226,14 +253,38 @@ def _interrupt_first_wait(monkeypatch):
 
 
 def test_interrupt_cancels_every_queued_chunk(monkeypatch):
+    _cpus(monkeypatch, 2)
     idle = _IdlePool()
     monkeypatch.setattr(pool, "get_pool", lambda jobs: idle)
     _interrupt_first_wait(monkeypatch)
-    chunks = [[(x,)] for x in range(12)]          # more than the window of 4
+    tasks = [(x,) for x in range(12)]     # 12 chunks, more than the window of 4
     with pytest.raises(KeyboardInterrupt):
-        pool._map_chunks(_square, chunks, 2)
+        next(pool.pool_map(_square, tasks, 2))
     assert len(idle.futures) == 4
     assert all(future.cancelled() for future in idle.futures)
+
+
+def _stop_by_closing(stream):
+    assert [next(stream) for _ in range(3)] == [0, 1, 4]
+    stream.close()
+
+
+def _stop_by_raising(stream):
+    with pytest.raises(ValueError, match="fold failed"):
+        for result in stream:
+            if result == 4:
+                raise ValueError("fold failed")
+
+
+@pytest.mark.parametrize("stop", [_stop_by_closing, _stop_by_raising])
+def test_a_consumer_that_stops_cancels_every_queued_chunk(monkeypatch,
+                                                          inline_pool, stop):
+    _cpus(monkeypatch, 2)
+    tasks = [(x,) for x in range(40)]         # 20 chunks of 2, 4 in flight
+    stop(pool.pool_map(_square, tasks, 2))
+    assert len(inline_pool.queued) == 3       # the rest of the window
+    assert all(future.cancelled() for future, _fn, _args in inline_pool.queued)
+    assert _drain(_square, tasks, 2) == [x * x for x in range(40)]
 
 
 @needs_two_cpus
@@ -250,10 +301,76 @@ def test_interrupt_leaves_the_pool_clean_then_recovers(monkeypatch):
     monkeypatch.setattr(real_pool, "submit", submit)
     tasks = [(x,) for x in range(24)]
     with pytest.raises(KeyboardInterrupt):
-        pool.pool_map(_square, tasks, 2)
+        _drain(_square, tasks, 2)
     assert 0 < len(submitted) < len(tasks)
     for future in submitted:
         assert future.cancelled() or future.exception(timeout=30) is None
     monkeypatch.undo()
-    assert (_within(60, pool.pool_map, _square, tasks, 2)
-            == pool.pool_map(_square, tasks, 1))
+    assert (_within(60, _drain, _square, tasks, 2)
+            == _drain(_square, tasks, 1))
+
+
+@needs_two_cpus
+def test_closing_mid_stream_leaves_the_pool_clean_then_recovers(monkeypatch):
+    submitted = []
+    real_pool = pool.get_pool(2)
+    real_submit = real_pool.submit
+
+    def submit(*args):
+        submitted.append(real_submit(*args))
+        return submitted[-1]
+
+    monkeypatch.setattr(real_pool, "submit", submit)
+    tasks = [(x,) for x in range(24)]         # 24 chunks of 1, 4 in flight
+    stream = pool.pool_map(_square, tasks, 2)
+    assert _within(60, lambda: [next(stream) for _ in range(3)]) == [0, 1, 4]
+    stream.close()
+    assert len(submitted) < len(tasks)
+    for future in submitted:
+        assert future.cancelled() or future.exception(timeout=30) is None
+    monkeypatch.undo()
+    assert _within(60, _drain, _square, tasks, 2) == _drain(_square, tasks, 1)
+
+
+def test_campaign_parent_holds_a_window_of_outcomes(monkeypatch, inline_pool):
+    """``run_fleet`` at jobs=2 keeps no outcome it has folded: at most
+    ``2 * width`` chunks' worth are alive at once, counted with weak
+    references when each trial returns (no RSS involved)."""
+    from repro.fleet import campaign
+    from repro.fleet.spec import FleetSpec
+
+    _cpus(monkeypatch, 2)
+    spec = FleetSpec().scaled(trials=8)
+    tasks = len(spec.cells()) * spec.trials
+    size = math.ceil(tasks / (2 * pool.CHUNKS_PER_WORKER))
+    alive = []
+    peak = []
+    real_trial = campaign.run_trial
+
+    def tracked_trial(*args):
+        outcome = real_trial(*args)
+        alive.append(weakref.ref(outcome))
+        peak.append(sum(ref() is not None for ref in alive))
+        return outcome
+
+    monkeypatch.setattr(campaign, "run_trial", tracked_trial)
+    report = campaign.run_fleet(spec, jobs=2)
+    assert report.trials == len(alive) == tasks == 168
+    assert inline_pool.widths and set(inline_pool.widths) == {2}
+    assert max(peak) <= 2 * 2 * size
+
+
+def test_a_campaign_whose_progress_raises_cancels_its_queued_chunks(
+        monkeypatch, inline_pool):
+    from repro.fleet.campaign import run_fleet
+    from repro.fleet.spec import FleetSpec
+
+    _cpus(monkeypatch, 2)
+
+    def progress(line):
+        raise KeyboardInterrupt(line)
+
+    with pytest.raises(KeyboardInterrupt, match="fleet: 1/42 trials"):
+        run_fleet(FleetSpec().scaled(trials=2), jobs=2, progress=progress)
+    assert len(inline_pool.queued) == 3       # 21 chunks of 2, 4 in flight
+    assert all(future.cancelled() for future, _fn, _args in inline_pool.queued)

@@ -591,8 +591,9 @@ def lint_config_interning() -> list[str]:
 
 
 #: The most lines ``src/repro`` may hold: its size when this check came
-#: in plus the 100 lines a change may add without naming a deletion.
-SRC_LINE_BUDGET = 21885
+#: in plus the 100 lines a change may add without naming a deletion,
+#: lowered by every net deletion since.
+SRC_LINE_BUDGET = 21884
 
 
 def loc_counts() -> dict[str, int]:
