@@ -496,7 +496,7 @@ def _cmd_taxonomy(args: argparse.Namespace) -> int:
 def _cmd_fsck_demo(args: argparse.Namespace) -> int:
     from repro.disk import DeviceStack
     from repro.fs.ext3 import Ext3, Ext3Config, fsck_ext3, mkfs_ext3
-    from repro.fs.ext3.structures import inode_slot, patch_inode_block
+    from repro.fs.ext3.structures import INODE_SIZE, Inode, patch_inode_block
 
     cfg = Ext3Config()
     disk = DeviceStack.build(cfg.total_blocks, cfg.block_size)
@@ -512,7 +512,7 @@ def _cmd_fsck_demo(args: argparse.Namespace) -> int:
     ino = 4  # one of the allocated inodes
     block, off = cfg.inode_location(ino)
     raw = disk.peek(block)
-    inode = inode_slot(raw, off)
+    inode = Inode.unpack(raw[off:off + INODE_SIZE])
     if inode.direct[0]:
         inode.direct[0] = 0x7FFFFFF0
         disk.poke(block, patch_inode_block(raw, off, inode))

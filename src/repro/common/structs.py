@@ -18,6 +18,8 @@ construction behind it (DESIGN.md, "Decode memo").
 
 from __future__ import annotations
 
+from collections import namedtuple
+from dataclasses import fields
 from functools import lru_cache
 from struct import Struct
 from typing import Any, Dict
@@ -54,6 +56,15 @@ def interned(cls, **fields):
     return cls(**fields)
 
 
+def frozen_record(cls, name: str, *shared: str) -> type:
+    """The record a decoder's memo stores for the dataclass *cls*: a named
+    tuple of its fields (a list held as a tuple) and the properties named
+    in *shared*, which readers share; an update builds a *cls* from it."""
+    base = namedtuple(name, [f.name for f in fields(cls)])
+    return type(name, (base,), {"__slots__": (), "__module__": cls.__module__,
+                                **{p: vars(cls)[p] for p in shared}})
+
+
 class DecodeMemo:
     """One decoder's bounded, payload-keyed memo of decoded values.
 
@@ -70,9 +81,10 @@ class DecodeMemo:
       :meth:`put` with a value — so a payload that fails its sanity
       check is decoded, and reported against the caller's block, on
       every access.
-    * A stored value is shared by every later caller, so it must be
-      immutable; the decoder builds the mutable object it returns from
-      it afresh on each call.
+    * The stored value is one immutable record (``frozen_record``, or a
+      tuple) that every reader shares: a read-only path takes it as is.
+      Only an update path builds a mutable object, from the record —
+      ``unpack`` and ``_node_get`` hand each caller a fresh one.
     * At most *capacity* entries, a constant of the decoder; a full
       memo gives up its oldest entry for each new one.
     """

@@ -58,6 +58,7 @@ class JournaledFS(FileSystem):
     ======================================  ==================================
     ``ROOT``                                handle of ``/``
     ``_node_get(h)`` / ``_node_put(h, n)``  read / journal one node
+    ``_node_peek(h)``                       read one node, not to change
     ``_is_dir(n)``                          directory test (mode bits here)
     ``_node_create(parent, mode)``          new empty object, one link
     ``_node_clear(h, n)``                   free a file's body; size 0
@@ -65,6 +66,10 @@ class JournaledFS(FileSystem):
     ``_read_link(h, n)``                    symlink target; None = no body
     ``_space_counts()``                     total, free blocks; total, free nodes
     ======================================  ==================================
+
+    ``_node_peek`` issues ``_node_get``'s reads but may return the
+    decoder's shared, immutable record (DESIGN.md, "Decode memo"); only
+    a path that changes the node takes its own from ``_node_get``.
 
     A directory is a *block list*: an ordered run of blocks, each
     holding ``(child, ftype, name)`` triples.  :meth:`_dir_entries`,
@@ -176,6 +181,7 @@ class JournaledFS(FileSystem):
     ):
         super().__init__()
         self.device = device
+        self.block_size: int = device.block_size
         # Join the device stack's typed-event stream when it has one, so
         # injector I/O, buffer-layer retries, journal commits, and this
         # FS's policy events interleave in one ordered record.
@@ -215,10 +221,6 @@ class JournaledFS(FileSystem):
     @property
     def read_only(self) -> bool:
         return self._read_only
-
-    @property
-    def block_size(self) -> int:
-        return self.device.block_size
 
     def _ensure_mounted(self) -> None:
         if not self._mounted:
@@ -324,14 +326,14 @@ class JournaledFS(FileSystem):
         parts = split_path(resolved)
         handle = self.ROOT
         for i, name in enumerate(parts):
-            node = self._node_get(handle)
+            node = self._node_peek(handle)
             if not self._is_dir(node):
                 raise FSError(Errno.ENOTDIR, "/" + "/".join(parts[:i]))
             found = self._dir_find(handle, name, node)
             if found is None:
                 raise FSError(Errno.ENOENT, resolved)
             child = found[0]
-            cnode = self._node_get(child)
+            cnode = self._node_peek(child)
             if _stat.S_ISLNK(cnode.mode) and (follow or i < len(parts) - 1):
                 target = self._read_link(child, cnode)
                 if target is None:
@@ -343,6 +345,9 @@ class JournaledFS(FileSystem):
                 return self._lookup(full, follow=follow, _depth=_depth + 1)
             handle = child
         return handle
+
+    def _node_peek(self, handle):
+        return self._node_get(handle)
 
     @staticmethod
     def _is_dir(node) -> bool:
@@ -425,7 +430,7 @@ class JournaledFS(FileSystem):
         return child
 
     def _stat_of(self, handle) -> StatResult:
-        node = self._node_get(handle)
+        node = self._node_peek(handle)
         mode = node.mode
         if self._is_dir(node):
             # Where "is a directory" lives outside the mode (NTFS: a
@@ -505,7 +510,7 @@ class JournaledFS(FileSystem):
                 if exc.errno is Errno.ENOENT and flags & O_CREAT:
                     return self._do_creat(resolved, mode)
                 raise
-            node = self._node_get(handle)
+            node = (self._node_get if flags & O_TRUNC else self._node_peek)(handle)
             if self._is_dir(node) and (flags & O_ACCMODE):
                 raise FSError(Errno.EISDIR, path)
             self._open_check(handle, node)
@@ -527,7 +532,7 @@ class JournaledFS(FileSystem):
             raise FSError(Errno.EBADF, "fd not open for reading")
         if size < 0 or (offset is not None and offset < 0):
             raise FSError(Errno.EINVAL, "negative size or offset")
-        node = self._node_get(of.handle)
+        node = self._node_peek(of.handle)
         pos = of.offset if offset is None else offset
         end = min(pos + size, node.size)
         if end <= pos:
@@ -803,7 +808,7 @@ class JournaledFS(FileSystem):
     def getdirentries(self, path: str) -> List[str]:
         def body():
             handle = self._lookup(path, follow=True)
-            node = self._node_get(handle)
+            node = self._node_peek(handle)
             if not self._is_dir(node):
                 raise FSError(Errno.ENOTDIR, path)
             return [name for _, _, name in self._dir_entries(handle, node)]
@@ -812,7 +817,7 @@ class JournaledFS(FileSystem):
     def readlink(self, path: str) -> str:
         def body():
             handle = self._lookup(path, follow=False)
-            node = self._node_get(handle)
+            node = self._node_peek(handle)
             if not _stat.S_ISLNK(node.mode):
                 raise FSError(Errno.EINVAL, "not a symlink")
             return self._read_link(handle, node) or ""

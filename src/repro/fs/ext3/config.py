@@ -162,17 +162,18 @@ class Ext3Config:
     # -- inode addressing ----------------------------------------------------------
 
     @cached_property
-    def _inode_table_starts(self) -> tuple:
-        return tuple(base + 3 for base in self._group_bases)
+    def _inode_locations(self) -> tuple:
+        """Every inode's location, built once per interned config."""
+        ipb = self.inodes_per_block
+        return tuple((base + 3 + within // ipb, within % ipb * INODE_SIZE)
+                     for base in self._group_bases
+                     for within in range(self.inodes_per_group))
 
     def inode_location(self, ino: int):
         """(absolute block, byte offset) of inode *ino* (1-based)."""
         if not 1 <= ino <= self.total_inodes:
             raise ValueError(f"inode {ino} out of range")
-        index = ino - 1
-        group, within = divmod(index, self.inodes_per_group)
-        block_off, slot = divmod(within, self.inodes_per_block)
-        return self._inode_table_starts[group] + block_off, slot * INODE_SIZE
+        return self._inode_locations[ino - 1]
 
     def group_of_inode(self, ino: int) -> int:
         return (ino - 1) // self.inodes_per_group

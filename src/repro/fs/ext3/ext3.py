@@ -39,25 +39,27 @@ from repro.common.errors import (
     KernelPanic,
 )
 from repro.common.syslog import Severity
-from repro.fs.ext3.config import NUM_DIRECT, ROOT_INO, Ext3Config
+from repro.fs.ext3.config import INODE_SIZE, NUM_DIRECT, ROOT_INO, Ext3Config
 from repro.fs.ext3.journal import Journal, parse_commit, parse_desc, parse_revoke
 from repro.fs.ext3.structures import (
-    DirEntry,
     FT_DIR,
     FT_REG,
     FT_SYMLINK,
     GroupDescriptor,
     Inode,
+    InodeRecord,
     STATE_CLEAN,
     STATE_DIRTY,
     Superblock,
-    inode_slot,
+    dir_block_record,
+    inode_record,
     iter_allocated_inodes,
     pack_dir_block,
     pack_dirent,
     pack_gdt,
     pack_pointer_block,
     patch_inode_block,
+    pointer_block_record,
     unpack_dir_block,
     unpack_gdt,
     unpack_pointer_block,
@@ -386,10 +388,12 @@ class Ext3(JournaledFS):
             if bno:
                 yield bno
 
-    def _dir_block_load(self, bno: int, modifying: bool = False) -> List[DirEntry]:
+    def _dir_block_load(self, bno: int, modifying: bool = False):
         # Directory blocks carry no type information and are parsed
         # blindly (§5.1): corruption yields garbage names, not errors.
-        return unpack_dir_block(self._meta_bread(bno, modifying))
+        # A reader shares the decoded tuple; an update gets its own list.
+        return (unpack_dir_block if modifying else dir_block_record)(
+            self._meta_bread(bno, modifying))
 
     def _dir_block_store(self, bno: int, entries) -> None:
         self._meta_update(bno, pack_dir_block(entries, self.block_size))
@@ -404,22 +408,23 @@ class Ext3(JournaledFS):
     def _dir_child_in_range(self, ino: int) -> bool:
         return 0 < ino <= self.sb.inodes_count
 
-    def _dir_lookup_scan(self, ino: int, inode: Optional[Inode]):
+    def _dir_lookup_scan(self, ino: int, inode: Optional[InodeRecord]):
         # Block by block, over the caller's copy of the inode if any.
-        if inode is None:
-            inode = self._node_get(ino)
-        return map(self._dir_block_load, self._dir_blocks(ino, inode))
+        return map(self._dir_block_load,
+                   self._dir_blocks(ino, inode or self._node_peek(ino)))
 
     # ==================================================================
     # Inodes
     # ==================================================================
 
-    def _node_get(self, ino: int) -> Inode:
+    def _node_peek(self, ino: int) -> InodeRecord:
         if not 1 <= ino <= self.sb.inodes_count:
             raise FSError(Errno.EUCLEAN, f"inode number {ino} out of range")
         block, off = self.config.inode_location(ino)
-        raw = self._meta_bread(block)
-        return inode_slot(raw, off)
+        return inode_record(self._meta_bread(block)[off:off + INODE_SIZE])
+
+    def _node_get(self, ino: int) -> Inode:
+        return Inode.from_record(self._node_peek(ino))
 
     def _node_put(self, ino: int, inode: Inode) -> None:
         block, off = self.config.inode_location(ino)
@@ -584,7 +589,7 @@ class Ext3(JournaledFS):
             span = p ** (level - 1)
             slot, idx = divmod(idx, span)
             raw = self._meta_bread(block, modifying=allocate)
-            ptrs = unpack_pointer_block(raw, p)
+            ptrs = (unpack_pointer_block if allocate else pointer_block_record)(raw, p)
             nxt = ptrs[slot]
             if nxt == 0:
                 if not allocate:
@@ -630,7 +635,7 @@ class Ext3(JournaledFS):
         freed = 0
         if levels >= 1:
             raw = self._meta_bread(root)
-            for ptr in unpack_pointer_block(raw, p):
+            for ptr in pointer_block_record(raw, p):
                 if ptr == 0:
                     continue
                 if levels == 1:
@@ -858,7 +863,7 @@ class Ext3(JournaledFS):
         if not 0 < root < self.device.num_blocks:
             return
         types[root] = "indirect"
-        for ptr in unpack_pointer_block(peek(root), p):
+        for ptr in pointer_block_record(peek(root), p):
             if not 0 < ptr < self.device.num_blocks:
                 continue
             if levels == 1:

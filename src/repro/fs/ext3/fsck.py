@@ -31,16 +31,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.bitmap import Bitmap
-from repro.common.structs import U16x2
 from repro.disk.disk import BlockDevice
-from repro.fs.ext3.config import NUM_DIRECT, ROOT_INO, Ext3Config
+from repro.fs.ext3.config import INODE_SIZE, NUM_DIRECT, ROOT_INO, Ext3Config
 from repro.fs.ext3.structures import (
     DirEntry,
     FT_DIR,
     FT_REG,
     Inode,
     Superblock,
-    inode_slot,
+    dir_block_record,
+    iter_allocated_inodes,
     pack_dir_block,
     pack_gdt,
     patch_inode_block,
@@ -115,22 +115,14 @@ class Ext3Fsck:
     # -- passes -------------------------------------------------------------------
 
     def _load_inodes(self) -> None:
-        # One read per table block (not per inode slot), and a two-field
-        # probe to skip free slots without building an Inode for them.
+        # One read per table block; a free slot is skipped on a probe.
         cfg = self.config
-        read = self.device.read_block
-        probe = U16x2.unpack_from
-        raw = b""
-        last_block = -1
-        for ino in range(1, cfg.total_inodes + 1):
-            block, off = cfg.inode_location(ino)
-            if block != last_block:
-                raw = read(block)
-                last_block = block
-            mode, links = probe(raw, off)
-            if links == 0 and mode == 0:
-                continue  # Inode.is_allocated is False
-            self._inodes[ino] = inode_slot(raw, off)
+        ipb = cfg.inodes_per_block
+        for first in range(1, cfg.total_inodes + 1, ipb):
+            raw = self.device.read_block(cfg.inode_location(first)[0])
+            for slot, _ in iter_allocated_inodes(raw, ipb):
+                off = slot * INODE_SIZE
+                self._inodes[first + slot] = Inode.unpack(raw[off:off + INODE_SIZE])
 
     def _valid_data_block(self, bno: int) -> bool:
         g = self.config.group_of_block(bno)
@@ -216,7 +208,7 @@ class Ext3Fsck:
             changed = False
             for bno in self._dir_blocks(inode):
                 raw = self.device.read_block(bno)
-                for entry in unpack_dir_block(raw):
+                for entry in dir_block_record(raw):
                     bad = (
                         not 1 <= entry.ino <= self.sb.inodes_count
                         or entry.ino not in self._inodes
@@ -284,7 +276,7 @@ class Ext3Fsck:
             return
         bs = self.config.block_size
         raw = self.device.read_block(root_blocks[0])
-        entries = unpack_dir_block(raw)
+        entries = unpack_dir_block(raw)  # appended to below: fsck's own copy
         lf_ino = next((e.ino for e in entries if e.name == "lost+found"), None)
         if lf_ino is None:
             # Reuse the first orphan directory as lost+found, or attach

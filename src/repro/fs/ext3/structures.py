@@ -4,11 +4,11 @@ operate on real bytes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from struct import Struct
 from typing import List, NamedTuple, Tuple
 
-from repro.common.structs import DecodeMemo, U16x2, interned, u32_seq
+from repro.common.structs import DecodeMemo, U16x2, frozen_record, interned, u32_seq
 from repro.fs.ext3.config import INODE_SIZE, NUM_DIRECT, Ext3Config
 from repro.vfs.stat import FT_DIR, FT_REG, FT_SYMLINK  # noqa: F401  (re-exported)
 
@@ -174,10 +174,6 @@ class GroupDescriptor:
             self.data_blocks,
         )
 
-    @classmethod
-    def unpack(cls, data: bytes) -> "GroupDescriptor":
-        return cls(*_GD_STRUCT.unpack_from(data))
-
 
 def pack_gdt(descriptors: List[GroupDescriptor], block_size: int) -> bytes:
     payload = b"".join(d.pack() for d in descriptors)
@@ -199,8 +195,8 @@ def unpack_gdt(data: bytes, num_groups: int) -> List[GroupDescriptor]:
 _INODE_STRUCT = Struct("<HHHHQdddI" + "I" * NUM_DIRECT + "IIIIII")
 _INODE_USED = _INODE_STRUCT.size
 assert _INODE_USED <= INODE_SIZE, _INODE_USED
-#: Keyed on the 128-byte slot, not the table block: the memo retains
-#: the slot alone, and a neighbour changing evicts nothing.
+#: :class:`InodeRecord` per 128-byte slot, not per table block: the
+#: memo retains the slot alone, and a neighbour changing evicts nothing.
 _INODE_MEMO = DecodeMemo(256)
 
 
@@ -252,22 +248,29 @@ class Inode:
 
     @classmethod
     def unpack(cls, data: bytes) -> "Inode":
-        parts = _INODE_MEMO.get(data)
-        if parts is None:
-            f = _INODE_STRUCT.unpack_from(data)
-            parts = _INODE_MEMO.put(
-                (f[:9], f[9:9 + NUM_DIRECT], f[9 + NUM_DIRECT:]), data)
-        head, direct, tail = parts
-        return cls(*head, list(direct), *tail)
+        """A fresh inode, to change, from the shared record of *data*."""
+        return cls.from_record(inode_record(data))
 
-    def copy(self) -> "Inode":
-        out = replace(self)
-        out.direct = list(self.direct)
-        return out
+    @classmethod
+    def from_record(cls, rec: "InodeRecord") -> "Inode":
+        return cls(*rec[:9], list(rec.direct), *rec[10:])
 
     @property
     def is_allocated(self) -> bool:
         return self.links > 0 or self.mode != 0
+
+
+InodeRecord = frozen_record(Inode, "InodeRecord")
+
+
+def inode_record(data: bytes) -> InodeRecord:
+    """The shared decode of one 128-byte inode slot."""
+    rec = _INODE_MEMO.get(data)
+    if rec is None:
+        f = _INODE_STRUCT.unpack_from(data)
+        rec = _INODE_MEMO.put(InodeRecord(
+            *f[:9], f[9:9 + NUM_DIRECT], *f[9 + NUM_DIRECT:]), data)
+    return rec
 
 
 _DIRENT_HDR = Struct("<IBB")
@@ -304,15 +307,18 @@ _DIR_MEMO = DecodeMemo(128)
 
 
 def unpack_dir_block(data: bytes) -> List[DirEntry]:
-    """Parse a directory block.
+    """A directory block's entries, in a fresh list to change."""
+    return list(dir_block_record(data))
 
-    Deliberately tolerant: ext3 performs *no* type checking on directory
-    blocks (§5.1), so garbage parses into garbage entries or an early
-    stop — exactly the blind behaviour the paper documents.
-    """
+
+def dir_block_record(data: bytes) -> Tuple[DirEntry, ...]:
+    """Parse a directory block into the entries every reader shares:
+    deliberately tolerant, as ext3 performs *no* type checking on
+    directory blocks (§5.1), so garbage parses into garbage entries or an
+    early stop — exactly the blind behaviour the paper documents."""
     cached = _DIR_MEMO.get(data)
     if cached is not None:
-        return list(cached)
+        return cached
     entries: List[DirEntry] = []
     off = 0
     n = len(data)
@@ -328,8 +334,7 @@ def unpack_dir_block(data: bytes) -> List[DirEntry]:
         off += name_len
         if ino != 0:
             entries.append(DirEntry(ino, ftype, name))
-    _DIR_MEMO.put(tuple(entries), data)
-    return entries
+    return _DIR_MEMO.put(tuple(entries), data)
 
 
 def pack_pointer_block(pointers: List[int], block_size: int, nptrs: int) -> bytes:
@@ -344,23 +349,20 @@ _POINTER_MEMO = DecodeMemo(128)
 
 
 def unpack_pointer_block(data: bytes, nptrs: int) -> List[int]:
-    ptrs = _POINTER_MEMO.get(data, nptrs)
-    if ptrs is None:
-        ptrs = _POINTER_MEMO.put(u32_seq(nptrs).unpack_from(data), data, nptrs)
-    return list(ptrs)
+    """An indirect block's pointers, in a fresh list to change."""
+    return list(pointer_block_record(data, nptrs))
 
 
-def inode_slot(table_block_payload: bytes, offset: int) -> Inode:
-    return Inode.unpack(table_block_payload[offset:offset + INODE_SIZE])
+def pointer_block_record(data: bytes, nptrs: int) -> Tuple[int, ...]:
+    """An indirect block's pointers, in the tuple every reader shares."""
+    return (_POINTER_MEMO.get(data, nptrs)
+            or _POINTER_MEMO.put(u32_seq(nptrs).unpack_from(data), data, nptrs))
 
 
 def iter_allocated_inodes(table_block_payload, inodes_per_block: int):
-    """Yield ``(slot, raw-field tuple)`` for each allocated inode slot in
-    one table block, skipping free slots on a two-field header probe.
-    The tuple layout matches ``Inode.unpack``'s field order; callers
-    index it directly to avoid materializing an :class:`Inode` per slot
-    (the type-oracle rebuild walks every slot of every table block).
-    Accepts ``bytes`` or a zero-copy ``memoryview``."""
+    """Yield ``(slot, raw-field tuple)`` (:class:`Inode`'s field order)
+    for each allocated slot of one table block, ``bytes`` or a
+    ``memoryview``, skipping free slots on a two-field header probe."""
     probe = U16x2.unpack_from
     unpack = _INODE_STRUCT.unpack_from
     for slot in range(inodes_per_block):

@@ -350,7 +350,7 @@ class Ixt3(Ext3):
         nblocks = (inode.size + bs - 1) // bs
         for fb in range(nblocks):
             try:
-                bno, _ = self._bmap(inode.copy(), fb, allocate=False)
+                bno, _ = self._bmap(inode, fb, allocate=False)
             except FSError:
                 return None
             if bno == 0 or bno == skip_block:

@@ -5,14 +5,14 @@ copies, §5.1)."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Optional
 
 from repro.common.checksum import SHA1_SIZE, sha1_many
 from repro.disk.disk import BlockDevice
 from repro.fs.ext3.config import Ext3Config
 from repro.fs.ext3.mkfs import mkfs_ext3
-from repro.common.structs import U32x2
+from repro.common.structs import U32x2, interned
 from repro.fs.ext3.structures import (
     FEAT_DATA_CSUM,
     FEAT_DATA_PARITY,
@@ -64,10 +64,11 @@ def ixt3_config(base: Ext3Config,
                       replica_blocks=replica_blocks)
         needed = (cfg.total_blocks + per - 1) // per
         if needed == checksum_blocks:
-            return cfg
+            break
         checksum_blocks = needed
-    return replace(base, checksum_blocks=checksum_blocks,
-                   replica_blocks=replica_blocks)
+    # Interned, so every volume of one geometry shares its derived layout.
+    return interned(Ext3Config, **{**asdict(base), "checksum_blocks": checksum_blocks,
+                                   "replica_blocks": replica_blocks})
 
 
 def _static_meta_blocks(cfg: Ext3Config):

@@ -49,8 +49,10 @@ from repro.fs.jfs.journal import RecordJournal
 from repro.fs.jfs.structures import (
     AggregateInode,
     JFSInode,
+    JFSInodeRecord,
     JFSSuper,
     check_inode_block,
+    inode_record,
     iter_allocated_inodes,
     pack_dir_block,
     pack_map_block,
@@ -276,12 +278,15 @@ class JFS(JournaledFS):
     # Inodes
     # ==================================================================
 
-    def _node_get(self, ino: int) -> JFSInode:
+    def _node_peek(self, ino: int) -> JFSInodeRecord:
         if not 1 <= ino <= self.sb.num_inodes:
             raise FSError(Errno.EUCLEAN, f"inode number {ino} out of range")
         block, off = self.config.inode_location(ino)
         raw = self._meta_bread(block, check="inode")
-        return JFSInode.unpack(raw[off:off + self.config.inode_size])
+        return inode_record(raw[off:off + self.config.inode_size])
+
+    def _node_get(self, ino: int) -> JFSInode:
+        return JFSInode.from_record(self._node_peek(ino))
 
     def _node_put(self, ino: int, inode: JFSInode) -> None:
         block, off = self.config.inode_location(ino)
@@ -346,11 +351,11 @@ class JFS(JournaledFS):
     def _dir_child_in_range(self, ino: int) -> bool:
         return 0 < ino <= self.sb.num_inodes
 
-    def _dir_lookup_scan(self, ino: int, inode: Optional[JFSInode]):
+    def _dir_lookup_scan(self, ino: int, inode: Optional[JFSInodeRecord]):
         # The caller's copy goes unused: this code has always re-read
         # the directory inode, and the fingerprints count that read.
         return map(self._dir_block_load,
-                   self._dir_blocks(ino, self._node_get(ino)))
+                   self._dir_blocks(ino, self._node_peek(ino)))
 
     # ==================================================================
     # Extent tree (file block mapping)

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from repro.common.bitmap import Bitmap
 from repro.common.errors import CorruptionDetected
-from repro.common.structs import DecodeMemo, U16x2, U32x2, U32x3, u32_seq
+from repro.common.structs import DecodeMemo, U16x2, U32x2, U32x3, frozen_record, u32_seq
 
 JFS_MAGIC = 0x3153464A  # "JFS1"
 JFS_VERSION = 2
@@ -52,10 +52,8 @@ class JFSSuper:
 
     @classmethod
     def unpack(cls, data: bytes) -> "JFSSuper":
-        fields = _SB_MEMO.get(data)
-        if fields is None:
-            fields = _SB_MEMO.put(_SB_STRUCT.unpack_from(data), data)
-        return cls(*fields)
+        return cls(*(_SB_MEMO.get(data)
+                     or _SB_MEMO.put(_SB_STRUCT.unpack_from(data), data)))
 
     def is_valid(self) -> bool:
         """Magic and version check (D_sanity, §5.3)."""
@@ -99,16 +97,28 @@ class JFSInode:
 
     @classmethod
     def unpack(cls, data: bytes) -> "JFSInode":
-        parts = _INODE_MEMO.get(data)
-        if parts is None:
-            f = _INODE_STRUCT.unpack_from(data)
-            parts = _INODE_MEMO.put((f[:8], f[8:16], f[16:]), data)
-        head, direct, tail = parts
-        return cls(*head, list(direct), *tail)
+        """A fresh inode, to change, from the shared record of *data*."""
+        return cls.from_record(inode_record(data))
+
+    @classmethod
+    def from_record(cls, rec: "JFSInodeRecord") -> "JFSInode":
+        return cls(*rec[:8], list(rec.direct), *rec[9:])
 
     @property
     def is_allocated(self) -> bool:
         return self.links > 0 or self.mode != 0
+
+
+JFSInodeRecord = frozen_record(JFSInode, "JFSInodeRecord")
+
+
+def inode_record(data: bytes) -> JFSInodeRecord:
+    """The shared decode of one inode slot."""
+    rec = _INODE_MEMO.get(data)
+    if rec is None:
+        f = _INODE_STRUCT.unpack_from(data)
+        rec = _INODE_MEMO.put(JFSInodeRecord(*f[:8], f[8:16], *f[16:]), data)
+    return rec
 
 
 def pack_inode_block(inodes: List[Optional[JFSInode]], block_size: int,
@@ -252,10 +262,8 @@ class AggregateInode:
 
     @classmethod
     def unpack(cls, data: bytes) -> "AggregateInode":
-        fields = _AGGR_MEMO.get(data)
-        if fields is None:
-            fields = _AGGR_MEMO.put(_AGGR_STRUCT.unpack_from(data), data)
-        return cls(*fields)
+        return cls(*(_AGGR_MEMO.get(data)
+                     or _AGGR_MEMO.put(_AGGR_STRUCT.unpack_from(data), data)))
 
     def is_valid(self) -> bool:
         return self.magic == AGGR_MAGIC

@@ -33,10 +33,12 @@ from repro.fs.ntfs.structures import (
     BootFile,
     FLAG_IN_USE,
     FLAG_IS_DIR,
+    FrozenMFTRecord,
     MFTRecord,
     NUM_RUNS,
     ROOT_MFT,
     FIRST_USER_MFT,
+    mft_record,
     pack_index_block,
     unpack_index_block,
 )
@@ -176,12 +178,15 @@ class NTFS(JournaledFS):
             raise FSError(Errno.EUCLEAN, f"MFT number {mft} out of range")
         return self.boot.mft_start + mft
 
-    def _node_get(self, mft: int) -> MFTRecord:
+    def _node_peek(self, mft: int) -> FrozenMFTRecord:
         raw = self._meta_bread(self._mft_block(mft))
         try:
-            return MFTRecord.unpack(raw, self._mft_block(mft))
+            return mft_record(raw, self._mft_block(mft))
         except CorruptionDetected as exc:
             raise self._sanity_violation(exc) from exc
+
+    def _node_get(self, mft: int) -> MFTRecord:
+        return MFTRecord.from_record(self._node_peek(mft))
 
     def _node_put(self, mft: int, record: MFTRecord) -> None:
         self.journal.add_meta(self._mft_block(mft), record.pack(self.block_size))
@@ -293,7 +298,7 @@ class NTFS(JournaledFS):
         # The caller's copy goes unused: this code has always re-read
         # the directory's record, and loaded every index block before
         # comparing a name; the fingerprints count those reads.
-        return [self._dir_entries(mft, self._node_get(mft))]
+        return [self._dir_entries(mft, self._node_peek(mft))]
 
     # -- allocation --------------------------------------------------------------
 
@@ -381,7 +386,7 @@ class NTFS(JournaledFS):
         types: Dict[int, str] = {}
         for block in range(boot.mft_start, boot.mft_start + boot.mft_records):
             try:
-                rec = MFTRecord.unpack(peek(block), block)
+                rec = mft_record(peek(block), block)
             except CorruptionDetected:
                 continue
             if not rec.in_use:

@@ -15,7 +15,7 @@ from struct import Struct
 from typing import List, Tuple
 
 from repro.common.errors import CorruptionDetected
-from repro.common.structs import DecodeMemo
+from repro.common.structs import DecodeMemo, frozen_record
 
 BOOT_MAGIC = b"NTFS    "
 FILE_MAGIC = b"FILE"
@@ -98,16 +98,12 @@ class MFTRecord:
 
     @classmethod
     def unpack(cls, data: bytes, block: int) -> "MFTRecord":
-        parts = _MFT_MEMO.get(data)
-        if parts is None:
-            f = _MFT_STRUCT.unpack_from(data)
-            if f[0] != FILE_MAGIC:
-                raise CorruptionDetected(block, "MFT record magic invalid")
-            # Declaration order: flags, links, mode, uid, gid, size, times.
-            parts = _MFT_MEMO.put(
-                ((f[1], f[2], f[5], f[3], f[4], *f[7:11]), f[11:11 + NUM_RUNS]), data)
-        head, runs = parts
-        return cls(*head, list(runs))
+        """A fresh record, to change, from the shared decode of *data*."""
+        return cls.from_record(mft_record(data, block))
+
+    @classmethod
+    def from_record(cls, rec: "FrozenMFTRecord") -> "MFTRecord":
+        return cls(*rec[:9], list(rec.runs))
 
     @property
     def in_use(self) -> bool:
@@ -116,6 +112,22 @@ class MFTRecord:
     @property
     def is_dir(self) -> bool:
         return bool(self.flags & FLAG_IS_DIR)
+
+
+FrozenMFTRecord = frozen_record(MFTRecord, "FrozenMFTRecord", "in_use", "is_dir")
+
+
+def mft_record(data: bytes, block: int) -> FrozenMFTRecord:
+    """The shared decode of one MFT record block, magic checked."""
+    rec = _MFT_MEMO.get(data)
+    if rec is None:
+        f = _MFT_STRUCT.unpack_from(data)
+        if f[0] != FILE_MAGIC:
+            raise CorruptionDetected(block, "MFT record magic invalid")
+        # Declaration order: flags, links, mode, uid, gid, size, times.
+        rec = _MFT_MEMO.put(FrozenMFTRecord(
+            f[1], f[2], f[5], f[3], f[4], *f[7:11], f[11:11 + NUM_RUNS]), data)
+    return rec
 
 
 _INDX_HDR = Struct("<4sII")  # magic, nentries, pad

@@ -21,7 +21,7 @@ from struct import Struct
 from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import CorruptionDetected
-from repro.common.structs import DecodeMemo, U32, u32_seq
+from repro.common.structs import DecodeMemo, U32, frozen_record, u32_seq
 
 # Item types, in key sort order.
 IT_STAT = 0
@@ -70,9 +70,6 @@ class Node:
     def is_leaf(self) -> bool:
         return self.level == 1
 
-    def nitems(self) -> int:
-        return len(self.items) if self.is_leaf else len(self.keys)
-
     # -- serialization ------------------------------------------------------
 
     def pack(self, block_size: int) -> bytes:
@@ -107,66 +104,76 @@ class Node:
 
     @classmethod
     def unpack(cls, data: bytes, block: int) -> "Node":
-        """Parse and sanity-check a node (D_sanity: level, item count,
-        free space are all verified — §5.2)."""
-        seen = _NODE_MEMO.get(data)
-        if seen is not None:
-            level, items, keys, children = seen
-            return cls(level, list(items), list(keys), list(children))
-        level, nitems, free, _pad = _HDR_STRUCT.unpack_from(data)
-        if not 1 <= level <= MAX_HEIGHT:
-            raise CorruptionDetected(block, f"tree node level {level} out of range")
-        bs = len(data)
-        if level == 1:
-            if _HDR_SIZE + nitems * _IHEAD_SIZE > bs:
-                raise CorruptionDetected(block, f"leaf item count {nitems} impossible")
-            items: List[Item] = []
-            total_body = 0
-            for i in range(nitems):
-                f = _IHEAD_STRUCT.unpack_from(data, _HDR_SIZE + i * _IHEAD_SIZE)
-                key = (f[0], f[1], f[2], f[3])
-                length, loc = f[4], f[5]
-                if loc + length > bs or loc < _HDR_SIZE:
-                    raise CorruptionDetected(block, "leaf item body out of bounds")
-                items.append(Item(key, bytes(data[loc:loc + length])))
-                total_body += length
-            expect_free = bs - _HDR_SIZE - nitems * _IHEAD_SIZE - total_body
-            if free != expect_free:
-                raise CorruptionDetected(block, "leaf free-space field inconsistent")
-            _NODE_MEMO.put((1, tuple(items), (), ()), data)
-            return cls(level=1, items=items)
-        nkeys = nitems
-        need = _HDR_SIZE + nkeys * _KEY_SIZE + (nkeys + 1) * 4
-        if need > bs:
-            raise CorruptionDetected(block, f"internal key count {nkeys} impossible")
-        keys: List[Key] = []
-        off = _HDR_SIZE
-        for _ in range(nkeys):
-            f = _KEY_STRUCT.unpack_from(data, off)
-            keys.append((f[0], f[1], f[2], f[3]))
-            off += _KEY_SIZE
-        children = list(u32_seq(nkeys + 1).unpack_from(data, off))
-        expect_free = bs - need
+        """A fresh node, to change, from the shared record of *data*."""
+        return cls.from_record(node_record(data, block))
+
+    @classmethod
+    def from_record(cls, rec) -> "Node":
+        return cls(rec.level, list(rec.items), list(rec.keys), list(rec.children))
+
+
+NodeRecord = frozen_record(Node, "NodeRecord", "is_leaf")
+
+
+def node_record(data: bytes, block: int) -> NodeRecord:
+    """Parse and sanity-check a node (D_sanity: level, item count,
+    free space are all verified — §5.2)."""
+    seen = _NODE_MEMO.get(data)
+    if seen is not None:
+        return seen
+    level, nitems, free, _pad = _HDR_STRUCT.unpack_from(data)
+    if not 1 <= level <= MAX_HEIGHT:
+        raise CorruptionDetected(block, f"tree node level {level} out of range")
+    bs = len(data)
+    if level == 1:
+        if _HDR_SIZE + nitems * _IHEAD_SIZE > bs:
+            raise CorruptionDetected(block, f"leaf item count {nitems} impossible")
+        items: List[Item] = []
+        total_body = 0
+        for i in range(nitems):
+            f = _IHEAD_STRUCT.unpack_from(data, _HDR_SIZE + i * _IHEAD_SIZE)
+            key = (f[0], f[1], f[2], f[3])
+            length, loc = f[4], f[5]
+            if loc + length > bs or loc < _HDR_SIZE:
+                raise CorruptionDetected(block, "leaf item body out of bounds")
+            items.append(Item(key, bytes(data[loc:loc + length])))
+            total_body += length
+        expect_free = bs - _HDR_SIZE - nitems * _IHEAD_SIZE - total_body
         if free != expect_free:
-            raise CorruptionDetected(block, "internal free-space field inconsistent")
-        prev = None
-        for key in keys:
-            if prev is not None and key < prev:
-                raise CorruptionDetected(block, "internal keys out of order")
-            prev = key
-        _NODE_MEMO.put((level, (), tuple(keys), tuple(children)), data)
-        return cls(level=level, keys=keys, children=children)
+            raise CorruptionDetected(block, "leaf free-space field inconsistent")
+        return _NODE_MEMO.put(NodeRecord(1, tuple(items), (), ()), data)
+    nkeys = nitems
+    need = _HDR_SIZE + nkeys * _KEY_SIZE + (nkeys + 1) * 4
+    if need > bs:
+        raise CorruptionDetected(block, f"internal key count {nkeys} impossible")
+    keys: List[Key] = []
+    off = _HDR_SIZE
+    for _ in range(nkeys):
+        f = _KEY_STRUCT.unpack_from(data, off)
+        keys.append((f[0], f[1], f[2], f[3]))
+        off += _KEY_SIZE
+    children = u32_seq(nkeys + 1).unpack_from(data, off)
+    expect_free = bs - need
+    if free != expect_free:
+        raise CorruptionDetected(block, "internal free-space field inconsistent")
+    prev = None
+    for key in keys:
+        if prev is not None and key < prev:
+            raise CorruptionDetected(block, "internal keys out of order")
+        prev = key
+    return _NODE_MEMO.put(NodeRecord(level, (), tuple(keys), children), data)
 
 
 # I/O callbacks supplied by the file system.
-ReadNode = Callable[[int, int], Node]        # (block, retries) -> Node
+ReadNode = Callable[[int, int], NodeRecord]  # (block, retries) -> NodeRecord
 WriteNode = Callable[[int, "Node"], None]
 AllocBlock = Callable[[str], int]            # kind -> block
 FreeBlock = Callable[[int], None]
 
 
 class BTree:
-    """Insert / delete / search / range-scan over on-disk nodes."""
+    """Insert / delete / search / range-scan over on-disk nodes: a search
+    reads the shared records ``read_node`` returns, an update copies."""
 
     def __init__(
         self,
@@ -190,9 +197,9 @@ class BTree:
 
     # -- search ----------------------------------------------------------------
 
-    def _descend(self, key: Key, retries: int = 0) -> List[Tuple[int, Node]]:
-        """Path of (block, node) from root to the leaf covering *key*."""
-        path: List[Tuple[int, Node]] = []
+    def _descend(self, key: Key, retries: int = 0) -> List[Tuple[int, NodeRecord]]:
+        """Path of (block, record) from root to the leaf covering *key*."""
+        path: List[Tuple[int, NodeRecord]] = []
         block = self.root_block
         for _ in range(MAX_HEIGHT + 1):
             node = self.read_node(block, retries)
@@ -202,6 +209,9 @@ class BTree:
             idx = bisect_right(node.keys, key)
             block = node.children[idx]
         raise CorruptionDetected(block, "tree deeper than maximum height")
+
+    def _descend_to_change(self, key: Key, retries: int = 0) -> List[Tuple[int, Node]]:
+        return [(b, Node.from_record(node)) for b, node in self._descend(key, retries)]
 
     def lookup(self, key: Key, retries: int = 0) -> Optional[Item]:
         path = self._descend(key, retries)
@@ -239,7 +249,7 @@ class BTree:
     def insert(self, item: Item, retries: int = 0) -> None:
         if self.lookup(item.key, retries) is not None:
             raise ValueError(f"duplicate key {item.key}")
-        path = self._descend(item.key, retries)
+        path = self._descend_to_change(item.key, retries)
         self._insert_at(path, item)
 
     def replace(self, item: Item, retries: int = 0) -> None:
@@ -301,7 +311,7 @@ class BTree:
     # -- delete --------------------------------------------------------------------
 
     def delete(self, key: Key, retries: int = 0) -> Item:
-        path = self._descend(key, retries)
+        path = self._descend_to_change(key, retries)
         block, leaf = path[-1]
         for i, item in enumerate(leaf.items):
             if item.key == key:

@@ -50,6 +50,8 @@ from repro.fs.reiserfs.btree import (
     IT_STAT,
     Item,
     Node,
+    NodeRecord,
+    node_record,
 )
 from repro.fs.reiserfs.config import ReiserConfig
 from repro.fs.reiserfs.structures import (
@@ -338,7 +340,7 @@ class ReiserFS(JournaledFS):
         self.tree.replace(Item((pair[0], pair[1], 0, IT_STAT), st.pack()))
 
     def _stat_of(self, pair: Pair) -> StatResult:
-        st = self._node_get(pair)
+        st = self._node_peek(pair)
         return StatResult(ino=pair[1], mode=st.mode, nlink=st.links, uid=st.uid,
                           gid=st.gid, size=st.size, atime=st.atime,
                           mtime=st.mtime, ctime=st.ctime)
@@ -427,7 +429,7 @@ class ReiserFS(JournaledFS):
         # same outcome every other file system here reports.  Every
         # directory primitive looks the stat item up here, so a copy
         # the caller already holds goes unused.
-        if not _stat.S_ISDIR(self._node_get(pair).mode):
+        if not _stat.S_ISDIR(self._node_peek(pair).mode):
             raise FSError(Errno.ENOTDIR, "not a directory")
 
     def _dir_entries(self, pair: Pair,
@@ -439,43 +441,37 @@ class ReiserFS(JournaledFS):
             out.append((child, ftype, name))
         return out
 
-    def _dir_find(self, pair: Pair, name: str,
-                  st: Optional[StatBody] = None) -> Optional[Tuple[Pair, int]]:
-        self._require_dir(pair)
-        h = name_hash(name)
-        for probe in range(16):
-            item = self.tree.lookup((pair[0], pair[1], h + probe, IT_DIRENTRY))
-            if item is None:
-                return None
-            child, ftype, found = unpack_dirent_body(item.body)
-            if found == name:
-                return child, ftype
-        return None
-
-    def _dir_add(self, pair: Pair, name: str, child: Pair, ftype: int) -> None:
+    def _dir_chain(self, pair: Pair, name: str):
+        """The hash chain *name* probes in directory *pair*: ``(key,
+        (child, ftype, name))`` per entry, ending at ``(free key, None)``."""
         self._require_dir(pair)
         h = name_hash(name)
         for probe in range(16):
             key = (pair[0], pair[1], h + probe, IT_DIRENTRY)
             item = self.tree.lookup(key)
+            yield key, item and unpack_dirent_body(item.body)
             if item is None:
+                return
+
+    def _dir_find(self, pair: Pair, name: str,
+                  st: Optional[StatBody] = None) -> Optional[Tuple[Pair, int]]:
+        for _, entry in self._dir_chain(pair, name):
+            if entry is None or entry[2] == name:
+                return entry and entry[:2]
+        return None
+
+    def _dir_add(self, pair: Pair, name: str, child: Pair, ftype: int) -> None:
+        for key, entry in self._dir_chain(pair, name):
+            if entry is None:
                 self.tree.insert(Item(key, pack_dirent_body(child, ftype, name)))
                 return
-            _, _, found = unpack_dirent_body(item.body)
-            if found == name:
+            if entry[2] == name:
                 raise FSError(Errno.EEXIST, name)
         raise FSError(Errno.ENOSPC, "directory hash chain exhausted")
 
     def _dir_remove(self, pair: Pair, name: str) -> None:
-        self._require_dir(pair)
-        h = name_hash(name)
-        for probe in range(16):
-            key = (pair[0], pair[1], h + probe, IT_DIRENTRY)
-            item = self.tree.lookup(key)
-            if item is None:
-                break
-            _, _, found = unpack_dirent_body(item.body)
-            if found == name:
+        for key, entry in self._dir_chain(pair, name):
+            if entry is not None and entry[2] == name:
                 self.tree.delete(key)
                 return
         raise FSError(Errno.ENOENT, name)
@@ -488,7 +484,7 @@ class ReiserFS(JournaledFS):
     # Node and data I/O with ReiserFS's failure policy
     # ==================================================================
 
-    def _node_read(self, block: int, retries: int = 0) -> Node:
+    def _node_read(self, block: int, retries: int = 0) -> NodeRecord:
         cached = self.journal.cached(block) if self.journal else None
         if cached is not None:
             raw = cached
@@ -501,7 +497,7 @@ class ReiserFS(JournaledFS):
                                       mechanism="error-code", block=block)
                 raise FSError(Errno.EIO, f"tree block {block} unreadable") from exc
         try:
-            return Node.unpack(raw, block)
+            return node_record(raw, block)
         except CorruptionDetected as exc:
             self.syslog.detection(self.name, "sanity-fail", str(exc),
                                   mechanism="sanity", block=block)
@@ -678,7 +674,7 @@ class ReiserFS(JournaledFS):
         if depth > 8 or not 0 < block < self.device.num_blocks:
             return
         try:
-            node = Node.unpack(peek(block), block)
+            node = node_record(peek(block), block)
         except CorruptionDetected:
             return
         if node.is_leaf:

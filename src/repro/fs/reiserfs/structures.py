@@ -50,11 +50,8 @@ class ReiserSuper:
 
     @classmethod
     def unpack(cls, data: bytes) -> "ReiserSuper":
-        fields = _SB_MEMO.get(data)
-        if fields is None:
-            fields = _SB_MEMO.put(
-                _SB_STRUCT.unpack_from(data) + U32.unpack_from(data, _SB_SIZE), data)
-        return cls(*fields)
+        return cls(*(_SB_MEMO.get(data) or _SB_MEMO.put(
+            _SB_STRUCT.unpack_from(data) + U32.unpack_from(data, _SB_SIZE), data)))
 
     def is_valid(self) -> bool:
         """ReiserFS superblock magic check (D_sanity, §5.2)."""

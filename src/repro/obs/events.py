@@ -96,9 +96,6 @@ class IOEvent(StorageEvent):
     def is_read(self) -> bool:
         return self.op == "read"
 
-    def is_write(self) -> bool:
-        return self.op == "write"
-
 
 #: Interned :class:`IOEvent`\ s by field tuple.  A device-boundary event
 #: is a frozen value over a small domain (a scrub or rebuild observes

@@ -55,6 +55,8 @@ class BufferLayer:
         """Read one block, retrying per the generic policy.  Raises
         :class:`ReadError` after all attempts fail."""
         attempts = 1 + (self.read_retries if retries is None else retries)
+        if attempts == 1:
+            return self.device.read_block(block)
         last: Optional[DiskError] = None
         for attempt in range(attempts):
             try:

@@ -3,15 +3,19 @@
 Every metadata block decoder keeps one payload-keyed memo of what it
 has decoded.  That is sound only under the rules on ``DecodeMemo``: the
 key is the payload plus every other decoder input and never the block
-number, a failed decode is never stored, what is stored is immutable
-and every caller gets a fresh mutable object, and each memo is bounded.
-These tests hold every memoised decoder to each rule, compare memoised
+number, a failed decode is never stored, and each memo is bounded.  The
+stored value is the immutable *record* that readers share (a file
+system's ``_node_peek``, a directory lookup, a read-only pointer walk);
+``unpack`` and ``_node_get`` callers get a fresh mutable object built
+from it.  These tests hold every memoised decoder to each rule, check
+that every record refuses assignment, equals a fresh decode field by
+field and survives changes to the fresh object, compare memoised
 against unmemoised decodes of damaged blocks, and run two drivers end
 to end with the memos off and warm.
 
-A mutation that stores a list a caller can reach, keys on the block
-number, stores a failure, or drops ``nptrs`` / ``fanout`` /
-``block_size`` from a key fails here.
+A mutation that stores a list a caller can reach, hands a reader a
+mutable object, keys on the block number, stores a failure, or drops
+``nptrs`` / ``fanout`` / ``block_size`` from a key fails here.
 """
 
 from __future__ import annotations
@@ -55,6 +59,11 @@ class Case:
     #: Whether the decoder takes a ``memoryview`` (the directory parsers
     #: call ``.decode`` on a slice, which a view does not have).
     views: bool = True
+    #: The decoder inputs besides the payload, as its memo keys them.
+    params: tuple = ()
+    #: ``(payload, block) -> `` the shared record, for the decoders
+    #: whose readers take it directly.
+    record: Optional[Callable[[Any, int], Any]] = None
 
 
 def _ext3_super(i):
@@ -81,18 +90,20 @@ CASES = [
          lambda d, b: ext3.Superblock.unpack(d), _ext3_super),
     Case("ext3-gdt", ext3._GDT_MEMO, lambda d, b: ext3.unpack_gdt(d, 2),
          lambda i: ext3.pack_gdt(
-             [ext3.GroupDescriptor(3, 4, 5, i, 7, 8, 9)] * 2, BS)),
+             [ext3.GroupDescriptor(3, 4, 5, i, 7, 8, 9)] * 2, BS), params=(2,)),
     Case("ext3-inode", ext3._INODE_MEMO,
-         lambda d, b: ext3.inode_slot(d, 0),
+         lambda d, b: ext3.Inode.unpack(d),
          lambda i: ext3.Inode(mode=0o100644, links=1, size=i,
-                              direct=[i + 1] * 12).pack()),
+                              direct=[i + 1] * 12).pack(),
+         record=lambda d, b: ext3.inode_record(d)),
     Case("ext3-dir", ext3._DIR_MEMO, lambda d, b: ext3.unpack_dir_block(d),
          lambda i: ext3.pack_dir_block(
              [(2, 2, "."), (2, 2, ".."), (i + 11, 1, f"file{i}")], BS),
-         views=False),
+         views=False, record=lambda d, b: ext3.dir_block_record(d)),
     Case("ext3-pointers", ext3._POINTER_MEMO,
          lambda d, b: ext3.unpack_pointer_block(d, 8),
-         lambda i: ext3.pack_pointer_block([i + 1] * 8, BS, 8)),
+         lambda i: ext3.pack_pointer_block([i + 1] * 8, BS, 8), params=(8,),
+         record=lambda d, b: ext3.pointer_block_record(d, 8)),
     Case("jfs-super", jfs._SB_MEMO, lambda d, b: jfs.JFSSuper.unpack(d),
          lambda i: jfs.JFSSuper(jfs.JFS_MAGIC, jfs.JFS_VERSION, BS, 800, 700,
                                 60, 64, 32, 8, 16, generation=i).pack(BS)),
@@ -101,34 +112,36 @@ CASES = [
          lambda i: jfs.AggregateInode(jfs.AGGR_MAGIC, 3, 4, 5, i).pack(BS)),
     Case("jfs-inode", jfs._INODE_MEMO, lambda d, b: jfs.JFSInode.unpack(d),
          lambda i: jfs.JFSInode(mode=0o100644, links=1, size=i,
-                                direct=[i + 1] * 8).pack(128)),
+                                direct=[i + 1] * 8).pack(128),
+         record=lambda d, b: jfs.inode_record(d)),
     Case("jfs-dir", jfs._DIR_MEMO, lambda d, b: jfs.unpack_dir_block(d, b, BS),
          lambda i: jfs.pack_dir_block([(i + 3, 1, f"file{i}")], BS),
-         corrupt=_BAD_COUNT, views=False),
+         corrupt=_BAD_COUNT, views=False, params=(BS,)),
     Case("jfs-tree", jfs._TREE_MEMO, lambda d, b: jfs.unpack_tree_block(d, b, 16),
          lambda i: jfs.pack_tree_block(1, [i + 1, i + 2], BS, 16),
-         corrupt=bytes(BS)),
+         corrupt=bytes(BS), params=(16,)),
     Case("ntfs-boot", ntfs._BOOT_MEMO, lambda d, b: ntfs.BootFile.unpack(d),
          lambda i: ntfs.BootFile(ntfs.BOOT_MAGIC, BS, 700 + i, 4, 64,
                                  70, 32, 2, 3).pack(BS)),
     Case("ntfs-mft", ntfs._MFT_MEMO, lambda d, b: ntfs.MFTRecord.unpack(d, b),
          lambda i: ntfs.MFTRecord(flags=ntfs.FLAG_IN_USE, links=1, mode=0o644,
                                   size=i, runs=[i + 1] * ntfs.NUM_RUNS).pack(BS),
-         corrupt=bytes(BS)),
+         corrupt=bytes(BS), record=ntfs.mft_record),
     Case("ntfs-index", ntfs._INDX_MEMO,
          lambda d, b: ntfs.unpack_index_block(d, b, BS),
          lambda i: ntfs.pack_index_block([(i + 16, 1, f"file{i}")], BS),
-         corrupt=bytes(BS), views=False),
+         corrupt=bytes(BS), views=False, params=(BS,)),
     Case("reiserfs-super", reiser._SB_MEMO,
          lambda d, b: reiser.ReiserSuper.unpack(d),
          lambda i: reiser.ReiserSuper(reiser.REISER_MAGIC, BS, 768, 700, 70, 1,
                                       i + 3, 1, 64, 65, 1, 66).pack(BS)),
     Case("reiserfs-leaf", reiser_tree._NODE_MEMO,
          lambda d, b: reiser_tree.Node.unpack(d, b), _reiser_leaf,
-         corrupt=bytes(BS)),
+         corrupt=bytes(BS), record=reiser_tree.node_record),
     Case("reiserfs-internal", reiser_tree._NODE_MEMO,
          lambda d, b: reiser_tree.Node.unpack(d, b), _reiser_internal,
-         corrupt=_reiser_internal(0)[:2] + b"\x09" + _reiser_internal(0)[3:]),
+         corrupt=_reiser_internal(0)[:2] + b"\x09" + _reiser_internal(0)[3:],
+         record=reiser_tree.node_record),
 ]
 
 by_case = pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
@@ -219,6 +232,90 @@ class TestDecodeMemo:
             assert memo.get(foreign) is None
             assert memo.put("other", foreign) == "other"
         assert len(memo) == 1 and memo.get(b"p") == "kept"
+
+
+def _assert_frozen(value):
+    """Every level of *value* refuses assignment."""
+    if isinstance(value, (int, float, str, bytes)):
+        return
+    if dataclasses.is_dataclass(value):
+        first = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, first, getattr(value, first))
+        for f in dataclasses.fields(value):
+            _assert_frozen(getattr(value, f.name))
+        return
+    assert isinstance(value, tuple), f"{type(value).__name__} in a record"
+    if hasattr(value, "_fields"):
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], value[0])
+    if value:
+        with pytest.raises(TypeError):
+            value[0] = value[0]
+    for item in value:
+        _assert_frozen(item)
+
+
+def _field_values(value):
+    """*value* field by field, every sequence a tuple: a record and a
+    fresh decode of one payload compare equal under it."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_field_values(getattr(value, f.name))
+                     for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(_field_values(item) for item in value)
+    return value
+
+
+def _same_fields(record, fresh) -> bool:
+    """Whether *record* holds what the fresh decode *fresh* does.  A
+    mount-time record stored as a plain tuple holds the fields on disk,
+    in declaration order; a later field is not stored and decodes to its
+    default."""
+    got, want = _field_values(record), _field_values(fresh)
+    if dataclasses.is_dataclass(fresh) and not hasattr(record, "_fields"):
+        rest = [f.default for f in dataclasses.fields(fresh)[len(got):]]
+        return got == want[:len(got)] and list(want[len(got):]) == rest
+    return got == want
+
+
+# -- the record readers share ----------------------------------------------------------
+
+
+@by_case
+def test_a_record_refuses_assignment_and_readers_share_it(case):
+    payload = case.valid(5)
+    case.decode(payload, 7)
+    record = case.memo.get(payload, *case.params)
+    assert record is not None
+    _assert_frozen(record)
+    if case.record is not None:
+        assert case.record(payload, 9) is record
+
+
+@by_case
+def test_a_record_equals_a_fresh_decode_field_by_field(case):
+    payload = case.valid(5)
+    with memos_off():
+        fresh = case.decode(payload, 7)
+    case.decode(payload, 7)
+    assert _same_fields(case.memo.get(payload, *case.params), fresh)
+    if case.record is not None:
+        with memos_off():
+            assert _same_fields(case.record(payload, 7), fresh)
+
+
+@by_case
+def test_changing_a_fresh_object_leaves_the_record_alone(case):
+    payload = case.valid(5)
+    first = case.decode(payload, 7)
+    record = case.memo.get(payload, *case.params)
+    want = _field_values(record)
+    _scramble(first)
+    _scramble(case.decode(payload, 9))
+    assert case.memo.get(payload, *case.params) is record
+    assert _field_values(record) == want
+    assert _same_fields(record, case.decode(payload, 7))
 
 
 # -- every decoder, rule by rule ----------------------------------------------------

@@ -5,13 +5,12 @@ import struct
 import pytest
 
 from repro.fs.ext3 import Ext3, mkfs_ext3
-from repro.fs.ext3.config import ROOT_INO
+from repro.fs.ext3.config import INODE_SIZE, ROOT_INO
 from repro.fs.ext3.fsck import fsck_ext3
 from repro.fs.ext3.structures import (
     DirEntry,
     FT_REG,
     Inode,
-    inode_slot,
     pack_dir_block,
     patch_inode_block,
     unpack_dir_block,
@@ -67,7 +66,7 @@ def corrupt_inode(disk, ino, mutate):
     cfg = EXT3_CFG
     block, off = cfg.inode_location(ino)
     raw = disk.peek(block)
-    inode = inode_slot(raw, off)
+    inode = Inode.unpack(raw[off:off + INODE_SIZE])
     mutate(inode)
     disk.poke(block, patch_inode_block(raw, off, inode))
 
@@ -92,7 +91,7 @@ class TestDetectionAndRepair:
         d_ino = inode_of(disk, "/d")
         cfg = EXT3_CFG
         block, off = cfg.inode_location(d_ino)
-        inode = inode_slot(disk.peek(block), off)
+        inode = Inode.unpack(disk.peek(block)[off:off + INODE_SIZE])
         dir_block = inode.direct[0]
         entries = unpack_dir_block(disk.peek(dir_block))
         entries.append(DirEntry(9999, FT_REG, "ghost"))
@@ -130,7 +129,7 @@ class TestDetectionAndRepair:
         # inode allocated but unreachable.
         cfg = EXT3_CFG
         block, off = cfg.inode_location(ROOT_INO)
-        root = inode_slot(disk.peek(block), off)
+        root = Inode.unpack(disk.peek(block)[off:off + INODE_SIZE])
         dir_block = root.direct[0]
         entries = [e for e in unpack_dir_block(disk.peek(dir_block))
                    if e.name not in ("top", "hard")]
@@ -178,7 +177,7 @@ class TestDetectionAndRepair:
         b = inode_of(disk, "/d/b")
         cfg = EXT3_CFG
         blk_a, off_a = cfg.inode_location(a)
-        target = inode_slot(disk.peek(blk_a), off_a).direct[0]
+        target = Inode.unpack(disk.peek(blk_a)[off_a:off_a + INODE_SIZE]).direct[0]
         corrupt_inode(disk, b, lambda i: i.direct.__setitem__(0, target))
 
         report = fsck_ext3(disk)

@@ -33,6 +33,16 @@ The names are read from ``SPECS`` by AST, never copied here.  Hoisting
 forwarding base class would therefore fail this lint instead of the
 traced benchmark pass.
 
+And for node reads: ``JournaledFS._node_peek`` is the read of a node
+not to be changed, and may return the decoder's shared, immutable
+record; ``_node_get`` (and ``_node_get_for_update``) builds a fresh
+mutable copy for a path that changes it (DESIGN.md, "Decode memo").
+``base.py`` must define ``_node_peek`` once, as the primitive a file
+system overrides, and the generic read-only bodies (``_lookup``,
+``_stat_of``, ``_do_read``, ``getdirentries``, ``readlink``) must
+exist and name neither copying read, so no read-only path pays for a
+copy again.
+
 And for decode caches: a metadata decoder memoises through
 ``repro.common.structs.DecodeMemo``, which carries the rules that make
 a payload-keyed memo sound (DESIGN.md, "Decode memo").  A module under
@@ -166,6 +176,15 @@ ALLOWED_OVERRIDES = frozenset({
 })
 
 
+#: The generic bodies that only read nodes, and the reads they may not
+#: name: a read-only body peeks, and only an update copies.
+READ_ONLY_BODIES = frozenset({
+    "_lookup", "_stat_of", "_do_read", "getdirentries", "readlink",
+})
+NODE_COPIES = frozenset({"_node_get", "_node_get_for_update"})
+NODE_PEEK = "_node_peek"
+
+
 ARRAY_MODULE = ROOT / "src" / "repro" / "redundancy" / "array.py"
 
 #: Defined by ``ArrayDevice`` exactly once and by no other class in the
@@ -217,10 +236,41 @@ def lint() -> list[str]:
     problems.extend(f"tools/lint_generic_ops.py: allowed override {cls}.{name} "
                     "does not exist; drop it from ALLOWED_OVERRIDES"
                     for cls, name in sorted(unused))
-    return (problems + lint_fs_caches() + lint_arrays() + lint_stack()
-            + lint_xor_chains() + lint_shared_memory() + lint_pool_consumers()
-            + lint_history_only() + lint_workload_draws() + lint_type_maps()
-            + lint_config_interning())
+    return (problems + lint_node_peek() + lint_fs_caches() + lint_arrays()
+            + lint_stack() + lint_xor_chains() + lint_shared_memory()
+            + lint_pool_consumers() + lint_history_only() + lint_workload_draws()
+            + lint_type_maps() + lint_config_interning())
+
+
+def node_peek_problems(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, message)`` for each way ``JournaledFS`` in *tree* breaks
+    the node-read rule: ``_node_peek`` not defined exactly once, a
+    read-only body missing, or one naming a copying read."""
+    methods = [item for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "JournaledFS"
+               for item in node.body if isinstance(item, ast.FunctionDef)]
+    names = [item.name for item in methods]
+    problems = []
+    if names.count(NODE_PEEK) != 1:
+        problems.append((0, f"{NODE_PEEK} defined {names.count(NODE_PEEK)} "
+                            "times in JournaledFS, expected exactly once"))
+    problems.extend((0, f"read-only body {name} is not defined in JournaledFS")
+                    for name in sorted(READ_ONLY_BODIES - set(names)))
+    for item in methods:
+        if item.name in READ_ONLY_BODIES:
+            problems.extend(
+                (sub.lineno, f"{item.name} reads a node through {sub.attr}; "
+                             f"a read-only body reads through {NODE_PEEK}")
+                for sub in ast.walk(item)
+                if isinstance(sub, ast.Attribute) and sub.attr in NODE_COPIES)
+    return problems
+
+
+def lint_node_peek() -> list[str]:
+    path = FS_ROOT / "base.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.relative_to(ROOT)}:{line}: {message}"
+            for line, message in node_peek_problems(tree)]
 
 
 def lint_fs_caches() -> list[str]:
@@ -640,6 +690,7 @@ def main(argv=None) -> int:
         print(f"{len(problems)} violation(s)", file=sys.stderr)
         return 1
     print("generic ops: each defined once, in JournaledFS and ArrayDevice; "
+          "read-only bodies read nodes through _node_peek; "
           "device-stack layers define every name perf/trace.py patches; "
           "no private decode cache under src/repro/fs; no chained xor; "
           "block <-> int conversions in arrays and ixt3 go through "
