@@ -66,13 +66,7 @@ from repro.obs.events import (
     StorageEvent,
     WriteImageEvent,
 )
-from repro.obs.trace import (
-    SpanEndEvent,
-    SpanStartEvent,
-    enable_tracing,
-    event_ref,
-    span_ref,
-)
+from repro.obs.trace import enable_tracing, event_ref, span_ref
 
 #: Default cap on torn states per epoch (None = every single-write loss).
 DEFAULT_MAX_TORN = None
@@ -178,11 +172,12 @@ class Violation:
     state_key: str
     oracle: str
     detail: str
-    #: Explainability: references into the state's recovery-event
-    #: stream — at minimum the per-state replay span, plus the first
-    #: detection/recovery/policy event recovery emitted.  Resolve with
-    #: :func:`repro.obs.trace.resolve_ref` against
-    #: ``CrashReport.observed.by_label()``.
+    #: Explainability, in a traced exploration only: references into
+    #: the state's recovery-event stream — the per-state replay span,
+    #: plus the first detection/recovery/policy event recovery emitted.
+    #: Resolve with :func:`repro.obs.trace.resolve_ref` against
+    #: ``CrashReport.observed.by_label()``.  Untraced, the state key is
+    #: the reference.
     provenance: Tuple[str, ...] = ()
 
     def as_tuple(self) -> Tuple[str, str, str]:
@@ -201,9 +196,8 @@ class StateObservation:
     digest: Optional[str]
     violations: Tuple[Violation, ...]
     #: The state's recovery event stream (replay span + everything the
-    #: recovering FS emitted).  Kept only for violating states, or for
-    #: every state when the exploration ran with ``trace=True`` —
-    #: provenance references resolve against this.
+    #: recovering FS emitted), kept only when the exploration ran with
+    #: ``trace=True`` — provenance references resolve against this.
     trace: Tuple[StorageEvent, ...] = ()
 
 
@@ -224,25 +218,18 @@ class Recording:
     boundary_digests: Dict[str, int] = field(default_factory=dict)
     #: Acknowledged-before-recording file contents.
     protected: Dict[str, bytes] = field(default_factory=dict)
-    #: Keep per-state recovery streams for *every* state (not just
-    #: violating ones) — set by ``record(trace=True)``.
+    #: Trace each state's recovery under a replay span and keep its
+    #: stream — set by ``record(trace=True)``.
     trace: bool = False
-    #: Content-keyed memos for the *untraced* pure-read checks — the
-    #: second-mount digest walk and read-only fsck.  Distinct crash
-    #: states routinely recover to identical on-disk contents, and
-    #: neither check emits into the state's kept event stream, so equal
+    #: Content-keyed memos for the pure-read checks — the second-mount
+    #: digest walk, read-only fsck and (untraced only, so a traced run's
+    #: spans are the real ones) the first-mount walk.  Distinct crash
+    #: states routinely recover to identical on-disk contents, so equal
     #: contents (golden image + privatized delta) imply equal results.
+    #: ``None`` marks a first-mount walk that wrote to the disk (a
+    #: repairing policy): never reused.
     digest_memo: Dict[tuple, str] = field(default_factory=dict)
     fsck_memo: Dict[tuple, Tuple[bool, str]] = field(default_factory=dict)
-    #: Memo for the *traced* first-mount walk (digest + protected-file
-    #: checks).  Unlike the two above, this segment emits VFS-op spans
-    #: into the state's kept stream (they are part of the span-tree
-    #: digest), so a hit cannot simply skip it: the cached entry carries
-    #: a structural template of everything the segment emitted, and
-    #: :func:`_replay_segment` re-plays it through the state's own
-    #: tracer so span ids / parents / ordering come out exactly as a
-    #: live walk would have produced them.  ``None`` marks a segment
-    #: that wrote to the disk (a repairing policy): never replayed.
     walk_memo: Dict[tuple, Optional[tuple]] = field(default_factory=dict)
     #: Pre-recovery device deltas of the prefix states built so far, by
     #: prefix length (``capture_delta()``): :func:`apply_state` starts
@@ -437,41 +424,6 @@ def _content_key(disk, exclude: Optional[Tuple[int, int]] = None) -> tuple:
     return tuple(out)
 
 
-def _segment_template(events) -> tuple:
-    """Structural template of one traced segment's emissions: span
-    starts/ends reduced to their content (donor span ids kept only to
-    pair ends with starts at replay time), other events — detections a
-    verifying read surfaced, policy actions — kept verbatim (they are
-    frozen and content-pure, so sharing the objects is safe)."""
-    ops = []
-    for e in events:
-        if isinstance(e, SpanStartEvent):
-            ops.append(("s", e.span_id, e.name, e.category, e.detail, e.source))
-        elif isinstance(e, SpanEndEvent):
-            ops.append(("e", e.span_id, e.status))
-        else:
-            ops.append(("v", e))
-    return tuple(ops)
-
-
-def _replay_segment(stream: EventLog, template: tuple) -> None:
-    """Re-emit a recorded segment through *stream*'s own tracer.  Span
-    ids are assigned fresh by the tracer — the donor ids in the template
-    only pair each end with its start — so ids, parent links and
-    ordering land exactly as a live walk over the same disk contents
-    would have produced them."""
-    tracer = stream.tracer
-    id_map: Dict[int, int] = {}
-    for op in template:
-        tag = op[0]
-        if tag == "s":
-            id_map[op[1]] = tracer.start(op[2], op[3], op[4], op[5])
-        elif tag == "e":
-            tracer.end(id_map.get(op[1], 0), op[2])
-        else:
-            stream.emit(op[1])
-
-
 def state_digest(fs, include_counts: bool) -> str:
     """Digest of the observable state: namespace, types, sizes, link
     targets — and, for the ext3 family, statfs free counts.
@@ -518,7 +470,10 @@ def _evidence(
 ) -> Tuple[str, ...]:
     """Provenance for one violation: the state's replay span plus the
     first detection / recovery / policy event recovery emitted (when
-    there is one) — both resolvable against the state's kept stream."""
+    there is one) — both resolvable against the state's kept stream.
+    Untraced (*span_id* 0) there is no stream to cite."""
+    if not span_id:
+        return ()
     refs = [span_ref(label, span_id)]
     for index, event in enumerate(stream):
         if isinstance(event, (DetectionEvent, RecoveryEvent, PolicyActionEvent)):
@@ -530,20 +485,21 @@ def _evidence(
 def check_state(rec: Recording, state: CrashState) -> StateObservation:
     """Replay one crash state and run every applicable oracle.
 
-    Every state's recovery runs under a traced replay span, so each
-    violation carries provenance into the stream that convicted it; the
-    stream itself is kept on the observation for violating states (all
-    states when the recording was made with ``trace=True``).
+    On a recording made with ``trace=True`` the state's recovery runs
+    under a ``replay:<key>`` span, the stream is kept on the
+    observation, and each violation carries provenance into it.
+    Untraced, neither exists: re-run a violating state by key
+    (:func:`state_by_key`) on a traced recording to explain it.
     """
     apply_state(rec, state)
     stream = rec.disk.events
+    if not rec.trace:
+        return _judge_state(rec, state, stream, 0)
     tracer = enable_tracing(stream)
     span_id = tracer.start(f"replay:{state.key}", "run", source=rec.profile.key)
     obs = _judge_state(rec, state, stream, span_id)
     tracer.end(span_id, "error" if obs.violations else "ok")
-    if rec.trace or obs.violations:
-        obs = dataclasses.replace(obs, trace=tuple(stream))
-    return obs
+    return dataclasses.replace(obs, trace=tuple(stream))
 
 
 def _judge_state(
@@ -574,23 +530,18 @@ def _judge_state(
             ),),
         )
 
-    # The traced walk (digest + protected-file reads) is a pure
-    # function of the mounted state: post-recovery disk contents
-    # outside the journal, the in-memory free counts, the fail-stop
-    # flag, and any degraded-mode history (visible as detection /
-    # policy events from recovery).  All of that is in the key, so a
-    # hit replays the recorded segment — spans included — instead of
-    # re-walking; see ``Recording.walk_memo``.
+    # The walk (digest + protected-file reads) is a pure function of
+    # the mounted state: post-recovery disk contents outside the
+    # journal, the in-memory free counts, the fail-stop flag, and any
+    # degraded-mode history (visible as detection / policy events from
+    # recovery).  All of that is in the key.  FSes whose superblock
+    # carries no free counts (reiserfs) skip the memo and walk live.
     region = getattr(fs, "journal_region", lambda: None)()
     sb = getattr(fs, "sb", None)
-    # In-memory free counts come straight off the superblock object —
-    # statfs() would work for any FS but is op-traced, and key
-    # computation must not emit spans.  FSes without those fields
-    # (reiserfs) just skip the memo and walk live.
     free_blocks = getattr(sb, "free_blocks", None)
     free_inodes = getattr(sb, "free_inodes", None)
     walk_key = None
-    if (free_blocks is not None and free_inodes is not None
+    if (not rec.trace and free_blocks is not None and free_inodes is not None
             and hasattr(rec.disk, "dirty_items")):
         walk_key = (
             _content_key(rec.disk, region),
@@ -600,10 +551,8 @@ def _judge_state(
         )
     cached = rec.walk_memo.get(walk_key) if walk_key is not None else None
     if cached is not None:
-        digest, exc_info, intact_flags, walk_ro = cached[:4]
-        _replay_segment(stream, cached[4])
+        digest, exc_info, intact_flags, walk_ro = cached
     else:
-        pos = len(stream)
         stats = getattr(rec.disk, "stats", None)
         writes_before = stats.writes if stats is not None else None
         exc_info = None
@@ -626,15 +575,12 @@ def _judge_state(
             intact_flags = tuple(flags)
             walk_ro = fs.read_only
         if walk_key is not None:
-            if stats is not None and stats.writes == writes_before:
-                rec.walk_memo[walk_key] = (
-                    digest, exc_info, intact_flags, walk_ro,
-                    _segment_template(stream[pos:]),
-                )
-            else:
-                # The walk itself wrote (a repairing read policy);
-                # replaying its emissions would skip those writes.
-                rec.walk_memo[walk_key] = None
+            # A walk that wrote (a repairing read policy) is never
+            # reused: a hit would skip those writes.
+            rec.walk_memo[walk_key] = (
+                (digest, exc_info, intact_flags, walk_ro)
+                if stats is not None and stats.writes == writes_before
+                else None)
 
     if digest is None:
         return StateObservation(
@@ -749,8 +695,8 @@ class CrashReport:
     writes: int
     epochs: int
     observations: List[StateObservation]
-    #: Whether every state's stream was kept (``explore(trace=True)``),
-    #: as opposed to only the violating states'.
+    #: Whether every state's recovery was traced and its stream kept
+    #: (``explore(trace=True)``); untraced, no stream is kept.
     traced: bool = False
 
     @property
@@ -778,9 +724,9 @@ class CrashReport:
     @property
     def observed(self) -> TraceCapture:
         """The kept per-state recovery streams, by state key in
-        enumeration order (violating states; every state when
-        ``traced``) — what the violations' provenance references
-        resolve against, and what ``--trace`` exports."""
+        enumeration order (empty unless ``traced``) — what the
+        violations' provenance references resolve against, and what
+        ``--trace`` exports."""
         return TraceCapture(
             f"crash:{self.profile}:{self.workload}",
             [(obs.key, obs.trace) for obs in self.observations if obs.trace],
@@ -817,8 +763,8 @@ def explore(
     """Record one workload and check every enumerated crash state.
 
     Output is deterministic: states are checked in enumeration order.
-    With ``trace=True``, every state's recovery stream is kept
-    (not just violating ones) for Chrome-trace export.
+    With ``trace=True``, every state's recovery is traced and its
+    stream kept for Chrome-trace export and violation provenance.
     """
     profile = crash_profile(profile_key)
     workload = CRASH_WORKLOADS[workload_key]

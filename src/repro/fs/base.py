@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import stat as _stat
+import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import Errno, FSError, KernelPanic, ReadOnlyError
@@ -44,6 +45,24 @@ from repro.vfs.stat import (
     StatResult,
     StatVFS,
 )
+
+
+def weakly(method: Callable) -> Callable:
+    """*method*, a bound method, bound to a weak reference of its
+    instance.  The helpers a mount builds (journal, tree, checksum and
+    replica stores) take their file system's callbacks this way, so a
+    mounted file system is no reference cycle: one dropped without an
+    unmount is freed at once, with the disk it holds, instead of at
+    the cycle collector's next full pass."""
+    func, ref = method.__func__, weakref.ref(method.__self__)
+    return lambda *args: func(ref(), *args)
+
+
+def dirent_size(name: str) -> int:
+    """Bytes one ``(child, ftype, name)`` entry takes in an ext3, JFS
+    or NTFS directory block: a 6-byte header and the name as latin-1
+    (one byte a character, unencodable ones replaced), cut to 255."""
+    return 6 + min(len(name), 255)
 
 
 class JournaledFS(FileSystem):
@@ -81,7 +100,7 @@ class JournaledFS(FileSystem):
     ``_dir_blocks(h, n)``                   its blocks in order; ENOTDIR
     ``_dir_block_load(bno, modifying)``     one block's triples, sanity-checked
     ``_dir_block_store(bno, entries)``      journal one block's new contents
-    ``_dir_block_fits(entries, name)``      room for one more entry?
+    ``_dir_block_header``                   bytes a block spends before entries
     ``_dir_block_map(h, n, fb)``            allocate block ``fb``; its number
     ``_dir_child_in_range(child)``          may ``_dir_find`` return this id?
     ``_dir_lookup_scan(h, n)``              entry lists ``_dir_find`` searches
@@ -382,6 +401,10 @@ class JournaledFS(FileSystem):
                 if entry[2] == name and self._dir_child_in_range(entry[0]):
                     return entry[0], entry[1]
         return None
+
+    def _dir_block_fits(self, entries, name: str) -> bool:
+        used = self._dir_block_header + sum(dirent_size(n) for _, _, n in entries)
+        return used + dirent_size(name) <= self.block_size
 
     def _dir_add(self, handle, name: str, child, ftype: int) -> None:
         node = self._node_get(handle)

@@ -55,7 +55,6 @@ from repro.fs.ext3.structures import (
     inode_record,
     iter_allocated_inodes,
     pack_dir_block,
-    pack_dirent,
     pack_gdt,
     pack_pointer_block,
     patch_inode_block,
@@ -64,7 +63,7 @@ from repro.fs.ext3.structures import (
     unpack_gdt,
     unpack_pointer_block,
 )
-from repro.fs.base import JournaledFS
+from repro.fs.base import JournaledFS, weakly
 
 #: Sentinel in the static type table for journal blocks whose role is
 #: dynamic (``j-desc``/``j-data``/``j-commit``/``j-revoke`` depend on
@@ -102,6 +101,7 @@ class Ext3(JournaledFS):
 
     name = "ext3"
     ROOT = ROOT_INO
+    _dir_block_header = 0
 
     #: Table 4: ext3 on-disk structures.
     BLOCK_TYPES: Dict[str, str] = {
@@ -397,10 +397,6 @@ class Ext3(JournaledFS):
 
     def _dir_block_store(self, bno: int, entries) -> None:
         self._meta_update(bno, pack_dir_block(entries, self.block_size))
-
-    def _dir_block_fits(self, entries, name: str) -> bool:
-        used = sum(len(pack_dirent(*e)) for e in entries)
-        return used + len(pack_dirent(0, 0, name)) <= self.block_size
 
     def _dir_block_map(self, ino: int, inode: Inode, fb: int) -> int:
         return self._bmap(inode, fb, allocate=True, block_kind="dir")[0]
@@ -793,15 +789,15 @@ class Ext3(JournaledFS):
             nblocks=cfg.journal_blocks,
             block_size=self.block_size,
             syslog=self.syslog,
-            journal_write=self._write_journal_block,
-            home_write=self._write_home,
-            ordered_write=self._write_ordered,
+            journal_write=weakly(self._write_journal_block),
+            home_write=weakly(self._write_home),
+            ordered_write=weakly(self._write_ordered),
             read_block=self.buf.bread,
-            set_type=self._set_jtype,
-            stall=self._stall,
+            set_type=weakly(self._set_jtype),
+            stall=weakly(self._stall),
             commit_stall_s=self.commit_stall_s,
             txn_checksum=self._txn_checksum_enabled(),
-            settle=self._settle,
+            settle=weakly(self._settle),
         )
 
     def _txn_checksum_enabled(self) -> bool:

@@ -252,15 +252,12 @@ class Ext3Fsck:
 
     def _pass3_connectivity(self) -> None:
         reachable: Set[int] = set()
-
-        def walk(ino: int) -> None:
-            if ino in reachable:
-                return
-            reachable.add(ino)
-            for _, child in self._children.get(ino, []):
-                walk(child)
-
-        walk(ROOT_INO)
+        pending = [ROOT_INO]
+        while pending:
+            ino = pending.pop()
+            if ino not in reachable:
+                reachable.add(ino)
+                pending.extend(child for _, child in self._children.get(ino, []))
         orphans = sorted(set(self._inodes) - reachable - {1})
         for ino in orphans:
             self.report.orphan_inodes.append(ino)

@@ -136,12 +136,14 @@ class Superblock:
         return cls(*fields)
 
     def is_valid(self) -> bool:
-        """The sanity (type) check ext3 performs on its superblock."""
+        """The sanity (type) check ext3 performs on its superblock.  The
+        group-descriptor table is one block, so a group count whose
+        descriptors overrun it is garbage too."""
         return (
             self.magic == EXT3_MAGIC
             and self.block_size >= 512
             and self.blocks_count > 0
-            and self.num_groups > 0
+            and 0 < self.num_groups * _GD_SIZE <= self.block_size
         )
 
 

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import CorruptionDetected, DiskError, Errno, FSError
 from repro.common.xor import xor_all
+from repro.fs.base import weakly
 from repro.fs.ext3.ext3 import Ext3, _static_types_ext3
 from repro.fs.ext3.structures import (
     FEAT_DATA_CSUM,
@@ -120,9 +121,9 @@ class Ixt3(Ext3):
                 region_start=cfg.checksum_start,
                 region_blocks=cfg.checksum_blocks,
                 block_size=self.block_size,
-                read_block=self._plain_bread,
+                read_block=weakly(self._plain_bread),
                 journal_meta=self.journal.add_meta,
-                settle=self._settle,
+                settle=weakly(self._settle),
             )
             if self.meta_csum or self.data_csum:
                 # Checksums are small and cached for read verification
@@ -139,7 +140,7 @@ class Ixt3(Ext3):
                 region_blocks=cfg.replica_blocks,
                 map_blocks=REPLICA_MAP_BLOCKS,
                 block_size=self.block_size,
-                read_block=self._plain_bread,
+                read_block=weakly(self._plain_bread),
                 journal_meta=self.journal.add_meta,
             )
         self._checksummed = frozenset(

@@ -43,7 +43,7 @@ from repro.common.errors import (
 )
 from repro.common.structs import U32x2, interned
 from repro.common.syslog import Severity
-from repro.fs.base import JournaledFS
+from repro.fs.base import JournaledFS, weakly
 from repro.fs.jfs.config import JFSConfig
 from repro.fs.jfs.journal import RecordJournal
 from repro.fs.jfs.structures import (
@@ -70,6 +70,7 @@ class JFS(JournaledFS):
 
     name = "jfs"
     ROOT = ROOT_INO
+    _dir_block_header = 8  # entry count, pad
 
     #: Table 4: JFS on-disk structures.
     BLOCK_TYPES: Dict[str, str] = {
@@ -144,11 +145,11 @@ class JFS(JournaledFS):
             nblocks=self.config.journal_blocks,
             block_size=self.block_size,
             syslog=self.syslog,
-            super_write=self._write_logsuper,
-            record_write=self._write_nocheck,
-            home_write=self._write_nocheck,
+            super_write=weakly(self._write_logsuper),
+            record_write=weakly(self._write_nocheck),
+            home_write=weakly(self._write_nocheck),
             read_block=self.buf.bread,
-            stall=self._stall,
+            stall=weakly(self._stall),
             commit_stall_s=self.commit_stall_s,
         )
         self._relearn_types()
@@ -339,11 +340,6 @@ class JFS(JournaledFS):
 
     def _dir_block_store(self, bno: int, entries) -> None:
         self._meta_update(bno, pack_dir_block(entries, self.block_size))
-
-    def _dir_block_fits(self, entries, name: str) -> bool:
-        used = 8 + sum(6 + len(n.encode("latin-1", errors="replace")[:255])
-                       for _, _, n in entries)
-        return used + 6 + len(name.encode()) <= self.block_size
 
     def _dir_block_map(self, ino: int, inode: JFSInode, fb: int) -> int:
         return self._bmap(ino, inode, fb, allocate=True, kind="dir")

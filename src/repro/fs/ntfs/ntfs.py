@@ -27,7 +27,7 @@ from repro.common.errors import (
     FSError,
 )
 from repro.common.syslog import Severity
-from repro.fs.base import JournaledFS
+from repro.fs.base import JournaledFS, weakly
 from repro.fs.ext3.journal import Journal
 from repro.fs.ntfs.structures import (
     BootFile,
@@ -49,6 +49,7 @@ class NTFS(JournaledFS):
 
     name = "ntfs"
     ROOT = ROOT_MFT
+    _dir_block_header = 12  # INDX magic, entry count, pad
 
     #: Table 4: NTFS on-disk structures.
     BLOCK_TYPES: Dict[str, str] = {
@@ -131,12 +132,12 @@ class NTFS(JournaledFS):
             nblocks=boot.logfile_blocks,
             block_size=self.block_size,
             syslog=self.syslog,
-            journal_write=self._write_meta_swallowing,
-            home_write=self._write_meta_swallowing,
-            ordered_write=self._write_data,
+            journal_write=weakly(self._write_meta_swallowing),
+            home_write=weakly(self._write_meta_swallowing),
+            ordered_write=weakly(self._write_data),
             read_block=self.buf.bread,
             set_type=lambda b, t: None,  # the whole region is 'logfile'
-            stall=self._stall,
+            stall=weakly(self._stall),
             commit_stall_s=self.commit_stall_s,
             txn_checksum=False,
         )
@@ -279,11 +280,6 @@ class NTFS(JournaledFS):
 
     def _dir_block_store(self, bno: int, entries) -> None:
         self.journal.add_meta(bno, pack_index_block(entries, self.block_size))
-
-    def _dir_block_fits(self, entries, name: str) -> bool:
-        used = 12 + sum(6 + len(n.encode("latin-1", errors="replace")[:255])
-                        for _, _, n in entries)
-        return used + 6 + len(name.encode()) <= self.block_size
 
     def _dir_block_map(self, mft: int, rec: MFTRecord, fb: int) -> int:
         if fb >= NUM_RUNS:

@@ -40,7 +40,7 @@ from repro.common.errors import (
 )
 from repro.common.structs import interned
 from repro.common.syslog import Severity
-from repro.fs.base import JournaledFS
+from repro.fs.base import JournaledFS, weakly
 from repro.fs.ext3.journal import Journal, parse_commit, parse_desc
 from repro.fs.reiserfs.btree import (
     BTree,
@@ -153,20 +153,20 @@ class ReiserFS(JournaledFS):
             nblocks=sb.journal_blocks,
             block_size=self.block_size,
             syslog=self.syslog,
-            journal_write=self._panic_write,
-            home_write=self._panic_write,
-            ordered_write=self._write_ordered_buggy,
+            journal_write=weakly(self._panic_write),
+            home_write=weakly(self._panic_write),
+            ordered_write=weakly(self._write_ordered_buggy),
             read_block=self.buf.bread,
-            set_type=self._set_jtype,
-            stall=self._stall,
+            set_type=weakly(self._set_jtype),
+            stall=weakly(self._stall),
             commit_stall_s=self.commit_stall_s,
             txn_checksum=False,
         )
         self.tree = BTree(
-            read_node=self._node_read,
-            write_node=self._node_write,
-            alloc=self._alloc_tree_block,
-            free=self._free_block,
+            read_node=weakly(self._node_read),
+            write_node=weakly(self._node_write),
+            alloc=weakly(self._alloc_tree_block),
+            free=weakly(self._free_block),
             max_leaf_items=self.config.max_leaf_items,
             max_fanout=self.config.max_fanout,
             block_size=self.block_size,

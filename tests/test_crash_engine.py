@@ -8,6 +8,8 @@ from reported state keys.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.crash import (
@@ -21,6 +23,7 @@ from repro.crash import (
     record,
     state_by_key,
 )
+from repro.obs.trace import SpanEndEvent, SpanStartEvent, resolve_ref
 
 ALL_FS = sorted(CRASH_PROFILES)
 ORACLES = {"mountability", "atomicity", "lost-data", "idempotence", "consistency"}
@@ -211,6 +214,75 @@ def test_violation_digest_tracks_content():
     rep_a = creat_report("ext3")
     rep_b = creat_report("ixt3")
     assert rep_a.violation_digest() != rep_b.violation_digest()
+
+
+# -- tracing only when asked --------------------------------------------------
+
+
+def test_untraced_exploration_emits_no_spans_and_keeps_no_stream(monkeypatch):
+    """Every state's first-mount stream is collected as ``apply_state``
+    hands it over; none may gain a tracer or a span event."""
+    import repro.crash.engine as engine
+
+    streams = []
+    real_apply = engine.apply_state
+
+    def spying_apply(rec, state):
+        real_apply(rec, state)
+        streams.append(rec.disk.events)
+
+    monkeypatch.setattr(engine, "apply_state", spying_apply)
+    report = explore("ext3", "creat")
+    states = report.states_explored
+    assert len(streams) >= states and report.violations
+    for stream in streams:
+        assert stream.tracer is None
+        assert not stream.of_type(SpanStartEvent)
+        assert not stream.of_type(SpanEndEvent)
+    assert all(obs.trace == () for obs in report.observations)
+    assert all(v.provenance == () for v in report.violations)
+    assert not report.observed.streams
+
+
+@pytest.mark.parametrize("fs_key", ALL_FS)
+def test_untraced_exploration_leaves_no_cyclic_garbage(fs_key):
+    """Every file system a state mounts, and the disk under it, is
+    freed by reference counting: none waits for the cycle collector
+    (a mounted FS's journal, tree and stores hold it weakly)."""
+    gc.collect()
+    gc.disable()
+    try:
+        explore(fs_key, "creat")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("fs_key", ALL_FS)
+def test_traced_and_untraced_runs_find_the_same_violations(fs_key):
+    for workload in CRASH_WORKLOADS:
+        untraced = explore(fs_key, workload)
+        traced = explore(fs_key, workload, trace=True)
+        assert traced.violation_digest() == untraced.violation_digest(), (
+            f"{fs_key}/{workload}")
+
+
+def test_a_violation_key_replays_traced_with_resolving_provenance():
+    """The untraced report's state key is the reference: re-run on a
+    traced recording, the state convicts again and cites its own
+    ``replay:<key>`` span."""
+    rep = creat_report("ext3")
+    rec = record(CRASH_PROFILES["ext3"], CRASH_WORKLOADS["creat"], trace=True)
+    for key in dict.fromkeys(v.state_key for v in rep.violations):
+        obs = check_state(rec, state_by_key(rec, key))
+        expected = [v.as_tuple() for v in rep.violations if v.state_key == key]
+        assert [v.as_tuple() for v in obs.violations] == expected
+        streams = {key: obs.trace}
+        for violation in obs.violations:
+            start = resolve_ref(violation.provenance[0], streams)
+            assert start.name == f"replay:{key}"
+            for ref in violation.provenance[1:]:
+                resolve_ref(ref, streams)
 
 
 # -- pinned traced runs -------------------------------------------------------

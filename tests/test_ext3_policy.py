@@ -15,11 +15,12 @@ from repro.disk import (
     write_failure,
 )
 from repro.fs.ext3 import Ext3
+from repro.fs.ext3.fsck import fsck_ext3
 from repro.fs.ext3.structures import Inode, Superblock, unpack_gdt
 from repro.fs.ext3.config import INODE_SIZE
 from repro.vfs import O_RDONLY
 
-from conftest import EXT3_CFG, faulty_remount, make_ext3
+from conftest import EXT3_CFG, faulty_remount, make_ext3, make_ixt3
 
 
 @pytest.fixture
@@ -140,6 +141,24 @@ class TestSanityChecks:
             fs.mount()
         assert e.value.errno is Errno.EUCLEAN
         assert fs.syslog.has_event("sanity-fail")
+
+    @pytest.mark.parametrize("make", [make_ext3, make_ixt3])
+    def test_group_count_overrunning_the_descriptor_block_fails_mount(self, make):
+        """Superblock noise that makes ``num_groups`` descriptors overrun
+        the one GDT block is caught by the superblock sanity check, by
+        mount and by fsck alike — never an untyped decode error."""
+        disk, fs = make()
+        sb = Superblock.unpack(disk.peek(0))
+        sb.num_groups = 5000
+        disk.poke(0, sb.pack(disk.block_size))
+        assert not sb.is_valid()
+        with pytest.raises(FSError) as e:
+            fs.mount()
+        assert e.value.errno is Errno.EUCLEAN
+        assert fs.syslog.has_event("sanity-fail")
+        report = fsck_ext3(disk)
+        assert not report.clean
+        assert "superblock" in report.render()
 
     def test_open_detects_overly_large_size(self, prepared):
         disk, injector, fs = prepared

@@ -72,9 +72,11 @@ class TestFingerprintProvenance:
 
 
 class TestCrashProvenance:
+    # Only a traced exploration keeps streams and cites them; an
+    # untraced one's violations are referenced by state key alone.
     @pytest.fixture(scope="class")
     def report(self):
-        return explore("ext3", "creat")
+        return explore("ext3", "creat", trace=True)
 
     def test_every_violation_resolves(self, report):
         assert report.violations

@@ -643,7 +643,7 @@ def lint_config_interning() -> list[str]:
 #: The most lines ``src/repro`` may hold: its size when this check came
 #: in plus the 100 lines a change may add without naming a deletion,
 #: lowered by every net deletion since.
-SRC_LINE_BUDGET = 21884
+SRC_LINE_BUDGET = 21841
 
 
 def loc_counts() -> dict[str, int]:
