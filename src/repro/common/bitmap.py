@@ -80,6 +80,14 @@ class Bitmap:
             have += step
         return self._lowest(runs, start)
 
+    def set_range(self, start: int, stop: int) -> None:
+        """Set bits *start* up to *stop*, clamped to the map."""
+        start, stop = max(start, 0), min(stop, self.nbits)
+        if start < stop:
+            used = int.from_bytes(self._bytes, "little")
+            used |= ((1 << (stop - start)) - 1) << start
+            self._bytes[:] = used.to_bytes(len(self._bytes), "little")
+
     def count_set(self) -> int:
         return self.nbits - self.count_free()
 

@@ -259,7 +259,6 @@ class Fingerprinter:
             # it goes untyped: no fault is armed yet and its events are
             # dropped here unread.
             stack.events.clear()
-        injector.set_type_oracle(lambda b: fs_type(b) or golden_type(b))
 
         # Enable tracing only now: the run span must open after the
         # mount-traffic clear above, or its start would be erased.
@@ -270,24 +269,30 @@ class Fingerprinter:
         if fault is not None:
             injector.arm(fault)
 
+        # Typed for the run only, to its last I/O (the closing statfs):
+        # the oracle holds the FS, so one left armed closes a cycle.
+        injector.set_type_oracle(lambda b: fs_type(b) or golden_type(b))
         try:
-            workload.body(fs, recorder)
-        except KernelPanic as exc:
-            panic = str(exc)
-        except FSError as exc:
-            recorder.results.append(OpResult("unexpected-error", exc.errno.name))
-
-        if tracer is not None:
-            tracer.end(run_span, "error" if panic is not None else "ok")
-
-        free_blocks: Optional[int] = None
-        final_ro = False
-        if fs.mounted:
-            final_ro = fs.read_only
             try:
-                free_blocks = fs.statfs().free_blocks
-            except FSError:
-                pass
+                workload.body(fs, recorder)
+            except KernelPanic as exc:
+                panic = str(exc)
+            except FSError as exc:
+                recorder.results.append(OpResult("unexpected-error", exc.errno.name))
+
+            if tracer is not None:
+                tracer.end(run_span, "error" if panic is not None else "ok")
+
+            free_blocks: Optional[int] = None
+            final_ro = False
+            if fs.mounted:
+                final_ro = fs.read_only
+                try:
+                    free_blocks = fs.statfs().free_blocks
+                except FSError:
+                    pass
+        finally:
+            injector.set_type_oracle(None)
 
         fault_block: Optional[int] = None
         fired = 0

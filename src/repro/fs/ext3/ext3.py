@@ -30,7 +30,6 @@ from copy import copy
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.bitmap import Bitmap
 from repro.common.errors import (
     CorruptionDetected,
     DiskError,
@@ -191,7 +190,7 @@ class Ext3(JournaledFS):
                                   mechanism="error-code", block=0)
             raise FSError(Errno.EIO, "cannot read superblock") from exc
         sb = Superblock.unpack(raw)
-        if not sb.is_valid():
+        if not sb.is_valid(self.block_size):
             # D_sanity: the superblock carries a magic number and is
             # type-checked at mount.
             self.syslog.detection(self.name, "sanity-fail", "bad superblock magic",
@@ -221,7 +220,7 @@ class Ext3(JournaledFS):
                 # descriptors; refresh the in-memory copies before the
                 # mount-time state write clobbers them.
                 sb2 = Superblock.unpack(self.buf.bread(0))
-                if sb2.is_valid():
+                if sb2.is_valid(self.block_size):
                     self.sb = sb2
                 self.gdt = unpack_gdt(self.buf.bread(self.config.gdt_block),
                                       self.sb.num_groups)
@@ -434,14 +433,9 @@ class Ext3(JournaledFS):
     def _alloc_inode(self, hint_group: int, mode: int) -> int:
         cfg = self.config
         for g in self._group_order(hint_group):
-            bmp_block = cfg.inode_bitmap_block(g)
-            raw = self._meta_bread(bmp_block, modifying=True)
-            bmp = Bitmap(cfg.inodes_per_group, raw)
-            bit = bmp.find_free()
+            bit = self._bitmap_flip(cfg.inode_bitmap_block(g), cfg.inodes_per_group)
             if bit is None:
                 continue
-            bmp.set(bit)
-            self._meta_update(bmp_block, bmp.to_bytes(pad_to=self.block_size))
             self.gdt[g].free_inodes -= 1
             self.sb.free_inodes -= 1
             self._flush_sb_gdt()
@@ -455,12 +449,8 @@ class Ext3(JournaledFS):
         cfg = self.config
         g = cfg.group_of_inode(ino)
         bit = (ino - 1) % cfg.inodes_per_group
-        bmp_block = cfg.inode_bitmap_block(g)
-        raw = self._meta_bread(bmp_block, modifying=True)
-        bmp = Bitmap(cfg.inodes_per_group, raw)
-        if bmp.test(bit):
-            bmp.clear(bit)
-            self._meta_update(bmp_block, bmp.to_bytes(pad_to=self.block_size))
+        if self._bitmap_flip(cfg.inode_bitmap_block(g), cfg.inodes_per_group,
+                             bit) is not None:
             self.gdt[g].free_inodes += 1
             self.sb.free_inodes += 1
         self._node_put(ino, Inode())
@@ -469,14 +459,9 @@ class Ext3(JournaledFS):
     def _alloc_block(self, hint_group: int, kind: str) -> int:
         cfg = self.config
         for g in self._group_order(hint_group):
-            bmp_block = cfg.block_bitmap_block(g)
-            raw = self._meta_bread(bmp_block, modifying=True)
-            bmp = Bitmap(cfg.data_blocks_per_group, raw)
-            bit = bmp.find_free()
+            bit = self._bitmap_flip(cfg.block_bitmap_block(g), cfg.data_blocks_per_group)
             if bit is None:
                 continue
-            bmp.set(bit)
-            self._meta_update(bmp_block, bmp.to_bytes(pad_to=self.block_size))
             self.gdt[g].free_blocks -= 1
             self.sb.free_blocks -= 1
             self._flush_sb_gdt()
@@ -493,18 +478,34 @@ class Ext3(JournaledFS):
         bit = bno - cfg.data_start(g)
         if not 0 <= bit < cfg.data_blocks_per_group:
             return
-        bmp_block = cfg.block_bitmap_block(g)
-        raw = self._meta_bread(bmp_block, modifying=True)
-        bmp = Bitmap(cfg.data_blocks_per_group, raw)
-        if bmp.test(bit):
-            bmp.clear(bit)
-            self._meta_update(bmp_block, bmp.to_bytes(pad_to=self.block_size))
+        if self._bitmap_flip(cfg.block_bitmap_block(g), cfg.data_blocks_per_group,
+                             bit) is not None:
             self.gdt[g].free_blocks += 1
             self.sb.free_blocks += 1
             self._flush_sb_gdt()
         if kind in ("dir", "indirect"):
             self.journal.revoke(bno)
         self._forget_type(bno)
+
+    def _bitmap_flip(self, bmp_block: int, nbits: int,
+                     bit: Optional[int] = None) -> Optional[int]:
+        """Take the lowest clear bit of the map in *bmp_block* (no *bit*)
+        or give *bit* back, and return it; ``None``, writing nothing, if
+        the map is full or *bit* clear.  The map is the block's first
+        *nbits* bits; a change rewrites the block as its bytes, padded."""
+        nbytes = (nbits + 7) // 8
+        used = int.from_bytes(self._meta_bread(bmp_block, modifying=True)[:nbytes],
+                              "little")
+        if bit is None:
+            free = ~used & ((1 << nbits) - 1)
+            if not free:
+                return None
+            bit = (free & -free).bit_length() - 1
+        elif not used >> bit & 1:
+            return None
+        self._meta_update(bmp_block, (used ^ 1 << bit).to_bytes(nbytes, "little")
+                          .ljust(self.block_size, b"\x00"))
+        return bit
 
     def _group_order(self, hint: int):
         n = self.config.num_groups

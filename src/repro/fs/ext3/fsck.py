@@ -96,7 +96,7 @@ class Ext3Fsck:
     def run(self) -> FsckReport:
         raw = self.device.read_block(0)
         sb = Superblock.unpack(raw)
-        if not sb.is_valid():
+        if not sb.is_valid(self.device.block_size):
             self.report.problem("superblock invalid; cannot check volume")
             return self.report
         self.sb = sb

@@ -135,15 +135,17 @@ class Superblock:
             fields = _SB_MEMO.put(f[:16] + f[17:], data)
         return cls(*fields)
 
-    def is_valid(self) -> bool:
-        """The sanity (type) check ext3 performs on its superblock.  The
-        group-descriptor table is one block, so a group count whose
-        descriptors overrun it is garbage too."""
+    def is_valid(self, device_block_size: int) -> bool:
+        """The sanity (type) check ext3 performs on its superblock, read
+        from a device of *device_block_size*: that block size, group
+        descriptors that fit their one block, bitmaps that fit theirs."""
         return (
             self.magic == EXT3_MAGIC
             and self.block_size >= 512
+            and self.block_size == device_block_size
             and self.blocks_count > 0
             and 0 < self.num_groups * _GD_SIZE <= self.block_size
+            and max(self.blocks_per_group, self.inodes_per_group) <= 8 * self.block_size
         )
 
 

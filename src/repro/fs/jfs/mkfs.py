@@ -70,10 +70,8 @@ def mkfs_jfs(device: BlockDevice, config: JFSConfig) -> JFSSuper:
     for page in range(config.bmap_blocks):
         bmp = Bitmap(bits)
         lo = page * bits
-        for bit in range(bits):
-            absolute = lo + bit
-            if absolute <= root_dir_block or absolute >= config.total_blocks:
-                bmp.set(bit)
+        bmp.set_range(0, root_dir_block + 1 - lo)
+        bmp.set_range(config.total_blocks - lo, bits)
         device.write_block(config.bmap_start + page, pack_map_block(bmp, bs))
 
     device.write_block(config.imap_control_block,
@@ -82,14 +80,9 @@ def mkfs_jfs(device: BlockDevice, config: JFSConfig) -> JFSSuper:
     # Inode allocation map: ino 1 reserved, ino 2 root; excess bits set.
     for page in range(config.imap_blocks):
         bmp = Bitmap(bits)
-        lo = page * bits
-        for bit in range(bits):
-            idx = lo + bit
-            if idx >= config.num_inodes:
-                bmp.set(bit)
+        bmp.set_range(config.num_inodes - page * bits, bits)
         if page == 0:
-            bmp.set(0)
-            bmp.set(1)
+            bmp.set_range(0, 2)
         device.write_block(config.imap_start + page, pack_map_block(bmp, bs))
 
     # Inode table with the root inode.

@@ -80,8 +80,7 @@ def mkfs_ntfs(device: BlockDevice, config: NTFSConfig) -> BootFile:
     device.write_block(config.vol_bitmap_start, vol_bmp.to_bytes(pad_to=bs))
 
     mft_bmp = Bitmap(config.mft_records)
-    for i in range(FIRST_USER_MFT):
-        mft_bmp.set(i)  # system records, root among them
+    mft_bmp.set_range(0, FIRST_USER_MFT)  # system records, root among them
     device.write_block(config.mft_bitmap_block, mft_bmp.to_bytes(pad_to=bs))
 
     # System MFT records: in use, empty; root is a directory.

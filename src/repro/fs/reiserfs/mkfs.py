@@ -49,10 +49,8 @@ def mkfs_reiserfs(device: BlockDevice, config: ReiserConfig) -> ReiserSuper:
     for i in range(config.bitmap_blocks):
         bmp = Bitmap(bits_per_block)
         lo = i * bits_per_block
-        for bit in range(bits_per_block):
-            absolute = lo + bit
-            if absolute <= root_block or absolute >= config.total_blocks:
-                bmp.set(bit)
+        bmp.set_range(0, root_block + 1 - lo)
+        bmp.set_range(config.total_blocks - lo, bits_per_block)
         device.write_block(config.bitmap_start + i, bmp.to_bytes(pad_to=bs))
 
     device.write_block(config.journal_start, pack_journal_super(bs, 1, clean=True))

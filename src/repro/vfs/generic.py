@@ -55,43 +55,35 @@ class BufferLayer:
         """Read one block, retrying per the generic policy.  Raises
         :class:`ReadError` after all attempts fail."""
         attempts = 1 + (self.read_retries if retries is None else retries)
-        if attempts == 1:
-            return self.device.read_block(block)
-        last: Optional[DiskError] = None
-        for attempt in range(attempts):
+        # The last attempt runs outside any handler: an error kept past
+        # one would hold, by its traceback, the frame holding it (a cycle).
+        for attempt in range(1, attempts):
             try:
                 return self.device.read_block(block)
-            except DiskError as exc:
-                last = exc
-                if attempt + 1 < attempts:
-                    self.syslog.recovery(
-                        self.source, "read-retry",
-                        f"retrying read of block {block} (attempt {attempt + 2})",
-                        mechanism="retry", severity=Severity.WARNING,
-                        block=block,
-                    )
-        assert last is not None
-        raise last
+            except DiskError:
+                self.syslog.recovery(
+                    self.source, "read-retry",
+                    f"retrying read of block {block} (attempt {attempt + 1})",
+                    mechanism="retry", severity=Severity.WARNING,
+                    block=block,
+                )
+        return self.device.read_block(block)
 
     def bwrite(self, block: int, data: bytes, retries: Optional[int] = None) -> None:
         """Write one block, retrying per the generic policy."""
         attempts = 1 + (self.write_retries if retries is None else retries)
-        last: Optional[DiskError] = None
-        for attempt in range(attempts):
+        for attempt in range(1, attempts):
             try:
                 self.device.write_block(block, data)
                 return
-            except DiskError as exc:
-                last = exc
-                if attempt + 1 < attempts:
-                    self.syslog.recovery(
-                        self.source, "write-retry",
-                        f"retrying write of block {block} (attempt {attempt + 2})",
-                        mechanism="retry", severity=Severity.WARNING,
-                        block=block,
-                    )
-        assert last is not None
-        raise last
+            except DiskError:
+                self.syslog.recovery(
+                    self.source, "write-retry",
+                    f"retrying write of block {block} (attempt {attempt + 1})",
+                    mechanism="retry", severity=Severity.WARNING,
+                    block=block,
+                )
+        self.device.write_block(block, data)
 
     def bwrite_nocheck(self, block: int, data: bytes) -> None:
         """Issue a write and *discard the return code* — detection level

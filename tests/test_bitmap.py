@@ -213,3 +213,33 @@ def test_padding_bits_are_never_free():
     assert bmp.count_free() == 0
     assert bmp.find_free(13) is None
     assert bmp.find_free(10**6) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_images(), st.data())
+def test_property_set_range_matches_a_per_bit_loop(bmp, data):
+    """One wide OR equals setting each in-range bit in turn: the range
+    is clamped to the map, and the padding bits keep what they held."""
+    start = data.draw(st.integers(min_value=-20, max_value=bmp.nbits + 20))
+    stop = data.draw(st.integers(min_value=-20, max_value=bmp.nbits + 20))
+    reference = Bitmap(bmp.nbits, bytes(bmp._bytes))
+    for i in range(max(start, 0), min(stop, bmp.nbits)):
+        reference.set(i)
+    bmp.set_range(start, stop)
+    assert bmp.to_bytes() == reference.to_bytes()
+
+
+def test_set_range_edges():
+    bmp = Bitmap(13, b"\x00\xe0")  # padding bits 13..15 set
+    bmp.set_range(5, 5)                   # empty
+    bmp.set_range(9, 3)                   # reversed: empty
+    bmp.set_range(-4, -1)                 # wholly before the map
+    bmp.set_range(13, 40)                 # wholly past it
+    assert bmp.to_bytes() == b"\x00\xe0"
+    bmp.set_range(-3, 2)                  # clamped at 0
+    assert list(bmp.iter_set()) == [0, 1]
+    bmp.set_range(11, 99)                 # clamped at nbits
+    assert list(bmp.iter_set()) == [0, 1, 11, 12]
+    bmp.set_range(0, 13)                  # the whole map
+    assert bmp.count_free() == 0
+    assert bmp.to_bytes() == b"\xff\xff"

@@ -33,6 +33,8 @@ from repro.fs.ext3.structures import (
 )
 from repro.vfs import O_RDONLY, O_RDWR
 
+from conftest import EXT3_CFG, make_ext3
+
 
 class TestConfigLayout:
     def test_regions_do_not_overlap(self):
@@ -85,11 +87,11 @@ class TestStructureRoundtrips:
         sb = Superblock.for_config(cfg, features=0b10101)
         again = Superblock.unpack(sb.pack(1024))
         assert again == sb
-        assert again.is_valid()
+        assert again.is_valid(1024)
 
     def test_superblock_sanity(self):
         sb = Superblock.unpack(b"\x00" * 1024)
-        assert not sb.is_valid()
+        assert not sb.is_valid(1024)
 
     def test_group_descriptor(self):
         gd = GroupDescriptor(10, 11, 12, 100, 50, 20, 200)
@@ -291,3 +293,35 @@ class TestExt3Journal:
         fs2.mount()
         assert not fs2.exists("/dir")
         assert fs2.read_file("/reuse") == b"R" * 2048
+
+
+class TestBitmapBlocks:
+    @pytest.mark.parametrize("kind", ["block", "inode"])
+    def test_a_change_rewrites_the_map_and_zeroes_the_tail(self, kind):
+        """Allocation rewrites a bitmap block as the map's own bytes
+        (the padding bits of its last byte kept as read) zero-padded to
+        the block: garbage past the map's bytes does not survive."""
+        disk, fs = make_ext3()
+        cfg = EXT3_CFG
+        if kind == "block":
+            block, nbits = cfg.block_bitmap_block(0), cfg.data_blocks_per_group
+        else:
+            block, nbits = cfg.inode_bitmap_block(0), cfg.inodes_per_group
+        nbytes = (nbits + 7) // 8
+        before = bytearray(disk.peek(block))
+        pad = 0xFF << (nbits % 8) & 0xFF if nbits % 8 else 0
+        before[nbytes - 1] |= pad
+        before[nbytes:] = b"\xa5" * (len(before) - nbytes)
+        disk.poke(block, bytes(before))
+        fs.mount()
+        fs.write_file("/f", b"x")
+        fs.unmount()
+        used = int.from_bytes(before[:nbytes], "little")
+        taken = (~used & ((1 << nbits) - 1)) & -(~used & ((1 << nbits) - 1))
+        assert disk.peek(block) == (
+            (used | taken).to_bytes(nbytes, "little").ljust(len(before), b"\x00"))
+        fs.mount()
+        fs.unlink("/f")
+        fs.unmount()
+        assert disk.peek(block) == (
+            used.to_bytes(nbytes, "little").ljust(len(before), b"\x00"))

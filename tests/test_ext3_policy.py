@@ -151,7 +151,7 @@ class TestSanityChecks:
         sb = Superblock.unpack(disk.peek(0))
         sb.num_groups = 5000
         disk.poke(0, sb.pack(disk.block_size))
-        assert not sb.is_valid()
+        assert not sb.is_valid(disk.block_size)
         with pytest.raises(FSError) as e:
             fs.mount()
         assert e.value.errno is Errno.EUCLEAN
@@ -159,6 +159,41 @@ class TestSanityChecks:
         report = fsck_ext3(disk)
         assert not report.clean
         assert "superblock" in report.render()
+
+    @pytest.mark.parametrize("make", [make_ext3, make_ixt3])
+    @pytest.mark.parametrize("block_size, num_groups", [(8192, 200), (1 << 20, 2000)])
+    def test_block_size_other_than_the_devices_fails_mount(self, make, block_size,
+                                                            num_groups):
+        """A superblock recording a block size the device does not have
+        is garbage: mount fails EUCLEAN with a sanity detection, and fsck
+        reports the superblock, instead of a ``struct.error`` from the
+        descriptor decode or a ``ValueError`` from the config."""
+        disk, fs = make()
+        sb = Superblock.unpack(disk.peek(0))
+        sb.block_size, sb.num_groups = block_size, num_groups
+        disk.poke(0, sb.pack(disk.block_size))
+        with pytest.raises(FSError) as e:
+            fs.mount()
+        assert e.value.errno is Errno.EUCLEAN
+        assert fs.syslog.has_event("sanity-fail")
+        report = fsck_ext3(disk)
+        assert not report.clean
+        assert "superblock" in report.render()
+        assert sb.is_valid(block_size) and not sb.is_valid(disk.block_size)
+
+    @pytest.mark.parametrize("field", ["blocks_per_group", "inodes_per_group"])
+    def test_group_bitmap_overrunning_its_block_fails_mount(self, field):
+        """A group of more blocks or inodes than one bitmap block maps is
+        garbage too: caught before any allocation reads the bitmap."""
+        disk, fs = make_ext3()
+        sb = Superblock.unpack(disk.peek(0))
+        setattr(sb, field, 8 * disk.block_size + 8)
+        disk.poke(0, sb.pack(disk.block_size))
+        with pytest.raises(FSError) as e:
+            fs.mount()
+        assert e.value.errno is Errno.EUCLEAN
+        assert "superblock" in fsck_ext3(disk).render()
+        assert not sb.is_valid(disk.block_size)
 
     def test_open_detects_overly_large_size(self, prepared):
         disk, injector, fs = prepared

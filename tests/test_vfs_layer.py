@@ -1,11 +1,14 @@
 """Units for the VFS layer: paths, fd table, the generic buffer layer."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import Errno, FSError, ReadError, WriteError
-from repro.common.syslog import SysLog
+from repro.common.syslog import Severity, SysLog
 from repro.disk import Fault, FaultInjector, FaultKind, FaultOp, Persistence, make_disk
+from repro.obs.events import RecoveryEvent
 from repro.vfs import (
     BufferLayer,
     FDTable,
@@ -169,3 +172,51 @@ class TestBufferLayer:
         with pytest.raises(WriteError):
             injector.arm(Fault(op=FaultOp.WRITE, kind=FaultKind.FAIL, block=5))
             buf.bwrite(5, b"\xdd" * 512)
+
+
+class _AlwaysFails:
+    """A device whose every request fails with an error naming its
+    attempt, so a test can tell which one the buffer layer raised."""
+
+    block_size = 512
+    num_blocks = 16
+
+    def __init__(self):
+        self.calls = 0
+
+    def read_block(self, block):
+        self.calls += 1
+        raise ReadError(block, f"attempt {self.calls}")
+
+    def write_block(self, block, data):
+        self.calls += 1
+        raise WriteError(block, f"attempt {self.calls}")
+
+
+@pytest.mark.parametrize("op", ["read", "write"])
+def test_failing_every_attempt_retries_then_raises_the_last_error(op):
+    """Each failed attempt but the last logs one retry, in order; the
+    error raised is the last attempt's own; and nothing the failure
+    touched is left to the cycle collector (an error kept past its
+    handler would hold its frame, and the frame the error)."""
+    device, log = _AlwaysFails(), SysLog()
+    buf = BufferLayer(device, log, "test", read_retries=3, write_retries=3)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(ReadError if op == "read" else WriteError) as e:
+            if op == "read":
+                buf.bread(7)
+            else:
+                buf.bwrite(7, bytes(512))
+        assert (e.value.block, e.value.op, str(e.value)) == (7, op, "attempt 4")
+        del e
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert device.calls == 4
+    assert log.records == [
+        RecoveryEvent(Severity.WARNING, "test", f"{op}-retry",
+                      f"retrying {op} of block 7 (attempt {n})", 7,
+                      mechanism="retry")
+        for n in (2, 3, 4)]
