@@ -281,7 +281,6 @@ def make_array_adapter(base: str = "ext3", geometry: str = "mirror",
         inner,
         name=f"{inner.name}@{geometry}{members}",
         build_device=build_device,
-        golden_cache={},
     )
 
 

@@ -55,12 +55,6 @@ class FSAdapter:
     redundancy_types: List[str] = field(default_factory=list)
     #: Workload keys to run (NTFS uses a subset, as in the paper).
     workload_keys: str = "abcdefghijklmnopqrst"
-    #: Golden (snapshot, frozen-oracle) pairs keyed by the workload's
-    #: ``(setup, crash_ops)`` — the only inputs the pristine image
-    #: depends on.  Every standard workload shares one setup, so one
-    #: slab image (and the type-oracle cache hanging off its ``meta``)
-    #: serves the whole matrix instead of being rebuilt per workload.
-    golden_cache: Dict[Any, Any] = field(default_factory=dict, repr=False)
 
     def build_stack(self) -> DeviceStack:
         """Compose the fingerprinting device stack: disk + injector,
@@ -119,6 +113,7 @@ class Fingerprinter:
         self._io_acc: Optional[DiskStats] = None
         self._metrics_acc: Optional[MetricsRegistry] = None
         self._part: Optional[TraceCapture] = None
+        self._goldens: Dict[Any, Tuple[Any, TypeOracle]] = {}
 
     # -- public entry point --------------------------------------------------
 
@@ -128,11 +123,13 @@ class Fingerprinter:
             block_types=list(self.adapter.figure_block_types),
             workloads=[w.name for w in self.workloads],
         )
-        for workload in self.workloads:
-            self.progress(
-                f"{self.adapter.name}: workload {workload.key} ({workload.name})"
-            )
-            self._run_workload(matrix, workload)
+        try:
+            for workload in self.workloads:
+                self.progress(f"{self.adapter.name}: workload "
+                              f"{workload.key} ({workload.name})")
+                self._run_workload(matrix, workload)
+        finally:
+            self._goldens.clear()
         if self.metrics:
             self.observed.metrics = MetricsRegistry.merge_snapshots(
                 part.metrics for part in self.observed.parts)
@@ -200,12 +197,11 @@ class Fingerprinter:
         """Build the pristine (or deliberately crashed) image for one
         workload, plus a frozen block-type oracle usable before mount.
         The pair is a pure function of the workload's setup and crash
-        schedule, so it is cached on the adapter and shared by every
-        workload with the same ``(setup, crash_ops)``."""
-        cache_key = (workload.setup, workload.crash_ops)
-        cached = self.adapter.golden_cache.get(cache_key)
-        if cached is not None:
-            return cached
+        schedule, so one run builds it once for every workload with the
+        same ``(setup, crash_ops)``, and drops it when the run ends."""
+        key = (workload.setup, workload.crash_ops)
+        if key in self._goldens:
+            return self._goldens[key]
         disk = self.adapter.build_device()
         self.adapter.mkfs(disk)
         fs = self.adapter.make_fs(disk)
@@ -226,7 +222,7 @@ class Fingerprinter:
             b: t for b in range(disk.num_blocks)
             if (t := shadow.block_type(b)) is not None
         }.get
-        self.adapter.golden_cache[cache_key] = (snapshot, oracle)
+        self._goldens[key] = (snapshot, oracle)
         return snapshot, oracle
 
     # -- one observed run ------------------------------------------------------------

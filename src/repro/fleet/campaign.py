@@ -38,8 +38,8 @@ from repro.obs.postmortem import (
     build_incident,
     fold_incidents,
     mode_counts,
-    stream_label,
 )
+from repro.obs.trace import event_ordinal
 
 OUTCOMES = ("survived", "detected-loss", "silent-loss", "stopped")
 
@@ -115,9 +115,9 @@ class FleetReport:
     #: Fold over incident keys in enumeration order — byte-identical
     #: at any --jobs width, asserted alongside :attr:`digest`.
     incident_digest: str = ""
-    #: Retained logical event streams by label (terminal trials only);
-    #: every incident cause ref resolves against this mapping.
-    streams: Dict[str, Tuple[StorageEvent, ...]] = field(default_factory=dict)
+    #: The events each incident's causes cite, ``{ordinal: event}`` by
+    #: stream label: every cause ref resolves here; nothing else is kept.
+    streams: Dict[str, Dict[int, StorageEvent]] = field(default_factory=dict)
     #: Flight-recorder time series folded across all trials (a
     #: registry holding only timeseries instruments).
     series: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -348,8 +348,9 @@ def run_fleet(spec: FleetSpec, jobs: int = 1,
             report.incidents.append(incident)
             cell.incident_modes[incident.mode] = \
                 cell.incident_modes.get(incident.mode, 0) + 1
-            if outcome.stream is not None:
-                report.streams[stream_label(outcome)] = outcome.stream
+            cited = (event_ordinal(cause.ref) for cause in incident.causes)
+            report.streams[incident.stream_label] = {
+                i: outcome.stream[i] for i in cited}
         done += 1
         if progress is not None and done % max(1, spec.trials // 2) == 0:
             progress(f"fleet: {done}/{len(tasks)} trials "

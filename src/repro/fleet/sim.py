@@ -173,8 +173,8 @@ class TrialOutcome:
     #: The recorder's :data:`GAUGES` binned over the mission, packed.
     series: Optional[PackedSeries] = None
     #: The trial's logical event stream (``LogEvent`` subclasses only
-    #: — block I/O stays behind), retained for lost/stopped trials so
-    #: post-mortem provenance refs resolve; None for survivors.
+    #: — block I/O stays behind), sent for lost/stopped trials so the
+    #: parent's post-mortem sees the whole chain; None for survivors.
     stream: Optional[Tuple[StorageEvent, ...]] = None
     #: Events the ring evicted before trial end (post-mortems report
     #: a truncated causal prefix honestly instead of silently).
@@ -673,10 +673,9 @@ class _Trial:
         label = f"fleet:{self.geometry.label}:{self.policy.name}:{self.trial}"
         hasher = hashlib.sha256()
         fold_digest(hasher, label, list(self.events))
-        # Post-mortems only need the logical story: keep LogEvent
-        # subclasses (arrivals, detections, recoveries, verdicts) and
-        # leave the block-I/O firehose behind, so ten thousand trials'
-        # worth of retained streams stays small.  Traced re-runs keep
+        # Post-mortems only need the logical story: a lost or stopped
+        # trial ships its LogEvents (arrivals, detections, recoveries,
+        # verdicts), not the block-I/O firehose.  Traced re-runs keep
         # everything — the timeline export wants spans and I/O too.
         observed = None
         if self._trace:

@@ -190,14 +190,15 @@ class Ext3(JournaledFS):
                                   mechanism="error-code", block=0)
             raise FSError(Errno.EIO, "cannot read superblock") from exc
         sb = Superblock.unpack(raw)
-        if not sb.is_valid(self.block_size):
+        config = sb.checked_config(self.block_size)
+        if config is None:
             # D_sanity: the superblock carries a magic number and is
             # type-checked at mount.
             self.syslog.detection(self.name, "sanity-fail", "bad superblock magic",
                                   mechanism="sanity", block=0)
             raise FSError(Errno.EUCLEAN, "bad superblock")
         self.sb = sb
-        self.config = sb.config()
+        self.config = config
 
         try:
             gdt_raw = self.buf.bread(self.config.gdt_block)

@@ -96,11 +96,12 @@ class Ext3Fsck:
     def run(self) -> FsckReport:
         raw = self.device.read_block(0)
         sb = Superblock.unpack(raw)
-        if not sb.is_valid(self.device.block_size):
+        config = sb.checked_config(self.device.block_size)
+        if config is None:
             self.report.problem("superblock invalid; cannot check volume")
             return self.report
         self.sb = sb
-        self.config = sb.config()
+        self.config = config
         self._load_inodes()
         self._pass1_pointers()
         self._pass2_directories()

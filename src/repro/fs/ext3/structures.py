@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from struct import Struct
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.common.structs import DecodeMemo, U16x2, frozen_record, interned, u32_seq
 from repro.fs.ext3.config import INODE_SIZE, NUM_DIRECT, Ext3Config
@@ -147,6 +147,17 @@ class Superblock:
             and 0 < self.num_groups * _GD_SIZE <= self.block_size
             and max(self.blocks_per_group, self.inodes_per_group) <= 8 * self.block_size
         )
+
+    def checked_config(self, device_block_size: int) -> Optional[Ext3Config]:
+        """What mount and fsck decode: :meth:`config` if the superblock
+        passes :meth:`is_valid` and :class:`Ext3Config` accepts the
+        geometry it records, else None (a bad superblock either way)."""
+        if not self.is_valid(device_block_size):
+            return None
+        try:
+            return self.config()
+        except ValueError:
+            return None
 
 
 _GD_STRUCT = Struct("<IIIHHII")

@@ -38,7 +38,6 @@ from repro.common.errors import (
     FSError,
     KernelPanic,
 )
-from repro.common.structs import interned
 from repro.common.syslog import Severity
 from repro.fs.base import JournaledFS, weakly
 from repro.fs.ext3.journal import Journal, parse_commit, parse_desc
@@ -136,18 +135,14 @@ class ReiserFS(JournaledFS):
                                   mechanism="error-code", block=0)
             raise FSError(Errno.EIO, "cannot read superblock") from exc
         sb = ReiserSuper.unpack(raw)
-        if not sb.is_valid():
+        config = sb.checked_config()
+        if config is None:
             self.syslog.detection(self.name, "sanity-fail", "bad superblock magic",
                                   mechanism="sanity", block=0)
             self.syslog.action(self.name, "unmountable", "refusing to mount corrupt volume")
             raise FSError(Errno.EUCLEAN, "bad superblock")
         self.sb = sb
-        self.config = interned(
-            ReiserConfig,
-            block_size=sb.block_size,
-            total_blocks=sb.total_blocks,
-            journal_blocks=sb.journal_blocks,
-        )
+        self.config = config
         self.journal = Journal(
             start=sb.journal_start,
             nblocks=sb.journal_blocks,

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from struct import Struct
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.checksum import crc32
-from repro.common.structs import DecodeMemo, U32, u32_seq
+from repro.common.structs import DecodeMemo, U32, interned, u32_seq
+from repro.fs.reiserfs.config import ReiserConfig
 
 REISER_MAGIC = b"ReIsErFs"
 
@@ -61,6 +62,19 @@ class ReiserSuper:
             and 0 < self.root_block < self.total_blocks
             and 1 <= self.height <= 7
         )
+
+    def checked_config(self) -> Optional[ReiserConfig]:
+        """What mount decodes: the interned :class:`ReiserConfig` of a
+        superblock that passes :meth:`is_valid` and records a geometry
+        the config accepts, else None (a bad superblock either way)."""
+        if not self.is_valid():
+            return None
+        try:
+            return interned(ReiserConfig, block_size=self.block_size,
+                            total_blocks=self.total_blocks,
+                            journal_blocks=self.journal_blocks)
+        except ValueError:
+            return None
 
 
 _STAT_STRUCT = Struct("<HHHHQddd")

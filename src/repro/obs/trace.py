@@ -455,10 +455,19 @@ def span_ref(label: str, span_id: int) -> str:
     return f"{label}#s{span_id}"
 
 
+def event_ordinal(ref: str) -> int:
+    """The ordinal an event reference (``<label>#e<index>:<kind>``) names."""
+    index_text = ref.rpartition("#")[2][1:].partition(":")[0]
+    if not index_text.isdecimal():
+        raise ValueError(f"{ref!r}: event ordinal is not a number >= 0")
+    return int(index_text)
+
+
 def resolve_ref(ref: str, streams) -> StorageEvent:
     """Resolve a provenance reference against recorded streams.
 
-    *streams* maps stream label -> ordered event sequence.  Event refs
+    *streams* maps stream label -> ordered events (or, for event refs
+    only, an ``{ordinal: event}`` map of the events kept).  Event refs
     return the event at the ordinal (the kind must match); span refs
     return the span's :class:`SpanStartEvent`.  Raises ``KeyError`` /
     ``ValueError`` when the reference does not resolve — the provenance
@@ -469,13 +478,11 @@ def resolve_ref(ref: str, streams) -> StorageEvent:
         raise ValueError(f"malformed provenance ref: {ref!r}")
     events = streams[label]
     if anchor.startswith("e"):
-        index_text, _, kind = anchor[1:].partition(":")
-        if not index_text.isdecimal():
-            raise ValueError(f"{ref!r}: event ordinal is not a number >= 0")
-        index = int(index_text)
-        if index >= len(events):
-            raise ValueError(f"{ref!r}: index past end of stream ({len(events)})")
-        event = events[index]
+        index, kind = event_ordinal(ref), anchor.partition(":")[2]
+        try:
+            event = events[index]
+        except LookupError:
+            raise ValueError(f"{ref!r}: stream holds no event {index}") from None
         if kind and event.kind != kind:
             raise ValueError(f"{ref!r}: stream has {event.kind!r} at {index}")
         return event

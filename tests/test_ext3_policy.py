@@ -195,6 +195,29 @@ class TestSanityChecks:
         assert "superblock" in fsck_ext3(disk).render()
         assert not sb.is_valid(disk.block_size)
 
+    @pytest.mark.parametrize("make", [make_ext3, make_ixt3])
+    @pytest.mark.parametrize("field, value", [("inodes_per_group", 60),
+                                              ("journal_blocks", 4)])
+    def test_geometry_the_config_rejects_fails_mount(self, make, field, value):
+        """Fields that pass the field checks but describe a geometry
+        ``Ext3Config`` refuses (a partial inode-table block, a journal
+        under 8 blocks) are garbage too: mount fails EUCLEAN with a sanity
+        detection and fsck reports the superblock, instead of a
+        ``ValueError`` escaping ``Superblock.config()``."""
+        disk, fs = make()
+        sb = Superblock.unpack(disk.peek(0))
+        setattr(sb, field, value)
+        disk.poke(0, sb.pack(disk.block_size))
+        assert sb.is_valid(disk.block_size)
+        assert sb.checked_config(disk.block_size) is None
+        with pytest.raises(FSError) as e:
+            fs.mount()
+        assert e.value.errno is Errno.EUCLEAN
+        assert fs.syslog.has_event("sanity-fail")
+        report = fsck_ext3(disk)
+        assert not report.clean
+        assert "superblock" in report.render()
+
     def test_open_detects_overly_large_size(self, prepared):
         disk, injector, fs = prepared
 

@@ -20,6 +20,7 @@ import dataclasses
 
 import pytest
 
+from repro.common.errors import Errno, FSError
 from repro.common.structs import interned
 from repro.disk.disk import DiskStats, make_disk
 from repro.fingerprint.adapters import ADAPTERS, make_ext3_adapter
@@ -166,8 +167,9 @@ def test_a_geometry_that_fails_validation_raises_and_caches_nothing(key,
     _poke_superblock(disk, unpack, journal_blocks=4)
     for _ in range(2):
         cached = interned.cache_info().currsize
-        with pytest.raises(ValueError, match="journal needs at least 8"):
+        with pytest.raises(FSError) as e:
             adapter.make_fs(disk).mount()
+        assert e.value.errno is Errno.EUCLEAN
         assert interned.cache_info().currsize == cached
 
 

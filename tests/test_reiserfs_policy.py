@@ -13,6 +13,7 @@ from repro.disk import (
     read_failure,
     write_failure,
 )
+from repro.fs.reiserfs.structures import ReiserSuper
 
 from conftest import faulty_remount, make_reiserfs
 
@@ -124,6 +125,21 @@ class TestSanityChecks:
         with pytest.raises(FSError) as e:
             fs.mount()
         assert e.value.errno is Errno.EUCLEAN
+        assert fs.syslog.has_event("unmountable")
+
+    def test_journal_the_config_rejects_is_unmountable(self):
+        """A superblock naming a journal under 8 blocks, magic intact,
+        is refused like a bad magic rather than raising ``ValueError``
+        from the config it decodes."""
+        disk, fs = make_reiserfs()
+        sb = ReiserSuper.unpack(disk.peek(0))
+        sb.journal_blocks = 4
+        disk.poke(0, sb.pack(disk.block_size))
+        assert sb.is_valid() and sb.checked_config() is None
+        with pytest.raises(FSError) as e:
+            fs.mount()
+        assert e.value.errno is Errno.EUCLEAN
+        assert fs.syslog.has_event("sanity-fail")
         assert fs.syslog.has_event("unmountable")
 
     def test_corrupt_leaf_detected_and_propagated(self, prepared):
